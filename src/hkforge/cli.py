@@ -12,9 +12,7 @@ import cmath
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,13 +23,6 @@ from .semiflat import ModelPoint, xsf_log
 
 class CheckFailure(RuntimeError):
     """A verification subcommand found a violation."""
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("HKFORGE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def parse_complex(text: str) -> complex:
@@ -60,9 +51,14 @@ def point_from_args(args) -> ModelPoint:
     return ModelPoint(args.u, args.R, args.theta)
 
 
+# GridSpec fields kept in solution files, with the CLI flags that set them
+SPEC_ARGS = {"eps_quad": "eps_quad", "panels": "panels",
+             "nodes_per_panel": "nodes"}
+
+
 def grid_spec_from_args(args) -> solver.GridSpec:
-    return solver.GridSpec(eps_quad=args.eps_quad, panels=args.panels,
-                           nodes_per_panel=args.nodes)
+    return solver.GridSpec(**{f: getattr(args, a)
+                              for f, a in SPEC_ARGS.items()})
 
 
 def add_point_args(p, theta_required=True):
@@ -150,8 +146,7 @@ def _solution_payload(model, point, spec, sol) -> dict:
     cfg = {"model": model.config,
            "point": {"u": [point.u.real, point.u.imag], "R": point.R,
                      "theta": list(point.theta)},
-           "spec": {"eps_quad": spec.eps_quad, "panels": spec.panels,
-                    "nodes_per_panel": spec.nodes_per_panel},
+           "spec": {f: getattr(spec, f) for f in SPEC_ARGS},
            "tol_iter": sol.tol_iter}
     rays = []
     for grid, ups in zip(sol.grids, sol.upsilon):
@@ -178,9 +173,7 @@ def load_solution(path: str):
     model = models.model_from_config(cfg["model"])
     point = ModelPoint(complex(*cfg["point"]["u"]), cfg["point"]["R"],
                        tuple(cfg["point"]["theta"]))
-    spec = solver.GridSpec(eps_quad=cfg["spec"]["eps_quad"],
-                           panels=cfg["spec"]["panels"],
-                           nodes_per_panel=cfg["spec"]["nodes_per_panel"])
+    spec = solver.GridSpec(**{f: cfg["spec"][f] for f in SPEC_ARGS})
     sol = solver.solve(model, point, spec=spec, tol_iter=cfg["tol_iter"])
     # replace the recomputed corrections with the stored ones
     for ray_payload, grid, ups in zip(payload["rays"], sol.grids, sol.upsilon):
@@ -390,9 +383,6 @@ def _metric_grid_rows(model, point, n, semiflat_only):
         return [p.u.real, p.u.imag] + [g[i, j] for i in range(4)
                                        for j in range(i, 4)]
 
-    if worker_count() > 1:
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            return list(pool.map(one, offsets))
     return [one(du) for du in offsets]
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .semiflat import ModelPoint, pairing_two_form
-from .solver import (GridSpec, RaySolution, _log_xsf_on_nodes, solve,
-                     upsilon)
+from .solver import (GridSpec, _log_xsf_on_nodes, build_grids,
+                     midsector_zetas, solve, upsilon)
 
 H_THETA = 1e-4
 
@@ -42,6 +42,7 @@ class VarpiSampler:
     from the center solution; evaluating many zetas then reuses them all.
     ``semiflat_only`` drops the corrections but keeps the same finite
     differences, which is the cross-check against the closed forms.
+    ``center`` is the solve at the point itself (None if semiflat_only).
     """
 
     model: object
@@ -58,7 +59,7 @@ class VarpiSampler:
                          (ht, 0.0), (0.0, ht)]
         self._steps = [hu, hu, ht, ht]
         self._solutions = []
-        center = None if self.semiflat_only else solve(
+        self.center = center = None if self.semiflat_only else solve(
             mdl, pt, spec=self.spec, tol_iter=self.tol_iter)
         for disp in displacements:
             pair = []
@@ -98,15 +99,6 @@ class VarpiSampler:
         a = self.dlog_matrix(zeta, side=side)
         return pairing_two_form(self.model.lattice, a,
                                 scale=1.0 / (8.0 * math.pi ** 2 * self.point.R))
-
-
-def varpi_at(model, point: ModelPoint, zeta: complex,
-             spec: GridSpec = GridSpec(), tol_iter: float = 1e-11,
-             semiflat_only: bool = False) -> np.ndarray:
-    """One-shot two-form sample; batch work should use VarpiSampler."""
-    sampler = VarpiSampler(model, point, spec=spec, tol_iter=tol_iter,
-                           semiflat_only=semiflat_only)
-    return sampler.varpi(zeta)
 
 
 @dataclass
@@ -206,12 +198,6 @@ def triple_wedge_check(omega_plus: np.ndarray, omega_3: np.ndarray
                        volume=squares[0])
 
 
-def metric_zetas(solution: RaySolution, n: int = 12) -> list[complex]:
-    """Unit-circle fit points interleaved between the rays of a solution."""
-    from .solver import midsector_zetas
-    return midsector_zetas(solution, n=n)
-
-
 def fit_point(model, point: ModelPoint, n_zetas: int = 12,
               spec: GridSpec = GridSpec(), tol_iter: float = 1e-11,
               semiflat_only: bool = False
@@ -219,8 +205,9 @@ def fit_point(model, point: ModelPoint, n_zetas: int = 12,
     """Full pipeline at one point: samples, Laurent split, metric, algebra."""
     sampler = VarpiSampler(model, point, spec=spec, tol_iter=tol_iter,
                            semiflat_only=semiflat_only)
-    sol = solve(model, point, spec=spec, tol_iter=tol_iter)
-    zetas = metric_zetas(sol, n=n_zetas)
+    grids = build_grids(model, point, spec) if semiflat_only \
+        else sampler.center.grids
+    zetas = midsector_zetas(grids, n=n_zetas)
     samples = [sampler.varpi(z) for z in zetas]
     fit = laurent_fit(zetas, samples)
     metric = metric_from_triple(fit.omega_plus, fit.omega_3)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .lattice import (Charge, CentralCharge, DegeneratePointError, Lattice,
-                      Spectrum, bps_rays, charge)
+                      Spectrum, charge)
 
 RANK2_PAIRING = ((0, 1), (-1, 0))
 
@@ -527,12 +527,3 @@ def model_info(model: ModelDefinition) -> str:
         lines.append("wall: locus where the active central charges align")
         lines.append("vanishing cycles: e1 at u = -2 Lambda^3, e2 at +2 Lambda^3")
     return "\n".join(lines)
-
-
-def wall_free(model: ModelDefinition, u: complex, R: float) -> bool:
-    """True when the active rays at u are pairwise well separated."""
-    try:
-        bps_rays(model.spectrum, model.Z, u, R=R)
-    except Exception:
-        return False
-    return True

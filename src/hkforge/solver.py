@@ -16,10 +16,17 @@ The log-corrections Upsilon = log(X / X^sf) are the stored unknowns: they
 stay O(exp(-2 pi R |Z|)), which avoids the huge semiflat exponentials and
 makes the smallness of the quantum corrections explicit.
 
-Near-ray evaluation subtracts the Cauchy kernel singularity and integrates
-coth((s - w)/2) in closed form; the two directed boundary values differ by
-the residue term +-2 pi i, which is how the expected coordinate jumps
-emerge from one integral representation.
+Every ray integral applies one kernel, coth((s - w)/2) with the target at
+direction * e^w, built by ``kernel_rows`` from a source grid and target
+poles.  The solve builds it once per unordered ray pair whose charges pair
+to nonzero (the reverse direction is minus its transpose, coth being odd),
+so a sweep is a list of matvecs; off-grid evaluation and the tree sum call
+the same builder.  When the target lies within NEAR_ANGLE of the source
+ray the integrand is continued to the pole and subtracted, and the
+subtracted part is integrated in closed form: the sweep stores that
+remainder once per ordered near pair.  On a ray the two directed boundary
+values of the closed form differ by the residue term +-2 pi i, which is how
+the expected coordinate jumps emerge from one integral representation.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .lattice import Charge, Ray, bps_rays
+from .lattice import Charge, Ray, _wrap_angle, bps_rays
 from .semiflat import CoordinateValue, ModelPoint, theta_eval
 
 FOUR_PI_I = 4j * math.pi
@@ -151,18 +158,6 @@ def _log_xsf_on_nodes(model, point: ModelPoint, gamma: Charge,
     return piR * z / zetas + 1j * th + piR * zetas * np.conj(z)
 
 
-def _wrap(a: float) -> float:
-    while a <= -math.pi:
-        a += 2.0 * math.pi
-    while a > math.pi:
-        a -= 2.0 * math.pi
-    return a
-
-
-def _coth_half(x: np.ndarray) -> np.ndarray:
-    return 1.0 / np.tanh(0.5 * x)
-
-
 def _kernel_C(w, s_max: float):
     """Closed form of int_{-S}^{S} coth((s-w)/2) ds, principal branch.
 
@@ -174,78 +169,112 @@ def _kernel_C(w, s_max: float):
                      - np.log(1.0 - np.exp(s_max + w))))
 
 
-def _subtracted_rows(s_src: np.ndarray, weights: np.ndarray,
-                     g: np.ndarray, w, s_max: float, g_at_pole):
-    """Integral of coth((s-w)/2) g(s) via singularity subtraction.
+def kernel_rows(grid: QuadratureGrid, w) -> np.ndarray:
+    """Cauchy kernel coth((s - w)/2) at poles w (rows) and nodes s (columns).
 
-    ``w`` may be a scalar or a vector of pole positions; ``g_at_pole`` the
-    matching values of the analytic continuation of g at those poles.
-    Subtracting the continued value (not g at Re w) keeps the subtracted
-    integrand smooth on the scale of g itself rather than on the scale of
-    the pole offset, so fixed nodes resolve it at any offset.
+    A pole w stands for zeta = direction * e^w, so the kernel is the
+    rational (z' + zeta)/(z' - zeta) of the integral equation.  Where a pole
+    lies within 1e-6 of a node the entry falls back to the leading Laurent
+    term 2/(s - w), and to 0 within 1e-12, where the subtracted integrand
+    vanishes.
     """
-    w_arr = np.atleast_1d(np.asarray(w, dtype=complex))
-    gs = np.atleast_1d(np.asarray(g_at_pole, dtype=complex))
-    x = s_src[None, :] - w_arr[:, None]
-    small = np.abs(x) < 1e-6
-    kern = np.empty_like(x)
-    safe = ~small
-    kern[safe] = _coth_half(x[safe])
-    kern[small] = 0.0
-    diff = g[None, :] - gs[:, None]
-    main = (kern * diff) @ weights
-    # Taylor fallback where a node almost coincides with the pole.
-    if np.any(small):
-        idx = np.nonzero(small)
-        tiny = np.abs(x[idx]) < 1e-12
-        corr = np.zeros(len(idx[0]), dtype=complex)
-        xs = x[idx]
-        corr[~tiny] = 2.0 * diff[idx][~tiny] / xs[~tiny]
-        rows = idx[0]
-        np.add.at(main, rows, corr * weights[idx[1]])
-    return main + gs * _kernel_C(w_arr, s_max)
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    es = np.exp(grid.s_nodes)[None, :]
+    ew = np.exp(w)[:, None]
+    if np.min(np.abs(w.imag)) >= 1e-6:
+        return (es + ew) / (es - ew)
+    x = grid.s_nodes[None, :] - w[:, None]
+    close = np.abs(x) < 1e-6
+    rows = (es + ew) / np.where(close, 1.0, es - ew)
+    rows[close] = 2.0 / np.where(np.abs(x) < 1e-12, np.inf, x)[close]
+    return rows
+
+
+def _remainder(grid: QuadratureGrid, rows: np.ndarray, w) -> np.ndarray:
+    """Closed-form integral of the kernel rows minus their quadrature."""
+    return _kernel_C(w, grid.s_max) - rows @ grid.weights
+
+
+def _continued(spline: CubicSpline, w: np.ndarray, s_max: float
+               ) -> np.ndarray:
+    """Second-order Taylor continuation of a node spline to the poles w.
+
+    Zero for poles past the truncated grid, where the data vanish.
+    """
+    sigma = np.clip(w.real, -s_max, s_max)
+    dw = w - w.real
+    vals = (spline(sigma) + dw * spline(sigma, 1)
+            + 0.5 * dw * dw * spline(sigma, 2))
+    return np.where(np.abs(w.real) <= s_max, vals, 0.0)
+
+
+def cauchy_integral(grid: QuadratureGrid, f: np.ndarray, w,
+                    f_pole=None) -> np.ndarray:
+    """int_{-S}^{S} coth((s - w)/2) f(s) ds at poles w at one ray offset.
+
+    Poles within NEAR_ANGLE of the ray subtract f continued to the pole
+    (``f_pole``, by default the Taylor continuation of f's spline) and add
+    it back against the closed-form kernel integral, so the fixed nodes
+    resolve the integrand at any offset.
+    """
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    rows = kernel_rows(grid, w)
+    out = rows @ (grid.weights * f)
+    if abs(w[0].imag) < NEAR_ANGLE:
+        if f_pole is None:
+            f_pole = _continued(CubicSpline(grid.s_nodes, f), w, grid.s_max)
+        out = out + f_pole * _remainder(grid, rows, w)
+    return out
 
 
 @dataclass
 class _Workspace:
-    charges: list[list[tuple[Charge, int, complex]]]
-    kernels: dict
-    pair_cache: dict
+    """One sweep of the integral equation on fixed grids, as matvecs.
+
+    ``unknowns`` lists (ray, charge) ray-major.  A term (t, s, coef, rows,
+    near) adds coef * rows @ (weights * g_s) to unknown t, where g_s is
+    log(1 - X) of unknown s on its nodes; for rays within NEAR_ANGLE,
+    ``near`` = (poles, remainder) adds coef * remainder * g_s continued to
+    the poles.  Each unordered ray pair has one kernel; the reverse
+    direction reads it transposed with the opposite sign.
+    """
+
+    unknowns: list[tuple[int, Charge]]
+    terms: list[tuple[int, int, complex, np.ndarray, tuple | None]]
 
 
 def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspace:
     lat = model.lattice
-    charges = []
-    for grid in grids:
-        entries = [(g, om, z) for g, om, z in
-                   zip(grid.ray.charges, grid.ray.omegas, grid.ray.zs)]
-        charges.append(entries)
+    unknowns = [(r, g) for r, grid in enumerate(grids)
+                for g in grid.ray.charges]
+    omegas = [om for grid in grids for om in grid.ray.omegas]
+    blocks = {}
 
-    kernels = {}
-    nr = len(grids)
-    for rt in range(nr):
-        for rs in range(nr):
-            if rs == rt:
+    def block(rt: int, rs: int):
+        a, b = min(rt, rs), max(rt, rs)
+        if (a, b) not in blocks:
+            dphi = _wrap_angle(grids[a].ray.angle - grids[b].ray.angle)
+            w_ab = grids[a].s_nodes + 1j * dphi
+            rows = kernel_rows(grids[b], w_ab)
+            near_ab = near_ba = None
+            if abs(dphi) < NEAR_ANGLE:
+                w_ba = grids[b].s_nodes - 1j * dphi
+                near_ab = (w_ab, _remainder(grids[b], rows, w_ab))
+                # the reverse term carries the sign of its kernel
+                near_ba = (w_ba, -_remainder(grids[a], -rows.T, w_ba))
+            blocks[(a, b)] = ((1.0, rows, near_ab), (-1.0, rows.T, near_ba))
+        return blocks[(a, b)][rt > rs]
+
+    terms = []
+    for t, (rt, gt) in enumerate(unknowns):
+        for s, (rs, gs) in enumerate(unknowns):
+            p = lat.pair(gt, gs)
+            if rs == rt or p == 0:
                 continue
-            needed = any(lat.pair(gt, gs) != 0
-                         for gt, _, _ in charges[rt] for gs, _, _ in charges[rs])
-            if not needed:
-                continue
-            dphi = _wrap(grids[rt].ray.angle - grids[rs].ray.angle)
-            if abs(dphi) >= NEAR_ANGLE:
-                zt = grids[rt].zeta_nodes[:, None]
-                zs = grids[rs].zeta_nodes[None, :]
-                kernels[(rt, rs)] = ("plain", (zs + zt) / (zs - zt))
-            else:
-                w = grids[rt].s_nodes + 1j * dphi
-                kernels[(rt, rs)] = ("sub", w)
-    pair_cache = {}
-    for rt in range(nr):
-        for gt, _, _ in charges[rt]:
-            for rs in range(nr):
-                for gs, _, _ in charges[rs]:
-                    pair_cache[(gt, gs)] = lat.pair(gt, gs)
-    return _Workspace(charges=charges, kernels=kernels, pair_cache=pair_cache)
+            sign, rows, near = block(rt, rs)
+            terms.append((t, s, -sign * omegas[s] * p / FOUR_PI_I, rows,
+                          near))
+    return _Workspace(unknowns=unknowns, terms=terms)
 
 
 def iterate(model, point: ModelPoint, grids: list[QuadratureGrid] | None = None,
@@ -264,97 +293,62 @@ def iterate(model, point: ModelPoint, grids: list[QuadratureGrid] | None = None,
         grids = build_grids(model, point, spec)
     ws = _prepare(model, point, grids)
     nr = len(grids)
-
-    log_xsf = []
-    ups = []
-    for r, grid in enumerate(grids):
-        zetas = grid.zeta_nodes
-        log_xsf.append({g: _log_xsf_on_nodes(model, point, g, zetas)
-                        for g, _, _ in ws.charges[r]})
-        ups.append({g: np.zeros(grid.node_count, dtype=complex)
-                    for g, _, _ in ws.charges[r]})
-    if warm is not None and len(warm.grids) == nr:
-        compatible = all(warm.grids[r].node_count == grids[r].node_count
-                         and set(warm.upsilon[r]) == set(ups[r])
-                         for r in range(nr))
-        if compatible:
-            for r in range(nr):
-                for g in ups[r]:
-                    ups[r][g] = warm.upsilon[r][g].copy()
+    src_ray = [r for r, _ in ws.unknowns]
+    log_xsf = [_log_xsf_on_nodes(model, point, g, grids[r].zeta_nodes)
+               for r, g in ws.unknowns]
+    ups = [np.zeros(grids[r].node_count, dtype=complex) for r in src_ray]
+    if warm is not None and len(warm.grids) == nr and all(
+            warm.grids[r].node_count == grids[r].node_count
+            and set(warm.upsilon[r]) == set(grids[r].ray.charges)
+            for r in range(nr)):
+        ups = [warm.upsilon[r][g].copy() for r, g in ws.unknowns]
+    near_sources = {s for _, s, _, _, near in ws.terms if near is not None}
 
     def apply_once(current):
-        gvals, splines = {}, {}
-        for r in range(nr):
-            for g, _, _ in ws.charges[r]:
-                x = np.exp(log_xsf[r][g] + current[r][g])
-                if float(np.max(np.abs(x))) >= 1.0 - 1e-9:
-                    raise RSmallError(
-                        "iteration left the log(1 - X) domain: R too small")
-                gvals[(r, g)] = np.log(1.0 - x)
-        for (r, g), vals in gvals.items():
-            splines[(r, g)] = CubicSpline(grids[r].s_nodes, vals)
-        new = [dict() for _ in range(nr)]
-        for rt in range(nr):
-            for gt, _, _ in ws.charges[rt]:
-                acc = np.zeros(grids[rt].node_count, dtype=complex)
-                for rs in range(nr):
-                    if rs == rt or (rt, rs) not in ws.kernels:
-                        continue
-                    kind, data = ws.kernels[(rt, rs)]
-                    for gs, om_s, _ in ws.charges[rs]:
-                        p = ws.pair_cache[(gt, gs)]
-                        if p == 0:
-                            continue
-                        coef = -om_s * p / FOUR_PI_I
-                        gv = gvals[(rs, gs)]
-                        if kind == "plain":
-                            acc += coef * (data @ (grids[rs].weights * gv))
-                        else:
-                            sigma = np.real(data)
-                            dphi = float(np.imag(data[0]))
-                            inside = np.abs(sigma) <= grids[rs].s_max
-                            sig_c = np.clip(sigma, -grids[rs].s_max,
-                                            grids[rs].s_max)
-                            sp = splines[(rs, gs)]
-                            # Taylor continuation of g to the complex pole.
-                            gpole = (sp(sig_c) + 1j * dphi * sp(sig_c, 1)
-                                     - 0.5 * dphi ** 2 * sp(sig_c, 2))
-                            gpole = np.where(inside, gpole, 0.0)
-                            acc += coef * _subtracted_rows(
-                                grids[rs].s_nodes, grids[rs].weights,
-                                gv, data, grids[rs].s_max, gpole)
-                new[rt][gt] = acc
+        gw, splines = [], {}
+        for s, (r, lsf, u) in enumerate(zip(src_ray, log_xsf, current)):
+            x = np.exp(lsf + u)
+            if float(np.max(np.abs(x))) >= 1.0 - 1e-9:
+                raise RSmallError(
+                    "iteration left the log(1 - X) domain: R too small")
+            g = np.log(1.0 - x)
+            gw.append(grids[r].weights * g)
+            if s in near_sources:
+                splines[s] = CubicSpline(grids[r].s_nodes, g)
+        new = [np.zeros_like(u) for u in current]
+        for t, s, coef, rows, near in ws.terms:
+            acc = rows @ gw[s]
+            if near is not None:
+                poles, rem = near
+                acc += _continued(splines[s], poles,
+                                  grids[src_ray[s]].s_max) * rem
+            new[t] += coef * acc
         return new
 
+    def change(a, b):
+        return max((float(np.max(np.abs(x - y))) for x, y in zip(a, b)),
+                   default=0.0)
+
     history: list[float] = []
-    iterations = 0
     for _ in range(max_iter):
         new = apply_once(ups)
-        iterations += 1
-        residual = 0.0
-        for r in range(nr):
-            for g in new[r]:
-                residual = max(residual,
-                               float(np.max(np.abs(new[r][g] - ups[r][g]))))
+        history.append(change(new, ups))
         ups = new
-        history.append(residual)
-        if residual < tol_iter:
+        if history[-1] < tol_iter:
             break
     else:
         raise NonConvergenceError(
             f"no convergence within {max_iter} iterations "
             f"(last residual {history[-1]:.3e})", history)
+    recheck_residual = change(apply_once(ups), ups)
 
-    recheck = apply_once(ups)
-    recheck_residual = 0.0
-    for r in range(nr):
-        for g in recheck[r]:
-            recheck_residual = max(
-                recheck_residual,
-                float(np.max(np.abs(recheck[r][g] - ups[r][g]))))
-
-    return RaySolution(point=point, grids=grids, log_xsf=log_xsf,
-                       upsilon=ups, iterations=iterations,
+    log_xsf_by_ray = [{} for _ in range(nr)]
+    ups_by_ray = [{} for _ in range(nr)]
+    for (r, g), lsf, u in zip(ws.unknowns, log_xsf, ups):
+        log_xsf_by_ray[r][g] = lsf
+        ups_by_ray[r][g] = u
+    return RaySolution(point=point, grids=grids, log_xsf=log_xsf_by_ray,
+                       upsilon=ups_by_ray, iterations=len(history),
                        residual=history[-1], residual_history=history,
                        recheck_residual=recheck_residual,
                        tol_iter=tol_iter, spec=spec)
@@ -381,16 +375,9 @@ def _ray_integral(model, solution: RaySolution, r: int, gamma_s: Charge,
                   min_angle: float, exact_sigma: bool) -> complex:
     """One Cauchy-type integral over ray r for the charge gamma_s at zeta."""
     grid = solution.grids[r]
-    d = grid.ray.direction
-    w = cmath.log(zeta / d)
-    sigma, dphi = w.real, w.imag
+    w = cmath.log(zeta / grid.ray.direction)
     g = _g_on_ray(solution, r, gamma_s)
-
-    if abs(dphi) >= NEAR_ANGLE:
-        kern = (grid.zeta_nodes + zeta) / (grid.zeta_nodes - zeta)
-        return complex(np.sum(grid.weights * kern * g))
-
-    if abs(dphi) < min_angle:
+    if abs(w.imag) < min_angle:
         if side is None:
             raise RayProximityError(
                 f"zeta={zeta} within {min_angle} rad of the ray of "
@@ -398,20 +385,12 @@ def _ray_integral(model, solution: RaySolution, r: int, gamma_s: Charge,
         # A truly infinitesimal offset keeps the branch of the closed-form
         # kernel on the requested side (signed zeros do not survive the
         # subtraction inside the logarithms).
-        w = sigma + 1j * (side * 1e-300)
-    if abs(sigma) <= grid.s_max:
-        if exact_sigma:
-            gpole = _g_exact_at(model, solution, r, gamma_s, w)
-        else:
-            sp = CubicSpline(grid.s_nodes, g)
-            dw = w - sigma
-            gpole = complex(sp(sigma) + dw * sp(sigma, 1)
-                            + 0.5 * dw * dw * sp(sigma, 2))
-    else:
-        gpole = 0.0
-    out = _subtracted_rows(grid.s_nodes, grid.weights, g, w, grid.s_max,
-                           gpole)
-    return complex(out[0])
+        w = complex(w.real, side * 1e-300)
+    g_pole = None
+    if exact_sigma and abs(w.imag) < NEAR_ANGLE:
+        g_pole = (_g_exact_at(model, solution, r, gamma_s, w)
+                  if abs(w.real) <= grid.s_max else 0.0)
+    return complex(cauchy_integral(grid, g, w, g_pole)[0])
 
 
 def _g_exact_at(model, solution: RaySolution, r: int, gamma_s: Charge,
@@ -424,8 +403,10 @@ def _g_exact_at(model, solution: RaySolution, r: int, gamma_s: Charge,
     spline-interpolated densities; this keeps the recursion depth at one.
     """
     zeta_w = solution.grids[r].ray.direction * cmath.exp(complex(w))
-    ups = _upsilon_value(model, solution, gamma_s, zeta_w, side=None,
-                         min_angle=1e-9, exact_sigma=False, skip_ray=r)
+    # zeta_w may lie on another ray: take the side that faces ray r
+    ups = _upsilon_value(model, solution, gamma_s, zeta_w,
+                         side=-1 if w.imag > 0 else +1, min_angle=1e-9,
+                         exact_sigma=False, skip_ray=r)
     pt = solution.point
     log_sf = _log_xsf_on_nodes(model, pt, gamma_s,
                                np.array([zeta_w]))[0]
@@ -571,10 +552,14 @@ def radial_limit(model, solution: RaySolution, gamma: Charge,
     return vals[-1] + (vals[-1] - vals[-2]) * r2 / (r1 - r2)
 
 
-def midsector_zetas(solution: RaySolution, n: int = 8,
+def midsector_zetas(solution: RaySolution | list[QuadratureGrid], n: int = 8,
                     modulus: float = 1.0) -> list[complex]:
-    """Unit-scale zetas at angular midpoints between adjacent rays."""
-    angles = sorted(g.ray.angle for g in solution.grids)
+    """Unit-scale zetas at angular midpoints between adjacent rays.
+
+    Only the ray layout is read, so the grids of a solve will do as well.
+    """
+    grids = getattr(solution, "grids", solution)
+    angles = sorted(g.ray.angle for g in grids)
     if not angles:
         return [modulus * cmath.exp(2j * math.pi * (k + 0.5) / n)
                 for k in range(n)]

@@ -26,8 +26,8 @@ import numpy as np
 
 from .lattice import Charge
 from .semiflat import CoordinateValue, ModelPoint
-from .solver import (FOUR_PI_I, QuadratureGrid, _log_xsf_on_nodes,
-                     build_grids, GridSpec)
+from .solver import (FOUR_PI_I, GridSpec, QuadratureGrid, _log_xsf_on_nodes,
+                     build_grids, cauchy_integral)
 
 
 class TreeBudgetError(RuntimeError):
@@ -206,33 +206,26 @@ class TreeIntegrator:
             r = self._ray_index(tree.decoration)
             vals = self._xsf_nodes(r, tree.decoration).copy()
             for child in tree.children:
-                vals = vals * self._values_at(child, r)
+                vals = vals * self._integral(
+                    child, self.grids[r].zeta_nodes)
             self._node_cache[key] = (r, vals)
         return self._node_cache[key]
 
-    def _values_at(self, tree: DecoratedTree, target_ray: int) -> np.ndarray:
+    def _integral(self, tree: DecoratedTree, zeta_targets: np.ndarray
+                  ) -> np.ndarray:
+        """(1/4 pi i) times the Cauchy integral of a tree's root integrand."""
         r, vals = self._integrand_on_own_ray(tree)
         grid = self.grids[r]
-        tgt = self.grids[target_ray].zeta_nodes
-        kern = (grid.zeta_nodes[None, :] + tgt[:, None]) \
-            / (grid.zeta_nodes[None, :] - tgt[:, None])
-        return (kern @ (grid.weights * vals)) / FOUR_PI_I
+        w = np.log(zeta_targets / grid.ray.direction)
+        return cauchy_integral(grid, vals, w) / FOUR_PI_I
 
     def g_integral(self, tree: DecoratedTree, zeta: complex) -> complex:
         """G_T at an off-ray zeta: one more Cauchy integral over the root ray."""
-        r, vals = self._integrand_on_own_ray(tree)
-        grid = self.grids[r]
         zeta = complex(zeta)
-        d = grid.ray.direction
-        if abs(cmath.log(zeta / d).imag) < 1e-6:
+        r, _ = self._integrand_on_own_ray(tree)
+        if abs(cmath.log(zeta / self.grids[r].ray.direction).imag) < 1e-6:
             raise ValueError(f"zeta={zeta} on the root ray of {tree.decoration}")
-        kern = (grid.zeta_nodes + zeta) / (grid.zeta_nodes - zeta)
-        return complex(np.sum(grid.weights * kern * vals) / FOUR_PI_I)
-
-
-def g_integral(model, tree: DecoratedTree, point: ModelPoint, zeta: complex,
-               grids: list[QuadratureGrid] | None = None) -> complex:
-    return TreeIntegrator(model, point, grids).g_integral(tree, zeta)
+        return complex(self._integral(tree, np.array([zeta]))[0])
 
 
 def series_solution(model, point: ModelPoint, gamma: Charge, zeta: complex,

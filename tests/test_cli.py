@@ -73,6 +73,17 @@ class TestSolutionFiles:
         assert code == 0
         assert "worst jump defect" in out
 
+    def test_jump_check_near_aligned_rays(self, capsys, tmp_path):
+        # 1.2 x the phi 0.9 wall point: two rays closer than NEAR_ANGLE
+        path = tmp_path / "sol.json"
+        code, _, _ = run(capsys, "solve", "--model", "pentagon",
+                         "--u", "1.158,1.459", "--R", "1",
+                         "--theta", "0.37,1.29", "--out", str(path))
+        assert code == 0
+        code, out, _ = run(capsys, "jump-check", "--solution", str(path))
+        assert code == 0
+        assert "worst jump defect" in out
+
     def test_tampered_hash_refused(self, capsys, tmp_path):
         path = tmp_path / "sol.json"
         run(capsys, "solve", "--model", "ov", "--u", "0.5,0", "--R", "1",
@@ -139,9 +150,7 @@ class TestReports:
         assert code == 0
         assert "wall continuity: PASS" in out
 
-    def test_metric_grid_respects_thread_cap(self, capsys, tmp_path,
-                                             monkeypatch):
-        monkeypatch.setenv("HKFORGE_THREADS", "2")
+    def test_metric_grid_rows(self, capsys, tmp_path):
         out_path = tmp_path / "grid.txt"
         code, out, _ = run(capsys, "metric", "--model", "pentagon",
                            "--u", "0.45,0.25", "--R", "3",

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from hkforge.geometry import (VarpiSampler, fit_point, laurent_fit,
-                              metric_from_triple, metric_zetas,
-                              triple_wedge_check, varpi_at, wedge4)
+                              metric_from_triple, triple_wedge_check, wedge4)
 from hkforge.semiflat import (ModelPoint, dlog_xsf_matrix, omega3_sf,
                               omega_plus_sf, varpi_sf)
-from hkforge.solver import solve
+from hkforge.solver import midsector_zetas
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +18,7 @@ def sf_sampler(pentagon, pentagon_point):
 
 @pytest.fixture(scope="module")
 def sf_fit(pentagon, pentagon_point, pentagon_solution, sf_sampler):
-    zetas = metric_zetas(pentagon_solution, 12)
+    zetas = midsector_zetas(pentagon_solution, 12)
     samples = [sf_sampler.varpi(z) for z in zetas]
     return zetas, samples, laurent_fit(zetas, samples)
 
@@ -158,7 +157,7 @@ class TestMetric:
         assert algebra.mixed_defect < 1e-6
 
     def test_varpi_at_single_shot(self, pentagon, pentagon_point):
-        m = varpi_at(pentagon, pentagon_point, cmath.exp(0.41j),
-                     semiflat_only=True)
+        m = VarpiSampler(pentagon, pentagon_point,
+                         semiflat_only=True).varpi(cmath.exp(0.41j))
         want = varpi_sf(pentagon, pentagon_point, cmath.exp(0.41j))
         assert np.max(np.abs(m - want)) < 1e-7

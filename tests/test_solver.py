@@ -172,6 +172,21 @@ class TestJumps:
             exact = on_ray_value(ov, ov_solution, G1, zeta0, side)
             assert abs(rich.value - exact.value) < 1e-8 * abs(exact.value)
 
+    @pytest.mark.parametrize("phi", [0.9, -0.8])
+    def test_jumps_with_near_aligned_rays(self, pentagon, phi):
+        # past the wall the bound-state ray lies within NEAR_ANGLE of a ray
+        # it pairs with; the continuation to one ray's pole then sits on
+        # the other ray and must take the side facing the integration ray
+        point = ModelPoint(1.2 * pentagon_wall_point(pentagon, phi), 1.0,
+                           (0.37, 1.29))
+        sol = solve(pentagon, point)
+        angles = sorted(g.ray.angle for g in sol.grids)
+        assert min(b - a for a, b in zip(angles, angles[1:])) < 0.2
+        for i in range(len(sol.grids)):
+            assert ray_jump_defect(pentagon, sol, i) < 1e-7
+            assert ray_jump_defect(pentagon, sol, i,
+                                   use_richardson=False) < 1e-12
+
     def test_upsilon_reality_on_rays(self, pentagon, pentagon_solution):
         # the converged node data of opposite rays are complex conjugates
         # under s -> -s, which is the reality condition on the solution

@@ -9,7 +9,7 @@ from hkforge.lattice import Spectrum, charge
 from hkforge.semiflat import ModelPoint, xsf
 from hkforge.solver import evaluate, midsector_zetas, solve
 from hkforge.trees import (DecoratedTree, TreeBudgetError, TreeIntegrator,
-                           enumerate_trees, g_integral, multicover,
+                           enumerate_trees, multicover,
                            series_solution, tree_weight)
 
 G1, G2 = charge(1, 0), charge(0, 1)
@@ -88,7 +88,8 @@ class TestIntegrals:
         # the single-node integral is the one-step OV integral of X^sf
         zeta = 0.8 * cmath.exp(1.1j)
         tree = DecoratedTree(G2)
-        val = g_integral(ov, tree, ov_point, zeta, ov_solution.grids)
+        val = TreeIntegrator(ov, ov_point, ov_solution.grids).g_integral(
+            tree, zeta)
         # compare against the n = 1 piece: (1/4 pi i) int K X^sf
         grid = ov_solution.grids[0]
         assert grid.ray.charges[0] == charge(0, -1)
@@ -106,7 +107,8 @@ class TestIntegrals:
         vals = []
         for R in (1.0, 2.0):
             pt = ModelPoint(0.3, R, (0.37, 1.29))
-            vals.append(abs(g_integral(pentagon, tree, pt, 1.1j * cmath.exp(0.4j))))
+            integ = TreeIntegrator(pentagon, pt)
+            vals.append(abs(integ.g_integral(tree, 1.1j * cmath.exp(0.4j))))
         z1 = abs(pentagon.Z.of(G1, 0.3))
         z2 = abs(pentagon.Z.of(G2, 0.3))
         expected_ratio = math.exp(-2 * math.pi * (z1 + z2))
@@ -121,6 +123,20 @@ class TestSeries:
             got = series_solution(ov, ov_point, G1, zeta, cutoff,
                                   grids=ov_solution.grids)
             assert abs(got.log_value - ref.log_value) < 1e-12
+
+    def test_near_ray_zeta(self, pentagon):
+        # zeta 0.011 rad from a ray: the root integral needs the subtracted
+        # kernel, or the plain one leaves a 4e-9 quadrature gap
+        point = ModelPoint(0.026930 - 1.344881j, 1.00516, (6.005278, 2.239118))
+        sol = solve(pentagon, point, tol_iter=1e-13)
+        integ = TreeIntegrator(pentagon, point, sol.grids)
+        for grid in sol.grids:
+            zeta = grid.ray.direction * cmath.exp(0.011j)
+            for g in (G1, G2):
+                got = series_solution(pentagon, point, g, zeta, 4,
+                                      integrator=integ)
+                ref = evaluate(pentagon, sol, g, zeta)
+                assert abs(got.log_value - ref.log_value) < 1e-11
 
     def test_pentagon_agreement_improves(self, pentagon):
         point = ModelPoint(0.6 + 0.3j, 1.0, (0.37, 1.29))
