@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import hashlib
 import json
 import math
@@ -175,19 +176,22 @@ def load_solution(path: str):
                        tuple(cfg["point"]["theta"]))
     spec = solver.GridSpec(**{f: cfg["spec"][f] for f in SPEC_ARGS})
     sol = solver.solve(model, point, spec=spec, tol_iter=cfg["tol_iter"])
-    # replace the recomputed corrections with the stored ones
+    # the stored corrections replace the recomputed ones
+    stored = []
     for ray_payload, grid, ups in zip(payload["rays"], sol.grids, sol.upsilon):
         stored_dir = complex(*ray_payload["direction"])
         if abs(stored_dir - grid.ray.direction) > 1e-9:
             raise CheckFailure(f"solution file {path}: ray layout mismatch")
+        ray_ups = dict(ups)
         for entry in ray_payload["charges"]:
             gamma = charge(*entry["charge"])
             vals = np.array([complex(a, b) for a, b in entry["upsilon"]])
             if gamma not in ups or len(vals) != len(ups[gamma]):
                 raise CheckFailure(
                     f"solution file {path}: charge table mismatch")
-            ups[gamma] = vals
-    return model, point, sol
+            ray_ups[gamma] = vals
+        stored.append(ray_ups)
+    return model, point, dataclasses.replace(sol, upsilon=stored)
 
 
 def cmd_solve(args) -> int:

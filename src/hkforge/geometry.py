@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .semiflat import ModelPoint, pairing_two_form
-from .solver import (GridSpec, _log_xsf_on_nodes, build_grids,
-                     midsector_zetas, solve, upsilon)
+from .solver import (GridSpec, _log_xsf_on_nodes, _upsilon_value,
+                     build_grids, midsector_zetas, solve_family)
 
 H_THETA = 1e-4
 
@@ -38,11 +38,15 @@ def _h_u(point: ModelPoint) -> float:
 class VarpiSampler:
     """Central-difference d log X over displaced re-solves of one point.
 
-    The eight displaced problems share the discretization and warm-start
-    from the center solution; evaluating many zetas then reuses them all.
+    The centre and its eight displaced points are one family solve: they
+    share the centre's grids and kernel, and the displaced solves
+    warm-start from the centre.  Each zeta is then one batched evaluation
+    of the eight solutions, which share its kernel rows.
     ``semiflat_only`` drops the corrections but keeps the same finite
     differences, which is the cross-check against the closed forms.
-    ``center`` is the solve at the point itself (None if semiflat_only).
+    ``center`` is the solve at the point itself and ``displaced`` the eight
+    displaced solves, in the order of ``points`` (both None if
+    semiflat_only).
     """
 
     model: object
@@ -55,45 +59,28 @@ class VarpiSampler:
         mdl, pt = self.model, self.point
         self._basis = mdl.lattice.basis()[:2]
         hu, ht = _h_u(pt), H_THETA
-        displacements = [hu, 1j * hu,
-                         (ht, 0.0), (0.0, ht)]
-        self._steps = [hu, hu, ht, ht]
-        self._solutions = []
-        self.center = center = None if self.semiflat_only else solve(
-            mdl, pt, spec=self.spec, tol_iter=self.tol_iter)
-        for disp in displacements:
-            pair = []
-            for sign in (+1, -1):
-                if isinstance(disp, tuple):
-                    p = pt.shifted(dtheta=(sign * disp[0], sign * disp[1]))
-                else:
-                    p = pt.shifted(du=sign * disp)
-                sol = None if self.semiflat_only else solve(
-                    mdl, p, spec=self.spec, tol_iter=self.tol_iter,
-                    warm=center)
-                pair.append((p, sol))
-            self._solutions.append(pair)
+        self._steps = np.array([hu, hu, ht, ht])
+        # + then - displacements along Re u, Im u, theta_1, theta_2
+        self.points = [p for sign in (+1, -1) for p in (
+            pt.shifted(du=sign * hu), pt.shifted(du=sign * 1j * hu),
+            pt.shifted(dtheta=(sign * ht, 0.0)),
+            pt.shifted(dtheta=(0.0, sign * ht)))]
+        self.center = self.displaced = None
+        if not self.semiflat_only:
+            self.center, self.displaced = solve_family(
+                mdl, pt, self.points, spec=self.spec, tol_iter=self.tol_iter)
 
     def dlog_matrix(self, zeta: complex, side: int | None = None
                     ) -> np.ndarray:
         """Rows: basis charges; columns: the four real coordinate derivatives."""
         zeta = complex(zeta)
-        a = np.zeros((2, 4), dtype=complex)
-        for mu, pair in enumerate(self._solutions):
-            vals = []
-            for p, sol in pair:
-                row = []
-                for gamma in self._basis:
-                    lv = _log_xsf_on_nodes(self.model, p, gamma,
-                                           np.array([zeta]))[0]
-                    if sol is not None:
-                        lv = lv + upsilon(self.model, sol, gamma, zeta,
-                                          side=side)
-                    row.append(lv)
-                vals.append(row)
-            for i in range(2):
-                a[i, mu] = (vals[0][i] - vals[1][i]) / (2.0 * self._steps[mu])
-        return a
+        lv = np.array([[_log_xsf_on_nodes(self.model, p, gamma,
+                                          np.array([zeta]))[0]
+                        for gamma in self._basis] for p in self.points])
+        if self.displaced is not None:
+            lv = lv + _upsilon_value(self.model, self.displaced, self._basis,
+                                     zeta, side=side)
+        return ((lv[:4] - lv[4:]) / (2.0 * self._steps[:, None])).T
 
     def varpi(self, zeta: complex, side: int | None = None) -> np.ndarray:
         a = self.dlog_matrix(zeta, side=side)

@@ -27,11 +27,19 @@ subtracted part is integrated in closed form: the sweep stores that
 remainder once per ordered near pair.  On a ray the two directed boundary
 values of the closed form differ by the residue term +-2 pi i, which is how
 the expected coordinate jumps emerge from one integral representation.
+
+A family of nearby points (the two-form family's displaced solves) shares
+one set of contours: ``solve_family`` builds the grids and the kernel once
+at the centre and iterates every point on them, which a Cauchy deformation
+of the ray contours permits.  Off-grid evaluation takes such a family at
+once: each ray's kernel row (and near-ray remainder) is built once and
+applied to the stacked log(1 - X) data of every solution.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -104,6 +112,14 @@ class RaySolution:
     recheck_residual: float
     tol_iter: float
     spec: GridSpec
+    # log(1 - X) on the ray nodes, the density every ray integral reads
+    log_one_minus_x: list[dict[Charge, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.log_one_minus_x = [
+            {g: np.log(1.0 - np.exp(lsf[g] + ups[g])) for g in ups}
+            for lsf, ups in zip(self.log_xsf, self.upsilon)]
 
     def max_correction(self) -> float:
         vals = [float(np.max(np.abs(u))) for ups in self.upsilon
@@ -111,15 +127,20 @@ class RaySolution:
         return max(vals, default=0.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], read-only and shared."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gl_panels(s_max: float, panels: int, per_panel: int):
-    base_x, base_w = np.polynomial.legendre.leggauss(per_panel)
+    base_x, base_w = _gl_rule(per_panel)
     edges = np.linspace(-s_max, s_max, panels + 1)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * base_x)
-        weights.append(half * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    return (mid + half * base_x).ravel(), (half * base_w).ravel()
 
 
 def build_grids(model, point: ModelPoint, spec: GridSpec = GridSpec()
@@ -212,17 +233,20 @@ def cauchy_integral(grid: QuadratureGrid, f: np.ndarray, w,
                     f_pole=None) -> np.ndarray:
     """int_{-S}^{S} coth((s - w)/2) f(s) ds at poles w at one ray offset.
 
-    Poles within NEAR_ANGLE of the ray subtract f continued to the pole
-    (``f_pole``, by default the Taylor continuation of f's spline) and add
-    it back against the closed-form kernel integral, so the fixed nodes
+    ``f`` holds node values on its last axis; stacked densities share the
+    kernel rows, and the result keeps their leading axes with the poles
+    last.  Poles within NEAR_ANGLE of the ray subtract f continued to the
+    pole (``f_pole``, by default the Taylor continuation of f's spline) and
+    add it back against the closed-form kernel integral, so the fixed nodes
     resolve the integrand at any offset.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     rows = kernel_rows(grid, w)
-    out = rows @ (grid.weights * f)
+    out = (rows @ (grid.weights * f).T).T
     if abs(w[0].imag) < NEAR_ANGLE:
         if f_pole is None:
-            f_pole = _continued(CubicSpline(grid.s_nodes, f), w, grid.s_max)
+            f_pole = _continued(CubicSpline(grid.s_nodes, f, axis=-1), w,
+                                grid.s_max)
         out = out + f_pole * _remainder(grid, rows, w)
     return out
 
@@ -280,18 +304,20 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
 def iterate(model, point: ModelPoint, grids: list[QuadratureGrid] | None = None,
             tol_iter: float = 1e-10, max_iter: int = 50,
             spec: GridSpec = GridSpec(),
-            warm: RaySolution | None = None) -> RaySolution:
+            warm: RaySolution | None = None,
+            workspace: _Workspace | None = None) -> RaySolution:
     """Solve the integral equation by iteration from the semiflat seed.
 
     Distinct rays never coincide off the walls, and charges sharing a ray
     pair to zero, so no principal values arise: every integral a node needs
     is over some other ray.  Iterations stop when the largest node update
     drops below ``tol_iter``; the converged data are re-checked by one more
-    application of the map.
+    application of the map.  ``workspace`` is the sweep ``_prepare`` built
+    on these same grids, shared by the points of one family.
     """
     if grids is None:
         grids = build_grids(model, point, spec)
-    ws = _prepare(model, point, grids)
+    ws = workspace if workspace is not None else _prepare(model, point, grids)
     nr = len(grids)
     src_ray = [r for r, _ in ws.unknowns]
     log_xsf = [_log_xsf_on_nodes(model, point, g, grids[r].zeta_nodes)
@@ -361,36 +387,31 @@ def solve(model, point: ModelPoint, spec: GridSpec = GridSpec(),
                    tol_iter=tol_iter, max_iter=max_iter, spec=spec, warm=warm)
 
 
+def solve_family(model, center: ModelPoint, points: list[ModelPoint],
+                 spec: GridSpec = GridSpec(), tol_iter: float = 1e-10,
+                 max_iter: int = 50
+                 ) -> tuple[RaySolution, list[RaySolution]]:
+    """Solve a centre and nearby points on the centre's contours.
+
+    The grids and the kernel are built once, at the centre; every point is
+    iterated on them, warm-started from the centre.  Moving a point rotates
+    its rays only slightly, and deforming the contours back onto the
+    centre's rays leaves each ray integral unchanged, so the solutions
+    agree with ordinary solves to quadrature precision.  Only the centre is
+    checked for R too small; the iteration still guards |X| < 1.
+    """
+    grids = build_grids(model, center, spec)
+    ws = _prepare(model, center, grids)
+    solution = iterate(model, center, grids, tol_iter=tol_iter,
+                       max_iter=max_iter, spec=spec, workspace=ws)
+    return solution, [iterate(model, p, grids, tol_iter=tol_iter,
+                              max_iter=max_iter, spec=spec, warm=solution,
+                              workspace=ws)
+                      for p in points]
+
+
 # ---------------------------------------------------------------------------
 # Evaluation off the grid
-
-
-def _g_on_ray(solution: RaySolution, r: int, gamma: Charge) -> np.ndarray:
-    return np.log(1.0 - np.exp(solution.log_xsf[r][gamma]
-                               + solution.upsilon[r][gamma]))
-
-
-def _ray_integral(model, solution: RaySolution, r: int, gamma_s: Charge,
-                  zeta: complex, side: int | None,
-                  min_angle: float, exact_sigma: bool) -> complex:
-    """One Cauchy-type integral over ray r for the charge gamma_s at zeta."""
-    grid = solution.grids[r]
-    w = cmath.log(zeta / grid.ray.direction)
-    g = _g_on_ray(solution, r, gamma_s)
-    if abs(w.imag) < min_angle:
-        if side is None:
-            raise RayProximityError(
-                f"zeta={zeta} within {min_angle} rad of the ray of "
-                f"{gamma_s}; request a directed limit")
-        # A truly infinitesimal offset keeps the branch of the closed-form
-        # kernel on the requested side (signed zeros do not survive the
-        # subtraction inside the logarithms).
-        w = complex(w.real, side * 1e-300)
-    g_pole = None
-    if exact_sigma and abs(w.imag) < NEAR_ANGLE:
-        g_pole = (_g_exact_at(model, solution, r, gamma_s, w)
-                  if abs(w.real) <= grid.s_max else 0.0)
-    return complex(cauchy_integral(grid, g, w, g_pole)[0])
 
 
 def _g_exact_at(model, solution: RaySolution, r: int, gamma_s: Charge,
@@ -404,40 +425,75 @@ def _g_exact_at(model, solution: RaySolution, r: int, gamma_s: Charge,
     """
     zeta_w = solution.grids[r].ray.direction * cmath.exp(complex(w))
     # zeta_w may lie on another ray: take the side that faces ray r
-    ups = _upsilon_value(model, solution, gamma_s, zeta_w,
+    ups = _upsilon_value(model, [solution], [gamma_s], zeta_w,
                          side=-1 if w.imag > 0 else +1, min_angle=1e-9,
-                         exact_sigma=False, skip_ray=r)
+                         exact_sigma=False, skip_ray=r)[0, 0]
     pt = solution.point
     log_sf = _log_xsf_on_nodes(model, pt, gamma_s,
                                np.array([zeta_w]))[0]
     return complex(np.log(1.0 - np.exp(log_sf + ups)))
 
 
-def _upsilon_value(model, solution: RaySolution, gamma: Charge, zeta: complex,
-                   side: int | None, min_angle: float,
-                   exact_sigma: bool, skip_ray: int | None = None) -> complex:
+def _upsilon_value(model, solutions: list[RaySolution],
+                   charges: list[Charge], zeta: complex,
+                   side: int | None = None,
+                   min_angle: float = DEFAULT_MIN_ANGLE,
+                   exact_sigma: bool = True,
+                   skip_ray: int | None = None) -> np.ndarray:
+    """log(X / X^sf) at zeta for each solution (rows) and charge (columns).
+
+    The solutions must share their grids, as the points of a family solve
+    do.  Each ray's kernel row, and within NEAR_ANGLE its closed-form
+    remainder, is built once and applied to the stacked log(1 - X) of every
+    solution and source charge.  With ``exact_sigma`` the density continued
+    to a near pole is the coordinate itself, computed per solution since it
+    is nonlinear in the data; otherwise it is the spline continuation.
+    """
     lat = model.lattice
-    total = 0.0 + 0.0j
-    for r, grid in enumerate(solution.grids):
+    total = np.zeros((len(solutions), len(charges)), dtype=complex)
+    for r, grid in enumerate(solutions[0].grids):
         if r == skip_ray:
             continue
-        for gamma_s, om_s, _ in zip(grid.ray.charges, grid.ray.omegas,
-                                    grid.ray.zs):
-            p = lat.pair(gamma, gamma_s)
-            if p == 0 or om_s == 0:
-                continue
-            val = _ray_integral(model, solution, r, gamma_s, zeta, side,
-                                min_angle, exact_sigma)
-            total += (-om_s * p / FOUR_PI_I) * val
-    return complex(total)
+        sources = []
+        for gamma_s, om_s in zip(grid.ray.charges, grid.ray.omegas):
+            coefs = np.array([-om_s * lat.pair(gamma, gamma_s) / FOUR_PI_I
+                              for gamma in charges])
+            if om_s != 0 and np.any(coefs != 0):
+                sources.append((gamma_s, coefs))
+        if not sources:
+            continue
+        w = cmath.log(zeta / grid.ray.direction)
+        if abs(w.imag) < min_angle:
+            if side is None:
+                raise RayProximityError(
+                    f"zeta={zeta} within {min_angle} rad of the ray of "
+                    f"{sources[0][0]}; request a directed limit")
+            # A truly infinitesimal offset keeps the branch of the
+            # closed-form kernel on the requested side (signed zeros do not
+            # survive the subtraction inside the logarithms).
+            w = complex(w.real, side * 1e-300)
+        g = np.stack([sol.log_one_minus_x[r][gamma_s]
+                      for gamma_s, _ in sources for sol in solutions])
+        g_pole = None
+        if exact_sigma and abs(w.imag) < NEAR_ANGLE:
+            g_pole = 0.0
+            if abs(w.real) <= grid.s_max:
+                g_pole = np.array([[_g_exact_at(model, sol, r, gamma_s, w)]
+                                   for gamma_s, _ in sources
+                                   for sol in solutions])
+        vals = cauchy_integral(grid, g, w, g_pole)[:, 0]
+        for (_, coefs), part in zip(sources,
+                                    vals.reshape(len(sources), -1)):
+            total += part[:, None] * coefs
+    return total
 
 
 def upsilon(model, solution: RaySolution, gamma: Charge, zeta: complex,
             side: int | None = None,
             min_angle: float = DEFAULT_MIN_ANGLE) -> complex:
     """Converged log-correction log(X_gamma / X^sf_gamma) at zeta."""
-    return _upsilon_value(model, solution, gamma, complex(zeta), side,
-                          min_angle, exact_sigma=True)
+    return complex(_upsilon_value(model, [solution], [gamma], complex(zeta),
+                                  side, min_angle)[0, 0])
 
 
 def evaluate(model, solution: RaySolution, gamma: Charge, zeta: complex,
@@ -668,12 +724,9 @@ def correction_decay(model, u: complex, theta: tuple[float, ...],
                 peak = max(peak, abs(upsilon(model, sol, gamma, z)))
         for grid in sol.grids:
             for side in (+1, -1):
-                for gamma in basis:
-                    val = _upsilon_value(model, sol, gamma,
-                                         grid.ray.direction, side=side,
-                                         min_angle=1e-9,
-                                         exact_sigma=True)
-                    peak = max(peak, abs(val))
+                vals = _upsilon_value(model, [sol], basis, grid.ray.direction,
+                                      side=side, min_angle=1e-9)
+                peak = max(peak, float(np.max(np.abs(vals))))
         maxima.append(peak)
     slope = float(np.polyfit(np.asarray(r_values, dtype=float),
                              np.log(np.asarray(maxima)), 1)[0])

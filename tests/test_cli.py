@@ -1,8 +1,12 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from hkforge.cli import main
+from hkforge import solver
+from hkforge.cli import load_solution, main
+from hkforge.lattice import charge
 
 
 def run(capsys, *argv):
@@ -94,6 +98,33 @@ class TestSolutionFiles:
         code, _, err = run(capsys, "jump-check", "--solution", str(path))
         assert code == 1
         assert "hash mismatch" in err
+
+    def test_loaded_data_feed_evaluation(self, capsys, tmp_path):
+        # the hash covers only the config, so a rescaled upsilon array
+        # still loads; evaluation must read the loaded data, not the
+        # discarded solve's
+        path = tmp_path / "sol.json"
+        run(capsys, "solve", "--model", "pentagon", "--u", "1.5,0.2",
+            "--R", "1", "--theta", "0.37,1.29", "--out", str(path))
+        payload = json.loads(path.read_text())
+        entry = payload["rays"][0]["charges"][0]
+        entry["upsilon"] = [[2.0 * a, 2.0 * b] for a, b in entry["upsilon"]]
+        path.write_text(json.dumps(payload))
+        model, point, loaded = load_solution(str(path))
+
+        fresh = solver.solve(model, point)
+        gamma_s = charge(*entry["charge"])
+        rescaled = [dict(ups) for ups in fresh.upsilon]
+        rescaled[0][gamma_s] = np.array([complex(a, b)
+                                         for a, b in entry["upsilon"]])
+        want = dataclasses.replace(fresh, upsilon=rescaled)
+        gamma = next(g for g in model.lattice.basis()
+                     if model.lattice.pair(g, gamma_s) != 0)
+        zeta = solver.midsector_zetas(fresh, 1)[0]
+        got = solver.upsilon(model, loaded, gamma, zeta)
+        assert got == solver.upsilon(model, want, gamma, zeta)
+        solved = solver.upsilon(model, fresh, gamma, zeta)
+        assert abs(got - solved) > 1e-3 * abs(solved)
 
 
 class TestReports:

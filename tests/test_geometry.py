@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from hkforge import solver
 from hkforge.geometry import (VarpiSampler, fit_point, laurent_fit,
                               metric_from_triple, triple_wedge_check, wedge4)
 from hkforge.semiflat import (ModelPoint, dlog_xsf_matrix, omega3_sf,
                               omega_plus_sf, varpi_sf)
-from hkforge.solver import midsector_zetas
+from hkforge.solver import NEAR_ANGLE, _upsilon_value, midsector_zetas, upsilon
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,44 @@ class TestVarpiPipeline:
             defects.append(np.max(np.abs(a[:, :2] - truth[:, :2])))
         order = math.log2(defects[0] / defects[1])
         assert order == pytest.approx(2.0, abs=0.35)
+
+
+class TestFamilySolve:
+    def test_one_discretization_per_point(self, pentagon, pentagon_point,
+                                          monkeypatch):
+        calls = {"build_grids": 0, "_prepare": 0}
+        for name in calls:
+            original = getattr(solver, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(solver, name, counted)
+        fit_point(pentagon, pentagon_point)
+        assert calls == {"build_grids": 1, "_prepare": 1}
+
+    def test_batched_evaluation_matches_per_solution(self, pentagon,
+                                                     pentagon_point):
+        sampler = VarpiSampler(pentagon, pentagon_point)
+        sols = sampler.displaced
+        basis = pentagon.lattice.basis()[:2]
+        assert len(sols) == 8
+        assert all(s.grids is sampler.center.grids for s in sols)
+
+        def agree(zeta, **kw):
+            batched = _upsilon_value(pentagon, sols, basis, zeta, **kw)
+            for j, sol in enumerate(sols):
+                for i, gamma in enumerate(basis):
+                    assert abs(batched[j, i] - upsilon(
+                        pentagon, sol, gamma, zeta, **kw)) <= 1e-15
+
+        grids = sampler.center.grids
+        agree(midsector_zetas(grids, 1)[0])
+        # within NEAR_ANGLE the pole value is continued per solution
+        agree(grids[0].ray.direction * cmath.exp(0.5j * NEAR_ANGLE))
+        for grid in grids:
+            for side in (+1, -1):
+                agree(grid.ray.direction, side=side, min_angle=1e-9)
 
 
 class TestLaurentFit:

@@ -143,6 +143,25 @@ class TestEvaluation:
         assert abs(vals[1] - vals[0]) < 10 * GridSpec().eps_quad
 
 
+class TestFrozenContours:
+    @pytest.mark.parametrize("u, R", [(0.45 + 0.25j, 3.0), (1.5 + 0.2j, 2.0),
+                                      (0.6 + 0.3j, 1.0)])
+    def test_displaced_point_on_center_grids(self, pentagon, u, R):
+        # rotating a ray contour onto the centre's ray is a Cauchy
+        # deformation: a displaced point solved on the centre's grids
+        # matches its own solve to quadrature precision
+        center = solve(pentagon, ModelPoint(u, R, (0.37, 1.29)))
+        zetas = midsector_zetas(center, 8)
+        for du in (1e-4, 1e-3j, 1e-2):
+            point = ModelPoint(u + du, R, (0.37, 1.29))
+            frozen = iterate(pentagon, point, grids=center.grids)
+            own = solve(pentagon, point)
+            for zeta in zetas:
+                for gamma in (G1, G2):
+                    assert abs(upsilon(pentagon, frozen, gamma, zeta)
+                               - upsilon(pentagon, own, gamma, zeta)) <= 1e-14
+
+
 class TestJumps:
     def test_jumps_match_transformation(self, pentagon, pentagon_solution):
         for i in range(len(pentagon_solution.grids)):
