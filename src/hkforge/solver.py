@@ -100,7 +100,12 @@ class QuadratureGrid:
 
 @dataclass
 class RaySolution:
-    """Converged log-corrections on every ray node, plus diagnostics."""
+    """Converged log-corrections on every ray node, plus diagnostics.
+
+    ``log_one_minus_x`` is computed from ``log_xsf`` and ``upsilon`` at
+    construction, so those must not be edited afterwards: build a new
+    solution with ``dataclasses.replace`` to change them.
+    """
 
     point: ModelPoint
     grids: list[QuadratureGrid]
@@ -138,9 +143,12 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _gl_panels(s_max: float, panels: int, per_panel: int):
     base_x, base_w = _gl_rule(per_panel)
     edges = np.linspace(-s_max, s_max, panels + 1)
-    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
-    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
-    return (mid + half * base_x).ravel(), (half * base_w).ravel()
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        nodes.append(0.5 * (a + b) + half * base_x)
+        weights.append(half * base_w)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def build_grids(model, point: ModelPoint, spec: GridSpec = GridSpec()
@@ -388,8 +396,7 @@ def solve(model, point: ModelPoint, spec: GridSpec = GridSpec(),
 
 
 def solve_family(model, center: ModelPoint, points: list[ModelPoint],
-                 spec: GridSpec = GridSpec(), tol_iter: float = 1e-10,
-                 max_iter: int = 50
+                 spec: GridSpec = GridSpec(), tol_iter: float = 1e-10
                  ) -> tuple[RaySolution, list[RaySolution]]:
     """Solve a centre and nearby points on the centre's contours.
 
@@ -402,11 +409,10 @@ def solve_family(model, center: ModelPoint, points: list[ModelPoint],
     """
     grids = build_grids(model, center, spec)
     ws = _prepare(model, center, grids)
-    solution = iterate(model, center, grids, tol_iter=tol_iter,
-                       max_iter=max_iter, spec=spec, workspace=ws)
-    return solution, [iterate(model, p, grids, tol_iter=tol_iter,
-                              max_iter=max_iter, spec=spec, warm=solution,
-                              workspace=ws)
+    solution = iterate(model, center, grids, tol_iter=tol_iter, spec=spec,
+                       workspace=ws)
+    return solution, [iterate(model, p, grids, tol_iter=tol_iter, spec=spec,
+                              warm=solution, workspace=ws)
                       for p in points]
 
 
