@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import dataclasses
 import hashlib
 import json
 import math
@@ -166,6 +165,14 @@ def _solution_payload(model, point, spec, sol) -> dict:
 
 
 def load_solution(path: str):
+    """Model, point and solution stored in a solution file, without a solve.
+
+    The grids are rebuilt from the stored configuration and carry the stored
+    corrections; ``recheck_residual`` is one sweep of those, so it measures
+    how far the file's data are from a fixed point.  The file records the
+    solve's iteration count and last residual but not its residual history,
+    which stays empty.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     cfg = payload["config"]
@@ -175,23 +182,31 @@ def load_solution(path: str):
     point = ModelPoint(complex(*cfg["point"]["u"]), cfg["point"]["R"],
                        tuple(cfg["point"]["theta"]))
     spec = solver.GridSpec(**{f: cfg["spec"][f] for f in SPEC_ARGS})
-    sol = solver.solve(model, point, spec=spec, tol_iter=cfg["tol_iter"])
-    # the stored corrections replace the recomputed ones
+    grids = solver.build_grids(model, point, spec)
+    if len(payload["rays"]) != len(grids):
+        raise CheckFailure(f"solution file {path}: ray layout mismatch")
     stored = []
-    for ray_payload, grid, ups in zip(payload["rays"], sol.grids, sol.upsilon):
+    for ray_payload, grid in zip(payload["rays"], grids):
         stored_dir = complex(*ray_payload["direction"])
         if abs(stored_dir - grid.ray.direction) > 1e-9:
             raise CheckFailure(f"solution file {path}: ray layout mismatch")
-        ray_ups = dict(ups)
-        for entry in ray_payload["charges"]:
-            gamma = charge(*entry["charge"])
-            vals = np.array([complex(a, b) for a, b in entry["upsilon"]])
-            if gamma not in ups or len(vals) != len(ups[gamma]):
-                raise CheckFailure(
-                    f"solution file {path}: charge table mismatch")
-            ray_ups[gamma] = vals
-        stored.append(ray_ups)
-    return model, point, dataclasses.replace(sol, upsilon=stored)
+        ups = {charge(*entry["charge"]):
+               np.array([complex(a, b) for a, b in entry["upsilon"]])
+               for entry in ray_payload["charges"]}
+        if set(ups) != set(grid.ray.charges) or any(
+                len(vals) != grid.node_count for vals in ups.values()):
+            raise CheckFailure(f"solution file {path}: charge table mismatch")
+        stored.append(ups)
+    log_xsf = [{g: xsf_log(model, point, g, grid.zeta_nodes)
+                for g in grid.ray.charges} for grid in grids]
+    ws = solver._prepare(model, point, grids)
+    recheck = solver._change(solver._sweep(ws, grids, log_xsf, stored), stored)
+    sol = solver.RaySolution(
+        point=point, grids=grids, log_xsf=log_xsf, upsilon=stored,
+        iterations=payload["iterations"], residual=payload["residual"],
+        residual_history=[],
+        recheck_residual=recheck, tol_iter=cfg["tol_iter"], spec=spec)
+    return model, point, sol
 
 
 def cmd_solve(args) -> int:
@@ -218,6 +233,11 @@ def cmd_solve(args) -> int:
 
 def cmd_jump_check(args) -> int:
     model, point, sol = load_solution(args.solution)
+    if sol.recheck_residual > 10 * sol.tol_iter:
+        print(f"FAIL: stored corrections are not a fixed point: recheck "
+              f"residual {sol.recheck_residual:.3e} > 10 x tol_iter "
+              f"{sol.tol_iter:g}")
+        return 1
     worst = 0.0
     print("ray angle    jump defect")
     for i, grid in enumerate(sol.grids):

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .semiflat import ModelPoint, pairing_two_form
-from .solver import (GridSpec, _log_xsf_on_nodes, _upsilon_value,
-                     build_grids, midsector_zetas, solve_family)
+from .semiflat import ModelPoint, pairing_two_form, xsf_log
+from .solver import (_upsilon_value, build_grids, midsector_zetas,
+                     solve_family)
 
 H_THETA = 1e-4
 
@@ -51,7 +51,6 @@ class VarpiSampler:
 
     model: object
     point: ModelPoint
-    spec: GridSpec = GridSpec()
     tol_iter: float = 1e-11
     semiflat_only: bool = False
 
@@ -68,14 +67,13 @@ class VarpiSampler:
         self.center = self.displaced = None
         if not self.semiflat_only:
             self.center, self.displaced = solve_family(
-                mdl, pt, self.points, spec=self.spec, tol_iter=self.tol_iter)
+                mdl, pt, self.points, tol_iter=self.tol_iter)
 
     def dlog_matrix(self, zeta: complex, side: int | None = None
                     ) -> np.ndarray:
         """Rows: basis charges; columns: the four real coordinate derivatives."""
         zeta = complex(zeta)
-        lv = np.array([[_log_xsf_on_nodes(self.model, p, gamma,
-                                          np.array([zeta]))[0]
+        lv = np.array([[xsf_log(self.model, p, gamma, zeta)
                         for gamma in self._basis] for p in self.points])
         if self.displaced is not None:
             lv = lv + _upsilon_value(self.model, self.displaced, self._basis,
@@ -97,15 +95,15 @@ class LaurentFit:
     conj_defect: float
 
 
-def laurent_fit(zetas: list[complex], samples: list[np.ndarray],
-                residual_tol: float = 1e-6) -> LaurentFit:
+def laurent_fit(zetas: list[complex], samples: list[np.ndarray]
+                ) -> LaurentFit:
     """Split varpi samples into simple-pole, constant and linear parts.
 
     Least squares of every matrix entry against [1/zeta, 1, zeta]; the
     reality of the family ties the linear coefficient to the conjugate of
     the pole coefficient, and both identifications are reported as defects.
-    A residual above ``residual_tol`` means higher Laurent terms are
-    present, which the twistor family of a genuine solution cannot have.
+    A residual above 1e-6 means higher Laurent terms are present, which
+    the twistor family of a genuine solution cannot have.
     """
     if len(zetas) < 5:
         raise ValueError("need at least 5 zeta samples for a stable fit")
@@ -115,7 +113,7 @@ def laurent_fit(zetas: list[complex], samples: list[np.ndarray],
     coeffs, *_ = np.linalg.lstsq(basis, stacked, rcond=None)
     fitted = basis @ coeffs
     residual = float(np.max(np.abs(fitted - stacked)))
-    if residual > residual_tol:
+    if residual > 1e-6:
         raise ValueError(
             f"higher Laurent terms present: fit residual {residual:.3e}")
     a = coeffs[0].reshape(4, 4)
@@ -141,14 +139,14 @@ class MetricSample:
         return bool(np.all(self.eigenvalues > 0))
 
 
-def metric_from_triple(omega_plus: np.ndarray, omega_3: np.ndarray,
-                       j_tol: float = 1e-6) -> MetricSample:
+def metric_from_triple(omega_plus: np.ndarray, omega_3: np.ndarray
+                       ) -> MetricSample:
     """Metric from the triple: J = -w1^{-1} w2 and g = w3 J, symmetrized."""
     w1 = omega_plus.real
     w2 = omega_plus.imag
     j = -np.linalg.solve(w1, w2)
     defect = float(np.max(np.abs(j @ j + np.eye(4))))
-    if defect > j_tol:
+    if defect > 1e-6:
         raise ValueError(
             f"triple not hyperkahler at this point: |J^2 + 1| = {defect:.3e}")
     g = omega_3 @ j
@@ -186,13 +184,13 @@ def triple_wedge_check(omega_plus: np.ndarray, omega_3: np.ndarray
 
 
 def fit_point(model, point: ModelPoint, n_zetas: int = 12,
-              spec: GridSpec = GridSpec(), tol_iter: float = 1e-11,
+              tol_iter: float = 1e-11,
               semiflat_only: bool = False
               ) -> tuple[LaurentFit, MetricSample, TripleCheck]:
     """Full pipeline at one point: samples, Laurent split, metric, algebra."""
-    sampler = VarpiSampler(model, point, spec=spec, tol_iter=tol_iter,
+    sampler = VarpiSampler(model, point, tol_iter=tol_iter,
                            semiflat_only=semiflat_only)
-    grids = build_grids(model, point, spec) if semiflat_only \
+    grids = build_grids(model, point) if semiflat_only \
         else sampler.center.grids
     zetas = midsector_zetas(grids, n=n_zetas)
     samples = [sampler.varpi(z) for z in zetas]

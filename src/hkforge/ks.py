@@ -14,7 +14,7 @@ module certifies are exact statements and float drift would mask failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -33,6 +33,10 @@ class ConeGrading:
 
     lattice: Lattice
     generators: tuple[Charge, ...]
+    # coordinates of every charge met so far; the series products ask for
+    # the same few charges over and over
+    _coords: dict[Charge, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.generators:
@@ -43,6 +47,11 @@ class ConeGrading:
 
     def coordinates(self, gamma: Charge) -> tuple[int, ...]:
         """Non-negative integer coordinates of gamma in the generator basis."""
+        if gamma not in self._coords:
+            self._coords[gamma] = self._solve_coordinates(gamma)
+        return self._coords[gamma]
+
+    def _solve_coordinates(self, gamma: Charge) -> tuple[int, ...]:
         gens = self.generators
         if len(gens) == 1:
             g = gens[0].coeffs
@@ -184,10 +193,6 @@ class TwistedSeries:
                 break
             out = out + term.scaled(sign)
         return out.scaled(1 / c0)
-
-    def max_degree(self) -> int:
-        deg = self.grading.degree
-        return max((deg(g) for g in self.terms), default=0)
 
     def coefficient(self, gamma: Charge) -> Fraction:
         return self.terms.get(gamma, ZERO_F)

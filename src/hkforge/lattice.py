@@ -189,12 +189,6 @@ class CentralCharge:
             raise LatticeError("charge dimension does not match central charge")
         return sum(c * z for c, z in zip(gamma.coeffs, vals))
 
-    def derivative_of(self, gamma: Charge, u: complex) -> complex:
-        if self.basis_derivatives is None:
-            raise LatticeError(f"model {self.model_id} has no registered dZ/du")
-        vals = self.basis_derivatives(u)
-        return sum(c * z for c, z in zip(gamma.coeffs, vals))
-
 
 def central_charge(Z: CentralCharge, gamma: Charge, u: complex) -> complex:
     return Z.of(gamma, u)

@@ -33,7 +33,6 @@ class ModelDefinition:
     Z: CentralCharge
     spectrum: Spectrum
     Lambda: complex
-    theta_f: tuple[float, ...] = ()
     chamber_of: Callable[[complex], str] | None = None
     monodromy: tuple[tuple[int, ...], ...] | None = None
     sample_grid_fn: Callable[[int], list[complex]] | None = None
@@ -110,7 +109,6 @@ def ov_model(Lambda: complex = 1.0) -> ModelDefinition:
         Z=CentralCharge("ov", basis_values, basis_derivatives),
         spectrum=Spectrum(omega_of, support_of),
         Lambda=Lam,
-        theta_f=(),
         chamber_of=lambda u: "disc",
         monodromy=((1, 1), (0, 1)),
         sample_grid_fn=sample_grid_fn,
@@ -389,7 +387,6 @@ def pentagon_model(Lambda: complex = 1.0, n_nodes: int = 96) -> ModelDefinition:
         Z=CentralCharge("pentagon", basis_values, basis_derivatives),
         spectrum=Spectrum(omega_of, support_of),
         Lambda=Lam,
-        theta_f=(),
         chamber_of=chamber_of,
         monodromy=None,
         sample_grid_fn=sample_grid_fn,

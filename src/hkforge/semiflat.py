@@ -80,15 +80,24 @@ def theta_eval(lattice: Lattice, point: ModelPoint, gamma: Charge) -> float:
     return (base + math.pi * twist_parity(lattice, gamma)) % TWO_PI
 
 
-def xsf_log(model, point: ModelPoint, gamma: Charge, zeta: complex) -> complex:
-    """Logarithm of the semiflat coordinate (the chosen branch)."""
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise ValueError("zeta must be nonzero")
+def xsf_log(model, point: ModelPoint, gamma: Charge, zeta):
+    """Logarithm of the semiflat coordinate (the chosen branch).
+
+    ``zeta`` is a number or an array of them (the nodes of a ray).  A number
+    stays in Python complex arithmetic, which is much cheaper than numpy
+    for the scalar calls of the oracles and the off-grid evaluation.
+    """
+    if isinstance(zeta, np.ndarray):
+        if np.any(zeta == 0):
+            raise ValueError("zeta must be nonzero")
+    else:
+        zeta = complex(zeta)
+        if zeta == 0:
+            raise ValueError("zeta must be nonzero")
     z = model.Z.of(gamma, point.u)
     th = theta_eval(model.lattice, point, gamma)
-    return (math.pi * point.R * z / zeta + 1j * th
-            + math.pi * point.R * zeta * z.conjugate())
+    piR = math.pi * point.R
+    return piR * z / zeta + 1j * th + piR * zeta * z.conjugate()
 
 
 def xsf(model, point: ModelPoint, gamma: Charge, zeta: complex) -> CoordinateValue:

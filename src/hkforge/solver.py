@@ -28,12 +28,21 @@ remainder once per ordered near pair.  On a ray the two directed boundary
 values of the closed form differ by the residue term +-2 pi i, which is how
 the expected coordinate jumps emerge from one integral representation.
 
-A family of nearby points (the two-form family's displaced solves) shares
-one set of contours: ``solve_family`` builds the grids and the kernel once
-at the centre and iterates every point on them, which a Cauchy deformation
-of the ray contours permits.  Off-grid evaluation takes such a family at
-once: each ray's kernel row (and near-ray remainder) is built once and
-applied to the stacked log(1 - X) data of every solution.
+There is one solve path: ``build_grids`` lays out the contours, ``_prepare``
+builds the sweep on them, and ``iterate`` applies ``_sweep`` until the node
+data stop changing.  ``solve`` runs it for one point; a family of nearby
+points (the two-form family's displaced solves) shares one set of contours:
+``solve_family`` builds the grids and the kernel once at the centre and
+iterates every point on them, which a Cauchy deformation of the ray
+contours permits.
+
+There is one evaluation path, ``_upsilon_value``; ``upsilon``, ``evaluate``
+and the checks call it.  It takes a family of solutions at once: each ray's
+kernel row (and near-ray remainder) is built once and applied to the
+stacked log(1 - X) data of every solution.  Near a ray it continues the
+densities exactly: one inner evaluation at the pole, over the other rays,
+gives the coordinate of every (solution, source) pair there.  On a ray,
+``side`` picks the directed boundary value.
 """
 
 from __future__ import annotations
@@ -47,11 +56,14 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .lattice import Charge, Ray, _wrap_angle, bps_rays
-from .semiflat import CoordinateValue, ModelPoint, theta_eval
+from .semiflat import CoordinateValue, ModelPoint, xsf_log
 
 FOUR_PI_I = 4j * math.pi
 NEAR_ANGLE = 0.2          # switch to the subtracted kernel below this offset
 DEFAULT_MIN_ANGLE = 1e-3  # undirected evaluation forbidden below this offset
+ON_RAY_ANGLE = 1e-9       # a directed on-ray value needs zeta this close
+R_SMALL_THRESHOLD = 0.9   # reject a point whose |X^sf| reaches this on a ray
+TAIL_MARGIN = 4.0         # safety margin added to -log(eps_quad) for s_max
 
 
 class RSmallError(ValueError):
@@ -75,9 +87,6 @@ class GridSpec:
     eps_quad: float = 1e-12
     panels: int = 16
     nodes_per_panel: int = 16
-    eps_spec: float = 1e-16
-    r_small_threshold: float = 0.9
-    tail_margin: float = 4.0
 
 
 @dataclass
@@ -160,31 +169,22 @@ def build_grids(model, point: ModelPoint, spec: GridSpec = GridSpec()
     threshold at s = 0 the iteration could leave the log(1 - X) domain, and
     the point is rejected as "R too small".
     """
-    rays = bps_rays(model.spectrum, model.Z, point.u, R=point.R,
-                    eps_spec=spec.eps_spec)
+    rays = bps_rays(model.spectrum, model.Z, point.u, R=point.R)
     grids = []
     for ray in rays:
         min_z = ray.min_abs_z()
         peak = math.exp(-2.0 * math.pi * point.R * min_z)
-        if peak >= spec.r_small_threshold:
+        if peak >= R_SMALL_THRESHOLD:
             raise RSmallError(
                 f"R too small: |X^sf| reaches {peak:.3f} on the ray of "
-                f"{ray.charges[0]} (needs < {spec.r_small_threshold})")
-        arg = (-math.log(spec.eps_quad) + spec.tail_margin) \
+                f"{ray.charges[0]} (needs < {R_SMALL_THRESHOLD})")
+        arg = (-math.log(spec.eps_quad) + TAIL_MARGIN) \
             / (2.0 * math.pi * point.R * min_z)
         s_max = math.acosh(max(arg, 1.5))
         s_nodes, weights = _gl_panels(s_max, spec.panels, spec.nodes_per_panel)
         grids.append(QuadratureGrid(ray=ray, s_nodes=s_nodes,
                                     weights=weights, s_max=s_max))
     return grids
-
-
-def _log_xsf_on_nodes(model, point: ModelPoint, gamma: Charge,
-                      zetas: np.ndarray) -> np.ndarray:
-    z = model.Z.of(gamma, point.u)
-    th = theta_eval(model.lattice, point, gamma)
-    piR = math.pi * point.R
-    return piR * z / zetas + 1j * th + piR * zetas * np.conj(z)
 
 
 def _kernel_C(w, s_max: float):
@@ -309,64 +309,71 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
     return _Workspace(unknowns=unknowns, terms=terms)
 
 
-def iterate(model, point: ModelPoint, grids: list[QuadratureGrid] | None = None,
+def _sweep(ws: _Workspace, grids: list[QuadratureGrid],
+           log_xsf: list[dict[Charge, np.ndarray]],
+           ups: list[dict[Charge, np.ndarray]]
+           ) -> list[dict[Charge, np.ndarray]]:
+    """One application of the integral-equation map to the node data ``ups``.
+
+    ``log_xsf`` and ``ups`` hold, per ray, each charge's semiflat log and
+    log-correction on that ray's nodes; the result has the same layout.
+    """
+    near_sources = {s for _, s, _, _, near in ws.terms if near is not None}
+    gw, splines = [], {}
+    for s, (r, gamma) in enumerate(ws.unknowns):
+        x = np.exp(log_xsf[r][gamma] + ups[r][gamma])
+        if float(np.max(np.abs(x))) >= 1.0 - 1e-9:
+            raise RSmallError(
+                "iteration left the log(1 - X) domain: R too small")
+        g = np.log(1.0 - x)
+        gw.append(grids[r].weights * g)
+        if s in near_sources:
+            splines[s] = CubicSpline(grids[r].s_nodes, g)
+    new = [{gamma: np.zeros(grid.node_count, dtype=complex)
+            for gamma in grid.ray.charges} for grid in grids]
+    for t, s, coef, rows, near in ws.terms:
+        acc = rows @ gw[s]
+        if near is not None:
+            poles, rem = near
+            acc += _continued(splines[s], poles,
+                              grids[ws.unknowns[s][0]].s_max) * rem
+        r, gamma = ws.unknowns[t]
+        new[r][gamma] += coef * acc
+    return new
+
+
+def _change(a: list[dict[Charge, np.ndarray]],
+            b: list[dict[Charge, np.ndarray]]) -> float:
+    """Largest node difference between two sets of node data."""
+    return max((float(np.max(np.abs(x[g] - y[g])))
+                for x, y in zip(a, b) for g in x), default=0.0)
+
+
+def iterate(model, point: ModelPoint, grids: list[QuadratureGrid],
             tol_iter: float = 1e-10, max_iter: int = 50,
             spec: GridSpec = GridSpec(),
             warm: RaySolution | None = None,
             workspace: _Workspace | None = None) -> RaySolution:
-    """Solve the integral equation by iteration from the semiflat seed.
+    """Solve the integral equation on ``grids`` by iterating ``_sweep``.
 
     Distinct rays never coincide off the walls, and charges sharing a ray
     pair to zero, so no principal values arise: every integral a node needs
-    is over some other ray.  Iterations stop when the largest node update
-    drops below ``tol_iter``; the converged data are re-checked by one more
-    application of the map.  ``workspace`` is the sweep ``_prepare`` built
-    on these same grids, shared by the points of one family.
+    is over some other ray.  The iteration starts from the semiflat seed, or
+    from ``warm``, a solution on these same grids; it stops when the largest
+    node update drops below ``tol_iter``, and the converged data are
+    re-checked by one more sweep.  ``workspace`` is the sweep ``_prepare``
+    built on these grids, shared by the points of one family.
     """
-    if grids is None:
-        grids = build_grids(model, point, spec)
     ws = workspace if workspace is not None else _prepare(model, point, grids)
-    nr = len(grids)
-    src_ray = [r for r, _ in ws.unknowns]
-    log_xsf = [_log_xsf_on_nodes(model, point, g, grids[r].zeta_nodes)
-               for r, g in ws.unknowns]
-    ups = [np.zeros(grids[r].node_count, dtype=complex) for r in src_ray]
-    if warm is not None and len(warm.grids) == nr and all(
-            warm.grids[r].node_count == grids[r].node_count
-            and set(warm.upsilon[r]) == set(grids[r].ray.charges)
-            for r in range(nr)):
-        ups = [warm.upsilon[r][g].copy() for r, g in ws.unknowns]
-    near_sources = {s for _, s, _, _, near in ws.terms if near is not None}
-
-    def apply_once(current):
-        gw, splines = [], {}
-        for s, (r, lsf, u) in enumerate(zip(src_ray, log_xsf, current)):
-            x = np.exp(lsf + u)
-            if float(np.max(np.abs(x))) >= 1.0 - 1e-9:
-                raise RSmallError(
-                    "iteration left the log(1 - X) domain: R too small")
-            g = np.log(1.0 - x)
-            gw.append(grids[r].weights * g)
-            if s in near_sources:
-                splines[s] = CubicSpline(grids[r].s_nodes, g)
-        new = [np.zeros_like(u) for u in current]
-        for t, s, coef, rows, near in ws.terms:
-            acc = rows @ gw[s]
-            if near is not None:
-                poles, rem = near
-                acc += _continued(splines[s], poles,
-                                  grids[src_ray[s]].s_max) * rem
-            new[t] += coef * acc
-        return new
-
-    def change(a, b):
-        return max((float(np.max(np.abs(x - y))) for x, y in zip(a, b)),
-                   default=0.0)
-
+    log_xsf = [{g: xsf_log(model, point, g, grid.zeta_nodes)
+                for g in grid.ray.charges} for grid in grids]
+    ups = warm.upsilon if warm is not None else [
+        {g: np.zeros(grid.node_count, dtype=complex)
+         for g in grid.ray.charges} for grid in grids]
     history: list[float] = []
     for _ in range(max_iter):
-        new = apply_once(ups)
-        history.append(change(new, ups))
+        new = _sweep(ws, grids, log_xsf, ups)
+        history.append(_change(new, ups))
         ups = new
         if history[-1] < tol_iter:
             break
@@ -374,29 +381,22 @@ def iterate(model, point: ModelPoint, grids: list[QuadratureGrid] | None = None,
         raise NonConvergenceError(
             f"no convergence within {max_iter} iterations "
             f"(last residual {history[-1]:.3e})", history)
-    recheck_residual = change(apply_once(ups), ups)
-
-    log_xsf_by_ray = [{} for _ in range(nr)]
-    ups_by_ray = [{} for _ in range(nr)]
-    for (r, g), lsf, u in zip(ws.unknowns, log_xsf, ups):
-        log_xsf_by_ray[r][g] = lsf
-        ups_by_ray[r][g] = u
-    return RaySolution(point=point, grids=grids, log_xsf=log_xsf_by_ray,
-                       upsilon=ups_by_ray, iterations=len(history),
+    return RaySolution(point=point, grids=grids, log_xsf=log_xsf,
+                       upsilon=ups, iterations=len(history),
                        residual=history[-1], residual_history=history,
-                       recheck_residual=recheck_residual,
+                       recheck_residual=_change(
+                           _sweep(ws, grids, log_xsf, ups), ups),
                        tol_iter=tol_iter, spec=spec)
 
 
 def solve(model, point: ModelPoint, spec: GridSpec = GridSpec(),
-          tol_iter: float = 1e-10, max_iter: int = 50,
-          warm: RaySolution | None = None) -> RaySolution:
+          tol_iter: float = 1e-10, max_iter: int = 50) -> RaySolution:
     return iterate(model, point, build_grids(model, point, spec),
-                   tol_iter=tol_iter, max_iter=max_iter, spec=spec, warm=warm)
+                   tol_iter=tol_iter, max_iter=max_iter, spec=spec)
 
 
 def solve_family(model, center: ModelPoint, points: list[ModelPoint],
-                 spec: GridSpec = GridSpec(), tol_iter: float = 1e-10
+                 tol_iter: float = 1e-10
                  ) -> tuple[RaySolution, list[RaySolution]]:
     """Solve a centre and nearby points on the centre's contours.
 
@@ -405,13 +405,12 @@ def solve_family(model, center: ModelPoint, points: list[ModelPoint],
     its rays only slightly, and deforming the contours back onto the
     centre's rays leaves each ray integral unchanged, so the solutions
     agree with ordinary solves to quadrature precision.  Only the centre is
-    checked for R too small; the iteration still guards |X| < 1.
+    checked for R too small; the sweep still guards |X| < 1.
     """
-    grids = build_grids(model, center, spec)
+    grids = build_grids(model, center)
     ws = _prepare(model, center, grids)
-    solution = iterate(model, center, grids, tol_iter=tol_iter, spec=spec,
-                       workspace=ws)
-    return solution, [iterate(model, p, grids, tol_iter=tol_iter, spec=spec,
+    solution = iterate(model, center, grids, tol_iter=tol_iter, workspace=ws)
+    return solution, [iterate(model, p, grids, tol_iter=tol_iter,
                               warm=solution, workspace=ws)
                       for p in points]
 
@@ -420,46 +419,24 @@ def solve_family(model, center: ModelPoint, points: list[ModelPoint],
 # Evaluation off the grid
 
 
-def _g_exact_at(model, solution: RaySolution, r: int, gamma_s: Charge,
-                w: complex) -> complex:
-    """Analytic continuation of log(1 - X) off the charge's own ray.
-
-    X_{gamma_s} is continuous across its own ray (proportional charges pair
-    to zero), so the continuation to d e^w is just the coordinate there.
-    The correction needs only integrals over *other* rays, evaluated with
-    spline-interpolated densities; this keeps the recursion depth at one.
-    """
-    zeta_w = solution.grids[r].ray.direction * cmath.exp(complex(w))
-    # zeta_w may lie on another ray: take the side that faces ray r
-    ups = _upsilon_value(model, [solution], [gamma_s], zeta_w,
-                         side=-1 if w.imag > 0 else +1, min_angle=1e-9,
-                         exact_sigma=False, skip_ray=r)[0, 0]
-    pt = solution.point
-    log_sf = _log_xsf_on_nodes(model, pt, gamma_s,
-                               np.array([zeta_w]))[0]
-    return complex(np.log(1.0 - np.exp(log_sf + ups)))
-
-
 def _upsilon_value(model, solutions: list[RaySolution],
                    charges: list[Charge], zeta: complex,
                    side: int | None = None,
                    min_angle: float = DEFAULT_MIN_ANGLE,
-                   exact_sigma: bool = True,
-                   skip_ray: int | None = None) -> np.ndarray:
+                   exact_sigma: bool = True) -> np.ndarray:
     """log(X / X^sf) at zeta for each solution (rows) and charge (columns).
 
     The solutions must share their grids, as the points of a family solve
     do.  Each ray's kernel row, and within NEAR_ANGLE its closed-form
     remainder, is built once and applied to the stacked log(1 - X) of every
     solution and source charge.  With ``exact_sigma`` the density continued
-    to a near pole is the coordinate itself, computed per solution since it
-    is nonlinear in the data; otherwise it is the spline continuation.
+    to a near pole is the coordinate itself, found for every (source,
+    solution) pair, in the stacking order of the densities, by one inner
+    evaluation at the pole; otherwise it is the spline continuation.
     """
     lat = model.lattice
     total = np.zeros((len(solutions), len(charges)), dtype=complex)
     for r, grid in enumerate(solutions[0].grids):
-        if r == skip_ray:
-            continue
         sources = []
         for gamma_s, om_s in zip(grid.ray.charges, grid.ray.omegas):
             coefs = np.array([-om_s * lat.pair(gamma, gamma_s) / FOUR_PI_I
@@ -484,9 +461,21 @@ def _upsilon_value(model, solutions: list[RaySolution],
         if exact_sigma and abs(w.imag) < NEAR_ANGLE:
             g_pole = 0.0
             if abs(w.real) <= grid.s_max:
-                g_pole = np.array([[_g_exact_at(model, sol, r, gamma_s, w)]
-                                   for gamma_s, _ in sources
-                                   for sol in solutions])
+                # A source's X is continuous across its own ray (proportional
+                # charges pair to zero), so its continuation to the pole is
+                # the coordinate there.  That needs only the other rays, with
+                # spline-continued densities, which keeps the recursion depth
+                # at one; the pole may lie on another ray, so take the side
+                # that faces ray r.
+                zeta_w = grid.ray.direction * cmath.exp(w)
+                src = [gamma_s for gamma_s, _ in sources]
+                ups = _upsilon_value(model, solutions, src, zeta_w,
+                                     side=-1 if w.imag > 0 else +1,
+                                     min_angle=ON_RAY_ANGLE,
+                                     exact_sigma=False).T
+                log_sf = np.array([[xsf_log(model, sol.point, gamma_s, zeta_w)
+                                    for sol in solutions] for gamma_s in src])
+                g_pole = np.log(1.0 - np.exp(log_sf + ups)).reshape(-1, 1)
         vals = cauchy_integral(grid, g, w, g_pole)[:, 0]
         for (_, coefs), part in zip(sources,
                                     vals.reshape(len(sources), -1)):
@@ -509,23 +498,19 @@ def evaluate(model, solution: RaySolution, gamma: Charge, zeta: complex,
 
     ``side=+1/-1`` selects the counterclockwise/clockwise boundary value
     when zeta lies within ``min_angle`` of a BPS ray; without it such a
-    zeta raises, since the coordinate jumps there.
+    zeta raises, since the coordinate jumps there.  With ``min_angle`` at
+    ON_RAY_ANGLE and zeta on a ray, this is the exact directed boundary
+    value (the +-i0 closed-form kernel); other rays keep their genuine
+    angular offsets.
     """
-    zeta = complex(zeta)
-    if zeta == 0:
-        raise ValueError("zeta must be nonzero")
-    ups = upsilon(model, solution, gamma, zeta, side=side,
-                  min_angle=min_angle)
-    log_sf = _log_xsf_on_nodes(model, solution.point, gamma,
-                               np.array([zeta]))[0]
-    lv = log_sf + ups
-    return CoordinateValue(gamma=gamma, zeta=zeta, value=cmath.exp(lv),
-                           log_value=lv)
+    lv = xsf_log(model, solution.point, gamma, zeta) + upsilon(
+        model, solution, gamma, zeta, side=side, min_angle=min_angle)
+    return CoordinateValue(gamma=gamma, zeta=complex(zeta),
+                           value=cmath.exp(lv), log_value=lv)
 
 
 def side_limit(model, solution: RaySolution, gamma: Charge, zeta0: complex,
-               side: int, delta: float = 2e-4,
-               extrap_tol: float = 1e-3) -> CoordinateValue:
+               side: int) -> CoordinateValue:
     """Directed boundary value on a ray by two-point Richardson in delta.
 
     Evaluates at angular offsets delta and delta/2 on the requested side and
@@ -534,66 +519,49 @@ def side_limit(model, solution: RaySolution, gamma: Charge, zeta0: complex,
     if side not in (+1, -1):
         raise ValueError("side must be +1 (counterclockwise) or -1")
     zeta0 = complex(zeta0)
+    delta = 2e-4
     # both sample points must be genuine off-ray evaluations
-    gate = min(DEFAULT_MIN_ANGLE, delta / 8.0)
+    gate = delta / 8.0
     u1 = upsilon(model, solution, gamma,
                  zeta0 * cmath.exp(1j * side * delta), min_angle=gate)
     u2 = upsilon(model, solution, gamma,
                  zeta0 * cmath.exp(1j * side * delta / 2.0), min_angle=gate)
     extrapolated = 2.0 * u2 - u1
-    if abs(u2 - u1) > extrap_tol * (1.0 + abs(extrapolated)):
+    if abs(u2 - u1) > 1e-3 * (1.0 + abs(extrapolated)):
         raise RayProximityError(
             f"side-limit extrapolation residual {abs(u2 - u1):.3e} "
             f"exceeds tolerance")
-    log_sf = _log_xsf_on_nodes(model, solution.point, gamma,
-                               np.array([zeta0]))[0]
-    lv = log_sf + extrapolated
-    return CoordinateValue(gamma=gamma, zeta=zeta0, value=cmath.exp(lv),
-                           log_value=lv)
-
-
-def on_ray_value(model, solution: RaySolution, gamma: Charge, zeta0: complex,
-                 side: int) -> CoordinateValue:
-    """Exact directed boundary value (the +-i0 closed-form kernel).
-
-    zeta0 must sit on a ray to machine precision; other rays keep their
-    genuine angular offsets.
-    """
-    zeta0 = complex(zeta0)
-    ups = upsilon(model, solution, gamma, zeta0, side=side, min_angle=1e-9)
-    log_sf = _log_xsf_on_nodes(model, solution.point, gamma,
-                               np.array([zeta0]))[0]
-    lv = log_sf + ups
+    lv = xsf_log(model, solution.point, gamma, zeta0) + extrapolated
     return CoordinateValue(gamma=gamma, zeta=zeta0, value=cmath.exp(lv),
                            log_value=lv)
 
 
 def ray_jump_defect(model, solution: RaySolution, ray_index: int,
-                    test_charges: list[Charge] | None = None,
                     use_richardson: bool = True) -> float:
     """Largest mismatch between directed limits and the expected ray jump.
 
-    The clockwise value must equal the counterclockwise one multiplied by
-    prod (1 - X_{g'}(zeta0))^(Omega <gamma, g'>) over the charges g' on the
-    ray, with X_{g'} continuous there.
+    The clockwise value of each basis charge must equal the
+    counterclockwise one multiplied by prod (1 - X_{g'}(zeta0))^(Omega
+    <gamma, g'>) over the charges g' on the ray, with X_{g'} continuous
+    there.
     """
     grid = solution.grids[ray_index]
     lat = model.lattice
     zeta0 = grid.ray.direction
-    if test_charges is None:
-        test_charges = lat.basis()
-    factors = []
-    for g_ray, om, _ in zip(grid.ray.charges, grid.ray.omegas, grid.ray.zs):
-        x_on = on_ray_value(model, solution, g_ray, zeta0, side=+1)
-        factors.append((g_ray, om, x_on.value))
+
+    def on_ray(gamma, side):
+        return evaluate(model, solution, gamma, zeta0, side=side,
+                        min_angle=ON_RAY_ANGLE)
+
+    factors = [(g_ray, om, on_ray(g_ray, +1).value)
+               for g_ray, om in zip(grid.ray.charges, grid.ray.omegas)]
     worst = 0.0
-    for gamma in test_charges:
+    for gamma in lat.basis():
         if use_richardson:
             ccw = side_limit(model, solution, gamma, zeta0, +1)
             cw = side_limit(model, solution, gamma, zeta0, -1)
         else:
-            ccw = on_ray_value(model, solution, gamma, zeta0, +1)
-            cw = on_ray_value(model, solution, gamma, zeta0, -1)
+            ccw, cw = on_ray(gamma, +1), on_ray(gamma, -1)
         jump = 1.0 + 0.0j
         for g_ray, om, x_on in factors:
             jump *= (1.0 - x_on) ** (om * lat.pair(gamma, g_ray))
@@ -659,8 +627,7 @@ def check_wall_continuity(model, u_in: complex, u_out: complex, R: float,
                           zeta_list: list[complex],
                           halvings: int = 4,
                           spectrum_override=None,
-                          tol_iter: float = 1e-11,
-                          spec: GridSpec = GridSpec()) -> WallReport:
+                          tol_iter: float = 1e-11) -> WallReport:
     """Coordinate mismatch across a wall for a halving sequence of pairs.
 
     Both sides are solved with their own chamber spectra (or a forced
@@ -679,10 +646,8 @@ def check_wall_continuity(model, u_in: complex, u_out: complex, R: float,
     for k in range(halvings + 1):
         ua = mid + (u_in - mid) / 2 ** k
         ub = mid + (u_out - mid) / 2 ** k
-        sol_a = solve(mdl, ModelPoint(ua, R, theta), spec=spec,
-                      tol_iter=tol_iter)
-        sol_b = solve(mdl, ModelPoint(ub, R, theta), spec=spec,
-                      tol_iter=tol_iter)
+        sol_a = solve(mdl, ModelPoint(ua, R, theta), tol_iter=tol_iter)
+        sol_b = solve(mdl, ModelPoint(ub, R, theta), tol_iter=tol_iter)
         worst = 0.0
         for z in zeta_list:
             for gamma in basis:
@@ -707,8 +672,8 @@ class DecayReport:
 
 
 def correction_decay(model, u: complex, theta: tuple[float, ...],
-                     r_values: list[float], n_angles: int = 12,
-                     spec: GridSpec = GridSpec()) -> DecayReport:
+                     r_values: list[float], n_angles: int = 12
+                     ) -> DecayReport:
     """Fit log(max correction over the unit circle) against R.
 
     The maximum is scanned over mid-sector points and directed on-ray
@@ -720,7 +685,7 @@ def correction_decay(model, u: complex, theta: tuple[float, ...],
     min_z = None
     for R in r_values:
         point = ModelPoint(u, R, theta)
-        sol = solve(model, point, spec=spec)
+        sol = solve(model, point)
         if min_z is None:
             min_z = min(g.ray.min_abs_z() for g in sol.grids)
         peak = 0.0
@@ -731,7 +696,7 @@ def correction_decay(model, u: complex, theta: tuple[float, ...],
         for grid in sol.grids:
             for side in (+1, -1):
                 vals = _upsilon_value(model, [sol], basis, grid.ray.direction,
-                                      side=side, min_angle=1e-9)
+                                      side=side, min_angle=ON_RAY_ANGLE)
                 peak = max(peak, float(np.max(np.abs(vals))))
         maxima.append(peak)
     slope = float(np.polyfit(np.asarray(r_values, dtype=float),

@@ -25,9 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import Charge
-from .semiflat import CoordinateValue, ModelPoint
-from .solver import (FOUR_PI_I, GridSpec, QuadratureGrid, _log_xsf_on_nodes,
-                     build_grids, cauchy_integral)
+from .semiflat import CoordinateValue, ModelPoint, xsf_log
+from .solver import FOUR_PI_I, QuadratureGrid, build_grids, cauchy_integral
 
 
 class TreeBudgetError(RuntimeError):
@@ -175,11 +174,10 @@ class TreeIntegrator:
     """Evaluates the per-tree iterated ray integrals on shared grids."""
 
     def __init__(self, model, point: ModelPoint,
-                 grids: list[QuadratureGrid] | None = None,
-                 spec: GridSpec = GridSpec()):
+                 grids: list[QuadratureGrid] | None = None):
         self.model = model
         self.point = point
-        self.grids = grids if grids is not None else build_grids(model, point, spec)
+        self.grids = grids if grids is not None else build_grids(model, point)
         self._xsf_cache: dict[tuple[int, Charge], np.ndarray] = {}
         self._node_cache: dict[tuple, np.ndarray] = {}
 
@@ -194,7 +192,7 @@ class TreeIntegrator:
     def _xsf_nodes(self, r: int, gamma: Charge) -> np.ndarray:
         key = (r, gamma)
         if key not in self._xsf_cache:
-            self._xsf_cache[key] = np.exp(_log_xsf_on_nodes(
+            self._xsf_cache[key] = np.exp(xsf_log(
                 self.model, self.point, gamma, self.grids[r].zeta_nodes))
         return self._xsf_cache[key]
 
@@ -267,8 +265,6 @@ def series_solution(model, point: ModelPoint, gamma: Charge, zeta: complex,
                 exponent += (n * p1) * float(c) \
                     * integrator.g_integral(tail, zeta)
             n += 1
-    log_sf = _log_xsf_on_nodes(model, point, gamma,
-                               np.array([complex(zeta)]))[0]
-    lv = log_sf + exponent
+    lv = xsf_log(model, point, gamma, zeta) + exponent
     return CoordinateValue(gamma=gamma, zeta=complex(zeta),
                            value=cmath.exp(lv), log_value=lv)

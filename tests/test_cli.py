@@ -126,6 +126,40 @@ class TestSolutionFiles:
         solved = solver.upsilon(model, fresh, gamma, zeta)
         assert abs(got - solved) > 1e-3 * abs(solved)
 
+    def test_load_runs_no_solve(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "sol.json"
+        run(capsys, "solve", "--model", "pentagon", "--u", "1.5,0.2",
+            "--R", "1", "--theta", "0.37,1.29", "--out", str(path))
+        calls = []
+        original = solver.iterate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "iterate", counted)
+        _, _, loaded = load_solution(str(path))
+        assert calls == []
+        # the diagnostics describe the stored solve and its data
+        payload = json.loads(path.read_text())
+        assert loaded.iterations == payload["iterations"]
+        assert loaded.residual == payload["residual"]
+        assert loaded.recheck_residual < 10 * loaded.tol_iter
+
+    def test_jump_check_rejects_non_fixed_point(self, capsys, tmp_path):
+        # a doubled upsilon array passes the config hash and its jumps stay
+        # within tolerance, but one sweep shows it is no fixed point
+        path = tmp_path / "sol.json"
+        run(capsys, "solve", "--model", "pentagon", "--u", "1.5,0.2",
+            "--R", "1", "--theta", "0.37,1.29", "--out", str(path))
+        payload = json.loads(path.read_text())
+        entry = payload["rays"][0]["charges"][0]
+        entry["upsilon"] = [[2.0 * a, 2.0 * b] for a, b in entry["upsilon"]]
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "jump-check", "--solution", str(path))
+        assert code == 1
+        assert "not a fixed point" in out
+
 
 class TestReports:
     def test_model_info(self, capsys):

@@ -8,7 +8,7 @@ from hkforge import solver
 from hkforge.geometry import (VarpiSampler, fit_point, laurent_fit,
                               metric_from_triple, triple_wedge_check, wedge4)
 from hkforge.semiflat import (ModelPoint, dlog_xsf_matrix, omega3_sf,
-                              omega_plus_sf, varpi_sf)
+                              omega_plus_sf, varpi_sf, xsf_log)
 from hkforge.solver import NEAR_ANGLE, _upsilon_value, midsector_zetas, upsilon
 
 
@@ -56,16 +56,12 @@ class TestVarpiPipeline:
         defects = []
         for h in (2e-4, 1e-4):
             a = np.zeros((2, 4), dtype=complex)
-            from hkforge.solver import _log_xsf_on_nodes
-            steps = [h, h, h, h]
             for mu, disp in enumerate((h, 1j * h)):
                 for i, g in enumerate(basis):
-                    lp = _log_xsf_on_nodes(
-                        pentagon, pentagon_point.shifted(du=disp), g,
-                        np.array([zeta]))[0]
-                    lm = _log_xsf_on_nodes(
-                        pentagon, pentagon_point.shifted(du=-disp), g,
-                        np.array([zeta]))[0]
+                    lp = xsf_log(pentagon, pentagon_point.shifted(du=disp),
+                                 g, zeta)
+                    lm = xsf_log(pentagon, pentagon_point.shifted(du=-disp),
+                                 g, zeta)
                     a[i, mu] = (lp - lm) / (2 * h)
             defects.append(np.max(np.abs(a[:, :2] - truth[:, :2])))
         order = math.log2(defects[0] / defects[1])
@@ -103,7 +99,7 @@ class TestFamilySolve:
 
         grids = sampler.center.grids
         agree(midsector_zetas(grids, 1)[0])
-        # within NEAR_ANGLE the pole value is continued per solution
+        # within NEAR_ANGLE one inner evaluation continues every pole value
         agree(grids[0].ray.direction * cmath.exp(0.5j * NEAR_ANGLE))
         for grid in grids:
             for side in (+1, -1):
