@@ -164,6 +164,40 @@ def _solution_payload(model, point, spec, sol) -> dict:
             "iterations": sol.iterations, "residual": sol.residual}
 
 
+# the fields load_solution reads, nested as in the file; a list holds the
+# schema of each of its items
+_SOLUTION_SCHEMA = {
+    "hash": None, "iterations": None, "residual": None,
+    "config": {"model": None, "tol_iter": None,
+               "point": {"u": None, "R": None, "theta": None},
+               "spec": dict.fromkeys(SPEC_ARGS)},
+    "rays": [{"direction": None,
+              "charges": [{"charge": None, "upsilon": None}]}],
+}
+
+
+def _schema_fault(value, schema, where: str = "") -> str | None:
+    """The first field of ``schema`` that value lacks or misshapes, if any."""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            return f"{where or 'payload'} is not an object"
+        for name, sub in schema.items():
+            field_path = f"{where}.{name}" if where else name
+            if name not in value:
+                return f"missing field {field_path}"
+            fault = _schema_fault(value[name], sub, field_path)
+            if fault:
+                return fault
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            return f"{where} is not a list"
+        for i, item in enumerate(value):
+            fault = _schema_fault(item, schema[0], f"{where}[{i}]")
+            if fault:
+                return fault
+    return None
+
+
 def load_solution(path: str):
     """Model, point and solution stored in a solution file, without a solve.
 
@@ -175,8 +209,11 @@ def load_solution(path: str):
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    fault = _schema_fault(payload, _SOLUTION_SCHEMA)
+    if fault:
+        raise CheckFailure(f"solution file {path}: {fault}")
     cfg = payload["config"]
-    if config_hash(cfg) != payload.get("hash"):
+    if config_hash(cfg) != payload["hash"]:
         raise CheckFailure(f"solution file {path}: content hash mismatch")
     model = models.model_from_config(cfg["model"])
     point = ModelPoint(complex(*cfg["point"]["u"]), cfg["point"]["R"],
@@ -299,19 +336,37 @@ def cmd_tree_compare(args) -> int:
     integ = trees.TreeIntegrator(model, point, sol.grids)
     gamma = charge(*args.charge)
     ref = solver.evaluate(model, sol, gamma, args.zeta)
-    print(f"reference log X from the ray solver: {ref.log_value:.15g}")
-    print("cutoff   log X (tree series)                 |dlog|")
-    last = math.inf
-    for cutoff in range(1, args.cutoff + 1):
-        sv = trees.series_solution(model, point, gamma, args.zeta, cutoff,
-                                   integrator=integ)
-        last = abs(sv.log_value - ref.log_value)
-        print(f"{cutoff:6d}   {sv.log_value:.15g}   {last:.3e}")
+    # one cutoff past the requested one measures the next layer of the sum
+    sums = [trees.series_solution(model, point, gamma, args.zeta, cutoff,
+                                  integrator=integ).log_value
+            for cutoff in range(1, args.cutoff + 2)]
+    gap = abs(sums[-2] - ref.log_value)
+    layer = abs(sums[-1] - sums[-2])
+    eps_quad = sol.spec.eps_quad
+    gate = trees.layer_gate(layer, eps_quad)
     min_z = min(g.ray.min_abs_z() for g in sol.grids)
     bound = max(math.exp(-2 * math.pi * point.R * (args.cutoff + 1) * min_z),
-                10 * sol.spec.eps_quad)
+                10 * eps_quad)
+    ok = gap <= gate and gap <= bound
+    if args.json:
+        print(json.dumps({
+            "check": "tree-compare", "verdict": "PASS" if ok else "FAIL",
+            "cutoff": args.cutoff,
+            "trees": len(integ.trees(args.cutoff)), "gap": gap,
+            "layer": layer, "gate": gate, "bound": bound,
+            "eps_quad": eps_quad}, sort_keys=True))
+        return 0 if ok else 1
+    print(f"reference log X from the ray solver: {ref.log_value:.15g}")
+    print("cutoff   log X (tree series)                 |dlog|")
+    for cutoff, lv in enumerate(sums[:-1], start=1):
+        print(f"{cutoff:6d}   {lv:.15g}   {abs(lv - ref.log_value):.3e}")
+    print(f"next layer |S_{args.cutoff + 1} - S_{args.cutoff}|: {layer:.3e}, "
+          f"layer gate 3 x layer + eps_quad: {gate:.3e}")
     print(f"agreement bound: {bound:.3e}")
-    if last > bound:
+    if gap > gate:
+        print("FAIL: tree series gap exceeds the next-layer gate")
+        return 1
+    if gap > bound:
         print("FAIL: tree series disagrees beyond the cutoff bound")
         return 1
     return 0
@@ -475,6 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=parse_complex, required=True)
     p.add_argument("--charge", type=lambda s: tuple(int(x) for x in s.split(",")),
                    default=(1, 0))
+    p.add_argument("--json", action="store_true",
+                   help="print the verdict as one JSON line instead")
     p.set_defaults(fn=cmd_tree_compare)
 
     p = sub.add_parser("ov-compare", help="solver vs independent quadrature")

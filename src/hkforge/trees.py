@@ -13,6 +13,16 @@ degeneracies.  Trees with a vanishing edge pairing drop out; that pruning
 is the whole reason the one-electric-charge model closes after a single
 integral.  Whether the full sum converges is open; here it is used at
 finite cutoff as an independent cross-check of the fixed-point solver.
+
+The quadrature is shared wherever the trees allow.  Root integrands (X^sf
+of the root times its children's integrals at the root's nodes) are built
+for all distinct subtrees level by level, leaves first; at each height the
+child integrals are grouped by (child ray, parent ray), so one stacked
+Cauchy integral and one kernel block serve every edge of a group.  G_T is
+linear in its root integrand, so the integrands are summed per root
+decoration with weight c(T), the multicover tower tails included, and a
+coordinate takes one Cauchy integral per root ray of the densities paired
+with its charge, not one per tree.
 """
 
 from __future__ import annotations
@@ -63,6 +73,9 @@ class DecoratedTree:
 
     def node_count(self) -> int:
         return 1 + sum(c.node_count() for c in self.children)
+
+    def height(self) -> int:
+        return 1 + max((c.height() for c in self.children), default=-1)
 
     def aut_order(self) -> int:
         order = 1
@@ -171,59 +184,189 @@ def enumerate_trees(model, u: complex, degree_cutoff: int,
 
 
 class TreeIntegrator:
-    """Evaluates the per-tree iterated ray integrals on shared grids."""
+    """Tree integrals at one point on shared grids, cached as node arrays.
+
+    Keeps the enumeration per (cutoff, budget), each distinct subtree's root
+    integrand on its root ray by canonical key, and the summed density per
+    root decoration per (cutoff, budget, eps_tail): 1-D arrays only, so no
+    kernel block outlives the call that built it.
+    """
 
     def __init__(self, model, point: ModelPoint,
                  grids: list[QuadratureGrid] | None = None):
         self.model = model
         self.point = point
         self.grids = grids if grids is not None else build_grids(model, point)
-        self._xsf_cache: dict[tuple[int, Charge], np.ndarray] = {}
-        self._node_cache: dict[tuple, np.ndarray] = {}
+        self._rays: dict[Charge, int] = {}
+        self._xsf_cache: dict[Charge, np.ndarray] = {}
+        self._trees: dict[tuple[int, int], list] = {}
+        self._integrands: dict[tuple, tuple[int, np.ndarray]] = {}
+        self._densities: dict[tuple, dict[Charge, tuple[int, np.ndarray]]] = {}
 
     def _ray_index(self, gamma: Charge) -> int:
-        z = self.model.Z.of(gamma, self.point.u)
-        d = -z / abs(z)
-        for i, grid in enumerate(self.grids):
-            if abs(grid.ray.direction - d) < 1e-9:
-                return i
-        raise ValueError(f"no quadrature ray matches the charge {gamma}")
+        if gamma not in self._rays:
+            z = self.model.Z.of(gamma, self.point.u)
+            d = -z / abs(z)
+            for i, grid in enumerate(self.grids):
+                if abs(grid.ray.direction - d) < 1e-9:
+                    self._rays[gamma] = i
+                    break
+            else:
+                raise ValueError(
+                    f"no quadrature ray matches the charge {gamma}")
+        return self._rays[gamma]
 
-    def _xsf_nodes(self, r: int, gamma: Charge) -> np.ndarray:
-        key = (r, gamma)
-        if key not in self._xsf_cache:
-            self._xsf_cache[key] = np.exp(xsf_log(
-                self.model, self.point, gamma, self.grids[r].zeta_nodes))
-        return self._xsf_cache[key]
+    def _xsf_nodes(self, gamma: Charge) -> np.ndarray:
+        """X^sf of gamma at the nodes of gamma's own ray."""
+        if gamma not in self._xsf_cache:
+            grid = self.grids[self._ray_index(gamma)]
+            self._xsf_cache[gamma] = np.exp(xsf_log(
+                self.model, self.point, gamma, grid.zeta_nodes))
+        return self._xsf_cache[gamma]
 
-    def _integrand_on_own_ray(self, tree: DecoratedTree
-                              ) -> tuple[int, np.ndarray]:
-        """X^sf of the root times all child integrals, at the root's nodes."""
-        key = tree.canonical_key()
-        if key not in self._node_cache:
-            r = self._ray_index(tree.decoration)
-            vals = self._xsf_nodes(r, tree.decoration).copy()
-            for child in tree.children:
-                vals = vals * self._integral(
-                    child, self.grids[r].zeta_nodes)
-            self._node_cache[key] = (r, vals)
-        return self._node_cache[key]
+    def trees(self, degree_cutoff: int, budget: int = 200_000
+              ) -> list[tuple[DecoratedTree, Fraction]]:
+        """The nonzero-weight trees up to the cutoff, enumerated once."""
+        key = (degree_cutoff, budget)
+        if key not in self._trees:
+            self._trees[key] = enumerate_trees(
+                self.model, self.point.u, degree_cutoff, budget=budget)
+        return self._trees[key]
 
-    def _integral(self, tree: DecoratedTree, zeta_targets: np.ndarray
-                  ) -> np.ndarray:
-        """(1/4 pi i) times the Cauchy integral of a tree's root integrand."""
-        r, vals = self._integrand_on_own_ray(tree)
+    def integrands(self, trees: list[DecoratedTree]
+                   ) -> list[tuple[int, np.ndarray]]:
+        """(root ray, X^sf of the root times all child integrals) per tree."""
+        _build_integrands(self, trees)
+        return [self._integrands[t.canonical_key()] for t in trees]
+
+    def densities(self, degree_cutoff: int, budget: int = 200_000,
+                  eps_tail: float = 1e-16
+                  ) -> dict[Charge, tuple[int, np.ndarray]]:
+        """(root ray, sum of c(T) times root integrand) per root decoration.
+
+        The sum runs over the trees up to the cutoff and the single-node
+        multicover towers n * beta past it, while their exp(-2 pi R n |Z|)
+        scale stays above ``eps_tail``.
+        """
+        key = (degree_cutoff, budget, eps_tail)
+        if key not in self._densities:
+            weighted = self.trees(degree_cutoff, budget) + _tower_tails(
+                self.model, self.point, degree_cutoff, eps_tail)
+            rooted = self.integrands([t for t, _ in weighted])
+            sums: dict[Charge, np.ndarray] = {}
+            for (tree, weight), (_, vals) in zip(weighted, rooted):
+                term = float(weight) * vals
+                if tree.decoration in sums:
+                    sums[tree.decoration] += term
+                else:
+                    sums[tree.decoration] = term
+            self._densities[key] = {d: (self._ray_index(d), f)
+                                    for d, f in sums.items()}
+        return self._densities[key]
+
+    def _root_integral(self, r: int, density: np.ndarray, zeta: complex
+                      ) -> complex:
+        """(1/4 pi i) times the Cauchy integral of a density on ray r at zeta."""
+        zeta = complex(zeta)
         grid = self.grids[r]
-        w = np.log(zeta_targets / grid.ray.direction)
-        return cauchy_integral(grid, vals, w) / FOUR_PI_I
+        if abs(cmath.log(zeta / grid.ray.direction).imag) < 1e-6:
+            raise ValueError(f"zeta={zeta} on the root ray at angle "
+                             f"{grid.ray.angle:+.6f}")
+        w = np.log(np.array([zeta]) / grid.ray.direction)
+        return complex(cauchy_integral(grid, density, w)[0] / FOUR_PI_I)
 
     def g_integral(self, tree: DecoratedTree, zeta: complex) -> complex:
         """G_T at an off-ray zeta: one more Cauchy integral over the root ray."""
-        zeta = complex(zeta)
-        r, _ = self._integrand_on_own_ray(tree)
-        if abs(cmath.log(zeta / self.grids[r].ray.direction).imag) < 1e-6:
-            raise ValueError(f"zeta={zeta} on the root ray of {tree.decoration}")
-        return complex(self._integral(tree, np.array([zeta]))[0])
+        [(r, vals)] = self.integrands([tree])
+        return self._root_integral(r, vals, zeta)
+
+    def exponent(self, gamma: Charge, zeta: complex, degree_cutoff: int,
+                 budget: int = 200_000, eps_tail: float = 1e-16) -> complex:
+        """sum_T <gamma, g_T> c(T) G_T(zeta): one Cauchy integral per ray."""
+        lat = self.model.lattice
+        per_ray: dict[int, np.ndarray] = {}
+        for delta, (r, dens) in self.densities(degree_cutoff, budget,
+                                               eps_tail).items():
+            p = lat.pair(gamma, delta)
+            if p:
+                per_ray[r] = per_ray[r] + p * dens if r in per_ray \
+                    else p * dens
+        return sum((self._root_integral(r, f, zeta)
+                    for r, f in per_ray.items()), 0.0 + 0.0j)
+
+
+def _tower_tails(model, point: ModelPoint, degree_cutoff: int,
+                 eps_tail: float) -> list[tuple[DecoratedTree, Fraction]]:
+    """Single nodes n * beta past the cutoff down to the eps_tail scale."""
+    tails = []
+    for base in model.spectrum.support(point.u):
+        scale = 2.0 * math.pi * point.R * abs(model.Z.of(base, point.u))
+        n = degree_cutoff // base.l1_degree() + 1
+        while n * scale < -math.log(eps_tail):
+            delta = n * base
+            c = multicover(model.spectrum, delta, point.u)
+            if c:
+                tails.append((DecoratedTree(delta), c))
+            n += 1
+    return tails
+
+
+def _build_integrands(integ: TreeIntegrator, trees: list[DecoratedTree]
+                      ) -> None:
+    """Add the root integrands of trees and their subtrees, leaves first.
+
+    The parents at each height read their children's integrals at their own
+    nodes; those are grouped by (child ray, parent ray), so each group takes
+    one stacked Cauchy integral with one kernel block.
+    """
+    cache = integ._integrands
+    levels: list[dict[tuple, DecoratedTree]] = []
+    stack = list(trees)
+    while stack:
+        tree = stack.pop()
+        key = tree.canonical_key()
+        if key in cache:
+            continue
+        h = tree.height()
+        levels.extend({} for _ in range(h + 1 - len(levels)))
+        if key not in levels[h]:
+            levels[h][key] = tree
+            stack.extend(tree.children)
+    # (child key, parent ray) -> child integral at the parent ray's nodes
+    at_nodes: dict[tuple[tuple, int], np.ndarray] = {}
+    for level in levels:
+        # child keys per (child ray, parent ray), a dict as an ordered set
+        groups: dict[tuple[int, int], dict[tuple, None]] = {}
+        for tree in level.values():
+            rp = integ._ray_index(tree.decoration)
+            for child in tree.children:
+                ckey = child.canonical_key()
+                if (ckey, rp) not in at_nodes:
+                    groups.setdefault((cache[ckey][0], rp), {})[ckey] = None
+        for (rc, rp), ckeys in groups.items():
+            grid = integ.grids[rc]
+            w = np.log(integ.grids[rp].zeta_nodes / grid.ray.direction)
+            stacked = np.array([cache[k][1] for k in ckeys])
+            rows = cauchy_integral(grid, stacked, w) / FOUR_PI_I
+            for ckey, row in zip(ckeys, rows):
+                at_nodes[ckey, rp] = row
+        for key, tree in level.items():
+            rp = integ._ray_index(tree.decoration)
+            vals = integ._xsf_nodes(tree.decoration)
+            for child in tree.children:
+                vals = vals * at_nodes[child.canonical_key(), rp]
+            cache[key] = (rp, vals)
+
+
+def layer_gate(layer: float, eps_quad: float) -> float:
+    """Largest gap to the solver a cutoff-c sum may have.
+
+    ``layer`` is |S_{c+1} - S_c|, the size of the first omitted degree: a
+    converging sum's truncation error is of that order, so a sum missing a
+    whole degree of its own cutoff overshoots the gate.  ``eps_quad`` is
+    the quadrature floor both routes share.
+    """
+    return 3.0 * layer + eps_quad
 
 
 def series_solution(model, point: ModelPoint, gamma: Charge, zeta: complex,
@@ -242,29 +385,8 @@ def series_solution(model, point: ModelPoint, gamma: Charge, zeta: complex,
     """
     if integrator is None:
         integrator = TreeIntegrator(model, point, grids)
-    lat = model.lattice
-    exponent = 0.0 + 0.0j
-    for tree, weight in enumerate_trees(model, point.u, degree_cutoff,
-                                        budget=budget):
-        p = lat.pair(gamma, tree.decoration)
-        if p == 0:
-            continue
-        exponent += p * float(weight) * integrator.g_integral(tree, zeta)
-    # single-node tower tails past the structural cutoff
-    for base in model.spectrum.support(point.u):
-        p1 = lat.pair(gamma, base)
-        if p1 == 0:
-            continue
-        scale = 2.0 * math.pi * point.R * abs(model.Z.of(base, point.u))
-        n = degree_cutoff // base.l1_degree() + 1
-        while n * scale < -math.log(eps_tail):
-            delta = n * base
-            c = multicover(model.spectrum, delta, point.u)
-            if c:
-                tail = DecoratedTree(delta)
-                exponent += (n * p1) * float(c) \
-                    * integrator.g_integral(tail, zeta)
-            n += 1
+    exponent = integrator.exponent(gamma, zeta, degree_cutoff, budget,
+                                   eps_tail)
     lv = xsf_log(model, point, gamma, zeta) + exponent
     return CoordinateValue(gamma=gamma, zeta=complex(zeta),
                            value=cmath.exp(lv), log_value=lv)

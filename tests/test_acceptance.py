@@ -20,7 +20,7 @@ from hkforge.semiflat import (ModelPoint, omega3_sf, omega_plus_sf,
 from hkforge.solver import (check_wall_continuity, correction_decay,
                             evaluate, midsector_zetas, radial_limit,
                             ray_jump_defect, solve, upsilon)
-from hkforge.trees import TreeIntegrator, series_solution
+from hkforge.trees import TreeIntegrator, layer_gate, series_solution
 
 G1, G2 = charge(1, 0), charge(0, 1)
 TWO_PI = 2.0 * math.pi
@@ -183,6 +183,28 @@ def test_criterion_6_tree_sum(pentagon, ov):
     report("6 tree-sum cross-check",
            f"pentagon worst {worst:.1e} < bound {bound:.1e}, "
            f"OV worst {worst_ov:.1e}")
+
+
+def test_criterion_6_layer_gate(pentagon):
+    # the cutoff-4 sum sits within 3 |S_5 - S_4| + eps_quad of the solver,
+    # and a sum one degree short, judged as cutoff 4, does not
+    point = ModelPoint(1.5 + 0.2j, 1.0, (0.37, 1.29))
+    sol = solve(pentagon, point, tol_iter=1e-13)
+    integ = TreeIntegrator(pentagon, point, sol.grids)
+    margin = math.inf
+    for z in midsector_zetas(sol, 4):
+        for gamma in (G1, G2):
+            ref = evaluate(pentagon, sol, gamma, z).log_value
+            s3, s4, s5 = (series_solution(pentagon, point, gamma, z, c,
+                                          integrator=integ).log_value
+                          for c in (3, 4, 5))
+            gate = layer_gate(abs(s5 - s4), sol.spec.eps_quad)
+            assert abs(s4 - ref) <= gate
+            assert abs(s3 - ref) > gate
+            margin = min(margin, gate / abs(s4 - ref),
+                         abs(s3 - ref) / gate)
+    report("6 tree-sum layer gate",
+           f"cutoff 4 passes and cutoff 3 fails by a factor >= {margin:.1f}")
 
 
 def test_criterion_7_varpi_continuity_and_metric(pentagon):

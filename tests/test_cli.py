@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import json
 
@@ -99,6 +100,19 @@ class TestSolutionFiles:
         assert code == 1
         assert "hash mismatch" in err
 
+    def test_missing_field_is_one_line_failure(self, capsys, tmp_path):
+        path = tmp_path / "sol.json"
+        run(capsys, "solve", "--model", "ov", "--u", "0.5,0", "--R", "1",
+            "--theta", "0.3,1.1", "--out", str(path))
+        payload = json.loads(path.read_text())
+        del payload["rays"][1]["charges"][0]["upsilon"]
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "jump-check", "--solution", str(path))
+        assert code == 1
+        assert err.strip().endswith(
+            "missing field rays[1].charges[0].upsilon")
+        assert len(err.strip().splitlines()) == 1
+
     def test_loaded_data_feed_evaluation(self, capsys, tmp_path):
         # the hash covers only the config, so a rescaled upsilon array
         # still loads; evaluation must read the loaded data, not the
@@ -187,6 +201,34 @@ class TestReports:
                            "--cutoff", "2", "--zeta", "0.6,0.5")
         assert code == 0
         assert "agreement bound" in out
+
+    def test_tree_compare_json(self, capsys):
+        code, out, _ = run(capsys, "tree-compare", "--model", "pentagon",
+                           "--u", "0.6,0.3", "--R", "1",
+                           "--theta", "0.37,1.29", "--cutoff", "4",
+                           "--zeta", "0.9,0.4", "--json")
+        assert code == 0
+        [line] = out.splitlines()
+        rec = json.loads(line)
+        assert set(rec) == {"check", "verdict", "cutoff", "trees", "gap",
+                            "layer", "gate", "bound", "eps_quad"}
+        assert rec["verdict"] == "PASS" and rec["cutoff"] == 4
+        assert rec["trees"] == 272
+        assert rec["gate"] == 3 * rec["layer"] + rec["eps_quad"]
+        assert rec["gap"] <= min(rec["gate"], rec["bound"])
+
+    def test_tree_compare_json_fail(self, capsys, monkeypatch):
+        # a reference turned 1e-3 rad off the requested zeta breaks the gate
+        evaluate = solver.evaluate
+        monkeypatch.setattr(solver, "evaluate", lambda m, s, g, z:
+                            evaluate(m, s, g, z * cmath.exp(1e-3j)))
+        code, out, _ = run(capsys, "tree-compare", "--model", "pentagon",
+                           "--u", "0.6,0.3", "--R", "1",
+                           "--theta", "0.37,1.29", "--cutoff", "4",
+                           "--zeta", "0.9,0.4", "--json")
+        rec = json.loads(out)
+        assert code == 1 and rec["verdict"] == "FAIL"
+        assert rec["gap"] > rec["gate"]
 
     def test_wcf_dump_series(self, capsys):
         code, out, _ = run(capsys, "wcf-check", "--model", "pentagon",

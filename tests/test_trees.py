@@ -1,15 +1,18 @@
 import cmath
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hkforge import solver, trees
 from hkforge.lattice import Spectrum, charge
 from hkforge.semiflat import ModelPoint, xsf
 from hkforge.solver import evaluate, midsector_zetas, solve
 from hkforge.trees import (DecoratedTree, TreeBudgetError, TreeIntegrator,
-                           enumerate_trees, multicover,
+                           _tower_tails, enumerate_trees, multicover,
                            series_solution, tree_weight)
 
 G1, G2 = charge(1, 0), charge(0, 1)
@@ -158,3 +161,107 @@ class TestSeries:
         zeta = 0.8 * cmath.exp(1.1j)
         got = series_solution(mdl, ov_point, G1, zeta, 3, grids=[])
         assert got.value == xsf(mdl, ov_point, G1, zeta).value
+
+
+@pytest.fixture(scope="module")
+def strong(pentagon):
+    point = ModelPoint(1.5 + 0.2j, 1.0, (0.37, 1.29))
+    return point, solve(pentagon, point, tol_iter=1e-13)
+
+
+def _zetas(sol):
+    """One mid-sector zeta and one 0.011 rad off a ray."""
+    return [midsector_zetas(sol, 4)[0],
+            sol.grids[0].ray.direction * cmath.exp(0.011j)]
+
+
+class TestSharedKernels:
+    def test_enumerated_once(self, pentagon, strong, monkeypatch):
+        point, sol = strong
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_trees(*args, **kwargs)
+
+        monkeypatch.setattr(trees, "enumerate_trees", counted)
+        integ = TreeIntegrator(pentagon, point, sol.grids)
+        for z in midsector_zetas(sol, 4):
+            for g in (G1, G2):
+                series_solution(pentagon, point, g, z, 3, integrator=integ)
+        assert len(calls) == 1
+
+    def test_kernels_per_ray_pair_and_height(self, pentagon, strong,
+                                             monkeypatch):
+        point, sol = strong
+        built = []
+        kernel_rows = solver.kernel_rows
+
+        def counted(grid, w):
+            built.append(grid)
+            return kernel_rows(grid, w)
+
+        monkeypatch.setattr(solver, "kernel_rows", counted)
+        integ = TreeIntegrator(pentagon, point, sol.grids)
+        enumerated = [t for t, _ in integ.trees(4)]
+        integ.integrands(enumerated)
+        rays = len(sol.grids)
+        height = max(t.height() for t in enumerated)
+        assert height == 3
+        assert 0 < len(built) <= rays * (rays - 1) * height
+        # summed densities: one root integral per ray and zeta
+        built.clear()
+        series_solution(pentagon, point, G1, _zetas(sol)[0], 4,
+                        integrator=integ)
+        assert len(built) <= rays
+
+    def test_grouped_sum_equals_per_tree_sum(self, pentagon, strong):
+        point, sol = strong
+        integ = TreeIntegrator(pentagon, point, sol.grids)
+        weighted = integ.trees(4) + _tower_tails(pentagon, point, 4, 1e-16)
+        for z in _zetas(sol):
+            for g in (G1, G2):
+                want = sum(pentagon.lattice.pair(g, t.decoration) * float(w)
+                           * integ.g_integral(t, z) for t, w in weighted
+                           if pentagon.lattice.pair(g, t.decoration))
+                got = integ.exponent(g, z, 4)
+                assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_on_root_ray_rejected(self, pentagon, strong):
+        point, sol = strong
+        integ = TreeIntegrator(pentagon, point, sol.grids)
+        ray = sol.grids[0].ray
+        # the ray's charges pair to zero with their own multiples only
+        gamma = next(g for g in (G1, G2)
+                     if pentagon.lattice.pair(g, ray.charges[0]))
+        with pytest.raises(ValueError):
+            series_solution(pentagon, point, gamma, ray.direction, 2,
+                            integrator=integ)
+        series_solution(pentagon, point, ray.charges[0], ray.direction, 2,
+                        integrator=integ)
+
+    def test_no_kernel_kept_and_no_cycle(self, pentagon, strong):
+        point, sol = strong
+        integ = TreeIntegrator(pentagon, point, sol.grids)
+        series_solution(pentagon, point, G2, _zetas(sol)[1], 4,
+                        integrator=integ)
+        arrays, stack = [], [v for k, v in vars(integ).items()
+                             if k.startswith("_")]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, dict):
+                stack.extend(item.values())
+            elif isinstance(item, (list, tuple)):
+                stack.extend(item)
+            elif isinstance(item, np.ndarray):
+                arrays.append(item)
+        assert arrays
+        assert all(a.ndim == 1 and (a.base is None or a.base.ndim == 1)
+                   for a in arrays)
+        ref = weakref.ref(integ)
+        gc.disable()
+        try:
+            del integ
+            assert ref() is None
+        finally:
+            gc.enable()
