@@ -336,32 +336,28 @@ def cmd_tree_compare(args) -> int:
     integ = trees.TreeIntegrator(model, point, sol.grids)
     gamma = charge(*args.charge)
     ref = solver.evaluate(model, sol, gamma, args.zeta)
-    # one cutoff past the requested one measures the next layer of the sum
-    sums = [trees.series_solution(model, point, gamma, args.zeta, cutoff,
-                                  integrator=integ).log_value
-            for cutoff in range(1, args.cutoff + 2)]
-    gap = abs(sums[-2] - ref.log_value)
-    layer = abs(sums[-1] - sums[-2])
+    # S_0 is the semiflat value; one cutoff past the requested one measures
+    # the next layer of the sum
+    c = args.cutoff
+    sums = [xsf_log(model, point, gamma, args.zeta)] + [
+        trees.series_solution(model, point, gamma, args.zeta, cutoff,
+                              integrator=integ).log_value
+        for cutoff in range(1, c + 2)]
+    gap = abs(sums[c] - ref.log_value)
+    layer = abs(sums[c + 1] - sums[c])
     eps_quad = sol.spec.eps_quad
-    gate = trees.layer_gate(layer, eps_quad)
     min_z = min(g.ray.min_abs_z() for g in sol.grids)
-    bound = max(math.exp(-2 * math.pi * point.R * (args.cutoff + 1) * min_z),
+    q_floor = math.exp(-2 * math.pi * point.R * min_z)
+    gate = trees.layer_gate(layer, abs(sums[c] - sums[c - 1]), q_floor,
+                            eps_quad)
+    bound = max(math.exp(-2 * math.pi * point.R * (c + 1) * min_z),
                 10 * eps_quad)
-    ok = gap <= gate and gap <= bound
-    if args.json:
-        print(json.dumps({
-            "check": "tree-compare", "verdict": "PASS" if ok else "FAIL",
-            "cutoff": args.cutoff,
-            "trees": len(integ.trees(args.cutoff)), "gap": gap,
-            "layer": layer, "gate": gate, "bound": bound,
-            "eps_quad": eps_quad}, sort_keys=True))
-        return 0 if ok else 1
     print(f"reference log X from the ray solver: {ref.log_value:.15g}")
     print("cutoff   log X (tree series)                 |dlog|")
-    for cutoff, lv in enumerate(sums[:-1], start=1):
+    for cutoff, lv in enumerate(sums[1:c + 1], start=1):
         print(f"{cutoff:6d}   {lv:.15g}   {abs(lv - ref.log_value):.3e}")
-    print(f"next layer |S_{args.cutoff + 1} - S_{args.cutoff}|: {layer:.3e}, "
-          f"layer gate 3 x layer + eps_quad: {gate:.3e}")
+    print(f"next layer |S_{c + 1} - S_{c}|: {layer:.3e}, "
+          f"layer gate: {gate:.3e}")
     print(f"agreement bound: {bound:.3e}")
     if gap > gate:
         print("FAIL: tree series gap exceeds the next-layer gate")
@@ -530,8 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=parse_complex, required=True)
     p.add_argument("--charge", type=lambda s: tuple(int(x) for x in s.split(",")),
                    default=(1, 0))
-    p.add_argument("--json", action="store_true",
-                   help="print the verdict as one JSON line instead")
     p.set_defaults(fn=cmd_tree_compare)
 
     p = sub.add_parser("ov-compare", help="solver vs independent quadrature")
@@ -579,7 +573,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (solver.RSmallError, solver.NonConvergenceError,
-            solver.RayProximityError, CheckFailure) as exc:
+            solver.RayProximityError, trees.TreeBudgetError,
+            CheckFailure) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

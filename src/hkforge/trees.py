@@ -235,9 +235,53 @@ class TreeIntegrator:
 
     def integrands(self, trees: list[DecoratedTree]
                    ) -> list[tuple[int, np.ndarray]]:
-        """(root ray, X^sf of the root times all child integrals) per tree."""
-        _build_integrands(self, trees)
-        return [self._integrands[t.canonical_key()] for t in trees]
+        """(root ray, X^sf of the root times all child integrals) per tree.
+
+        Builds the missing integrands of the trees and their subtrees
+        leaves first.  The parents at each height read their children's
+        integrals at their own nodes; those are grouped by (child ray,
+        parent ray), so each group takes one stacked Cauchy integral with
+        one kernel block.
+        """
+        cache = self._integrands
+        levels: list[dict[tuple, DecoratedTree]] = []
+        stack = list(trees)
+        while stack:
+            tree = stack.pop()
+            key = tree.canonical_key()
+            if key in cache:
+                continue
+            h = tree.height()
+            levels.extend({} for _ in range(h + 1 - len(levels)))
+            if key not in levels[h]:
+                levels[h][key] = tree
+                stack.extend(tree.children)
+        # (child key, parent ray) -> child integral at the parent ray's nodes
+        at_nodes: dict[tuple[tuple, int], np.ndarray] = {}
+        for level in levels:
+            # child keys per (child ray, parent ray), a dict as an ordered set
+            groups: dict[tuple[int, int], dict[tuple, None]] = {}
+            for tree in level.values():
+                rp = self._ray_index(tree.decoration)
+                for child in tree.children:
+                    ckey = child.canonical_key()
+                    if (ckey, rp) not in at_nodes:
+                        group = groups.setdefault((cache[ckey][0], rp), {})
+                        group[ckey] = None
+            for (rc, rp), ckeys in groups.items():
+                grid = self.grids[rc]
+                w = np.log(self.grids[rp].zeta_nodes / grid.ray.direction)
+                stacked = np.array([cache[k][1] for k in ckeys])
+                rows = cauchy_integral(grid, stacked, w) / FOUR_PI_I
+                for ckey, row in zip(ckeys, rows):
+                    at_nodes[ckey, rp] = row
+            for key, tree in level.items():
+                rp = self._ray_index(tree.decoration)
+                vals = self._xsf_nodes(tree.decoration)
+                for child in tree.children:
+                    vals = vals * at_nodes[child.canonical_key(), rp]
+                cache[key] = (rp, vals)
+        return [cache[t.canonical_key()] for t in trees]
 
     def densities(self, degree_cutoff: int, budget: int = 200_000,
                   eps_tail: float = 1e-16
@@ -311,62 +355,27 @@ def _tower_tails(model, point: ModelPoint, degree_cutoff: int,
     return tails
 
 
-def _build_integrands(integ: TreeIntegrator, trees: list[DecoratedTree]
-                      ) -> None:
-    """Add the root integrands of trees and their subtrees, leaves first.
-
-    The parents at each height read their children's integrals at their own
-    nodes; those are grouped by (child ray, parent ray), so each group takes
-    one stacked Cauchy integral with one kernel block.
-    """
-    cache = integ._integrands
-    levels: list[dict[tuple, DecoratedTree]] = []
-    stack = list(trees)
-    while stack:
-        tree = stack.pop()
-        key = tree.canonical_key()
-        if key in cache:
-            continue
-        h = tree.height()
-        levels.extend({} for _ in range(h + 1 - len(levels)))
-        if key not in levels[h]:
-            levels[h][key] = tree
-            stack.extend(tree.children)
-    # (child key, parent ray) -> child integral at the parent ray's nodes
-    at_nodes: dict[tuple[tuple, int], np.ndarray] = {}
-    for level in levels:
-        # child keys per (child ray, parent ray), a dict as an ordered set
-        groups: dict[tuple[int, int], dict[tuple, None]] = {}
-        for tree in level.values():
-            rp = integ._ray_index(tree.decoration)
-            for child in tree.children:
-                ckey = child.canonical_key()
-                if (ckey, rp) not in at_nodes:
-                    groups.setdefault((cache[ckey][0], rp), {})[ckey] = None
-        for (rc, rp), ckeys in groups.items():
-            grid = integ.grids[rc]
-            w = np.log(integ.grids[rp].zeta_nodes / grid.ray.direction)
-            stacked = np.array([cache[k][1] for k in ckeys])
-            rows = cauchy_integral(grid, stacked, w) / FOUR_PI_I
-            for ckey, row in zip(ckeys, rows):
-                at_nodes[ckey, rp] = row
-        for key, tree in level.items():
-            rp = integ._ray_index(tree.decoration)
-            vals = integ._xsf_nodes(tree.decoration)
-            for child in tree.children:
-                vals = vals * at_nodes[child.canonical_key(), rp]
-            cache[key] = (rp, vals)
-
-
-def layer_gate(layer: float, eps_quad: float) -> float:
+def layer_gate(layer: float, prev_layer: float, q_floor: float,
+               eps_quad: float) -> float:
     """Largest gap to the solver a cutoff-c sum may have.
 
-    ``layer`` is |S_{c+1} - S_c|, the size of the first omitted degree: a
-    converging sum's truncation error is of that order, so a sum missing a
-    whole degree of its own cutoff overshoots the gate.  ``eps_quad`` is
-    the quadrature floor both routes share.
+    ``layer`` is |S_{c+1} - S_c|, the first omitted degree, and
+    ``prev_layer`` is |S_c - S_{c-1}|.  Layers that shrink by a ratio q
+    leave a truncation error of about layer / (1 - q).  q is the measured
+    ratio layer / prev_layer, but at least ``q_floor`` = exp(-2 pi R
+    min|Z|), the suppression per degree, because at low R the layers
+    shrink unevenly and one ratio can undershoot the tail; the factor 3 is
+    the margin over the estimate.  ``eps_quad`` is the quadrature floor
+    both routes share.  Layers that do not shrink give no estimate, and the
+    gate is then infinite.
     """
-    return 3.0 * layer + eps_quad
+    if prev_layer:
+        q = max(q_floor, layer / prev_layer)
+    else:
+        q = math.inf if layer else q_floor
+    if q >= 1.0:
+        return math.inf
+    return 3.0 * layer / (1.0 - q) + eps_quad
 
 
 def series_solution(model, point: ModelPoint, gamma: Charge, zeta: complex,

@@ -186,11 +186,13 @@ def test_criterion_6_tree_sum(pentagon, ov):
 
 
 def test_criterion_6_layer_gate(pentagon):
-    # the cutoff-4 sum sits within 3 |S_5 - S_4| + eps_quad of the solver,
+    # the cutoff-4 sum passes the gate set by its next layer |S_5 - S_4|,
     # and a sum one degree short, judged as cutoff 4, does not
     point = ModelPoint(1.5 + 0.2j, 1.0, (0.37, 1.29))
     sol = solve(pentagon, point, tol_iter=1e-13)
     integ = TreeIntegrator(pentagon, point, sol.grids)
+    min_z = min(g.ray.min_abs_z() for g in sol.grids)
+    q_floor = math.exp(-TWO_PI * point.R * min_z)
     margin = math.inf
     for z in midsector_zetas(sol, 4):
         for gamma in (G1, G2):
@@ -198,7 +200,8 @@ def test_criterion_6_layer_gate(pentagon):
             s3, s4, s5 = (series_solution(pentagon, point, gamma, z, c,
                                           integrator=integ).log_value
                           for c in (3, 4, 5))
-            gate = layer_gate(abs(s5 - s4), sol.spec.eps_quad)
+            gate = layer_gate(abs(s5 - s4), abs(s4 - s3), q_floor,
+                              sol.spec.eps_quad)
             assert abs(s4 - ref) <= gate
             assert abs(s3 - ref) > gate
             margin = min(margin, gate / abs(s4 - ref),

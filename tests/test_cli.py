@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hkforge import solver
+from hkforge import solver, trees
 from hkforge.cli import load_solution, main
 from hkforge.lattice import charge
 
@@ -202,22 +202,7 @@ class TestReports:
         assert code == 0
         assert "agreement bound" in out
 
-    def test_tree_compare_json(self, capsys):
-        code, out, _ = run(capsys, "tree-compare", "--model", "pentagon",
-                           "--u", "0.6,0.3", "--R", "1",
-                           "--theta", "0.37,1.29", "--cutoff", "4",
-                           "--zeta", "0.9,0.4", "--json")
-        assert code == 0
-        [line] = out.splitlines()
-        rec = json.loads(line)
-        assert set(rec) == {"check", "verdict", "cutoff", "trees", "gap",
-                            "layer", "gate", "bound", "eps_quad"}
-        assert rec["verdict"] == "PASS" and rec["cutoff"] == 4
-        assert rec["trees"] == 272
-        assert rec["gate"] == 3 * rec["layer"] + rec["eps_quad"]
-        assert rec["gap"] <= min(rec["gate"], rec["bound"])
-
-    def test_tree_compare_json_fail(self, capsys, monkeypatch):
+    def test_tree_compare_gate_fails(self, capsys, monkeypatch):
         # a reference turned 1e-3 rad off the requested zeta breaks the gate
         evaluate = solver.evaluate
         monkeypatch.setattr(solver, "evaluate", lambda m, s, g, z:
@@ -225,10 +210,33 @@ class TestReports:
         code, out, _ = run(capsys, "tree-compare", "--model", "pentagon",
                            "--u", "0.6,0.3", "--R", "1",
                            "--theta", "0.37,1.29", "--cutoff", "4",
-                           "--zeta", "0.9,0.4", "--json")
-        rec = json.loads(out)
-        assert code == 1 and rec["verdict"] == "FAIL"
-        assert rec["gap"] > rec["gate"]
+                           "--zeta", "0.9,0.4")
+        assert code == 1
+        assert "FAIL: tree series gap exceeds the next-layer gate" in out
+
+    def test_tree_compare_low_r(self, capsys):
+        # near the smallest R the solver accepts (|X^sf| peaks at 0.898)
+        # the layers shrink unevenly; the correct cutoff-4 sum must pass
+        code, out, _ = run(capsys, "tree-compare", "--model", "pentagon",
+                           "--u", "0.6,0.3", "--R", "0.0201",
+                           "--theta", "0.37,1.29", "--cutoff", "4",
+                           "--zeta", "0.555,-0.832", "--charge", "0,1")
+        assert code == 0
+        assert "FAIL" not in out
+
+    def test_tree_budget_is_check_failure(self, capsys, monkeypatch):
+        # cutoff 3 (64 trees) fits the budget, the cutoff-4 layer does not
+        enumerate_trees = trees.enumerate_trees
+        monkeypatch.setattr(trees, "enumerate_trees",
+                            lambda model, u, cutoff, budget:
+                            enumerate_trees(model, u, cutoff, budget=100))
+        code, _, err = run(capsys, "tree-compare", "--model", "pentagon",
+                           "--u", "0.6,0.3", "--R", "1",
+                           "--theta", "0.37,1.29", "--cutoff", "3",
+                           "--zeta", "0.9,0.4")
+        assert code == 1
+        assert err.strip() == ("check failed: more than 100 trees below "
+                               "degree 4")
 
     def test_wcf_dump_series(self, capsys):
         code, out, _ = run(capsys, "wcf-check", "--model", "pentagon",
