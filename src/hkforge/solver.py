@@ -22,9 +22,11 @@ poles.  The solve builds it once per unordered ray pair whose charges pair
 to nonzero (the reverse direction is minus its transpose, coth being odd),
 so a sweep is a list of matvecs; off-grid evaluation and the tree sum call
 the same builder.  When the target lies within NEAR_ANGLE of the source
-ray the integrand is continued to the pole and subtracted, and the
-subtracted part is integrated in closed form: the sweep stores that
-remainder once per ordered near pair.  On a ray the two directed boundary
+ray the density is continued to the pole, subtracted, and added back
+against the closed-form kernel integral.  The continuation is one linear
+operator, ``_near_term``: per pole, the nodes of one panel and their
+interpolation weights, which the sweep stores once per ordered near pair
+and evaluation rebuilds per pole.  On a ray the two directed boundary
 values of the closed form differ by the residue term +-2 pi i, which is how
 the expected coordinate jumps emerge from one integral representation.
 
@@ -38,11 +40,8 @@ contours permits.
 
 There is one evaluation path, ``_upsilon_value``; ``upsilon``, ``evaluate``
 and the checks call it.  It takes a family of solutions at once: each ray's
-kernel row (and near-ray remainder) is built once and applied to the
-stacked log(1 - X) data of every solution.  Near a ray it continues the
-densities exactly: one inner evaluation at the pole, over the other rays,
-gives the coordinate of every (solution, source) pair there.  On a ray,
-``side`` picks the directed boundary value.
+Cauchy integral is applied to the stacked log(1 - X) data of every
+solution.  On a ray, ``side`` picks the directed boundary value.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .lattice import Charge, Ray, _wrap_angle, bps_rays
 from .semiflat import CoordinateValue, ModelPoint, xsf_log
@@ -91,12 +89,14 @@ class GridSpec:
 
 @dataclass
 class QuadratureGrid:
-    """Gauss-Legendre panels on s in [-s_max, s_max] along one BPS ray."""
+    """Equal Gauss-Legendre panels of ``nodes_per_panel`` nodes on s in
+    [-s_max, s_max] along one BPS ray."""
 
     ray: Ray
     s_nodes: np.ndarray
     weights: np.ndarray
     s_max: float
+    nodes_per_panel: int
 
     @property
     def zeta_nodes(self) -> np.ndarray:
@@ -142,15 +142,17 @@ class RaySolution:
 
 
 @functools.lru_cache(maxsize=None)
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule on [-1, 1], read-only and shared."""
+def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1] and its barycentric
+    weights 1 / prod_{m != j} (x_j - x_m), read-only and shared."""
     x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    lam = 1.0 / np.prod(x[:, None] - x + np.eye(n), axis=1)
+    x.flags.writeable = w.flags.writeable = lam.flags.writeable = False
+    return x, w, lam
 
 
 def _gl_panels(s_max: float, panels: int, per_panel: int):
-    base_x, base_w = _gl_rule(per_panel)
+    base_x, base_w, _ = _gl_rule(per_panel)
     edges = np.linspace(-s_max, s_max, panels + 1)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -183,7 +185,8 @@ def build_grids(model, point: ModelPoint, spec: GridSpec = GridSpec()
         s_max = math.acosh(max(arg, 1.5))
         s_nodes, weights = _gl_panels(s_max, spec.panels, spec.nodes_per_panel)
         grids.append(QuadratureGrid(ray=ray, s_nodes=s_nodes,
-                                    weights=weights, s_max=s_max))
+                                    weights=weights, s_max=s_max,
+                                    nodes_per_panel=spec.nodes_per_panel))
     return grids
 
 
@@ -202,60 +205,78 @@ def kernel_rows(grid: QuadratureGrid, w) -> np.ndarray:
     """Cauchy kernel coth((s - w)/2) at poles w (rows) and nodes s (columns).
 
     A pole w stands for zeta = direction * e^w, so the kernel is the
-    rational (z' + zeta)/(z' - zeta) of the integral equation.  Where a pole
-    lies within 1e-6 of a node the entry falls back to the leading Laurent
-    term 2/(s - w), and to 0 within 1e-12, where the subtracted integrand
-    vanishes.
+    rational (z' + zeta)/(z' - zeta) of the integral equation.  Entries
+    within 1/16 of the grid's smallest node spacing of a near pole are 0,
+    and ``_near_term`` supplies their term.  The grids of one solve share
+    their panel layout and differ in s_max by far less than 8x, so even
+    read transposed a pole has at most one such node: its nearest.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     es = np.exp(grid.s_nodes)[None, :]
     ew = np.exp(w)[:, None]
-    if np.min(np.abs(w.imag)) >= 1e-6:
+    if np.min(np.abs(w.imag)) >= NEAR_ANGLE:
         return (es + ew) / (es - ew)
-    x = grid.s_nodes[None, :] - w[:, None]
-    close = np.abs(x) < 1e-6
+    radius = np.min(np.diff(grid.s_nodes)) / 16.0
+    close = np.abs(grid.s_nodes[None, :] - w[:, None]) < radius
     rows = (es + ew) / np.where(close, 1.0, es - ew)
-    rows[close] = 2.0 / np.where(np.abs(x) < 1e-12, np.inf, x)[close]
+    rows[close] = 0.0
     return rows
 
 
-def _remainder(grid: QuadratureGrid, rows: np.ndarray, w) -> np.ndarray:
-    """Closed-form integral of the kernel rows minus their quadrature."""
-    return _kernel_C(w, grid.s_max) - rows @ grid.weights
+def _near_term(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The subtracted near-ray part of a Cauchy integral, as a gather.
 
-
-def _continued(spline: CubicSpline, w: np.ndarray, s_max: float
-               ) -> np.ndarray:
-    """Second-order Taylor continuation of a node spline to the poles w.
-
-    Zero for poles past the truncated grid, where the data vanish.
+    Returns node indices ``idx`` and weights ``op``, one panel's nodes per
+    pole, such that the integral of the kernel ``rows`` against f is
+    rows @ (weights * f) + sum(op * f[idx], -1): f continued to the pole w
+    times the closed-form kernel integral minus its quadrature.  The
+    continuation is the interpolant of the panel of the pole's nearest node
+    s_k, as f_k plus (w - s_k) times the divided differences
+    (f_k - f(w)) / (s_k - w) in Lagrange product form, which never divides
+    by a pole-node distance.  Where the rows are 0 at s_k, the same
+    divided differences give that node's term coth((s_k - w)/2)
+    (f_k - f(w)), which is 2 f'(s_k) on the node.  Past +-s_max, where the
+    data vanish, the row is 0.
     """
-    sigma = np.clip(w.real, -s_max, s_max)
-    dw = w - w.real
-    vals = (spline(sigma) + dw * spline(sigma, 1)
-            + 0.5 * dw * dw * spline(sigma, 2))
-    return np.where(np.abs(w.real) <= s_max, vals, 0.0)
+    n = grid.nodes_per_panel
+    half = grid.s_max * n / grid.node_count
+    _, gl_w, lam = _gl_rule(n)
+    nearest = np.argmin(np.abs(w.real[:, None] - grid.s_nodes), axis=1)
+    k = nearest % n
+    idx = (nearest - k)[:, None] + np.arange(n)
+    at_k = idx == nearest[:, None]
+    t = w - grid.s_nodes[nearest]
+    # X - x_m in panel units, with the nearest node's factor left out
+    d = np.where(at_k, 1.0, (w[:, None] - grid.s_nodes[idx]) / half)
+    dd = np.where(at_k, 0.0, np.prod(d, axis=1, keepdims=True) * lam / d)
+    dd -= at_k * dd.sum(axis=1, keepdims=True)
+    cont = (t / half)[:, None] * dd + at_k
+    op = (_kernel_C(w, grid.s_max) - rows @ grid.weights)[:, None] * cont
+    taken = rows[np.arange(len(w)), nearest] == 0.0
+    if taken.any():
+        # t coth(t/2), the node's kernel entry times its distance; 2 on it
+        q = np.where(t == 0, 2.0, t / np.tanh(0.5 * np.where(t == 0, 1.0, t)))
+        op += (taken * gl_w[k] * q)[:, None] * dd
+    op[np.abs(w.real) > grid.s_max] = 0.0
+    return idx, op
 
 
-def cauchy_integral(grid: QuadratureGrid, f: np.ndarray, w,
-                    f_pole=None) -> np.ndarray:
+def cauchy_integral(grid: QuadratureGrid, f: np.ndarray, w) -> np.ndarray:
     """int_{-S}^{S} coth((s - w)/2) f(s) ds at poles w at one ray offset.
 
     ``f`` holds node values on its last axis; stacked densities share the
     kernel rows, and the result keeps their leading axes with the poles
     last.  Poles within NEAR_ANGLE of the ray subtract f continued to the
-    pole (``f_pole``, by default the Taylor continuation of f's spline) and
-    add it back against the closed-form kernel integral, so the fixed nodes
-    resolve the integrand at any offset.
+    pole and add it back against the closed-form kernel integral
+    (``_near_term``), so the fixed nodes resolve the integrand at any offset.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     rows = kernel_rows(grid, w)
     out = (rows @ (grid.weights * f).T).T
     if abs(w[0].imag) < NEAR_ANGLE:
-        if f_pole is None:
-            f_pole = _continued(CubicSpline(grid.s_nodes, f, axis=-1), w,
-                                grid.s_max)
-        out = out + f_pole * _remainder(grid, rows, w)
+        idx, op = _near_term(grid, rows, w)
+        out = out + np.sum(op * f[..., idx], axis=-1)
     return out
 
 
@@ -266,9 +287,10 @@ class _Workspace:
     ``unknowns`` lists (ray, charge) ray-major.  A term (t, s, coef, rows,
     near) adds coef * rows @ (weights * g_s) to unknown t, where g_s is
     log(1 - X) of unknown s on its nodes; for rays within NEAR_ANGLE,
-    ``near`` = (poles, remainder) adds coef * remainder * g_s continued to
-    the poles.  Each unordered ray pair has one kernel; the reverse
-    direction reads it transposed with the opposite sign.
+    ``near`` = (idx, op) from ``_near_term`` adds coef * sum(op * g_s[idx])
+    per pole, the subtracted part with g_s continued to the poles.  Each
+    unordered ray pair has one kernel; the reverse direction reads it
+    transposed with the opposite sign.
     """
 
     unknowns: list[tuple[int, Charge]]
@@ -291,9 +313,10 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
             near_ab = near_ba = None
             if abs(dphi) < NEAR_ANGLE:
                 w_ba = grids[b].s_nodes - 1j * dphi
-                near_ab = (w_ab, _remainder(grids[b], rows, w_ab))
+                near_ab = _near_term(grids[b], rows, w_ab)
                 # the reverse term carries the sign of its kernel
-                near_ba = (w_ba, -_remainder(grids[a], -rows.T, w_ba))
+                idx, op = _near_term(grids[a], -rows.T, w_ba)
+                near_ba = (idx, -op)
             blocks[(a, b)] = ((1.0, rows, near_ab), (-1.0, rows.T, near_ba))
         return blocks[(a, b)][rt > rs]
 
@@ -318,25 +341,21 @@ def _sweep(ws: _Workspace, grids: list[QuadratureGrid],
     ``log_xsf`` and ``ups`` hold, per ray, each charge's semiflat log and
     log-correction on that ray's nodes; the result has the same layout.
     """
-    near_sources = {s for _, s, _, _, near in ws.terms if near is not None}
-    gw, splines = [], {}
-    for s, (r, gamma) in enumerate(ws.unknowns):
+    g, gw = [], []
+    for r, gamma in ws.unknowns:
         x = np.exp(log_xsf[r][gamma] + ups[r][gamma])
         if float(np.max(np.abs(x))) >= 1.0 - 1e-9:
             raise RSmallError(
                 "iteration left the log(1 - X) domain: R too small")
-        g = np.log(1.0 - x)
-        gw.append(grids[r].weights * g)
-        if s in near_sources:
-            splines[s] = CubicSpline(grids[r].s_nodes, g)
+        g.append(np.log(1.0 - x))
+        gw.append(grids[r].weights * g[-1])
     new = [{gamma: np.zeros(grid.node_count, dtype=complex)
             for gamma in grid.ray.charges} for grid in grids]
     for t, s, coef, rows, near in ws.terms:
         acc = rows @ gw[s]
         if near is not None:
-            poles, rem = near
-            acc += _continued(splines[s], poles,
-                              grids[ws.unknowns[s][0]].s_max) * rem
+            idx, op = near
+            acc += np.sum(op * g[s][idx], axis=1)
         r, gamma = ws.unknowns[t]
         new[r][gamma] += coef * acc
     return new
@@ -422,17 +441,14 @@ def solve_family(model, center: ModelPoint, points: list[ModelPoint],
 def _upsilon_value(model, solutions: list[RaySolution],
                    charges: list[Charge], zeta: complex,
                    side: int | None = None,
-                   min_angle: float = DEFAULT_MIN_ANGLE,
-                   exact_sigma: bool = True) -> np.ndarray:
+                   min_angle: float = DEFAULT_MIN_ANGLE) -> np.ndarray:
     """log(X / X^sf) at zeta for each solution (rows) and charge (columns).
 
     The solutions must share their grids, as the points of a family solve
-    do.  Each ray's kernel row, and within NEAR_ANGLE its closed-form
-    remainder, is built once and applied to the stacked log(1 - X) of every
-    solution and source charge.  With ``exact_sigma`` the density continued
-    to a near pole is the coordinate itself, found for every (source,
-    solution) pair, in the stacking order of the densities, by one inner
-    evaluation at the pole; otherwise it is the spline continuation.
+    do.  Each ray's Cauchy integral is taken once, by ``cauchy_integral``,
+    over the stacked log(1 - X) of every solution and source charge; near a
+    ray it continues those densities to the pole with the same per-panel
+    operator as the sweep.
     """
     lat = model.lattice
     total = np.zeros((len(solutions), len(charges)), dtype=complex)
@@ -457,26 +473,7 @@ def _upsilon_value(model, solutions: list[RaySolution],
             w = complex(w.real, side * 1e-300)
         g = np.stack([sol.log_one_minus_x[r][gamma_s]
                       for gamma_s, _ in sources for sol in solutions])
-        g_pole = None
-        if exact_sigma and abs(w.imag) < NEAR_ANGLE:
-            g_pole = 0.0
-            if abs(w.real) <= grid.s_max:
-                # A source's X is continuous across its own ray (proportional
-                # charges pair to zero), so its continuation to the pole is
-                # the coordinate there.  That needs only the other rays, with
-                # spline-continued densities, which keeps the recursion depth
-                # at one; the pole may lie on another ray, so take the side
-                # that faces ray r.
-                zeta_w = grid.ray.direction * cmath.exp(w)
-                src = [gamma_s for gamma_s, _ in sources]
-                ups = _upsilon_value(model, solutions, src, zeta_w,
-                                     side=-1 if w.imag > 0 else +1,
-                                     min_angle=ON_RAY_ANGLE,
-                                     exact_sigma=False).T
-                log_sf = np.array([[xsf_log(model, sol.point, gamma_s, zeta_w)
-                                    for sol in solutions] for gamma_s in src])
-                g_pole = np.log(1.0 - np.exp(log_sf + ups)).reshape(-1, 1)
-        vals = cauchy_integral(grid, g, w, g_pole)[:, 0]
+        vals = cauchy_integral(grid, g, w)[:, 0]
         for (_, coefs), part in zip(sources,
                                     vals.reshape(len(sources), -1)):
             total += part[:, None] * coefs

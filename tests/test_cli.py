@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,6 +35,22 @@ class TestExitCodes:
                            "--u", "0,0", "--R", "0.01", "--theta", "0.3,1.1")
         assert code == 1
         assert "R too small" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("solve", "--model", "pentagon", "--u", "2,0", "--R", "1",
+          "--theta", "0.3,1.1"), "on the pentagon discriminant"),
+        (("tree-compare", "--model", "pentagon", "--u", "0.6,0.3", "--R",
+          "1", "--theta", "0.37,1.29", "--charge", "0,1", "--zeta",
+          f"{math.cos(0.1245)},{math.sin(0.1245)}"),
+         "request a directed limit"),
+        (("wall-check", "--model", "pentagon", "--sep", "0"),
+         "non-proportional charges"),
+    ], ids=["discriminant", "on-ray", "at-wall"])
+    def test_domain_edge_is_one_line_failure(self, capsys, argv, message):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_model_is_error(self, capsys):
         code, _, err = run(capsys, "model-info", "nosuchmodel")

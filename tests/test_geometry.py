@@ -99,7 +99,7 @@ class TestFamilySolve:
 
         grids = sampler.center.grids
         agree(midsector_zetas(grids, 1)[0])
-        # within NEAR_ANGLE one inner evaluation continues every pole value
+        # within NEAR_ANGLE one continuation serves every stacked density
         agree(grids[0].ray.direction * cmath.exp(0.5j * NEAR_ANGLE))
         for grid in grids:
             for side in (+1, -1):

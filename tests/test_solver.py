@@ -1,14 +1,16 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from hkforge.lattice import Spectrum, charge
 from hkforge.models import pentagon_wall_point
 from hkforge.semiflat import ModelPoint, xsf
-from hkforge.solver import (GridSpec, NonConvergenceError, RayProximityError,
-                            RSmallError, build_grids, check_wall_continuity,
+from hkforge.solver import (ON_RAY_ANGLE, GridSpec, NonConvergenceError,
+                            RayProximityError, RSmallError, build_grids,
+                            cauchy_integral, check_wall_continuity,
                             correction_decay, evaluate, iterate,
                             midsector_zetas, radial_limit, ray_jump_defect,
                             side_limit, solve, upsilon)
@@ -142,6 +144,60 @@ class TestEvaluation:
         assert abs(vals[1] - vals[0]) < 10 * GridSpec().eps_quad
 
 
+class TestNearRayAccuracy:
+    def test_cauchy_integral_against_mpmath(self, pentagon):
+        # near the wall at R 0.35, a semiflat-like density on the widest
+        # grid; the poles approach the ray down to 1e-5, one of them over a
+        # node, and the reference is an independent high-precision
+        # quadrature of the same truncated integral
+        point = ModelPoint(1.02 * pentagon_wall_point(pentagon, 0.9), 0.35,
+                           (0.37, 1.29))
+        grid = max(build_grids(pentagon, point), key=lambda g: g.s_max)
+        a = 2 * math.pi * point.R * grid.ray.min_abs_z()
+        f = np.log(1 - np.exp(-a * np.cosh(grid.s_nodes) + 0.7j))
+        reals = np.array([0.0, 0.731, -1.9, grid.s_nodes[100]])
+        worst = 0.0
+        with mpmath.workdps(18):
+            for offset in (0.15, 0.05, 0.01, 1e-3, 1e-5):
+                got = cauchy_integral(grid, f, reals + 1j * offset)
+                for w, value in zip(reals + 1j * offset, got):
+                    pole = mpmath.mpc(w.real, w.imag)
+                    want = mpmath.quad(
+                        lambda s: mpmath.coth((s - pole) / 2) * mpmath.log(
+                            1 - mpmath.exp(-a * mpmath.cosh(s) + 0.7j)),
+                        [-grid.s_max, w.real, grid.s_max])
+                    worst = max(worst, abs(value - complex(want)))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("phi", [0.9, -0.8])
+    def test_panel_convergence_near_the_wall(self, pentagon, phi):
+        # 16 panels against 64 at the sector midpoints, down to the
+        # 0.008 rad sectors, and 0.002 rad off every ray
+        point = ModelPoint(1.02 * pentagon_wall_point(pentagon, phi), 0.35,
+                           (0.37, 1.29))
+        coarse = solve(pentagon, point, tol_iter=1e-13)
+        fine = solve(pentagon, point, spec=GridSpec(panels=64),
+                     tol_iter=1e-13)
+        angles = sorted(g.ray.angle for g in coarse.grids)
+        gaps = np.diff(angles + [angles[0] + 2 * math.pi])
+        assert min(gaps) < 0.01
+        zetas = [cmath.exp(1j * (a + e)) for a, gap in zip(angles, gaps)
+                 for e in (0.5 * gap, 0.002, -0.002)]
+        worst = max(abs(upsilon(pentagon, coarse, g, z)
+                        - upsilon(pentagon, fine, g, z))
+                    for z in zetas for g in (G1, G2))
+        assert worst <= 1e-12
+
+    def test_fine_panels_past_the_wall(self, pentagon):
+        # at 64 panels the near-ray poles sit several half-widths off their
+        # panel, where the continuation weights must stay finite
+        point = ModelPoint(1.2 * pentagon_wall_point(pentagon, 0.9), 1.0,
+                           (0.37, 1.29))
+        sol = solve(pentagon, point, spec=GridSpec(panels=64))
+        assert sol.residual < sol.tol_iter
+        assert np.isfinite(sol.max_correction())
+
+
 class TestFrozenContours:
     @pytest.mark.parametrize("u, R", [(0.45 + 0.25j, 3.0), (1.5 + 0.2j, 2.0),
                                       (0.6 + 0.3j, 1.0)])
@@ -182,6 +238,22 @@ class TestJumps:
         b = evaluate(pentagon, pentagon_solution, gamma,
                      grid.ray.direction, -1, min_angle=1e-9)
         assert abs(a.value - b.value) <= 1e-13 * abs(a.value)
+
+    def test_directed_value_at_a_node(self, pentagon):
+        # a zeta on a ray node must agree with one 1e-9 further along the
+        # ray: the subtracted integrand keeps its limit 2 f'(s_k) there
+        sol = solve(pentagon, ModelPoint(1.5 + 0.2j, 1.0, (0.37, 1.29)))
+        worst = 0.0
+        for grid in sol.grids:
+            for s in grid.s_nodes[::3]:
+                on, off = grid.ray.direction * np.exp([s, s + 1e-9])
+                for gamma in (G1, G2):
+                    worst = max(worst, abs(
+                        upsilon(pentagon, sol, gamma, on, side=+1,
+                                min_angle=ON_RAY_ANGLE)
+                        - upsilon(pentagon, sol, gamma, off, side=+1,
+                                  min_angle=ON_RAY_ANGLE)))
+        assert worst <= 1e-7
 
     def test_side_limit_matches_exact(self, ov, ov_solution):
         zeta0 = ov_solution.grids[0].ray.direction
