@@ -85,10 +85,12 @@ def _positive_checks(args) -> None:
         if hasattr(args, name) and getattr(args, name) is not None \
                 and getattr(args, name) <= 0:
             raise UsageError(f"--{name.replace('_', '-')} must be positive")
-    for name in ("nodes", "panels", "order", "cutoff", "halvings"):
+    for name in ("nodes", "panels", "order", "cutoff", "halvings", "count"):
         if hasattr(args, name) and getattr(args, name) is not None \
                 and getattr(args, name) < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
+    if any(r <= 0 for r in getattr(args, "r_list", ())):
+        raise UsageError("every R in the R list must be positive")
 
 
 class UsageError(ValueError):
@@ -398,6 +400,8 @@ def cmd_ov_compare(args) -> int:
 
 
 def cmd_decay_scan(args) -> int:
+    if len(set(args.r_list)) < 2:
+        raise UsageError("--R-list needs at least 2 distinct values")
     model = models.load_model(args.model)
     report = solver.correction_decay(model, args.u, args.theta, args.r_list)
     print("R        max correction")
@@ -413,6 +417,8 @@ def cmd_decay_scan(args) -> int:
 
 
 def cmd_metric(args) -> int:
+    if args.zetas < geometry.MIN_ZETAS:
+        raise UsageError(f"--zetas must be >= {geometry.MIN_ZETAS}")
     model = models.load_model(args.model)
     point = point_from_args(args)
     fit, metric, algebra = geometry.fit_point(

@@ -23,30 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .semiflat import ModelPoint, pairing_two_form, xsf_log
+from .semiflat import ModelPoint, dlog_xsf_matrix, pairing_two_form
 from .solver import (_upsilon_value, build_grids, midsector_zetas,
-                     solve_family)
+                     solve_tangents)
 
-H_THETA = 1e-4
-
-
-def _h_u(point: ModelPoint) -> float:
-    return 1e-4 * max(abs(point.u), 0.1)
+MIN_ZETAS = 5  # samples that overdetermine the three-term Laurent fit
 
 
 @dataclass
 class VarpiSampler:
-    """Central-difference d log X over displaced re-solves of one point.
+    """d log X of the basis charges at one point, from tangent densities.
 
-    The centre and its eight displaced points are one family solve: they
-    share the centre's grids and kernel, and the displaced solves
-    warm-start from the centre.  Each zeta is then one batched evaluation
-    of the eight solutions, which share its kernel rows.
-    ``semiflat_only`` drops the corrections but keeps the same finite
-    differences, which is the cross-check against the closed forms.
-    ``center`` is the solve at the point itself and ``displaced`` the eight
-    displaced solves, in the order of ``points`` (both None if
-    semiflat_only).
+    ``solve_tangents`` solves the point and its four real directions on one
+    set of grids; each zeta adds one evaluation of the stacked tangent
+    densities to the closed-form ``dlog_xsf_matrix``.  With
+    ``semiflat_only`` the closed form stands alone (``center`` and
+    ``tangents`` are None).
     """
 
     model: object
@@ -55,30 +47,22 @@ class VarpiSampler:
     semiflat_only: bool = False
 
     def __post_init__(self):
-        mdl, pt = self.model, self.point
-        self._basis = mdl.lattice.basis()[:2]
-        hu, ht = _h_u(pt), H_THETA
-        self._steps = np.array([hu, hu, ht, ht])
-        # + then - displacements along Re u, Im u, theta_1, theta_2
-        self.points = [p for sign in (+1, -1) for p in (
-            pt.shifted(du=sign * hu), pt.shifted(du=sign * 1j * hu),
-            pt.shifted(dtheta=(sign * ht, 0.0)),
-            pt.shifted(dtheta=(0.0, sign * ht)))]
-        self.center = self.displaced = None
+        self._basis = self.model.lattice.basis()[:2]
+        self.center = self.tangents = None
         if not self.semiflat_only:
-            self.center, self.displaced = solve_family(
-                mdl, pt, self.points, tol_iter=self.tol_iter)
+            self.center, self.tangents = solve_tangents(
+                self.model, self.point, tol_iter=self.tol_iter)
 
     def dlog_matrix(self, zeta: complex, side: int | None = None
                     ) -> np.ndarray:
         """Rows: basis charges; columns: the four real coordinate derivatives."""
         zeta = complex(zeta)
-        lv = np.array([[xsf_log(self.model, p, gamma, zeta)
-                        for gamma in self._basis] for p in self.points])
-        if self.displaced is not None:
-            lv = lv + _upsilon_value(self.model, self.displaced, self._basis,
-                                     zeta, side=side)
-        return ((lv[:4] - lv[4:]) / (2.0 * self._steps[:, None])).T
+        a = dlog_xsf_matrix(self.model, self.point, zeta)
+        if self.tangents:
+            a = a + _upsilon_value(self.model, self.center.grids,
+                                   self.tangents, self._basis, zeta,
+                                   side=side).T
+        return a
 
     def varpi(self, zeta: complex, side: int | None = None) -> np.ndarray:
         a = self.dlog_matrix(zeta, side=side)
@@ -105,8 +89,8 @@ def laurent_fit(zetas: list[complex], samples: list[np.ndarray]
     A residual above 1e-6 means higher Laurent terms are present, which
     the twistor family of a genuine solution cannot have.
     """
-    if len(zetas) < 5:
-        raise ValueError("need at least 5 zeta samples for a stable fit")
+    if len(zetas) < MIN_ZETAS:
+        raise ValueError(f"need at least {MIN_ZETAS} zeta samples")
     zs = np.asarray(zetas, dtype=complex)
     basis = np.stack([1.0 / zs, np.ones_like(zs), zs], axis=1)
     stacked = np.stack([m.reshape(16) for m in samples])

@@ -130,19 +130,26 @@ def pairing_two_form(lattice: Lattice, rows: np.ndarray, scale: float = 1.0
     return scale * (m - m.T)
 
 
-def dlog_xsf_matrix(model, point: ModelPoint, zeta: complex) -> np.ndarray:
-    """Analytic d log X^sf for the basis charges; rows (2,) x cols (x,y,t1,t2)."""
+def dlog_xsf(model, point: ModelPoint, gamma: Charge, zeta) -> np.ndarray:
+    """Analytic d log X^sf_gamma along (Re u, Im u, theta_1, theta_2).
+
+    The four derivatives are stacked first, before the shape of ``zeta``, a
+    number or the nodes of a ray.  The result is linear in the charge.
+    """
     _require_r1(model)
-    zeta = complex(zeta)
-    R = point.R
-    dz = model.Z.basis_derivatives(point.u)
-    a = np.zeros((2, 4), dtype=complex)
-    for i in range(2):
-        zp = dz[i]
-        a[i, 0] = math.pi * R * (zp / zeta + zeta * zp.conjugate())
-        a[i, 1] = math.pi * R * (1j * zp / zeta - 1j * zeta * zp.conjugate())
-        a[i, 2 + i] = 1j
-    return a
+    zeta = np.asarray(zeta, dtype=complex)
+    dz = sum(c * d for c, d in zip(gamma.coeffs,
+                                   model.Z.basis_derivatives(point.u)))
+    pole = math.pi * point.R * dz / zeta
+    linear = math.pi * point.R * zeta * dz.conjugate()
+    return np.stack([pole + linear, 1j * (pole - linear)]
+                    + [np.full_like(zeta, 1j * c) for c in gamma.coeffs])
+
+
+def dlog_xsf_matrix(model, point: ModelPoint, zeta: complex) -> np.ndarray:
+    """``dlog_xsf`` of the basis charges; rows (2,) x cols (x,y,t1,t2)."""
+    return np.stack([dlog_xsf(model, point, gamma, complex(zeta))
+                     for gamma in model.lattice.basis()])
 
 
 def omega_plus_sf(model, point: ModelPoint) -> np.ndarray:

@@ -32,16 +32,14 @@ the expected coordinate jumps emerge from one integral representation.
 
 There is one solve path: ``build_grids`` lays out the contours, ``_prepare``
 builds the sweep on them, and ``iterate`` applies ``_sweep`` until the node
-data stop changing.  ``solve`` runs it for one point; a family of nearby
-points (the two-form family's displaced solves) shares one set of contours:
-``solve_family`` builds the grids and the kernel once at the centre and
-iterates every point on them, which a Cauchy deformation of the ray
-contours permits.
+data stop changing.  The sweep is U -> A log(1 - exp(L + U)) with a fixed
+linear map A (``_apply``), so ``solve_tangents`` differentiates a solution
+along the point's four real coordinates by one linear solve on the same
+grids, (I + A D) dU = -A D dL with D = X / (1 - X), by the same contraction.
 
-There is one evaluation path, ``_upsilon_value``; ``upsilon``, ``evaluate``
-and the checks call it.  It takes a family of solutions at once: each ray's
-Cauchy integral is applied to the stacked log(1 - X) data of every
-solution.  On a ray, ``side`` picks the directed boundary value.
+There is one evaluation path, ``_upsilon_value``; ``upsilon``, ``evaluate``,
+the checks and the two-form sampler call it, on log(1 - X) or on tangent
+densities.  On a ray, ``side`` picks the directed boundary value.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import Charge, Ray, _wrap_angle, bps_rays
-from .semiflat import CoordinateValue, ModelPoint, xsf_log
+from .semiflat import CoordinateValue, ModelPoint, dlog_xsf, xsf_log
 
 FOUR_PI_I = 4j * math.pi
 NEAR_ANGLE = 0.2          # switch to the subtracted kernel below this offset
@@ -273,7 +271,7 @@ def cauchy_integral(grid: QuadratureGrid, f: np.ndarray, w) -> np.ndarray:
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     rows = kernel_rows(grid, w)
-    out = (rows @ (grid.weights * f).T).T
+    out = (grid.weights * f) @ rows.T
     if abs(w[0].imag) < NEAR_ANGLE:
         idx, op = _near_term(grid, rows, w)
         out = out + np.sum(op * f[..., idx], axis=-1)
@@ -286,7 +284,7 @@ class _Workspace:
 
     ``unknowns`` lists (ray, charge) ray-major.  A term (t, s, coef, rows,
     near) adds coef * rows @ (weights * g_s) to unknown t, where g_s is
-    log(1 - X) of unknown s on its nodes; for rays within NEAR_ANGLE,
+    the density of unknown s on its nodes; for rays within NEAR_ANGLE,
     ``near`` = (idx, op) from ``_near_term`` adds coef * sum(op * g_s[idx])
     per pole, the subtracted part with g_s continued to the poles.  Each
     unordered ray pair has one kernel; the reverse direction reads it
@@ -332,33 +330,40 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
     return _Workspace(unknowns=unknowns, terms=terms)
 
 
+def _apply(ws: _Workspace, grids: list[QuadratureGrid],
+           g: list[dict[Charge, np.ndarray]]) -> list[dict[Charge, np.ndarray]]:
+    """The sweep's linear map A applied to the densities ``g``.
+
+    ``g`` holds, per ray, each charge's density on that ray's nodes; leading
+    axes stack densities that share the kernel rows.  The result has the
+    same layout.
+    """
+    dens = [g[r][gamma] for r, gamma in ws.unknowns]
+    gw = [grids[r].weights * d for (r, _), d in zip(ws.unknowns, dens)]
+    new = [{gamma: np.zeros_like(d) for gamma, d in ray.items()} for ray in g]
+    for t, s, coef, rows, near in ws.terms:
+        acc = gw[s] @ rows.T
+        if near is not None:
+            idx, op = near
+            acc += np.sum(op * dens[s][..., idx], axis=-1)
+        r, gamma = ws.unknowns[t]
+        new[r][gamma] += coef * acc
+    return new
+
+
 def _sweep(ws: _Workspace, grids: list[QuadratureGrid],
            log_xsf: list[dict[Charge, np.ndarray]],
            ups: list[dict[Charge, np.ndarray]]
            ) -> list[dict[Charge, np.ndarray]]:
-    """One application of the integral-equation map to the node data ``ups``.
-
-    ``log_xsf`` and ``ups`` hold, per ray, each charge's semiflat log and
-    log-correction on that ray's nodes; the result has the same layout.
-    """
-    g, gw = [], []
+    """One application of the integral-equation map U -> A log(1 - X)."""
+    g = [{} for _ in grids]
     for r, gamma in ws.unknowns:
         x = np.exp(log_xsf[r][gamma] + ups[r][gamma])
         if float(np.max(np.abs(x))) >= 1.0 - 1e-9:
             raise RSmallError(
                 "iteration left the log(1 - X) domain: R too small")
-        g.append(np.log(1.0 - x))
-        gw.append(grids[r].weights * g[-1])
-    new = [{gamma: np.zeros(grid.node_count, dtype=complex)
-            for gamma in grid.ray.charges} for grid in grids]
-    for t, s, coef, rows, near in ws.terms:
-        acc = rows @ gw[s]
-        if near is not None:
-            idx, op = near
-            acc += np.sum(op * g[s][idx], axis=1)
-        r, gamma = ws.unknowns[t]
-        new[r][gamma] += coef * acc
-    return new
+        g[r][gamma] = np.log(1.0 - x)
+    return _apply(ws, grids, g)
 
 
 def _change(a: list[dict[Charge, np.ndarray]],
@@ -368,38 +373,41 @@ def _change(a: list[dict[Charge, np.ndarray]],
                 for x, y in zip(a, b) for g in x), default=0.0)
 
 
+def _contract(step, start, tol_iter: float, max_iter: int):
+    """Apply ``step`` from ``start`` until the largest node update drops
+    below ``tol_iter``; returns the node data and the update history."""
+    data, history = start, []
+    for _ in range(max_iter):
+        new = step(data)
+        history.append(_change(new, data))
+        data = new
+        if history[-1] < tol_iter:
+            return data, history
+    raise NonConvergenceError(
+        f"no convergence within {max_iter} iterations "
+        f"(last residual {history[-1]:.3e})", history)
+
+
 def iterate(model, point: ModelPoint, grids: list[QuadratureGrid],
             tol_iter: float = 1e-10, max_iter: int = 50,
             spec: GridSpec = GridSpec(),
-            warm: RaySolution | None = None,
             workspace: _Workspace | None = None) -> RaySolution:
     """Solve the integral equation on ``grids`` by iterating ``_sweep``.
 
     Distinct rays never coincide off the walls, and charges sharing a ray
     pair to zero, so no principal values arise: every integral a node needs
-    is over some other ray.  The iteration starts from the semiflat seed, or
-    from ``warm``, a solution on these same grids; it stops when the largest
-    node update drops below ``tol_iter``, and the converged data are
-    re-checked by one more sweep.  ``workspace`` is the sweep ``_prepare``
-    built on these grids, shared by the points of one family.
+    is over some other ray.  The iteration starts from the semiflat seed; it
+    stops when the largest node update drops below ``tol_iter``, and the
+    converged data are re-checked by one more sweep.  ``workspace`` is the
+    sweep ``_prepare`` built on these grids.
     """
     ws = workspace if workspace is not None else _prepare(model, point, grids)
     log_xsf = [{g: xsf_log(model, point, g, grid.zeta_nodes)
                 for g in grid.ray.charges} for grid in grids]
-    ups = warm.upsilon if warm is not None else [
-        {g: np.zeros(grid.node_count, dtype=complex)
-         for g in grid.ray.charges} for grid in grids]
-    history: list[float] = []
-    for _ in range(max_iter):
-        new = _sweep(ws, grids, log_xsf, ups)
-        history.append(_change(new, ups))
-        ups = new
-        if history[-1] < tol_iter:
-            break
-    else:
-        raise NonConvergenceError(
-            f"no convergence within {max_iter} iterations "
-            f"(last residual {history[-1]:.3e})", history)
+    ups, history = _contract(
+        lambda u: _sweep(ws, grids, log_xsf, u),
+        [{g: np.zeros(grid.node_count, dtype=complex)
+          for g in grid.ray.charges} for grid in grids], tol_iter, max_iter)
     return RaySolution(point=point, grids=grids, log_xsf=log_xsf,
                        upsilon=ups, iterations=len(history),
                        residual=history[-1], residual_history=history,
@@ -414,45 +422,55 @@ def solve(model, point: ModelPoint, spec: GridSpec = GridSpec(),
                    tol_iter=tol_iter, max_iter=max_iter, spec=spec)
 
 
-def solve_family(model, center: ModelPoint, points: list[ModelPoint],
-                 tol_iter: float = 1e-10
-                 ) -> tuple[RaySolution, list[RaySolution]]:
-    """Solve a centre and nearby points on the centre's contours.
+def solve_tangents(model, point: ModelPoint, tol_iter: float = 1e-10,
+                   max_iter: int = 50
+                   ) -> tuple[RaySolution, list[dict[Charge, np.ndarray]]]:
+    """The solution at ``point`` and its tangent densities.
 
-    The grids and the kernel are built once, at the centre; every point is
-    iterated on them, warm-started from the centre.  Moving a point rotates
-    its rays only slightly, and deforming the contours back onto the
-    centre's rays leaves each ray integral unchanged, so the solutions
-    agree with ordinary solves to quadrature precision.  Only the centre is
-    checked for R too small; the sweep still guards |X| < 1.
+    Moving the point moves only its semiflat data L on the fixed contours, a
+    Cauchy deformation of the rays, so the derivative solves the linearized
+    sweep with the directions (Re u, Im u, theta_1, theta_2) stacked on a
+    leading axis.  The tangent densities d log(1 - X) = -D (dL + dU) have
+    shape (4, nodes) per charge.
     """
-    grids = build_grids(model, center)
-    ws = _prepare(model, center, grids)
-    solution = iterate(model, center, grids, tol_iter=tol_iter, workspace=ws)
-    return solution, [iterate(model, p, grids, tol_iter=tol_iter,
-                              warm=solution, workspace=ws)
-                      for p in points]
+    grids = build_grids(model, point)
+    ws = _prepare(model, point, grids)
+    sol = iterate(model, point, grids, tol_iter=tol_iter, max_iter=max_iter,
+                  workspace=ws)
+    neg_d = [{g: -np.expm1(-lg) for g, lg in lomx.items()}
+             for lomx in sol.log_one_minus_x]
+    d_log_xsf = [{g: dlog_xsf(model, point, g, grid.zeta_nodes)
+                  for g in grid.ray.charges} for grid in grids]
+
+    def tangent(du):
+        return [{g: nd[g] * (dl[g] + u[g]) for g in nd}
+                for nd, dl, u in zip(neg_d, d_log_xsf, du)]
+
+    du, _ = _contract(lambda d: _apply(ws, grids, tangent(d)),
+                      [{g: np.zeros_like(v) for g, v in dl.items()}
+                       for dl in d_log_xsf], tol_iter, max_iter)
+    return sol, tangent(du)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation off the grid
 
 
-def _upsilon_value(model, solutions: list[RaySolution],
+def _upsilon_value(model, grids: list[QuadratureGrid],
+                   density: list[dict[Charge, np.ndarray]],
                    charges: list[Charge], zeta: complex,
                    side: int | None = None,
                    min_angle: float = DEFAULT_MIN_ANGLE) -> np.ndarray:
-    """log(X / X^sf) at zeta for each solution (rows) and charge (columns).
+    """Ray integrals of one density set at zeta, per charge (last axis).
 
-    The solutions must share their grids, as the points of a family solve
-    do.  Each ray's Cauchy integral is taken once, by ``cauchy_integral``,
-    over the stacked log(1 - X) of every solution and source charge; near a
-    ray it continues those densities to the pole with the same per-panel
-    operator as the sweep.
+    ``density`` holds node data on ``grids``: a solution's log(1 - X), which
+    gives log(X / X^sf), or ``solve_tangents``' densities, which give its
+    derivatives; leading axes are kept.  Each ray's Cauchy integral is taken
+    once over the stacked densities of its source charges.
     """
     lat = model.lattice
-    total = np.zeros((len(solutions), len(charges)), dtype=complex)
-    for r, grid in enumerate(solutions[0].grids):
+    total = np.zeros(len(charges), dtype=complex)
+    for r, grid in enumerate(grids):
         sources = []
         for gamma_s, om_s in zip(grid.ray.charges, grid.ray.omegas):
             coefs = np.array([-om_s * lat.pair(gamma, gamma_s) / FOUR_PI_I
@@ -471,12 +489,10 @@ def _upsilon_value(model, solutions: list[RaySolution],
             # closed-form kernel on the requested side (signed zeros do not
             # survive the subtraction inside the logarithms).
             w = complex(w.real, side * 1e-300)
-        g = np.stack([sol.log_one_minus_x[r][gamma_s]
-                      for gamma_s, _ in sources for sol in solutions])
-        vals = cauchy_integral(grid, g, w)[:, 0]
-        for (_, coefs), part in zip(sources,
-                                    vals.reshape(len(sources), -1)):
-            total += part[:, None] * coefs
+        g = np.stack([density[r][gamma_s] for gamma_s, _ in sources])
+        vals = cauchy_integral(grid, g, w)[..., 0]
+        for (_, coefs), part in zip(sources, vals):
+            total = total + part[..., None] * coefs
     return total
 
 
@@ -484,8 +500,9 @@ def upsilon(model, solution: RaySolution, gamma: Charge, zeta: complex,
             side: int | None = None,
             min_angle: float = DEFAULT_MIN_ANGLE) -> complex:
     """Converged log-correction log(X_gamma / X^sf_gamma) at zeta."""
-    return complex(_upsilon_value(model, [solution], [gamma], complex(zeta),
-                                  side, min_angle)[0, 0])
+    return complex(_upsilon_value(model, solution.grids,
+                                  solution.log_one_minus_x, [gamma],
+                                  complex(zeta), side, min_angle)[0])
 
 
 def evaluate(model, solution: RaySolution, gamma: Charge, zeta: complex,
@@ -692,8 +709,9 @@ def correction_decay(model, u: complex, theta: tuple[float, ...],
                 peak = max(peak, abs(upsilon(model, sol, gamma, z)))
         for grid in sol.grids:
             for side in (+1, -1):
-                vals = _upsilon_value(model, [sol], basis, grid.ray.direction,
-                                      side=side, min_angle=ON_RAY_ANGLE)
+                vals = _upsilon_value(model, sol.grids, sol.log_one_minus_x,
+                                      basis, grid.ray.direction, side=side,
+                                      min_angle=ON_RAY_ANGLE)
                 peak = max(peak, float(np.max(np.abs(vals))))
         maxima.append(peak)
     slope = float(np.polyfit(np.asarray(r_values, dtype=float),

@@ -62,6 +62,22 @@ class TestExitCodes:
         assert code == 2
         assert "usage error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("ov-compare", "--count", "0"),
+        ("ov-compare", "--count", "1", "--r-list", "1,-1"),
+        ("decay-scan", "--model", "pentagon", "--u", "1.2,0", "--R-list", "2"),
+        ("decay-scan", "--model", "pentagon", "--u", "1.2,0",
+         "--R-list", "2,2"),
+        ("decay-scan", "--model", "pentagon", "--u", "1.2,0",
+         "--R-list=-1,2"),
+        ("metric", "--model", "pentagon", "--u", "1.5,0.2", "--R", "2",
+         "--theta", "0.37,1.29", "--zetas", "3"),
+    ])
+    def test_degenerate_input_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "usage error" in err
+
     def test_bad_complex_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--model", "ov", "--u", "half", "--R", "1",

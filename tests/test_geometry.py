@@ -9,7 +9,7 @@ from hkforge.geometry import (VarpiSampler, fit_point, laurent_fit,
                               metric_from_triple, triple_wedge_check, wedge4)
 from hkforge.semiflat import (ModelPoint, dlog_xsf_matrix, omega3_sf,
                               omega_plus_sf, varpi_sf, xsf_log)
-from hkforge.solver import NEAR_ANGLE, _upsilon_value, midsector_zetas, upsilon
+from hkforge.solver import NEAR_ANGLE, _upsilon_value, midsector_zetas
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ class TestVarpiPipeline:
 class TestFamilySolve:
     def test_one_discretization_per_point(self, pentagon, pentagon_point,
                                           monkeypatch):
-        calls = {"build_grids": 0, "_prepare": 0}
+        calls = {"build_grids": 0, "_prepare": 0, "iterate": 0}
         for name in calls:
             original = getattr(solver, name)
 
@@ -80,24 +80,24 @@ class TestFamilySolve:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(solver, name, counted)
         fit_point(pentagon, pentagon_point)
-        assert calls == {"build_grids": 1, "_prepare": 1}
+        assert calls == {"build_grids": 1, "_prepare": 1, "iterate": 1}
 
-    def test_batched_evaluation_matches_per_solution(self, pentagon,
-                                                     pentagon_point):
+    def test_batched_evaluation_matches_per_direction(self, pentagon,
+                                                      pentagon_point):
         sampler = VarpiSampler(pentagon, pentagon_point)
-        sols = sampler.displaced
+        grids, tangents = sampler.center.grids, sampler.tangents
         basis = pentagon.lattice.basis()[:2]
-        assert len(sols) == 8
-        assert all(s.grids is sampler.center.grids for s in sols)
 
         def agree(zeta, **kw):
-            batched = _upsilon_value(pentagon, sols, basis, zeta, **kw)
-            for j, sol in enumerate(sols):
-                for i, gamma in enumerate(basis):
-                    assert abs(batched[j, i] - upsilon(
-                        pentagon, sol, gamma, zeta, **kw)) <= 1e-15
+            stacked = _upsilon_value(pentagon, grids, tangents, basis, zeta,
+                                     **kw)
+            assert stacked.shape == (4, 2)
+            for mu in range(4):
+                alone = _upsilon_value(
+                    pentagon, grids, [{g: v[mu] for g, v in t.items()}
+                                      for t in tangents], basis, zeta, **kw)
+                assert np.max(np.abs(stacked[mu] - alone)) <= 1e-15
 
-        grids = sampler.center.grids
         agree(midsector_zetas(grids, 1)[0])
         # within NEAR_ANGLE one continuation serves every stacked density
         agree(grids[0].ray.direction * cmath.exp(0.5j * NEAR_ANGLE))

@@ -9,11 +9,12 @@ from hkforge.lattice import Spectrum, charge
 from hkforge.models import pentagon_wall_point
 from hkforge.semiflat import ModelPoint, xsf
 from hkforge.solver import (ON_RAY_ANGLE, GridSpec, NonConvergenceError,
-                            RayProximityError, RSmallError, build_grids,
-                            cauchy_integral, check_wall_continuity,
-                            correction_decay, evaluate, iterate,
-                            midsector_zetas, radial_limit, ray_jump_defect,
-                            side_limit, solve, upsilon)
+                            RayProximityError, RSmallError, _prepare,
+                            _upsilon_value, build_grids, cauchy_integral,
+                            check_wall_continuity, correction_decay,
+                            evaluate, iterate, midsector_zetas, radial_limit,
+                            ray_jump_defect, side_limit, solve,
+                            solve_tangents, upsilon)
 
 G1, G2 = charge(1, 0), charge(0, 1)
 
@@ -86,11 +87,6 @@ class TestIteration:
     def test_non_convergence_error(self, pentagon):
         with pytest.raises(NonConvergenceError):
             solve(pentagon, ModelPoint(1.7, 0.5, (0.37, 1.29)), max_iter=1)
-
-    def test_warm_start(self, pentagon, pentagon_point, pentagon_solution):
-        sol = iterate(pentagon, pentagon_point, pentagon_solution.grids,
-                      tol_iter=1e-12, warm=pentagon_solution)
-        assert sol.iterations <= 2
 
 
 class TestEvaluation:
@@ -215,6 +211,42 @@ class TestFrozenContours:
                 for gamma in (G1, G2):
                     assert abs(upsilon(pentagon, frozen, gamma, zeta)
                                - upsilon(pentagon, own, gamma, zeta)) <= 1e-14
+
+    @pytest.mark.parametrize("wall, R", [(None, 1.0), ((1.2, 0.9), 1.0),
+                                         ((1.02, -0.8), 0.5)])
+    def test_tangents_against_finite_differences(self, pentagon, wall, R):
+        # central differences of frozen-contour solves converge to the
+        # tangent-linear derivative at order 2, also with near-ray pairs;
+        # at 1.02 x the wall the order stalls if the tangent sweep drops
+        # their continuation
+        u = 1.5 + 0.2j if wall is None \
+            else wall[0] * pentagon_wall_point(pentagon, wall[1])
+        point = ModelPoint(u, R, (0.37, 1.29))
+        center, tangents = solve_tangents(pentagon, point, tol_iter=1e-13)
+        grids = center.grids
+        ws = _prepare(pentagon, point, grids)
+        assert any(near is not None for *_, near in ws.terms) \
+            == (wall is not None)
+        zetas = midsector_zetas(grids, 4)
+        exact = np.array([_upsilon_value(pentagon, grids, tangents, [G1, G2],
+                                         z) for z in zetas])
+        gaps = []
+        for h in (2e-4, 1e-4):
+            steps = h * np.array([[1, 0, 0], [1j, 0, 0], [0, 1, 0],
+                                  [0, 0, 1]])
+            diff = np.zeros_like(exact)
+            for mu, (du, dt1, dt2) in enumerate(steps):
+                for sign in (+1, -1):
+                    moved = point.shifted(du=sign * du, dtheta=(
+                        sign * dt1.real, sign * dt2.real))
+                    sol = iterate(pentagon, moved, grids, tol_iter=1e-13,
+                                  workspace=ws)
+                    diff[:, mu] += sign / (2 * h) * np.array([
+                        _upsilon_value(pentagon, grids, sol.log_one_minus_x,
+                                       [G1, G2], z) for z in zetas])
+            gaps.append(float(np.max(np.abs(diff - exact))))
+        assert math.log2(gaps[0] / gaps[1]) == pytest.approx(2.0, abs=0.35)
+        assert gaps[1] <= 1e-7
 
 
 class TestJumps:
