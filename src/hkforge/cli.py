@@ -76,7 +76,10 @@ def add_solver_args(p):
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--nodes", type=int, default=16,
                    help="Gauss-Legendre nodes per panel")
-    p.add_argument("--panels", type=int, default=16, help="panels per ray")
+    p.add_argument("--panels", type=int, default=16,
+                   help="most panels per ray; each solve takes the fewest "
+                        "whose semiflat Legendre tail is below "
+                        "--eps-quad / 10")
     p.add_argument("--eps-quad", type=float, default=1e-12)
 
 
@@ -91,6 +94,8 @@ def _positive_checks(args) -> None:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
     if any(r <= 0 for r in getattr(args, "r_list", ())):
         raise UsageError("every R in the R list must be positive")
+    if getattr(args, "emit_grid", 0) < 0:
+        raise UsageError("--emit-grid must be >= 0")
 
 
 class UsageError(ValueError):
@@ -257,6 +262,8 @@ def cmd_solve(args) -> int:
     print(f"converged in {sol.iterations} iteration(s), "
           f"residual {sol.residual:.3e}, recheck {sol.recheck_residual:.3e}")
     print(f"rays: {len(sol.grids)}, max correction {sol.max_correction():.3e}")
+    print(f"panels per ray: {sol.panels} (at most --panels {spec.panels}), "
+          f"Legendre tail {sol.tail:.3e} (eps_quad {spec.eps_quad:g})")
     for grid in sol.grids:
         print(f"  ray {grid.ray.angle:+8.5f} rad  charges "
               f"{[c.coeffs for c in grid.ray.charges]}  s_max {grid.s_max:.3f}"

@@ -94,10 +94,18 @@ def xsf_log(model, point: ModelPoint, gamma: Charge, zeta):
         zeta = complex(zeta)
         if zeta == 0:
             raise ValueError("zeta must be nonzero")
-    z = model.Z.of(gamma, point.u)
-    th = theta_eval(model.lattice, point, gamma)
-    piR = math.pi * point.R
-    return piR * z / zeta + 1j * th + piR * zeta * z.conjugate()
+    return xsf_log_of(model.Z.of(gamma, point.u),
+                      theta_eval(model.lattice, point, gamma), point.R, zeta)
+
+
+def xsf_log_of(z, theta, R: float, zeta):
+    """``xsf_log`` from a charge's central charge ``z`` and angle ``theta``.
+
+    Numbers or arrays that broadcast against ``zeta``; callers that already
+    hold the central charges (a ray's ``zs``) skip the period evaluation.
+    """
+    piR = math.pi * R
+    return piR * z / zeta + 1j * theta + piR * zeta * z.conjugate()
 
 
 def xsf(model, point: ModelPoint, gamma: Charge, zeta: complex) -> CoordinateValue:

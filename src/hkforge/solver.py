@@ -9,8 +9,12 @@ and the only data the right side needs are the coordinates of the active
 charges on their own rays.  Substituting z' = direction * e^s turns each ray
 integral into a line integral whose integrand decays like exp(-2 pi R |Z|
 cosh s), so truncated Gauss-Legendre panels resolve it to quadrature
-precision.  The iteration starts from the semiflat values; its contraction
-rate is set by the largest exp(-2 pi R |Z|) among active charges.
+precision.  ``build_grids`` takes the fewest equal panels, on a short ladder
+up to ``GridSpec.panels``, on which the Legendre tail of the semiflat
+density log(1 - X^sf) stays below eps_quad / 10; every ray of a solve gets
+the same layout.  The iteration starts from the semiflat values; its
+contraction rate is set by the largest exp(-2 pi R |Z|) among active
+charges.
 
 The log-corrections Upsilon = log(X / X^sf) are the stored unknowns: they
 stay O(exp(-2 pi R |Z|)), which avoids the huge semiflat exponentials and
@@ -21,14 +25,16 @@ direction * e^w, built by ``kernel_rows`` from a source grid and target
 poles.  The solve builds it once per unordered ray pair whose charges pair
 to nonzero (the reverse direction is minus its transpose, coth being odd),
 so a sweep is a list of matvecs; off-grid evaluation and the tree sum call
-the same builder.  When the target lies within NEAR_ANGLE of the source
-ray the density is continued to the pole, subtracted, and added back
-against the closed-form kernel integral.  The continuation is one linear
-operator, ``_near_term``: per pole, the nodes of one panel and their
-interpolation weights, which the sweep stores once per ordered near pair
-and evaluation rebuilds per pole.  On a ray the two directed boundary
-values of the closed form differ by the residue term +-2 pi i, which is how
-the expected coordinate jumps emerge from one integral representation.
+the same builder.  When the target lies within NEAR_HALF_WIDTHS panel
+half-widths of the source ray (``QuadratureGrid.near_angle``, so the zone
+narrows as the panels refine) the density is continued to the pole,
+subtracted, and added back against the closed-form kernel integral.  The
+continuation is one linear operator, ``_near_term``: per pole, the nodes of
+one panel and their interpolation weights, which the sweep stores once per
+ordered near pair and evaluation rebuilds per pole.  On a ray the two
+directed boundary values of the closed form differ by the residue term
++-2 pi i, which is how the expected coordinate jumps emerge from one
+integral representation.
 
 There is one solve path: ``build_grids`` lays out the contours, ``_prepare``
 builds the sweep on them, and ``iterate`` applies ``_sweep`` until the node
@@ -52,10 +58,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import Charge, Ray, _wrap_angle, bps_rays
-from .semiflat import CoordinateValue, ModelPoint, dlog_xsf, xsf_log
+from .semiflat import (CoordinateValue, ModelPoint, dlog_xsf, theta_eval,
+                       xsf_log, xsf_log_of)
 
 FOUR_PI_I = 4j * math.pi
-NEAR_ANGLE = 0.2          # switch to the subtracted kernel below this offset
+NEAR_HALF_WIDTHS = 1.5    # subtracted kernel below this offset, in half-widths
+PANEL_LADDER = (2, 3, 4, 6, 8, 10, 12)  # counts tried below GridSpec.panels
+TAIL_SHARE = 0.1          # semiflat Legendre tail allowed, per eps_quad
 DEFAULT_MIN_ANGLE = 1e-3  # undirected evaluation forbidden below this offset
 ON_RAY_ANGLE = 1e-9       # a directed on-ray value needs zeta this close
 R_SMALL_THRESHOLD = 0.9   # reject a point whose |X^sf| reaches this on a ray
@@ -78,7 +87,9 @@ class RayProximityError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization parameters shared by all rays of one solve."""
+    """Discretization parameters shared by all rays of one solve: the
+    quadrature target, the most panels per ray, and the Gauss-Legendre rule
+    of a panel."""
 
     eps_quad: float = 1e-12
     panels: int = 16
@@ -104,6 +115,19 @@ class QuadratureGrid:
     def node_count(self) -> int:
         return len(self.s_nodes)
 
+    @property
+    def panels(self) -> int:
+        return self.node_count // self.nodes_per_panel
+
+    @property
+    def half_width(self) -> float:
+        return self.s_max / self.panels
+
+    @property
+    def near_angle(self) -> float:
+        """Ray offset below which integrals take the subtracted kernel."""
+        return NEAR_HALF_WIDTHS * self.half_width
+
 
 @dataclass
 class RaySolution:
@@ -127,11 +151,22 @@ class RaySolution:
     # log(1 - X) on the ray nodes, the density every ray integral reads
     log_one_minus_x: list[dict[Charge, np.ndarray]] = field(
         init=False, repr=False, compare=False)
+    # a-posteriori quadrature estimate: ``legendre_tail`` of log(1 - X)
+    tail: float = field(init=False, compare=False)
 
     def __post_init__(self):
         self.log_one_minus_x = [
             {g: np.log(1.0 - np.exp(lsf[g] + ups[g])) for g in ups}
             for lsf, ups in zip(self.log_xsf, self.upsilon)]
+        self.tail = max((legendre_tail(f, grid.nodes_per_panel)
+                         for grid, lomx in zip(self.grids,
+                                               self.log_one_minus_x)
+                         for f in lomx.values()), default=0.0)
+
+    @property
+    def panels(self) -> int:
+        """Panels per ray that ``build_grids`` chose (0 without rays)."""
+        return self.grids[0].panels if self.grids else 0
 
     def max_correction(self) -> float:
         vals = [float(np.max(np.abs(u))) for ups in self.upsilon
@@ -149,15 +184,82 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, w, lam
 
 
+@functools.lru_cache(maxsize=None)
+def _tail_rows(n: int) -> np.ndarray:
+    """(n, 2): a panel's node values times this are its last two Legendre
+    coefficients, c_k = (k + 1/2) sum_j w_j P_k(x_j) f_j."""
+    x, w, _ = _gl_rule(n)
+    k = np.arange(max(n - 2, 0), n)
+    rows = np.polynomial.legendre.legvander(x, n - 1)[:, k] * w[:, None]
+    rows *= k + 0.5
+    rows.flags.writeable = False
+    return rows
+
+
+def _panel_tails(f: np.ndarray, nodes_per_panel: int) -> np.ndarray:
+    """|c_{n-2}| + |c_{n-1}| of each panel of node data ``f`` (last axis)."""
+    c = f.reshape(*f.shape[:-1], -1, nodes_per_panel) \
+        @ _tail_rows(nodes_per_panel)
+    return np.abs(c).sum(axis=-1)
+
+
+def legendre_tail(f: np.ndarray, nodes_per_panel: int) -> float:
+    """Largest |c_{n-2}| + |c_{n-1}| over the panels of node data ``f``.
+
+    The Legendre coefficients of a panel's interpolant decay geometrically
+    for data analytic around the panel, so the last two bound what the
+    panel leaves unresolved.  Panels run along the last axis of ``f``.
+    """
+    return float(np.max(_panel_tails(f, nodes_per_panel), initial=0.0))
+
+
 def _gl_panels(s_max: float, panels: int, per_panel: int):
     base_x, base_w, _ = _gl_rule(per_panel)
     edges = np.linspace(-s_max, s_max, panels + 1)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * base_x)
-        weights.append(half * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * base_x).ravel(), (half * base_w).ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def _half_unit_nodes(panels: int, per_panel: int) -> np.ndarray:
+    """Nodes of the panels of [-1, 1] that do not lie left of 0."""
+    nodes = _gl_panels(1.0, panels, per_panel)[0][panels // 2 * per_panel:]
+    nodes.flags.writeable = False
+    return nodes
+
+
+def _panel_count(model, point: ModelPoint, rays: list[Ray],
+                 s_max: list[float], spec: GridSpec) -> int:
+    """Fewest panels on PANEL_LADDER, at most ``spec.panels``, on which the
+    semiflat density log(1 - X^sf) of every ray charge has a Legendre tail
+    of at most TAIL_SHARE * eps_quad.
+
+    The density is read from the rays' central charges, so no period is
+    evaluated again.  On its own ray log X^sf = -2 pi R |Z| cosh s +
+    i theta_gamma is even in s, and the ray of -gamma carries its conjugate,
+    so the panels right of 0 of one of gamma, -gamma carry every tail.  A
+    charge whose tail has passed is not read at the larger counts.
+    """
+    rows, seen = [], set()
+    for ray, s in zip(rays, s_max):
+        for g, z in zip(ray.charges, ray.zs):
+            if -g not in seen:
+                seen.add(g)
+                rows.append((ray.direction, z,
+                             theta_eval(model.lattice, point, g), s))
+    direction, z, theta, s = (np.array(col)[:, None] for col in zip(*rows))
+    n = spec.nodes_per_panel
+    for p in [q for q in PANEL_LADDER if q < spec.panels]:
+        log_x = xsf_log_of(z, theta, point.R,
+                           direction * np.exp(s * _half_unit_nodes(p, n)))
+        failing = _panel_tails(np.log(1.0 - np.exp(log_x)), n).max(axis=-1) \
+            > TAIL_SHARE * spec.eps_quad
+        if not failing.any():
+            return p
+        direction, z, theta, s = (a[failing] for a in (direction, z, theta,
+                                                        s))
+    return spec.panels
 
 
 def build_grids(model, point: ModelPoint, spec: GridSpec = GridSpec()
@@ -167,10 +269,11 @@ def build_grids(model, point: ModelPoint, spec: GridSpec = GridSpec()
     The truncation solves exp(-2 pi R |Z| cosh s_max) < eps_quad with a
     safety margin; if the semiflat modulus on some ray already exceeds the
     threshold at s = 0 the iteration could leave the log(1 - X) domain, and
-    the point is rejected as "R too small".
+    the point is rejected as "R too small".  Every ray gets the panel count
+    of ``_panel_count``, so the choice depends only on (model, point, spec).
     """
     rays = bps_rays(model.spectrum, model.Z, point.u, R=point.R)
-    grids = []
+    s_maxes = []
     for ray in rays:
         min_z = ray.min_abs_z()
         peak = math.exp(-2.0 * math.pi * point.R * min_z)
@@ -180,8 +283,13 @@ def build_grids(model, point: ModelPoint, spec: GridSpec = GridSpec()
                 f"{ray.charges[0]} (needs < {R_SMALL_THRESHOLD})")
         arg = (-math.log(spec.eps_quad) + TAIL_MARGIN) \
             / (2.0 * math.pi * point.R * min_z)
-        s_max = math.acosh(max(arg, 1.5))
-        s_nodes, weights = _gl_panels(s_max, spec.panels, spec.nodes_per_panel)
+        s_maxes.append(math.acosh(max(arg, 1.5)))
+    if not rays:
+        return []
+    panels = _panel_count(model, point, rays, s_maxes, spec)
+    grids = []
+    for ray, s_max in zip(rays, s_maxes):
+        s_nodes, weights = _gl_panels(s_max, panels, spec.nodes_per_panel)
         grids.append(QuadratureGrid(ray=ray, s_nodes=s_nodes,
                                     weights=weights, s_max=s_max,
                                     nodes_per_panel=spec.nodes_per_panel))
@@ -212,7 +320,7 @@ def kernel_rows(grid: QuadratureGrid, w) -> np.ndarray:
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     es = np.exp(grid.s_nodes)[None, :]
     ew = np.exp(w)[:, None]
-    if np.min(np.abs(w.imag)) >= NEAR_ANGLE:
+    if np.min(np.abs(w.imag)) >= grid.near_angle:
         return (es + ew) / (es - ew)
     radius = np.min(np.diff(grid.s_nodes)) / 16.0
     close = np.abs(grid.s_nodes[None, :] - w[:, None]) < radius
@@ -238,7 +346,7 @@ def _near_term(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray
     data vanish, the row is 0.
     """
     n = grid.nodes_per_panel
-    half = grid.s_max * n / grid.node_count
+    half = grid.half_width
     _, gl_w, lam = _gl_rule(n)
     nearest = np.argmin(np.abs(w.real[:, None] - grid.s_nodes), axis=1)
     k = nearest % n
@@ -265,14 +373,14 @@ def cauchy_integral(grid: QuadratureGrid, f: np.ndarray, w) -> np.ndarray:
 
     ``f`` holds node values on its last axis; stacked densities share the
     kernel rows, and the result keeps their leading axes with the poles
-    last.  Poles within NEAR_ANGLE of the ray subtract f continued to the
-    pole and add it back against the closed-form kernel integral
+    last.  Poles within ``grid.near_angle`` of the ray subtract f continued
+    to the pole and add it back against the closed-form kernel integral
     (``_near_term``), so the fixed nodes resolve the integrand at any offset.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     rows = kernel_rows(grid, w)
     out = (grid.weights * f) @ rows.T
-    if abs(w[0].imag) < NEAR_ANGLE:
+    if abs(w[0].imag) < grid.near_angle:
         idx, op = _near_term(grid, rows, w)
         out = out + np.sum(op * f[..., idx], axis=-1)
     return out
@@ -284,11 +392,11 @@ class _Workspace:
 
     ``unknowns`` lists (ray, charge) ray-major.  A term (t, s, coef, rows,
     near) adds coef * rows @ (weights * g_s) to unknown t, where g_s is
-    the density of unknown s on its nodes; for rays within NEAR_ANGLE,
-    ``near`` = (idx, op) from ``_near_term`` adds coef * sum(op * g_s[idx])
-    per pole, the subtracted part with g_s continued to the poles.  Each
-    unordered ray pair has one kernel; the reverse direction reads it
-    transposed with the opposite sign.
+    the density of unknown s on its nodes; for target rays within the
+    source grid's ``near_angle``, ``near`` = (idx, op) from ``_near_term``
+    adds coef * sum(op * g_s[idx]) per pole, the subtracted part with g_s
+    continued to the poles.  Each unordered ray pair has one kernel; the
+    reverse direction reads it transposed with the opposite sign.
     """
 
     unknowns: list[tuple[int, Charge]]
@@ -309,11 +417,14 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
             w_ab = grids[a].s_nodes + 1j * dphi
             rows = kernel_rows(grids[b], w_ab)
             near_ab = near_ba = None
-            if abs(dphi) < NEAR_ANGLE:
-                w_ba = grids[b].s_nodes - 1j * dphi
+            # each direction switches on its source grid, as
+            # ``cauchy_integral`` does
+            if abs(dphi) < grids[b].near_angle:
                 near_ab = _near_term(grids[b], rows, w_ab)
+            if abs(dphi) < grids[a].near_angle:
                 # the reverse term carries the sign of its kernel
-                idx, op = _near_term(grids[a], -rows.T, w_ba)
+                idx, op = _near_term(grids[a], -rows.T,
+                                     grids[b].s_nodes - 1j * dphi)
                 near_ba = (idx, -op)
             blocks[(a, b)] = ((1.0, rows, near_ab), (-1.0, rows.T, near_ba))
         return blocks[(a, b)][rt > rs]

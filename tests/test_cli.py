@@ -72,6 +72,8 @@ class TestExitCodes:
          "--R-list=-1,2"),
         ("metric", "--model", "pentagon", "--u", "1.5,0.2", "--R", "2",
          "--theta", "0.37,1.29", "--zetas", "3"),
+        ("metric", "--model", "pentagon", "--u", "1.5,0.2", "--R", "2",
+         "--theta", "0.37,1.29", "--emit-grid", "-3"),
     ])
     def test_degenerate_input_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -111,8 +113,38 @@ class TestSolutionFiles:
         assert code == 0
         assert "worst jump defect" in out
 
+    def test_fewer_panels_roundtrip(self, capsys, tmp_path):
+        # a point that takes fewer than 16 panels: the file's node counts
+        # match the rebuilt layout, while a file of another layout is refused
+        path = tmp_path / "sol.json"
+        code, out, _ = run(capsys, "solve", "--model", "pentagon",
+                           "--u", "1.5,0.2", "--R", "2",
+                           "--theta", "0.37,1.29", "--out", str(path))
+        assert code == 0
+        panels = int(out.split("panels per ray: ")[1].split()[0])
+        assert panels < 16 and "(at most --panels 16)" in out
+        assert "eps_quad 1e-12" in out
+        payload = json.loads(path.read_text())
+        counts = {len(c["upsilon"]) for ray in payload["rays"]
+                  for c in ray["charges"]}
+        assert counts == {16 * panels}
+        _, _, loaded = load_solution(str(path))
+        assert loaded.panels == panels
+        assert loaded.recheck_residual <= 10 * loaded.tol_iter
+        code, out, _ = run(capsys, "jump-check", "--solution", str(path))
+        assert code == 0
+        other = tmp_path / "other.json"
+        run(capsys, "solve", "--model", "pentagon", "--u", "1.5,0.2",
+            "--R", "1", "--theta", "0.37,1.29", "--out", str(other))
+        foreign = json.loads(other.read_text())
+        payload["rays"] = foreign["rays"]
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "jump-check", "--solution", str(path))
+        assert code == 1
+        assert "charge table mismatch" in err
+
     def test_jump_check_near_aligned_rays(self, capsys, tmp_path):
-        # 1.2 x the phi 0.9 wall point: two rays closer than NEAR_ANGLE
+        # 1.2 x the phi 0.9 wall point: two rays within 0.2 rad
         path = tmp_path / "sol.json"
         code, _, _ = run(capsys, "solve", "--model", "pentagon",
                          "--u", "1.158,1.459", "--R", "1",

@@ -9,7 +9,7 @@ from hkforge.geometry import (VarpiSampler, fit_point, laurent_fit,
                               metric_from_triple, triple_wedge_check, wedge4)
 from hkforge.semiflat import (ModelPoint, dlog_xsf_matrix, omega3_sf,
                               omega_plus_sf, varpi_sf, xsf_log)
-from hkforge.solver import NEAR_ANGLE, _upsilon_value, midsector_zetas
+from hkforge.solver import _upsilon_value, midsector_zetas
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +99,8 @@ class TestFamilySolve:
                 assert np.max(np.abs(stacked[mu] - alone)) <= 1e-15
 
         agree(midsector_zetas(grids, 1)[0])
-        # within NEAR_ANGLE one continuation serves every stacked density
-        agree(grids[0].ray.direction * cmath.exp(0.5j * NEAR_ANGLE))
+        # within the near angle one continuation serves every stacked density
+        agree(grids[0].ray.direction * cmath.exp(0.5j * grids[0].near_angle))
         for grid in grids:
             for side in (+1, -1):
                 agree(grid.ray.direction, side=side, min_angle=1e-9)

@@ -7,18 +7,37 @@ import pytest
 
 from hkforge.lattice import Spectrum, charge
 from hkforge.models import pentagon_wall_point
-from hkforge.semiflat import ModelPoint, xsf
+from hkforge.semiflat import ModelPoint, xsf, xsf_log
 from hkforge.solver import (ON_RAY_ANGLE, GridSpec, NonConvergenceError,
-                            RayProximityError, RSmallError, _prepare,
-                            _upsilon_value, build_grids, cauchy_integral,
+                            QuadratureGrid, RayProximityError, RSmallError,
+                            _gl_panels, _prepare, _upsilon_value,
+                            build_grids, cauchy_integral,
                             check_wall_continuity, correction_decay,
-                            evaluate, iterate, midsector_zetas, radial_limit,
-                            ray_jump_defect, side_limit, solve,
-                            solve_tangents, upsilon)
+                            evaluate, iterate, legendre_tail,
+                            midsector_zetas, radial_limit, ray_jump_defect,
+                            side_limit, solve, solve_tangents, upsilon)
 
 G1, G2 = charge(1, 0), charge(0, 1)
 
 EMPTY_SPECTRUM = Spectrum(lambda g, u: 0, lambda u: ())
+
+
+def _fixed_grids(model, point, panels):
+    """The point's rays and s_max with ``panels`` equal panels forced: a
+    reference layout that ``build_grids`` would not choose by itself."""
+    out = []
+    for grid in build_grids(model, point):
+        s_nodes, weights = _gl_panels(grid.s_max, panels,
+                                      grid.nodes_per_panel)
+        out.append(QuadratureGrid(ray=grid.ray, s_nodes=s_nodes,
+                                  weights=weights, s_max=grid.s_max,
+                                  nodes_per_panel=grid.nodes_per_panel))
+    return out
+
+
+def _wall_point(pentagon, factor, phi, R):
+    return ModelPoint(factor * pentagon_wall_point(pentagon, phi), R,
+                      (0.37, 1.29))
 
 
 class TestGrids:
@@ -36,10 +55,34 @@ class TestGrids:
         assert base < grid.s_max < base + 0.5
 
     def test_node_layout(self, ov, ov_point):
-        grid = build_grids(ov, ov_point)[0]
-        assert grid.node_count == 256
-        assert np.all(grid.weights > 0)
-        assert np.allclose(grid.s_nodes, -grid.s_nodes[::-1])
+        # equal panels of the spec's rule, at most spec.panels of them, on
+        # which the semiflat density's Legendre tail is below eps_quad / 10
+        spec = GridSpec()
+        n = spec.nodes_per_panel
+        for grid in build_grids(ov, ov_point, spec):
+            p = grid.panels
+            assert grid.node_count == p * n and p <= spec.panels
+            edges = np.linspace(-grid.s_max, grid.s_max, p + 1)
+            nodes = grid.s_nodes.reshape(p, n)
+            assert np.all((nodes > edges[:-1, None])
+                          & (nodes < edges[1:, None]))
+            assert np.allclose(grid.weights.reshape(p, n).sum(axis=1),
+                               2 * grid.s_max / p)
+            assert np.all(grid.weights > 0)
+            assert np.allclose(grid.s_nodes, -grid.s_nodes[::-1])
+            for g in grid.ray.charges:
+                density = np.log(1 - np.exp(xsf_log(ov, ov_point, g,
+                                                    grid.zeta_nodes)))
+                assert legendre_tail(density, n) <= spec.eps_quad / 10
+
+    def test_panels_is_a_bound(self, pentagon, pentagon_point):
+        # one layout per solve, never above GridSpec.panels; a larger bound
+        # does not force more panels than the tail needs
+        for bound in (1, 3, 16, 64):
+            grids = build_grids(pentagon, pentagon_point,
+                                GridSpec(panels=bound))
+            counts = {g.panels for g in grids}
+            assert len(counts) == 1 and counts.pop() <= min(bound, 16)
 
     def test_no_active_charges(self, ov, ov_point):
         assert build_grids(ov.with_spectrum(EMPTY_SPECTRUM), ov_point) == []
@@ -167,13 +210,12 @@ class TestNearRayAccuracy:
 
     @pytest.mark.parametrize("phi", [0.9, -0.8])
     def test_panel_convergence_near_the_wall(self, pentagon, phi):
-        # 16 panels against 64 at the sector midpoints, down to the
+        # the chosen panels against 64 at the sector midpoints, down to the
         # 0.008 rad sectors, and 0.002 rad off every ray
-        point = ModelPoint(1.02 * pentagon_wall_point(pentagon, phi), 0.35,
-                           (0.37, 1.29))
+        point = _wall_point(pentagon, 1.02, phi, 0.35)
         coarse = solve(pentagon, point, tol_iter=1e-13)
-        fine = solve(pentagon, point, spec=GridSpec(panels=64),
-                     tol_iter=1e-13)
+        fine = iterate(pentagon, point, _fixed_grids(pentagon, point, 64),
+                       tol_iter=1e-13)
         angles = sorted(g.ray.angle for g in coarse.grids)
         gaps = np.diff(angles + [angles[0] + 2 * math.pi])
         assert min(gaps) < 0.01
@@ -185,13 +227,92 @@ class TestNearRayAccuracy:
         assert worst <= 1e-12
 
     def test_fine_panels_past_the_wall(self, pentagon):
-        # at 64 panels the near-ray poles sit several half-widths off their
-        # panel, where the continuation weights must stay finite
-        point = ModelPoint(1.2 * pentagon_wall_point(pentagon, 0.9), 1.0,
-                           (0.37, 1.29))
-        sol = solve(pentagon, point, spec=GridSpec(panels=64))
+        # at 64 panels the near zone narrows with the panels, and the
+        # continuation weights of the near-aligned rays stay finite
+        point = _wall_point(pentagon, 1.2, 0.9, 1.0)
+        sol = iterate(pentagon, point, _fixed_grids(pentagon, point, 64))
         assert sol.residual < sol.tol_iter
         assert np.isfinite(sol.max_correction())
+
+    def test_fine_panels_keep_the_continuation_local(self, pentagon):
+        # with the near-ray switch at a fixed 0.2 rad, 128 panels continued
+        # node data over many panel widths and missed 32 panels by 5.4e-8;
+        # the switch now scales with the panel half-width
+        point = ModelPoint(-0.065876 - 1.136864j, 2.368724,
+                           (4.540500, 2.120146))
+        sols = [iterate(pentagon, point, _fixed_grids(pentagon, point, p),
+                        tol_iter=1e-13) for p in (32, 128)]
+        worst = 0.0
+        for grid in sols[0].grids:
+            for offset in (0.01, 0.03, 0.1, 0.2, 0.3, 0.45):
+                for side in (+1, -1):
+                    z = grid.ray.direction * cmath.exp(1j * side * offset)
+                    a, b = (_upsilon_value(pentagon, sol.grids,
+                                           sol.log_one_minus_x, [G1, G2], z)
+                            for sol in sols)
+                    worst = max(worst, float(np.max(np.abs(a - b))))
+        assert worst <= 1e-14
+
+
+# metric-grid, certify and wall-approach inputs of the benchmark (seed 1)
+BENCH_POINTS = [ModelPoint(u, R, theta) for u, R, theta in [
+    (-0.437132 + 0.290930j, 2.015265, (0.982050, 5.051880)),
+    (-0.559176 + 0.225332j, 1.421690, (1.846083, 0.181026)),
+    (-1.286085 + 0.728953j, 2.729350, (6.149162, 2.819502)),
+    (0.544360 - 0.951652j, 1.974418, (2.944617, 5.821762)),
+    (-0.350640 + 1.051954j, 1.685237, (2.841010, 2.073488)),
+    (-0.065876 - 1.136864j, 2.368724, (4.540500, 2.120146)),
+    (0.584513 - 1.086646j, 2.005672, (3.101326, 1.133253)),
+    (-0.554276 + 0.666316j, 2.785407, (4.636838, 5.938221)),
+    (0.782757 + 0.004302j, 2.444238, (3.882391, 4.406095)),
+    (-1.265547 + 0.173707j, 2.697116, (4.611467, 0.965361)),
+    (-0.703575 + 1.159196j, 0.543644, (0.603560, 3.158269)),
+    (0.973685 + 0.698487j, 0.764377, (1.385548, 4.985781)),
+    (0.993872 - 0.781017j, 0.745527, (2.939655, 3.545327)),
+]]
+WALL_CASES = [(f, phi, 0.35 if f < 1.1 else 1.0)
+              for phi in (0.9, -0.8) for f in (0.98, 0.99, 1.01, 1.02, 1.2)]
+
+
+class TestPanelChoice:
+    @pytest.mark.parametrize("case", range(len(BENCH_POINTS)
+                                           + len(WALL_CASES)))
+    def test_chosen_panels_against_64(self, pentagon, case):
+        # the chosen layout against 64 forced panels, at the mid-sector
+        # zetas and at 0.002 to 0.3 rad either side of every ray
+        point = BENCH_POINTS[case] if case < len(BENCH_POINTS) \
+            else _wall_point(pentagon, *WALL_CASES[case - len(BENCH_POINTS)])
+        chosen = solve(pentagon, point, tol_iter=1e-13)
+        fine = iterate(pentagon, point, _fixed_grids(pentagon, point, 64),
+                       tol_iter=1e-13)
+        assert chosen.panels < 64
+        angles = [g.ray.angle for g in chosen.grids]
+        zetas = midsector_zetas(chosen, len(angles)) + [
+            cmath.exp(1j * (a + side * offset)) for a in angles
+            for offset in (0.002, 0.011, 0.05, 0.1, 0.2, 0.3)
+            for side in (+1, -1)]
+        worst = 0.0
+        for z in zetas:
+            if min(abs(cmath.phase(z * cmath.exp(-1j * a)))
+                   for a in angles) < 1e-3:
+                continue   # another ray's directed limit, not a value
+            a, b = (_upsilon_value(pentagon, sol.grids, sol.log_one_minus_x,
+                                   [G1, G2], z) for sol in (chosen, fine))
+            worst = max(worst, float(np.max(np.abs(a - b))))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("case", [None, (0.98, 0.9), (1.02, 0.9),
+                                      (0.98, -0.8), (1.02, -0.8)])
+    def test_a_posteriori_tail(self, pentagon, ov_solution,
+                               pentagon_solution, case):
+        # the Legendre tail of the converged log(1 - X) meets eps_quad
+        if case is None:
+            sols = [ov_solution, pentagon_solution]
+        else:
+            sols = [solve(pentagon, _wall_point(pentagon, *case, 0.35))]
+        for sol in sols:
+            assert 0 < sol.panels <= sol.spec.panels
+            assert sol.tail <= sol.spec.eps_quad
 
 
 class TestFrozenContours:
@@ -297,7 +418,7 @@ class TestJumps:
 
     @pytest.mark.parametrize("phi", [0.9, -0.8])
     def test_jumps_with_near_aligned_rays(self, pentagon, phi):
-        # past the wall the bound-state ray lies within NEAR_ANGLE of a ray
+        # past the wall the bound-state ray lies within 0.2 rad of a ray
         # it pairs with; the continuation to one ray's pole then sits on
         # the other ray and must take the side facing the integration ray
         point = ModelPoint(1.2 * pentagon_wall_point(pentagon, phi), 1.0,
