@@ -35,10 +35,11 @@ class VarpiSampler:
     """d log X of the basis charges at one point, from tangent densities.
 
     ``solve_tangents`` solves the point and its four real directions on one
-    set of grids; each zeta adds one evaluation of the stacked tangent
-    densities to the closed-form ``dlog_xsf_matrix``.  With
-    ``semiflat_only`` the closed form stands alone (``center`` and
-    ``tangents`` are None).
+    set of grids.  ``varpi`` and ``dlog_matrix`` take a number or a 1-d
+    array of zetas: all of them share one evaluation of the stacked tangent
+    densities, one Cauchy integral per ray, added to the closed-form
+    ``dlog_xsf_matrix``.  With ``semiflat_only`` the closed form stands
+    alone (``center`` and ``tangents`` are None).
     """
 
     model: object
@@ -53,18 +54,20 @@ class VarpiSampler:
             self.center, self.tangents = solve_tangents(
                 self.model, self.point, tol_iter=self.tol_iter)
 
-    def dlog_matrix(self, zeta: complex, side: int | None = None
-                    ) -> np.ndarray:
-        """Rows: basis charges; columns: the four real coordinate derivatives."""
-        zeta = complex(zeta)
+    def dlog_matrix(self, zeta, side: int | None = None) -> np.ndarray:
+        """Rows: basis charges; columns: the four real coordinate derivatives.
+
+        (2, 4) at a number, (Z, 2, 4) at Z zetas.
+        """
         a = dlog_xsf_matrix(self.model, self.point, zeta)
         if self.tangents:
-            a = a + _upsilon_value(self.model, self.center.grids,
-                                   self.tangents, self._basis, zeta,
-                                   side=side).T
+            a = a + np.moveaxis(_upsilon_value(
+                self.model, self.center.grids, self.tangents, self._basis,
+                zeta, side=side), 0, -1)
         return a
 
-    def varpi(self, zeta: complex, side: int | None = None) -> np.ndarray:
+    def varpi(self, zeta, side: int | None = None) -> np.ndarray:
+        """The two-form, (4, 4) at a number, (Z, 4, 4) at Z zetas."""
         a = self.dlog_matrix(zeta, side=side)
         return pairing_two_form(self.model.lattice, a,
                                 scale=1.0 / (8.0 * math.pi ** 2 * self.point.R))
@@ -79,7 +82,7 @@ class LaurentFit:
     conj_defect: float
 
 
-def laurent_fit(zetas: list[complex], samples: list[np.ndarray]
+def laurent_fit(zetas: list[complex], samples: np.ndarray | list[np.ndarray]
                 ) -> LaurentFit:
     """Split varpi samples into simple-pole, constant and linear parts.
 
@@ -93,7 +96,7 @@ def laurent_fit(zetas: list[complex], samples: list[np.ndarray]
         raise ValueError(f"need at least {MIN_ZETAS} zeta samples")
     zs = np.asarray(zetas, dtype=complex)
     basis = np.stack([1.0 / zs, np.ones_like(zs), zs], axis=1)
-    stacked = np.stack([m.reshape(16) for m in samples])
+    stacked = np.reshape(samples, (len(zs), 16))
     coeffs, *_ = np.linalg.lstsq(basis, stacked, rcond=None)
     fitted = basis @ coeffs
     residual = float(np.max(np.abs(fitted - stacked)))
@@ -177,8 +180,7 @@ def fit_point(model, point: ModelPoint, n_zetas: int = 12,
     grids = build_grids(model, point) if semiflat_only \
         else sampler.center.grids
     zetas = midsector_zetas(grids, n=n_zetas)
-    samples = [sampler.varpi(z) for z in zetas]
-    fit = laurent_fit(zetas, samples)
+    fit = laurent_fit(zetas, sampler.varpi(zetas))
     metric = metric_from_triple(fit.omega_plus, fit.omega_3)
     algebra = triple_wedge_check(fit.omega_plus, fit.omega_3)
     return fit, metric, algebra

@@ -130,12 +130,22 @@ def pairing_two_form(lattice: Lattice, rows: np.ndarray, scale: float = 1.0
                      ) -> np.ndarray:
     """Assemble scale * <rows ^ rows> as a 4x4 antisymmetric matrix.
 
-    ``rows[i, mu]`` holds the mu-component of the i-th basis covector; the
-    contraction uses the dual pairing on the gauge lattice.
+    ``rows[..., i, mu]`` holds the mu-component of the i-th basis covector;
+    the contraction uses the dual pairing on the gauge lattice, and leading
+    axes stack independent sets of rows.
     """
     dual = lattice.dual_pairing().astype(complex)
-    m = rows.T @ dual @ rows
-    return scale * (m - m.T)
+    m = np.swapaxes(rows, -1, -2) @ dual @ rows
+    return scale * (m - np.swapaxes(m, -1, -2))
+
+
+def _dlog_xsf_of(gamma: Charge, dz: complex, R: float, zeta: np.ndarray
+                 ) -> np.ndarray:
+    """``dlog_xsf`` from the charge's central-charge derivative ``dz``."""
+    pole = math.pi * R * dz / zeta
+    linear = math.pi * R * zeta * dz.conjugate()
+    return np.stack([pole + linear, 1j * (pole - linear)]
+                    + [np.full_like(zeta, 1j * c) for c in gamma.coeffs])
 
 
 def dlog_xsf(model, point: ModelPoint, gamma: Charge, zeta) -> np.ndarray:
@@ -145,19 +155,25 @@ def dlog_xsf(model, point: ModelPoint, gamma: Charge, zeta) -> np.ndarray:
     number or the nodes of a ray.  The result is linear in the charge.
     """
     _require_r1(model)
-    zeta = np.asarray(zeta, dtype=complex)
     dz = sum(c * d for c, d in zip(gamma.coeffs,
                                    model.Z.basis_derivatives(point.u)))
-    pole = math.pi * point.R * dz / zeta
-    linear = math.pi * point.R * zeta * dz.conjugate()
-    return np.stack([pole + linear, 1j * (pole - linear)]
-                    + [np.full_like(zeta, 1j * c) for c in gamma.coeffs])
+    return _dlog_xsf_of(gamma, dz, point.R, np.asarray(zeta, dtype=complex))
 
 
-def dlog_xsf_matrix(model, point: ModelPoint, zeta: complex) -> np.ndarray:
-    """``dlog_xsf`` of the basis charges; rows (2,) x cols (x,y,t1,t2)."""
-    return np.stack([dlog_xsf(model, point, gamma, complex(zeta))
-                     for gamma in model.lattice.basis()])
+def dlog_xsf_matrix(model, point: ModelPoint, zeta) -> np.ndarray:
+    """``dlog_xsf`` of the basis charges; rows (2,) x cols (x,y,t1,t2).
+
+    ``zeta`` is a number, giving (2, 4), or an array of them, giving its
+    shape + (2, 4).  The periods' derivatives are read once per call.
+    """
+    _require_r1(model)
+    derivs = model.Z.basis_derivatives(point.u)
+    zeta = np.asarray(zeta, dtype=complex)
+    rows = np.stack([
+        _dlog_xsf_of(gamma, sum(c * d for c, d in zip(gamma.coeffs, derivs)),
+                     point.R, zeta)
+        for gamma in model.lattice.basis()])
+    return np.moveaxis(rows, (0, 1), (-2, -1))
 
 
 def omega_plus_sf(model, point: ModelPoint) -> np.ndarray:

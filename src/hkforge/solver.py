@@ -43,9 +43,12 @@ linear map A (``_apply``), so ``solve_tangents`` differentiates a solution
 along the point's four real coordinates by one linear solve on the same
 grids, (I + A D) dU = -A D dL with D = X / (1 - X), by the same contraction.
 
-There is one evaluation path, ``_upsilon_value``; ``upsilon``, ``evaluate``,
-the checks and the two-form sampler call it, on log(1 - X) or on tangent
-densities.  On a ray, ``side`` picks the directed boundary value.
+There is one evaluation path, ``_upsilon_value``, for any number of zetas:
+per ray it takes one Cauchy integral of the stacked source densities at all
+of them, each pole switching to the continuation on its own offset.
+``upsilon`` and ``evaluate`` call it at one zeta; the checks and the
+two-form sampler pass all the zetas they need at once, on log(1 - X) or on
+tangent densities.  On a ray, ``side`` picks the directed boundary value.
 """
 
 from __future__ import annotations
@@ -320,7 +323,7 @@ def kernel_rows(grid: QuadratureGrid, w) -> np.ndarray:
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     es = np.exp(grid.s_nodes)[None, :]
     ew = np.exp(w)[:, None]
-    if np.min(np.abs(w.imag)) >= grid.near_angle:
+    if np.all(np.abs(w.imag) >= grid.near_angle):
         return (es + ew) / (es - ew)
     radius = np.min(np.diff(grid.s_nodes)) / 16.0
     close = np.abs(grid.s_nodes[None, :] - w[:, None]) < radius
@@ -369,20 +372,22 @@ def _near_term(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray
 
 
 def cauchy_integral(grid: QuadratureGrid, f: np.ndarray, w) -> np.ndarray:
-    """int_{-S}^{S} coth((s - w)/2) f(s) ds at poles w at one ray offset.
+    """int_{-S}^{S} coth((s - w)/2) f(s) ds at poles w, at any ray offsets.
 
     ``f`` holds node values on its last axis; stacked densities share the
     kernel rows, and the result keeps their leading axes with the poles
-    last.  Poles within ``grid.near_angle`` of the ray subtract f continued
-    to the pole and add it back against the closed-form kernel integral
-    (``_near_term``), so the fixed nodes resolve the integrand at any offset.
+    last.  Each pole within ``grid.near_angle`` of the ray subtracts f
+    continued to it and adds it back against the closed-form kernel
+    integral (``_near_term``), so the fixed nodes resolve the integrand at
+    any offset; the other poles of the call keep the plain kernel.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     rows = kernel_rows(grid, w)
     out = (grid.weights * f) @ rows.T
-    if abs(w[0].imag) < grid.near_angle:
-        idx, op = _near_term(grid, rows, w)
-        out = out + np.sum(op * f[..., idx], axis=-1)
+    near = np.abs(w.imag) < grid.near_angle
+    if near.any():
+        idx, op = _near_term(grid, rows[near], w[near])
+        out[..., near] += np.sum(op * f[..., idx], axis=-1)
     return out
 
 
@@ -569,42 +574,50 @@ def solve_tangents(model, point: ModelPoint, tol_iter: float = 1e-10,
 
 def _upsilon_value(model, grids: list[QuadratureGrid],
                    density: list[dict[Charge, np.ndarray]],
-                   charges: list[Charge], zeta: complex,
+                   charges: list[Charge], zeta,
                    side: int | None = None,
                    min_angle: float = DEFAULT_MIN_ANGLE) -> np.ndarray:
     """Ray integrals of one density set at zeta, per charge (last axis).
 
     ``density`` holds node data on ``grids``: a solution's log(1 - X), which
     gives log(X / X^sf), or ``solve_tangents``' densities, which give its
-    derivatives; leading axes are kept.  Each ray's Cauchy integral is taken
-    once over the stacked densities of its source charges.
+    derivatives; their leading axes are kept.  ``zeta`` is a number, giving
+    leading + (charges,), or a 1-d array, giving leading + (zetas, charges).
+    Each ray takes one Cauchy integral over the stacked densities of its
+    source charges at all the zetas, and one contraction with the
+    (sources, charges) coefficients.
     """
     lat = model.lattice
-    total = np.zeros(len(charges), dtype=complex)
+    scalar = np.ndim(zeta) == 0
+    zetas = np.atleast_1d(np.asarray(zeta, dtype=complex))
+    leading = next((d.shape[:-1] for ray in density for d in ray.values()),
+                   ())
+    total = np.zeros(leading + zetas.shape + (len(charges),), dtype=complex)
     for r, grid in enumerate(grids):
-        sources = []
+        sources, coefs = [], []
         for gamma_s, om_s in zip(grid.ray.charges, grid.ray.omegas):
-            coefs = np.array([-om_s * lat.pair(gamma, gamma_s) / FOUR_PI_I
-                              for gamma in charges])
-            if om_s != 0 and np.any(coefs != 0):
-                sources.append((gamma_s, coefs))
+            row = [-om_s * lat.pair(gamma, gamma_s) / FOUR_PI_I
+                   for gamma in charges]
+            if any(row):
+                sources.append(gamma_s)
+                coefs.append(row)
         if not sources:
             continue
-        w = cmath.log(zeta / grid.ray.direction)
-        if abs(w.imag) < min_angle:
+        w = np.log(zetas / grid.ray.direction)
+        close = np.abs(w.imag) < min_angle
+        if close.any():
             if side is None:
                 raise RayProximityError(
-                    f"zeta={zeta} within {min_angle} rad of the ray of "
-                    f"{sources[0][0]}; request a directed limit")
+                    f"zeta={zetas[close][0]} within {min_angle} rad of the "
+                    f"ray of {sources[0]}; request a directed limit")
             # A truly infinitesimal offset keeps the branch of the
             # closed-form kernel on the requested side (signed zeros do not
             # survive the subtraction inside the logarithms).
-            w = complex(w.real, side * 1e-300)
-        g = np.stack([density[r][gamma_s] for gamma_s, _ in sources])
-        vals = cauchy_integral(grid, g, w)[..., 0]
-        for (_, coefs), part in zip(sources, vals):
-            total = total + part[..., None] * coefs
-    return total
+            w[close] = w.real[close] + side * 1e-300j
+        g = np.stack([density[r][gamma_s] for gamma_s in sources])
+        total += np.moveaxis(cauchy_integral(grid, g, w), 0, -1) \
+            @ np.array(coefs)
+    return total[..., 0, :] if scalar else total
 
 
 def upsilon(model, solution: RaySolution, gamma: Charge, zeta: complex,
@@ -634,6 +647,31 @@ def evaluate(model, solution: RaySolution, gamma: Charge, zeta: complex,
                            value=cmath.exp(lv), log_value=lv)
 
 
+def _richardson_upsilon(model, solution: RaySolution, charges: list[Charge],
+                        zeta0: complex, side: int) -> np.ndarray:
+    """Directed log-corrections of ``charges`` on a ray, per charge.
+
+    Evaluates at angular offsets delta and delta/2 on the requested side,
+    both in one call, and extrapolates linearly to the ray; each charge's
+    extrapolation residual must stay below 1e-3 of its value.
+    """
+    if side not in (+1, -1):
+        raise ValueError("side must be +1 (counterclockwise) or -1")
+    delta = 2e-4
+    # both sample points must be genuine off-ray evaluations
+    zetas = zeta0 * np.exp(1j * side * np.array([delta, delta / 2.0]))
+    u1, u2 = _upsilon_value(model, solution.grids, solution.log_one_minus_x,
+                            charges, zetas, min_angle=delta / 8.0)
+    extrapolated = 2.0 * u2 - u1
+    residual = np.abs(u2 - u1)
+    failing = residual > 1e-3 * (1.0 + np.abs(extrapolated))
+    if failing.any():
+        raise RayProximityError(
+            f"side-limit extrapolation residual {residual[failing][0]:.3e} "
+            f"exceeds tolerance")
+    return extrapolated
+
+
 def side_limit(model, solution: RaySolution, gamma: Charge, zeta0: complex,
                side: int) -> CoordinateValue:
     """Directed boundary value on a ray by two-point Richardson in delta.
@@ -641,22 +679,9 @@ def side_limit(model, solution: RaySolution, gamma: Charge, zeta0: complex,
     Evaluates at angular offsets delta and delta/2 on the requested side and
     extrapolates the log-corrections linearly to the ray.
     """
-    if side not in (+1, -1):
-        raise ValueError("side must be +1 (counterclockwise) or -1")
     zeta0 = complex(zeta0)
-    delta = 2e-4
-    # both sample points must be genuine off-ray evaluations
-    gate = delta / 8.0
-    u1 = upsilon(model, solution, gamma,
-                 zeta0 * cmath.exp(1j * side * delta), min_angle=gate)
-    u2 = upsilon(model, solution, gamma,
-                 zeta0 * cmath.exp(1j * side * delta / 2.0), min_angle=gate)
-    extrapolated = 2.0 * u2 - u1
-    if abs(u2 - u1) > 1e-3 * (1.0 + abs(extrapolated)):
-        raise RayProximityError(
-            f"side-limit extrapolation residual {abs(u2 - u1):.3e} "
-            f"exceeds tolerance")
-    lv = xsf_log(model, solution.point, gamma, zeta0) + extrapolated
+    lv = xsf_log(model, solution.point, gamma, zeta0) + complex(
+        _richardson_upsilon(model, solution, [gamma], zeta0, side)[0])
     return CoordinateValue(gamma=gamma, zeta=zeta0, value=cmath.exp(lv),
                            log_value=lv)
 
@@ -668,31 +693,32 @@ def ray_jump_defect(model, solution: RaySolution, ray_index: int,
     The clockwise value of each basis charge must equal the
     counterclockwise one multiplied by prod (1 - X_{g'}(zeta0))^(Omega
     <gamma, g'>) over the charges g' on the ray, with X_{g'} continuous
-    there.
+    there.  Each side takes one evaluation for all basis charges.
     """
-    grid = solution.grids[ray_index]
+    ray = solution.grids[ray_index].ray
     lat = model.lattice
-    zeta0 = grid.ray.direction
+    zeta0 = ray.direction
 
-    def on_ray(gamma, side):
-        return evaluate(model, solution, gamma, zeta0, side=side,
-                        min_angle=ON_RAY_ANGLE)
+    def values(charges, side, exact=True):
+        ups = _upsilon_value(
+            model, solution.grids, solution.log_one_minus_x, charges, zeta0,
+            side=side, min_angle=ON_RAY_ANGLE) if exact \
+            else _richardson_upsilon(model, solution, charges, zeta0, side)
+        return [cmath.exp(xsf_log(model, solution.point, g, zeta0) + u)
+                for g, u in zip(charges, ups.tolist())]
 
-    factors = [(g_ray, om, on_ray(g_ray, +1).value)
-               for g_ray, om in zip(grid.ray.charges, grid.ray.omegas)]
+    factors = list(zip(ray.charges, ray.omegas, values(ray.charges, +1)))
+    basis = lat.basis()
+    ccw, cw = (values(basis, side, exact=not use_richardson)
+               for side in (+1, -1))
     worst = 0.0
-    for gamma in lat.basis():
-        if use_richardson:
-            ccw = side_limit(model, solution, gamma, zeta0, +1)
-            cw = side_limit(model, solution, gamma, zeta0, -1)
-        else:
-            ccw, cw = on_ray(gamma, +1), on_ray(gamma, -1)
+    for gamma, x_ccw, x_cw in zip(basis, ccw, cw):
         jump = 1.0 + 0.0j
         for g_ray, om, x_on in factors:
             jump *= (1.0 - x_on) ** (om * lat.pair(gamma, g_ray))
-        predicted = ccw.value * jump
-        scale = max(abs(cw.value), abs(predicted), 1e-300)
-        worst = max(worst, abs(cw.value - predicted) / scale)
+        predicted = x_ccw * jump
+        scale = max(abs(x_cw), abs(predicted), 1e-300)
+        worst = max(worst, abs(x_cw - predicted) / scale)
     return worst
 
 
@@ -701,10 +727,12 @@ def radial_limit(model, solution: RaySolution, gamma: Charge,
                  radii: tuple[float, ...] = (1e-2, 1e-3, 1e-4)) -> complex:
     """Extrapolated zeta -> 0 limit of X/X^sf along a fixed mid-sector arg."""
     d = direction / abs(direction)
-    vals = [cmath.exp(upsilon(model, solution, gamma, d * r)) for r in radii]
+    vals = np.exp(_upsilon_value(model, solution.grids,
+                                 solution.log_one_minus_x, [gamma],
+                                 d * np.asarray(radii, dtype=float))[:, 0])
     # linear-in-radius extrapolation from the two smallest radii
     r1, r2 = radii[-2], radii[-1]
-    return vals[-1] + (vals[-1] - vals[-2]) * r2 / (r1 - r2)
+    return complex(vals[-1] + (vals[-1] - vals[-2]) * r2 / (r1 - r2))
 
 
 def midsector_zetas(solution: RaySolution | list[QuadratureGrid], n: int = 8,
@@ -767,20 +795,18 @@ def check_wall_continuity(model, u_in: complex, u_out: complex, R: float,
         model.with_spectrum(spectrum_override)
     mid = 0.5 * (u_in + u_out)
     basis = model.lattice.basis()
+    zetas = np.asarray(zeta_list, dtype=complex)
     seps, discs = [], []
     for k in range(halvings + 1):
         ua = mid + (u_in - mid) / 2 ** k
         ub = mid + (u_out - mid) / 2 ** k
         sol_a = solve(mdl, ModelPoint(ua, R, theta), tol_iter=tol_iter)
         sol_b = solve(mdl, ModelPoint(ub, R, theta), tol_iter=tol_iter)
-        worst = 0.0
-        for z in zeta_list:
-            for gamma in basis:
-                va = cmath.exp(upsilon(mdl, sol_a, gamma, z))
-                vb = cmath.exp(upsilon(mdl, sol_b, gamma, z))
-                worst = max(worst, abs(va - vb))
+        va, vb = (np.exp(_upsilon_value(mdl, sol.grids, sol.log_one_minus_x,
+                                        basis, zetas))
+                  for sol in (sol_a, sol_b))
         seps.append(abs(ua - ub))
-        discs.append(worst)
+        discs.append(float(np.max(np.abs(va - vb), initial=0.0)))
     return WallReport(separations=seps, discrepancies=discs)
 
 
@@ -813,11 +839,9 @@ def correction_decay(model, u: complex, theta: tuple[float, ...],
         sol = solve(model, point)
         if min_z is None:
             min_z = min(g.ray.min_abs_z() for g in sol.grids)
-        peak = 0.0
-        zetas = midsector_zetas(sol, n=n_angles)
-        for z in zetas:
-            for gamma in basis:
-                peak = max(peak, abs(upsilon(model, sol, gamma, z)))
+        peak = float(np.max(np.abs(_upsilon_value(
+            model, sol.grids, sol.log_one_minus_x, basis,
+            midsector_zetas(sol, n=n_angles)))))
         for grid in sol.grids:
             for side in (+1, -1):
                 vals = _upsilon_value(model, sol.grids, sol.log_one_minus_x,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hkforge import solver
+from hkforge import geometry, solver
 from hkforge.geometry import (VarpiSampler, fit_point, laurent_fit,
                               metric_from_triple, triple_wedge_check, wedge4)
 from hkforge.semiflat import (ModelPoint, dlog_xsf_matrix, omega3_sf,
@@ -71,16 +71,46 @@ class TestVarpiPipeline:
 class TestFamilySolve:
     def test_one_discretization_per_point(self, pentagon, pentagon_point,
                                           monkeypatch):
-        calls = {"build_grids": 0, "_prepare": 0, "iterate": 0}
-        for name in calls:
-            original = getattr(solver, name)
+        # one solve, and one evaluation for all the zetas of the fit
+        calls = {}
+        for module, name in [(solver, "build_grids"), (solver, "_prepare"),
+                             (solver, "iterate"), (geometry, "_upsilon_value"),
+                             (geometry, "dlog_xsf_matrix")]:
+            original = getattr(module, name)
+            calls[name] = 0
 
             def counted(*args, _original=original, _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(solver, name, counted)
+            monkeypatch.setattr(module, name, counted)
         fit_point(pentagon, pentagon_point)
-        assert calls == {"build_grids": 1, "_prepare": 1, "iterate": 1}
+        assert calls == {"build_grids": 1, "_prepare": 1, "iterate": 1,
+                         "_upsilon_value": 1, "dlog_xsf_matrix": 1}
+
+    def test_batched_fit_matches_one_zeta_path(self, pentagon):
+        # metric-grid style points: 4 rays at least 0.4 rad apart, R in
+        # [1, 3]; the fit of one batched varpi call against per-zeta calls
+        rng = np.random.default_rng(5)
+        points = []
+        while len(points) < 20:
+            u = complex(*rng.uniform(-1.3, 1.3, 2))
+            R, theta = rng.uniform(1.0, 3.0), tuple(rng.uniform(0, 6.28, 2))
+            if abs(u) < 0.05 or pentagon.chamber(u) != "in":
+                continue
+            d = abs(cmath.phase(np.divide(*pentagon.Z.basis_values(u))))
+            if min(d, math.pi - d) >= 0.4:
+                points.append(ModelPoint(u, R, theta))
+        for point in points:
+            fit, metric, _ = fit_point(pentagon, point)
+            sampler = VarpiSampler(pentagon, point)
+            zetas = midsector_zetas(sampler.center.grids, 12)
+            one = laurent_fit(zetas, [sampler.varpi(z) for z in zetas])
+            for got, want in [(fit.omega_plus, one.omega_plus),
+                              (fit.omega_3, one.omega_3),
+                              (metric.g, metric_from_triple(
+                                  one.omega_plus, one.omega_3).g)]:
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-13 * np.max(np.abs(want))
 
     def test_batched_evaluation_matches_per_direction(self, pentagon,
                                                       pentagon_point):

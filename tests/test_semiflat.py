@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -162,3 +163,24 @@ class TestSemiflatForms:
         a = dlog_xsf_matrix(pentagon, pentagon_point, cmath.exp(0.5j))
         m = pairing_two_form(pentagon.lattice, a)
         assert m.shape == (4, 4)
+
+    def test_batched_rows_and_forms(self, pentagon, pentagon_point):
+        # an array of zetas stacks the one-zeta matrices and forms, and
+        # the periods' derivatives are read once per call
+        zetas = 1.3 * np.exp(1j * np.linspace(0.1, 6.0, 7))
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return pentagon.Z.basis_derivatives(u)
+
+        model = dataclasses.replace(pentagon, Z=dataclasses.replace(
+            pentagon.Z, basis_derivatives=counted))
+        rows = dlog_xsf_matrix(model, pentagon_point, zetas)
+        assert len(calls) == 1 and rows.shape == (7, 2, 4)
+        forms = pairing_two_form(pentagon.lattice, rows)
+        for z, r, m in zip(zetas, rows, forms):
+            alone = dlog_xsf_matrix(pentagon, pentagon_point, z)
+            assert np.max(np.abs(r - alone)) <= 1e-15 * np.max(np.abs(alone))
+            form = pairing_two_form(pentagon.lattice, alone)
+            assert np.max(np.abs(m - form)) <= 1e-15 * np.max(np.abs(form))

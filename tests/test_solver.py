@@ -1,16 +1,20 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkforge.lattice import Spectrum, charge
 from hkforge.models import pentagon_wall_point
 from hkforge.semiflat import ModelPoint, xsf, xsf_log
 from hkforge.solver import (ON_RAY_ANGLE, GridSpec, NonConvergenceError,
                             QuadratureGrid, RayProximityError, RSmallError,
-                            _gl_panels, _prepare, _upsilon_value,
+                            _gl_panels, _prepare, _richardson_upsilon,
+                            _upsilon_value,
                             build_grids, cauchy_integral,
                             check_wall_continuity, correction_decay,
                             evaluate, iterate, legendre_tail,
@@ -183,6 +187,81 @@ class TestEvaluation:
         assert abs(vals[1] - vals[0]) < 10 * GridSpec().eps_quad
 
 
+@pytest.fixture(scope="module")
+def densities(pentagon, pentagon_point, ov, ov_point, pentagon_solution,
+              ov_solution):
+    """(model, grids, density) for log(1 - X) and tangent densities."""
+    out = []
+    for model, point, sol in [(pentagon, pentagon_point, pentagon_solution),
+                              (ov, ov_point, ov_solution)]:
+        center, tangents = solve_tangents(model, point)
+        out += [(model, sol.grids, sol.log_one_minus_x),
+                (model, center.grids, tangents)]
+    return out
+
+
+@st.composite
+def _zeta_batch(draw, grids):
+    """1-16 zetas at moduli 0.3-3: off-ray ones at least 1e-3 rad from
+    every ray, log-uniform in their offset so that both the near zones and
+    the mid-sectors are hit, and possibly directed on-ray ones."""
+    angles = sorted(g.ray.angle for g in grids)
+    gaps = np.diff(angles + [angles[0] + 2 * math.pi])
+    directed = draw(st.booleans())
+    zetas = []
+    for _ in range(draw(st.integers(1, 16))):
+        k = draw(st.integers(0, len(angles) - 1))
+        modulus = draw(st.floats(0.3, 3.0))
+        if directed and draw(st.booleans()):
+            zetas.append(modulus * cmath.exp(1j * angles[k]))
+            continue
+        offset = math.exp(draw(st.floats(math.log(1.01e-3),
+                                         math.log(0.5 * gaps[k]))))
+        sign = draw(st.sampled_from([+1, -1]))
+        base = angles[k] if sign > 0 else angles[k] + gaps[k]
+        zetas.append(modulus * cmath.exp(1j * (base + sign * offset)))
+    side = draw(st.sampled_from([+1, -1])) if directed else None
+    return np.array(zetas), side
+
+
+class TestBatchedEvaluation:
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              database=None)
+    @given(data=st.data())
+    def test_batched_equals_one_zeta(self, densities, data):
+        model, grids, density = data.draw(st.sampled_from(densities))
+        zetas, side = data.draw(_zeta_batch(grids))
+        kw = dict(side=side, min_angle=ON_RAY_ANGLE) if side else {}
+        charges = model.lattice.basis()
+        batched = _upsilon_value(model, grids, density, charges, zetas, **kw)
+        alone = np.stack([_upsilon_value(model, grids, density, charges,
+                                         complex(z), **kw) for z in zetas],
+                         axis=-2)
+        leading = next(iter(density[0].values())).shape[:-1]
+        assert batched.shape == alone.shape == leading + (len(zetas), 2)
+        assert np.all(np.abs(batched - alone)
+                      <= 1e-15 * (1.0 + np.abs(alone)))
+
+    def test_shape_without_contributing_ray(self, densities):
+        # the OV electric charge pairs to zero with the only ray charges
+        for model, grids, density in densities[2:]:
+            leading = next(iter(density[0].values())).shape[:-1]
+            zetas = np.array(midsector_zetas(grids, 3))
+            for zeta, shape in [(zetas, (3, 1)), (zetas[0], (1,))]:
+                got = _upsilon_value(model, grids, density, [G2], zeta)
+                assert got.shape == leading + shape
+                assert not got.any()
+
+    def test_error_names_the_zeta_on_a_ray(self, pentagon_solution,
+                                           pentagon):
+        grids = pentagon_solution.grids
+        on_ray = 2.0 * grids[1].ray.direction
+        zetas = np.array([midsector_zetas(grids, 1)[0], on_ray])
+        with pytest.raises(RayProximityError, match=re.escape(str(on_ray))):
+            _upsilon_value(pentagon, grids, pentagon_solution.log_one_minus_x,
+                           [G1, G2], zetas)
+
+
 class TestNearRayAccuracy:
     def test_cauchy_integral_against_mpmath(self, pentagon):
         # near the wall at R 0.35, a semiflat-like density on the widest
@@ -207,6 +286,22 @@ class TestNearRayAccuracy:
                         [-grid.s_max, w.real, grid.s_max])
                     worst = max(worst, abs(value - complex(want)))
         assert worst <= 1e-14
+
+    def test_mixed_offsets_match_per_pole(self, pentagon):
+        # poles outside and inside the near zone in one call: each near
+        # pole takes its continuation whatever the offset of the first
+        # (a first pole outside the zone gave every later pole the plain
+        # kernel, off by up to 3e-4 here)
+        sol = solve(pentagon, ModelPoint(1.5 + 0.2j, 1.0, (0.37, 1.29)))
+        for grid, lomx in zip(sol.grids, sol.log_one_minus_x):
+            f = np.stack(list(lomx.values()))
+            poles = np.array([0.3, -0.7, 1.1]) \
+                + 1j * grid.near_angle * np.array([1.5, 0.05, 0.3])
+            for w in (poles, poles[::-1]):
+                batched = cauchy_integral(grid, f, w)
+                for j in range(len(w)):
+                    alone = cauchy_integral(grid, f, w[j:j + 1])[..., 0]
+                    assert np.max(np.abs(batched[..., j] - alone)) <= 1e-15
 
     @pytest.mark.parametrize("phi", [0.9, -0.8])
     def test_panel_convergence_near_the_wall(self, pentagon, phi):
@@ -377,6 +472,29 @@ class TestJumps:
             assert ray_jump_defect(pentagon, pentagon_solution, i,
                                    use_richardson=False) < 1e-12
 
+    def test_batched_directed_values_match_one_zeta(self, pentagon,
+                                                    pentagon_solution):
+        # both Richardson offsets and both charges in one call per side,
+        # and the radii of the radial limit in one call
+        sol, delta = pentagon_solution, 2e-4
+        for grid in sol.grids:
+            zeta0 = grid.ray.direction
+            for side in (+1, -1):
+                got = _richardson_upsilon(pentagon, sol, [G1, G2], zeta0,
+                                          side)
+                for g, u in zip((G1, G2), got):
+                    u1, u2 = (upsilon(pentagon, sol, g, zeta0 * cmath.exp(
+                        1j * side * d), min_angle=delta / 8)
+                        for d in (delta, delta / 2))
+                    assert abs(u - (2 * u2 - u1)) <= 1e-15
+        direction = midsector_zetas(sol, 1)[0]
+        for g in (G1, G2):
+            vals = [cmath.exp(upsilon(pentagon, sol, g, direction * r))
+                    for r in (1e-2, 1e-3, 1e-4)]
+            want = vals[2] + (vals[2] - vals[1]) * 1e-4 / (1e-3 - 1e-4)
+            assert abs(radial_limit(pentagon, sol, g, direction) - want) \
+                <= 1e-15
+
     def test_ov_magnetic_jump_factor(self, ov, ov_solution):
         # across the electric ray the magnetic coordinate jumps by
         # (1 - X_e)^(<e, m> Omega); the electric one does not jump at all
@@ -460,6 +578,16 @@ class TestWallContinuity:
         report = check_wall_continuity(pentagon, u_in, u_out, 0.35,
                                        (0.37, 1.29), zetas, halvings=2)
         assert report.min_order() > 0.9
+        # one evaluation per solution against the one-zeta path
+        mid = 0.5 * (u_in + u_out)
+        for k, disc in enumerate(report.discrepancies):
+            sols = [solve(pentagon, ModelPoint(mid + (u - mid) / 2 ** k, 0.35,
+                                               (0.37, 1.29)), tol_iter=1e-11)
+                    for u in (u_in, u_out)]
+            want = max(abs(cmath.exp(upsilon(pentagon, sols[0], g, z))
+                           - cmath.exp(upsilon(pentagon, sols[1], g, z)))
+                       for z in zetas for g in (G1, G2))
+            assert abs(disc - want) <= 1e-13 * want
         support_in = pentagon.spectrum.support(u_in)
         frozen = Spectrum(lambda g, u: 1 if g in support_in else 0,
                           lambda u: support_in)
