@@ -8,8 +8,13 @@ images of arbitrary charges then follow from multiplicativity, so the
 automorphism property holds by construction and is checked by tests rather
 than stored.
 
-All coefficients are exact rationals: the wall-crossing identities this
-module certifies are exact statements and float drift would mask failures.
+A series is a dict from cone coordinates (the non-negative integer
+coefficients of a charge in the generator basis) to integer coefficients:
+every coefficient the KS factors and their products build is an integer,
+and the wall-crossing identities this module certifies are exact
+statements that float drift would mask.  Rational coefficients given by a
+caller stay exact through Python's numeric tower.  Charges appear only at
+the edge: ``monomial``, ``terms``, ``image_cofactor`` and ``ks_transform``.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import add, mul
 
 import numpy as np
 
-from .lattice import Charge, Lattice, charge
+from .lattice import Charge, Lattice
 
 
 class GradingError(ValueError):
@@ -33,10 +39,9 @@ class ConeGrading:
 
     lattice: Lattice
     generators: tuple[Charge, ...]
-    # coordinates of every charge met so far; the series products ask for
-    # the same few charges over and over
-    _coords: dict[Charge, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    # <g_i, g_j> of the generators: the pairing in cone coordinates
+    pairing: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.generators:
@@ -44,14 +49,17 @@ class ConeGrading:
         d = self.generators[0].dim
         if any(g.dim != d for g in self.generators):
             raise GradingError("generator dimensions differ")
+        pair = self.lattice.pair
+        object.__setattr__(self, "pairing", tuple(
+            tuple(pair(a, b) for b in self.generators)
+            for a in self.generators))
+
+    @property
+    def zero(self) -> tuple[int, ...]:
+        return (0,) * len(self.generators)
 
     def coordinates(self, gamma: Charge) -> tuple[int, ...]:
         """Non-negative integer coordinates of gamma in the generator basis."""
-        if gamma not in self._coords:
-            self._coords[gamma] = self._solve_coordinates(gamma)
-        return self._coords[gamma]
-
-    def _solve_coordinates(self, gamma: Charge) -> tuple[int, ...]:
         gens = self.generators
         if len(gens) == 1:
             g = gens[0].coeffs
@@ -69,18 +77,27 @@ class ConeGrading:
             if ratio < 0:
                 raise GradingError(f"{gamma} outside the cone")
             return (ratio,)
-        mat = np.array([g.coeffs for g in gens], dtype=float)
-        if mat.shape[0] != mat.shape[1]:
+        if len(gens) != gamma.dim:
             raise GradingError("generators must form a square unimodular basis")
-        sol = np.linalg.solve(mat.T, np.array(gamma.coeffs, dtype=float))
-        coords = tuple(int(round(x)) for x in sol)
-        rebuilt = [0] * gamma.dim
-        for c, g in zip(coords, gens):
-            for k, gk in enumerate(g.coeffs):
-                rebuilt[k] += c * gk
-        if tuple(rebuilt) != gamma.coeffs or any(c < 0 for c in coords):
-            raise GradingError(f"{gamma} outside the cone")
-        return coords
+        # Cramer's rule (adjugate over determinant) in exact integers:
+        # coordinate i is det(A_i) / det(A), where the columns of A are the
+        # generators and A_i has column i replaced by gamma
+        cols = [g.coeffs for g in gens]
+        det = _det(cols)
+        if det == 0:
+            raise GradingError("generators are linearly dependent")
+        coords = []
+        for i in range(len(cols)):
+            q, r = divmod(_det(cols[:i] + [gamma.coeffs] + cols[i + 1:]), det)
+            if r or q < 0:
+                raise GradingError(f"{gamma} outside the cone")
+            coords.append(q)
+        return tuple(coords)
+
+    def charge(self, coords: tuple[int, ...]) -> Charge:
+        """The charge with the given cone coordinates."""
+        rows = zip(*(g.coeffs for g in self.generators))
+        return Charge(tuple(sum(map(mul, coords, row)) for row in rows))
 
     def degree(self, gamma: Charge) -> int:
         return sum(self.coordinates(gamma))
@@ -89,77 +106,82 @@ class ConeGrading:
         return self.generators == other.generators
 
 
-ZERO_F = Fraction(0)
-ONE_F = Fraction(1)
+def _det(cols: list[tuple[int, ...]]) -> int:
+    """Exact integer determinant by cofactor expansion (small ranks)."""
+    if len(cols) == 1:
+        return cols[0][0]
+    rest = [c[1:] for c in cols]
+    return sum((-1) ** i * c[0] * _det(rest[:i] + rest[i + 1:])
+               for i, c in enumerate(cols) if c[0])
 
 
 @dataclass
 class TwistedSeries:
-    """Finite exact-rational series over cone charges, truncated by degree."""
+    """Finite exact series over cone coordinates, truncated by degree.
+
+    ``coords`` maps cone coordinates to non-zero coefficients; zeros given
+    to any constructor are dropped, so equal series have equal dicts.
+    """
 
     grading: ConeGrading
     order: int
-    terms: dict[Charge, Fraction]
+    coords: dict[tuple[int, ...], int]
+
+    def __post_init__(self):
+        self.coords = {k: c for k, c in self.coords.items() if c}
 
     @classmethod
     def constant(cls, grading: ConeGrading, order: int,
                  value: Fraction | int = 1) -> "TwistedSeries":
-        zero = Charge((0,) * grading.generators[0].dim)
-        val = Fraction(value)
-        return cls(grading, order, {zero: val} if val else {})
+        return cls(grading, order, {grading.zero: value})
 
     @classmethod
     def monomial(cls, grading: ConeGrading, order: int, gamma: Charge,
                  coeff: Fraction | int = 1) -> "TwistedSeries":
-        if grading.degree(gamma) > order:
-            return cls(grading, order, {})
-        return cls(grading, order, {gamma: Fraction(coeff)})
+        k = grading.coordinates(gamma)
+        return cls(grading, order, {k: coeff} if sum(k) <= order else {})
+
+    @property
+    def terms(self) -> dict[Charge, int]:
+        """The coefficients keyed by charge."""
+        to_charge = self.grading.charge
+        return {to_charge(k): c for k, c in self.coords.items()}
 
     def _check(self, other: "TwistedSeries") -> None:
         if not self.grading.compatible(other.grading) or self.order != other.order:
             raise GradingError("grading or truncation order mismatch")
 
-    def copy(self) -> "TwistedSeries":
-        return TwistedSeries(self.grading, self.order, dict(self.terms))
-
     def __add__(self, other: "TwistedSeries") -> "TwistedSeries":
         self._check(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            v = out.get(g, ZERO_F) + c
-            if v:
-                out[g] = v
-            else:
-                out.pop(g, None)
+        out = dict(self.coords)
+        for k, c in other.coords.items():
+            out[k] = out.get(k, 0) + c
         return TwistedSeries(self.grading, self.order, out)
 
     def __sub__(self, other: "TwistedSeries") -> "TwistedSeries":
         return self + other.scaled(-1)
 
     def scaled(self, factor: Fraction | int) -> "TwistedSeries":
-        f = Fraction(factor)
-        if not f:
-            return TwistedSeries(self.grading, self.order, {})
         return TwistedSeries(self.grading, self.order,
-                             {g: c * f for g, c in self.terms.items()})
+                             {k: c * factor for k, c in self.coords.items()})
 
     def __mul__(self, other: "TwistedSeries") -> "TwistedSeries":
         self._check(other)
-        pair = self.grading.lattice.pair
-        deg = self.grading.degree
-        out: dict[Charge, Fraction] = {}
-        for ga, ca in self.terms.items():
-            da = deg(ga)
-            for gb, cb in other.terms.items():
-                if da + deg(gb) > self.order:
-                    continue
-                g = ga + gb
-                sign = -1 if pair(ga, gb) % 2 else 1
-                v = out.get(g, ZERO_F) + sign * ca * cb
-                if v:
-                    out[g] = v
-                else:
-                    out.pop(g, None)
+        pairing = self.grading.pairing
+        # the right factor by degree, so each row stops at the order
+        right = sorted((sum(k), k, c) for k, c in other.coords.items())
+        out: dict[tuple[int, ...], int] = {}
+        for ka, ca in self.coords.items():
+            room = self.order - sum(ka)
+            # <a, b> = sum_j row_j b_j
+            row = [sum(map(mul, ka, col)) for col in zip(*pairing)]
+            for db, kb, cb in right:
+                if db > room:
+                    break
+                k = tuple(map(add, ka, kb))
+                v = ca * cb
+                out[k] = out.get(k, 0) + (-v if sum(map(mul, row, kb)) & 1
+                                          else v)
         return TwistedSeries(self.grading, self.order, out)
 
     def power(self, n: int) -> "TwistedSeries":
@@ -170,68 +192,56 @@ class TwistedSeries:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def inverse(self) -> "TwistedSeries":
-        zero = Charge((0,) * self.grading.generators[0].dim)
-        c0 = self.terms.get(zero, ZERO_F)
+        zero = self.grading.zero
+        c0 = self.coords.get(zero, 0)
         if not c0:
             raise GradingError("series with vanishing constant term has no inverse")
-        rest = self.copy()
-        rest.terms.pop(zero, None)
-        rest = rest.scaled(1 / c0)
+        # 1 / c0; the unit constant term of every KS cofactor stays an int
+        inv0 = c0 if abs(c0) == 1 else Fraction(1, c0)
         # geometric series in the positive-degree part
+        step = TwistedSeries(self.grading, self.order,
+                             {k: -c * inv0 for k, c in self.coords.items()
+                              if k != zero})
         out = TwistedSeries.constant(self.grading, self.order)
-        term = TwistedSeries.constant(self.grading, self.order)
-        sign = 1
+        term = out
         for _ in range(self.order):
-            term = term * rest
-            sign = -sign
-            if not term.terms:
+            term = term * step
+            if not term.coords:
                 break
-            out = out + term.scaled(sign)
-        return out.scaled(1 / c0)
-
-    def coefficient(self, gamma: Charge) -> Fraction:
-        return self.terms.get(gamma, ZERO_F)
-
-    def items_sorted(self):
-        deg = self.grading.degree
-        return sorted(self.terms.items(), key=lambda kv: (deg(kv[0]), kv[0].coeffs))
+            out = out + term
+        return out.scaled(inv0)
 
     def dump_lines(self) -> list[str]:
-        return [f"{g.coeffs} : {c.numerator}/{c.denominator}"
-                for g, c in self.items_sorted()]
+        to_charge = self.grading.charge
+        lines = sorted((sum(k), to_charge(k).coeffs, c)
+                       for k, c in self.coords.items())
+        return [f"{g} : {c.numerator}/{c.denominator}" for _, g, c in lines]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TwistedSeries):
             return NotImplemented
         return (self.grading.compatible(other.grading)
-                and self.order == other.order and self.terms == other.terms)
+                and self.order == other.order and self.coords == other.coords)
 
 
 def poisson_bracket(f: TwistedSeries, g: TwistedSeries) -> TwistedSeries:
     """{X_a, X_b} = <a, b> X_{a+b}, extended bilinearly and truncated."""
     f._check(g)
-    pair = f.grading.lattice.pair
-    deg = f.grading.degree
-    out: dict[Charge, Fraction] = {}
-    for ga, ca in f.terms.items():
-        da = deg(ga)
-        for gb, cb in g.terms.items():
-            if da + deg(gb) > f.order:
+    pairing = f.grading.pairing
+    out: dict[tuple[int, ...], int] = {}
+    for ka, ca in f.coords.items():
+        row = [sum(map(mul, ka, col)) for col in zip(*pairing)]
+        for kb, cb in g.coords.items():
+            if sum(ka) + sum(kb) > f.order:
                 continue
-            p = pair(ga, gb)
-            if p == 0:
-                continue
-            gg = ga + gb
-            v = out.get(gg, ZERO_F) + p * ca * cb
-            if v:
-                out[gg] = v
-            else:
-                out.pop(gg, None)
+            k = tuple(map(add, ka, kb))
+            out[k] = out.get(k, 0) + sum(map(mul, row, kb)) * ca * cb
     return TwistedSeries(f.grading, f.order, out)
 
 
@@ -264,9 +274,9 @@ class TorusAutomorphism:
     def substitute(self, series: TwistedSeries) -> TwistedSeries:
         """Apply the automorphism to every monomial of a cone series."""
         out = TwistedSeries(self.grading, self.order, {})
-        for g, c in series.terms.items():
-            mono = TwistedSeries.monomial(self.grading, self.order, g, c)
-            out = out + mono * self.image_cofactor(g)
+        for k, c in series.coords.items():
+            mono = TwistedSeries(self.grading, self.order, {k: c})
+            out = out + mono * self.image_cofactor(self.grading.charge(k))
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -278,25 +288,18 @@ class TorusAutomorphism:
 def ks_transform(grading: ConeGrading, gamma: Charge, power: int,
                  order: int) -> TorusAutomorphism:
     """K_gamma^power: X_{e_i} -> X_{e_i} (1 - X_gamma)^{power <gamma, e_i>}."""
-    if grading.degree(gamma) < 1:
+    step = grading.coordinates(gamma)
+    if sum(step) < 1:
         raise GradingError("transformation charge must have positive cone degree")
-    lat = grading.lattice
-    n = gamma.dim
 
     def binom_series(exponent: int) -> TwistedSeries:
-        terms: dict[Charge, Fraction] = {}
-        max_k = order // grading.degree(gamma)
-        for k in range(0, max_k + 1):
-            coeff = Fraction(_signed_binomial(exponent, k)) * (-1) ** k
-            if coeff:
-                terms[k * gamma] = coeff
-        return TwistedSeries(grading, order, terms)
+        return TwistedSeries(grading, order, {
+            tuple(k * s for s in step): (-1) ** k * _signed_binomial(exponent, k)
+            for k in range(order // sum(step) + 1)})
 
-    cofactors = []
-    for i in range(n):
-        e_i = Charge(tuple(1 if j == i else 0 for j in range(n)))
-        cofactors.append(binom_series(power * lat.pair(gamma, e_i)))
-    return TorusAutomorphism(grading, order, tuple(cofactors))
+    return TorusAutomorphism(grading, order, tuple(
+        binom_series(power * grading.lattice.pair(gamma, e_i))
+        for e_i in grading.lattice.basis()))
 
 
 def _signed_binomial(m: int, k: int) -> int:
@@ -335,8 +338,8 @@ def check_wcf(lhs: TorusAutomorphism, rhs: TorusAutomorphism
     first = None
     for sa, sb in zip(lhs.cofactors, rhs.cofactors):
         diff = sa - sb
-        if diff.terms:
-            d = min(sa.grading.degree(g) for g in diff.terms)
+        if diff.coords:
+            d = min(sum(k) for k in diff.coords)
             first = d if first is None else min(first, d)
     return (first is None), first
 

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -308,6 +309,14 @@ class TestReports:
                            "--order", "3", "--dump-series")
         assert code == 0
         assert "(0, 1) : 1/1" in out
+
+    def test_wcf_dump_series_pinned(self, capsys):
+        # the 61 lines the exact-rational algebra printed at order 8
+        code, out, _ = run(capsys, "wcf-check", "--model", "pentagon",
+                           "--order", "8", "--dump-series")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a75e9e2345aed88303b5051c5ff92e134acf59defe69727029e322d014beaa6d")
 
     def test_metric_semiflat_only(self, capsys):
         code, out, _ = run(capsys, "metric", "--model", "pentagon",

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkforge.ks import (ConeGrading, GradingError, TorusAutomorphism,
                         TwistedSeries, check_wcf, compose, ks_transform,
@@ -61,6 +63,42 @@ class TestSeriesAlgebra:
         with pytest.raises(GradingError):
             grading.degree(charge(-1, 0))
         assert grading.degree(charge(2, 3)) == 5
+
+    @pytest.mark.parametrize("n", [10**6, 2**53 + 1, 10**17 + 1])
+    def test_coordinates_exact_for_large_charges(self, n):
+        # a float solve rounds n and misses the cone from n = 2^53 + 1 on
+        g1, g2 = charge(1, 0), charge(n, 1)
+        cone = ConeGrading(LAT, (g1, g2))
+        assert cone.coordinates(3 * g1 + 2 * g2) == (3, 2)
+        assert cone.charge((3, 2)) == 3 * g1 + 2 * g2
+        for outside in (g1 - g2, charge(n, 2), charge(1, 1)):
+            with pytest.raises(GradingError, match="outside the cone"):
+                cone.coordinates(outside)
+
+    def test_coordinates_of_a_non_unimodular_cone(self):
+        cone = ConeGrading(LAT, (charge(1, 0), charge(1, 2)))
+        assert cone.coordinates(charge(3, 4)) == (1, 2)
+        with pytest.raises(GradingError, match="outside the cone"):
+            cone.coordinates(charge(0, 1))
+
+    def test_degenerate_generators_rejected(self):
+        with pytest.raises(GradingError, match="linearly dependent"):
+            ConeGrading(LAT, (G1, 2 * G1)).coordinates(G1)
+        flavored = Lattice(((0, 1, 0), (-1, 0, 0), (0, 0, 0)),
+                           flavor_rank=1)
+        with pytest.raises(GradingError, match="square"):
+            ConeGrading(flavored, (charge(1, 0, 0), charge(0, 1, 0))
+                        ).coordinates(charge(1, 1, 0))
+
+    def test_zero_coefficients_not_stored(self, grading):
+        empty = TwistedSeries(grading, 8, {})
+        assert TwistedSeries.monomial(grading, 8, G1, 0) == empty
+        assert TwistedSeries.constant(grading, 8, 0) == empty
+        assert TwistedSeries(grading, 8, {(1, 0): 0}) == empty
+        z = TwistedSeries.monomial(grading, 8, G2, 3)
+        assert TwistedSeries.monomial(grading, 8, G1, 0) + z == z
+        assert z.scaled(0) == empty
+        assert (z - z).terms == {}
 
 
 class TestPoissonBracket:
@@ -246,3 +284,137 @@ class TestSpectrumGenerator:
         cone = (mid * cmath.exp(-0.7j), mid * cmath.exp(0.7j))
         with pytest.raises(GradingError):
             spectrum_generator(pentagon, w, cone, 6)
+
+
+# -- properties at random orders, against a reference written here ----------
+
+# cones of the pentagon lattice: the basis, a skew unimodular one and one of
+# index 2, whose generators pair evenly so that the twist sign is trivial
+CONES = [(G1, G2), (G1, G1 + G2), (charge(1, 0), charge(1, 2))]
+
+
+def reference_product(f, g, degree, order):
+    """Twisted product over charge keys, from Lattice.pair and Fractions."""
+    out = {}
+    for ga, ca in f.items():
+        for gb, cb in g.items():
+            if degree[ga] + degree[gb] > order:
+                continue
+            sign = Fraction(-1) ** LAT.pair(ga, gb)
+            out[ga + gb] = out.get(ga + gb, Fraction(0)) \
+                + sign * Fraction(ca) * Fraction(cb)
+    return {gamma: c for gamma, c in out.items() if c}
+
+
+def cone_series(order):
+    """Up to 12 terms of degree <= order, integer or rational coefficients."""
+    coords = st.integers(0, order).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(0, order - a)))
+    coeffs = st.one_of(st.integers(-5, 5),
+                       st.fractions(-5, 5, max_denominator=6))
+    return st.dictionaries(coords, coeffs, max_size=12)
+
+
+@st.composite
+def cone_charge(draw, cone, max_coord=3):
+    a, b = draw(st.tuples(st.integers(0, max_coord),
+                          st.integers(0, max_coord)).filter(any))
+    return a * cone[0] + b * cone[1]
+
+
+PROPERTY = settings(max_examples=40, derandomize=True, deadline=None,
+                    database=None)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(data=st.data())
+    def test_product_against_reference(self, data):
+        cone = data.draw(st.sampled_from(CONES))
+        order = data.draw(st.integers(1, 12))
+        grading = ConeGrading(LAT, cone)
+        f, g = (TwistedSeries(grading, order,
+                              data.draw(cone_series(order)))
+                for _ in range(2))
+        degree = {grading.charge(k): sum(k)
+                  for k in list(f.coords) + list(g.coords)}
+        want = reference_product(f.terms, g.terms, degree, order)
+        assert (f * g).terms == want
+        assert (g * f).terms == want
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_powers_of_one_factor_add(self, data):
+        cone = data.draw(st.sampled_from(CONES))
+        order = data.draw(st.integers(1, 12))
+        gamma = data.draw(cone_charge(cone))
+        a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+        grading = ConeGrading(LAT, cone)
+        got = compose(ks_transform(grading, gamma, a, order),
+                      ks_transform(grading, gamma, b, order))
+        assert check_wcf(got, ks_transform(grading, gamma, a + b, order)) \
+            == (True, None)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_factors_commute_iff_pairing_zero(self, data):
+        cone = data.draw(st.sampled_from(CONES))
+        order = data.draw(st.integers(1, 12))
+        ga, gb = data.draw(cone_charge(cone)), data.draw(cone_charge(cone))
+        grading = ConeGrading(LAT, cone)
+        ka = ks_transform(grading, ga, 1, order)
+        kb = ks_transform(grading, gb, 1, order)
+        seen = grading.degree(ga) + grading.degree(gb)
+        want = ((True, None) if LAT.pair(ga, gb) == 0 or seen > order
+                else (False, seen))
+        assert check_wcf(compose(ka, kb), compose(kb, ka)) == want
+
+    @PROPERTY
+    @given(order=st.integers(1, 12), t=st.integers(-3, 3),
+           s=st.integers(-3, 3))
+    def test_pentagon_identity_in_any_basis(self, order, t, s):
+        # (g1, g2) = M (e1, e2) with M = [[1, t], [0, 1]] [[1, 0], [s, 1]]
+        # in SL(2, Z), so <g1, g2> = <e1, e2> = 1
+        g1 = charge(1 + t * s, s)
+        g2 = charge(t, 1)
+        grading = ConeGrading(LAT, (g1, g2))
+
+        def k(gamma):
+            return ks_transform(grading, gamma, 1, order)
+
+        lhs = ordered_product([k(g1), k(g2)])
+        rhs = ordered_product([k(g2), k(g1 + g2), k(g1)])
+        assert check_wcf(lhs, rhs) == (True, None)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_automorphism_property_random(self, data):
+        order = data.draw(st.integers(1, 8))
+        grading = ConeGrading(LAT, (G1, G2))
+        factors = [ks_transform(grading, data.draw(cone_charge((G1, G2), 2)),
+                                data.draw(st.integers(-2, 2)), order)
+                   for _ in range(data.draw(st.integers(1, 3)))]
+        auto = ordered_product(factors)
+        small = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        a, b = charge(*data.draw(small)), charge(*data.draw(small))
+        assert auto.image_cofactor(a) * auto.image_cofactor(b) \
+            == auto.image_cofactor(a + b)
+
+    def test_coefficients_are_ints(self, grading, pentagon):
+        def ints(series):
+            return all(type(c) is int for c in series.coords.values())
+
+        k12 = K(grading, G12, power=-2)
+        assert all(ints(s) for s in k12.cofactors)
+        autos = [ordered_product([K(grading, G1), K(grading, G2), k12])]
+        w = pentagon_wall_point(pentagon, 0.9)
+        z = pentagon.Z.basis_values(0.97 * w)
+        mid = sum(v / abs(v) for v in z)
+        mid /= abs(mid)
+        cone = (mid * cmath.exp(-0.7j), mid * cmath.exp(0.7j))
+        autos += [spectrum_generator(pentagon, f * w, cone, 8)
+                  for f in (0.97, 1.03)]
+        for auto in autos:
+            assert all(ints(s) for s in auto.cofactors)
+            s = auto.image_cofactor(charge(2, -3))
+            assert ints(s) and ints(s * s) and ints(s.inverse())
