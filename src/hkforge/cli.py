@@ -42,8 +42,10 @@ def parse_floats(text: str) -> tuple[float, ...]:
             f"expected comma-separated floats, got {text!r}") from exc
 
 
-def config_hash(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def content_hash(payload: dict) -> str:
+    """Hash of every field of a solution payload but ``hash`` itself."""
+    blob = json.dumps({k: v for k, v in payload.items() if k != "hash"},
+                      sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -88,7 +90,8 @@ def _positive_checks(args) -> None:
         if hasattr(args, name) and getattr(args, name) is not None \
                 and getattr(args, name) <= 0:
             raise UsageError(f"--{name.replace('_', '-')} must be positive")
-    for name in ("nodes", "panels", "order", "cutoff", "halvings", "count"):
+    for name in ("nodes", "panels", "order", "cutoff", "halvings", "count",
+                 "max_iter", "grid", "zeta_grid"):
         if hasattr(args, name) and getattr(args, name) is not None \
                 and getattr(args, name) < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
@@ -155,20 +158,16 @@ def _solution_payload(model, point, spec, sol) -> dict:
                      "theta": list(point.theta)},
            "spec": {f: getattr(spec, f) for f in SPEC_ARGS},
            "tol_iter": sol.tol_iter}
-    rays = []
-    for grid, ups in zip(sol.grids, sol.upsilon):
-        entries = []
-        for gamma, vals in ups.items():
-            entries.append({
-                "charge": list(gamma.coeffs),
-                "upsilon": [[v.real, v.imag] for v in vals],
-            })
-        rays.append({"direction": [grid.ray.direction.real,
-                                   grid.ray.direction.imag],
-                     "s_max": grid.s_max,
-                     "charges": entries})
-    return {"hash": config_hash(cfg), "config": cfg, "rays": rays,
-            "iterations": sol.iterations, "residual": sol.residual}
+    rays = [{"direction": [grid.ray.direction.real, grid.ray.direction.imag],
+             "s_max": grid.s_max, "charges": []} for grid in sol.grids]
+    for (r, gamma), vals in zip(solver.unknowns(sol.grids), sol.upsilon):
+        rays[r]["charges"].append({
+            "charge": list(gamma.coeffs),
+            "upsilon": [[v.real, v.imag] for v in vals],
+        })
+    payload = {"config": cfg, "rays": rays, "iterations": sol.iterations,
+               "residual": sol.residual}
+    return {"hash": content_hash(payload), **payload}
 
 
 # the fields load_solution reads, nested as in the file; a list holds the
@@ -219,37 +218,35 @@ def load_solution(path: str):
     fault = _schema_fault(payload, _SOLUTION_SCHEMA)
     if fault:
         raise CheckFailure(f"solution file {path}: {fault}")
-    cfg = payload["config"]
-    if config_hash(cfg) != payload["hash"]:
+    if content_hash(payload) != payload["hash"]:
         raise CheckFailure(f"solution file {path}: content hash mismatch")
+    cfg = payload["config"]
     model = models.model_from_config(cfg["model"])
     point = ModelPoint(complex(*cfg["point"]["u"]), cfg["point"]["R"],
                        tuple(cfg["point"]["theta"]))
     spec = solver.GridSpec(**{f: cfg["spec"][f] for f in SPEC_ARGS})
     grids = solver.build_grids(model, point, spec)
-    if len(payload["rays"]) != len(grids):
+    if len(payload["rays"]) != len(grids) or any(
+            abs(complex(*ray["direction"]) - grid.ray.direction) > 1e-9
+            for ray, grid in zip(payload["rays"], grids)):
         raise CheckFailure(f"solution file {path}: ray layout mismatch")
-    stored = []
-    for ray_payload, grid in zip(payload["rays"], grids):
-        stored_dir = complex(*ray_payload["direction"])
-        if abs(stored_dir - grid.ray.direction) > 1e-9:
-            raise CheckFailure(f"solution file {path}: ray layout mismatch")
-        ups = {charge(*entry["charge"]):
-               np.array([complex(a, b) for a, b in entry["upsilon"]])
-               for entry in ray_payload["charges"]}
-        if set(ups) != set(grid.ray.charges) or any(
-                len(vals) != grid.node_count for vals in ups.values()):
-            raise CheckFailure(f"solution file {path}: charge table mismatch")
-        stored.append(ups)
-    log_xsf = [{g: xsf_log(model, point, g, grid.zeta_nodes)
-                for g in grid.ray.charges} for grid in grids]
-    ws = solver._prepare(model, point, grids)
-    recheck = solver._change(solver._sweep(ws, grids, log_xsf, stored), stored)
+    stored = {(r, charge(*entry["charge"])): entry["upsilon"]
+              for r, ray in enumerate(payload["rays"])
+              for entry in ray["charges"]}
+    log_xsf = solver.semiflat_nodes(model, point, grids)
+    rows = solver.unknowns(grids)
+    if set(stored) != set(rows) or any(
+            len(vals) != log_xsf.shape[-1] for vals in stored.values()):
+        raise CheckFailure(f"solution file {path}: charge table mismatch")
+    upsilon = np.array([[complex(a, b) for a, b in stored[key]]
+                        for key in rows], dtype=complex).reshape(log_xsf.shape)
     sol = solver.RaySolution(
-        point=point, grids=grids, log_xsf=log_xsf, upsilon=stored,
+        point=point, grids=grids, log_xsf=log_xsf, upsilon=upsilon,
         iterations=payload["iterations"], residual=payload["residual"],
         residual_history=[],
-        recheck_residual=recheck, tol_iter=cfg["tol_iter"], spec=spec)
+        recheck_residual=solver.recheck(model, point, grids, log_xsf,
+                                        upsilon),
+        tol_iter=cfg["tol_iter"], spec=spec)
     return model, point, sol
 
 

@@ -60,7 +60,7 @@ class VarpiSampler:
         (2, 4) at a number, (Z, 2, 4) at Z zetas.
         """
         a = dlog_xsf_matrix(self.model, self.point, zeta)
-        if self.tangents:
+        if self.tangents is not None:
             a = a + np.moveaxis(_upsilon_value(
                 self.model, self.center.grids, self.tangents, self._basis,
                 zeta, side=side), 0, -1)

@@ -36,19 +36,25 @@ directed boundary values of the closed form differ by the residue term
 +-2 pi i, which is how the expected coordinate jumps emerge from one
 integral representation.
 
+Every node quantity of a solve is one array of shape (..., U, N): row k is
+unknown k of ``unknowns(grids)``, the (ray, charge) pairs ray-major, on the
+N nodes all rays share; leading axes stack densities, as tangents do.
+
 There is one solve path: ``build_grids`` lays out the contours, ``_prepare``
 builds the sweep on them, and ``iterate`` applies ``_sweep`` until the node
-data stop changing.  The sweep is U -> A log(1 - exp(L + U)) with a fixed
-linear map A (``_apply``), so ``solve_tangents`` differentiates a solution
-along the point's four real coordinates by one linear solve on the same
-grids, (I + A D) dU = -A D dL with D = X / (1 - X), by the same contraction.
+data stop changing; one more sweep (``recheck``) tells how far solved or
+stored data are from a fixed point.  The sweep is U -> A log(1 - exp(L + U))
+with a fixed linear map A (``_apply``), so ``solve_tangents`` differentiates
+a solution along the point's four real coordinates by one linear solve on
+the same grids, (I + A D) dU = -A D dL with D = X / (1 - X), by the same
+contraction.
 
 There is one evaluation path, ``_upsilon_value``, for any number of zetas:
-per ray it takes one Cauchy integral of the stacked source densities at all
-of them, each pole switching to the continuation on its own offset.
-``upsilon`` and ``evaluate`` call it at one zeta; the checks and the
-two-form sampler pass all the zetas they need at once, on log(1 - X) or on
-tangent densities.  On a ray, ``side`` picks the directed boundary value.
+per ray it takes one Cauchy integral of its source rows at all of them,
+each pole switching to the continuation on its own offset.  ``upsilon`` and
+``evaluate`` call it at one zeta; the checks and the two-form sampler pass
+all the zetas they need at once, on log(1 - X) or on tangent densities.
+On a ray, ``side`` picks the directed boundary value.
 """
 
 from __future__ import annotations
@@ -143,8 +149,8 @@ class RaySolution:
 
     point: ModelPoint
     grids: list[QuadratureGrid]
-    log_xsf: list[dict[Charge, np.ndarray]]
-    upsilon: list[dict[Charge, np.ndarray]]
+    log_xsf: np.ndarray
+    upsilon: np.ndarray
     iterations: int
     residual: float
     residual_history: list[float]
@@ -152,19 +158,17 @@ class RaySolution:
     tol_iter: float
     spec: GridSpec
     # log(1 - X) on the ray nodes, the density every ray integral reads
-    log_one_minus_x: list[dict[Charge, np.ndarray]] = field(
-        init=False, repr=False, compare=False)
+    log_one_minus_x: np.ndarray = field(init=False, repr=False,
+                                        compare=False)
     # a-posteriori quadrature estimate: ``legendre_tail`` of log(1 - X)
     tail: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        self.log_one_minus_x = [
-            {g: np.log(1.0 - np.exp(lsf[g] + ups[g])) for g in ups}
-            for lsf, ups in zip(self.log_xsf, self.upsilon)]
-        self.tail = max((legendre_tail(f, grid.nodes_per_panel)
-                         for grid, lomx in zip(self.grids,
-                                               self.log_one_minus_x)
-                         for f in lomx.values()), default=0.0)
+        self.log_one_minus_x = np.log(1.0 - np.exp(self.log_xsf
+                                                   + self.upsilon))
+        self.tail = legendre_tail(self.log_one_minus_x,
+                                  self.grids[0].nodes_per_panel) \
+            if self.grids else 0.0
 
     @property
     def panels(self) -> int:
@@ -172,9 +176,7 @@ class RaySolution:
         return self.grids[0].panels if self.grids else 0
 
     def max_correction(self) -> float:
-        vals = [float(np.max(np.abs(u))) for ups in self.upsilon
-                for u in ups.values()]
-        return max(vals, default=0.0)
+        return float(np.max(np.abs(self.upsilon), initial=0.0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -391,27 +393,45 @@ def cauchy_integral(grid: QuadratureGrid, f: np.ndarray, w) -> np.ndarray:
     return out
 
 
+def unknowns(grids: list[QuadratureGrid]) -> list[tuple[int, Charge]]:
+    """The (ray index, charge) of each row of the node data, ray-major."""
+    return [(r, g) for r, grid in enumerate(grids) for g in grid.ray.charges]
+
+
+def _node_data(grids, value, leading: tuple = ()) -> np.ndarray:
+    """``value(grid, charge)`` of every unknown, stacked as (*leading, U, N):
+    ``leading`` is the shape of one value without its node axis."""
+    rows = [value(grids[r], g) for r, g in unknowns(grids)]
+    return np.stack(rows, axis=-2) if rows else np.zeros(leading + (0, 0))
+
+
+def semiflat_nodes(model, point: ModelPoint, grids: list[QuadratureGrid]
+                   ) -> np.ndarray:
+    """log X^sf of every unknown on its own ray's nodes, (U, N)."""
+    return _node_data(grids, lambda grid, g: xsf_log(model, point, g,
+                                                     grid.zeta_nodes))
+
+
 @dataclass
 class _Workspace:
     """One sweep of the integral equation on fixed grids, as matvecs.
 
-    ``unknowns`` lists (ray, charge) ray-major.  A term (t, s, coef, rows,
-    near) adds coef * rows @ (weights * g_s) to unknown t, where g_s is
-    the density of unknown s on its nodes; for target rays within the
-    source grid's ``near_angle``, ``near`` = (idx, op) from ``_near_term``
-    adds coef * sum(op * g_s[idx]) per pole, the subtracted part with g_s
-    continued to the poles.  Each unordered ray pair has one kernel; the
-    reverse direction reads it transposed with the opposite sign.
+    Rows t, s index ``unknowns``.  A term (t, s, coef, rows, near) adds
+    coef * rows @ (weights[s] * g[s]) to row t, with g[s] the density of
+    unknown s and weights (U, N) its ray's; for target rays within the source
+    grid's ``near_angle``, ``near`` = (idx, op) from ``_near_term`` adds coef
+    * sum(op * g[s, idx]) per pole, the subtracted part with g[s] continued
+    to the poles.  Each unordered ray pair has one kernel; the reverse
+    direction reads it transposed with the opposite sign.
     """
 
-    unknowns: list[tuple[int, Charge]]
     terms: list[tuple[int, int, complex, np.ndarray, tuple | None]]
+    weights: np.ndarray
 
 
 def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspace:
     lat = model.lattice
-    unknowns = [(r, g) for r, grid in enumerate(grids)
-                for g in grid.ray.charges]
+    rows_of = unknowns(grids)
     omegas = [om for grid in grids for om in grid.ray.omegas]
     blocks = {}
 
@@ -435,58 +455,42 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
         return blocks[(a, b)][rt > rs]
 
     terms = []
-    for t, (rt, gt) in enumerate(unknowns):
-        for s, (rs, gs) in enumerate(unknowns):
+    for t, (rt, gt) in enumerate(rows_of):
+        for s, (rs, gs) in enumerate(rows_of):
             p = lat.pair(gt, gs)
             if rs == rt or p == 0:
                 continue
             sign, rows, near = block(rt, rs)
             terms.append((t, s, -sign * omegas[s] * p / FOUR_PI_I, rows,
                           near))
-    return _Workspace(unknowns=unknowns, terms=terms)
+    return _Workspace(terms=terms, weights=_node_data(
+        grids, lambda grid, _: grid.weights))
 
 
-def _apply(ws: _Workspace, grids: list[QuadratureGrid],
-           g: list[dict[Charge, np.ndarray]]) -> list[dict[Charge, np.ndarray]]:
-    """The sweep's linear map A applied to the densities ``g``.
-
-    ``g`` holds, per ray, each charge's density on that ray's nodes; leading
-    axes stack densities that share the kernel rows.  The result has the
-    same layout.
-    """
-    dens = [g[r][gamma] for r, gamma in ws.unknowns]
-    gw = [grids[r].weights * d for (r, _), d in zip(ws.unknowns, dens)]
-    new = [{gamma: np.zeros_like(d) for gamma, d in ray.items()} for ray in g]
+def _apply(ws: _Workspace, g: np.ndarray) -> np.ndarray:
+    """The sweep's linear map A on node densities ``g``, (..., U, N)."""
+    gw = ws.weights * g
+    out = np.zeros_like(g)
     for t, s, coef, rows, near in ws.terms:
-        acc = gw[s] @ rows.T
+        acc = gw[..., s, :] @ rows.T
         if near is not None:
             idx, op = near
-            acc += np.sum(op * dens[s][..., idx], axis=-1)
-        r, gamma = ws.unknowns[t]
-        new[r][gamma] += coef * acc
-    return new
+            acc += np.sum(op * g[..., s, idx], axis=-1)
+        out[..., t, :] += coef * acc
+    return out
 
 
-def _sweep(ws: _Workspace, grids: list[QuadratureGrid],
-           log_xsf: list[dict[Charge, np.ndarray]],
-           ups: list[dict[Charge, np.ndarray]]
-           ) -> list[dict[Charge, np.ndarray]]:
+def _sweep(ws: _Workspace, log_xsf: np.ndarray, ups: np.ndarray) -> np.ndarray:
     """One application of the integral-equation map U -> A log(1 - X)."""
-    g = [{} for _ in grids]
-    for r, gamma in ws.unknowns:
-        x = np.exp(log_xsf[r][gamma] + ups[r][gamma])
-        if float(np.max(np.abs(x))) >= 1.0 - 1e-9:
-            raise RSmallError(
-                "iteration left the log(1 - X) domain: R too small")
-        g[r][gamma] = np.log(1.0 - x)
-    return _apply(ws, grids, g)
+    x = np.exp(log_xsf + ups)
+    if float(np.max(np.abs(x), initial=0.0)) >= 1.0 - 1e-9:
+        raise RSmallError("iteration left the log(1 - X) domain: R too small")
+    return _apply(ws, np.log(1.0 - x))
 
 
-def _change(a: list[dict[Charge, np.ndarray]],
-            b: list[dict[Charge, np.ndarray]]) -> float:
+def _change(a: np.ndarray, b: np.ndarray) -> float:
     """Largest node difference between two sets of node data."""
-    return max((float(np.max(np.abs(x[g] - y[g])))
-                for x, y in zip(a, b) for g in x), default=0.0)
+    return float(np.max(np.abs(a - b), initial=0.0))
 
 
 def _contract(step, start, tol_iter: float, max_iter: int):
@@ -504,6 +508,14 @@ def _contract(step, start, tol_iter: float, max_iter: int):
         f"(last residual {history[-1]:.3e})", history)
 
 
+def recheck(model, point: ModelPoint, grids: list[QuadratureGrid], log_xsf,
+            ups, workspace: _Workspace | None = None) -> float:
+    """Largest node update of one more sweep: how far ``ups`` is from a
+    fixed point.  ``workspace`` is the sweep ``_prepare`` built on grids."""
+    ws = workspace if workspace is not None else _prepare(model, point, grids)
+    return _change(_sweep(ws, log_xsf, ups), ups)
+
+
 def iterate(model, point: ModelPoint, grids: list[QuadratureGrid],
             tol_iter: float = 1e-10, max_iter: int = 50,
             spec: GridSpec = GridSpec(),
@@ -518,17 +530,14 @@ def iterate(model, point: ModelPoint, grids: list[QuadratureGrid],
     sweep ``_prepare`` built on these grids.
     """
     ws = workspace if workspace is not None else _prepare(model, point, grids)
-    log_xsf = [{g: xsf_log(model, point, g, grid.zeta_nodes)
-                for g in grid.ray.charges} for grid in grids]
-    ups, history = _contract(
-        lambda u: _sweep(ws, grids, log_xsf, u),
-        [{g: np.zeros(grid.node_count, dtype=complex)
-          for g in grid.ray.charges} for grid in grids], tol_iter, max_iter)
+    log_xsf = semiflat_nodes(model, point, grids)
+    ups, history = _contract(lambda u: _sweep(ws, log_xsf, u),
+                             np.zeros_like(log_xsf), tol_iter, max_iter)
     return RaySolution(point=point, grids=grids, log_xsf=log_xsf,
                        upsilon=ups, iterations=len(history),
                        residual=history[-1], residual_history=history,
-                       recheck_residual=_change(
-                           _sweep(ws, grids, log_xsf, ups), ups),
+                       recheck_residual=recheck(model, point, grids, log_xsf,
+                                                ups, ws),
                        tol_iter=tol_iter, spec=spec)
 
 
@@ -539,32 +548,29 @@ def solve(model, point: ModelPoint, spec: GridSpec = GridSpec(),
 
 
 def solve_tangents(model, point: ModelPoint, tol_iter: float = 1e-10,
-                   max_iter: int = 50
-                   ) -> tuple[RaySolution, list[dict[Charge, np.ndarray]]]:
+                   max_iter: int = 50) -> tuple[RaySolution, np.ndarray]:
     """The solution at ``point`` and its tangent densities.
 
     Moving the point moves only its semiflat data L on the fixed contours, a
     Cauchy deformation of the rays, so the derivative solves the linearized
     sweep with the directions (Re u, Im u, theta_1, theta_2) stacked on a
     leading axis.  The tangent densities d log(1 - X) = -D (dL + dU) have
-    shape (4, nodes) per charge.
+    shape (4, U, N).
     """
     grids = build_grids(model, point)
     ws = _prepare(model, point, grids)
     sol = iterate(model, point, grids, tol_iter=tol_iter, max_iter=max_iter,
                   workspace=ws)
-    neg_d = [{g: -np.expm1(-lg) for g, lg in lomx.items()}
-             for lomx in sol.log_one_minus_x]
-    d_log_xsf = [{g: dlog_xsf(model, point, g, grid.zeta_nodes)
-                  for g in grid.ray.charges} for grid in grids]
+    neg_d = -np.expm1(-sol.log_one_minus_x)
+    d_log_xsf = _node_data(
+        grids, lambda grid, g: dlog_xsf(model, point, g, grid.zeta_nodes),
+        leading=(4,))
 
     def tangent(du):
-        return [{g: nd[g] * (dl[g] + u[g]) for g in nd}
-                for nd, dl, u in zip(neg_d, d_log_xsf, du)]
+        return neg_d * (d_log_xsf + du)
 
-    du, _ = _contract(lambda d: _apply(ws, grids, tangent(d)),
-                      [{g: np.zeros_like(v) for g, v in dl.items()}
-                       for dl in d_log_xsf], tol_iter, max_iter)
+    du, _ = _contract(lambda d: _apply(ws, tangent(d)),
+                      np.zeros_like(d_log_xsf), tol_iter, max_iter)
     return sol, tangent(du)
 
 
@@ -572,35 +578,33 @@ def solve_tangents(model, point: ModelPoint, tol_iter: float = 1e-10,
 # Evaluation off the grid
 
 
-def _upsilon_value(model, grids: list[QuadratureGrid],
-                   density: list[dict[Charge, np.ndarray]],
+def _upsilon_value(model, grids: list[QuadratureGrid], density: np.ndarray,
                    charges: list[Charge], zeta,
                    side: int | None = None,
                    min_angle: float = DEFAULT_MIN_ANGLE) -> np.ndarray:
     """Ray integrals of one density set at zeta, per charge (last axis).
 
-    ``density`` holds node data on ``grids``: a solution's log(1 - X), which
-    gives log(X / X^sf), or ``solve_tangents``' densities, which give its
-    derivatives; their leading axes are kept.  ``zeta`` is a number, giving
-    leading + (charges,), or a 1-d array, giving leading + (zetas, charges).
-    Each ray takes one Cauchy integral over the stacked densities of its
-    source charges at all the zetas, and one contraction with the
+    ``density`` holds node data on ``grids``, (..., U, N): a solution's
+    log(1 - X), which gives log(X / X^sf), or ``solve_tangents``' densities,
+    which give its derivatives; their leading axes are kept.  ``zeta`` is a
+    number, giving leading + (charges,), or a 1-d array, giving leading +
+    (zetas, charges).  Each ray takes one Cauchy integral over the rows of
+    its source charges at all the zetas, and one contraction with the
     (sources, charges) coefficients.
     """
     lat = model.lattice
     scalar = np.ndim(zeta) == 0
     zetas = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    leading = next((d.shape[:-1] for ray in density for d in ray.values()),
-                   ())
-    total = np.zeros(leading + zetas.shape + (len(charges),), dtype=complex)
+    total = np.zeros(density.shape[:-2] + zetas.shape + (len(charges),),
+                     dtype=complex)
+    coefs = np.array([[-om_s * lat.pair(gamma, gamma_s) / FOUR_PI_I
+                       for gamma in charges] for grid in grids
+                      for gamma_s, om_s in zip(grid.ray.charges,
+                                               grid.ray.omegas)])
+    rays = [r for r, _ in unknowns(grids)]
     for r, grid in enumerate(grids):
-        sources, coefs = [], []
-        for gamma_s, om_s in zip(grid.ray.charges, grid.ray.omegas):
-            row = [-om_s * lat.pair(gamma, gamma_s) / FOUR_PI_I
-                   for gamma in charges]
-            if any(row):
-                sources.append(gamma_s)
-                coefs.append(row)
+        sources = [k for k, rk in enumerate(rays)
+                   if rk == r and coefs[k].any()]
         if not sources:
             continue
         w = np.log(zetas / grid.ray.direction)
@@ -609,14 +613,13 @@ def _upsilon_value(model, grids: list[QuadratureGrid],
             if side is None:
                 raise RayProximityError(
                     f"zeta={zetas[close][0]} within {min_angle} rad of the "
-                    f"ray of {sources[0]}; request a directed limit")
+                    f"ray of {grid.ray.charges[0]}; request a directed limit")
             # A truly infinitesimal offset keeps the branch of the
             # closed-form kernel on the requested side (signed zeros do not
             # survive the subtraction inside the logarithms).
             w[close] = w.real[close] + side * 1e-300j
-        g = np.stack([density[r][gamma_s] for gamma_s in sources])
-        total += np.moveaxis(cauchy_integral(grid, g, w), 0, -1) \
-            @ np.array(coefs)
+        total += np.swapaxes(cauchy_integral(
+            grid, density[..., sources, :], w), -1, -2) @ coefs[sources]
     return total[..., 0, :] if scalar else total
 
 
@@ -737,10 +740,9 @@ def radial_limit(model, solution: RaySolution, gamma: Charge,
 
 def midsector_zetas(solution: RaySolution | list[QuadratureGrid], n: int = 8,
                     modulus: float = 1.0) -> list[complex]:
-    """Unit-scale zetas at angular midpoints between adjacent rays.
-
-    Only the ray layout is read, so the grids of a solve will do as well.
-    """
+    """Zetas cycling through the midpoints between adjacent rays, turned by
+    -0.15, 0 and +0.15 rad on successive passes whatever the sector width
+    (a FOUND line in CHANGES.md).  Grids will do in place of a solution."""
     grids = getattr(solution, "grids", solution)
     angles = sorted(g.ray.angle for g in grids)
     if not angles:

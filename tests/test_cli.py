@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hkforge import solver, trees
-from hkforge.cli import load_solution, main
+from hkforge.cli import content_hash, load_solution, main
 from hkforge.lattice import charge
 
 
@@ -16,6 +16,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_signed(path, payload):
+    """Write an edited solution payload under a hash of its new content."""
+    path.write_text(json.dumps({**payload, "hash": content_hash(payload)}))
+
+
+def doubled_first_upsilon(payload):
+    """The payload's first stored upsilon array, doubled in place."""
+    entry = payload["rays"][0]["charges"][0]
+    entry["upsilon"] = [[2.0 * a, 2.0 * b] for a, b in entry["upsilon"]]
+    return entry
 
 
 class TestExitCodes:
@@ -75,6 +87,11 @@ class TestExitCodes:
          "--theta", "0.37,1.29", "--zetas", "3"),
         ("metric", "--model", "pentagon", "--u", "1.5,0.2", "--R", "2",
          "--theta", "0.37,1.29", "--emit-grid", "-3"),
+        ("solve", "--model", "ov", "--u", "0.5,0", "--R", "1",
+         "--theta", "0.3,1.1", "--max-iter", "0"),
+        ("validate", "--model", "pentagon", "--grid", "-5"),
+        ("semiflat-sample", "--model", "ov", "--u", "0.5,0", "--R", "1",
+         "--theta", "0.3,1.1", "--zeta-grid", "0"),
     ])
     def test_degenerate_input_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -139,7 +156,7 @@ class TestSolutionFiles:
             "--R", "1", "--theta", "0.37,1.29", "--out", str(other))
         foreign = json.loads(other.read_text())
         payload["rays"] = foreign["rays"]
-        path.write_text(json.dumps(payload))
+        write_signed(path, payload)
         code, _, err = run(capsys, "jump-check", "--solution", str(path))
         assert code == 1
         assert "charge table mismatch" in err
@@ -156,15 +173,19 @@ class TestSolutionFiles:
         assert "worst jump defect" in out
 
     def test_tampered_hash_refused(self, capsys, tmp_path):
+        # the hash covers the stored data as well as the configuration
         path = tmp_path / "sol.json"
-        run(capsys, "solve", "--model", "ov", "--u", "0.5,0", "--R", "1",
-            "--theta", "0.3,1.1", "--out", str(path))
-        payload = json.loads(path.read_text())
-        payload["config"]["point"]["R"] = 2.0
-        path.write_text(json.dumps(payload))
-        code, _, err = run(capsys, "jump-check", "--solution", str(path))
-        assert code == 1
-        assert "hash mismatch" in err
+        run(capsys, "solve", "--model", "pentagon", "--u", "1.5,0.2",
+            "--R", "1", "--theta", "0.37,1.29", "--out", str(path))
+        signed = path.read_text()
+        for tamper in (lambda p: p["config"]["point"].update(R=2.0),
+                       doubled_first_upsilon):
+            payload = json.loads(signed)
+            tamper(payload)
+            path.write_text(json.dumps(payload))
+            code, _, err = run(capsys, "jump-check", "--solution", str(path))
+            assert code == 1
+            assert "hash mismatch" in err
 
     def test_missing_field_is_one_line_failure(self, capsys, tmp_path):
         path = tmp_path / "sol.json"
@@ -180,23 +201,21 @@ class TestSolutionFiles:
         assert len(err.strip().splitlines()) == 1
 
     def test_loaded_data_feed_evaluation(self, capsys, tmp_path):
-        # the hash covers only the config, so a rescaled upsilon array
-        # still loads; evaluation must read the loaded data, not the
-        # discarded solve's
+        # a rescaled upsilon array, re-signed, still loads; evaluation
+        # must read the loaded data, not the discarded solve's
         path = tmp_path / "sol.json"
         run(capsys, "solve", "--model", "pentagon", "--u", "1.5,0.2",
             "--R", "1", "--theta", "0.37,1.29", "--out", str(path))
         payload = json.loads(path.read_text())
-        entry = payload["rays"][0]["charges"][0]
-        entry["upsilon"] = [[2.0 * a, 2.0 * b] for a, b in entry["upsilon"]]
-        path.write_text(json.dumps(payload))
+        entry = doubled_first_upsilon(payload)
+        write_signed(path, payload)
         model, point, loaded = load_solution(str(path))
 
         fresh = solver.solve(model, point)
         gamma_s = charge(*entry["charge"])
-        rescaled = [dict(ups) for ups in fresh.upsilon]
-        rescaled[0][gamma_s] = np.array([complex(a, b)
-                                         for a, b in entry["upsilon"]])
+        rescaled = fresh.upsilon.copy()
+        rescaled[solver.unknowns(fresh.grids).index((0, gamma_s))] = [
+            complex(a, b) for a, b in entry["upsilon"]]
         want = dataclasses.replace(fresh, upsilon=rescaled)
         gamma = next(g for g in model.lattice.basis()
                      if model.lattice.pair(g, gamma_s) != 0)
@@ -227,15 +246,14 @@ class TestSolutionFiles:
         assert loaded.recheck_residual < 10 * loaded.tol_iter
 
     def test_jump_check_rejects_non_fixed_point(self, capsys, tmp_path):
-        # a doubled upsilon array passes the config hash and its jumps stay
-        # within tolerance, but one sweep shows it is no fixed point
+        # a doubled upsilon array, re-signed, passes the hash and its jumps
+        # stay within tolerance, but one sweep shows it is no fixed point
         path = tmp_path / "sol.json"
         run(capsys, "solve", "--model", "pentagon", "--u", "1.5,0.2",
             "--R", "1", "--theta", "0.37,1.29", "--out", str(path))
         payload = json.loads(path.read_text())
-        entry = payload["rays"][0]["charges"][0]
-        entry["upsilon"] = [[2.0 * a, 2.0 * b] for a, b in entry["upsilon"]]
-        path.write_text(json.dumps(payload))
+        doubled_first_upsilon(payload)
+        write_signed(path, payload)
         code, out, _ = run(capsys, "jump-check", "--solution", str(path))
         assert code == 1
         assert "not a fixed point" in out

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 
@@ -19,7 +20,8 @@ from hkforge.solver import (ON_RAY_ANGLE, GridSpec, NonConvergenceError,
                             check_wall_continuity, correction_decay,
                             evaluate, iterate, legendre_tail,
                             midsector_zetas, radial_limit, ray_jump_defect,
-                            side_limit, solve, solve_tangents, upsilon)
+                            side_limit, solve, solve_tangents, unknowns,
+                            upsilon)
 
 G1, G2 = charge(1, 0), charge(0, 1)
 
@@ -100,9 +102,7 @@ class TestIteration:
     def test_ov_single_step(self, ov, ov_solution):
         assert ov_solution.iterations == 1
         assert ov_solution.residual == 0.0
-        for ups in ov_solution.upsilon:
-            for vals in ups.values():
-                assert np.all(vals == 0.0)
+        assert np.all(ov_solution.upsilon == 0.0)
 
     def test_ov_electric_equals_semiflat(self, ov, ov_point, ov_solution):
         zeta = 0.9 * cmath.exp(1.3j)
@@ -237,7 +237,7 @@ class TestBatchedEvaluation:
         alone = np.stack([_upsilon_value(model, grids, density, charges,
                                          complex(z), **kw) for z in zetas],
                          axis=-2)
-        leading = next(iter(density[0].values())).shape[:-1]
+        leading = density.shape[:-2]
         assert batched.shape == alone.shape == leading + (len(zetas), 2)
         assert np.all(np.abs(batched - alone)
                       <= 1e-15 * (1.0 + np.abs(alone)))
@@ -245,7 +245,7 @@ class TestBatchedEvaluation:
     def test_shape_without_contributing_ray(self, densities):
         # the OV electric charge pairs to zero with the only ray charges
         for model, grids, density in densities[2:]:
-            leading = next(iter(density[0].values())).shape[:-1]
+            leading = density.shape[:-2]
             zetas = np.array(midsector_zetas(grids, 3))
             for zeta, shape in [(zetas, (3, 1)), (zetas[0], (1,))]:
                 got = _upsilon_value(model, grids, density, [G2], zeta)
@@ -262,7 +262,46 @@ class TestBatchedEvaluation:
                            [G1, G2], zetas)
 
 
+def _sweep_gap(model, sol):
+    """Largest gap between the node data and off-grid evaluation at the
+    nodes: the sweep's transposed and near-ray blocks against the fresh
+    ones of ``cauchy_integral``."""
+    worst = 0.0
+    for (r, gamma), ups in zip(unknowns(sol.grids), sol.upsilon):
+        at_nodes = _upsilon_value(model, sol.grids, sol.log_one_minus_x,
+                                  [gamma], sol.grids[r].zeta_nodes, side=+1,
+                                  min_angle=ON_RAY_ANGLE)[:, 0]
+        worst = max(worst, float(np.max(np.abs(at_nodes - ups))))
+    return worst
+
+
 class TestNearRayAccuracy:
+    @pytest.mark.parametrize("case", ["mid", "wall-1.2", "wall-1.02", "ov"])
+    def test_sweep_agrees_with_evaluation(self, pentagon, ov, ov_point,
+                                          case):
+        # the converged node data are what evaluation reads at the nodes;
+        # the control drops the sweep's near-ray continuation and must fail
+        model, point = {
+            "mid": (pentagon, ModelPoint(1.5 + 0.2j, 1.0, (0.37, 1.29))),
+            "wall-1.2": (pentagon, _wall_point(pentagon, 1.2, 0.9, 1.0)),
+            "wall-1.02": (pentagon, _wall_point(pentagon, 1.02, 0.9, 0.35)),
+            "ov": (ov, ov_point)}[case]
+        grids = build_grids(model, point)
+        ws = _prepare(model, point, grids)
+        sol = iterate(model, point, grids, tol_iter=1e-13, workspace=ws)
+        shape = (len(unknowns(grids)), grids[0].node_count)
+        assert sol.upsilon.shape == sol.log_xsf.shape \
+            == sol.log_one_minus_x.shape == shape
+        assert _sweep_gap(model, sol) <= 1e-14
+        near = any(n is not None for *_, n in ws.terms)
+        assert near == case.startswith("wall")
+        if near:
+            plain = dataclasses.replace(ws, terms=[
+                (*term[:4], None) for term in ws.terms])
+            control = iterate(model, point, grids, tol_iter=1e-13,
+                              workspace=plain)
+            assert _sweep_gap(model, control) > 1e-14
+
     def test_cauchy_integral_against_mpmath(self, pentagon):
         # near the wall at R 0.35, a semiflat-like density on the widest
         # grid; the poles approach the ray down to 1e-5, one of them over a
@@ -293,8 +332,9 @@ class TestNearRayAccuracy:
         # (a first pole outside the zone gave every later pole the plain
         # kernel, off by up to 3e-4 here)
         sol = solve(pentagon, ModelPoint(1.5 + 0.2j, 1.0, (0.37, 1.29)))
-        for grid, lomx in zip(sol.grids, sol.log_one_minus_x):
-            f = np.stack(list(lomx.values()))
+        rays = np.array([r for r, _ in unknowns(sol.grids)])
+        for r, grid in enumerate(sol.grids):
+            f = sol.log_one_minus_x[rays == r]
             poles = np.array([0.3, -0.7, 1.1]) \
                 + 1j * grid.near_angle * np.array([1.5, 0.05, 0.3])
             for w in (poles, poles[::-1]):
@@ -439,6 +479,7 @@ class TestFrozenContours:
             else wall[0] * pentagon_wall_point(pentagon, wall[1])
         point = ModelPoint(u, R, (0.37, 1.29))
         center, tangents = solve_tangents(pentagon, point, tol_iter=1e-13)
+        assert tangents.shape == (4,) + center.upsilon.shape
         grids = center.grids
         ws = _prepare(pentagon, point, grids)
         assert any(near is not None for *_, near in ws.terms) \
@@ -553,10 +594,8 @@ class TestJumps:
         # the converged node data of opposite rays are complex conjugates
         # under s -> -s, which is the reality condition on the solution
         sols = pentagon_solution
-        by_charge = {}
-        for grid, ups in zip(sols.grids, sols.upsilon):
-            for gamma, vals in ups.items():
-                by_charge[gamma] = vals
+        by_charge = {gamma: vals for (_, gamma), vals
+                     in zip(unknowns(sols.grids), sols.upsilon)}
         for gamma, vals in by_charge.items():
             mirrored = np.conj(by_charge[-gamma][::-1])
             assert np.max(np.abs(vals - mirrored)) < 1e-12
