@@ -88,14 +88,14 @@ def add_solver_args(p):
 def _positive_checks(args) -> None:
     for name in ("R", "tol", "eps_quad"):
         if hasattr(args, name) and getattr(args, name) is not None \
-                and getattr(args, name) <= 0:
+                and not getattr(args, name) > 0:
             raise UsageError(f"--{name.replace('_', '-')} must be positive")
     for name in ("nodes", "panels", "order", "cutoff", "halvings", "count",
                  "max_iter", "grid", "zeta_grid"):
         if hasattr(args, name) and getattr(args, name) is not None \
                 and getattr(args, name) < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
-    if any(r <= 0 for r in getattr(args, "r_list", ())):
+    if any(not r > 0 for r in getattr(args, "r_list", ())):
         raise UsageError("every R in the R list must be positive")
     if getattr(args, "emit_grid", 0) < 0:
         raise UsageError("--emit-grid must be >= 0")

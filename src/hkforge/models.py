@@ -33,19 +33,15 @@ class ModelDefinition:
     Z: CentralCharge
     spectrum: Spectrum
     Lambda: complex
-    chamber_of: Callable[[complex], str] | None = None
+    chamber_of: Callable[[complex], str]
+    sample_grid_fn: Callable[[int], list[complex]]
+    config: dict
     monodromy: tuple[tuple[int, ...], ...] | None = None
-    sample_grid_fn: Callable[[int], list[complex]] | None = None
-    config: dict | None = None
 
     def sample_grid(self, n: int) -> list[complex]:
-        if self.sample_grid_fn is None:
-            raise ValueError(f"model {self.name} has no sample grid")
         return self.sample_grid_fn(n)
 
     def chamber(self, u: complex) -> str:
-        if self.chamber_of is None:
-            return "disc"
         return self.chamber_of(u)
 
     def with_spectrum(self, spectrum: Spectrum) -> "ModelDefinition":
@@ -446,7 +442,7 @@ def ov_oracle(model: ModelDefinition, point, gamma: Charge, zeta: complex,
             continue
         z = model.Z.of(gp, u)
         d = -z / abs(z)
-        if abs(_angle_between(zeta, d)) < 1e-8:
+        if abs(cmath.phase(zeta / d)) < 1e-8:
             raise ValueError("zeta on an OV ray; oracle needs an off-ray point")
 
         def integrand(s: float, part: int) -> float:
@@ -465,10 +461,6 @@ def ov_oracle(model: ModelDefinition, point, gamma: Charge, zeta: complex,
     value = cmath.exp(log_sf + upsilon)
     ref = xsf(model, point, gamma, zeta)
     return replace(ref, value=value, log_value=log_sf + upsilon)
-
-
-def _angle_between(a: complex, b: complex) -> float:
-    return cmath.phase(a / b)
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,16 @@ class ModelPoint:
     theta: tuple[float, ...]
 
     def __post_init__(self):
-        if self.R <= 0:
+        if not self.R > 0:  # NaN too
             raise ValueError("R must be positive")
-        object.__setattr__(self, "u", complex(self.u))
+        u, theta = complex(self.u), [float(t) for t in self.theta]
+        if not (cmath.isfinite(u) and all(map(math.isfinite, theta))):
+            raise ValueError("u and theta must be finite")
+        object.__setattr__(self, "u", u)
+        # a tiny negative angle reduces to 2 pi in rounding, which is angle 0
+        theta = (t % TWO_PI for t in theta)
         object.__setattr__(self, "theta",
-                           tuple(float(t) % TWO_PI for t in self.theta))
+                           tuple(t if t < TWO_PI else 0.0 for t in theta))
 
     def shifted(self, du: complex = 0.0, dtheta: tuple[float, ...] | None = None
                 ) -> "ModelPoint":

@@ -49,12 +49,14 @@ a solution along the point's four real coordinates by one linear solve on
 the same grids, (I + A D) dU = -A D dL with D = X / (1 - X), by the same
 contraction.
 
-There is one evaluation path, ``_upsilon_value``, for any number of zetas:
-per ray it takes one Cauchy integral of its source rows at all of them,
-each pole switching to the continuation on its own offset.  ``upsilon`` and
-``evaluate`` call it at one zeta; the checks and the two-form sampler pass
-all the zetas they need at once, on log(1 - X) or on tangent densities.
-On a ray, ``side`` picks the directed boundary value.
+There is one evaluation path off the grid, ``ray_integrals``: per ray, one
+Cauchy integral of the rows with a nonzero coefficient at all the zetas of
+a call, each pole switching to the continuation on its own offset, then
+one contraction with the coefficients.  ``_upsilon_value``, behind
+``upsilon``, ``evaluate``, the checks and the two-form sampler, and the tree
+sum all call it, so one near-ray rule holds: without ``side`` a zeta within
+RAY_AVOIDANCE_ANGLE of a contributing ray raises, and with it a zeta within
+ON_RAY_ANGLE of a ray takes the directed boundary value.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ FOUR_PI_I = 4j * math.pi
 NEAR_HALF_WIDTHS = 1.5    # subtracted kernel below this offset, in half-widths
 PANEL_LADDER = (2, 3, 4, 6, 8, 10, 12)  # counts tried below GridSpec.panels
 TAIL_SHARE = 0.1          # semiflat Legendre tail allowed, per eps_quad
-DEFAULT_MIN_ANGLE = 1e-3  # undirected evaluation forbidden below this offset
-ON_RAY_ANGLE = 1e-9       # a directed on-ray value needs zeta this close
+RAY_AVOIDANCE_ANGLE = 1e-3  # undirected evaluation refused below this offset
+ON_RAY_ANGLE = 1e-9       # a directed value is the boundary value this close
 R_SMALL_THRESHOLD = 0.9   # reject a point whose |X^sf| reaches this on a ray
 TAIL_MARGIN = 4.0         # safety margin added to -log(eps_quad) for s_max
 
@@ -91,7 +93,7 @@ class NonConvergenceError(RuntimeError):
 
 
 class RayProximityError(ValueError):
-    """zeta within the directed-limit tolerance of a BPS ray."""
+    """zeta too close to a BPS ray for the value asked for."""
 
 
 @dataclass(frozen=True)
@@ -578,74 +580,86 @@ def solve_tangents(model, point: ModelPoint, tol_iter: float = 1e-10,
 # Evaluation off the grid
 
 
-def _upsilon_value(model, grids: list[QuadratureGrid], density: np.ndarray,
-                   charges: list[Charge], zeta,
-                   side: int | None = None,
-                   min_angle: float = DEFAULT_MIN_ANGLE) -> np.ndarray:
-    """Ray integrals of one density set at zeta, per charge (last axis).
+def ray_integrals(grids: list[QuadratureGrid], rays, density: np.ndarray,
+                  coefs, zeta, side: int | None = None) -> np.ndarray:
+    """sum_k coefs[k] times the Cauchy integral of density row k, on ray
+    ``rays[k]``, at zeta: (..., K, N) node data and (K, C) coefficients give
+    leading + (C,) at a number zeta, leading + (zetas, C) at a 1-d array.
 
-    ``density`` holds node data on ``grids``, (..., U, N): a solution's
-    log(1 - X), which gives log(X / X^sf), or ``solve_tangents``' densities,
-    which give its derivatives; their leading axes are kept.  ``zeta`` is a
-    number, giving leading + (charges,), or a 1-d array, giving leading +
-    (zetas, charges).  Each ray takes one Cauchy integral over the rows of
-    its source charges at all the zetas, and one contraction with the
-    (sources, charges) coefficients.
+    A ray with no row of nonzero coefficient is not read.  Without ``side``
+    a zeta within RAY_AVOIDANCE_ANGLE of a ray that is read raises, since
+    the integral jumps there; with it, a zeta within ON_RAY_ANGLE of a ray takes
+    the counterclockwise (+1) or clockwise (-1) boundary value.  Every other
+    zeta is evaluated where it lies.
     """
-    lat = model.lattice
     scalar = np.ndim(zeta) == 0
     zetas = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    total = np.zeros(density.shape[:-2] + zetas.shape + (len(charges),),
+    coefs = np.asarray(coefs)
+    rays = np.asarray(rays, dtype=int)
+    total = np.zeros(density.shape[:-2] + zetas.shape + coefs.shape[1:],
                      dtype=complex)
-    coefs = np.array([[-om_s * lat.pair(gamma, gamma_s) / FOUR_PI_I
-                       for gamma in charges] for grid in grids
-                      for gamma_s, om_s in zip(grid.ray.charges,
-                                               grid.ray.omegas)])
-    rays = [r for r, _ in unknowns(grids)]
+    live = coefs.any(axis=1)
     for r, grid in enumerate(grids):
-        sources = [k for k, rk in enumerate(rays)
-                   if rk == r and coefs[k].any()]
-        if not sources:
+        sources = np.flatnonzero((rays == r) & live)
+        if not len(sources):
             continue
         w = np.log(zetas / grid.ray.direction)
-        close = np.abs(w.imag) < min_angle
-        if close.any():
-            if side is None:
+        if side is None:
+            close = np.abs(w.imag) < RAY_AVOIDANCE_ANGLE
+            if close.any():
                 raise RayProximityError(
-                    f"zeta={zetas[close][0]} within {min_angle} rad of the "
-                    f"ray of {grid.ray.charges[0]}; request a directed limit")
+                    f"zeta={zetas[close][0]} within {RAY_AVOIDANCE_ANGLE} "
+                    f"rad of the ray of {grid.ray.charges[0]}; request a "
+                    f"directed limit")
+        else:
             # A truly infinitesimal offset keeps the branch of the
             # closed-form kernel on the requested side (signed zeros do not
             # survive the subtraction inside the logarithms).
-            w[close] = w.real[close] + side * 1e-300j
+            on = np.abs(w.imag) < ON_RAY_ANGLE
+            w[on] = w.real[on] + side * 1e-300j
         total += np.swapaxes(cauchy_integral(
             grid, density[..., sources, :], w), -1, -2) @ coefs[sources]
     return total[..., 0, :] if scalar else total
 
 
+def _upsilon_value(model, grids: list[QuadratureGrid], density: np.ndarray,
+                   charges: list[Charge], zeta,
+                   side: int | None = None) -> np.ndarray:
+    """Ray integrals of one density set at zeta, per charge (last axis).
+
+    ``density`` holds node data on ``grids``, (..., U, N): a solution's
+    log(1 - X), which gives log(X / X^sf), or ``solve_tangents``' densities,
+    which give its derivatives.  It is ``ray_integrals`` on the rows of
+    ``unknowns(grids)`` with the coefficients -Omega <gamma, gamma'> / 4 pi i.
+    """
+    lat = model.lattice
+    coefs = np.array([[-om_s * lat.pair(gamma, gamma_s) / FOUR_PI_I
+                       for gamma in charges] for grid in grids
+                      for gamma_s, om_s in zip(grid.ray.charges,
+                                               grid.ray.omegas)])
+    return ray_integrals(grids, [r for r, _ in unknowns(grids)], density,
+                         coefs.reshape(-1, len(charges)), zeta, side)
+
+
 def upsilon(model, solution: RaySolution, gamma: Charge, zeta: complex,
-            side: int | None = None,
-            min_angle: float = DEFAULT_MIN_ANGLE) -> complex:
+            side: int | None = None) -> complex:
     """Converged log-correction log(X_gamma / X^sf_gamma) at zeta."""
     return complex(_upsilon_value(model, solution.grids,
                                   solution.log_one_minus_x, [gamma],
-                                  complex(zeta), side, min_angle)[0])
+                                  complex(zeta), side)[0])
 
 
 def evaluate(model, solution: RaySolution, gamma: Charge, zeta: complex,
-             side: int | None = None,
-             min_angle: float = DEFAULT_MIN_ANGLE) -> CoordinateValue:
+             side: int | None = None) -> CoordinateValue:
     """Corrected coordinate X_gamma(zeta) from the converged ray data.
 
-    ``side=+1/-1`` selects the counterclockwise/clockwise boundary value
-    when zeta lies within ``min_angle`` of a BPS ray; without it such a
-    zeta raises, since the coordinate jumps there.  With ``min_angle`` at
-    ON_RAY_ANGLE and zeta on a ray, this is the exact directed boundary
-    value (the +-i0 closed-form kernel); other rays keep their genuine
-    angular offsets.
+    Without ``side`` a zeta within RAY_AVOIDANCE_ANGLE of a ray where
+    gamma jumps raises.  ``side=+1/-1`` selects the counterclockwise/
+    clockwise boundary value, the +-i0 closed-form kernel, when zeta lies
+    within ON_RAY_ANGLE of a ray; any other zeta is evaluated where it lies.
     """
     lv = xsf_log(model, solution.point, gamma, zeta) + upsilon(
-        model, solution, gamma, zeta, side=side, min_angle=min_angle)
+        model, solution, gamma, zeta, side=side)
     return CoordinateValue(gamma=gamma, zeta=complex(zeta),
                            value=cmath.exp(lv), log_value=lv)
 
@@ -661,10 +675,9 @@ def _richardson_upsilon(model, solution: RaySolution, charges: list[Charge],
     if side not in (+1, -1):
         raise ValueError("side must be +1 (counterclockwise) or -1")
     delta = 2e-4
-    # both sample points must be genuine off-ray evaluations
     zetas = zeta0 * np.exp(1j * side * np.array([delta, delta / 2.0]))
     u1, u2 = _upsilon_value(model, solution.grids, solution.log_one_minus_x,
-                            charges, zetas, min_angle=delta / 8.0)
+                            charges, zetas, side)
     extrapolated = 2.0 * u2 - u1
     residual = np.abs(u2 - u1)
     failing = residual > 1e-3 * (1.0 + np.abs(extrapolated))
@@ -705,7 +718,7 @@ def ray_jump_defect(model, solution: RaySolution, ray_index: int,
     def values(charges, side, exact=True):
         ups = _upsilon_value(
             model, solution.grids, solution.log_one_minus_x, charges, zeta0,
-            side=side, min_angle=ON_RAY_ANGLE) if exact \
+            side=side) if exact \
             else _richardson_upsilon(model, solution, charges, zeta0, side)
         return [cmath.exp(xsf_log(model, solution.point, g, zeta0) + u)
                 for g, u in zip(charges, ups.tolist())]
@@ -847,8 +860,7 @@ def correction_decay(model, u: complex, theta: tuple[float, ...],
         for grid in sol.grids:
             for side in (+1, -1):
                 vals = _upsilon_value(model, sol.grids, sol.log_one_minus_x,
-                                      basis, grid.ray.direction, side=side,
-                                      min_angle=ON_RAY_ANGLE)
+                                      basis, grid.ray.direction, side=side)
                 peak = max(peak, float(np.max(np.abs(vals))))
         maxima.append(peak)
     slope = float(np.polyfit(np.asarray(r_values, dtype=float),

@@ -22,7 +22,9 @@ Cauchy integral and one kernel block serve every edge of a group.  G_T is
 linear in its root integrand, so the integrands are summed per root
 decoration with weight c(T), the multicover tower tails included, and a
 coordinate takes one Cauchy integral per root ray of the densities paired
-with its charge, not one per tree.
+with its charge, not one per tree, through the solver's ``ray_integrals``
+and its near-ray rule.  Enumeration stops past TREE_BUDGET trees, and the
+multicover towers run down to the EPS_TAIL scale.
 """
 
 from __future__ import annotations
@@ -36,11 +38,15 @@ import numpy as np
 
 from .lattice import Charge
 from .semiflat import CoordinateValue, ModelPoint, xsf_log
-from .solver import FOUR_PI_I, QuadratureGrid, build_grids, cauchy_integral
+from .solver import (FOUR_PI_I, QuadratureGrid, build_grids, cauchy_integral,
+                     ray_integrals)
+
+TREE_BUDGET = 200_000  # most trees enumerated up to one cutoff
+EPS_TAIL = 1e-16       # scale exp(-2 pi R n |Z|) down to which towers run
 
 
 class TreeBudgetError(RuntimeError):
-    """Enumeration would exceed the configured tree budget."""
+    """Enumeration would exceed TREE_BUDGET trees."""
 
 
 def multicover(spectrum, gamma: Charge, u: complex) -> Fraction:
@@ -70,9 +76,6 @@ class DecoratedTree:
 
     def degree(self) -> int:
         return self.decoration.l1_degree() + sum(c.degree() for c in self.children)
-
-    def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
 
     def height(self) -> int:
         return 1 + max((c.height() for c in self.children), default=-1)
@@ -124,14 +127,15 @@ def _decorations(model, u: complex, cutoff: int) -> list[Charge]:
     return sorted(seen, key=lambda g: (g.l1_degree(), g.coeffs))
 
 
-def enumerate_trees(model, u: complex, degree_cutoff: int,
-                    budget: int = 200_000) -> list[tuple[DecoratedTree, Fraction]]:
+def enumerate_trees(model, u: complex, degree_cutoff: int
+                    ) -> list[tuple[DecoratedTree, Fraction]]:
     """All isomorphism classes of nonzero-weight trees up to the cutoff.
 
     Tree degree is the summed L1 degree of the decorations, matching the
     exp(-2 pi R sum|Z|) suppression of the corresponding integrals.  Trees
     with a vanishing parent-child pairing are pruned while building, so
-    every returned tree has a nonzero weight.
+    every returned tree has a nonzero weight.  More than TREE_BUDGET trees
+    raise ``TreeBudgetError``.
     """
     lat = model.lattice
     decorations = _decorations(model, u, degree_cutoff)
@@ -165,9 +169,10 @@ def enumerate_trees(model, u: complex, degree_cutoff: int,
                     continue
                 level.append(DecoratedTree(gamma, kids))
                 count += 1
-                if count > budget:
+                if count > TREE_BUDGET:
                     raise TreeBudgetError(
-                        f"more than {budget} trees below degree {degree_cutoff}")
+                        f"more than {TREE_BUDGET} trees below degree "
+                        f"{degree_cutoff}")
         levels[k] = level
         if k < degree_cutoff:
             for tree in sorted(level, key=lambda t: t.canonical_key()):
@@ -186,10 +191,11 @@ def enumerate_trees(model, u: complex, degree_cutoff: int,
 class TreeIntegrator:
     """Tree integrals at one point on shared grids, cached as node arrays.
 
-    Keeps the enumeration per (cutoff, budget), each distinct subtree's root
-    integrand on its root ray by canonical key, and the summed density per
-    root decoration per (cutoff, budget, eps_tail): 1-D arrays only, so no
-    kernel block outlives the call that built it.
+    Keeps the enumeration per cutoff, each distinct subtree's root integrand
+    on its root ray by canonical key, and the summed density per root
+    decoration per cutoff: 1-D arrays only, so no kernel block outlives the
+    call that built it.  TREE_BUDGET and EPS_TAIL are constants, so the
+    cutoff alone keys the caches.
     """
 
     def __init__(self, model, point: ModelPoint,
@@ -199,9 +205,9 @@ class TreeIntegrator:
         self.grids = grids if grids is not None else build_grids(model, point)
         self._rays: dict[Charge, int] = {}
         self._xsf_cache: dict[Charge, np.ndarray] = {}
-        self._trees: dict[tuple[int, int], list] = {}
+        self._trees: dict[int, list] = {}
         self._integrands: dict[tuple, tuple[int, np.ndarray]] = {}
-        self._densities: dict[tuple, dict[Charge, tuple[int, np.ndarray]]] = {}
+        self._densities: dict[int, dict[Charge, tuple[int, np.ndarray]]] = {}
 
     def _ray_index(self, gamma: Charge) -> int:
         if gamma not in self._rays:
@@ -224,14 +230,12 @@ class TreeIntegrator:
                 self.model, self.point, gamma, grid.zeta_nodes))
         return self._xsf_cache[gamma]
 
-    def trees(self, degree_cutoff: int, budget: int = 200_000
-              ) -> list[tuple[DecoratedTree, Fraction]]:
+    def trees(self, degree_cutoff: int) -> list[tuple[DecoratedTree, Fraction]]:
         """The nonzero-weight trees up to the cutoff, enumerated once."""
-        key = (degree_cutoff, budget)
-        if key not in self._trees:
-            self._trees[key] = enumerate_trees(
-                self.model, self.point.u, degree_cutoff, budget=budget)
-        return self._trees[key]
+        if degree_cutoff not in self._trees:
+            self._trees[degree_cutoff] = enumerate_trees(
+                self.model, self.point.u, degree_cutoff)
+        return self._trees[degree_cutoff]
 
     def integrands(self, trees: list[DecoratedTree]
                    ) -> list[tuple[int, np.ndarray]]:
@@ -283,19 +287,17 @@ class TreeIntegrator:
                 cache[key] = (rp, vals)
         return [cache[t.canonical_key()] for t in trees]
 
-    def densities(self, degree_cutoff: int, budget: int = 200_000,
-                  eps_tail: float = 1e-16
+    def densities(self, degree_cutoff: int
                   ) -> dict[Charge, tuple[int, np.ndarray]]:
         """(root ray, sum of c(T) times root integrand) per root decoration.
 
         The sum runs over the trees up to the cutoff and the single-node
         multicover towers n * beta past it, while their exp(-2 pi R n |Z|)
-        scale stays above ``eps_tail``.
+        scale stays above EPS_TAIL.
         """
-        key = (degree_cutoff, budget, eps_tail)
-        if key not in self._densities:
-            weighted = self.trees(degree_cutoff, budget) + _tower_tails(
-                self.model, self.point, degree_cutoff, eps_tail)
+        if degree_cutoff not in self._densities:
+            weighted = self.trees(degree_cutoff) + _tower_tails(
+                self.model, self.point, degree_cutoff)
             rooted = self.integrands([t for t, _ in weighted])
             sums: dict[Charge, np.ndarray] = {}
             for (tree, weight), (_, vals) in zip(weighted, rooted):
@@ -304,49 +306,36 @@ class TreeIntegrator:
                     sums[tree.decoration] += term
                 else:
                     sums[tree.decoration] = term
-            self._densities[key] = {d: (self._ray_index(d), f)
-                                    for d, f in sums.items()}
-        return self._densities[key]
-
-    def _root_integral(self, r: int, density: np.ndarray, zeta: complex
-                      ) -> complex:
-        """(1/4 pi i) times the Cauchy integral of a density on ray r at zeta."""
-        zeta = complex(zeta)
-        grid = self.grids[r]
-        if abs(cmath.log(zeta / grid.ray.direction).imag) < 1e-6:
-            raise ValueError(f"zeta={zeta} on the root ray at angle "
-                             f"{grid.ray.angle:+.6f}")
-        w = np.log(np.array([zeta]) / grid.ray.direction)
-        return complex(cauchy_integral(grid, density, w)[0] / FOUR_PI_I)
+            self._densities[degree_cutoff] = {d: (self._ray_index(d), f)
+                                              for d, f in sums.items()}
+        return self._densities[degree_cutoff]
 
     def g_integral(self, tree: DecoratedTree, zeta: complex) -> complex:
         """G_T at an off-ray zeta: one more Cauchy integral over the root ray."""
         [(r, vals)] = self.integrands([tree])
-        return self._root_integral(r, vals, zeta)
+        return complex(ray_integrals(self.grids, [r], vals[None],
+                                     [[1.0 / FOUR_PI_I]], zeta)[0])
 
-    def exponent(self, gamma: Charge, zeta: complex, degree_cutoff: int,
-                 budget: int = 200_000, eps_tail: float = 1e-16) -> complex:
+    def exponent(self, gamma: Charge, zeta: complex, degree_cutoff: int
+                 ) -> complex:
         """sum_T <gamma, g_T> c(T) G_T(zeta): one Cauchy integral per ray."""
         lat = self.model.lattice
-        per_ray: dict[int, np.ndarray] = {}
-        for delta, (r, dens) in self.densities(degree_cutoff, budget,
-                                               eps_tail).items():
-            p = lat.pair(gamma, delta)
-            if p:
-                per_ray[r] = per_ray[r] + p * dens if r in per_ray \
-                    else p * dens
-        return sum((self._root_integral(r, f, zeta)
-                    for r, f in per_ray.items()), 0.0 + 0.0j)
+        dens = self.densities(degree_cutoff)
+        coefs = np.array([lat.pair(gamma, delta) / FOUR_PI_I
+                          for delta in dens])
+        return complex(ray_integrals(
+            self.grids, [r for r, _ in dens.values()],
+            np.array([f for _, f in dens.values()]), coefs[:, None], zeta)[0])
 
 
-def _tower_tails(model, point: ModelPoint, degree_cutoff: int,
-                 eps_tail: float) -> list[tuple[DecoratedTree, Fraction]]:
-    """Single nodes n * beta past the cutoff down to the eps_tail scale."""
+def _tower_tails(model, point: ModelPoint, degree_cutoff: int
+                 ) -> list[tuple[DecoratedTree, Fraction]]:
+    """Single nodes n * beta past the cutoff down to the EPS_TAIL scale."""
     tails = []
     for base in model.spectrum.support(point.u):
         scale = 2.0 * math.pi * point.R * abs(model.Z.of(base, point.u))
         n = degree_cutoff // base.l1_degree() + 1
-        while n * scale < -math.log(eps_tail):
+        while n * scale < -math.log(EPS_TAIL):
             delta = n * base
             c = multicover(model.spectrum, delta, point.u)
             if c:
@@ -381,21 +370,19 @@ def layer_gate(layer: float, prev_layer: float, q_floor: float,
 def series_solution(model, point: ModelPoint, gamma: Charge, zeta: complex,
                     degree_cutoff: int = 4,
                     grids: list[QuadratureGrid] | None = None,
-                    budget: int = 200_000,
-                    integrator: TreeIntegrator | None = None,
-                    eps_tail: float = 1e-16) -> CoordinateValue:
+                    integrator: TreeIntegrator | None = None
+                    ) -> CoordinateValue:
     """Tree-sum coordinate X_gamma = X^sf exp[sum_T <gamma,g_T> c(T) G_T].
 
     The structural cutoff bounds the tree degree; the single-node multicover
     towers n * beta are resummed past it until their exp(-2 pi R n |Z|)
-    scale drops below ``eps_tail`` — the towers are what the logarithms of
+    scale drops below EPS_TAIL — the towers are what the logarithms of
     the integral equation expand into, so without them even the
     one-electric-charge model would disagree at the cutoff scale.
     """
     if integrator is None:
         integrator = TreeIntegrator(model, point, grids)
-    exponent = integrator.exponent(gamma, zeta, degree_cutoff, budget,
-                                   eps_tail)
+    exponent = integrator.exponent(gamma, zeta, degree_cutoff)
     lv = xsf_log(model, point, gamma, zeta) + exponent
     return CoordinateValue(gamma=gamma, zeta=complex(zeta),
                            value=cmath.exp(lv), log_value=lv)

@@ -89,6 +89,8 @@ class TestExitCodes:
          "--theta", "0.37,1.29", "--emit-grid", "-3"),
         ("solve", "--model", "ov", "--u", "0.5,0", "--R", "1",
          "--theta", "0.3,1.1", "--max-iter", "0"),
+        ("solve", "--model", "ov", "--u", "0.5,0", "--R", "nan",
+         "--theta", "0.3,1.1"),
         ("validate", "--model", "pentagon", "--grid", "-5"),
         ("semiflat-sample", "--model", "ov", "--u", "0.5,0", "--R", "1",
          "--theta", "0.3,1.1", "--zeta-grid", "0"),
@@ -310,10 +312,7 @@ class TestReports:
 
     def test_tree_budget_is_check_failure(self, capsys, monkeypatch):
         # cutoff 3 (64 trees) fits the budget, the cutoff-4 layer does not
-        enumerate_trees = trees.enumerate_trees
-        monkeypatch.setattr(trees, "enumerate_trees",
-                            lambda model, u, cutoff, budget:
-                            enumerate_trees(model, u, cutoff, budget=100))
+        monkeypatch.setattr(trees, "TREE_BUDGET", 100)
         code, _, err = run(capsys, "tree-compare", "--model", "pentagon",
                            "--u", "0.6,0.3", "--R", "1",
                            "--theta", "0.37,1.29", "--cutoff", "3",

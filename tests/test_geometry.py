@@ -132,7 +132,7 @@ class TestFamilySolve:
         agree(grids[0].ray.direction * cmath.exp(0.5j * grids[0].near_angle))
         for grid in grids:
             for side in (+1, -1):
-                agree(grid.ray.direction, side=side, min_angle=1e-9)
+                agree(grid.ray.direction, side=side)
 
 
 class TestLaurentFit:

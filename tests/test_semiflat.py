@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkforge.lattice import charge
 from hkforge.semiflat import (ModelPoint, dlog_xsf_matrix, omega3_sf,
@@ -16,6 +18,31 @@ TWO_PI = 2.0 * math.pi
 
 def wrap(a):
     return a % TWO_PI
+
+
+class TestModelPoint:
+    def test_non_finite_u_refused(self):
+        for u in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+            with pytest.raises(ValueError):
+                ModelPoint(u, 1.0, (0.3, 1.1))
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(theta=st.lists(st.floats(), min_size=1, max_size=3),
+           R=st.floats())
+    def test_normalisation(self, theta, R):
+        # theta is reduced into [0, 2 pi) and keeps its class mod 2 pi;
+        # R must be positive and theta finite, so NaN is refused as well
+        if not (R > 0 and all(map(math.isfinite, theta))):
+            with pytest.raises(ValueError):
+                ModelPoint(0.3, R, theta)
+            return
+        pt = ModelPoint(0.3, R, theta)
+        assert pt.u == 0.3 + 0j and pt.R == R
+        assert len(pt.theta) == len(theta)
+        for t, t0 in zip(pt.theta, theta):
+            assert 0.0 <= t < TWO_PI
+            assert abs(math.remainder(t - t0, TWO_PI)) \
+                <= 4 * math.ulp(max(abs(t0), TWO_PI))
 
 
 class TestTwistedCharacter:

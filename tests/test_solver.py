@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hkforge.lattice import Spectrum, charge
 from hkforge.models import pentagon_wall_point
 from hkforge.semiflat import ModelPoint, xsf, xsf_log
-from hkforge.solver import (ON_RAY_ANGLE, GridSpec, NonConvergenceError,
+from hkforge.solver import (GridSpec, NonConvergenceError,
                             QuadratureGrid, RayProximityError, RSmallError,
                             _gl_panels, _prepare, _richardson_upsilon,
                             _upsilon_value,
@@ -165,6 +165,22 @@ class TestEvaluation:
             assert abs(lim.imag) < 1e-8
             assert abs(lim) > 0.5
 
+    @settings(max_examples=30, derandomize=True, deadline=None,
+              database=None)
+    @given(data=st.data())
+    def test_reality_property(self, pentagon, pentagon_solution, ov,
+                              ov_solution, data):
+        # X_gamma(-1/conj zeta) = conj X_{-gamma}(zeta), criterion 4b's
+        # tolerance, anywhere the undirected evaluation is allowed
+        model, sol = data.draw(st.sampled_from(
+            [(pentagon, pentagon_solution), (ov, ov_solution)]))
+        zetas, _ = data.draw(_zeta_batch(sol.grids, directed=False))
+        gamma = data.draw(st.sampled_from([G1, G2, G1 + G2]))
+        for zeta in zetas:
+            lhs = evaluate(model, sol, gamma, -1 / np.conj(zeta)).value
+            rhs = np.conj(evaluate(model, sol, -gamma, zeta).value)
+            assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
     def test_ray_proximity_raises(self, pentagon, pentagon_solution):
         # a charge pairing with the ray charge jumps there, so the
         # undirected evaluation must refuse; the ray's own charge is
@@ -201,13 +217,15 @@ def densities(pentagon, pentagon_point, ov, ov_point, pentagon_solution,
 
 
 @st.composite
-def _zeta_batch(draw, grids):
+def _zeta_batch(draw, grids, directed=None):
     """1-16 zetas at moduli 0.3-3: off-ray ones at least 1e-3 rad from
     every ray, log-uniform in their offset so that both the near zones and
-    the mid-sectors are hit, and possibly directed on-ray ones."""
+    the mid-sectors are hit, and possibly (unless ``directed`` is False)
+    directed on-ray ones."""
     angles = sorted(g.ray.angle for g in grids)
     gaps = np.diff(angles + [angles[0] + 2 * math.pi])
-    directed = draw(st.booleans())
+    if directed is None:
+        directed = draw(st.booleans())
     zetas = []
     for _ in range(draw(st.integers(1, 16))):
         k = draw(st.integers(0, len(angles) - 1))
@@ -231,7 +249,7 @@ class TestBatchedEvaluation:
     def test_batched_equals_one_zeta(self, densities, data):
         model, grids, density = data.draw(st.sampled_from(densities))
         zetas, side = data.draw(_zeta_batch(grids))
-        kw = dict(side=side, min_angle=ON_RAY_ANGLE) if side else {}
+        kw = dict(side=side) if side else {}
         charges = model.lattice.basis()
         batched = _upsilon_value(model, grids, density, charges, zetas, **kw)
         alone = np.stack([_upsilon_value(model, grids, density, charges,
@@ -269,8 +287,8 @@ def _sweep_gap(model, sol):
     worst = 0.0
     for (r, gamma), ups in zip(unknowns(sol.grids), sol.upsilon):
         at_nodes = _upsilon_value(model, sol.grids, sol.log_one_minus_x,
-                                  [gamma], sol.grids[r].zeta_nodes, side=+1,
-                                  min_angle=ON_RAY_ANGLE)[:, 0]
+                                  [gamma], sol.grids[r].zeta_nodes,
+                                  side=+1)[:, 0]
         worst = max(worst, float(np.max(np.abs(at_nodes - ups))))
     return worst
 
@@ -525,8 +543,7 @@ class TestJumps:
                                           side)
                 for g, u in zip((G1, G2), got):
                     u1, u2 = (upsilon(pentagon, sol, g, zeta0 * cmath.exp(
-                        1j * side * d), min_angle=delta / 8)
-                        for d in (delta, delta / 2))
+                        1j * side * d), side) for d in (delta, delta / 2))
                     assert abs(u - (2 * u2 - u1)) <= 1e-15
         direction = midsector_zetas(sol, 1)[0]
         for g in (G1, G2):
@@ -546,9 +563,9 @@ class TestJumps:
         grid = pentagon_solution.grids[0]
         gamma = grid.ray.charges[0]
         a = evaluate(pentagon, pentagon_solution, gamma,
-                     grid.ray.direction, +1, min_angle=1e-9)
+                     grid.ray.direction, +1)
         b = evaluate(pentagon, pentagon_solution, gamma,
-                     grid.ray.direction, -1, min_angle=1e-9)
+                     grid.ray.direction, -1)
         assert abs(a.value - b.value) <= 1e-13 * abs(a.value)
 
     def test_directed_value_at_a_node(self, pentagon):
@@ -561,18 +578,29 @@ class TestJumps:
                 on, off = grid.ray.direction * np.exp([s, s + 1e-9])
                 for gamma in (G1, G2):
                     worst = max(worst, abs(
-                        upsilon(pentagon, sol, gamma, on, side=+1,
-                                min_angle=ON_RAY_ANGLE)
-                        - upsilon(pentagon, sol, gamma, off, side=+1,
-                                  min_angle=ON_RAY_ANGLE)))
+                        upsilon(pentagon, sol, gamma, on, side=+1)
+                        - upsilon(pentagon, sol, gamma, off, side=+1)))
         assert worst <= 1e-7
+
+    def test_side_acts_only_on_a_ray(self, pentagon):
+        # 5e-4 rad off a ray, past ON_RAY_ANGLE, both sides must give the
+        # value where zeta lies, not a boundary value of the ray
+        sol = solve(pentagon, ModelPoint(1.5 + 0.2j, 1.0, (0.37, 1.29)),
+                    tol_iter=1e-13)
+        for grid in sol.grids:
+            gamma = next(g for g in (G1, G2)
+                         if pentagon.lattice.pair(g, grid.ray.charges[0]))
+            for turn in (5e-4, -5e-4):
+                zeta = grid.ray.direction * cmath.exp(1j * turn)
+                ccw, cw = (upsilon(pentagon, sol, gamma, zeta, side=side)
+                           for side in (+1, -1))
+                assert abs(ccw - cw) <= 1e-15 * abs(ccw)
 
     def test_side_limit_matches_exact(self, ov, ov_solution):
         zeta0 = ov_solution.grids[0].ray.direction
         for side in (+1, -1):
             rich = side_limit(ov, ov_solution, G1, zeta0, side)
-            exact = evaluate(ov, ov_solution, G1, zeta0, side,
-                             min_angle=1e-9)
+            exact = evaluate(ov, ov_solution, G1, zeta0, side)
             assert abs(rich.value - exact.value) < 1e-8 * abs(exact.value)
 
     @pytest.mark.parametrize("phi", [0.9, -0.8])

@@ -10,7 +10,8 @@ import pytest
 from hkforge import solver, trees
 from hkforge.lattice import Spectrum, charge
 from hkforge.semiflat import ModelPoint, xsf
-from hkforge.solver import evaluate, midsector_zetas, solve
+from hkforge.solver import (RayProximityError, evaluate, midsector_zetas,
+                            solve)
 from hkforge.trees import (DecoratedTree, TreeBudgetError, TreeIntegrator,
                            _tower_tails, enumerate_trees, multicover,
                            series_solution, tree_weight)
@@ -61,9 +62,10 @@ class TestEnumeration:
         assert weights[(G1, G2)] == Fraction(1)
         assert weights[(G2, G1)] == Fraction(-1)
 
-    def test_budget_guard(self, pentagon):
+    def test_budget_guard(self, pentagon, monkeypatch):
+        monkeypatch.setattr(trees, "TREE_BUDGET", 50)
         with pytest.raises(TreeBudgetError):
-            enumerate_trees(pentagon, 3.0j, 9, budget=50)
+            enumerate_trees(pentagon, 3.0j, 9)
 
 
 class TestAutomorphisms:
@@ -218,7 +220,7 @@ class TestSharedKernels:
     def test_grouped_sum_equals_per_tree_sum(self, pentagon, strong):
         point, sol = strong
         integ = TreeIntegrator(pentagon, point, sol.grids)
-        weighted = integ.trees(4) + _tower_tails(pentagon, point, 4, 1e-16)
+        weighted = integ.trees(4) + _tower_tails(pentagon, point, 4)
         lat = pentagon.lattice
         for z in _zetas(sol):
             for g in (G1, G2):
@@ -245,9 +247,11 @@ class TestSharedKernels:
         # the ray's charges pair to zero with their own multiples only
         gamma = next(g for g in (G1, G2)
                      if pentagon.lattice.pair(g, ray.charges[0]))
-        with pytest.raises(ValueError):
-            series_solution(pentagon, point, gamma, ray.direction, 2,
-                            integrator=integ)
+        # the solver's near-ray rule: 1e-4 rad off is as close as on
+        for zeta in (ray.direction, ray.direction * cmath.exp(1e-4j)):
+            with pytest.raises(RayProximityError):
+                series_solution(pentagon, point, gamma, zeta, 2,
+                                integrator=integ)
         series_solution(pentagon, point, ray.charges[0], ray.direction, 2,
                         integrator=integ)
 
