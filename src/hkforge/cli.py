@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry, ks, models, solver, trees
 from .lattice import charge, validate_conditions
-from .semiflat import ModelPoint, xsf_log
+from .semiflat import ModelPoint, omega3_sf, omega_plus_sf, xsf_log
 
 
 class CheckFailure(RuntimeError):
@@ -105,18 +105,30 @@ class UsageError(ValueError):
     pass
 
 
+def model_from_args(args):
+    """The model of ``--model``, with ``--theta`` and ``--charge`` checked
+    against its lattice rank before any work."""
+    model = models.load_model(args.model)
+    rank = model.lattice.rank_total
+    for name in ("theta", "charge"):
+        value = getattr(args, name, None)
+        if value is not None and len(value) != rank:
+            raise UsageError(f"--{name} needs {rank} entries")
+    return model
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_model_info(args) -> int:
-    model = models.load_model(args.model)
+    model = model_from_args(args)
     print(models.model_info(model))
     return 0
 
 
 def cmd_validate(args) -> int:
-    model = models.load_model(args.model)
+    model = model_from_args(args)
     report = validate_conditions(model, n_grid=args.grid)
     print(report.table())
     if not report.ok:
@@ -126,7 +138,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_wcf_check(args) -> int:
-    model = models.load_model(args.model)
+    model = model_from_args(args)
     if model.name != "pentagon":
         print("wcf-check: only the pentagon model carries a wall")
         return 1
@@ -251,7 +263,7 @@ def load_solution(path: str):
 
 
 def cmd_solve(args) -> int:
-    model = models.load_model(args.model)
+    model = model_from_args(args)
     point = point_from_args(args)
     spec = grid_spec_from_args(args)
     sol = solver.solve(model, point, spec=spec, tol_iter=args.tol,
@@ -295,15 +307,15 @@ def cmd_jump_check(args) -> int:
 
 
 def cmd_wall_check(args) -> int:
-    model = models.load_model(args.model)
+    model = model_from_args(args)
     if model.name != "pentagon":
         print("wall-check: only the pentagon model carries a wall")
         return 1
     w = models.pentagon_wall_point(model, args.phi)
     u_in = w * (1.0 - args.sep)
     u_out = w * (1.0 + args.sep)
-    probe = solver.solve(model, ModelPoint(u_in, args.R, args.theta))
-    zetas = solver.midsector_zetas(probe, n=4)
+    zetas = solver.midsector_zetas(
+        solver.build_grids(model, ModelPoint(u_in, args.R, args.theta)), n=4)
     report = solver.check_wall_continuity(model, u_in, u_out, args.R,
                                           args.theta, zetas,
                                           halvings=args.halvings)
@@ -336,7 +348,7 @@ def cmd_wall_check(args) -> int:
 
 
 def cmd_tree_compare(args) -> int:
-    model = models.load_model(args.model)
+    model = model_from_args(args)
     point = point_from_args(args)
     sol = solver.solve(model, point, tol_iter=1e-13)
     integ = trees.TreeIntegrator(model, point, sol.grids)
@@ -406,7 +418,7 @@ def cmd_ov_compare(args) -> int:
 def cmd_decay_scan(args) -> int:
     if len(set(args.r_list)) < 2:
         raise UsageError("--R-list needs at least 2 distinct values")
-    model = models.load_model(args.model)
+    model = model_from_args(args)
     report = solver.correction_decay(model, args.u, args.theta, args.r_list)
     print("R        max correction")
     for r, m in zip(report.r_values, report.max_corrections):
@@ -420,13 +432,20 @@ def cmd_decay_scan(args) -> int:
     return 0
 
 
+def metric_at(model, point, semiflat_only: bool):
+    """(fit, metric, algebra) at a point; the semiflat metric takes the
+    closed-form semiflat forms, with no solve and no fit (fit None)."""
+    if not semiflat_only:
+        return geometry.fit_point(model, point)
+    forms = omega_plus_sf(model, point), omega3_sf(model, point)
+    return (None, geometry.metric_from_triple(*forms),
+            geometry.triple_wedge_check(*forms))
+
+
 def cmd_metric(args) -> int:
-    if args.zetas < geometry.MIN_ZETAS:
-        raise UsageError(f"--zetas must be >= {geometry.MIN_ZETAS}")
-    model = models.load_model(args.model)
+    model = model_from_args(args)
     point = point_from_args(args)
-    fit, metric, algebra = geometry.fit_point(
-        model, point, n_zetas=args.zetas, semiflat_only=args.semiflat_only)
+    fit, metric, algebra = metric_at(model, point, args.semiflat_only)
 
     def show_matrix(name, m):
         print(name)
@@ -435,8 +454,9 @@ def cmd_metric(args) -> int:
 
     show_matrix("metric g:", metric.g)
     show_matrix("complex structure J:", metric.J)
-    print(f"laurent residual {fit.residual:.3e}, "
-          f"omega_3 imaginary defect {fit.omega3_imag:.3e}")
+    if fit is not None:
+        print(f"laurent residual {fit.residual:.3e}, "
+              f"omega_3 imaginary defect {fit.omega3_imag:.3e}")
     print(f"J^2 defect {metric.j_squared_defect:.3e}")
     print(f"triple algebra: equal-squares {algebra.equal_squares_defect:.3e}, "
           f"mixed {algebra.mixed_defect:.3e}")
@@ -462,9 +482,7 @@ def _metric_grid_rows(model, point, n, semiflat_only):
 
     def one(du):
         p = ModelPoint(base + du * max(abs(base), 1.0), point.R, point.theta)
-        _, metric, _ = geometry.fit_point(model, p,
-                                          semiflat_only=semiflat_only)
-        g = metric.g
+        g = metric_at(model, p, semiflat_only)[1].g
         return [p.u.real, p.u.imag] + [g[i, j] for i in range(4)
                                        for j in range(i, 4)]
 
@@ -472,7 +490,7 @@ def _metric_grid_rows(model, point, n, semiflat_only):
 
 
 def cmd_semiflat_sample(args) -> int:
-    model = models.load_model(args.model)
+    model = model_from_args(args)
     point = point_from_args(args)
     basis = model.lattice.basis()
     print("zeta_re        zeta_im        charge    Re log X^sf     Im log X^sf")
@@ -558,8 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metric", help="assemble the metric at a point")
     p.add_argument("--model", required=True)
     add_point_args(p)
-    p.add_argument("--semiflat-only", action="store_true")
-    p.add_argument("--zetas", type=int, default=12)
+    p.add_argument("--semiflat-only", action="store_true",
+                   help="the semiflat metric, from its closed-form forms")
     p.add_argument("--emit-grid", type=int, default=0, dest="emit_grid")
     p.add_argument("--grid-out", default="metric_grid.txt", dest="grid_out")
     p.set_defaults(fn=cmd_metric)

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .semiflat import ModelPoint, dlog_xsf_matrix, pairing_two_form
-from .solver import (_upsilon_value, build_grids, midsector_zetas,
-                     solve_tangents)
+from .solver import _upsilon_value, midsector_zetas, solve_tangents
 
-MIN_ZETAS = 5  # samples that overdetermine the three-term Laurent fit
+MIN_ZETAS = 5   # samples that overdetermine the three-term Laurent fit
+FIT_ZETAS = 12  # samples ``fit_point`` takes
 
 
 @dataclass
@@ -38,33 +38,26 @@ class VarpiSampler:
     set of grids.  ``varpi`` and ``dlog_matrix`` take a number or a 1-d
     array of zetas: all of them share one evaluation of the stacked tangent
     densities, one Cauchy integral per ray, added to the closed-form
-    ``dlog_xsf_matrix``.  With ``semiflat_only`` the closed form stands
-    alone (``center`` and ``tangents`` are None).
+    ``dlog_xsf_matrix``.
     """
 
     model: object
     point: ModelPoint
     tol_iter: float = 1e-11
-    semiflat_only: bool = False
 
     def __post_init__(self):
         self._basis = self.model.lattice.basis()[:2]
-        self.center = self.tangents = None
-        if not self.semiflat_only:
-            self.center, self.tangents = solve_tangents(
-                self.model, self.point, tol_iter=self.tol_iter)
+        self.center, self.tangents = solve_tangents(
+            self.model, self.point, tol_iter=self.tol_iter)
 
     def dlog_matrix(self, zeta, side: int | None = None) -> np.ndarray:
         """Rows: basis charges; columns: the four real coordinate derivatives.
 
         (2, 4) at a number, (Z, 2, 4) at Z zetas.
         """
-        a = dlog_xsf_matrix(self.model, self.point, zeta)
-        if self.tangents is not None:
-            a = a + np.moveaxis(_upsilon_value(
-                self.model, self.center.grids, self.tangents, self._basis,
-                zeta, side=side), 0, -1)
-        return a
+        return dlog_xsf_matrix(self.model, self.point, zeta) + np.moveaxis(
+            _upsilon_value(self.model, self.center.grids, self.tangents,
+                           self._basis, zeta, side=side), 0, -1)
 
     def varpi(self, zeta, side: int | None = None) -> np.ndarray:
         """The two-form, (4, 4) at a number, (Z, 4, 4) at Z zetas."""
@@ -170,16 +163,11 @@ def triple_wedge_check(omega_plus: np.ndarray, omega_3: np.ndarray
                        volume=squares[0])
 
 
-def fit_point(model, point: ModelPoint, n_zetas: int = 12,
-              tol_iter: float = 1e-11,
-              semiflat_only: bool = False
+def fit_point(model, point: ModelPoint
               ) -> tuple[LaurentFit, MetricSample, TripleCheck]:
     """Full pipeline at one point: samples, Laurent split, metric, algebra."""
-    sampler = VarpiSampler(model, point, tol_iter=tol_iter,
-                           semiflat_only=semiflat_only)
-    grids = build_grids(model, point) if semiflat_only \
-        else sampler.center.grids
-    zetas = midsector_zetas(grids, n=n_zetas)
+    sampler = VarpiSampler(model, point)
+    zetas = midsector_zetas(sampler.center.grids, n=FIT_ZETAS)
     fit = laurent_fit(zetas, sampler.varpi(zetas))
     metric = metric_from_triple(fit.omega_plus, fit.omega_3)
     algebra = triple_wedge_check(fit.omega_plus, fit.omega_3)

@@ -17,6 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+SPECTRAL_CUTOFF = 1e-16   # active charges have exp(-2 pi R |Z|) above this
+WALL_ANGLE = 1e-6         # rad; non-proportional rays this close mean a wall
+DERIVATIVE_STEP = 1e-5    # central-difference step, relative to max(|u|, 1)
+
 
 class LatticeError(ValueError):
     """Malformed lattice data or mismatched charge dimensions."""
@@ -179,7 +183,6 @@ class CentralCharge:
     ``basis_derivatives``, when present, returns closed-form dZ_{e_i}/du.
     """
 
-    model_id: str
     basis_values: Callable[[complex], tuple[complex, ...]]
     basis_derivatives: Callable[[complex], tuple[complex, ...]] | None = None
 
@@ -230,13 +233,12 @@ class Ray:
 
 
 def bps_rays(spectrum: Spectrum, Z: CentralCharge, u: complex,
-             R: float = 1.0, eps_spec: float = 1e-16,
-             wall_tol: float = 1e-6) -> list[Ray]:
+             R: float) -> list[Ray]:
     """Active BPS rays at u, sorted by angle.
 
     A charge is active when its degeneracy is nonzero and exp(-2 pi R |Z|)
-    clears the spectral cutoff.  Distinct charges land on one ray only when
-    proportional; a non-proportional near-collision signals wall proximity.
+    clears SPECTRAL_CUTOFF.  Distinct charges land on one ray only when
+    proportional; non-proportional rays within WALL_ANGLE signal a wall.
     """
     active: list[tuple[Charge, int, complex]] = []
     for gamma in spectrum.support(u):
@@ -247,7 +249,7 @@ def bps_rays(spectrum: Spectrum, Z: CentralCharge, u: complex,
         if abs(z) == 0.0:
             raise DegeneratePointError(
                 f"Z vanishes for active charge {gamma} at u={u}")
-        if math.exp(-2.0 * math.pi * R * abs(z)) < eps_spec:
+        if math.exp(-2.0 * math.pi * R * abs(z)) < SPECTRAL_CUTOFF:
             continue
         active.append((gamma, om, z))
 
@@ -281,7 +283,7 @@ def bps_rays(spectrum: Spectrum, Z: CentralCharge, u: complex,
         if len(rays) < 2 or a == b:
             break
         diff = abs(_wrap_angle(rays[b].angle - rays[a].angle))
-        if diff < wall_tol and not rays[a].charges[0].proportional(rays[b].charges[0]):
+        if diff < WALL_ANGLE and not rays[a].charges[0].proportional(rays[b].charges[0]):
             raise WallProximityError(
                 f"rays of {rays[a].charges[0]} and {rays[b].charges[0]} "
                 f"separated by {diff:.2e} rad at u={u}")
@@ -296,13 +298,12 @@ def _wrap_angle(a: float) -> float:
     return a
 
 
-def complex_derivative(f: Callable[[complex], np.ndarray], u: complex,
-                       h_rel: float = 1e-5):
+def complex_derivative(f: Callable[[complex], np.ndarray], u: complex):
     """Central-difference d/du and d/dubar with one Richardson halving.
 
     Returns (df_du, df_dubar) as arrays matching the output of f.
     """
-    h = h_rel * max(abs(u), 1.0)
+    h = DERIVATIVE_STEP * max(abs(u), 1.0)
 
     def diff(step):
         fx = (np.asarray(f(u + step)) - np.asarray(f(u - step))) / (2.0 * step)
@@ -342,7 +343,7 @@ class ConditionReport:
 
 
 def validate_conditions(model, grid: Sequence[complex] | None = None,
-                        n_grid: int = 16, h_rel: float = 1e-5) -> ConditionReport:
+                        n_grid: int = 16) -> ConditionReport:
     """Numerically check the defining conditions on a grid of base points.
 
     Checks, per sample u: flavor central charges constant, the (2,0) part of
@@ -370,7 +371,7 @@ def validate_conditions(model, grid: Sequence[complex] | None = None,
         return np.array(model.Z.basis_values(u), dtype=complex)
 
     for u in grid:
-        du, dubar = complex_derivative(zvec, u, h_rel=h_rel)
+        du, dubar = complex_derivative(zvec, u)
         a = du[:lat.gauge_rank]
         b = dubar[:lat.gauge_rank]
         scale = 1.0 + float(np.max(np.abs(a)))

@@ -22,6 +22,8 @@ from .lattice import (Charge, CentralCharge, DegeneratePointError, Lattice,
                       Spectrum, charge)
 
 RANK2_PAIRING = ((0, 1), (-1, 0))
+WALL_BRACKET = (0.5, 4.0)  # radii / |Lambda|^3 that straddle the pentagon wall
+OV_ORACLE_SPAN = 12.0      # the oracle integrates s over [-span, span]
 
 
 @dataclass
@@ -33,16 +35,9 @@ class ModelDefinition:
     Z: CentralCharge
     spectrum: Spectrum
     Lambda: complex
-    chamber_of: Callable[[complex], str]
-    sample_grid_fn: Callable[[int], list[complex]]
+    chamber: Callable[[complex], str]
+    sample_grid: Callable[[int], list[complex]]
     config: dict
-    monodromy: tuple[tuple[int, ...], ...] | None = None
-
-    def sample_grid(self, n: int) -> list[complex]:
-        return self.sample_grid_fn(n)
-
-    def chamber(self, u: complex) -> str:
-        return self.chamber_of(u)
 
     def with_spectrum(self, spectrum: Spectrum) -> "ModelDefinition":
         return replace(self, spectrum=spectrum)
@@ -87,7 +82,7 @@ def ov_model(Lambda: complex = 1.0) -> ModelDefinition:
     def support_of(u: complex):
         return (gamma_e, -gamma_e)
 
-    def sample_grid_fn(n: int) -> list[complex]:
+    def sample_grid(n: int) -> list[complex]:
         # Polar grid staying inside the disc and away from the log cut.
         pts = []
         n_r = max(2, int(round(math.sqrt(n))))
@@ -102,12 +97,11 @@ def ov_model(Lambda: complex = 1.0) -> ModelDefinition:
     return ModelDefinition(
         name="ov",
         lattice=lat,
-        Z=CentralCharge("ov", basis_values, basis_derivatives),
+        Z=CentralCharge(basis_values, basis_derivatives),
         spectrum=Spectrum(omega_of, support_of),
         Lambda=Lam,
-        chamber_of=lambda u: "disc",
-        monodromy=((1, 1), (0, 1)),
-        sample_grid_fn=sample_grid_fn,
+        chamber=lambda u: "disc",
+        sample_grid=sample_grid,
         config={"model": "ov", "Lambda": [Lam.real, Lam.imag],
                 "pairing": [list(r) for r in RANK2_PAIRING], "flavor_rank": 0},
     )
@@ -147,17 +141,17 @@ class PentagonPeriods:
 
     D_POINTS = (2.0, -2.0)
     D_TOL = 1e-6
+    N_NODES = 96      # Gauss-Chebyshev nodes per period integral
+    MAX_STEP = 0.3    # longest continuation step in u
+    DETOUR = 0.35     # offset of the waypoints around the discriminant
 
-    def __init__(self, n_nodes: int = 96, max_step: float = 0.3,
-                 detour: float = 0.35):
-        self.n = int(n_nodes)
-        self.max_step = float(max_step)
-        self.detour = float(detour)
-        k2 = np.arange(1, self.n + 1)
-        self._t2 = np.cos(k2 * math.pi / (self.n + 1))
-        self._w2 = (math.pi / (self.n + 1)) * np.sin(k2 * math.pi / (self.n + 1)) ** 2
-        j1 = np.arange(1, self.n + 1)
-        self._t1 = np.cos((2 * j1 - 1) * math.pi / (2 * self.n))
+    def __init__(self):
+        n = self.N_NODES
+        k2 = np.arange(1, n + 1)
+        self._t2 = np.cos(k2 * math.pi / (n + 1))
+        self._w2 = (math.pi / (n + 1)) * np.sin(k2 * math.pi / (n + 1)) ** 2
+        j1 = np.arange(1, n + 1)
+        self._t1 = np.cos((2 * j1 - 1) * math.pi / (2 * n))
         self._cache: dict[complex, tuple] = {}
         self._base_roots = np.array([-_SQRT3, 0.0, _SQRT3], dtype=complex)
         self._base_state = self._pin_base()
@@ -183,10 +177,10 @@ class PentagonPeriods:
         zs = m + w * ts[order] - zc
         g = np.empty_like(zs)
         g[order] = self._tracked_sqrt(zs)
-        g2 = g[: self.n]
-        g1 = g[self.n:]
+        g2 = g[: self.N_NODES]
+        g1 = g[self.N_NODES:]
         z_val = (2j * w * w / math.pi) * np.sum(self._w2 * g2)
-        dz_val = (-1j / math.pi) * (math.pi / self.n) * np.sum(1.0 / g1)
+        dz_val = (-1j / math.pi) * (math.pi / self.N_NODES) * np.sum(1.0 / g1)
         return complex(z_val), complex(dz_val)
 
     def _roots_step(self, prev: np.ndarray, u: complex) -> np.ndarray:
@@ -225,8 +219,8 @@ class PentagonPeriods:
         waypoints = [0.0 + 0.0j]
         for dpt in self.D_POINTS:
             d = self._segment_distance(0.0, u, dpt)
-            if d < 0.6 * self.detour and abs(u - dpt) > 1e-12:
-                waypoints.append(dpt + self.detour * 1j * side)
+            if d < 0.6 * self.DETOUR and abs(u - dpt) > 1e-12:
+                waypoints.append(dpt + self.DETOUR * 1j * side)
         waypoints.sort(key=lambda p: abs(p))
         waypoints.append(u)
         return waypoints
@@ -266,7 +260,7 @@ class PentagonPeriods:
             done = 0.0
             while done < length - 1e-15:
                 here = pos + leg * (done / length)
-                step = min(self.max_step, length - done,
+                step = min(self.MAX_STEP, length - done,
                            0.45 * max(self._d_distance(here), 2.0 * self.D_TOL))
                 done = min(length, done + step)
                 nxt = pos + leg * (done / length)
@@ -305,7 +299,7 @@ class PentagonPeriods:
         return "in" if self.state(u)[5] % 2 == 0 else "out"
 
 
-def pentagon_model(Lambda: complex = 1.0, n_nodes: int = 96) -> ModelDefinition:
+def pentagon_model(Lambda: complex = 1.0) -> ModelDefinition:
     """Two-chamber model from the curve family y^2 = z^3 - 3 L^2 z + u.
 
     Central charges are period integrals of y dz / pi; the strong-coupling
@@ -322,7 +316,7 @@ def pentagon_model(Lambda: complex = 1.0, n_nodes: int = 96) -> ModelDefinition:
     if Lam == 0:
         raise ValueError("Lambda must be nonzero")
     lat = Lattice(RANK2_PAIRING, flavor_rank=0)
-    periods = PentagonPeriods(n_nodes=n_nodes)
+    periods = PentagonPeriods()
     scale_z = Lam ** 2.5
     scale_dz = Lam ** (-0.5)
     g1, g2 = charge(1, 0), charge(0, 1)
@@ -347,11 +341,11 @@ def pentagon_model(Lambda: complex = 1.0, n_nodes: int = 96) -> ModelDefinition:
         dc1, dc2 = periods.derivatives(reduce_u(u))
         return (-scale_dz * dc2, scale_dz * dc1)
 
-    def chamber_of(u: complex) -> str:
+    def chamber(u: complex) -> str:
         return periods.chamber(reduce_u(u))
 
     def support_of(u: complex):
-        if chamber_of(u) == "in":
+        if chamber(u) == "in":
             return support_in
         return support_out_upper if reduce_u(u).imag >= 0 \
             else support_out_lower
@@ -359,7 +353,7 @@ def pentagon_model(Lambda: complex = 1.0, n_nodes: int = 96) -> ModelDefinition:
     def omega_of(gamma: Charge, u: complex) -> int:
         return 1 if gamma in support_of(u) else 0
 
-    def sample_grid_fn(n: int) -> list[complex]:
+    def sample_grid(n: int) -> list[complex]:
         half = max(2, n // 2)
         pts = []
         for k in range(half):  # strong-coupling points
@@ -380,27 +374,25 @@ def pentagon_model(Lambda: complex = 1.0, n_nodes: int = 96) -> ModelDefinition:
     return ModelDefinition(
         name="pentagon",
         lattice=lat,
-        Z=CentralCharge("pentagon", basis_values, basis_derivatives),
+        Z=CentralCharge(basis_values, basis_derivatives),
         spectrum=Spectrum(omega_of, support_of),
         Lambda=Lam,
-        chamber_of=chamber_of,
-        monodromy=None,
-        sample_grid_fn=sample_grid_fn,
+        chamber=chamber,
+        sample_grid=sample_grid,
         config={"model": "pentagon", "Lambda": [Lam.real, Lam.imag],
                 "pairing": [list(r) for r in RANK2_PAIRING], "flavor_rank": 0},
     )
 
 
 def pentagon_wall_point(model: ModelDefinition, phi: float,
-                        r_lo: float = 0.5, r_hi: float = 4.0,
                         tol: float = 1e-10) -> complex:
-    """Radial bisection for the wall along the direction exp(i phi)."""
+    """Radial bisection for the wall along exp(i phi) within WALL_BRACKET."""
     Lam3 = abs(model.Lambda) ** 3
 
     def side(r: float) -> int:
         return 0 if model.chamber(Lam3 * r * cmath.exp(1j * phi)) == "in" else 1
 
-    lo, hi = r_lo, r_hi
+    lo, hi = WALL_BRACKET
     if side(lo) == side(hi):
         raise ValueError("bracket does not straddle the wall")
     while hi - lo > tol:
@@ -416,8 +408,7 @@ def pentagon_wall_point(model: ModelDefinition, phi: float,
 # Ooguri-Vafa one-step oracle
 
 
-def ov_oracle(model: ModelDefinition, point, gamma: Charge, zeta: complex,
-              s_span: float = 12.0):
+def ov_oracle(model: ModelDefinition, point, gamma: Charge, zeta: complex):
     """Independent quadrature for the closed-form OV coordinates.
 
     The electric coordinate equals its semiflat value; the magnetic one picks
@@ -452,9 +443,9 @@ def ov_oracle(model: ModelDefinition, point, gamma: Charge, zeta: complex,
             val = kern * cmath.log(1.0 - x)
             return val.real if part == 0 else val.imag
 
-        re, _ = quad(integrand, -s_span, s_span, args=(0,),
+        re, _ = quad(integrand, -OV_ORACLE_SPAN, OV_ORACLE_SPAN, args=(0,),
                      epsabs=1e-13, epsrel=1e-12, limit=400)
-        im, _ = quad(integrand, -s_span, s_span, args=(1,),
+        im, _ = quad(integrand, -OV_ORACLE_SPAN, OV_ORACLE_SPAN, args=(1,),
                      epsabs=1e-13, epsrel=1e-12, limit=400)
         upsilon += -(1.0 / (4j * math.pi)) * pairing * (re + 1j * im)
 

@@ -80,6 +80,9 @@ RAY_AVOIDANCE_ANGLE = 1e-3  # undirected evaluation refused below this offset
 ON_RAY_ANGLE = 1e-9       # a directed value is the boundary value this close
 R_SMALL_THRESHOLD = 0.9   # reject a point whose |X^sf| reaches this on a ray
 TAIL_MARGIN = 4.0         # safety margin added to -log(eps_quad) for s_max
+MAX_ITER = 50             # sweeps (or tangent sweeps) before giving up
+WALL_TOL_ITER = 1e-11     # iteration tolerance of the wall-continuity solves
+RADIAL_RADII = (1e-2, 1e-3, 1e-4)  # |zeta| samples of the zeta -> 0 limit
 
 
 class RSmallError(ValueError):
@@ -519,7 +522,7 @@ def recheck(model, point: ModelPoint, grids: list[QuadratureGrid], log_xsf,
 
 
 def iterate(model, point: ModelPoint, grids: list[QuadratureGrid],
-            tol_iter: float = 1e-10, max_iter: int = 50,
+            tol_iter: float = 1e-10, max_iter: int = MAX_ITER,
             spec: GridSpec = GridSpec(),
             workspace: _Workspace | None = None) -> RaySolution:
     """Solve the integral equation on ``grids`` by iterating ``_sweep``.
@@ -544,13 +547,13 @@ def iterate(model, point: ModelPoint, grids: list[QuadratureGrid],
 
 
 def solve(model, point: ModelPoint, spec: GridSpec = GridSpec(),
-          tol_iter: float = 1e-10, max_iter: int = 50) -> RaySolution:
+          tol_iter: float = 1e-10, max_iter: int = MAX_ITER) -> RaySolution:
     return iterate(model, point, build_grids(model, point, spec),
                    tol_iter=tol_iter, max_iter=max_iter, spec=spec)
 
 
-def solve_tangents(model, point: ModelPoint, tol_iter: float = 1e-10,
-                   max_iter: int = 50) -> tuple[RaySolution, np.ndarray]:
+def solve_tangents(model, point: ModelPoint, tol_iter: float = 1e-10
+                   ) -> tuple[RaySolution, np.ndarray]:
     """The solution at ``point`` and its tangent densities.
 
     Moving the point moves only its semiflat data L on the fixed contours, a
@@ -561,8 +564,7 @@ def solve_tangents(model, point: ModelPoint, tol_iter: float = 1e-10,
     """
     grids = build_grids(model, point)
     ws = _prepare(model, point, grids)
-    sol = iterate(model, point, grids, tol_iter=tol_iter, max_iter=max_iter,
-                  workspace=ws)
+    sol = iterate(model, point, grids, tol_iter=tol_iter, workspace=ws)
     neg_d = -np.expm1(-sol.log_one_minus_x)
     d_log_xsf = _node_data(
         grids, lambda grid, g: dlog_xsf(model, point, g, grid.zeta_nodes),
@@ -572,7 +574,7 @@ def solve_tangents(model, point: ModelPoint, tol_iter: float = 1e-10,
         return neg_d * (d_log_xsf + du)
 
     du, _ = _contract(lambda d: _apply(ws, tangent(d)),
-                      np.zeros_like(d_log_xsf), tol_iter, max_iter)
+                      np.zeros_like(d_log_xsf), tol_iter, MAX_ITER)
     return sol, tangent(du)
 
 
@@ -739,28 +741,26 @@ def ray_jump_defect(model, solution: RaySolution, ray_index: int,
 
 
 def radial_limit(model, solution: RaySolution, gamma: Charge,
-                 direction: complex,
-                 radii: tuple[float, ...] = (1e-2, 1e-3, 1e-4)) -> complex:
+                 direction: complex) -> complex:
     """Extrapolated zeta -> 0 limit of X/X^sf along a fixed mid-sector arg."""
     d = direction / abs(direction)
     vals = np.exp(_upsilon_value(model, solution.grids,
                                  solution.log_one_minus_x, [gamma],
-                                 d * np.asarray(radii, dtype=float))[:, 0])
+                                 d * np.asarray(RADIAL_RADII))[:, 0])
     # linear-in-radius extrapolation from the two smallest radii
-    r1, r2 = radii[-2], radii[-1]
+    r1, r2 = RADIAL_RADII[-2], RADIAL_RADII[-1]
     return complex(vals[-1] + (vals[-1] - vals[-2]) * r2 / (r1 - r2))
 
 
-def midsector_zetas(solution: RaySolution | list[QuadratureGrid], n: int = 8,
-                    modulus: float = 1.0) -> list[complex]:
-    """Zetas cycling through the midpoints between adjacent rays, turned by
-    -0.15, 0 and +0.15 rad on successive passes whatever the sector width
+def midsector_zetas(solution: RaySolution | list[QuadratureGrid], n: int = 8
+                    ) -> list[complex]:
+    """Unit zetas cycling through the midpoints between adjacent rays, turned
+    by -0.15, 0 and +0.15 rad on successive passes whatever the sector width
     (a FOUND line in CHANGES.md).  Grids will do in place of a solution."""
     grids = getattr(solution, "grids", solution)
     angles = sorted(g.ray.angle for g in grids)
     if not angles:
-        return [modulus * cmath.exp(2j * math.pi * (k + 0.5) / n)
-                for k in range(n)]
+        return [cmath.exp(2j * math.pi * (k + 0.5) / n) for k in range(n)]
     mids = []
     for i, a in enumerate(angles):
         b = angles[(i + 1) % len(angles)] + (2 * math.pi if i + 1 == len(angles) else 0)
@@ -770,7 +770,7 @@ def midsector_zetas(solution: RaySolution | list[QuadratureGrid], n: int = 8,
     while len(out) < n:
         base = mids[k % len(mids)]
         jitter = 0.15 * ((k // len(mids)) % 3 - 1)
-        out.append(modulus * cmath.exp(1j * (base + jitter)))
+        out.append(cmath.exp(1j * (base + jitter)))
         k += 1
     return out
 
@@ -794,8 +794,7 @@ def check_wall_continuity(model, u_in: complex, u_out: complex, R: float,
                           theta: tuple[float, ...],
                           zeta_list: list[complex],
                           halvings: int = 4,
-                          spectrum_override=None,
-                          tol_iter: float = 1e-11) -> WallReport:
+                          spectrum_override=None) -> WallReport:
     """Coordinate mismatch across a wall for a halving sequence of pairs.
 
     Both sides are solved with their own chamber spectra (or a forced
@@ -815,8 +814,8 @@ def check_wall_continuity(model, u_in: complex, u_out: complex, R: float,
     for k in range(halvings + 1):
         ua = mid + (u_in - mid) / 2 ** k
         ub = mid + (u_out - mid) / 2 ** k
-        sol_a = solve(mdl, ModelPoint(ua, R, theta), tol_iter=tol_iter)
-        sol_b = solve(mdl, ModelPoint(ub, R, theta), tol_iter=tol_iter)
+        sol_a = solve(mdl, ModelPoint(ua, R, theta), tol_iter=WALL_TOL_ITER)
+        sol_b = solve(mdl, ModelPoint(ub, R, theta), tol_iter=WALL_TOL_ITER)
         va, vb = (np.exp(_upsilon_value(mdl, sol.grids, sol.log_one_minus_x,
                                         basis, zetas))
                   for sol in (sol_a, sol_b))

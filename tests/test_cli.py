@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from hkforge import solver, trees
+from hkforge import geometry, solver, trees
 from hkforge.cli import content_hash, load_solution, main
 from hkforge.lattice import charge
+from hkforge.semiflat import ModelPoint, omega3_sf, omega_plus_sf, varpi_sf
 
 
 def run(capsys, *argv):
@@ -84,8 +85,6 @@ class TestExitCodes:
         ("decay-scan", "--model", "pentagon", "--u", "1.2,0",
          "--R-list=-1,2"),
         ("metric", "--model", "pentagon", "--u", "1.5,0.2", "--R", "2",
-         "--theta", "0.37,1.29", "--zetas", "3"),
-        ("metric", "--model", "pentagon", "--u", "1.5,0.2", "--R", "2",
          "--theta", "0.37,1.29", "--emit-grid", "-3"),
         ("solve", "--model", "ov", "--u", "0.5,0", "--R", "1",
          "--theta", "0.3,1.1", "--max-iter", "0"),
@@ -94,6 +93,18 @@ class TestExitCodes:
         ("validate", "--model", "pentagon", "--grid", "-5"),
         ("semiflat-sample", "--model", "ov", "--u", "0.5,0", "--R", "1",
          "--theta", "0.3,1.1", "--zeta-grid", "0"),
+        # --theta and --charge of another length than the lattice rank
+        ("solve", "--model", "ov", "--u", "0.5,0", "--R", "1",
+         "--theta", "0.3"),
+        ("metric", "--model", "pentagon", "--u", "1.5,0.2", "--R", "2",
+         "--theta", "0.37,1.29,0.5"),
+        ("semiflat-sample", "--model", "ov", "--u", "0.5,0", "--R", "1",
+         "--theta", "0.3"),
+        ("decay-scan", "--model", "pentagon", "--u", "1.2,0",
+         "--theta", "0.37"),
+        ("wall-check", "--model", "pentagon", "--theta", "0.37"),
+        ("tree-compare", "--model", "ov", "--u", "0.5,0", "--R", "1",
+         "--theta", "0.3,1.1", "--zeta", "0.6,0.5", "--charge", "1,0,0"),
     ])
     def test_degenerate_input_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -335,11 +346,38 @@ class TestReports:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "a75e9e2345aed88303b5051c5ff92e134acf59defe69727029e322d014beaa6d")
 
-    def test_metric_semiflat_only(self, capsys):
+    def test_metric_semiflat_only(self, capsys, monkeypatch, pentagon):
+        metrics = []
+        triple = geometry.metric_from_triple
+        monkeypatch.setattr(geometry, "metric_from_triple", lambda *forms:
+                            metrics.append(triple(*forms)) or metrics[-1])
         code, out, _ = run(capsys, "metric", "--model", "pentagon",
                            "--u", "0.45,0.25", "--R", "3",
                            "--theta", "0.37,1.29", "--semiflat-only")
         assert code == 0
+        assert "eigenvalues" in out
+        assert "laurent residual" not in out
+        # g is the closed-form semiflat metric, and within rounding of the
+        # Laurent fit of sampled semiflat two-forms it replaces
+        point = ModelPoint(0.45 + 0.25j, 3.0, (0.37, 1.29))
+        [got] = [m.g for m in metrics]
+        assert np.array_equal(got, triple(omega_plus_sf(pentagon, point),
+                                          omega3_sf(pentagon, point)).g)
+        zetas = solver.midsector_zetas(solver.build_grids(pentagon, point),
+                                       12)
+        fit = geometry.laurent_fit(zetas, varpi_sf(pentagon, point,
+                                                   np.array(zetas)))
+        fitted = triple(fit.omega_plus, fit.omega_3).g
+        assert np.max(np.abs(got - fitted)) <= 1e-14 * np.max(np.abs(fitted))
+
+    @pytest.mark.parametrize("model, u", [("pentagon", "0.45,0.25"),
+                                          ("ov", "0.55,0")])
+    def test_semiflat_metric_needs_no_rays(self, capsys, model, u):
+        # R 0.001 is far below the smallest R a solve accepts
+        code, out, err = run(capsys, "metric", "--model", model, "--u", u,
+                             "--R", "0.001", "--theta", "0.37,1.29",
+                             "--semiflat-only")
+        assert (code, err) == (0, "")
         assert "eigenvalues" in out
 
     def test_decay_scan(self, capsys):
@@ -349,12 +387,19 @@ class TestReports:
         assert code == 0
         assert "fitted slope" in out
 
-    def test_wall_check_short(self, capsys):
+    def test_wall_check_short(self, capsys, monkeypatch):
+        calls = []
+        iterate = solver.iterate
+        monkeypatch.setattr(solver, "iterate", lambda *a, **kw:
+                            calls.append(1) or iterate(*a, **kw))
         code, out, _ = run(capsys, "wall-check", "--model", "pentagon",
                            "--phi", "0.9", "--sep", "0.02", "--R", "0.35",
                            "--halvings", "1")
         assert code == 0
         assert "wall continuity: PASS" in out
+        # two solves per pair, 2 pairs, genuine and control; the probe
+        # zetas come from grids alone
+        assert len(calls) == 8
 
     def test_metric_grid_rows(self, capsys, tmp_path):
         out_path = tmp_path / "grid.txt"

@@ -13,25 +13,13 @@ from hkforge.solver import _upsilon_value, midsector_zetas
 
 
 @pytest.fixture(scope="module")
-def sf_sampler(pentagon, pentagon_point):
-    return VarpiSampler(pentagon, pentagon_point, semiflat_only=True)
-
-
-@pytest.fixture(scope="module")
-def sf_fit(pentagon, pentagon_point, pentagon_solution, sf_sampler):
+def sf_fit(pentagon, pentagon_point, pentagon_solution):
     zetas = midsector_zetas(pentagon_solution, 12)
-    samples = [sf_sampler.varpi(z) for z in zetas]
+    samples = [varpi_sf(pentagon, pentagon_point, z) for z in zetas]
     return zetas, samples, laurent_fit(zetas, samples)
 
 
 class TestVarpiPipeline:
-    def test_semiflat_matches_closed_form(self, pentagon, pentagon_point,
-                                          sf_fit):
-        zetas, samples, _ = sf_fit
-        for z, m in zip(zetas, samples):
-            want = varpi_sf(pentagon, pentagon_point, z)
-            assert np.max(np.abs(m - want)) < 1e-7
-
     def test_antisymmetry_exact(self, sf_fit):
         _, samples, _ = sf_fit
         for m in samples:
@@ -201,7 +189,7 @@ class TestMetric:
         for R in (1.5, 2.5):
             pt = ModelPoint(0.55, R, (0.9, 2.1))
             _, corrected, _ = fit_point(ov, pt)
-            _, flat, _ = fit_point(ov, pt, semiflat_only=True)
+            flat = metric_from_triple(omega_plus_sf(ov, pt), omega3_sf(ov, pt))
             assert corrected.positive_definite
             diffs.append(np.max(np.abs(corrected.g - flat.g)))
         ratio = diffs[1] / diffs[0]
@@ -219,9 +207,3 @@ class TestMetric:
         assert metric.positive_definite
         assert algebra.equal_squares_defect < 1e-6
         assert algebra.mixed_defect < 1e-6
-
-    def test_varpi_at_single_shot(self, pentagon, pentagon_point):
-        m = VarpiSampler(pentagon, pentagon_point,
-                         semiflat_only=True).varpi(cmath.exp(0.41j))
-        want = varpi_sf(pentagon, pentagon_point, cmath.exp(0.41j))
-        assert np.max(np.abs(m - want)) < 1e-7

@@ -266,7 +266,7 @@ class TestSpectrumGenerator:
             lattice=LAT,
             spectrum=Spectrum(lambda g, u: 1 if g in support else 0,
                               lambda u: support),
-            Z=CentralCharge("toy", lambda u: (1.0 + 0.0j, u)),
+            Z=CentralCharge(lambda u: (1.0 + 0.0j, u)),
         )
         u = cmath.exp(0.8j)
         auto = spectrum_generator(model, u, (cmath.exp(0.3j),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hkforge import lattice
 from hkforge.lattice import (Charge, DegeneratePointError, Lattice,
                              LatticeError, WallProximityError, bps_rays,
                              central_charge, charge, complex_derivative,
@@ -116,15 +117,17 @@ class TestBpsRays:
         with pytest.raises(WallProximityError):
             bps_rays(pentagon.spectrum, pentagon.Z, w, R=2.0)
 
-    def test_spectral_cutoff_drops_far_charges(self, pentagon):
+    def test_spectral_cutoff_drops_far_charges(self, pentagon, monkeypatch):
         # the sum charge at weak coupling decays fastest; a loose cutoff or a
         # large R removes its rays while the primitive ones survive
         u_out = 1.06 * pentagon_wall_point(pentagon, 0.9)
-        assert len(bps_rays(pentagon.spectrum, pentagon.Z, u_out, R=1.0,
-                            eps_spec=1e-16)) == 6
-        assert len(bps_rays(pentagon.spectrum, pentagon.Z, u_out, R=1.0,
-                            eps_spec=2e-7)) == 4
+        assert lattice.SPECTRAL_CUTOFF == 1e-16
+        assert len(bps_rays(pentagon.spectrum, pentagon.Z, u_out,
+                            R=1.0)) == 6
         assert len(bps_rays(pentagon.spectrum, pentagon.Z, 3.0j, R=2.0)) == 4
+        monkeypatch.setattr(lattice, "SPECTRAL_CUTOFF", 2e-7)
+        assert len(bps_rays(pentagon.spectrum, pentagon.Z, u_out,
+                            R=1.0)) == 4
 
 
 class TestValidateConditions:
