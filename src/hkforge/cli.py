@@ -534,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jump-check", help="verify ray jumps of a solution")
     p.add_argument("--solution", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-7)
     p.set_defaults(fn=cmd_jump_check)
 
     p = sub.add_parser("wall-check", help="continuity across the wall")
@@ -601,8 +601,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (solver.RSmallError, solver.NonConvergenceError,
-            solver.RayProximityError, trees.TreeBudgetError,
-            CheckFailure) as exc:
+            solver.RayProximityError, CheckFailure) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

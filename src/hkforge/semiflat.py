@@ -181,25 +181,10 @@ def dlog_xsf_matrix(model, point: ModelPoint, zeta) -> np.ndarray:
     return np.moveaxis(rows, (0, 1), (-2, -1))
 
 
-def omega_plus_sf(model, point: ModelPoint) -> np.ndarray:
-    """Holomorphic symplectic form -(1/2 pi) <dZ ^ dtheta> as a 4x4 matrix."""
+def _form_rows(model, point: ModelPoint):
+    """dZ, dZbar and dtheta of the basis charges as rows over the real
+    coordinates (Re u, Im u, theta_1, theta_2)."""
     _require_r1(model)
-    dz = model.Z.basis_derivatives(point.u)
-    dz_rows = np.zeros((2, 4), dtype=complex)
-    dth_rows = np.zeros((2, 4), dtype=complex)
-    for i in range(2):
-        dz_rows[i, 0] = dz[i]
-        dz_rows[i, 1] = 1j * dz[i]
-        dth_rows[i, 2 + i] = 1.0
-    dual = model.lattice.dual_pairing().astype(complex)
-    m = dz_rows.T @ dual @ dth_rows
-    return (-1.0 / TWO_PI) * (m - m.T)
-
-
-def omega3_sf(model, point: ModelPoint) -> np.ndarray:
-    """Semiflat Kahler form (R/4)<dZ ^ dZbar> - (1/8 pi^2 R)<dtheta ^ dtheta>."""
-    _require_r1(model)
-    R = point.R
     dz = model.Z.basis_derivatives(point.u)
     dz_rows = np.zeros((2, 4), dtype=complex)
     dzbar_rows = np.zeros((2, 4), dtype=complex)
@@ -210,6 +195,21 @@ def omega3_sf(model, point: ModelPoint) -> np.ndarray:
         dzbar_rows[i, 0] = dz[i].conjugate()
         dzbar_rows[i, 1] = -1j * dz[i].conjugate()
         dth_rows[i, 2 + i] = 1.0
+    return dz_rows, dzbar_rows, dth_rows
+
+
+def omega_plus_sf(model, point: ModelPoint) -> np.ndarray:
+    """Holomorphic symplectic form -(1/2 pi) <dZ ^ dtheta> as a 4x4 matrix."""
+    dz_rows, _, dth_rows = _form_rows(model, point)
+    dual = model.lattice.dual_pairing().astype(complex)
+    m = dz_rows.T @ dual @ dth_rows
+    return (-1.0 / TWO_PI) * (m - m.T)
+
+
+def omega3_sf(model, point: ModelPoint) -> np.ndarray:
+    """Semiflat Kahler form (R/4)<dZ ^ dZbar> - (1/8 pi^2 R)<dtheta ^ dtheta>."""
+    R = point.R
+    dz_rows, dzbar_rows, dth_rows = _form_rows(model, point)
     dual = model.lattice.dual_pairing().astype(complex)
     mz = dz_rows.T @ dual @ dzbar_rows
     mt = dth_rows.T @ dual @ dth_rows

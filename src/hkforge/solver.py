@@ -704,30 +704,30 @@ def side_limit(model, solution: RaySolution, gamma: Charge, zeta0: complex,
                            log_value=lv)
 
 
-def ray_jump_defect(model, solution: RaySolution, ray_index: int,
-                    use_richardson: bool = True) -> float:
+def ray_jump_defect(model, solution: RaySolution, ray_index: int) -> float:
     """Largest mismatch between directed limits and the expected ray jump.
 
     The clockwise value of each basis charge must equal the
     counterclockwise one multiplied by prod (1 - X_{g'}(zeta0))^(Omega
     <gamma, g'>) over the charges g' on the ray, with X_{g'} continuous
-    there.  Each side takes one evaluation for all basis charges.
+    there.  The directed values of the basis charges are off-ray Richardson
+    limits, one evaluation per side; X_{g'} takes the counterclockwise
+    boundary value.
     """
     ray = solution.grids[ray_index].ray
     lat = model.lattice
     zeta0 = ray.direction
 
-    def values(charges, side, exact=True):
-        ups = _upsilon_value(
-            model, solution.grids, solution.log_one_minus_x, charges, zeta0,
-            side=side) if exact \
-            else _richardson_upsilon(model, solution, charges, zeta0, side)
+    def values(charges, ups):
         return [cmath.exp(xsf_log(model, solution.point, g, zeta0) + u)
                 for g, u in zip(charges, ups.tolist())]
 
-    factors = list(zip(ray.charges, ray.omegas, values(ray.charges, +1)))
+    on_ray = _upsilon_value(model, solution.grids, solution.log_one_minus_x,
+                            ray.charges, zeta0, side=+1)
+    factors = list(zip(ray.charges, ray.omegas, values(ray.charges, on_ray)))
     basis = lat.basis()
-    ccw, cw = (values(basis, side, exact=not use_richardson)
+    ccw, cw = (values(basis, _richardson_upsilon(model, solution, basis,
+                                                 zeta0, side))
                for side in (+1, -1))
     worst = 0.0
     for gamma, x_ccw, x_cw in zip(basis, ccw, cw):

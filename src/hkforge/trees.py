@@ -14,17 +14,24 @@ is the whole reason the one-electric-charge model closes after a single
 integral.  Whether the full sum converges is open; here it is used at
 finite cutoff as an independent cross-check of the fixed-point solver.
 
-The quadrature is shared wherever the trees allow.  Root integrands (X^sf
-of the root times its children's integrals at the root's nodes) are built
-for all distinct subtrees level by level, leaves first; at each height the
-child integrals are grouped by (child ray, parent ray), so one stacked
-Cauchy integral and one kernel block serve every edge of a group.  G_T is
-linear in its root integrand, so the integrands are summed per root
-decoration with weight c(T), the multicover tower tails included, and a
-coordinate takes one Cauchy integral per root ray of the densities paired
-with its charge, not one per tree, through the solver's ``ray_integrals``
-and its near-ray rule.  Enumeration stops past TREE_BUDGET trees, and the
-multicover towers run down to the EPS_TAIL scale.
+Summed by root charge and degree, the trees need not be listed.  A tree's
+root integrand is X^sf of its root times its children's integrals
+I = (1/4 pi i) int K at the root's nodes.  |Aut T| is prod_i m_i! over the
+multiplicities of equal child subtrees times the children's own |Aut|, so
+summed over the trees with root delta, c(T) times the root integrand runs
+over multisets of children weighted 1/prod_i m_i!: an exponential,
+
+    H_delta = c(delta) X^sf_delta exp(sum_delta' <delta, delta'> I[H_delta'])
+
+at delta's nodes.  By degree, H_delta^(k) = c(delta) X^sf_delta e_{k-|delta|}
+with e_0 = 1, e_m = (1/m) sum_{j<=m} j E_j e_{m-j} and E_j = sum_delta'
+<delta, delta'> I[H_delta'^(j)]: the trees of degree k term for term, with a
+vanishing pairing dropping its term as it dropped the edge.  Each degree
+takes one stacked Cauchy integral per (source ray, target ray), and a
+coordinate one per root ray through the solver's ``ray_integrals`` and its
+near-ray rule.  The multicover towers run down to the EPS_TAIL scale.
+``enumerate_trees``, ``tree_weight`` and ``TreeIntegrator.g_integral`` keep
+the tree-by-tree sum as the reference.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .semiflat import CoordinateValue, ModelPoint, xsf_log
 from .solver import (FOUR_PI_I, QuadratureGrid, build_grids, cauchy_integral,
                      ray_integrals)
 
-TREE_BUDGET = 200_000  # most trees enumerated up to one cutoff
+TREE_BUDGET = 200_000  # most trees the reference enumeration lists
 EPS_TAIL = 1e-16       # scale exp(-2 pi R n |Z|) down to which towers run
 
 
@@ -113,18 +120,14 @@ def tree_weight(model, tree: DecoratedTree, u: complex) -> Fraction:
     return w
 
 
-def _decorations(model, u: complex, cutoff: int) -> list[Charge]:
-    """Charges with nonzero multicover invariant and degree within cutoff."""
-    seen = {}
-    for base in model.spectrum.support(u):
-        step = base.l1_degree()
-        n = 1
-        while n * step <= cutoff:
-            gamma = n * base
-            if gamma not in seen and multicover(model.spectrum, gamma, u):
-                seen[gamma] = True
-            n += 1
-    return sorted(seen, key=lambda g: (g.l1_degree(), g.coeffs))
+def _decorations(model, u: complex, cutoff: int) -> dict[Charge, Fraction]:
+    """c(gamma) of the charges with nonzero c and degree within the cutoff,
+    by degree."""
+    charges = {n * base for base in model.spectrum.support(u)
+               for n in range(1, cutoff // base.l1_degree() + 1)}
+    weights = {g: multicover(model.spectrum, g, u) for g in sorted(
+        charges, key=lambda g: (g.l1_degree(), g.coeffs))}
+    return {g: c for g, c in weights.items() if c}
 
 
 def enumerate_trees(model, u: complex, degree_cutoff: int
@@ -189,13 +192,13 @@ def enumerate_trees(model, u: complex, degree_cutoff: int
 
 
 class TreeIntegrator:
-    """Tree integrals at one point on shared grids, cached as node arrays.
+    """Graded root densities at one point on shared grids.
 
-    Keeps the enumeration per cutoff, each distinct subtree's root integrand
-    on its root ray by canonical key, and the summed density per root
-    decoration per cutoff: 1-D arrays only, so no kernel block outlives the
-    call that built it.  TREE_BUDGET and EPS_TAIL are constants, so the
-    cutoff alone keys the caches.
+    Keeps H_delta^(k) on delta's ray nodes per (decoration, degree), its
+    integral at the nodes of each ray that reads it, and the summed density
+    per root decoration per cutoff: 1-D arrays only, so no kernel block
+    outlives the call that built it.  EPS_TAIL is a constant, so the cutoff
+    alone keys the sums.
     """
 
     def __init__(self, model, point: ModelPoint,
@@ -205,8 +208,8 @@ class TreeIntegrator:
         self.grids = grids if grids is not None else build_grids(model, point)
         self._rays: dict[Charge, int] = {}
         self._xsf_cache: dict[Charge, np.ndarray] = {}
-        self._trees: dict[int, list] = {}
-        self._integrands: dict[tuple, tuple[int, np.ndarray]] = {}
+        self._graded: dict[tuple[Charge, int], np.ndarray] = {}
+        self._at_nodes: dict[tuple[Charge, int, int], np.ndarray] = {}
         self._densities: dict[int, dict[Charge, tuple[int, np.ndarray]]] = {}
 
     def _ray_index(self, gamma: Charge) -> int:
@@ -230,91 +233,76 @@ class TreeIntegrator:
                 self.model, self.point, gamma, grid.zeta_nodes))
         return self._xsf_cache[gamma]
 
-    def trees(self, degree_cutoff: int) -> list[tuple[DecoratedTree, Fraction]]:
-        """The nonzero-weight trees up to the cutoff, enumerated once."""
-        if degree_cutoff not in self._trees:
-            self._trees[degree_cutoff] = enumerate_trees(
-                self.model, self.point.u, degree_cutoff)
-        return self._trees[degree_cutoff]
+    def _integrals(self, source: int, target: int, f: np.ndarray
+                   ) -> np.ndarray:
+        """(1/4 pi i) int K f over ray ``source`` at the nodes of ``target``."""
+        grid = self.grids[source]
+        w = np.log(self.grids[target].zeta_nodes / grid.ray.direction)
+        return cauchy_integral(grid, f, w) / FOUR_PI_I
 
-    def integrands(self, trees: list[DecoratedTree]
-                   ) -> list[tuple[int, np.ndarray]]:
-        """(root ray, X^sf of the root times all child integrals) per tree.
-
-        Builds the missing integrands of the trees and their subtrees
-        leaves first.  The parents at each height read their children's
-        integrals at their own nodes; those are grouped by (child ray,
-        parent ray), so each group takes one stacked Cauchy integral with
-        one kernel block.
-        """
-        cache = self._integrands
-        levels: list[dict[tuple, DecoratedTree]] = []
-        stack = list(trees)
-        while stack:
-            tree = stack.pop()
-            key = tree.canonical_key()
-            if key in cache:
-                continue
-            h = tree.height()
-            levels.extend({} for _ in range(h + 1 - len(levels)))
-            if key not in levels[h]:
-                levels[h][key] = tree
-                stack.extend(tree.children)
-        # (child key, parent ray) -> child integral at the parent ray's nodes
-        at_nodes: dict[tuple[tuple, int], np.ndarray] = {}
-        for level in levels:
-            # child keys per (child ray, parent ray), a dict as an ordered set
-            groups: dict[tuple[int, int], dict[tuple, None]] = {}
-            for tree in level.values():
-                rp = self._ray_index(tree.decoration)
-                for child in tree.children:
-                    ckey = child.canonical_key()
-                    if (ckey, rp) not in at_nodes:
-                        group = groups.setdefault((cache[ckey][0], rp), {})
-                        group[ckey] = None
-            for (rc, rp), ckeys in groups.items():
-                grid = self.grids[rc]
-                w = np.log(self.grids[rp].zeta_nodes / grid.ray.direction)
-                stacked = np.array([cache[k][1] for k in ckeys])
-                rows = cauchy_integral(grid, stacked, w) / FOUR_PI_I
-                for ckey, row in zip(ckeys, rows):
-                    at_nodes[ckey, rp] = row
-            for key, tree in level.items():
-                rp = self._ray_index(tree.decoration)
-                vals = self._xsf_nodes(tree.decoration)
-                for child in tree.children:
-                    vals = vals * at_nodes[child.canonical_key(), rp]
-                cache[key] = (rp, vals)
-        return [cache[t.canonical_key()] for t in trees]
+    def _layer(self, delta: Charge, j: int) -> np.ndarray:
+        """E_j(delta) = sum_delta' <delta, delta'> I[H_delta'^(j)] at the
+        nodes of delta's ray.  The integrals missing there are taken in one
+        stacked Cauchy integral per source ray and kept per delta'."""
+        lat = self.model.lattice
+        r = self._ray_index(delta)
+        paired = [(s, lat.pair(delta, s)) for s, k in self._graded
+                  if k == j and lat.pair(delta, s)]
+        missing = [s for s, _ in paired if (s, j, r) not in self._at_nodes]
+        for rs in sorted({self._ray_index(s) for s in missing}):
+            src = [s for s in missing if self._ray_index(s) == rs]
+            rows = self._integrals(rs, r, np.array([self._graded[s, j]
+                                                    for s in src]))
+            for s, row in zip(src, rows):
+                self._at_nodes[s, j, r] = row.copy()
+        return sum(p * self._at_nodes[s, j, r] for s, p in paired)
 
     def densities(self, degree_cutoff: int
                   ) -> dict[Charge, tuple[int, np.ndarray]]:
         """(root ray, sum of c(T) times root integrand) per root decoration.
 
-        The sum runs over the trees up to the cutoff and the single-node
+        The sum runs over the degrees up to the cutoff, sum_k H^(k), each
+        degree built from the cached lower ones, and the single-node
         multicover towers n * beta past it, while their exp(-2 pi R n |Z|)
         scale stays above EPS_TAIL.
         """
         if degree_cutoff not in self._densities:
-            weighted = self.trees(degree_cutoff) + _tower_tails(
-                self.model, self.point, degree_cutoff)
-            rooted = self.integrands([t for t, _ in weighted])
             sums: dict[Charge, np.ndarray] = {}
-            for (tree, weight), (_, vals) in zip(weighted, rooted):
-                term = float(weight) * vals
-                if tree.decoration in sums:
-                    sums[tree.decoration] += term
-                else:
-                    sums[tree.decoration] = term
+            decorations = _decorations(self.model, self.point.u,
+                                       degree_cutoff)
+            for k in range(1, degree_cutoff + 1):
+                for delta, c in decorations.items():
+                    m = k - delta.l1_degree()
+                    if m < 0:
+                        continue
+                    if (delta, k) not in self._graded:
+                        self._graded[delta, k] = float(c) * self._xsf_nodes(
+                            delta) * _graded_exp([self._layer(delta, j)
+                                                  for j in range(1, m + 1)])
+                    h = self._graded[delta, k]
+                    sums[delta] = sums[delta] + h if delta in sums else h
+            for tree, c in _tower_tails(self.model, self.point,
+                                        degree_cutoff):
+                sums[tree.decoration] = float(c) * self._xsf_nodes(
+                    tree.decoration)
             self._densities[degree_cutoff] = {d: (self._ray_index(d), f)
                                               for d, f in sums.items()}
         return self._densities[degree_cutoff]
 
-    def g_integral(self, tree: DecoratedTree, zeta: complex) -> complex:
-        """G_T at an off-ray zeta: one more Cauchy integral over the root ray."""
-        [(r, vals)] = self.integrands([tree])
-        return complex(ray_integrals(self.grids, [r], vals[None],
-                                     [[1.0 / FOUR_PI_I]], zeta)[0])
+    def _root_integrand(self, tree: DecoratedTree) -> np.ndarray:
+        """X^sf of the root times its children's integrals at its nodes."""
+        r = self._ray_index(tree.decoration)
+        vals = self._xsf_nodes(tree.decoration)
+        for child in tree.children:
+            vals = vals * self._integrals(self._ray_index(child.decoration),
+                                          r, self._root_integrand(child))
+        return vals
+
+    def g_integral(self, tree: DecoratedTree, zeta):
+        """G_T at an off-ray zeta (a number or a 1-d array), tree by tree."""
+        r = self._ray_index(tree.decoration)
+        return ray_integrals(self.grids, [r], self._root_integrand(tree)[None],
+                             [[1.0 / FOUR_PI_I]], zeta)[..., 0]
 
     def exponent(self, gamma: Charge, zeta: complex, degree_cutoff: int
                  ) -> complex:
@@ -326,6 +314,16 @@ class TreeIntegrator:
         return complex(ray_integrals(
             self.grids, [r for r, _ in dens.values()],
             np.array([f for _, f in dens.values()]), coefs[:, None], zeta)[0])
+
+
+def _graded_exp(layers: list[np.ndarray]):
+    """e_m, the degree-m part of exp(sum_j E_j t^j), from E_1..E_m:
+    e_0 = 1 and e_m = (1/m) sum_{j<=m} j E_j e_{m-j}."""
+    e = [1.0]
+    for m in range(1, len(layers) + 1):
+        e.append(sum(j * layers[j - 1] * e[m - j]
+                     for j in range(1, m + 1)) / m)
+    return e[-1]
 
 
 def _tower_tails(model, point: ModelPoint, degree_cutoff: int
@@ -369,7 +367,6 @@ def layer_gate(layer: float, prev_layer: float, q_floor: float,
 
 def series_solution(model, point: ModelPoint, gamma: Charge, zeta: complex,
                     degree_cutoff: int = 4,
-                    grids: list[QuadratureGrid] | None = None,
                     integrator: TreeIntegrator | None = None
                     ) -> CoordinateValue:
     """Tree-sum coordinate X_gamma = X^sf exp[sum_T <gamma,g_T> c(T) G_T].
@@ -381,7 +378,7 @@ def series_solution(model, point: ModelPoint, gamma: Charge, zeta: complex,
     one-electric-charge model would disagree at the cutoff scale.
     """
     if integrator is None:
-        integrator = TreeIntegrator(model, point, grids)
+        integrator = TreeIntegrator(model, point)
     exponent = integrator.exponent(gamma, zeta, degree_cutoff)
     lv = xsf_log(model, point, gamma, zeta) + exponent
     return CoordinateValue(gamma=gamma, zeta=complex(zeta),

@@ -176,7 +176,8 @@ def test_criterion_6_tree_sum(pentagon, ov):
     worst_ov = 0.0
     for cutoff in (1, 2, 3, 4):
         got = series_solution(ov, ov_pt, G1, 0.8 * cmath.exp(1.1j), cutoff,
-                              grids=ov_sol.grids)
+                              integrator=TreeIntegrator(ov, ov_pt,
+                                                        ov_sol.grids))
         ref = evaluate(ov, ov_sol, G1, 0.8 * cmath.exp(1.1j))
         worst_ov = max(worst_ov, abs(got.log_value - ref.log_value))
     assert worst_ov < 1e-11

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hkforge import geometry, solver, trees
+from hkforge import geometry, solver
 from hkforge.cli import content_hash, load_solution, main
 from hkforge.lattice import charge
 from hkforge.semiflat import ModelPoint, omega3_sf, omega_plus_sf, varpi_sf
@@ -174,6 +174,18 @@ class TestSolutionFiles:
         assert code == 1
         assert "charge table mismatch" in err
 
+    def test_jump_check_default_tolerance(self, capsys, tmp_path,
+                                          monkeypatch):
+        # ray jumps are held to 1e-7; a defect of 5e-7 fails the check
+        path = tmp_path / "sol.json"
+        run(capsys, "solve", "--model", "ov", "--u", "0.5,0", "--R", "1",
+            "--theta", "0.3,1.1", "--out", str(path))
+        monkeypatch.setattr(solver, "ray_jump_defect", lambda m, s, i: 5e-7)
+        code, out, _ = run(capsys, "jump-check", "--solution", str(path))
+        assert code == 1
+        assert "(tolerance 1e-07)" in out
+        assert "FAIL: ray jumps deviate" in out
+
     def test_jump_check_near_aligned_rays(self, capsys, tmp_path):
         # 1.2 x the phi 0.9 wall point: two rays within 0.2 rad
         path = tmp_path / "sol.json"
@@ -321,16 +333,15 @@ class TestReports:
         assert code == 0
         assert "FAIL" not in out
 
-    def test_tree_budget_is_check_failure(self, capsys, monkeypatch):
-        # cutoff 3 (64 trees) fits the budget, the cutoff-4 layer does not
-        monkeypatch.setattr(trees, "TREE_BUDGET", 100)
-        code, _, err = run(capsys, "tree-compare", "--model", "pentagon",
+    def test_tree_compare_cutoff_8(self, capsys):
+        # resummed by root and degree, nine degrees take no tree list
+        code, out, _ = run(capsys, "tree-compare", "--model", "pentagon",
                            "--u", "0.6,0.3", "--R", "1",
-                           "--theta", "0.37,1.29", "--cutoff", "3",
+                           "--theta", "0.37,1.29", "--cutoff", "8",
                            "--zeta", "0.9,0.4")
-        assert code == 1
-        assert err.strip() == ("check failed: more than 100 trees below "
-                               "degree 4")
+        assert code == 0
+        assert "FAIL" not in out
+        assert "next layer |S_9 - S_8|" in out
 
     def test_wcf_dump_series(self, capsys):
         code, out, _ = run(capsys, "wcf-check", "--model", "pentagon",

@@ -9,9 +9,10 @@ import pytest
 
 from hkforge import solver, trees
 from hkforge.lattice import Spectrum, charge
+from hkforge.models import pentagon_wall_point
 from hkforge.semiflat import ModelPoint, xsf
-from hkforge.solver import (RayProximityError, evaluate, midsector_zetas,
-                            solve)
+from hkforge.solver import (FOUR_PI_I, RayProximityError, evaluate,
+                            midsector_zetas, solve)
 from hkforge.trees import (DecoratedTree, TreeBudgetError, TreeIntegrator,
                            _tower_tails, enumerate_trees, multicover,
                            series_solution, tree_weight)
@@ -126,7 +127,8 @@ class TestSeries:
         ref = evaluate(ov, ov_solution, G1, zeta)
         for cutoff in (1, 2, 3, 4):
             got = series_solution(ov, ov_point, G1, zeta, cutoff,
-                                  grids=ov_solution.grids)
+                                  integrator=TreeIntegrator(
+                                      ov, ov_point, ov_solution.grids))
             assert abs(got.log_value - ref.log_value) < 1e-12
 
     def test_near_ray_zeta(self, pentagon):
@@ -161,7 +163,8 @@ class TestSeries:
     def test_zero_spectrum_reduces_to_semiflat(self, ov, ov_point):
         mdl = ov.with_spectrum(Spectrum(lambda g, u: 0, lambda u: ()))
         zeta = 0.8 * cmath.exp(1.1j)
-        got = series_solution(mdl, ov_point, G1, zeta, 3, grids=[])
+        got = series_solution(mdl, ov_point, G1, zeta, 3,
+                              integrator=TreeIntegrator(mdl, ov_point, []))
         assert got.value == xsf(mdl, ov_point, G1, zeta).value
 
 
@@ -177,21 +180,62 @@ def _zetas(sol):
             sol.grids[0].ray.direction * cmath.exp(0.011j)]
 
 
+def _tree_point(name, pentagon, ov):
+    """The grouped-sum points: 4 rays, 6 rays past either wall, and OV."""
+    if name == "ov":
+        return ov, ModelPoint(0.5, 1.0, (0.3, 1.1))
+    u = {"strong": 1.5 + 0.2j,
+         "wall 0.9": 1.2 * pentagon_wall_point(pentagon, 0.9),
+         "wall -0.8": 1.2 * pentagon_wall_point(pentagon, -0.8)}[name]
+    return pentagon, ModelPoint(u, 1.0, (0.37, 1.29))
+
+
+def _per_tree_integrals(integ, tree_list, zetas):
+    """G_T at the zetas for each tree, from a dense (1/4 pi i) int K
+    operator per ray pair and one root integrand per distinct subtree."""
+    grids, ops, memo = integ.grids, {}, {}
+
+    def integral(rs, rt, f):
+        if (rs, rt) not in ops:
+            w = np.log(grids[rt].zeta_nodes / grids[rs].ray.direction)
+            ops[rs, rt] = solver.cauchy_integral(
+                grids[rs], np.eye(grids[rs].zeta_nodes.size), w) / FOUR_PI_I
+        return f @ ops[rs, rt]
+
+    def root(tree):
+        key = tree.canonical_key()
+        if key not in memo:
+            r = integ._ray_index(tree.decoration)
+            vals = integ._xsf_nodes(tree.decoration)
+            for child in tree.children:
+                vals = vals * integral(integ._ray_index(child.decoration),
+                                       r, root(child))
+            memo[key] = vals
+        return memo[key]
+
+    out = []
+    for tree in tree_list:
+        grid = grids[integ._ray_index(tree.decoration)]
+        out.append(solver.cauchy_integral(
+            grid, root(tree), np.log(np.asarray(zetas) / grid.ray.direction))
+            / FOUR_PI_I)
+    return out
+
+
 class TestSharedKernels:
-    def test_enumerated_once(self, pentagon, strong, monkeypatch):
+    def test_no_tree_enumerated(self, pentagon, strong, monkeypatch):
         point, sol = strong
-        calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return enumerate_trees(*args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the tree sum enumerated trees")
 
-        monkeypatch.setattr(trees, "enumerate_trees", counted)
+        monkeypatch.setattr(trees, "enumerate_trees", refuse)
         integ = TreeIntegrator(pentagon, point, sol.grids)
-        for z in midsector_zetas(sol, 4):
-            for g in (G1, G2):
-                series_solution(pentagon, point, g, z, 3, integrator=integ)
-        assert len(calls) == 1
+        for cutoff in (1, 4):
+            for z in _zetas(sol):
+                for g in (G1, G2):
+                    series_solution(pentagon, point, g, z, cutoff,
+                                    integrator=integ)
 
     def test_kernels_per_ray_pair_and_height(self, pentagon, strong,
                                              monkeypatch):
@@ -205,40 +249,57 @@ class TestSharedKernels:
 
         monkeypatch.setattr(solver, "kernel_rows", counted)
         integ = TreeIntegrator(pentagon, point, sol.grids)
-        enumerated = [t for t, _ in integ.trees(4)]
-        integ.integrands(enumerated)
-        rays = len(sol.grids)
-        height = max(t.height() for t in enumerated)
-        assert height == 3
-        assert 0 < len(built) <= rays * (rays - 1) * height
+        cutoff = 4
+        integ.densities(cutoff)
+        lat = pentagon.lattice
+        pairs = sum(1 for a in sol.grids for b in sol.grids
+                    if any(lat.pair(g, h) for g in a.ray.charges
+                           for h in b.ray.charges))
+        assert 0 < len(built) <= (cutoff - 1) * pairs
         # summed densities: one root integral per ray and zeta
         built.clear()
-        series_solution(pentagon, point, G1, _zetas(sol)[0], 4,
+        series_solution(pentagon, point, G1, _zetas(sol)[0], cutoff,
                         integrator=integ)
-        assert len(built) <= rays
+        assert len(built) <= len(sol.grids)
 
-    def test_grouped_sum_equals_per_tree_sum(self, pentagon, strong):
-        point, sol = strong
-        integ = TreeIntegrator(pentagon, point, sol.grids)
-        weighted = integ.trees(4) + _tower_tails(pentagon, point, 4)
-        lat = pentagon.lattice
-        for z in _zetas(sol):
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["strong", "wall 0.9", "wall -0.8",
+                                      "ov"])
+    def test_grouped_sum_equals_per_tree_sum(self, pentagon, ov, name,
+                                             cutoff):
+        model, point = _tree_point(name, pentagon, ov)
+        sol = solve(model, point, tol_iter=1e-13)
+        integ = TreeIntegrator(model, point, sol.grids)
+        weighted = (enumerate_trees(model, point.u, cutoff)
+                    + _tower_tails(model, point, cutoff))
+        zetas = _zetas(sol)
+        per_tree = _per_tree_integrals(integ, [t for t, _ in weighted], zetas)
+        if cutoff <= 3:
+            # the dense operators reproduce the tree-by-tree integral
+            for (tree, _), vals in zip(weighted, per_tree):
+                assert np.abs(integ.g_integral(tree, np.array(zetas))
+                              - vals).max() <= 1e-14 * np.abs(vals).max()
+        lat = model.lattice
+        for i, z in enumerate(zetas):
             for g in (G1, G2):
-                paired = [(t, w) for t, w in weighted
+                paired = [(t, lat.pair(g, t.decoration) * float(w) * vals[i])
+                          for (t, w), vals in zip(weighted, per_tree)
                           if lat.pair(g, t.decoration)]
-                terms = [lat.pair(g, t.decoration) * float(w)
-                         * integ.g_integral(t, z) for t, w in paired]
+                terms = [term for _, term in paired]
                 # rounding of the two summation orders: a few ulp of the
                 # sum of |terms|, not of the sum, which cancels
                 bound = 8 * np.finfo(float).eps * sum(map(abs, terms))
-                got = integ.exponent(g, z, 4)
+                got = integ.exponent(g, z, cutoff)
                 assert abs(got - sum(terms)) <= bound
-                # control: the bound still sees one tree with two levels
-                # of nested integrals dropped (about 1e-9 of the sum)
-                dropped = max((i for i, (t, _) in enumerate(paired)
-                               if t.height() == 2),
-                              key=lambda i: abs(terms[i]))
-                assert abs(got - sum(terms) + terms[dropped]) > bound
+                if not terms:
+                    continue
+                # control: the bound still sees one tree dropped, the
+                # largest of those with two levels of nested integrals
+                # (about 1e-9 of the sum), or of the tallest below that
+                height = min(2, max(t.height() for t, _ in paired))
+                dropped = max((term for t, term in paired
+                               if t.height() == height), key=abs)
+                assert abs(got - sum(terms) + dropped) > bound
 
     def test_on_root_ray_rejected(self, pentagon, strong):
         point, sol = strong
