@@ -22,19 +22,20 @@ makes the smallness of the quantum corrections explicit.
 
 Every ray integral applies one kernel, coth((s - w)/2) with the target at
 direction * e^w, built by ``kernel_rows`` from a source grid and target
-poles.  The solve builds it once per unordered ray pair whose charges pair
-to nonzero (the reverse direction is minus its transpose, coth being odd),
-so a sweep is a list of matvecs; off-grid evaluation and the tree sum call
-the same builder.  When the target lies within NEAR_HALF_WIDTHS panel
-half-widths of the source ray (``QuadratureGrid.near_angle``, so the zone
-narrows as the panels refine) the density is continued to the pole,
-subtracted, and added back against the closed-form kernel integral.  The
-continuation is one linear operator, ``_near_term``: per pole, the nodes of
-one panel and their interpolation weights, which the sweep stores once per
-ordered near pair and evaluation rebuilds per pole.  On a ray the two
-directed boundary values of the closed form differ by the residue term
-+-2 pi i, which is how the expected coordinate jumps emerge from one
-integral representation.
+poles.  The solve builds it once per class of ray pairs whose charges pair
+to nonzero: the reverse direction is minus its transpose, coth being odd,
+and the antipodal pair (-a, -b) of (a, b) has the same nodes and angle, so
+reads the same kernel.  A sweep is a list of matvecs; off-grid evaluation
+and the tree sum call the same builder.  When the target lies within
+NEAR_HALF_WIDTHS panel half-widths of the source ray
+(``QuadratureGrid.near_angle``, so the zone narrows as the panels refine)
+the density is continued to the pole, subtracted, and added back against
+the closed-form kernel integral.  The continuation is one linear operator,
+``_near_term``: per pole, the nodes of one panel and their interpolation
+weights, which the sweep stores once per ordered near pair of a class and
+evaluation rebuilds per pole.  On a ray the two directed boundary values
+of the closed form differ by the residue term +-2 pi i, which is how the
+expected coordinate jumps emerge from one integral representation.
 
 Every node quantity of a solve is one array of shape (..., U, N): row k is
 unknown k of ``unknowns(grids)``, the (ray, charge) pairs ray-major, on the
@@ -426,8 +427,8 @@ class _Workspace:
     unknown s and weights (U, N) its ray's; for target rays within the source
     grid's ``near_angle``, ``near`` = (idx, op) from ``_near_term`` adds coef
     * sum(op * g[s, idx]) per pole, the subtracted part with g[s] continued
-    to the poles.  Each unordered ray pair has one kernel; the reverse
-    direction reads it transposed with the opposite sign.
+    to the poles.  Each class of ray pairs (``_prepare``) has one kernel;
+    the reverse direction reads it transposed with the opposite sign.
     """
 
     terms: list[tuple[int, int, complex, np.ndarray, tuple | None]]
@@ -435,13 +436,26 @@ class _Workspace:
 
 
 def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspace:
+    """The sweep on ``grids``, one kernel per antipodal ray-pair class: the
+    ray of -gamma has the same |Z|, so bitwise the same nodes, and (a, b)
+    and (-a, -b) read the same kernel and near terms.  A pair with a ray
+    that has no such partner keeps its own."""
     lat = model.lattice
     rows_of = unknowns(grids)
     omegas = [om for grid in grids for om in grid.ray.omegas]
+    ray_of = {g: r for r, grid in enumerate(grids) for g in grid.ray.charges}
+    anti = {}
+    for r, grid in enumerate(grids):
+        q = ray_of.get(-grid.ray.charges[0])
+        if q is not None and np.array_equal(grids[q].s_nodes, grid.s_nodes):
+            anti[r] = q
     blocks = {}
 
     def block(rt: int, rs: int):
-        a, b = min(rt, rs), max(rt, rs)
+        pair = (rt, rs)
+        if rt in anti and rs in anti:
+            pair = min(pair, (anti[rt], anti[rs]), key=sorted)
+        a, b = sorted(pair)
         if (a, b) not in blocks:
             dphi = _wrap_angle(grids[a].ray.angle - grids[b].ray.angle)
             w_ab = grids[a].s_nodes + 1j * dphi
@@ -457,7 +471,7 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
                                      grids[b].s_nodes - 1j * dphi)
                 near_ba = (idx, -op)
             blocks[(a, b)] = ((1.0, rows, near_ab), (-1.0, rows.T, near_ba))
-        return blocks[(a, b)][rt > rs]
+        return blocks[(a, b)][pair[0] > pair[1]]
 
     terms = []
     for t, (rt, gt) in enumerate(rows_of):

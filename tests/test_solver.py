@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkforge import solver
 from hkforge.lattice import Spectrum, charge
 from hkforge.models import pentagon_wall_point
 from hkforge.semiflat import ModelPoint, xsf, xsf_log
@@ -294,7 +295,8 @@ def _sweep_gap(model, sol):
 
 
 class TestNearRayAccuracy:
-    @pytest.mark.parametrize("case", ["mid", "wall-1.2", "wall-1.02", "ov"])
+    @pytest.mark.parametrize("case", ["mid", "wall-1.2", "wall-1.02",
+                                      "wall-0.8-1.02", "ov"])
     def test_sweep_agrees_with_evaluation(self, pentagon, ov, ov_point,
                                           case):
         # the converged node data are what evaluation reads at the nodes;
@@ -303,6 +305,8 @@ class TestNearRayAccuracy:
             "mid": (pentagon, ModelPoint(1.5 + 0.2j, 1.0, (0.37, 1.29))),
             "wall-1.2": (pentagon, _wall_point(pentagon, 1.2, 0.9, 1.0)),
             "wall-1.02": (pentagon, _wall_point(pentagon, 1.02, 0.9, 0.35)),
+            "wall-0.8-1.02": (pentagon,
+                              _wall_point(pentagon, 1.02, -0.8, 0.35)),
             "ov": (ov, ov_point)}[case]
         grids = build_grids(model, point)
         ws = _prepare(model, point, grids)
@@ -405,6 +409,71 @@ class TestNearRayAccuracy:
                             for sol in sols)
                     worst = max(worst, float(np.max(np.abs(a - b))))
         assert worst <= 1e-14
+
+
+# the conftest point, then 0.98 and 1.02 x both wall points at R 0.35
+WALLS = [None, (0.98, 0.9), (1.02, 0.9), (0.98, -0.8), (1.02, -0.8)]
+WALL_IDS = ["conftest", "0.98x0.9", "1.02x0.9", "0.98x-0.8", "1.02x-0.8"]
+
+
+def _prepare_builds(monkeypatch, model, point):
+    """The ``kernel_rows`` and ``_near_term`` calls of one ``_prepare``."""
+    grids = build_grids(model, point)
+    counts = dict.fromkeys(("kernel_rows", "_near_term"), 0)
+    for name in counts:
+        def counted(*args, real=getattr(solver, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(solver, name, counted)
+    ws = _prepare(model, point, grids)
+    return counts, grids, ws
+
+
+class TestKernelSharing:
+    @pytest.mark.parametrize("wall, kernels, near", [
+        (None, 2, 0), ((1.02, 0.9), 6, 6)], ids=["conftest", "1.02x0.9"])
+    def test_one_kernel_per_antipodal_class(self, pentagon, pentagon_point,
+                                            monkeypatch, wall, kernels, near):
+        # (a, b) and (-a, -b) share a kernel and its near terms: 4 rays
+        # pair in 4 ray pairs, 2 classes; 6 rays near the wall in 12, 6
+        point = pentagon_point if wall is None \
+            else _wall_point(pentagon, *wall, 0.35)
+        counts, _, _ = _prepare_builds(monkeypatch, pentagon, point)
+        assert counts == {"kernel_rows": kernels, "_near_term": near}
+
+    @pytest.mark.parametrize("wall", WALLS, ids=WALL_IDS)
+    def test_antipodal_grids_share_nodes(self, pentagon, pentagon_point,
+                                         wall):
+        point = pentagon_point if wall is None \
+            else _wall_point(pentagon, *wall, 0.35)
+        grids = build_grids(pentagon, point)
+        by_charge = {g: grid for grid in grids for g in grid.ray.charges}
+        for grid in grids:
+            partner = by_charge[-grid.ray.charges[0]]
+            assert np.array_equal(partner.s_nodes, grid.s_nodes)
+            assert np.array_equal(partner.weights, grid.weights)
+
+    @pytest.mark.parametrize("wall, kernels", [(None, 2), ((1.02, 0.9), 6)],
+                             ids=["conftest", "1.02x0.9"])
+    def test_ray_without_partner_keeps_its_kernels(self, pentagon,
+                                                   pentagon_point,
+                                                   monkeypatch, wall,
+                                                   kernels):
+        # with -gamma_1 dropped, the pairs of the ray of gamma_1 have no
+        # antipodal pair and keep a kernel each (2 of 2 at 4 rays, 4 of 6
+        # near the wall); sharing theirs with another pair breaks the
+        # sweep, which evaluation at the nodes sees
+        point = pentagon_point if wall is None \
+            else _wall_point(pentagon, *wall, 0.35)
+        support = tuple(g for g in pentagon.spectrum.support(point.u)
+                        if g != -G1)
+        model = pentagon.with_spectrum(Spectrum(
+            lambda g, u: 1 if g in support else 0, lambda u: support))
+        counts, grids, ws = _prepare_builds(monkeypatch, model, point)
+        assert len(grids) == len(support)
+        assert counts["kernel_rows"] == kernels
+        sol = iterate(model, point, grids, tol_iter=1e-13, workspace=ws)
+        assert _sweep_gap(model, sol) <= 1e-14
 
 
 # metric-grid, certify and wall-approach inputs of the benchmark (seed 1)
@@ -633,10 +702,15 @@ class TestJumps:
             assert ray_jump_defect(pentagon, sol, i) < 1e-7
             assert _exact_jump_defect(pentagon, sol, i) < 1e-12
 
-    def test_upsilon_reality_on_rays(self, pentagon, pentagon_solution):
+    @pytest.mark.parametrize("wall", WALLS, ids=WALL_IDS)
+    def test_upsilon_reality_on_rays(self, pentagon, pentagon_solution,
+                                     wall):
         # the converged node data of opposite rays are complex conjugates
-        # under s -> -s, which is the reality condition on the solution
-        sols = pentagon_solution
+        # under s -> -s, which is the reality condition on the solution;
+        # +-gamma are separate unknowns though they share kernels, and the
+        # wall points read the shared near terms too
+        sols = pentagon_solution if wall is None else solve(
+            pentagon, _wall_point(pentagon, *wall, 0.35), tol_iter=1e-12)
         by_charge = {gamma: vals for (_, gamma), vals
                      in zip(unknowns(sols.grids), sols.upsilon)}
         for gamma, vals in by_charge.items():

@@ -190,6 +190,12 @@ def _tree_point(name, pentagon, ov):
     return pentagon, ModelPoint(u, 1.0, (0.37, 1.29))
 
 
+def _fsum(terms):
+    """The complex sum of ``terms``, each part correctly rounded."""
+    return complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms))
+
+
 def _per_tree_integrals(integ, tree_list, zetas):
     """G_T at the zetas for each tree, from a dense (1/4 pi i) int K
     operator per ray pair and one root integrand per distinct subtree."""
@@ -286,11 +292,12 @@ class TestSharedKernels:
                           for (t, w), vals in zip(weighted, per_tree)
                           if lat.pair(g, t.decoration)]
                 terms = [term for _, term in paired]
-                # rounding of the two summation orders: a few ulp of the
-                # sum of |terms|, not of the sum, which cancels
+                # rounding of the resummed exponent: a few ulp of the sum
+                # of |terms|, not of the sum, which cancels; the reference
+                # sum is correctly rounded, so adds almost none of its own
                 bound = 8 * np.finfo(float).eps * sum(map(abs, terms))
                 got = integ.exponent(g, z, cutoff)
-                assert abs(got - sum(terms)) <= bound
+                assert abs(got - _fsum(terms)) <= bound
                 if not terms:
                     continue
                 # control: the bound still sees one tree dropped, the
@@ -299,7 +306,7 @@ class TestSharedKernels:
                 height = min(2, max(t.height() for t, _ in paired))
                 dropped = max((term for t, term in paired
                                if t.height() == height), key=abs)
-                assert abs(got - sum(terms) + dropped) > bound
+                assert abs(got - _fsum(terms + [-dropped])) > bound
 
     def test_on_root_ray_rejected(self, pentagon, strong):
         point, sol = strong
