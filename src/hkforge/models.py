@@ -23,7 +23,6 @@ from .lattice import (Charge, CentralCharge, DegeneratePointError, Lattice,
 
 RANK2_PAIRING = ((0, 1), (-1, 0))
 WALL_BRACKET = (0.5, 4.0)  # radii / |Lambda|^3 that straddle the pentagon wall
-OV_ORACLE_SPAN = 12.0      # the oracle integrates s over [-span, span]
 
 
 @dataclass
@@ -413,45 +412,58 @@ def ov_oracle(model: ModelDefinition, point, gamma: Charge, zeta: complex):
 
     The electric coordinate equals its semiflat value; the magnetic one picks
     up one Cauchy-type integral over each electric ray.  Uses adaptive
-    Gauss-Kronrod quadrature, a different node family from the ray solver.
+    Gauss-Kronrod quadrature, a different node family from the ray solver,
+    on one complex integrand that sums both rays; each node is evaluated
+    once and serves both the real and the imaginary pass.  On the ray
+    zeta' = d e^s, |X| = exp(-2 pi R |Z| cosh s) and the kernel is at most
+    2 / sin(angle from zeta to the nearer ray), so the span in s is where
+    that bound on the integrand falls below the absolute tolerance: it
+    grows like log(1 / R|Z|) as R|Z| shrinks.
     """
-    from .semiflat import xsf, xsf_log  # local import avoids a cycle
+    from .semiflat import theta_eval, xsf  # local import avoids a cycle
 
     if model.name != "ov":
         raise ValueError("oracle defined for the OV model")
-    lat = model.lattice
-    gamma_e = charge(0, 1)
-    zeta = complex(zeta)
-    u, R = point.u, point.R
-
-    log_sf = xsf_log(model, point, gamma, zeta)
-    upsilon = 0.0 + 0.0j
+    zeta, piR = complex(zeta), math.pi * point.R
+    rays = []
     for sign in (1, -1):
-        gp = sign * gamma_e
-        pairing = lat.pair(gamma, gp)
+        gp = sign * charge(0, 1)
+        pairing = model.lattice.pair(gamma, gp)
         if pairing == 0:
             continue
-        z = model.Z.of(gp, u)
+        z = model.Z.of(gp, point.u)
         d = -z / abs(z)
         if abs(cmath.phase(zeta / d)) < 1e-8:
             raise ValueError("zeta on an OV ray; oracle needs an off-ray point")
-
-        def integrand(s: float, part: int) -> float:
-            zp = d * cmath.exp(s)
-            kern = (zp + zeta) / (zp - zeta)
-            x = cmath.exp(xsf_log(model, point, gp, zp))
-            val = kern * cmath.log(1.0 - x)
-            return val.real if part == 0 else val.imag
-
-        re, _ = quad(integrand, -OV_ORACLE_SPAN, OV_ORACLE_SPAN, args=(0,),
-                     epsabs=1e-13, epsrel=1e-12, limit=400)
-        im, _ = quad(integrand, -OV_ORACLE_SPAN, OV_ORACLE_SPAN, args=(1,),
-                     epsabs=1e-13, epsrel=1e-12, limit=400)
-        upsilon += -(1.0 / (4j * math.pi)) * pairing * (re + 1j * im)
-
-    value = cmath.exp(log_sf + upsilon)
+        rays.append((pairing, d, piR * z,
+                     1j * theta_eval(model.lattice, point, gp),
+                     piR * z.conjugate()))
     ref = xsf(model, point, gamma, zeta)
-    return replace(ref, value=value, log_value=log_sf + upsilon)
+    if not rays:
+        return ref
+
+    nodes: dict[float, complex] = {}  # the imaginary pass reuses the real's
+
+    def part(s: float, k: int) -> float:
+        val = nodes.get(s)
+        if val is None:
+            val = 0.0 + 0.0j
+            for pairing, d, a, b, c in rays:
+                zp = d * math.exp(s)
+                x = cmath.exp(a / zp + b + zp * c)
+                val += pairing * (zp + zeta) / (zp - zeta) * cmath.log(1.0 - x)
+            nodes[s] = val
+        return val.imag if k else val.real
+
+    eps = 1e-13
+    sine = math.sin(min(abs(cmath.phase(zeta / d)) for _, d, *_ in rays))
+    bound = 2.0 * sum(abs(p) for p, *_ in rays) / sine
+    # |Z_{-e}| = |Z_e|, so both rays decay alike
+    span = math.acosh(max(1.0, math.log(bound / eps) / (2 * abs(rays[0][2]))))
+    re, im = (quad(part, -span, span, args=(k,), epsabs=eps, epsrel=1e-12,
+                   limit=400)[0] for k in (0, 1))
+    log_value = ref.log_value - (1.0 / (4j * math.pi)) * (re + 1j * im)
+    return replace(ref, value=cmath.exp(log_value), log_value=log_value)
 
 
 # ---------------------------------------------------------------------------

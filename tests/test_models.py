@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +9,7 @@ from hkforge.lattice import DegeneratePointError, bps_rays, charge
 from hkforge.models import (load_model, model_from_config, model_info,
                             ov_continued_z, ov_oracle, pentagon_model,
                             pentagon_wall_point, save_model)
-from hkforge.semiflat import xsf
+from hkforge.semiflat import ModelPoint, theta_eval, xsf, xsf_log
 from hkforge.solver import evaluate, solve
 
 G1, G2 = charge(1, 0), charge(0, 1)
@@ -113,6 +114,35 @@ class TestPentagonModel:
         assert np.allclose(got, want, rtol=1e-12)
 
 
+def _mp_oracle_log(ov, point, zeta, signs=(1, -1)):
+    """mpmath reference for log X_{e1} at 20 digits, one tanh-sinh quadrature.
+
+    On the ray of g = sign * e2, zeta' = d e^s with d = -Z_g/|Z_g|, so
+    X_g = exp(i theta_g - 2 pi R |Z| cosh s) and the kernel is
+    (e^s + zeta/d) / (e^s - zeta/d).  The window s in [-25, 25] is fixed and
+    split at log|zeta|, where the kernel peaks when zeta nears a ray.
+    """
+    def f(s):
+        es = mpmath.exp(s)
+        x = mpmath.exp(-a * (es + 1 / es) / 2)
+        if x < 1e-26:  # under 1e-19 even with the kernel's 2e6 at 1e-6 rad
+            return 0
+        return sum(p * (es + q) / (es - q) * mpmath.log(1 - x * phase)
+                   for p, q, phase in rays)
+
+    with mpmath.workdps(20):
+        rays = []
+        for sign in signs:
+            g = sign * G2
+            z = mpmath.mpc(ov.Z.of(g, point.u))
+            rays.append((ov.lattice.pair(G1, g), zeta * -abs(z) / z,
+                         mpmath.expj(theta_eval(ov.lattice, point, g))))
+        a = 2 * mpmath.pi * point.R * abs(z)
+        total = mpmath.quad(f, [-25, math.log(abs(zeta)), 25]) \
+            / (-4j * mpmath.pi)
+    return xsf_log(ov, point, G1, zeta) + complex(total)
+
+
 class TestOvOracle:
     def test_matches_solver(self, ov, ov_point, ov_solution):
         rng = np.random.default_rng(17)
@@ -133,6 +163,27 @@ class TestOvOracle:
         lhs = ov_oracle(ov, ov_point, G1, -1 / np.conj(zeta)).value
         rhs = np.conj(ov_oracle(ov, ov_point, -G1, zeta).value)
         assert abs(lhs - rhs) <= 1e-11 * abs(lhs)
+
+    def test_matches_mpmath(self, ov):
+        # generic points, zeta 1e-4 and 1e-6 rad from a ray, and R |Z| of
+        # 5e-6, where |X| is still 0.08 at |s| = 12
+        u = 0.5 * cmath.exp(0.4j)
+        near = ModelPoint(u, 1.0, (0.3, 1.1))
+        d = -u / abs(u)  # the ray of +e2
+        cases = [(near, 0.7 * cmath.exp(0.9j)),
+                 (ModelPoint(0.35 - 0.2j, 0.5, (1.0, 2.0)),
+                  1.4 * cmath.exp(-2.0j)),
+                 (ModelPoint(0.6j, 2.0, (5.0, 0.2)), 0.45 * cmath.exp(2.5j)),
+                 (near, 0.8 * d * cmath.exp(1e-4j)),
+                 (near, -1.3 * d * cmath.exp(-1e-6j)),
+                 (ModelPoint(u, 1e-5, (0.3, 1.1)), 0.9 * cmath.exp(1.5j))]
+        for point, zeta in cases:
+            got = ov_oracle(ov, point, G1, zeta).log_value
+            assert abs(got - _mp_oracle_log(ov, point, zeta)) <= 1e-13
+        # control: a reference without the ray of -e2 is far off
+        point, zeta = cases[0]
+        got = ov_oracle(ov, point, G1, zeta).log_value
+        assert abs(got - _mp_oracle_log(ov, point, zeta, signs=(1,))) > 1e-3
 
     def test_ray_proximity_rejected(self, ov, ov_point):
         d = -ov_point.u / abs(ov_point.u)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hkforge import solver
 from hkforge.lattice import Spectrum, charge
-from hkforge.models import pentagon_wall_point
+from hkforge.models import ov_oracle, pentagon_wall_point
 from hkforge.semiflat import ModelPoint, xsf, xsf_log
 from hkforge.solver import (GridSpec, NonConvergenceError,
                             QuadratureGrid, RayProximityError, RSmallError,
@@ -643,6 +643,27 @@ class TestJumps:
         # (1 - X_e)^(<e, m> Omega); the electric one does not jump at all
         for i in range(2):
             assert ray_jump_defect(ov, ov_solution, i) < 1e-7
+
+    def test_ov_directed_values_against_oracle(self, ov):
+        # each side's boundary value on its own, which the jump defect
+        # cannot check when both sides share an error: the oracle's
+        # Richardson limit 2 X(eps/2) - X(eps) along exp(i side eps)
+        point, eps = ModelPoint(0.5 * cmath.exp(0.4j), 1.0, (0.3, 1.1)), 1e-4
+        sol = solve(ov, point)
+        worst, swapped = 0.0, math.inf
+        for grid in sol.grids:
+            for r in (0.6, 1.0, 1.7):
+                zeta0 = r * grid.ray.direction
+                for side in (+1, -1):
+                    far, near = (ov_oracle(ov, point, G1, zeta0 * cmath.exp(
+                        1j * side * e)).value for e in (eps, eps / 2))
+                    want = 2 * near - far
+                    got, other = (evaluate(ov, sol, G1, zeta0, s).value
+                                  for s in (side, -side))
+                    worst = max(worst, abs(got - want) / abs(want))
+                    swapped = min(swapped, abs(other - want) / abs(want))
+        assert worst <= 1e-8
+        assert swapped > 1e-8  # control: the other side's value fails
 
     def test_own_charge_continuous(self, pentagon, pentagon_solution):
         grid = pentagon_solution.grids[0]
