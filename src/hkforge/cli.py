@@ -434,7 +434,8 @@ def cmd_decay_scan(args) -> int:
 
 def metric_at(model, point, semiflat_only: bool):
     """(fit, metric, algebra) at a point; the semiflat metric takes the
-    closed-form semiflat forms, with no solve and no fit (fit None)."""
+    closed-form semiflat forms, with no solve and no Laurent check (fit
+    None)."""
     if not semiflat_only:
         return geometry.fit_point(model, point)
     forms = omega_plus_sf(model, point), omega3_sf(model, point)
@@ -456,7 +457,8 @@ def cmd_metric(args) -> int:
     show_matrix("complex structure J:", metric.J)
     if fit is not None:
         print(f"laurent residual {fit.residual:.3e}, "
-              f"omega_3 imaginary defect {fit.omega3_imag:.3e}")
+              f"omega_3 imaginary defect {fit.omega3_imag:.3e}, "
+              f"reality defect {fit.conj_defect:.3e}")
     print(f"J^2 defect {metric.j_squared_defect:.3e}")
     print(f"triple algebra: equal-squares {algebra.equal_squares_defect:.3e}, "
           f"mixed {algebra.mixed_defect:.3e}")

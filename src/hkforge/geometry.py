@@ -7,11 +7,14 @@ coordinates (Re u, Im u, theta_1, theta_2):
     varpi(zeta) = (1/8 pi^2 R) < d log X(zeta) ^ d log X(zeta) >.
 
 The coordinate jumps across BPS rays act by Poisson morphisms, so this
-family is continuous in zeta even though X is not.  Fitting its unit-circle
-samples to a/zeta + b + c zeta splits off the holomorphic symplectic form
-(the residue) and the Kahler form (the constant term); an appreciable fit
-residual signals spurious higher Laurent terms and fails the run.  The
-metric follows from the triple algebra: with w1, w2 the real and imaginary
+family is continuous in zeta even though X is not, and it is
+a/zeta + b + c zeta: the residue gives the holomorphic symplectic form and
+the constant term the Kahler form.  Both follow from d log X to first
+order at zeta -> 0, whose corrections are moments of the tangent
+densities; c follows from zeta -> infinity and must be -conj(a).  Samples
+of the family at the sector midpoints check the split, and a gap there
+signals spurious higher Laurent terms and fails the run.  The metric
+follows from the triple algebra: with w1, w2 the real and imaginary
 parts of the residue form, J = -w1^{-1} w2 is an almost complex structure
 and g = w3 J its metric, positive definite in the large-R regime.
 """
@@ -23,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .semiflat import ModelPoint, dlog_xsf_matrix, pairing_two_form
-from .solver import _upsilon_value, midsector_zetas, solve_tangents
-
-MIN_ZETAS = 5   # samples that overdetermine the three-term Laurent fit
-FIT_ZETAS = 12  # samples ``fit_point`` takes
+from .semiflat import (ModelPoint, dlog_xsf_matrix, laurent_forms,
+                       pairing_two_form, varpi_expected)
+from .solver import (_upsilon_value, sector_midpoints, solve_tangents,
+                     zeta_zero_moments)
 
 
 @dataclass
@@ -35,10 +37,9 @@ class VarpiSampler:
     """d log X of the basis charges at one point, from tangent densities.
 
     ``solve_tangents`` solves the point and its four real directions on one
-    set of grids.  ``varpi`` and ``dlog_matrix`` take a number or a 1-d
-    array of zetas: all of them share one evaluation of the stacked tangent
-    densities, one Cauchy integral per ray, added to the closed-form
-    ``dlog_xsf_matrix``.
+    set of grids.  ``varpi`` takes a number or a 1-d array of zetas: all of
+    them share one evaluation of the stacked tangent densities, one Cauchy
+    integral per ray, added to the closed-form ``dlog_xsf_matrix``.
     """
 
     model: object
@@ -50,61 +51,24 @@ class VarpiSampler:
         self.center, self.tangents = solve_tangents(
             self.model, self.point, tol_iter=self.tol_iter)
 
-    def dlog_matrix(self, zeta, side: int | None = None) -> np.ndarray:
-        """Rows: basis charges; columns: the four real coordinate derivatives.
-
-        (2, 4) at a number, (Z, 2, 4) at Z zetas.
-        """
-        return dlog_xsf_matrix(self.model, self.point, zeta) + np.moveaxis(
-            _upsilon_value(self.model, self.center.grids, self.tangents,
-                           self._basis, zeta, side=side), 0, -1)
-
     def varpi(self, zeta, side: int | None = None) -> np.ndarray:
         """The two-form, (4, 4) at a number, (Z, 4, 4) at Z zetas."""
-        a = self.dlog_matrix(zeta, side=side)
-        return pairing_two_form(self.model.lattice, a,
+        rows = dlog_xsf_matrix(self.model, self.point, zeta) + np.moveaxis(
+            _upsilon_value(self.model, self.center.grids, self.tangents,
+                           self._basis, zeta, side=side), 0, -1)
+        return pairing_two_form(self.model.lattice, rows,
                                 scale=1.0 / (8.0 * math.pi ** 2 * self.point.R))
 
 
 @dataclass
 class LaurentFit:
+    """The Laurent split of varpi and its defects (see ``fit_point``)."""
+
     omega_plus: np.ndarray
     omega_3: np.ndarray
     residual: float
     omega3_imag: float
     conj_defect: float
-
-
-def laurent_fit(zetas: list[complex], samples: np.ndarray | list[np.ndarray]
-                ) -> LaurentFit:
-    """Split varpi samples into simple-pole, constant and linear parts.
-
-    Least squares of every matrix entry against [1/zeta, 1, zeta]; the
-    reality of the family ties the linear coefficient to the conjugate of
-    the pole coefficient, and both identifications are reported as defects.
-    A residual above 1e-6 means higher Laurent terms are present, which
-    the twistor family of a genuine solution cannot have.
-    """
-    if len(zetas) < MIN_ZETAS:
-        raise ValueError(f"need at least {MIN_ZETAS} zeta samples")
-    zs = np.asarray(zetas, dtype=complex)
-    basis = np.stack([1.0 / zs, np.ones_like(zs), zs], axis=1)
-    stacked = np.reshape(samples, (len(zs), 16))
-    coeffs, *_ = np.linalg.lstsq(basis, stacked, rcond=None)
-    fitted = basis @ coeffs
-    residual = float(np.max(np.abs(fitted - stacked)))
-    if residual > 1e-6:
-        raise ValueError(
-            f"higher Laurent terms present: fit residual {residual:.3e}")
-    a = coeffs[0].reshape(4, 4)
-    b = coeffs[1].reshape(4, 4)
-    c = coeffs[2].reshape(4, 4)
-    omega_plus = 2j * a
-    omega3_imag = float(np.max(np.abs(b.imag)))
-    conj_defect = float(np.max(np.abs(c + np.conj(a))))
-    return LaurentFit(omega_plus=omega_plus, omega_3=b.real.copy(),
-                      residual=residual, omega3_imag=omega3_imag,
-                      conj_defect=conj_defect)
 
 
 @dataclass
@@ -165,10 +129,28 @@ def triple_wedge_check(omega_plus: np.ndarray, omega_3: np.ndarray
 
 def fit_point(model, point: ModelPoint
               ) -> tuple[LaurentFit, MetricSample, TripleCheck]:
-    """Full pipeline at one point: samples, Laurent split, metric, algebra."""
+    """Full pipeline at one point: Laurent split, metric, algebra.
+
+    The split takes the tangent densities' moments (``zeta_zero_moments``).
+    ``residual`` is the largest gap between varpi, sampled at the sector
+    midpoints, and its assembly from the split; above 1e-6 it means higher
+    Laurent terms, which a genuine solution cannot have.  ``omega3_imag``
+    and ``conj_defect`` (c + conj(a)) measure reality.
+    """
     sampler = VarpiSampler(model, point)
-    zetas = midsector_zetas(sampler.center.grids, n=FIT_ZETAS)
-    fit = laurent_fit(zetas, sampler.varpi(zetas))
-    metric = metric_from_triple(fit.omega_plus, fit.omega_3)
-    algebra = triple_wedge_check(fit.omega_plus, fit.omega_3)
-    return fit, metric, algebra
+    grids = sampler.center.grids
+    du0, du1 = (np.swapaxes(m, 0, 1) for m in zeta_zero_moments(
+        model, grids, sampler.tangents, sampler._basis))
+    a, b, c = laurent_forms(model, point, du0, du1)
+    omega_plus, omega_3 = 2j * a, b.real
+    zetas = np.exp(1j * np.array(sector_midpoints(grids)))
+    residual = float(np.max(np.abs(sampler.varpi(zetas) - varpi_expected(
+        omega_plus, omega_3, zetas)), initial=0.0))
+    if residual > 1e-6:
+        raise ValueError(
+            f"higher Laurent terms present: residual {residual:.3e}")
+    fit = LaurentFit(omega_plus, omega_3, residual,
+                     omega3_imag=float(np.max(np.abs(b.imag))),
+                     conj_defect=float(np.max(np.abs(c + np.conj(a)))))
+    return (fit, metric_from_triple(omega_plus, omega_3),
+            triple_wedge_check(omega_plus, omega_3))

@@ -450,8 +450,13 @@ def ov_oracle(model: ModelDefinition, point, gamma: Charge, zeta: complex):
             val = 0.0 + 0.0j
             for pairing, d, a, b, c in rays:
                 zp = d * math.exp(s)
-                x = cmath.exp(a / zp + b + zp * c)
-                val += pairing * (zp + zeta) / (zp - zeta) * cmath.log(1.0 - x)
+                w = a / zp + b + zp * c
+                x = cmath.exp(w)
+                # 1 - X; near X = 1 from expm1 and sin^2, which do not cancel
+                rest = 1.0 - x if abs(x) < 0.5 else complex(
+                    2.0 * math.sin(0.5 * w.imag) ** 2
+                    - math.expm1(w.real) * math.cos(w.imag), -x.imag)
+                val += pairing * (zp + zeta) / (zp - zeta) * cmath.log(rest)
             nodes[s] = val
         return val.imag if k else val.real
 

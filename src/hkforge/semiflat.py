@@ -124,13 +124,6 @@ def xsf(model, point: ModelPoint, gamma: Charge, zeta: complex) -> CoordinateVal
 # closed-form expressions below are restricted to a one-dimensional base.
 
 
-def _require_r1(model) -> None:
-    lat = model.lattice
-    if lat.rank_total != 2 or lat.flavor_rank != 0:
-        raise ValueError("two-form assembly implemented for rank-2 "
-                         "flavorless lattices (one-dimensional base)")
-
-
 def pairing_two_form(lattice: Lattice, rows: np.ndarray, scale: float = 1.0
                      ) -> np.ndarray:
     """Assemble scale * <rows ^ rows> as a 4x4 antisymmetric matrix.
@@ -144,76 +137,66 @@ def pairing_two_form(lattice: Lattice, rows: np.ndarray, scale: float = 1.0
     return scale * (m - np.swapaxes(m, -1, -2))
 
 
-def _dlog_xsf_of(gamma: Charge, dz: complex, R: float, zeta: np.ndarray
-                 ) -> np.ndarray:
-    """``dlog_xsf`` from the charge's central-charge derivative ``dz``."""
-    pole = math.pi * R * dz / zeta
-    linear = math.pi * R * zeta * dz.conjugate()
-    return np.stack([pole + linear, 1j * (pole - linear)]
-                    + [np.full_like(zeta, 1j * c) for c in gamma.coeffs])
-
-
-def dlog_xsf(model, point: ModelPoint, gamma: Charge, zeta) -> np.ndarray:
-    """Analytic d log X^sf_gamma along (Re u, Im u, theta_1, theta_2).
-
-    The four derivatives are stacked first, before the shape of ``zeta``, a
-    number or the nodes of a ray.  The result is linear in the charge.
-    """
-    _require_r1(model)
-    dz = sum(c * d for c, d in zip(gamma.coeffs,
-                                   model.Z.basis_derivatives(point.u)))
-    return _dlog_xsf_of(gamma, dz, point.R, np.asarray(zeta, dtype=complex))
+def xsf_laurent_rows(model, point: ModelPoint, charges) -> np.ndarray:
+    """(3, C, 4): pi R dZ, i dtheta and pi R dZbar of each charge, the
+    coefficients of 1/zeta, 1 and zeta in d log X^sf along (Re u, Im u,
+    theta_1, theta_2).  The periods' derivatives are read once."""
+    if model.lattice.rank_total != 2 or model.lattice.flavor_rank != 0:
+        raise ValueError("two-form assembly implemented for rank-2 "
+                         "flavorless lattices (one-dimensional base)")
+    derivs = model.Z.basis_derivatives(point.u)
+    piR = math.pi * point.R
+    rows = np.zeros((3, len(charges), 4), dtype=complex)
+    for i, gamma in enumerate(charges):
+        dz = sum(c * d for c, d in zip(gamma.coeffs, derivs))
+        rows[0, i, :2] = piR * dz, 1j * piR * dz
+        rows[1, i, 2:] = [1j * c for c in gamma.coeffs]
+        rows[2, i, :2] = piR * dz.conjugate(), -1j * piR * dz.conjugate()
+    return rows
 
 
 def dlog_xsf_matrix(model, point: ModelPoint, zeta) -> np.ndarray:
-    """``dlog_xsf`` of the basis charges; rows (2,) x cols (x,y,t1,t2).
+    """d log X^sf of the basis charges; rows (2,) x cols (x,y,t1,t2).
 
     ``zeta`` is a number, giving (2, 4), or an array of them, giving its
     shape + (2, 4).  The periods' derivatives are read once per call.
     """
-    _require_r1(model)
-    derivs = model.Z.basis_derivatives(point.u)
-    zeta = np.asarray(zeta, dtype=complex)
-    rows = np.stack([
-        _dlog_xsf_of(gamma, sum(c * d for c, d in zip(gamma.coeffs, derivs)),
-                     point.R, zeta)
-        for gamma in model.lattice.basis()])
-    return np.moveaxis(rows, (0, 1), (-2, -1))
+    pole, const, lin = xsf_laurent_rows(model, point, model.lattice.basis())
+    zeta = np.asarray(zeta, dtype=complex)[..., None, None]
+    return pole / zeta + const + zeta * lin
 
 
-def _form_rows(model, point: ModelPoint):
-    """dZ, dZbar and dtheta of the basis charges as rows over the real
-    coordinates (Re u, Im u, theta_1, theta_2)."""
-    _require_r1(model)
-    dz = model.Z.basis_derivatives(point.u)
-    dz_rows = np.zeros((2, 4), dtype=complex)
-    dzbar_rows = np.zeros((2, 4), dtype=complex)
-    dth_rows = np.zeros((2, 4), dtype=complex)
-    for i in range(2):
-        dz_rows[i, 0] = dz[i]
-        dz_rows[i, 1] = 1j * dz[i]
-        dzbar_rows[i, 0] = dz[i].conjugate()
-        dzbar_rows[i, 1] = -1j * dz[i].conjugate()
-        dth_rows[i, 2 + i] = 1.0
-    return dz_rows, dzbar_rows, dth_rows
+def laurent_forms(model, point: ModelPoint, du0=0.0, du1=0.0
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients (a, b, c) of varpi(zeta) = a / zeta + b + c zeta.
+
+    d log X of the basis charges is d log X^sf + du0 + zeta du1 + O(zeta^2)
+    at zeta -> 0 and d log X^sf - du0 + O(1/zeta) at infinity, (2, 4) like
+    the rows; both 0 give the semiflat family.  a and b follow from zeta ->
+    0, c from infinity, so c = -conj(a) tests reality.
+    """
+    pole, const, lin = xsf_laurent_rows(model, point, model.lattice.basis())
+    dual = model.lattice.dual_pairing().astype(complex)
+    scale = 1.0 / (8.0 * math.pi ** 2 * point.R)
+
+    def pair(x, y):
+        m = x.T @ dual @ y
+        return m - m.T
+
+    a = 2.0 * scale * pair(pole, const + du0)
+    b = scale * (pair(const + du0, const + du0) + 2.0 * pair(pole, lin + du1))
+    c = 2.0 * scale * pair(lin, const - du0)
+    return a, b, c
 
 
 def omega_plus_sf(model, point: ModelPoint) -> np.ndarray:
     """Holomorphic symplectic form -(1/2 pi) <dZ ^ dtheta> as a 4x4 matrix."""
-    dz_rows, _, dth_rows = _form_rows(model, point)
-    dual = model.lattice.dual_pairing().astype(complex)
-    m = dz_rows.T @ dual @ dth_rows
-    return (-1.0 / TWO_PI) * (m - m.T)
+    return 2j * laurent_forms(model, point)[0]
 
 
 def omega3_sf(model, point: ModelPoint) -> np.ndarray:
     """Semiflat Kahler form (R/4)<dZ ^ dZbar> - (1/8 pi^2 R)<dtheta ^ dtheta>."""
-    R = point.R
-    dz_rows, dzbar_rows, dth_rows = _form_rows(model, point)
-    dual = model.lattice.dual_pairing().astype(complex)
-    mz = dz_rows.T @ dual @ dzbar_rows
-    mt = dth_rows.T @ dual @ dth_rows
-    form = (R / 4.0) * (mz - mz.T) - (mt - mt.T) / (8.0 * math.pi ** 2 * R)
+    form = laurent_forms(model, point)[1]
     if np.max(np.abs(form.imag)) > 1e-12 * (1.0 + np.max(np.abs(form.real))):
         raise ValueError("semiflat Kahler form has a spurious imaginary part")
     return form.real
@@ -228,7 +211,8 @@ def varpi_sf(model, point: ModelPoint, zeta: complex) -> np.ndarray:
 
 def varpi_expected(omega_plus: np.ndarray, omega_3: np.ndarray,
                    zeta: complex) -> np.ndarray:
-    """Laurent assembly -(i/2 zeta) w_+ + w_3 - (i/2) zeta conj(w_+)."""
-    zeta = complex(zeta)
+    """Laurent assembly -(i/2 zeta) w_+ + w_3 - (i/2) zeta conj(w_+);
+    (4, 4) at a number, (Z, 4, 4) at Z zetas."""
+    zeta = np.asarray(zeta, dtype=complex)[..., None, None]
     return (-0.5j / zeta) * omega_plus + omega_3 \
         - 0.5j * zeta * np.conj(omega_plus)

@@ -57,7 +57,8 @@ one contraction with the coefficients.  ``_upsilon_value``, behind
 ``upsilon``, ``evaluate``, the checks and the two-form sampler, and the tree
 sum all call it, so one near-ray rule holds: without ``side`` a zeta within
 RAY_AVOIDANCE_ANGLE of a contributing ray raises, and with it a zeta within
-ON_RAY_ANGLE of a ray takes the directed boundary value.
+ON_RAY_ANGLE of a ray takes the directed boundary value.  Its first terms
+at zeta -> 0 and infinity are moments on the nodes (``zeta_zero_moments``).
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import Charge, Ray, _wrap_angle, bps_rays
-from .semiflat import (CoordinateValue, ModelPoint, dlog_xsf, theta_eval,
-                       xsf_log, xsf_log_of)
+from .semiflat import (CoordinateValue, ModelPoint, theta_eval,
+                       xsf_laurent_rows, xsf_log, xsf_log_of)
 
 FOUR_PI_I = 4j * math.pi
 NEAR_HALF_WIDTHS = 1.5    # subtracted kernel below this offset, in half-widths
@@ -404,11 +405,10 @@ def unknowns(grids: list[QuadratureGrid]) -> list[tuple[int, Charge]]:
     return [(r, g) for r, grid in enumerate(grids) for g in grid.ray.charges]
 
 
-def _node_data(grids, value, leading: tuple = ()) -> np.ndarray:
-    """``value(grid, charge)`` of every unknown, stacked as (*leading, U, N):
-    ``leading`` is the shape of one value without its node axis."""
+def _node_data(grids, value) -> np.ndarray:
+    """``value(grid, charge)``, node data of every unknown, stacked as (U, N)."""
     rows = [value(grids[r], g) for r, g in unknowns(grids)]
-    return np.stack(rows, axis=-2) if rows else np.zeros(leading + (0, 0))
+    return np.stack(rows) if rows else np.zeros((0, 0))
 
 
 def semiflat_nodes(model, point: ModelPoint, grids: list[QuadratureGrid]
@@ -580,9 +580,11 @@ def solve_tangents(model, point: ModelPoint, tol_iter: float = 1e-10
     ws = _prepare(model, point, grids)
     sol = iterate(model, point, grids, tol_iter=tol_iter, workspace=ws)
     neg_d = -np.expm1(-sol.log_one_minus_x)
-    d_log_xsf = _node_data(
-        grids, lambda grid, g: dlog_xsf(model, point, g, grid.zeta_nodes),
-        leading=(4,))
+    zeta = _node_data(grids, lambda grid, _: grid.zeta_nodes)
+    pole, const, lin = (np.moveaxis(r, -1, 0)[..., None] for r in
+                        xsf_laurent_rows(model, point, [
+                            g for _, g in unknowns(grids)]))
+    d_log_xsf = pole / zeta + const + zeta * lin
 
     def tangent(du):
         return neg_d * (d_log_xsf + du)
@@ -638,6 +640,17 @@ def ray_integrals(grids: list[QuadratureGrid], rays, density: np.ndarray,
     return total[..., 0, :] if scalar else total
 
 
+def _coefficients(model, grids: list[QuadratureGrid], charges: list[Charge]
+                  ) -> np.ndarray:
+    """(U, C): -Omega <gamma, gamma'> / 4 pi i, rows the unknowns gamma'."""
+    lat = model.lattice
+    return np.array([[-om_s * lat.pair(gamma, gamma_s) / FOUR_PI_I
+                      for gamma in charges] for grid in grids
+                     for gamma_s, om_s in zip(grid.ray.charges,
+                                              grid.ray.omegas)]
+                    ).reshape(-1, len(charges))
+
+
 def _upsilon_value(model, grids: list[QuadratureGrid], density: np.ndarray,
                    charges: list[Charge], zeta,
                    side: int | None = None) -> np.ndarray:
@@ -646,15 +659,25 @@ def _upsilon_value(model, grids: list[QuadratureGrid], density: np.ndarray,
     ``density`` holds node data on ``grids``, (..., U, N): a solution's
     log(1 - X), which gives log(X / X^sf), or ``solve_tangents``' densities,
     which give its derivatives.  It is ``ray_integrals`` on the rows of
-    ``unknowns(grids)`` with the coefficients -Omega <gamma, gamma'> / 4 pi i.
+    ``unknowns(grids)`` with the ``_coefficients``.
     """
-    lat = model.lattice
-    coefs = np.array([[-om_s * lat.pair(gamma, gamma_s) / FOUR_PI_I
-                       for gamma in charges] for grid in grids
-                      for gamma_s, om_s in zip(grid.ray.charges,
-                                               grid.ray.omegas)])
     return ray_integrals(grids, [r for r, _ in unknowns(grids)], density,
-                         coefs.reshape(-1, len(charges)), zeta, side)
+                         _coefficients(model, grids, charges), zeta, side)
+
+
+def zeta_zero_moments(model, grids: list[QuadratureGrid], density: np.ndarray,
+                      charges: list[Charge]) -> tuple[np.ndarray, np.ndarray]:
+    """``_upsilon_value`` as zeta -> 0 is u_0 + zeta u_1 + O(zeta^2), per
+    charge (last axis); as zeta -> infinity it tends to -u_0.
+
+    On a ray zeta' = d e^s the kernel is 1 + 2 zeta / zeta' + O(zeta^2), so
+    u_0 and u_1 are moments of the density on the solve's own nodes.
+    """
+    coefs = _coefficients(model, grids, charges)
+    weights = _node_data(grids, lambda grid, _: grid.weights)
+    inverse = _node_data(grids, lambda grid, _: 2.0 / grid.zeta_nodes)
+    return (np.sum(weights * density, axis=-1) @ coefs,
+            np.sum(weights * inverse * density, axis=-1) @ coefs)
 
 
 def upsilon(model, solution: RaySolution, gamma: Charge, zeta: complex,
@@ -766,19 +789,22 @@ def radial_limit(model, solution: RaySolution, gamma: Charge,
     return complex(vals[-1] + (vals[-1] - vals[-2]) * r2 / (r1 - r2))
 
 
+def sector_midpoints(grids: list[QuadratureGrid]) -> list[float]:
+    """Angles halfway between adjacent rays, one per sector."""
+    angles = sorted(g.ray.angle for g in grids)
+    return [0.5 * (a + b) for a, b in zip(
+        angles, angles[1:] + [angle + 2 * math.pi for angle in angles[:1]])]
+
+
 def midsector_zetas(solution: RaySolution | list[QuadratureGrid], n: int = 8
                     ) -> list[complex]:
-    """Unit zetas cycling through the midpoints between adjacent rays, turned
-    by -0.15, 0 and +0.15 rad on successive passes whatever the sector width
-    (a FOUND line in CHANGES.md).  Grids will do in place of a solution."""
-    grids = getattr(solution, "grids", solution)
-    angles = sorted(g.ray.angle for g in grids)
-    if not angles:
+    """Unit zetas cycling through ``sector_midpoints``, turned by -0.15, 0
+    and +0.15 rad on successive passes whatever the sector width, so in a
+    sector narrower than 0.3 rad the turned ones can fall on or past a ray.
+    Grids will do in place of a solution."""
+    mids = sector_midpoints(getattr(solution, "grids", solution))
+    if not mids:
         return [cmath.exp(2j * math.pi * (k + 0.5) / n) for k in range(n)]
-    mids = []
-    for i, a in enumerate(angles):
-        b = angles[(i + 1) % len(angles)] + (2 * math.pi if i + 1 == len(angles) else 0)
-        mids.append(0.5 * (a + b))
     out = []
     k = 0
     while len(out) < n:

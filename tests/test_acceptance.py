@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hkforge.geometry import VarpiSampler, fit_point, laurent_fit
+from hkforge.geometry import VarpiSampler, fit_point
 from hkforge.ks import ConeGrading, check_wcf, ks_transform, ordered_product
 from hkforge.lattice import Spectrum, charge, validate_conditions
 from hkforge.models import ov_oracle, pentagon_wall_point
@@ -21,6 +21,7 @@ from hkforge.solver import (check_wall_continuity, correction_decay,
                             evaluate, midsector_zetas, radial_limit,
                             ray_jump_defect, solve, upsilon)
 from hkforge.trees import TreeIntegrator, layer_gate, series_solution
+from reference import laurent_fit
 
 G1, G2 = charge(1, 0), charge(0, 1)
 TWO_PI = 2.0 * math.pi

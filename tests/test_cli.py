@@ -11,6 +11,7 @@ from hkforge import geometry, solver
 from hkforge.cli import content_hash, load_solution, main
 from hkforge.lattice import charge
 from hkforge.semiflat import ModelPoint, omega3_sf, omega_plus_sf, varpi_sf
+from reference import laurent_fit
 
 
 def run(capsys, *argv):
@@ -357,6 +358,15 @@ class TestReports:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "a75e9e2345aed88303b5051c5ff92e134acf59defe69727029e322d014beaa6d")
 
+    def test_metric_prints_defects(self, capsys):
+        code, out, _ = run(capsys, "metric", "--model", "pentagon",
+                           "--u", "1.5,0.2", "--R", "2",
+                           "--theta", "0.37,1.29")
+        assert code == 0
+        [line] = [l for l in out.splitlines() if "laurent residual" in l]
+        defect = float(line.split("reality defect ")[1])
+        assert defect < 1e-12
+
     def test_metric_semiflat_only(self, capsys, monkeypatch, pentagon):
         metrics = []
         triple = geometry.metric_from_triple
@@ -369,15 +379,14 @@ class TestReports:
         assert "eigenvalues" in out
         assert "laurent residual" not in out
         # g is the closed-form semiflat metric, and within rounding of the
-        # Laurent fit of sampled semiflat two-forms it replaces
+        # reference Laurent fit of sampled semiflat two-forms
         point = ModelPoint(0.45 + 0.25j, 3.0, (0.37, 1.29))
         [got] = [m.g for m in metrics]
         assert np.array_equal(got, triple(omega_plus_sf(pentagon, point),
                                           omega3_sf(pentagon, point)).g)
         zetas = solver.midsector_zetas(solver.build_grids(pentagon, point),
                                        12)
-        fit = geometry.laurent_fit(zetas, varpi_sf(pentagon, point,
-                                                   np.array(zetas)))
+        fit = laurent_fit(zetas, varpi_sf(pentagon, point, np.array(zetas)))
         fitted = triple(fit.omega_plus, fit.omega_3).g
         assert np.max(np.abs(got - fitted)) <= 1e-14 * np.max(np.abs(fitted))
 

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from hkforge import geometry, solver
-from hkforge.geometry import (VarpiSampler, fit_point, laurent_fit,
-                              metric_from_triple, triple_wedge_check, wedge4)
+from hkforge.geometry import (VarpiSampler, fit_point, metric_from_triple,
+                              triple_wedge_check, wedge4)
+from hkforge.models import pentagon_wall_point
 from hkforge.semiflat import (ModelPoint, dlog_xsf_matrix, omega3_sf,
                               omega_plus_sf, varpi_sf, xsf_log)
-from hkforge.solver import _upsilon_value, midsector_zetas
+from hkforge.solver import RSmallError, _upsilon_value, midsector_zetas
+from reference import laurent_fit, ov_gibbons_hawking, spread_zetas
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +77,11 @@ class TestFamilySolve:
         assert calls == {"build_grids": 1, "_prepare": 1, "iterate": 1,
                          "_upsilon_value": 1, "dlog_xsf_matrix": 1}
 
-    def test_batched_fit_matches_one_zeta_path(self, pentagon):
+    @staticmethod
+    def _moment_points(pentagon, ov):
         # metric-grid style points: 4 rays at least 0.4 rad apart, R in
-        # [1, 3]; the fit of one batched varpi call against per-zeta calls
+        # [1, 3]; then points on both sides of both wall arcs, where 6 rays
+        # take near-ray terms, a sector 0.30 rad wide, and OV points
         rng = np.random.default_rng(5)
         points = []
         while len(points) < 20:
@@ -87,18 +91,51 @@ class TestFamilySolve:
                 continue
             d = abs(cmath.phase(np.divide(*pentagon.Z.basis_values(u))))
             if min(d, math.pi - d) >= 0.4:
-                points.append(ModelPoint(u, R, theta))
-        for point in points:
-            fit, metric, _ = fit_point(pentagon, point)
-            sampler = VarpiSampler(pentagon, point)
-            zetas = midsector_zetas(sampler.center.grids, 12)
-            one = laurent_fit(zetas, [sampler.varpi(z) for z in zetas])
-            for got, want in [(fit.omega_plus, one.omega_plus),
-                              (fit.omega_3, one.omega_3),
+                points.append((pentagon, ModelPoint(u, R, theta)))
+        for phi in (0.9, -0.8):
+            w = pentagon_wall_point(pentagon, phi)
+            points += [(pentagon, ModelPoint(f * w, 0.35, (0.37, 1.29)))
+                       for f in (0.98, 1.02, 1.2)]
+        points += [(pentagon, ModelPoint(0.912714 - 1.172892j, 1.6779,
+                                         (1.592338, 4.799999))),
+                   (ov, ModelPoint(0.5, 1.0, (0.3, 1.1))),
+                   (ov, ModelPoint(0.2 * cmath.exp(2.0j), 0.4, (5.0, 0.2)))]
+        return points
+
+    @staticmethod
+    def _reference(model, point):
+        sampler = VarpiSampler(model, point)
+        zetas = spread_zetas(sampler.center.grids)
+        return laurent_fit(zetas, [sampler.varpi(z) for z in zetas])
+
+    def test_moments_match_reference_fit(self, pentagon, ov):
+        # the split from the tangent moments against a least-squares fit of
+        # per-zeta varpi samples spread over every sector
+        for model, point in self._moment_points(pentagon, ov):
+            fit, metric, _ = fit_point(model, point)
+            ref = self._reference(model, point)
+            for got, want in [(fit.omega_plus, ref.omega_plus),
+                              (fit.omega_3, ref.omega_3),
                               (metric.g, metric_from_triple(
-                                  one.omega_plus, one.omega_3).g)]:
+                                  ref.omega_plus, ref.omega_3).g)]:
                 assert np.max(np.abs(got - want)) \
                     <= 1e-13 * np.max(np.abs(want))
+
+    def test_moments_need_first_moment(self, pentagon, monkeypatch):
+        # control: without the e^{-s} moment dU_1, omega_3 misses the
+        # reference by far more than the bound, while the sampled check
+        # at this point still passes
+        moments = geometry.zeta_zero_moments
+
+        def without_first(*args):
+            u0, u1 = moments(*args)
+            return u0, np.zeros_like(u1)
+        monkeypatch.setattr(geometry, "zeta_zero_moments", without_first)
+        point = ModelPoint(0.45 + 0.25j, 3.0, (0.37, 1.29))
+        fit, _, _ = fit_point(pentagon, point)
+        want = self._reference(pentagon, point).omega_3
+        assert np.max(np.abs(fit.omega_3 - want)) \
+            > 1e-11 * np.max(np.abs(want))
 
     def test_batched_evaluation_matches_per_direction(self, pentagon,
                                                       pentagon_point):
@@ -137,18 +174,15 @@ class TestLaurentFit:
         assert fit.conj_defect < 1e-8
         assert fit.residual < 1e-8
 
-    def test_rejects_double_pole(self, sf_fit):
-        zetas, samples, _ = sf_fit
+    def test_rejects_double_pole(self, pentagon, pentagon_point,
+                                 monkeypatch):
         bump = np.zeros((4, 4))
         bump[0, 1], bump[1, 0] = 1e-4, -1e-4
-        spiked = [m + bump / z ** 2 for m, z in zip(samples, zetas)]
+        varpi = VarpiSampler.varpi
+        monkeypatch.setattr(VarpiSampler, "varpi", lambda self, z, **kw: (
+            varpi(self, z, **kw) + bump / np.asarray(z)[..., None, None] ** 2))
         with pytest.raises(ValueError, match="higher Laurent"):
-            laurent_fit(zetas, spiked)
-
-    def test_needs_five_samples(self, sf_fit):
-        zetas, samples, _ = sf_fit
-        with pytest.raises(ValueError):
-            laurent_fit(zetas[:4], samples[:4])
+            fit_point(pentagon, pentagon_point)
 
 
 class TestMetric:
@@ -195,6 +229,37 @@ class TestMetric:
         ratio = diffs[1] / diffs[0]
         want = math.exp(-2 * math.pi * 0.55)
         assert math.log(ratio) == pytest.approx(math.log(want), rel=0.25)
+
+    def test_narrow_sector_point(self, pentagon):
+        # two rays 0.3014 rad apart: sampled at the sector midpoints, not
+        # at midpoints turned by 0.15 rad, which come within 1e-3 of a ray
+        pt = ModelPoint(0.912714 - 1.172892j, 1.6779, (1.592338, 4.799999))
+        fit, metric, _ = fit_point(pentagon, pt)
+        assert fit.residual < 1e-13
+        assert metric.positive_definite
+
+    def test_ov_against_gibbons_hawking(self, ov):
+        # fit_point's g against the closed-form OV metric over the disc;
+        # the control keeps only the n = 1 Bessel terms
+        rng = np.random.default_rng(8)
+        worst, worst_control, ran = 0.0, 0.0, 0
+        for _ in range(40):
+            u = rng.uniform(0.01, 0.9) * cmath.exp(1j * rng.uniform(-3, 3))
+            pt = ModelPoint(u, rng.uniform(0.1, 3.2),
+                            tuple(rng.uniform(0, 2 * math.pi, 2)))
+            try:
+                _, metric, _ = fit_point(ov, pt)
+            except RSmallError:
+                continue
+            ran += 1
+            size = np.max(np.abs(metric.g))
+            worst = max(worst, np.max(np.abs(
+                metric.g - ov_gibbons_hawking(ov, pt))) / size)
+            worst_control = max(worst_control, np.max(np.abs(
+                metric.g - ov_gibbons_hawking(ov, pt, terms=1))) / size)
+        assert ran >= 30
+        assert worst <= 1e-12
+        assert worst_control > 1e-3
 
     def test_corrected_pentagon_point(self, pentagon):
         pt = ModelPoint(1.5 + 0.2j, 2.0, (0.37, 1.29))

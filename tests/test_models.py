@@ -166,7 +166,8 @@ class TestOvOracle:
 
     def test_matches_mpmath(self, ov):
         # generic points, zeta 1e-4 and 1e-6 rad from a ray, and R |Z| of
-        # 5e-6, where |X| is still 0.08 at |s| = 12
+        # 5e-6, where |X| is still 0.08 at |s| = 12; with theta 0 there X
+        # comes within 3e-5 of 1, where 1 - X must not cancel
         u = 0.5 * cmath.exp(0.4j)
         near = ModelPoint(u, 1.0, (0.3, 1.1))
         d = -u / abs(u)  # the ray of +e2
@@ -180,6 +181,9 @@ class TestOvOracle:
         for point, zeta in cases:
             got = ov_oracle(ov, point, G1, zeta).log_value
             assert abs(got - _mp_oracle_log(ov, point, zeta)) <= 1e-13
+        point, zeta = ModelPoint(u, 1e-5, (0.0, 0.0)), 0.9 * cmath.exp(1.5j)
+        got = ov_oracle(ov, point, G1, zeta).log_value
+        assert abs(got - _mp_oracle_log(ov, point, zeta)) <= 1e-14
         # control: a reference without the ray of -e2 is far off
         point, zeta = cases[0]
         got = ov_oracle(ov, point, G1, zeta).log_value
