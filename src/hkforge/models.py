@@ -451,11 +451,11 @@ def ov_oracle(model: ModelDefinition, point, gamma: Charge, zeta: complex):
             for pairing, d, a, b, c in rays:
                 zp = d * math.exp(s)
                 w = a / zp + b + zp * c
-                x = cmath.exp(w)
-                # 1 - X; near X = 1 from expm1 and sin^2, which do not cancel
-                rest = 1.0 - x if abs(x) < 0.5 else complex(
-                    2.0 * math.sin(0.5 * w.imag) ** 2
-                    - math.expm1(w.real) * math.cos(w.imag), -x.imag)
+                # 1 - X = 2 sin^2(h) |X| - expm1(Re w) - 2i sin(h) cos(h) |X|
+                # with h = Im w / 2, which does not cancel near X = 1
+                em1, sh = math.expm1(w.real), math.sin(0.5 * w.imag)
+                sx = 2.0 * (em1 + 1.0) * sh
+                rest = complex(sx * sh - em1, -sx * math.cos(0.5 * w.imag))
                 val += pairing * (zp + zeta) / (zp - zeta) * cmath.log(rest)
             nodes[s] = val
         return val.imag if k else val.real
