@@ -25,17 +25,17 @@ direction * e^w, built by ``kernel_rows`` from a source grid and target
 poles.  The solve builds it once per class of ray pairs whose charges pair
 to nonzero: the reverse direction is minus its transpose, coth being odd,
 and the antipodal pair (-a, -b) of (a, b) has the same nodes and angle, so
-reads the same kernel.  A sweep is a list of matvecs; off-grid evaluation
-and the tree sum call the same builder.  When the target lies within
-NEAR_HALF_WIDTHS panel half-widths of the source ray
-(``QuadratureGrid.near_angle``, so the zone narrows as the panels refine)
-the density is continued to the pole, subtracted, and added back against
-the closed-form kernel integral.  The continuation is one linear operator,
-``_near_term``: per pole, the nodes of one panel and their interpolation
-weights, which the sweep stores once per ordered near pair of a class and
-evaluation rebuilds per pole.  On a ray the two directed boundary values
-of the closed form differ by the residue term +-2 pi i, which is how the
-expected coordinate jumps emerge from one integral representation.
+reads the same kernel.  Off-grid evaluation and the tree sum call the same
+builder.  When the target lies within NEAR_HALF_WIDTHS panel half-widths
+of the source ray (``QuadratureGrid.near_angle``, so the zone narrows as
+the panels refine) the density is continued to the pole, subtracted, and
+added back against the closed-form kernel integral.  The continuation is
+one linear operator, ``_near_term``: per pole, the nodes of one panel and
+their interpolation weights.  The sweep folds it into the kernel block of
+each near direction of a class, so a sweep is a list of matvecs;
+evaluation rebuilds it per pole.  On a ray the two directed boundary
+values of the closed form differ by the residue term +-2 pi i, which is
+how the expected coordinate jumps emerge from one integral representation.
 
 Every node quantity of a solve is one array of shape (..., U, N): row k is
 unknown k of ``unknowns(grids)``, the (ray, charge) pairs ray-major, on the
@@ -45,10 +45,10 @@ There is one solve path: ``build_grids`` lays out the contours, ``_prepare``
 builds the sweep on them, and ``iterate`` applies ``_sweep`` until the node
 data stop changing; one more sweep (``recheck``) tells how far solved or
 stored data are from a fixed point.  The sweep is U -> A log(1 - exp(L + U))
-with a fixed linear map A (``_apply``), so ``solve_tangents`` differentiates
-a solution along the point's four real coordinates by one linear solve on
-the same grids, (I + A D) dU = -A D dL with D = X / (1 - X), by the same
-contraction.
+with a linear map A that ``_prepare`` precomputes (``_apply``), so
+``solve_tangents`` differentiates a solution along the point's four real
+coordinates by one linear solve on the same grids, (I + A D) dU = -A D dL
+with D = X / (1 - X), by the same contraction.
 
 There is one evaluation path off the grid, ``ray_integrals``: per ray, one
 Cauchy integral of the rows with a nonzero coefficient at all the zetas of
@@ -144,6 +144,12 @@ class QuadratureGrid:
         """Ray offset below which integrals take the subtracted kernel."""
         return NEAR_HALF_WIDTHS * self.half_width
 
+    @functools.cached_property
+    def close_radius(self) -> float:
+        """Pole-node distance below which ``kernel_rows`` leaves the entry
+        to ``_near_term``: 1/16 of the smallest node spacing."""
+        return np.min(np.diff(self.s_nodes)) / 16.0
+
 
 @dataclass
 class RaySolution:
@@ -171,8 +177,8 @@ class RaySolution:
     tail: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        self.log_one_minus_x = np.log(1.0 - np.exp(self.log_xsf
-                                                   + self.upsilon))
+        self.log_one_minus_x = log_one_minus(np.exp(self.log_xsf
+                                                    + self.upsilon))
         self.tail = legendre_tail(self.log_one_minus_x,
                                   self.grids[0].nodes_per_panel) \
             if self.grids else 0.0
@@ -184,6 +190,48 @@ class RaySolution:
 
     def max_correction(self) -> float:
         return float(np.max(np.abs(self.upsilon), initial=0.0))
+
+
+def log_one_minus(x: np.ndarray) -> np.ndarray:
+    """log(1 - x), principal branch, for |x| < 1, as a complex array.
+
+    It is built from real parts, to a few ulp of each: log|1 - x| =
+    0.5 log1p(a) with a = |x|^2 - 2 Re x, which keeps relative precision
+    however small x is, where rounding 1 - x first loses it.  Where the
+    two terms of a cancel they are summed exactly, and where a < -1/2 the
+    modulus is 0.5 log((1 - Re x)^2 + (Im x)^2), whose terms do not
+    cancel.  arg(1 - x) = atan2(-Im x, 1 - Re x).  numpy's complex log
+    would also take a slow path at |1 - x| near 1.
+    """
+    x = np.asarray(x)
+    re, im = x.real, x.imag
+    sq = im * im
+    p = re * (re - 2.0)
+    a = p + sq                   # |1 - x|^2 - 1
+    cancel = 2.0 * np.abs(a) < sq - p
+    if cancel.any():
+        # (Re x, Im x) interleaved; Dekker's split gives each square's
+        # rounding error, and Knuth's two-sum that of their sum
+        cancel = np.flatnonzero(cancel)
+        v = np.ascontiguousarray(x.ravel()[cancel], dtype=complex).view(float)
+        v2 = v * v
+        c = 134217729.0 * v      # 2^27 + 1
+        hi = c - (c - v)
+        lo = v - hi
+        err = (((hi * hi - v2) + 2.0 * hi * lo) + lo * lo).reshape(-1, 2)
+        r2, i2 = v2[0::2], v2[1::2]
+        s = r2 + i2
+        i2_part = s - r2
+        t = (r2 - (s - i2_part)) + (i2 - i2_part)
+        a.flat[cancel] = (s - 2.0 * v[0::2]) + (t + err.sum(axis=1))
+    out = np.empty(x.shape, dtype=complex)
+    out.real = 0.5 * np.log1p(np.maximum(a, -0.5))
+    close = a < -0.5
+    if close.any():
+        out.real[close] = 0.5 * np.log((1.0 - re[close]) ** 2
+                                       + im[close] ** 2)
+    out.imag = np.arctan2(-im, 1.0 - re)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,7 +298,8 @@ def _panel_count(model, point: ModelPoint, rays: list[Ray],
     The density is read from the rays' central charges, so no period is
     evaluated again.  On its own ray log X^sf = -2 pi R |Z| cosh s +
     i theta_gamma is even in s, and the ray of -gamma carries its conjugate,
-    so the panels right of 0 of one of gamma, -gamma carry every tail.  A
+    so the panels right of 0 of one of gamma, -gamma carry every tail.  The
+    density is taken at the nodes of every count in one evaluation; a
     charge whose tail has passed is not read at the larger counts.
     """
     rows, seen = [], set()
@@ -262,15 +311,19 @@ def _panel_count(model, point: ModelPoint, rays: list[Ray],
                              theta_eval(model.lattice, point, g), s))
     direction, z, theta, s = (np.array(col)[:, None] for col in zip(*rows))
     n = spec.nodes_per_panel
-    for p in [q for q in PANEL_LADDER if q < spec.panels]:
-        log_x = xsf_log_of(z, theta, point.R,
-                           direction * np.exp(s * _half_unit_nodes(p, n)))
-        failing = _panel_tails(np.log(1.0 - np.exp(log_x)), n).max(axis=-1) \
-            > TAIL_SHARE * spec.eps_quad
-        if not failing.any():
+    ladder = [q for q in PANEL_LADDER if q < spec.panels]
+    if not ladder:
+        return spec.panels
+    nodes = [_half_unit_nodes(p, n) for p in ladder]
+    density = log_one_minus(np.exp(xsf_log_of(
+        z, theta, point.R, direction * np.exp(s * np.concatenate(nodes)))))
+    live, stop = np.arange(len(rows)), 0
+    for p, u in zip(ladder, nodes):
+        stop += len(u)
+        tails = _panel_tails(density[live, stop - len(u):stop], n)
+        live = live[tails.max(axis=-1) > TAIL_SHARE * spec.eps_quad]
+        if not len(live):
             return p
-        direction, z, theta, s = (a[failing] for a in (direction, z, theta,
-                                                        s))
     return spec.panels
 
 
@@ -319,25 +372,39 @@ def _kernel_C(w, s_max: float):
                      - np.log(1.0 - np.exp(s_max + w))))
 
 
+def _nearest_node(s_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the node of the sorted ``s_nodes`` nearest to each real x,
+    the lower one on a tie, as argmin of the distances picks it."""
+    i = np.searchsorted(s_nodes[1:-1], x) + 1    # in [1, len - 1]
+    # s[i - 1] < x <= s[i] but past the end nodes, where the signs tell
+    return i - (x - s_nodes[i - 1] <= s_nodes[i] - x)
+
+
 def kernel_rows(grid: QuadratureGrid, w) -> np.ndarray:
     """Cauchy kernel coth((s - w)/2) at poles w (rows) and nodes s (columns).
 
     A pole w stands for zeta = direction * e^w, so the kernel is the
     rational (z' + zeta)/(z' - zeta) of the integral equation.  Entries
-    within 1/16 of the grid's smallest node spacing of a near pole are 0,
-    and ``_near_term`` supplies their term.  The grids of one solve share
-    their panel layout and differ in s_max by far less than 8x, so even
-    read transposed a pole has at most one such node: its nearest.
+    within ``grid.close_radius`` of a pole are 0, and ``_near_term``
+    supplies their term.  The grids of one solve share their panel layout
+    and differ in s_max by far less than 8x, so even read transposed a pole
+    has at most one such node: its nearest.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     es = np.exp(grid.s_nodes)[None, :]
     ew = np.exp(w)[:, None]
-    if np.all(np.abs(w.imag) >= grid.near_angle):
+    # a pole within the radius of a node is within it of the ray too
+    radius = grid.close_radius
+    if np.all(np.abs(w.imag) >= radius):
         return (es + ew) / (es - ew)
-    radius = np.min(np.diff(grid.s_nodes)) / 16.0
-    close = np.abs(grid.s_nodes[None, :] - w[:, None]) < radius
-    rows = (es + ew) / np.where(close, 1.0, es - ew)
-    rows[close] = 0.0
+    pole = np.flatnonzero(np.abs(w.imag) < radius)
+    node = _nearest_node(grid.s_nodes, w.real[pole])
+    close = np.abs(grid.s_nodes[node] - w[pole]) < radius
+    pole, node = pole[close], node[close]
+    den = es - ew
+    den[pole, node] = 1.0
+    rows = (es + ew) / den
+    rows[pole, node] = 0.0
     return rows
 
 
@@ -360,18 +427,21 @@ def _near_term(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray
     n = grid.nodes_per_panel
     half = grid.half_width
     _, gl_w, lam = _gl_rule(n)
-    nearest = np.argmin(np.abs(w.real[:, None] - grid.s_nodes), axis=1)
+    pole = np.arange(len(w))
+    nearest = _nearest_node(grid.s_nodes, w.real)
     k = nearest % n
     idx = (nearest - k)[:, None] + np.arange(n)
-    at_k = idx == nearest[:, None]
     t = w - grid.s_nodes[nearest]
     # X - x_m in panel units, with the nearest node's factor left out
-    d = np.where(at_k, 1.0, (w[:, None] - grid.s_nodes[idx]) / half)
-    dd = np.where(at_k, 0.0, np.prod(d, axis=1, keepdims=True) * lam / d)
-    dd -= at_k * dd.sum(axis=1, keepdims=True)
-    cont = (t / half)[:, None] * dd + at_k
+    d = (w[:, None] - grid.s_nodes[idx]) / half
+    d[pole, k] = 1.0
+    dd = np.prod(d, axis=1, keepdims=True) * lam / d
+    dd[pole, k] = 0.0
+    dd[pole, k] = -dd.sum(axis=1)
+    cont = (t / half)[:, None] * dd
+    cont[pole, k] += 1.0
     op = (_kernel_C(w, grid.s_max) - rows @ grid.weights)[:, None] * cont
-    taken = rows[np.arange(len(w)), nearest] == 0.0
+    taken = rows[pole, nearest] == 0.0
     if taken.any():
         # t coth(t/2), the node's kernel entry times its distance; 2 on it
         q = np.where(t == 0, 2.0, t / np.tanh(0.5 * np.where(t == 0, 1.0, t)))
@@ -422,24 +492,37 @@ def semiflat_nodes(model, point: ModelPoint, grids: list[QuadratureGrid]
 class _Workspace:
     """One sweep of the integral equation on fixed grids, as matvecs.
 
-    Rows t, s index ``unknowns``.  A term (t, s, coef, rows, near) adds
-    coef * rows @ (weights[s] * g[s]) to row t, with g[s] the density of
-    unknown s and weights (U, N) its ray's; for target rays within the source
-    grid's ``near_angle``, ``near`` = (idx, op) from ``_near_term`` adds coef
-    * sum(op * g[s, idx]) per pole, the subtracted part with g[s] continued
-    to the poles.  Each class of ray pairs (``_prepare``) has one kernel;
-    the reverse direction reads it transposed with the opposite sign.
+    Rows t, s index ``unknowns``.  A term (t, s, coef, block) adds
+    coef * block @ (weights[s] * g[s]) to row t, with g[s] the density of
+    unknown s and weights (U, N) its ray's.  Each class of ray pairs
+    (``_prepare``) has one kernel, and the reverse direction reads it
+    transposed with the opposite sign.  Where the target rays lie within
+    the source grid's ``near_angle`` in either direction, the reverse
+    direction owns its block, and each near direction's block holds the
+    ``_near_term`` continuation divided by the source weights, so a term
+    is one matvec either way.  ``near_pairs`` counts the ordered ray pairs
+    whose block holds a continuation.
     """
 
-    terms: list[tuple[int, int, complex, np.ndarray, tuple | None]]
+    terms: list[tuple[int, int, complex, np.ndarray]]
     weights: np.ndarray
+    near_pairs: int
+
+
+def _fold(rows: np.ndarray, near: tuple[np.ndarray, np.ndarray],
+          weights: np.ndarray) -> None:
+    """Add the near term (idx, op) of ``_near_term`` to ``rows`` in place,
+    as one block on weighted data: the block @ (weights * f) is then
+    rows @ (weights * f) + sum(op * f[idx], -1)."""
+    idx, op = near
+    rows[np.arange(len(idx))[:, None], idx] += op / weights[idx]
 
 
 def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspace:
     """The sweep on ``grids``, one kernel per antipodal ray-pair class: the
     ray of -gamma has the same |Z|, so bitwise the same nodes, and (a, b)
-    and (-a, -b) read the same kernel and near terms.  A pair with a ray
-    that has no such partner keeps its own."""
+    and (-a, -b) read the same blocks.  A pair with a ray that has no such
+    partner keeps its own."""
     lat = model.lattice
     rows_of = unknowns(grids)
     omegas = [om for grid in grids for om in grid.ray.omegas]
@@ -460,42 +543,47 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
             dphi = _wrap_angle(grids[a].ray.angle - grids[b].ray.angle)
             w_ab = grids[a].s_nodes + 1j * dphi
             rows = kernel_rows(grids[b], w_ab)
-            near_ab = near_ba = None
             # each direction switches on its source grid, as
-            # ``cauchy_integral`` does
-            if abs(dphi) < grids[b].near_angle:
-                near_ab = _near_term(grids[b], rows, w_ab)
-            if abs(dphi) < grids[a].near_angle:
-                # the reverse term carries the sign of its kernel
-                idx, op = _near_term(grids[a], -rows.T,
-                                     grids[b].s_nodes - 1j * dphi)
-                near_ba = (idx, -op)
-            blocks[(a, b)] = ((1.0, rows, near_ab), (-1.0, rows.T, near_ba))
+            # ``cauchy_integral`` does, and continues from the plain kernel
+            near_ab = abs(dphi) < grids[b].near_angle
+            near_ba = abs(dphi) < grids[a].near_angle
+            back = (-1.0, rows.T, False)
+            if near_ab or near_ba:
+                # the reverse kernel is -rows.T, coth being odd, copied out
+                # before the forward term folds into rows
+                neg = -rows.T
+                if near_ba:
+                    _fold(neg, _near_term(grids[a], neg,
+                                          grids[b].s_nodes - 1j * dphi),
+                          grids[a].weights)
+                back = (1.0, neg, near_ba)
+            if near_ab:
+                _fold(rows, _near_term(grids[b], rows, w_ab),
+                      grids[b].weights)
+            blocks[(a, b)] = ((1.0, rows, near_ab), back)
         return blocks[(a, b)][pair[0] > pair[1]]
 
-    terms = []
+    terms, near_pairs = [], set()
     for t, (rt, gt) in enumerate(rows_of):
         for s, (rs, gs) in enumerate(rows_of):
             p = lat.pair(gt, gs)
             if rs == rt or p == 0:
                 continue
-            sign, rows, near = block(rt, rs)
-            terms.append((t, s, -sign * omegas[s] * p / FOUR_PI_I, rows,
-                          near))
+            sign, matrix, near = block(rt, rs)
+            terms.append((t, s, -sign * omegas[s] * p / FOUR_PI_I, matrix))
+            if near:
+                near_pairs.add((rt, rs))
     return _Workspace(terms=terms, weights=_node_data(
-        grids, lambda grid, _: grid.weights))
+        grids, lambda grid, _: grid.weights), near_pairs=len(near_pairs))
 
 
 def _apply(ws: _Workspace, g: np.ndarray) -> np.ndarray:
-    """The sweep's linear map A on node densities ``g``, (..., U, N)."""
+    """The sweep's linear map A on node densities ``g``, (..., U, N): one
+    matvec per term of the workspace."""
     gw = ws.weights * g
     out = np.zeros_like(g)
-    for t, s, coef, rows, near in ws.terms:
-        acc = gw[..., s, :] @ rows.T
-        if near is not None:
-            idx, op = near
-            acc += np.sum(op * g[..., s, idx], axis=-1)
-        out[..., t, :] += coef * acc
+    for t, s, coef, block in ws.terms:
+        out[..., t, :] += coef * (gw[..., s, :] @ block.T)
     return out
 
 
@@ -504,7 +592,7 @@ def _sweep(ws: _Workspace, log_xsf: np.ndarray, ups: np.ndarray) -> np.ndarray:
     x = np.exp(log_xsf + ups)
     if float(np.max(np.abs(x), initial=0.0)) >= 1.0 - 1e-9:
         raise RSmallError("iteration left the log(1 - X) domain: R too small")
-    return _apply(ws, np.log(1.0 - x))
+    return _apply(ws, log_one_minus(x))
 
 
 def _change(a: np.ndarray, b: np.ndarray) -> float:

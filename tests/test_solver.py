@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import re
 
@@ -10,16 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkforge import solver
-from hkforge.lattice import Spectrum, charge
+from hkforge.lattice import Spectrum, _wrap_angle, charge
 from hkforge.models import ov_oracle, pentagon_wall_point
 from hkforge.semiflat import ModelPoint, xsf, xsf_log
 from hkforge.solver import (GridSpec, NonConvergenceError,
                             QuadratureGrid, RayProximityError, RSmallError,
-                            _gl_panels, _prepare, _richardson_upsilon,
-                            _upsilon_value,
+                            _apply, _gl_panels, _prepare,
+                            _richardson_upsilon, _upsilon_value,
                             build_grids, cauchy_integral,
                             check_wall_continuity, correction_decay,
-                            evaluate, iterate, legendre_tail,
+                            evaluate, iterate, kernel_rows, legendre_tail,
+                            log_one_minus,
                             midsector_zetas, radial_limit, ray_jump_defect,
                             side_limit, solve, solve_tangents, unknowns,
                             upsilon)
@@ -298,9 +298,10 @@ class TestNearRayAccuracy:
     @pytest.mark.parametrize("case", ["mid", "wall-1.2", "wall-1.02",
                                       "wall-0.8-1.02", "ov"])
     def test_sweep_agrees_with_evaluation(self, pentagon, ov, ov_point,
-                                          case):
+                                          monkeypatch, case):
         # the converged node data are what evaluation reads at the nodes;
-        # the control drops the sweep's near-ray continuation and must fail
+        # the control prepares the sweep with a zero near-ray continuation
+        # and must fail
         model, point = {
             "mid": (pentagon, ModelPoint(1.5 + 0.2j, 1.0, (0.37, 1.29))),
             "wall-1.2": (pentagon, _wall_point(pentagon, 1.2, 0.9, 1.0)),
@@ -315,11 +316,14 @@ class TestNearRayAccuracy:
         assert sol.upsilon.shape == sol.log_xsf.shape \
             == sol.log_one_minus_x.shape == shape
         assert _sweep_gap(model, sol) <= 1e-14
-        near = any(n is not None for *_, n in ws.terms)
+        near = ws.near_pairs > 0
         assert near == case.startswith("wall")
         if near:
-            plain = dataclasses.replace(ws, terms=[
-                (*term[:4], None) for term in ws.terms])
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_near_term", lambda grid, rows, w: (
+                    np.zeros((len(w), grid.nodes_per_panel), dtype=int),
+                    np.zeros((len(w), grid.nodes_per_panel), dtype=complex)))
+                plain = _prepare(model, point, grids)
             control = iterate(model, point, grids, tol_iter=1e-13,
                               workspace=plain)
             assert _sweep_gap(model, control) > 1e-14
@@ -476,6 +480,117 @@ class TestKernelSharing:
         assert _sweep_gap(model, sol) <= 1e-14
 
 
+def _unfolded_apply(model, grids, g, drop=None):
+    """The sweep's map term by term from fresh kernels: coef * (kernel_rows
+    @ (weights * g) + the ``_near_term`` gather), with the gather of the
+    ordered ray pair ``drop`` left out; also the ordered ray pairs with a
+    gather."""
+    rows_of = unknowns(grids)
+    omegas = [om for grid in grids for om in grid.ray.omegas]
+    out, near = np.zeros_like(g), set()
+    for t, (rt, gt) in enumerate(rows_of):
+        for s, (rs, gs) in enumerate(rows_of):
+            p = model.lattice.pair(gt, gs)
+            if rt == rs or p == 0:
+                continue
+            src = grids[rs]
+            dphi = _wrap_angle(grids[rt].ray.angle - src.ray.angle)
+            w = grids[rt].s_nodes + 1j * dphi
+            rows = kernel_rows(src, w)
+            acc = (src.weights * g[..., s, :]) @ rows.T
+            if abs(dphi) < src.near_angle:
+                near.add((rt, rs))
+                if (rt, rs) != drop:
+                    idx, op = solver._near_term(src, rows, w)
+                    acc += np.sum(op * g[..., s, idx], axis=-1)
+            out[..., t, :] += -omegas[s] * p / (4j * math.pi) * acc
+    return out, near
+
+
+class TestFoldedOperator:
+    @pytest.mark.parametrize("wall, near_pairs", [
+        (None, 0), ((1.02, 0.9), 12), ((0.95, -3.0), 2), ((1.05, -3.0), 8)],
+        ids=["conftest", "1.02x0.9", "0.95x-3.0", "1.05x-3.0"])
+    def test_apply_matches_unfolded_sum(self, pentagon, pentagon_point,
+                                        wall, near_pairs):
+        # the continuation folded into the kernel blocks, and the reverse
+        # blocks read transposed, against fresh kernels and gathers per
+        # term: at 1.02 x the wall all 6 classes are near both ways, at
+        # -3.0 some classes only one way, forward (0.95 x) or reverse
+        # (1.05 x); dropping one gather must show
+        point = pentagon_point if wall is None \
+            else _wall_point(pentagon, *wall, 0.35)
+        grids = build_grids(pentagon, point)
+        ws = _prepare(pentagon, point, grids)
+        # random densities shaped like log(1 - X^sf) on each unknown's ray;
+        # continuing rough data a panel off the ray would amplify the 1e-16
+        # gap between the angles of two antipodal pairs that share a block
+        rng = np.random.default_rng(7)
+        shape = (4, len(unknowns(grids)), 1)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cosh = np.cosh([grids[r].s_nodes for r, _ in unknowns(grids)])
+        g = c * np.exp(-(1.0 + 0.3j * rng.standard_normal(shape)) * cosh)
+        want, near = _unfolded_apply(pentagon, grids, g)
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(_apply(ws, g) - want))) <= 1e-14 * scale
+        assert ws.near_pairs == len(near) == near_pairs
+        for pair in sorted(near)[:2]:
+            dropped, _ = _unfolded_apply(pentagon, grids, g, drop=pair)
+            assert float(np.max(np.abs(_apply(ws, g) - dropped))) \
+                > 1e-14 * scale
+
+    def test_assembly_matches_masked_argmin_form(self, pentagon):
+        # the nearest node by search and the one close entry per pole give
+        # bitwise the nodes and rows of an argmin over all nodes and a mask
+        # over all entries, for poles on nodes, at node midpoints (a
+        # tie goes to the lower node), off the ray and past +-s_max
+        point = _wall_point(pentagon, 1.02, 0.9, 0.35)
+        grid = build_grids(pentagon, point)[0]
+        s = grid.s_nodes
+        reals = np.concatenate([s, 0.5 * (s[1:] + s[:-1]),
+                                np.linspace(-1.2, 1.2, 7) * grid.s_max])
+        for offset in (0.0, 1e-300, 1e-6, 0.008, 0.5):
+            w = reals + 1j * offset
+            close = np.abs(s[None, :] - w[:, None]) \
+                < np.min(np.diff(s)) / 16.0
+            es, ew = np.exp(s)[None, :], np.exp(w)[:, None]
+            want = (es + ew) / np.where(close, 1.0, es - ew)
+            want[close] = 0.0
+            assert np.array_equal(kernel_rows(grid, w), want)
+            assert np.array_equal(solver._nearest_node(s, w.real), np.argmin(
+                np.abs(w.real[:, None] - s), axis=1))
+
+
+class TestLogOneMinus:
+    def test_against_mpmath(self):
+        # both parts within 4 ulp relative from |x| 1e-300 to 1 - 1e-9 at
+        # all phases; rounding 1 - x first misses below |x| 1e-17
+        moduli = np.concatenate([10.0 ** np.linspace(-300, -1, 47),
+                                 [0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-6,
+                                  1 - 1e-9]])
+        phases = np.linspace(-math.pi, math.pi, 24, endpoint=False)
+        x = (moduli[:, None] * np.exp(1j * phases)).ravel()
+        with mpmath.workdps(340):
+            want = np.array([complex(mpmath.log(1 - mpmath.mpc(z.real,
+                                                               z.imag)))
+                             for z in x])
+
+        def ulps(got):
+            return np.maximum(*(np.abs(f(got) - f(want))
+                                / np.maximum(np.abs(f(want)), 1e-320)
+                                for f in (np.real, np.imag))) \
+                / np.finfo(float).eps
+
+        assert float(np.max(ulps(log_one_minus(x)))) <= 4.0
+        naive = ulps(np.log(1.0 - x))
+        assert np.all(naive[np.abs(x) < 1e-17] > 4.0)
+
+    def test_empty_node_data(self):
+        # the (0, 0) node data of a zero spectrum stay a complex array
+        out = log_one_minus(np.exp(np.zeros((0, 0))))
+        assert out.shape == (0, 0) and out.dtype == complex
+
+
 # metric-grid, certify and wall-approach inputs of the benchmark (seed 1)
 BENCH_POINTS = [ModelPoint(u, R, theta) for u, R, theta in [
     (-0.437132 + 0.290930j, 2.015265, (0.982050, 5.051880)),
@@ -569,8 +684,7 @@ class TestFrozenContours:
         assert tangents.shape == (4,) + center.upsilon.shape
         grids = center.grids
         ws = _prepare(pentagon, point, grids)
-        assert any(near is not None for *_, near in ws.terms) \
-            == (wall is not None)
+        assert (ws.near_pairs > 0) == (wall is not None)
         zetas = midsector_zetas(grids, 4)
         exact = np.array([_upsilon_value(pentagon, grids, tangents, [G1, G2],
                                          z) for z in zetas])
