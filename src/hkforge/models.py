@@ -10,13 +10,13 @@ whose two chambers realize the minimal nontrivial wall-crossing identity.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .lattice import (Charge, CentralCharge, DegeneratePointError, Lattice,
                       Spectrum, charge)
@@ -122,6 +122,7 @@ def ov_continued_z(model: ModelDefinition, u: complex, loops: int = 1
 # Pentagon periods
 
 _SQRT3 = math.sqrt(3.0)
+_PERMUTATIONS = tuple(itertools.permutations(range(3)))
 
 
 class PentagonPeriods:
@@ -146,62 +147,47 @@ class PentagonPeriods:
 
     def __init__(self):
         n = self.N_NODES
-        k2 = np.arange(1, n + 1)
-        self._t2 = np.cos(k2 * math.pi / (n + 1))
-        self._w2 = (math.pi / (n + 1)) * np.sin(k2 * math.pi / (n + 1)) ** 2
-        j1 = np.arange(1, n + 1)
-        self._t1 = np.cos((2 * j1 - 1) * math.pi / (2 * n))
+        k = np.arange(1, n + 1)
+        self._w2 = (math.pi / (n + 1)) * np.sin(k * math.pi / (n + 1)) ** 2
+        # second-kind nodes for Z, then first-kind nodes for dZ/du, walked in
+        # one descending sweep so the square root is tracked along the cut
+        ts = np.concatenate([np.cos(k * math.pi / (n + 1)),
+                             np.cos((2 * k - 1) * math.pi / (2 * n))])
+        self._order = np.argsort(-ts)
+        self._ts = ts[self._order]
         self._cache: dict[complex, tuple] = {}
-        self._base_roots = np.array([-_SQRT3, 0.0, _SQRT3], dtype=complex)
-        self._base_state = self._pin_base()
-
-    # -- elementary quadrature ---------------------------------------------
-
-    @staticmethod
-    def _tracked_sqrt(vals: np.ndarray) -> np.ndarray:
-        s = np.sqrt(vals.astype(complex))
-        if len(s) > 1:
-            dots = np.real(s[1:] * np.conj(s[:-1]))
-            flips = np.where(dots < 0.0, -1.0, 1.0)
-            s[1:] *= np.cumprod(flips)
-        return s
-
-    def _raw_pair(self, za: complex, zb: complex, zc: complex
-                  ) -> tuple[complex, complex]:
-        """(Z, dZ/du) over the cycle around [za, zb], up to one global sign."""
-        m = 0.5 * (za + zb)
-        w = 0.5 * (zb - za)
-        ts = np.concatenate([self._t2, self._t1])
-        order = np.argsort(-ts)
-        zs = m + w * ts[order] - zc
-        g = np.empty_like(zs)
-        g[order] = self._tracked_sqrt(zs)
-        g2 = g[: self.N_NODES]
-        g1 = g[self.N_NODES:]
-        z_val = (2j * w * w / math.pi) * np.sum(self._w2 * g2)
-        dz_val = (-1j / math.pi) * (math.pi / self.N_NODES) * np.sum(1.0 / g1)
-        return complex(z_val), complex(dz_val)
-
-    def _roots_step(self, prev: np.ndarray, u: complex) -> np.ndarray:
-        r = np.roots([1.0, 0.0, -3.0, complex(u)])
-        best, best_cost = None, None
-        for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            cost = sum(abs(r[p] - prev[k]) for k, p in enumerate(perm))
-            if best_cost is None or cost < best_cost:
-                best, best_cost = perm, cost
-        return np.array([r[p] for p in best], dtype=complex)
-
-    def _periods_at(self, roots: np.ndarray) -> tuple:
-        ra, rb, rc = roots  # labels: A -> -sqrt3, B -> 0, C -> +sqrt3 at u=0
-        z1, dz1 = self._raw_pair(rb, rc, ra)   # gamma_1 cycle, vanishes at u=+2
-        z2, dz2 = self._raw_pair(ra, rb, rc)   # gamma_2 cycle, vanishes at u=-2
-        return z1, dz1, z2, dz2
-
-    def _pin_base(self) -> tuple:
-        z1, dz1, z2, dz2 = self._periods_at(self._base_roots)
+        self._base_roots = (-_SQRT3 + 0j, 0j, _SQRT3 + 0j)
+        z1, dz1, z2, dz2 = self._periods([self._base_roots])[0]
         s1 = -1.0 if z1.imag > 0 else 1.0
         s2 = 1.0 if z2.real > 0 else -1.0
-        return (s1 * z1, s1 * dz1, s2 * z2, s2 * dz2)
+        self._base_state = (s1 * z1, s1 * dz1, s2 * z2, s2 * dz2)
+
+    def _periods(self, roots: list[tuple]) -> list[tuple]:
+        """(Z1, dZ1, Z2, dZ2) at each root triple, each cycle up to a sign.
+
+        Roots are labeled A, B, C (at u = 0: -sqrt3, 0, +sqrt3); gamma_1 is
+        the cycle around [B, C], which vanishes at u = +2, and gamma_2 the
+        one around [A, B], which vanishes at u = -2.  All cycles of all
+        triples are summed in one (2 x triples, 2 N_NODES) array pass.
+        """
+        r = np.array(roots, dtype=complex)
+        za, zb, zc = r[:, [1, 0]], r[:, [2, 1]], r[:, [0, 2]]
+        m = 0.5 * (za + zb)
+        w = 0.5 * (zb - za)
+        s = np.sqrt(m[..., None] + w[..., None] * self._ts - zc[..., None])
+        dots = np.real(s[..., 1:] * np.conj(s[..., :-1]))
+        s[..., 1:] *= np.cumprod(np.where(dots < 0.0, -1.0, 1.0), axis=-1)
+        g = np.empty_like(s)
+        g[..., self._order] = s
+        n = self.N_NODES
+        sums = np.sum(self._w2 * g[..., :n], axis=-1)
+        dz = (-1j / math.pi) * (math.pi / n) * np.sum(1.0 / g[..., n:], axis=-1)
+        # Z's prefactor on scalars: numpy's vectorized complex product may
+        # fuse a multiply-add and round differently from the scalar one
+        z = [complex((2j * a * a / math.pi) * b)
+             for a, b in zip(w.flat, sums.flat)]
+        dz = dz.ravel().tolist()
+        return list(zip(z[0::2], dz[0::2], z[1::2], dz[1::2]))
 
     # -- continuation --------------------------------------------------------
 
@@ -236,21 +222,10 @@ class PentagonPeriods:
     def _d_distance(self, u: complex) -> float:
         return min(abs(u - d) for d in self.D_POINTS)
 
-    def state(self, u: complex):
-        """(roots, Z1, dZ1, Z2, dZ2, wall_crossings) continued from u = 0."""
-        u = complex(u)
-        if self._d_distance(u) < self.D_TOL:
-            raise DegeneratePointError(f"u={u} on the pentagon discriminant")
-        key = u
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-
-        roots = self._base_roots.copy()
-        z1, dz1, z2, dz2 = self._base_state
-        crossings = 0
-        eta_prev = (z1 / z2).imag
-        pos = 0.0 + 0.0j
+    def _steps_to(self, u: complex) -> list[complex]:
+        """Step points along ``_path_to(u)``: each step is at most MAX_STEP
+        and 0.45 of its start's distance to the discriminant."""
+        steps, pos = [], 0.0 + 0.0j
         for target in self._path_to(u)[1:]:
             leg = target - pos
             length = abs(leg)
@@ -262,22 +237,54 @@ class PentagonPeriods:
                 step = min(self.MAX_STEP, length - done,
                            0.45 * max(self._d_distance(here), 2.0 * self.D_TOL))
                 done = min(length, done + step)
-                nxt = pos + leg * (done / length)
-                roots = self._roots_step(roots, nxt)
-                raw = self._periods_at(roots)
-                z1_new, dz1_new = self._match_sign(raw[0], raw[1], z1)
-                z2_new, dz2_new = self._match_sign(raw[2], raw[3], z2)
-                z1, dz1, z2, dz2 = z1_new, dz1_new, z2_new, dz2_new
-                eta = (z1 / z2).imag
-                if eta == 0.0 or eta_prev * eta < 0.0:
-                    crossings += 1
-                eta_prev = eta
+                steps.append(pos + leg * (done / length))
             pos = target
+        return steps
 
-        out = (roots, z1, dz1, z2, dz2, crossings)
+    def state(self, u: complex):
+        """(roots, Z1, dZ1, Z2, dZ2, wall_crossings) continued from u = 0.
+
+        The whole path is one batched pass: the cubic's roots at every step
+        point come from one eigenvalue call on companion matrices built as
+        ``np.roots`` builds them, each step keeps the labeling closest to
+        the previous one, ``_periods`` sums all steps at once, and each
+        cycle's sign then follows its previous value.  A wall crossing is a
+        sign change of Im(Z1 / Z2) between steps.
+        """
+        u = complex(u)
+        if self._d_distance(u) < self.D_TOL:
+            raise DegeneratePointError(f"u={u} on the pentagon discriminant")
+        hit = self._cache.get(u)
+        if hit is not None:
+            return hit
+
+        steps = self._steps_to(u)
+        roots, raw = [self._base_roots], []
+        if steps:
+            poly = np.array([(1.0, 0.0, -3.0, s) for s in steps], dtype=complex)
+            comp = np.zeros((len(steps), 3, 3), dtype=complex)
+            comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+            comp[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+            for r in np.linalg.eigvals(comp).tolist():
+                d = [[abs(x - y) for y in roots[-1]] for x in r]
+                i, j, k = min(_PERMUTATIONS, key=lambda p: d[p[0]][0]
+                              + d[p[1]][1] + d[p[2]][2])
+                roots.append((r[i], r[j], r[k]))
+            raw = self._periods(roots[1:])
+        z1, dz1, z2, dz2 = self._base_state
+        crossings, eta_prev = 0, (z1 / z2).imag
+        for rz1, rdz1, rz2, rdz2 in raw:
+            z1, dz1 = self._match_sign(rz1, rdz1, z1)
+            z2, dz2 = self._match_sign(rz2, rdz2, z2)
+            eta = (z1 / z2).imag
+            if eta == 0.0 or eta_prev * eta < 0.0:
+                crossings += 1
+            eta_prev = eta
+
+        out = (np.array(roots[-1]), z1, dz1, z2, dz2, crossings)
         if len(self._cache) > 4096:
             self._cache.clear()
-        self._cache[key] = out
+        self._cache[u] = out
         return out
 
     @staticmethod
@@ -418,8 +425,14 @@ def ov_oracle(model: ModelDefinition, point, gamma: Charge, zeta: complex):
     zeta' = d e^s, |X| = exp(-2 pi R |Z| cosh s) and the kernel is at most
     2 / sin(angle from zeta to the nearer ray), so the span in s is where
     that bound on the integrand falls below the absolute tolerance: it
-    grows like log(1 / R|Z|) as R|Z| shrinks.
+    grows like log(1 / R|Z|) as R|Z| shrinks.  QUADPACK's warnings are
+    not raised; a ValueError refuses the value when either pass's error
+    estimate exceeds 1e-9.  Accurate values show estimates up to 6e-11
+    (within 1e-14 of the mpmath reference in the tests), while a failed
+    pass 1e-7 rad from a ray estimates 6e-2 and misses by 0.09.
     """
+    from scipy.integrate import quad  # SciPy loads only for the oracle
+
     from .semiflat import theta_eval, xsf  # local import avoids a cycle
 
     if model.name != "ov":
@@ -465,8 +478,12 @@ def ov_oracle(model: ModelDefinition, point, gamma: Charge, zeta: complex):
     bound = 2.0 * sum(abs(p) for p, *_ in rays) / sine
     # |Z_{-e}| = |Z_e|, so both rays decay alike
     span = math.acosh(max(1.0, math.log(bound / eps) / (2 * abs(rays[0][2]))))
-    re, im = (quad(part, -span, span, args=(k,), epsabs=eps, epsrel=1e-12,
-                   limit=400)[0] for k in (0, 1))
+    (re, e_re), (im, e_im) = (
+        quad(part, -span, span, args=(k,), epsabs=eps, epsrel=1e-12,
+             limit=400, full_output=1)[:2] for k in (0, 1))
+    if max(e_re, e_im) > 1e-9:
+        raise ValueError(f"OV oracle quadrature failed: error estimate "
+                         f"{max(e_re, e_im):.1e} above 1e-9")
     log_value = ref.log_value - (1.0 / (4j * math.pi)) * (re + 1j * im)
     return replace(ref, value=cmath.exp(log_value), log_value=log_value)
 

@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Charge, Ray, _wrap_angle, bps_rays
+from .lattice import Charge, Ray, bps_rays
 from .semiflat import (CoordinateValue, ModelPoint, theta_eval,
                        xsf_laurent_rows, xsf_log, xsf_log_of)
 
@@ -521,8 +521,8 @@ def _fold(rows: np.ndarray, near: tuple[np.ndarray, np.ndarray],
 def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspace:
     """The sweep on ``grids``, one kernel per antipodal ray-pair class: the
     ray of -gamma has the same |Z|, so bitwise the same nodes, and (a, b)
-    and (-a, -b) read the same blocks.  A pair with a ray that has no such
-    partner keeps its own."""
+    and (-a, -b) bitwise the same angle, so they read the same blocks.  A
+    pair with a ray that has no such partner keeps its own."""
     lat = model.lattice
     rows_of = unknowns(grids)
     omegas = [om for grid in grids for om in grid.ray.omegas]
@@ -540,7 +540,9 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
             pair = min(pair, (anti[rt], anti[rs]), key=sorted)
         a, b = sorted(pair)
         if (a, b) not in blocks:
-            dphi = _wrap_angle(grids[a].ray.angle - grids[b].ray.angle)
+            # exactly odd under a <-> b, and even under (-a, -b)
+            d_a, d_b = grids[a].ray.direction, grids[b].ray.direction
+            dphi = cmath.phase(d_a * d_b.conjugate())
             w_ab = grids[a].s_nodes + 1j * dphi
             rows = kernel_rows(grids[b], w_ab)
             # each direction switches on its source grid, as

@@ -3,6 +3,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -431,3 +435,29 @@ class TestReports:
         rows = [l for l in out_path.read_text().splitlines()
                 if not l.startswith("#")]
         assert len(rows) == 2
+
+
+class TestColdStart:
+    def test_scipy_loads_only_for_the_oracle(self):
+        # a fresh process: importing the CLI, `metric` and `wall-check`
+        # never load SciPy; `ov-compare` runs the OV oracle, which does
+        script = textwrap.dedent("""
+            import sys
+            from hkforge.cli import main
+            seen = ["scipy" in sys.modules]
+            main(["metric", "--model", "pentagon", "--u", "0.45,0.25",
+                  "--R", "3", "--theta", "0.37,1.29"])
+            seen.append("scipy" in sys.modules)
+            main(["wall-check", "--model", "pentagon", "--phi", "0.9",
+                  "--sep", "0.02", "--R", "0.35"])
+            seen.append("scipy" in sys.modules)
+            main(["ov-compare", "--count", "1"])
+            seen.append("scipy.integrate" in sys.modules)
+            print(seen)
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", script], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.splitlines()[-1] == "[False, False, False, True]"

@@ -4,13 +4,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 
 from hkforge.lattice import DegeneratePointError, bps_rays, charge
-from hkforge.models import (load_model, model_from_config, model_info,
-                            ov_continued_z, ov_oracle, pentagon_model,
-                            pentagon_wall_point, save_model)
+from hkforge.models import (PentagonPeriods, load_model, model_from_config,
+                            model_info, ov_continued_z, ov_oracle,
+                            pentagon_model, pentagon_wall_point, save_model)
 from hkforge.semiflat import ModelPoint, theta_eval, xsf, xsf_log
 from hkforge.solver import evaluate, solve
+from reference import stepwise_periods_state
 
 G1, G2 = charge(1, 0), charge(0, 1)
 
@@ -114,6 +116,94 @@ class TestPentagonModel:
         assert np.allclose(got, want, rtol=1e-12)
 
 
+def _mp_periods(roots):
+    """mpmath reference for (Z1, dZ1, Z2, dZ2) at the roots (A, B, C).
+
+    Z = (2 / pi) int y dz and dZ/du = (1 / pi) int dz / y over the segment
+    from one root to the next, gamma_1 on [B, C] and gamma_2 on [A, B], at
+    20 digits.  With z = m - w cos t the factors sqrt(z - z_a) and
+    sqrt(z - z_b) are sqrt(2w) sin(t/2) and sqrt(-2w) cos(t/2), and the
+    cut of sqrt(z - z_c) is turned away from the segment, so y is
+    continuous on it and both integrands are smooth in t.
+    """
+    def pair(za, zb, zc):
+        m, w = (za + zb) / 2, (zb - za) / 2
+        mid = (za - zc) / abs(za - zc) + (zb - zc) / abs(zb - zc)
+        rot = mid / abs(mid)
+        k = mpmath.sqrt(2 * w) * mpmath.sqrt(-2 * w)
+
+        def rest(t):
+            return mpmath.sqrt(rot) * mpmath.sqrt(
+                (m - w * mpmath.cos(t) - zc) / rot)
+
+        z = mpmath.quad(lambda t: k * w * mpmath.sin(t) ** 2 / 2 * rest(t),
+                        [0, mpmath.pi])
+        dz = mpmath.quad(lambda t: 2 * w / (k * rest(t)), [0, mpmath.pi])
+        return [complex(2 * z / mpmath.pi), complex(dz / mpmath.pi)]
+
+    with mpmath.workdps(20):
+        a, b, c = (mpmath.mpc(r) for r in roots)
+        return pair(b, c, a) + pair(a, b, c)
+
+
+class TestPentagonPeriods:
+    def test_batched_matches_stepwise(self, pentagon):
+        # the one-pass continuation against the step-by-step one, at random
+        # u, 0.97 to 1.03 x the wall, within 1e-3 of +-2, on both sides of
+        # the cut and inside the discriminant guard: bitwise roots and
+        # periods, equal crossings and equal refusals
+        rng = np.random.default_rng(20)
+        pts = [complex(*rng.uniform(-3.5, 3.5, 2)) for _ in range(650)]
+        for phi in np.linspace(-3.0, 3.0, 20):
+            w = pentagon_wall_point(pentagon, phi)
+            pts += [f * w for f in np.linspace(0.97, 1.03, 7)]
+        for d in (2.0, -2.0):
+            pts += [d + 1e-3 * rng.random() * cmath.exp(1j * a)
+                    for a in rng.uniform(-math.pi, math.pi, 100)]
+            pts += [1.3 * d + 0j, complex(1.3 * d, -0.0), 1.3 * d + 1e-300j,
+                    d, d + 5e-7j, d + 2e-6]
+        pts += [0j, 1e-16 + 0j, 1.0, -1.0, 1j, -1j]
+        periods, refused = PentagonPeriods(), 0
+        for u in pts:
+            try:
+                want = stepwise_periods_state(periods, u)
+            except DegeneratePointError:
+                with pytest.raises(DegeneratePointError):
+                    periods.state(u)
+                refused += 1
+                continue
+            got = periods.state(u)
+            assert np.array_equal(got[0], want[0]), u
+            assert got[1:] == want[1:], u
+        assert len(pts) >= 1000 and refused == 4
+
+    def test_against_mpmath(self, pentagon):
+        # seeded u in both chambers and half-planes, just off the cut
+        # beyond +-2 and near both discriminant points; each cycle matches
+        # up to one global sign, shared by Z and dZ/du, which the
+        # positivity and chamber tests pin
+        rng = np.random.default_rng(21)
+        periods = PentagonPeriods()
+        pts = [r * cmath.exp(1j * side * rng.uniform(0.1, math.pi - 0.1))
+               for lo, hi in ((0.2, 1.0), (2.6, 4.0)) for side in (1, -1)
+               for r in rng.uniform(lo, hi, 2)]
+        pts += [2.6 + 1e-9j, 2.6 - 1e-9j, -2.6 + 1e-9j, -2.6 - 1e-9j,
+                2.001 + 0.001j, -1.999 - 0.0005j]
+        assert {periods.chamber(u) for u in pts[:8]} == {"in", "out"}
+        for u in pts:
+            roots, *got = periods.state(u)[:5]
+            want = _mp_periods(roots)
+            for k in (0, 2):
+                sign = 1 if abs(got[k] - want[k]) < abs(got[k] + want[k]) \
+                    else -1
+                for j in (k, k + 1):
+                    assert abs(got[j] - sign * want[j]) <= 1e-13 * abs(want[j])
+        # control: with A and C swapped gamma_1 is read on [B, A]
+        roots, z1 = periods.state(pts[0])[:2]
+        wrong = _mp_periods(roots[::-1])[0]
+        assert min(abs(z1 - wrong), abs(z1 + wrong)) > 1e-3 * abs(z1)
+
+
 def _mp_oracle_log(ov, point, zeta, signs=(1, -1)):
     """mpmath reference for log X_{e1} at 20 digits, one tanh-sinh quadrature.
 
@@ -167,7 +257,9 @@ class TestOvOracle:
     def test_matches_mpmath(self, ov):
         # generic points, zeta 1e-4 and 1e-6 rad from a ray, and R |Z| of
         # 5e-6, where |X| is still 0.08 at |s| = 12; with theta 0 there X
-        # comes within 3e-5 of 1, where 1 - X must not cancel
+        # comes within 3e-5 of 1, where 1 - X must not cancel, and QUADPACK
+        # reports roundoff with estimates of 2e-13 and 6e-11, under the
+        # oracle's 1e-9 refusal bound
         u = 0.5 * cmath.exp(0.4j)
         near = ModelPoint(u, 1.0, (0.3, 1.1))
         d = -u / abs(u)  # the ray of +e2
@@ -188,6 +280,22 @@ class TestOvOracle:
         point, zeta = cases[0]
         got = ov_oracle(ov, point, G1, zeta).log_value
         assert abs(got - _mp_oracle_log(ov, point, zeta, signs=(1,))) > 1e-3
+
+    def test_failed_quadrature_refused(self, ov, ov_point, monkeypatch):
+        # 1.3e-7 rad from a ray at R 0.24 QUADPACK calls the real pass
+        # divergent (estimate 6e-2) and its value missed mpmath by 0.09
+        u = -0.1262939485029246 - 0.19987922020950072j
+        point = ModelPoint(u, 0.24424648916252484,
+                           (0.42506509791020874, 4.729827528418785))
+        with pytest.raises(ValueError, match="error estimate"):
+            ov_oracle(ov, point, G1, 2.490426774049134 + 3.941474860969964j)
+        # control: an ordinary value passes until its estimate is large
+        zeta, quad = 0.7 * cmath.exp(0.9j), scipy.integrate.quad
+        ov_oracle(ov, ov_point, G1, zeta)
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (
+            quad(*a, **k)[0], 1e-6, {}))
+        with pytest.raises(ValueError, match="error estimate"):
+            ov_oracle(ov, ov_point, G1, zeta)
 
     def test_ray_proximity_rejected(self, ov, ov_point):
         d = -ov_point.u / abs(ov_point.u)

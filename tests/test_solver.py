@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkforge import solver
-from hkforge.lattice import Spectrum, _wrap_angle, charge
+from hkforge.lattice import Spectrum, charge
 from hkforge.models import ov_oracle, pentagon_wall_point
 from hkforge.semiflat import ModelPoint, xsf, xsf_log
 from hkforge.solver import (GridSpec, NonConvergenceError,
@@ -484,17 +484,18 @@ def _unfolded_apply(model, grids, g, drop=None):
     """The sweep's map term by term from fresh kernels: coef * (kernel_rows
     @ (weights * g) + the ``_near_term`` gather), with the gather of the
     ordered ray pair ``drop`` left out; also the ordered ray pairs with a
-    gather."""
+    gather and the largest term."""
     rows_of = unknowns(grids)
     omegas = [om for grid in grids for om in grid.ray.omegas]
-    out, near = np.zeros_like(g), set()
+    out, near, big = np.zeros_like(g), set(), 0.0
     for t, (rt, gt) in enumerate(rows_of):
         for s, (rs, gs) in enumerate(rows_of):
             p = model.lattice.pair(gt, gs)
             if rt == rs or p == 0:
                 continue
             src = grids[rs]
-            dphi = _wrap_angle(grids[rt].ray.angle - src.ray.angle)
+            dphi = cmath.phase(grids[rt].ray.direction
+                               * src.ray.direction.conjugate())
             w = grids[rt].s_nodes + 1j * dphi
             rows = kernel_rows(src, w)
             acc = (src.weights * g[..., s, :]) @ rows.T
@@ -503,16 +504,19 @@ def _unfolded_apply(model, grids, g, drop=None):
                 if (rt, rs) != drop:
                     idx, op = solver._near_term(src, rows, w)
                     acc += np.sum(op * g[..., s, idx], axis=-1)
-            out[..., t, :] += -omegas[s] * p / (4j * math.pi) * acc
-    return out, near
+            term = -omegas[s] * p / (4j * math.pi) * acc
+            out[..., t, :] += term
+            big = max(big, float(np.max(np.abs(term))))
+    return out, near, big
 
 
 class TestFoldedOperator:
-    @pytest.mark.parametrize("wall, near_pairs", [
-        (None, 0), ((1.02, 0.9), 12), ((0.95, -3.0), 2), ((1.05, -3.0), 8)],
+    @pytest.mark.parametrize("wall, near_pairs, rough", [
+        (None, 0, True), ((1.02, 0.9), 12, True), ((0.95, -3.0), 2, True),
+        ((1.05, -3.0), 8, False)],
         ids=["conftest", "1.02x0.9", "0.95x-3.0", "1.05x-3.0"])
     def test_apply_matches_unfolded_sum(self, pentagon, pentagon_point,
-                                        wall, near_pairs):
+                                        wall, near_pairs, rough):
         # the continuation folded into the kernel blocks, and the reverse
         # blocks read transposed, against fresh kernels and gathers per
         # term: at 1.02 x the wall all 6 classes are near both ways, at
@@ -522,22 +526,32 @@ class TestFoldedOperator:
             else _wall_point(pentagon, *wall, 0.35)
         grids = build_grids(pentagon, point)
         ws = _prepare(pentagon, point, grids)
-        # random densities shaped like log(1 - X^sf) on each unknown's ray;
-        # continuing rough data a panel off the ray would amplify the 1e-16
-        # gap between the angles of two antipodal pairs that share a block
+        # random densities shaped like log(1 - X^sf) on each unknown's ray
         rng = np.random.default_rng(7)
         shape = (4, len(unknowns(grids)), 1)
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         cosh = np.cosh([grids[r].s_nodes for r, _ in unknowns(grids)])
         g = c * np.exp(-(1.0 + 0.3j * rng.standard_normal(shape)) * cosh)
-        want, near = _unfolded_apply(pentagon, grids, g)
+        want, near, _ = _unfolded_apply(pentagon, grids, g)
         scale = float(np.max(np.abs(want)))
         assert float(np.max(np.abs(_apply(ws, g) - want))) <= 1e-14 * scale
         assert ws.near_pairs == len(near) == near_pairs
         for pair in sorted(near)[:2]:
-            dropped, _ = _unfolded_apply(pentagon, grids, g, drop=pair)
+            dropped, *_ = _unfolded_apply(pentagon, grids, g, drop=pair)
             assert float(np.max(np.abs(_apply(ws, g) - dropped))) \
                 > 1e-14 * scale
+        # unit random densities: continued a panel off the ray, rough data
+        # amplify any gap between the angles of the antipodal pairs that
+        # share a block (5e-9 at 0.95 x when they differed in the last
+        # bit), so this holds only if the sharing is exact; they also lift
+        # plain rounding to 2e-14 of the largest term at 1.02 x.  The
+        # reverse-only classes at 1.05 x sit at the edge of the near zone,
+        # where the continuation lifts the rounding gap between a
+        # transposed and a fresh kernel to 1e-8 on such data: not held there
+        if rough:
+            g = np.exp(2j * math.pi * rng.random(shape[:2] + cosh.shape[-1:]))
+            want, _, big = _unfolded_apply(pentagon, grids, g)
+            assert float(np.max(np.abs(_apply(ws, g) - want))) <= 1e-13 * big
 
     def test_assembly_matches_masked_argmin_form(self, pentagon):
         # the nearest node by search and the one close entry per pole give
