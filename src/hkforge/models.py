@@ -413,78 +413,139 @@ def pentagon_wall_point(model: ModelDefinition, phi: float,
 # ---------------------------------------------------------------------------
 # Ooguri-Vafa one-step oracle
 
+# The (7, 15) Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk15): the nodes
+# in [0, 1] from 1 down to 0, their Kronrod weights and the Gauss weights of
+# every second node, mirrored about 0 into 15 nodes.
+_GK15_X = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0])
+_GK15_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_G7_W = np.array([
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327])
+GK15_NODES = np.concatenate([-_GK15_X, _GK15_X[-2::-1]])
+GK15_WEIGHTS = np.concatenate([_GK15_WK, _GK15_WK[-2::-1]])
+G7_WEIGHTS = np.concatenate([_G7_W, _G7_W[-2::-1]])
+# one product gives the Kronrod sum K and K - G
+_GK15_RULES = np.column_stack([GK15_WEIGHTS, GK15_WEIGHTS - G7_WEIGHTS])
+
+
+def gauss_kronrod(f, breaks, epsabs: float, epsrel: float, limit: int
+                  ) -> tuple[complex, float]:
+    """Adaptive (7, 15) Gauss-Kronrod quadrature of a vectorized function.
+
+    ``f`` maps an (m, 15) array of abscissae to its complex values.  The
+    partition starts at the intervals between consecutive ``breaks``.  Each
+    round evaluates every new subinterval in one call of ``f``, then bisects
+    the subintervals of largest |K - G| (Kronrod minus Gauss sum) until the
+    others' |K - G| sum to at most max(epsabs, epsrel |I|), keeping at most
+    ``limit`` subintervals.  Returns the Kronrod sum and the summed |K - G|,
+    which estimates the Gauss sum's error and so bounds, loosely, the
+    Kronrod sum's.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    new_c, new_h = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * np.diff(breaks)
+    centre, half = np.empty(0), np.empty(0)
+    kron, err = np.empty(0, dtype=complex), np.empty(0)
+    while True:
+        sums = new_h[:, None] * (
+            f(new_c[:, None] + new_h[:, None] * GK15_NODES) @ _GK15_RULES)
+        centre, half = np.concatenate([centre, new_c]), np.concatenate(
+            [half, new_h])
+        kron = np.concatenate([kron, sums[:, 0]])
+        err = np.concatenate([err, np.abs(sums[:, 1])])
+        value = complex(kron.sum())
+        order = np.argsort(err)
+        running = np.cumsum(err[order])
+        stay = max(int(np.searchsorted(
+            running, max(epsabs, epsrel * abs(value)), "right")),
+            2 * len(err) - limit)
+        if stay >= len(err):
+            return value, float(running[-1])
+        worst, keep = order[stay:], order[:stay]
+        quarter = 0.5 * half[worst]
+        new_c = np.concatenate([centre[worst] - quarter,
+                                centre[worst] + quarter])
+        new_h = np.concatenate([quarter, quarter])
+        centre, half, kron, err = (centre[keep], half[keep], kron[keep],
+                                   err[keep])
+
 
 def ov_oracle(model: ModelDefinition, point, gamma: Charge, zeta: complex):
     """Independent quadrature for the closed-form OV coordinates.
 
     The electric coordinate equals its semiflat value; the magnetic one picks
-    up one Cauchy-type integral over each electric ray.  Uses adaptive
-    Gauss-Kronrod quadrature, a different node family from the ray solver,
-    on one complex integrand that sums both rays; each node is evaluated
-    once and serves both the real and the imaginary pass.  On the ray
-    zeta' = d e^s, |X| = exp(-2 pi R |Z| cosh s) and the kernel is at most
-    2 / sin(angle from zeta to the nearer ray), so the span in s is where
-    that bound on the integrand falls below the absolute tolerance: it
-    grows like log(1 / R|Z|) as R|Z| shrinks.  QUADPACK's warnings are
-    not raised; a ValueError refuses the value when either pass's error
-    estimate exceeds 1e-9.  Accurate values show estimates up to 6e-11
-    (within 1e-14 of the mpmath reference in the tests), while a failed
-    pass 1e-7 rad from a ray estimates 6e-2 and misses by 0.09.
+    up one Cauchy-type integral over each electric ray, weighted by the
+    ray's pairing with gamma times its Omega from ``model.spectrum``.  On
+    the ray zeta' = d e^s, X = exp(i theta - 2 pi R |Z| cosh s) and the
+    kernel (zeta' + zeta) / (zeta' - zeta) is at most 2 / sin(angle from
+    zeta to the nearer ray), so the span in s is where that bound on the
+    integrand falls below the absolute tolerance 1e-13: it grows like
+    log(1 / R|Z|) as R|Z| shrinks.  Both rays are summed into one complex
+    integrand and integrated once by ``gauss_kronrod``, the adaptive (7, 15)
+    Gauss-Kronrod rule in numpy (QUADPACK's pair, without QUADPACK or
+    SciPy), a different node family from the ray solver.  The
+    variable is t = s - log|zeta|, with a break point at t = 0, where the
+    kernel of each ray peaks (|d| = 1).  With phi the angle from the ray to
+    zeta, the kernel is (e^t + e^{i phi}) / (e^t - e^{i phi}) with
+    e^t - e^{i phi} = expm1(t) - expm1(i phi), exact near the ray; 1 - X is
+    formed from expm1(-2 pi R |Z| cosh s) and 1 - e^{i theta}, which does not
+    cancel near X = 1.  A ValueError refuses zeta within 1e-8 rad of a ray,
+    and a value whose error estimate (summed |K - G|) exceeds 1e-9.
     """
-    from scipy.integrate import quad  # SciPy loads only for the oracle
-
     from .semiflat import theta_eval, xsf  # local import avoids a cycle
 
     if model.name != "ov":
         raise ValueError("oracle defined for the OV model")
-    zeta, piR = complex(zeta), math.pi * point.R
-    rays = []
+    zeta, rays = complex(zeta), []
     for sign in (1, -1):
         gp = sign * charge(0, 1)
-        pairing = model.lattice.pair(gamma, gp)
-        if pairing == 0:
+        weight = (model.lattice.pair(gamma, gp)
+                  * model.spectrum.omega(gp, point.u))
+        if weight == 0:
             continue
         z = model.Z.of(gp, point.u)
-        d = -z / abs(z)
-        if abs(cmath.phase(zeta / d)) < 1e-8:
+        phi = cmath.phase(zeta / (-z / abs(z)))
+        if abs(phi) < 1e-8:
             raise ValueError("zeta on an OV ray; oracle needs an off-ray point")
-        rays.append((pairing, d, piR * z,
-                     1j * theta_eval(model.lattice, point, gp),
-                     piR * z.conjugate()))
+        rays.append((weight, phi, theta_eval(model.lattice, point, gp)))
     ref = xsf(model, point, gamma, zeta)
     if not rays:
         return ref
+    # |Z_{-e}| = |Z_e|, so both rays decay alike
+    a, shift = 2.0 * math.pi * point.R * abs(z), math.log(abs(zeta))
+    weight, phi, theta = (np.array(v)[:, None, None] for v in zip(*rays))
+    ep = -2.0 * np.sin(0.5 * phi) ** 2 + 1j * np.sin(phi)  # expm1(i phi)
+    kappa = 2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta)
 
-    nodes: dict[float, complex] = {}  # the imaginary pass reuses the real's
-
-    def part(s: float, k: int) -> float:
-        val = nodes.get(s)
-        if val is None:
-            val = 0.0 + 0.0j
-            for pairing, d, a, b, c in rays:
-                zp = d * math.exp(s)
-                w = a / zp + b + zp * c
-                # 1 - X = 2 sin^2(h) |X| - expm1(Re w) - 2i sin(h) cos(h) |X|
-                # with h = Im w / 2, which does not cancel near X = 1
-                em1, sh = math.expm1(w.real), math.sin(0.5 * w.imag)
-                sx = 2.0 * (em1 + 1.0) * sh
-                rest = complex(sx * sh - em1, -sx * math.cos(0.5 * w.imag))
-                val += pairing * (zp + zeta) / (zp - zeta) * cmath.log(rest)
-            nodes[s] = val
-        return val.imag if k else val.real
+    def integrand(t: np.ndarray) -> np.ndarray:
+        em, em_x = np.expm1(t), np.expm1(-a * np.cosh(t + shift))
+        log_1mx = np.log(kappa * (em_x + 1.0) - em_x)
+        return (weight * (2.0 + em + ep) / (em - ep) * log_1mx).sum(axis=0)
 
     eps = 1e-13
-    sine = math.sin(min(abs(cmath.phase(zeta / d)) for _, d, *_ in rays))
-    bound = 2.0 * sum(abs(p) for p, *_ in rays) / sine
-    # |Z_{-e}| = |Z_e|, so both rays decay alike
-    span = math.acosh(max(1.0, math.log(bound / eps) / (2 * abs(rays[0][2]))))
-    (re, e_re), (im, e_im) = (
-        quad(part, -span, span, args=(k,), epsabs=eps, epsrel=1e-12,
-             limit=400, full_output=1)[:2] for k in (0, 1))
-    if max(e_re, e_im) > 1e-9:
+    bound = 2.0 * sum(abs(w) for w, *_ in rays) / math.sin(
+        min(abs(p) for _, p, _ in rays))
+    span = math.acosh(max(1.0, math.log(bound / eps) / a))
+    ends = [-span - shift] + [0.0] * (abs(shift) < span) + [span - shift]
+    # pieces at most 0.5 long, the scale on which X and the kernel away
+    # from its peak vary, so most converge in the first round
+    pieces = [np.linspace(lo, hi, max(2, math.ceil(2 * (hi - lo)) + 1))[:-1]
+              for lo, hi in zip(ends, ends[1:])]
+    breaks = np.concatenate(pieces + [ends[-1:]])
+    total, error = gauss_kronrod(integrand, breaks, eps, 1e-12, limit=400)
+    if error > 1e-9:
         raise ValueError(f"OV oracle quadrature failed: error estimate "
-                         f"{max(e_re, e_im):.1e} above 1e-9")
-    log_value = ref.log_value - (1.0 / (4j * math.pi)) * (re + 1j * im)
+                         f"{error:.1e} above 1e-9")
+    log_value = ref.log_value - (1.0 / (4j * math.pi)) * total
     return replace(ref, value=cmath.exp(log_value), log_value=log_value)
 
 

@@ -1,25 +1,29 @@
 """Test-only references: the least-squares Laurent fit of sampled two-forms,
-the closed-form Gibbons-Hawking metric of the OV model, and the pentagon
-periods continued one step at a time.
+the closed-form Gibbons-Hawking metric of the OV model, the pentagon
+periods continued one step at a time, and the OV oracle as QUADPACK ran it.
 
 None shares code with the pipeline it checks: the fit takes varpi only
 through its samples, the OV metric is a Bessel sum (GMN, arXiv:0807.4723)
 with no ray integral at all, and the step-by-step continuation calls
 ``np.roots`` and sums each cycle on its own, where
-``PentagonPeriods.state`` batches the whole path.
+``PentagonPeriods.state`` batches the whole path.  The QUADPACK oracle
+serves only as a control: it shows what ``models.ov_oracle`` missed before
+it took its own Gauss-Kronrod rule.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import k0, k1
 
 from hkforge.geometry import LaurentFit, metric_from_triple
-from hkforge.lattice import DegeneratePointError
-from hkforge.semiflat import omega3_sf, omega_plus_sf
+from hkforge.lattice import DegeneratePointError, charge
+from hkforge.semiflat import omega3_sf, omega_plus_sf, theta_eval, xsf_log
 
 
 def laurent_fit(zetas, samples) -> LaurentFit:
@@ -156,3 +160,43 @@ def stepwise_periods_state(periods, u: complex):
             eta_prev = eta
         pos = target
     return roots, z1, dz1, z2, dz2, crossings
+
+
+def quadpack_ov_log(model, point, gamma, zeta) -> tuple[complex, float]:
+    """log X_gamma of the OV model by ``scipy.integrate.quad``, Omega 1.
+
+    The integrand is the sum over both electric rays of
+    <gamma, g> (zeta' + zeta) / (zeta' - zeta) log(1 - X_g) on zeta' = d e^s,
+    taken in s with no break point, its real and imaginary parts in two
+    QUADPACK passes (epsabs 1e-13, epsrel 1e-12, limit 400) over the span
+    where the integrand's bound falls below 1e-13.  Returns the log value
+    and the larger of the two error estimates.
+    """
+    rays = []
+    for sign in (1, -1):
+        g = sign * charge(0, 1)
+        z = model.Z.of(g, point.u)
+        rays.append((model.lattice.pair(gamma, g), -z / abs(z),
+                     math.pi * point.R * z, 1j * theta_eval(model.lattice,
+                                                             point, g)))
+
+    def part(s: float, k: int) -> float:
+        val = 0.0
+        for pairing, d, a, b in rays:
+            zp = d * math.exp(s)
+            w = a / zp + b + zp * a.conjugate()
+            em1, sh = math.expm1(w.real), math.sin(0.5 * w.imag)
+            sx = 2.0 * (em1 + 1.0) * sh
+            val += pairing * (zp + zeta) / (zp - zeta) * cmath.log(
+                complex(sx * sh - em1, -sx * math.cos(0.5 * w.imag)))
+        return val.imag if k else val.real
+
+    sine = math.sin(min(abs(cmath.phase(zeta / d)) for _, d, *_ in rays))
+    bound = 2.0 * sum(abs(p) for p, *_ in rays) / sine
+    span = math.acosh(max(1.0, math.log(bound / 1e-13)
+                          / (2 * abs(rays[0][2]))))
+    (re, e_re), (im, e_im) = (
+        quad(part, -span, span, args=(k,), epsabs=1e-13, epsrel=1e-12,
+             limit=400, full_output=1)[:2] for k in (0, 1))
+    total = (re + 1j * im) / (-4j * math.pi)
+    return xsf_log(model, point, gamma, zeta) + total, max(e_re, e_im)

@@ -4,15 +4,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 
-from hkforge.lattice import DegeneratePointError, bps_rays, charge
-from hkforge.models import (PentagonPeriods, load_model, model_from_config,
+from hkforge import models
+from hkforge.lattice import DegeneratePointError, Spectrum, bps_rays, charge
+from hkforge.models import (G7_WEIGHTS, GK15_NODES, GK15_WEIGHTS,
+                            PentagonPeriods, load_model, model_from_config,
                             model_info, ov_continued_z, ov_oracle,
                             pentagon_model, pentagon_wall_point, save_model)
 from hkforge.semiflat import ModelPoint, theta_eval, xsf, xsf_log
 from hkforge.solver import evaluate, solve
-from reference import stepwise_periods_state
+from reference import quadpack_ov_log, stepwise_periods_state
 
 G1, G2 = charge(1, 0), charge(0, 1)
 
@@ -233,6 +234,12 @@ def _mp_oracle_log(ov, point, zeta, signs=(1, -1)):
     return xsf_log(ov, point, G1, zeta) + complex(total)
 
 
+# 1.3e-7 rad from the ray of +e2 at |zeta| 4.66 QUADPACK lost digits
+NEAR_RAY_POINT = ModelPoint(-0.1262939485029246 - 0.19987922020950072j,
+                            0.24424648916252484,
+                            (0.42506509791020874, 4.729827528418785))
+
+
 class TestOvOracle:
     def test_matches_solver(self, ov, ov_point, ov_solution):
         rng = np.random.default_rng(17)
@@ -257,9 +264,7 @@ class TestOvOracle:
     def test_matches_mpmath(self, ov):
         # generic points, zeta 1e-4 and 1e-6 rad from a ray, and R |Z| of
         # 5e-6, where |X| is still 0.08 at |s| = 12; with theta 0 there X
-        # comes within 3e-5 of 1, where 1 - X must not cancel, and QUADPACK
-        # reports roundoff with estimates of 2e-13 and 6e-11, under the
-        # oracle's 1e-9 refusal bound
+        # comes within 3e-5 of 1, where 1 - X must not cancel
         u = 0.5 * cmath.exp(0.4j)
         near = ModelPoint(u, 1.0, (0.3, 1.1))
         d = -u / abs(u)  # the ray of +e2
@@ -282,20 +287,70 @@ class TestOvOracle:
         assert abs(got - _mp_oracle_log(ov, point, zeta, signs=(1,))) > 1e-3
 
     def test_failed_quadrature_refused(self, ov, ov_point, monkeypatch):
-        # 1.3e-7 rad from a ray at R 0.24 QUADPACK calls the real pass
-        # divergent (estimate 6e-2) and its value missed mpmath by 0.09
-        u = -0.1262939485029246 - 0.19987922020950072j
-        point = ModelPoint(u, 0.24424648916252484,
-                           (0.42506509791020874, 4.729827528418785))
-        with pytest.raises(ValueError, match="error estimate"):
-            ov_oracle(ov, point, G1, 2.490426774049134 + 3.941474860969964j)
+        # 1.3e-7 rad from a ray at R 0.24, where QUADPACK called its real
+        # pass divergent (estimate 6e-2) and missed mpmath by 0.09: the
+        # oracle refuses or holds mpmath
+        point, zeta = NEAR_RAY_POINT, 2.490426774049134 + 3.941474860969964j
+        try:
+            got = ov_oracle(ov, point, G1, zeta).log_value
+        except ValueError as err:
+            assert "error estimate" in str(err)
+        else:
+            assert abs(got - _mp_oracle_log(ov, point, zeta)) <= 1e-13
         # control: an ordinary value passes until its estimate is large
-        zeta, quad = 0.7 * cmath.exp(0.9j), scipy.integrate.quad
+        zeta, rule = 0.7 * cmath.exp(0.9j), models.gauss_kronrod
         ov_oracle(ov, ov_point, G1, zeta)
-        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (
-            quad(*a, **k)[0], 1e-6, {}))
+        monkeypatch.setattr(models, "gauss_kronrod", lambda *a, **k: (
+            rule(*a, **k)[0], 1e-6))
         with pytest.raises(ValueError, match="error estimate"):
             ov_oracle(ov, ov_point, G1, zeta)
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_near_ray_matches_mpmath(self, ov, side):
+        # zeta 1.3e-7 rad from the ray of +e2, where the kernel peaks at
+        # t = 0 and its pole factor is formed exactly
+        d = -NEAR_RAY_POINT.u / abs(NEAR_RAY_POINT.u)
+        zeta = 4.66 * d * cmath.exp(side * 1.3e-7j)
+        want = _mp_oracle_log(ov, NEAR_RAY_POINT, zeta)
+        try:
+            got = ov_oracle(ov, NEAR_RAY_POINT, G1, zeta).log_value
+        except ValueError as err:
+            assert "error estimate" in str(err)
+        else:
+            assert abs(got - want) <= 1e-13
+        # control: QUADPACK on s with no break point misses by 2e-11 to
+        # 3e-11 with an estimate under the 1e-9 refusal bound
+        old, estimate = quadpack_ov_log(ov, NEAR_RAY_POINT, G1, zeta)
+        assert abs(old - want) > 1e-11 and estimate < 1e-9
+
+    def test_omega_from_spectrum(self, ov, ov_point):
+        e2 = (G2, -G2)
+        double = ov.with_spectrum(Spectrum(
+            lambda g, u: 2 if g in e2 else 0, lambda u: e2))
+        sol = solve(double, ov_point)
+        for zeta in (0.7 * cmath.exp(0.9j), 1.3 * cmath.exp(-2.2j)):
+            got = evaluate(double, sol, G1, zeta).value
+            want = ov_oracle(double, ov_point, G1, zeta).value
+            assert abs(got - want) <= 1e-12 * abs(want)
+            # control: the oracle of Omega 1 misses the Omega 2 solution
+            unit = ov_oracle(ov, ov_point, G1, zeta).value
+            assert abs(got - unit) > 1e-3 * abs(unit)
+
+    def test_rule_table(self):
+        # on [-1, 1] the Kronrod rule is exact through degree 23 (the odd
+        # degrees by symmetry) and the embedded Gauss rule through 13
+        x = GK15_NODES
+        for k in range(24):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(GK15_WEIGHTS @ x ** k - exact) <= 1e-15
+            if k <= 13:
+                assert abs(G7_WEIGHTS @ x ** k - exact) <= 1e-15
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        assert np.allclose(x[1::2], nodes, rtol=0, atol=1e-15)
+        assert np.allclose(G7_WEIGHTS[1::2], weights, rtol=0, atol=1e-15)
+        # controls: Gauss fails at degree 14 and Kronrod at 24
+        assert abs(G7_WEIGHTS @ x ** 14 - 2.0 / 15) > 1e-4
+        assert abs(GK15_WEIGHTS @ x ** 24 - 2.0 / 25) > 1e-9
 
     def test_ray_proximity_rejected(self, ov, ov_point):
         d = -ov_point.u / abs(ov_point.u)
