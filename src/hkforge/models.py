@@ -501,7 +501,8 @@ def ov_oracle(model: ModelDefinition, point, gamma: Charge, zeta: complex):
     cancel near X = 1.  A ValueError refuses zeta within 1e-8 rad of a ray,
     and a value whose error estimate (summed |K - G|) exceeds 1e-9.
     """
-    from .semiflat import theta_eval, xsf  # local import avoids a cycle
+    # local import avoids a cycle
+    from .semiflat import CoordinateValue, theta_eval, xsf
 
     if model.name != "ov":
         raise ValueError("oracle defined for the OV model")
@@ -545,8 +546,8 @@ def ov_oracle(model: ModelDefinition, point, gamma: Charge, zeta: complex):
     if error > 1e-9:
         raise ValueError(f"OV oracle quadrature failed: error estimate "
                          f"{error:.1e} above 1e-9")
-    log_value = ref.log_value - (1.0 / (4j * math.pi)) * total
-    return replace(ref, value=cmath.exp(log_value), log_value=log_value)
+    return CoordinateValue.from_log(
+        gamma, zeta, ref.log_value - (1.0 / (4j * math.pi)) * total)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,20 @@ class CoordinateValue:
     value: complex
     log_value: complex
 
+    @classmethod
+    def from_log(cls, gamma: Charge, zeta, log_value: complex
+                 ) -> "CoordinateValue":
+        """The value exp(log_value); a value past the float range raises
+        ``ValueError`` naming the log value."""
+        try:
+            value = cmath.exp(log_value)
+        except OverflowError:
+            raise ValueError(
+                f"X_{gamma} overflows at zeta={complex(zeta)}: log X = "
+                f"{log_value:.6g}") from None
+        return cls(gamma=gamma, zeta=complex(zeta), value=value,
+                   log_value=log_value)
+
 
 def twist_parity(lattice: Lattice, gamma: Charge) -> int:
     """Quadratic refinement q(gamma) mod 2 entering the twisted character.
@@ -114,9 +128,8 @@ def xsf_log_of(z, theta, R: float, zeta):
 
 
 def xsf(model, point: ModelPoint, gamma: Charge, zeta: complex) -> CoordinateValue:
-    lv = xsf_log(model, point, gamma, zeta)
-    return CoordinateValue(gamma=gamma, zeta=complex(zeta),
-                           value=cmath.exp(lv), log_value=lv)
+    return CoordinateValue.from_log(gamma, zeta,
+                                    xsf_log(model, point, gamma, zeta))
 
 
 # ---------------------------------------------------------------------------

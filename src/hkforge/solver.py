@@ -25,17 +25,18 @@ direction * e^w, built by ``kernel_rows`` from a source grid and target
 poles.  The solve builds it once per class of ray pairs whose charges pair
 to nonzero: the reverse direction is minus its transpose, coth being odd,
 and the antipodal pair (-a, -b) of (a, b) has the same nodes and angle, so
-reads the same kernel.  Off-grid evaluation and the tree sum call the same
-builder.  When the target lies within NEAR_HALF_WIDTHS panel half-widths
-of the source ray (``QuadratureGrid.near_angle``, so the zone narrows as
-the panels refine) the density is continued to the pole, subtracted, and
-added back against the closed-form kernel integral.  The continuation is
-one linear operator, ``_near_term``: per pole, the nodes of one panel and
-their interpolation weights.  The sweep folds it into the kernel block of
-each near direction of a class, so a sweep is a list of matvecs;
-evaluation rebuilds it per pole.  On a ray the two directed boundary
-values of the closed form differ by the residue term +-2 pi i, which is
-how the expected coordinate jumps emerge from one integral representation.
+reads the same kernel.  Off-grid evaluation calls the same builder.  When
+the target lies within NEAR_HALF_WIDTHS panel half-widths of the source ray
+(``QuadratureGrid.near_angle``, so the zone narrows as the panels refine)
+the density is continued to the pole, subtracted, and added back against
+the closed-form kernel integral.  The continuation is one linear operator,
+``_near_term``: per pole, the nodes of one panel and their interpolation
+weights.  The sweep folds it into the kernel block of each near direction
+of a class, so a sweep is a list of matvecs, and the tree sum reads the
+same blocks (``_Workspace.blocks``); evaluation rebuilds it per pole.  On a
+ray the two directed boundary values of the closed form differ by the
+residue term +-2 pi i, which is how the expected coordinate jumps emerge
+from one integral representation.
 
 Every node quantity of a solve is one array of shape (..., U, N): row k is
 unknown k of ``unknowns(grids)``, the (ray, charge) pairs ray-major, on the
@@ -85,6 +86,7 @@ TAIL_MARGIN = 4.0         # safety margin added to -log(eps_quad) for s_max
 MAX_ITER = 50             # sweeps (or tangent sweeps) before giving up
 WALL_TOL_ITER = 1e-11     # iteration tolerance of the wall-continuity solves
 RADIAL_RADII = (1e-2, 1e-3, 1e-4)  # |zeta| samples of the zeta -> 0 limit
+SIDE_OFFSET = 2e-4        # farther angular offset of a Richardson side limit
 
 
 class RSmallError(ValueError):
@@ -502,11 +504,19 @@ class _Workspace:
     ``_near_term`` continuation divided by the source weights, so a term
     is one matvec either way.  ``near_pairs`` counts the ordered ray pairs
     whose block holds a continuation.
+
+    ``blocks`` maps each ordered ray pair (target, source) that a term
+    reads to its coefficient-free (sign, matrix): sign * matrix @
+    (weights * f), with the source ray's weights, is ``cauchy_integral`` of
+    node data f on the source ray at the target ray's nodes.  The terms
+    hold the same matrices, so the map adds no kernel; the tree sum reads
+    it for its own coefficients.
     """
 
     terms: list[tuple[int, int, complex, np.ndarray]]
     weights: np.ndarray
     near_pairs: int
+    blocks: dict[tuple[int, int], tuple[float, np.ndarray]]
 
 
 def _fold(rows: np.ndarray, near: tuple[np.ndarray, np.ndarray],
@@ -532,14 +542,14 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
         q = ray_of.get(-grid.ray.charges[0])
         if q is not None and np.array_equal(grids[q].s_nodes, grid.s_nodes):
             anti[r] = q
-    blocks = {}
+    kernels = {}
 
     def block(rt: int, rs: int):
         pair = (rt, rs)
         if rt in anti and rs in anti:
             pair = min(pair, (anti[rt], anti[rs]), key=sorted)
         a, b = sorted(pair)
-        if (a, b) not in blocks:
+        if (a, b) not in kernels:
             # exactly odd under a <-> b, and even under (-a, -b)
             d_a, d_b = grids[a].ray.direction, grids[b].ray.direction
             dphi = cmath.phase(d_a * d_b.conjugate())
@@ -562,10 +572,10 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
             if near_ab:
                 _fold(rows, _near_term(grids[b], rows, w_ab),
                       grids[b].weights)
-            blocks[(a, b)] = ((1.0, rows, near_ab), back)
-        return blocks[(a, b)][pair[0] > pair[1]]
+            kernels[(a, b)] = ((1.0, rows, near_ab), back)
+        return kernels[(a, b)][pair[0] > pair[1]]
 
-    terms, near_pairs = [], set()
+    terms, blocks, near_pairs = [], {}, set()
     for t, (rt, gt) in enumerate(rows_of):
         for s, (rs, gs) in enumerate(rows_of):
             p = lat.pair(gt, gs)
@@ -573,10 +583,12 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
                 continue
             sign, matrix, near = block(rt, rs)
             terms.append((t, s, -sign * omegas[s] * p / FOUR_PI_I, matrix))
+            blocks[rt, rs] = (sign, matrix)
             if near:
                 near_pairs.add((rt, rs))
     return _Workspace(terms=terms, weights=_node_data(
-        grids, lambda grid, _: grid.weights), near_pairs=len(near_pairs))
+        grids, lambda grid, _: grid.weights), near_pairs=len(near_pairs),
+        blocks=blocks)
 
 
 def _apply(ws: _Workspace, g: np.ndarray) -> np.ndarray:
@@ -787,26 +799,16 @@ def evaluate(model, solution: RaySolution, gamma: Charge, zeta: complex,
     clockwise boundary value, the +-i0 closed-form kernel, when zeta lies
     within ON_RAY_ANGLE of a ray; any other zeta is evaluated where it lies.
     """
-    lv = xsf_log(model, solution.point, gamma, zeta) + upsilon(
-        model, solution, gamma, zeta, side=side)
-    return CoordinateValue(gamma=gamma, zeta=complex(zeta),
-                           value=cmath.exp(lv), log_value=lv)
+    return CoordinateValue.from_log(
+        gamma, zeta, xsf_log(model, solution.point, gamma, zeta)
+        + upsilon(model, solution, gamma, zeta, side=side))
 
 
-def _richardson_upsilon(model, solution: RaySolution, charges: list[Charge],
-                        zeta0: complex, side: int) -> np.ndarray:
-    """Directed log-corrections of ``charges`` on a ray, per charge.
-
-    Evaluates at angular offsets delta and delta/2 on the requested side,
-    both in one call, and extrapolates linearly to the ray; each charge's
-    extrapolation residual must stay below 1e-3 of its value.
-    """
-    if side not in (+1, -1):
-        raise ValueError("side must be +1 (counterclockwise) or -1")
-    delta = 2e-4
-    zetas = zeta0 * np.exp(1j * side * np.array([delta, delta / 2.0]))
-    u1, u2 = _upsilon_value(model, solution.grids, solution.log_one_minus_x,
-                            charges, zetas, side)
+def _side_extrapolation(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """2 u2 - u1, the linear limit on a ray from values ``u1`` and ``u2``
+    at angular offsets SIDE_OFFSET and SIDE_OFFSET / 2 on one side.  Each
+    residual |u2 - u1| must stay below 1e-3 (1 + |limit|), or the limit is
+    refused."""
     extrapolated = 2.0 * u2 - u1
     residual = np.abs(u2 - u1)
     failing = residual > 1e-3 * (1.0 + np.abs(extrapolated))
@@ -817,6 +819,23 @@ def _richardson_upsilon(model, solution: RaySolution, charges: list[Charge],
     return extrapolated
 
 
+def _richardson_upsilon(model, solution: RaySolution, charges: list[Charge],
+                        zeta0: complex, side: int) -> np.ndarray:
+    """Directed log-corrections of ``charges`` on a ray, per charge.
+
+    Evaluates at angular offsets SIDE_OFFSET and SIDE_OFFSET / 2 on the
+    requested side, both in one call, and extrapolates linearly to the ray
+    (``_side_extrapolation``).
+    """
+    if side not in (+1, -1):
+        raise ValueError("side must be +1 (counterclockwise) or -1")
+    zetas = zeta0 * np.exp(1j * side * np.array([SIDE_OFFSET,
+                                                 SIDE_OFFSET / 2.0]))
+    return _side_extrapolation(*_upsilon_value(
+        model, solution.grids, solution.log_one_minus_x, charges, zetas,
+        side))
+
+
 def side_limit(model, solution: RaySolution, gamma: Charge, zeta0: complex,
                side: int) -> CoordinateValue:
     """Directed boundary value on a ray by two-point Richardson in delta.
@@ -825,10 +844,9 @@ def side_limit(model, solution: RaySolution, gamma: Charge, zeta0: complex,
     extrapolates the log-corrections linearly to the ray.
     """
     zeta0 = complex(zeta0)
-    lv = xsf_log(model, solution.point, gamma, zeta0) + complex(
-        _richardson_upsilon(model, solution, [gamma], zeta0, side)[0])
-    return CoordinateValue(gamma=gamma, zeta=zeta0, value=cmath.exp(lv),
-                           log_value=lv)
+    return CoordinateValue.from_log(
+        gamma, zeta0, xsf_log(model, solution.point, gamma, zeta0) + complex(
+            _richardson_upsilon(model, solution, [gamma], zeta0, side)[0]))
 
 
 def ray_jump_defect(model, solution: RaySolution, ray_index: int) -> float:
@@ -838,24 +856,31 @@ def ray_jump_defect(model, solution: RaySolution, ray_index: int) -> float:
     counterclockwise one multiplied by prod (1 - X_{g'}(zeta0))^(Omega
     <gamma, g'>) over the charges g' on the ray, with X_{g'} continuous
     there.  The directed values of the basis charges are off-ray Richardson
-    limits, one evaluation per side; X_{g'} takes the counterclockwise
-    boundary value.
+    limits (``_side_extrapolation``); X_{g'} takes the counterclockwise
+    boundary value.  One evaluation reads both: every charge at zeta0 and
+    at the offsets SIDE_OFFSET and SIDE_OFFSET / 2 on either side, where
+    ``side`` acts only on zeta0.
     """
     ray = solution.grids[ray_index].ray
     lat = model.lattice
     zeta0 = ray.direction
+    basis = lat.basis()
+    n = len(ray.charges)
 
     def values(charges, ups):
-        return [cmath.exp(xsf_log(model, solution.point, g, zeta0) + u)
-                for g, u in zip(charges, ups.tolist())]
+        return [CoordinateValue.from_log(
+            g, zeta0, xsf_log(model, solution.point, g, zeta0) + u).value
+            for g, u in zip(charges, ups.tolist())]
 
-    on_ray = _upsilon_value(model, solution.grids, solution.log_one_minus_x,
-                            ray.charges, zeta0, side=+1)
-    factors = list(zip(ray.charges, ray.omegas, values(ray.charges, on_ray)))
-    basis = lat.basis()
-    ccw, cw = (values(basis, _richardson_upsilon(model, solution, basis,
-                                                 zeta0, side))
-               for side in (+1, -1))
+    d = SIDE_OFFSET
+    ups = _upsilon_value(model, solution.grids, solution.log_one_minus_x,
+                         list(ray.charges) + basis, zeta0 * np.exp(
+                             1j * np.array([0.0, d, d / 2.0, -d, -d / 2.0])),
+                         side=+1)
+    factors = list(zip(ray.charges, ray.omegas, values(ray.charges,
+                                                       ups[0, :n])))
+    ccw, cw = (values(basis, u) for u in _side_extrapolation(
+        ups[1::2, n:], ups[2::2, n:]))
     worst = 0.0
     for gamma, x_ccw, x_cw in zip(basis, ccw, cw):
         jump = 1.0 + 0.0j

@@ -26,17 +26,21 @@ over multisets of children weighted 1/prod_i m_i!: an exponential,
 at delta's nodes.  By degree, H_delta^(k) = c(delta) X^sf_delta e_{k-|delta|}
 with e_0 = 1, e_m = (1/m) sum_{j<=m} j E_j e_{m-j} and E_j = sum_delta'
 <delta, delta'> I[H_delta'^(j)]: the trees of degree k term for term, with a
-vanishing pairing dropping its term as it dropped the edge.  Each degree
-takes one stacked Cauchy integral per (source ray, target ray), and a
-coordinate one per root ray through the solver's ``ray_integrals`` and its
-near-ray rule.  The multicover towers run down to the EPS_TAIL scale.
-``enumerate_trees``, ``tree_weight`` and ``TreeIntegrator.g_integral`` keep
-the tree-by-tree sum as the reference.
+vanishing pairing dropping its term as it dropped the edge.  The integrals
+at a ray's nodes read the kernel blocks of the solver's sweep operator
+(``_prepare``): one kernel per class of ray pairs, with the near-ray
+continuation folded in, built once per point and read by every degree and
+(source ray, target ray) without its coefficient.  The pairings, the
+multicover invariants and the graded exponentials stay the tree sum's own.
+A coordinate takes one Cauchy integral per root ray through the solver's
+``ray_integrals`` and its near-ray rule.  The multicover towers run down to
+the EPS_TAIL scale.  ``enumerate_trees``, ``tree_weight`` and
+``TreeIntegrator.g_integral`` keep the tree-by-tree sum as the reference.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +49,7 @@ import numpy as np
 
 from .lattice import Charge
 from .semiflat import CoordinateValue, ModelPoint, xsf_log
-from .solver import (FOUR_PI_I, QuadratureGrid, build_grids, cauchy_integral,
+from .solver import (FOUR_PI_I, QuadratureGrid, _prepare, build_grids,
                      ray_integrals)
 
 TREE_BUDGET = 200_000  # most trees the reference enumeration lists
@@ -196,9 +200,10 @@ class TreeIntegrator:
 
     Keeps H_delta^(k) on delta's ray nodes per (decoration, degree), its
     integral at the nodes of each ray that reads it, and the summed density
-    per root decoration per cutoff: 1-D arrays only, so no kernel block
-    outlives the call that built it.  EPS_TAIL is a constant, so the cutoff
-    alone keys the sums.
+    per root decoration per cutoff, all 1-D arrays.  The integrals read the
+    kernel blocks of one sweep workspace on the grids (``_prepare``), built
+    at the first integral; they live as long as the integrator and no
+    longer.  EPS_TAIL is a constant, so the cutoff alone keys the sums.
     """
 
     def __init__(self, model, point: ModelPoint,
@@ -233,17 +238,22 @@ class TreeIntegrator:
                 self.model, self.point, gamma, grid.zeta_nodes))
         return self._xsf_cache[gamma]
 
+    @functools.cached_property
+    def _workspace(self):
+        return _prepare(self.model, self.point, self.grids)
+
     def _integrals(self, source: int, target: int, f: np.ndarray
                    ) -> np.ndarray:
-        """(1/4 pi i) int K f over ray ``source`` at the nodes of ``target``."""
-        grid = self.grids[source]
-        w = np.log(self.grids[target].zeta_nodes / grid.ray.direction)
-        return cauchy_integral(grid, f, w) / FOUR_PI_I
+        """(1/4 pi i) int K f over ray ``source`` at the nodes of ``target``:
+        the workspace's block of the ray pair."""
+        sign, matrix = self._workspace.blocks[target, source]
+        return sign * ((self.grids[source].weights * f) @ matrix.T) \
+            / FOUR_PI_I
 
     def _layer(self, delta: Charge, j: int) -> np.ndarray:
         """E_j(delta) = sum_delta' <delta, delta'> I[H_delta'^(j)] at the
         nodes of delta's ray.  The integrals missing there are taken in one
-        stacked Cauchy integral per source ray and kept per delta'."""
+        stacked block product per source ray and kept per delta'."""
         lat = self.model.lattice
         r = self._ray_index(delta)
         paired = [(s, lat.pair(delta, s)) for s, k in self._graded
@@ -379,7 +389,6 @@ def series_solution(model, point: ModelPoint, gamma: Charge, zeta: complex,
     """
     if integrator is None:
         integrator = TreeIntegrator(model, point)
-    exponent = integrator.exponent(gamma, zeta, degree_cutoff)
-    lv = xsf_log(model, point, gamma, zeta) + exponent
-    return CoordinateValue(gamma=gamma, zeta=complex(zeta),
-                           value=cmath.exp(lv), log_value=lv)
+    return CoordinateValue.from_log(
+        gamma, zeta, xsf_log(model, point, gamma, zeta)
+        + integrator.exponent(gamma, zeta, degree_cutoff))

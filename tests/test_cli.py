@@ -71,6 +71,16 @@ class TestExitCodes:
         assert message in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_overflowing_value_is_one_line_error(self, capsys):
+        # |X| past the float range at this zeta: a ValueError naming the
+        # log value, not an OverflowError traceback
+        code, _, err = run(capsys, "tree-compare", "--model", "ov",
+                           "--u=-0.1656,-0.1046", "--R", "7.29",
+                           "--theta", "1.4,2.3", "--zeta", "635.7,-401.7")
+        assert code == 1
+        assert err.startswith("error: ") and "log X = " in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_model_is_error(self, capsys):
         code, _, err = run(capsys, "model-info", "nosuchmodel")
         assert code == 1

@@ -84,6 +84,14 @@ class TestSemiflatCoordinates:
         cv = xsf(ov, ov_point, G1, 0.7 + 0.2j)
         assert cv.value == pytest.approx(cmath.exp(cv.log_value))
 
+    def test_overflow_refused_with_log_value(self, ov):
+        # log |X| = 1870 here, past exp's float range; 0.01 zeta is not
+        point = ModelPoint(-0.1656 - 0.1046j, 7.29, (1.4, 2.3))
+        with pytest.raises(ValueError, match=r"log X = 1869\.7"):
+            xsf(ov, point, G1, 635.7 - 401.7j)
+        cv = xsf(ov, point, G1, 0.01 * (635.7 - 401.7j))
+        assert cv.value == cmath.exp(cv.log_value)
+
     def test_modulus_on_own_ray(self, ov, ov_point):
         z = ov.Z.of(G2, ov_point.u)
         d = -z / abs(z)

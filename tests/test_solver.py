@@ -738,14 +738,96 @@ def _exact_jump_defect(model, sol, ray_index):
     return worst
 
 
+def _three_call_jump_defect(model, sol, ray_index):
+    """``ray_jump_defect`` from one evaluation for the on-ray values and one
+    ``_richardson_upsilon`` per side, three passes over the rays."""
+    ray = sol.grids[ray_index].ray
+    lat = model.lattice
+    zeta0 = ray.direction
+
+    def values(charges, ups):
+        return [cmath.exp(xsf_log(model, sol.point, g, zeta0) + u)
+                for g, u in zip(charges, ups.tolist())]
+
+    on_ray = values(ray.charges, solver._upsilon_value(
+        model, sol.grids, sol.log_one_minus_x, ray.charges, zeta0, side=+1))
+    basis = lat.basis()
+    ccw, cw = (values(basis, _richardson_upsilon(model, sol, basis, zeta0,
+                                                 side))
+               for side in (+1, -1))
+    worst = 0.0
+    for gamma, x_ccw, x_cw in zip(basis, ccw, cw):
+        predicted = x_ccw
+        for g, om, x in zip(ray.charges, ray.omegas, on_ray):
+            predicted *= (1.0 - x) ** (om * lat.pair(gamma, g))
+        worst = max(worst, abs(x_cw - predicted)
+                    / max(abs(x_cw), abs(predicted), 1e-300))
+    return worst
+
+
 class TestJumps:
     def test_jumps_match_transformation(self, pentagon, pentagon_solution):
         for i in range(len(pentagon_solution.grids)):
             assert ray_jump_defect(pentagon, pentagon_solution, i) < 1e-7
             assert _exact_jump_defect(pentagon, pentagon_solution, i) < 1e-12
 
-    def test_batched_directed_values_match_one_zeta(self, pentagon,
-                                                    pentagon_solution):
+    def test_one_evaluation_per_ray(self, pentagon, pentagon_solution,
+                                    monkeypatch):
+        # the on-ray values and both sides' Richardson samples in one pass
+        sol, calls, real = pentagon_solution, [], solver._upsilon_value
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_upsilon_value", counted)
+        for i in range(len(sol.grids)):
+            ray_jump_defect(pentagon, sol, i)
+            assert len(calls) == i + 1
+            assert np.size(calls[-1]) == 5
+        # the three-call form, which the one pass replaces
+        calls.clear()
+        _three_call_jump_defect(pentagon, sol, 0)
+        assert len(calls) == 3
+
+    def test_extrapolation_residual_refused(self, pentagon,
+                                            pentagon_solution, monkeypatch):
+        # Richardson samples 1e-2 apart fail the 1e-3 (1 + |limit|) bound,
+        # in the jump defect and in a side limit
+        sol, real = pentagon_solution, solver._upsilon_value
+        zeta0 = sol.grids[0].ray.direction
+        # control: the genuine samples pass
+        assert ray_jump_defect(pentagon, sol, 0) < 1e-7
+        for side in (+1, -1):
+            side_limit(pentagon, sol, G1, zeta0, side)
+
+        def shifted(*args, **kwargs):
+            # 1e-2 per SIDE_OFFSET / 2 of angle off the ray
+            offset = np.abs(np.angle(np.asarray(args[4]) / zeta0))
+            return real(*args, **kwargs) \
+                + 2e-2 / solver.SIDE_OFFSET * offset[..., None]
+
+        monkeypatch.setattr(solver, "_upsilon_value", shifted)
+        with pytest.raises(RayProximityError,
+                           match="extrapolation residual 1.000e-02"):
+            ray_jump_defect(pentagon, sol, 0)
+        for side in (+1, -1):
+            with pytest.raises(RayProximityError,
+                               match="extrapolation residual 1.000e-02"):
+                side_limit(pentagon, sol, G1, zeta0, side)
+
+    def test_batched_directed_values_match_one_zeta(self, pentagon, ov,
+                                                    pentagon_solution,
+                                                    ov_solution):
+        # the jump defect's one pass against its three-call form, at the
+        # conftest point, at OV and 1.02 x the wall at phi 0.9
+        wall = solve(pentagon, _wall_point(pentagon, 1.02, 0.9, 0.35))
+        for model, sol in ((pentagon, pentagon_solution), (ov, ov_solution),
+                           (pentagon, wall)):
+            for i in range(len(sol.grids)):
+                want = _three_call_jump_defect(model, sol, i)
+                assert abs(ray_jump_defect(model, sol, i) - want) \
+                    <= 1e-15 * want
         # both Richardson offsets and both charges in one call per side,
         # and the radii of the radial limit in one call
         sol, delta = pentagon_solution, 2e-4

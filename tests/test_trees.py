@@ -254,14 +254,17 @@ class TestSharedKernels:
             return kernel_rows(grid, w)
 
         monkeypatch.setattr(solver, "kernel_rows", counted)
+        solver._prepare(pentagon, point, sol.grids)
+        prepared = len(built)
+        assert prepared == 2  # the sweep's antipodal classes at 4 rays
+        # every degree and ray pair reads the one kernel per class
+        built.clear()
         integ = TreeIntegrator(pentagon, point, sol.grids)
         cutoff = 4
         integ.densities(cutoff)
-        lat = pentagon.lattice
-        pairs = sum(1 for a in sol.grids for b in sol.grids
-                    if any(lat.pair(g, h) for g in a.ray.charges
-                           for h in b.ray.charges))
-        assert 0 < len(built) <= (cutoff - 1) * pairs
+        assert len(built) == prepared
+        integ.densities(cutoff + 1)
+        assert len(built) == prepared
         # summed densities: one root integral per ray and zeta
         built.clear()
         series_solution(pentagon, point, G1, _zetas(sol)[0], cutoff,
@@ -324,12 +327,15 @@ class TestSharedKernels:
                         integrator=integ)
 
     def test_no_kernel_kept_and_no_cycle(self, pentagon, strong):
+        # the integrator's own caches hold node data only; its kernels are
+        # the blocks of its workspace, which go with it
         point, sol = strong
         integ = TreeIntegrator(pentagon, point, sol.grids)
         series_solution(pentagon, point, G2, _zetas(sol)[1], 4,
                         integrator=integ)
+        workspace = weakref.ref(integ._workspace)
         arrays, stack = [], [v for k, v in vars(integ).items()
-                             if k.startswith("_")]
+                             if k.startswith("_") and k != "_workspace"]
         while stack:
             item = stack.pop()
             if isinstance(item, dict):
@@ -346,5 +352,6 @@ class TestSharedKernels:
         try:
             del integ
             assert ref() is None
+            assert workspace() is None
         finally:
             gc.enable()
