@@ -7,14 +7,14 @@ corrected metric from the twistor family of symplectic forms.
 """
 
 from .lattice import (Charge, CentralCharge, Lattice, Ray, Spectrum,
-                      bps_rays, central_charge, charge, validate_conditions)
+                      bps_rays, charge, validate_conditions)
 from .semiflat import CoordinateValue, ModelPoint, theta_eval, xsf
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Charge", "CentralCharge", "Lattice", "Ray", "Spectrum",
-    "bps_rays", "central_charge", "charge", "validate_conditions",
+    "bps_rays", "charge", "validate_conditions",
     "CoordinateValue", "ModelPoint", "theta_eval", "xsf",
     "__version__",
 ]

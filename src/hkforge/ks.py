@@ -230,21 +230,6 @@ class TwistedSeries:
                 and self.order == other.order and self.coords == other.coords)
 
 
-def poisson_bracket(f: TwistedSeries, g: TwistedSeries) -> TwistedSeries:
-    """{X_a, X_b} = <a, b> X_{a+b}, extended bilinearly and truncated."""
-    f._check(g)
-    pairing = f.grading.pairing
-    out: dict[tuple[int, ...], int] = {}
-    for ka, ca in f.coords.items():
-        row = [sum(map(mul, ka, col)) for col in zip(*pairing)]
-        for kb, cb in g.coords.items():
-            if sum(ka) + sum(kb) > f.order:
-                continue
-            k = tuple(map(add, ka, kb))
-            out[k] = out.get(k, 0) + sum(map(mul, row, kb)) * ca * cb
-    return TwistedSeries(f.grading, f.order, out)
-
-
 @dataclass
 class TorusAutomorphism:
     """Unipotent automorphism stored by generator-image cofactors."""

@@ -193,10 +193,6 @@ class CentralCharge:
         return sum(c * z for c, z in zip(gamma.coeffs, vals))
 
 
-def central_charge(Z: CentralCharge, gamma: Charge, u: complex) -> complex:
-    return Z.of(gamma, u)
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """BPS degeneracies: an integer for each charge, constant per chamber.

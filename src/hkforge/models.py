@@ -106,18 +106,6 @@ def ov_model(Lambda: complex = 1.0) -> ModelDefinition:
     )
 
 
-def ov_continued_z(model: ModelDefinition, u: complex, loops: int = 1
-                   ) -> tuple[complex, complex]:
-    """Basis central charges after analytic continuation around u = 0.
-
-    Each counterclockwise loop adds 2 pi i to the logarithm, which is how the
-    magnetic period picks up one electric period.
-    """
-    Lam = model.Lambda
-    zm = (u * (cmath.log(u / Lam) + 2j * math.pi * loops) - u) / (2j * math.pi)
-    return (zm, u)
-
-
 # ---------------------------------------------------------------------------
 # Pentagon periods
 
@@ -577,12 +565,6 @@ def model_from_config(cfg: dict) -> ModelDefinition:
     if int(cfg.get("flavor_rank", 0)) != model.lattice.flavor_rank:
         raise ValueError("config flavor rank does not match the builtin lattice")
     return model
-
-
-def save_model(model: ModelDefinition, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def model_info(model: ModelDefinition) -> str:

@@ -215,13 +215,6 @@ def omega3_sf(model, point: ModelPoint) -> np.ndarray:
     return form.real
 
 
-def varpi_sf(model, point: ModelPoint, zeta: complex) -> np.ndarray:
-    """Semiflat two-form family from the analytic coordinate derivatives."""
-    a = dlog_xsf_matrix(model, point, zeta)
-    return pairing_two_form(model.lattice, a,
-                            scale=1.0 / (8.0 * math.pi ** 2 * point.R))
-
-
 def varpi_expected(omega_plus: np.ndarray, omega_3: np.ndarray,
                    zeta: complex) -> np.ndarray:
     """Laurent assembly -(i/2 zeta) w_+ + w_3 - (i/2) zeta conj(w_+);

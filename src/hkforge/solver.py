@@ -85,7 +85,6 @@ R_SMALL_THRESHOLD = 0.9   # reject a point whose |X^sf| reaches this on a ray
 TAIL_MARGIN = 4.0         # safety margin added to -log(eps_quad) for s_max
 MAX_ITER = 50             # sweeps (or tangent sweeps) before giving up
 WALL_TOL_ITER = 1e-11     # iteration tolerance of the wall-continuity solves
-RADIAL_RADII = (1e-2, 1e-3, 1e-4)  # |zeta| samples of the zeta -> 0 limit
 SIDE_OFFSET = 2e-4        # farther angular offset of a Richardson side limit
 
 
@@ -894,14 +893,13 @@ def ray_jump_defect(model, solution: RaySolution, ray_index: int) -> float:
 
 def radial_limit(model, solution: RaySolution, gamma: Charge,
                  direction: complex) -> complex:
-    """Extrapolated zeta -> 0 limit of X/X^sf along a fixed mid-sector arg."""
-    d = direction / abs(direction)
-    vals = np.exp(_upsilon_value(model, solution.grids,
-                                 solution.log_one_minus_x, [gamma],
-                                 d * np.asarray(RADIAL_RADII))[:, 0])
-    # linear-in-radius extrapolation from the two smallest radii
-    r1, r2 = RADIAL_RADII[-2], RADIAL_RADII[-1]
-    return complex(vals[-1] + (vals[-1] - vals[-2]) * r2 / (r1 - r2))
+    """The zeta -> 0 limit of X/X^sf, exp(u_0) of ``zeta_zero_moments``.
+
+    The limit is the same along every direction, so ``direction`` does
+    not enter the value."""
+    u0, _ = zeta_zero_moments(model, solution.grids,
+                              solution.log_one_minus_x, [gamma])
+    return complex(np.exp(u0[0]))
 
 
 def sector_midpoints(grids: list[QuadratureGrid]) -> list[float]:

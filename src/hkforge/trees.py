@@ -26,24 +26,24 @@ over multisets of children weighted 1/prod_i m_i!: an exponential,
 at delta's nodes.  By degree, H_delta^(k) = c(delta) X^sf_delta e_{k-|delta|}
 with e_0 = 1, e_m = (1/m) sum_{j<=m} j E_j e_{m-j} and E_j = sum_delta'
 <delta, delta'> I[H_delta'^(j)]: the trees of degree k term for term, with a
-vanishing pairing dropping its term as it dropped the edge.  The integrals
-at a ray's nodes read the kernel blocks of the solver's sweep operator
-(``_prepare``): one kernel per class of ray pairs, with the near-ray
-continuation folded in, built once per point and read by every degree and
-(source ray, target ray) without its coefficient.  The pairings, the
-multicover invariants and the graded exponentials stay the tree sum's own.
-A coordinate takes one Cauchy integral per root ray through the solver's
-``ray_integrals`` and its near-ray rule.  The multicover towers run down to
-the EPS_TAIL scale.  ``enumerate_trees``, ``tree_weight`` and
-``TreeIntegrator.g_integral`` keep the tree-by-tree sum as the reference.
+vanishing pairing dropping its term as it dropped the edge.
+
+The decorations are the multiples n gamma of the charges on the given
+rays, each on gamma's ray, so the sum sees the spectrum the solve saw.
+Their integrals read the kernel blocks of the solver's sweep operator
+(``_prepare``, near-ray continuation folded in), one product per block and
+degree; the pairings, multicover invariants and graded exponentials are
+the tree sum's own.  A coordinate takes one Cauchy integral per root ray
+through the solver's ``ray_integrals``.  The tests keep a tree-by-tree
+reference (``tests/reference.py``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,12 +52,7 @@ from .semiflat import CoordinateValue, ModelPoint, xsf_log
 from .solver import (FOUR_PI_I, QuadratureGrid, _prepare, build_grids,
                      ray_integrals)
 
-TREE_BUDGET = 200_000  # most trees the reference enumeration lists
 EPS_TAIL = 1e-16       # scale exp(-2 pi R n |Z|) down to which towers run
-
-
-class TreeBudgetError(RuntimeError):
-    """Enumeration would exceed TREE_BUDGET trees."""
 
 
 def multicover(spectrum, gamma: Charge, u: complex) -> Fraction:
@@ -65,8 +60,9 @@ def multicover(spectrum, gamma: Charge, u: complex) -> Fraction:
     if gamma.is_zero():
         raise ValueError("multicover invariant undefined for the zero charge")
     total = Fraction(0)
-    for n in range(1, gamma.content() + 1):
-        if all(c % n == 0 for c in gamma.coeffs):
+    content = gamma.content()
+    for n in range(1, content + 1):
+        if content % n == 0:
             part = Charge(tuple(c // n for c in gamma.coeffs))
             om = spectrum.omega(part, u)
             if om:
@@ -74,136 +70,33 @@ def multicover(spectrum, gamma: Charge, u: complex) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class DecoratedTree:
-    """Rooted tree with charge decorations; children kept in canonical order."""
-
-    decoration: Charge
-    children: tuple["DecoratedTree", ...] = ()
-
-    def canonical_key(self):
-        return (self.decoration.coeffs,
-                tuple(c.canonical_key() for c in self.children))
-
-    def degree(self) -> int:
-        return self.decoration.l1_degree() + sum(c.degree() for c in self.children)
-
-    def height(self) -> int:
-        return 1 + max((c.height() for c in self.children), default=-1)
-
-    def aut_order(self) -> int:
-        order = 1
-        for child in self.children:
-            order *= child.aut_order()
-        run = 1
-        for prev, cur in zip(self.children, self.children[1:]):
-            if prev.canonical_key() == cur.canonical_key():
-                run += 1
-            else:
-                order *= math.factorial(run)
-                run = 1
-        order *= math.factorial(run)
-        return order
-
-
-def tree_weight(model, tree: DecoratedTree, u: complex) -> Fraction:
-    """c(T): automorphism factor, node multicovers, edge pairings."""
-    w = Fraction(1, tree.aut_order())
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        w *= multicover(model.spectrum, node.decoration, u)
-        if not w:
-            return Fraction(0)
-        for child in node.children:
-            p = model.lattice.pair(node.decoration, child.decoration)
-            if p == 0:
-                return Fraction(0)
-            w *= p
-            stack.append(child)
-    return w
-
-
-def _decorations(model, u: complex, cutoff: int) -> dict[Charge, Fraction]:
-    """c(gamma) of the charges with nonzero c and degree within the cutoff,
-    by degree."""
-    charges = {n * base for base in model.spectrum.support(u)
-               for n in range(1, cutoff // base.l1_degree() + 1)}
-    weights = {g: multicover(model.spectrum, g, u) for g in sorted(
-        charges, key=lambda g: (g.l1_degree(), g.coeffs))}
-    return {g: c for g, c in weights.items() if c}
-
-
-def enumerate_trees(model, u: complex, degree_cutoff: int
-                    ) -> list[tuple[DecoratedTree, Fraction]]:
-    """All isomorphism classes of nonzero-weight trees up to the cutoff.
-
-    Tree degree is the summed L1 degree of the decorations, matching the
-    exp(-2 pi R sum|Z|) suppression of the corresponding integrals.  Trees
-    with a vanishing parent-child pairing are pruned while building, so
-    every returned tree has a nonzero weight.  More than TREE_BUDGET trees
-    raise ``TreeBudgetError``.
+class _Decorations(NamedTuple):
+    """The decorations of one cutoff by degree, then coefficients: charge,
+    L1 degree, ray and c(delta) X^sf at the ray's nodes.  The first
+    ``graded`` lie within the cutoff, the rest are the towers past it;
+    ``pairs[t]`` lists the (i < graded, <delta_t, delta_i>) that are not 0.
     """
-    lat = model.lattice
-    decorations = _decorations(model, u, degree_cutoff)
-    # pool: trees of degree < cutoff in a stable order (by degree, then
-    # canonical key), usable as children of anything built later
-    pool: list[DecoratedTree] = []
-    pool_degree: list[int] = []
-    levels: dict[int, list[DecoratedTree]] = {}
-    count = 0
 
-    def multisets(total: int, start: int):
-        """Child multisets with degree sum exactly ``total``, from pool[start:]."""
-        if total == 0:
-            yield ()
-            return
-        for i in range(start, len(pool)):
-            d = pool_degree[i]
-            if d > total:
-                break  # pool degrees are nondecreasing
-            for rest in multisets(total - d, i):
-                yield (pool[i],) + rest
-
-    for k in range(1, degree_cutoff + 1):
-        level = []
-        for gamma in decorations:
-            d = gamma.l1_degree()
-            if d > k:
-                continue
-            for kids in multisets(k - d, 0):
-                if any(lat.pair(gamma, kid.decoration) == 0 for kid in kids):
-                    continue
-                level.append(DecoratedTree(gamma, kids))
-                count += 1
-                if count > TREE_BUDGET:
-                    raise TreeBudgetError(
-                        f"more than {TREE_BUDGET} trees below degree "
-                        f"{degree_cutoff}")
-        levels[k] = level
-        if k < degree_cutoff:
-            for tree in sorted(level, key=lambda t: t.canonical_key()):
-                pool.append(tree)
-                pool_degree.append(k)
-
-    out = []
-    for k in range(1, degree_cutoff + 1):
-        for tree in levels[k]:
-            w = tree_weight(model, tree, u)
-            if w:
-                out.append((tree, w))
-    return out
+    charges: tuple[Charge, ...]
+    degrees: tuple[int, ...]
+    rays: tuple[int, ...]
+    xsf: tuple[np.ndarray, ...]
+    graded: int
+    pairs: tuple[tuple[tuple[int, int], ...], ...]
 
 
 class TreeIntegrator:
     """Graded root densities at one point on shared grids.
 
-    Keeps H_delta^(k) on delta's ray nodes per (decoration, degree), its
-    integral at the nodes of each ray that reads it, and the summed density
-    per root decoration per cutoff, all 1-D arrays.  The integrals read the
-    kernel blocks of one sweep workspace on the grids (``_prepare``), built
-    at the first integral; they live as long as the integrator and no
-    longer.  EPS_TAIL is a constant, so the cutoff alone keys the sums.
+    The decorations are the multiples of each ray's charges, on that ray,
+    up to the cutoff and along the multicover towers past it down to
+    EPS_TAIL: one table per cutoff.  Keeps H_delta^(k) per (decoration,
+    degree), the integrals of degree j at the nodes of each ray that reads
+    them, and the summed density per decoration per cutoff, all 1-D
+    arrays.  The integrals read the kernel blocks of one sweep workspace
+    on the grids (``_prepare``), built at the first integral, which lives
+    as long as the integrator.  EPS_TAIL is a constant, so the cutoff alone
+    keys the sums.
     """
 
     def __init__(self, model, point: ModelPoint,
@@ -211,61 +104,77 @@ class TreeIntegrator:
         self.model = model
         self.point = point
         self.grids = grids if grids is not None else build_grids(model, point)
-        self._rays: dict[Charge, int] = {}
-        self._xsf_cache: dict[Charge, np.ndarray] = {}
+        self._tables: dict[int, _Decorations] = {}
         self._graded: dict[tuple[Charge, int], np.ndarray] = {}
-        self._at_nodes: dict[tuple[Charge, int, int], np.ndarray] = {}
+        self._at_nodes: dict[int, dict[tuple[Charge, int], np.ndarray]] = {}
         self._densities: dict[int, dict[Charge, tuple[int, np.ndarray]]] = {}
 
-    def _ray_index(self, gamma: Charge) -> int:
-        if gamma not in self._rays:
-            z = self.model.Z.of(gamma, self.point.u)
-            d = -z / abs(z)
-            for i, grid in enumerate(self.grids):
-                if abs(grid.ray.direction - d) < 1e-9:
-                    self._rays[gamma] = i
-                    break
-            else:
-                raise ValueError(
-                    f"no quadrature ray matches the charge {gamma}")
-        return self._rays[gamma]
-
-    def _xsf_nodes(self, gamma: Charge) -> np.ndarray:
-        """X^sf of gamma at the nodes of gamma's own ray."""
-        if gamma not in self._xsf_cache:
-            grid = self.grids[self._ray_index(gamma)]
-            self._xsf_cache[gamma] = np.exp(xsf_log(
-                self.model, self.point, gamma, grid.zeta_nodes))
-        return self._xsf_cache[gamma]
+    def _table(self, degree_cutoff: int) -> _Decorations:
+        """The decorations of the cutoff with a nonzero c(delta); the X^sf
+        rows of the charges an earlier table holds are that table's."""
+        if degree_cutoff not in self._tables:
+            model, point = self.model, self.point
+            known = {g: row for table in self._tables.values()
+                     for g, row in zip(table.charges, table.xsf)}
+            ray_of = {}
+            for r, grid in enumerate(self.grids):
+                for base, z in zip(grid.ray.charges, grid.ray.zs):
+                    scale = 2.0 * math.pi * point.R * abs(z)
+                    n = 1
+                    while (n * base.l1_degree() <= degree_cutoff
+                           or n * scale < -math.log(EPS_TAIL)):
+                        ray_of[n * base] = r
+                        n += 1
+            weights = {g: multicover(model.spectrum, g, point.u)
+                       for g in sorted(ray_of, key=lambda g: (
+                           g.l1_degree(), g.coeffs))}
+            charges = tuple(g for g, c in weights.items() if c)
+            degrees = tuple(g.l1_degree() for g in charges)
+            graded = sum(d <= degree_cutoff for d in degrees)
+            coeffs = np.array([g.coeffs for g in charges[:graded]],
+                              dtype=np.int64).reshape(
+                                  graded, model.lattice.rank_total)
+            pairing = (coeffs @ model.lattice.matrix() @ coeffs.T).tolist()
+            self._tables[degree_cutoff] = _Decorations(
+                charges, degrees, tuple(ray_of[g] for g in charges),
+                tuple(known[g] if g in known else float(weights[g]) * np.exp(
+                    xsf_log(model, point, g, self.grids[ray_of[g]].zeta_nodes))
+                    for g in charges),
+                graded, tuple(tuple((i, p) for i, p in enumerate(row) if p)
+                              for row in pairing))
+        return self._tables[degree_cutoff]
 
     @functools.cached_property
     def _workspace(self):
         return _prepare(self.model, self.point, self.grids)
 
-    def _integrals(self, source: int, target: int, f: np.ndarray
-                   ) -> np.ndarray:
-        """(1/4 pi i) int K f over ray ``source`` at the nodes of ``target``:
-        the workspace's block of the ray pair."""
-        sign, matrix = self._workspace.blocks[target, source]
-        return sign * ((self.grids[source].weights * f) @ matrix.T) \
-            / FOUR_PI_I
+    def _integrals(self, table: _Decorations, j: int
+                   ) -> dict[tuple[Charge, int], np.ndarray]:
+        """(1/4 pi i) int K H_delta'^(j) at the nodes of every ray that
+        reads delta''s ray, by (delta', target ray): one product per block
+        of the workspace, over the decorations of degree <= j on its source
+        ray.  ``table`` is that of a cutoff >= j, so it lists them all."""
+        if j not in self._at_nodes:
+            at_nodes = {}
+            for (rt, rs), (sign, matrix) in self._workspace.blocks.items():
+                src = [g for g, d, r in zip(table.charges, table.degrees,
+                                            table.rays) if r == rs and d <= j]
+                if not src:
+                    continue
+                rows = sign * ((self.grids[rs].weights * np.array(
+                    [self._graded[g, j] for g in src])) @ matrix.T) \
+                    / FOUR_PI_I
+                for g, row in zip(src, rows):
+                    at_nodes[g, rt] = row.copy()
+            self._at_nodes[j] = at_nodes
+        return self._at_nodes[j]
 
-    def _layer(self, delta: Charge, j: int) -> np.ndarray:
+    def _layer(self, table: _Decorations, t: int, j: int):
         """E_j(delta) = sum_delta' <delta, delta'> I[H_delta'^(j)] at the
-        nodes of delta's ray.  The integrals missing there are taken in one
-        stacked block product per source ray and kept per delta'."""
-        lat = self.model.lattice
-        r = self._ray_index(delta)
-        paired = [(s, lat.pair(delta, s)) for s, k in self._graded
-                  if k == j and lat.pair(delta, s)]
-        missing = [s for s, _ in paired if (s, j, r) not in self._at_nodes]
-        for rs in sorted({self._ray_index(s) for s in missing}):
-            src = [s for s in missing if self._ray_index(s) == rs]
-            rows = self._integrals(rs, r, np.array([self._graded[s, j]
-                                                    for s in src]))
-            for s, row in zip(src, rows):
-                self._at_nodes[s, j, r] = row.copy()
-        return sum(p * self._at_nodes[s, j, r] for s, p in paired)
+        nodes of delta's ray, delta the t-th decoration of ``table``."""
+        at_nodes, r = self._integrals(table, j), table.rays[t]
+        return sum(p * at_nodes[table.charges[i], r]
+                   for i, p in table.pairs[t] if table.degrees[i] <= j)
 
     def densities(self, degree_cutoff: int
                   ) -> dict[Charge, tuple[int, np.ndarray]]:
@@ -277,42 +186,25 @@ class TreeIntegrator:
         scale stays above EPS_TAIL.
         """
         if degree_cutoff not in self._densities:
-            sums: dict[Charge, np.ndarray] = {}
-            decorations = _decorations(self.model, self.point.u,
-                                       degree_cutoff)
+            table = self._table(degree_cutoff)
+            sums: dict[int, np.ndarray] = {}
             for k in range(1, degree_cutoff + 1):
-                for delta, c in decorations.items():
-                    m = k - delta.l1_degree()
+                for t in range(table.graded):
+                    m = k - table.degrees[t]
                     if m < 0:
-                        continue
-                    if (delta, k) not in self._graded:
-                        self._graded[delta, k] = float(c) * self._xsf_nodes(
-                            delta) * _graded_exp([self._layer(delta, j)
-                                                  for j in range(1, m + 1)])
-                    h = self._graded[delta, k]
-                    sums[delta] = sums[delta] + h if delta in sums else h
-            for tree, c in _tower_tails(self.model, self.point,
-                                        degree_cutoff):
-                sums[tree.decoration] = float(c) * self._xsf_nodes(
-                    tree.decoration)
-            self._densities[degree_cutoff] = {d: (self._ray_index(d), f)
-                                              for d, f in sums.items()}
+                        break
+                    key = (table.charges[t], k)
+                    if key not in self._graded:
+                        self._graded[key] = table.xsf[t] * _graded_exp(
+                            [self._layer(table, t, j)
+                             for j in range(1, m + 1)])
+                    h = self._graded[key]
+                    sums[t] = sums[t] + h if t in sums else h
+            sums.update((t, table.xsf[t])
+                        for t in range(table.graded, len(table.charges)))
+            self._densities[degree_cutoff] = {
+                table.charges[t]: (table.rays[t], f) for t, f in sums.items()}
         return self._densities[degree_cutoff]
-
-    def _root_integrand(self, tree: DecoratedTree) -> np.ndarray:
-        """X^sf of the root times its children's integrals at its nodes."""
-        r = self._ray_index(tree.decoration)
-        vals = self._xsf_nodes(tree.decoration)
-        for child in tree.children:
-            vals = vals * self._integrals(self._ray_index(child.decoration),
-                                          r, self._root_integrand(child))
-        return vals
-
-    def g_integral(self, tree: DecoratedTree, zeta):
-        """G_T at an off-ray zeta (a number or a 1-d array), tree by tree."""
-        r = self._ray_index(tree.decoration)
-        return ray_integrals(self.grids, [r], self._root_integrand(tree)[None],
-                             [[1.0 / FOUR_PI_I]], zeta)[..., 0]
 
     def exponent(self, gamma: Charge, zeta: complex, degree_cutoff: int
                  ) -> complex:
@@ -334,22 +226,6 @@ def _graded_exp(layers: list[np.ndarray]):
         e.append(sum(j * layers[j - 1] * e[m - j]
                      for j in range(1, m + 1)) / m)
     return e[-1]
-
-
-def _tower_tails(model, point: ModelPoint, degree_cutoff: int
-                 ) -> list[tuple[DecoratedTree, Fraction]]:
-    """Single nodes n * beta past the cutoff down to the EPS_TAIL scale."""
-    tails = []
-    for base in model.spectrum.support(point.u):
-        scale = 2.0 * math.pi * point.R * abs(model.Z.of(base, point.u))
-        n = degree_cutoff // base.l1_degree() + 1
-        while n * scale < -math.log(EPS_TAIL):
-            delta = n * base
-            c = multicover(model.spectrum, delta, point.u)
-            if c:
-                tails.append((DecoratedTree(delta), c))
-            n += 1
-    return tails
 
 
 def layer_gate(layer: float, prev_layer: float, q_floor: float,

@@ -1,6 +1,7 @@
 """Test-only references: the least-squares Laurent fit of sampled two-forms,
-the closed-form Gibbons-Hawking metric of the OV model, the pentagon
-periods continued one step at a time, and the OV oracle as QUADPACK ran it.
+the semiflat two-form family, the closed-form Gibbons-Hawking metric of the
+OV model, the pentagon periods continued one step at a time, the OV oracle
+as QUADPACK ran it, and the tree sum taken tree by tree.
 
 None shares code with the pipeline it checks: the fit takes varpi only
 through its samples, the OV metric is a Bessel sum (GMN, arXiv:0807.4723)
@@ -8,7 +9,10 @@ with no ray integral at all, and the step-by-step continuation calls
 ``np.roots`` and sums each cycle on its own, where
 ``PentagonPeriods.state`` batches the whole path.  The QUADPACK oracle
 serves only as a control: it shows what ``models.ov_oracle`` missed before
-it took its own Gauss-Kronrod rule.
+it took its own Gauss-Kronrod rule.  The tree-by-tree sum lists the trees
+from the spectrum's support, finds each charge's ray by its direction and
+takes X^sf from ``xsf_log`` at that ray's nodes; of the tree sum's code it
+shares only ``cauchy_integral``.
 """
 
 from __future__ import annotations
@@ -16,14 +20,21 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import k0, k1
 
 from hkforge.geometry import LaurentFit, metric_from_triple
-from hkforge.lattice import DegeneratePointError, charge
-from hkforge.semiflat import omega3_sf, omega_plus_sf, theta_eval, xsf_log
+from hkforge.lattice import Charge, DegeneratePointError, charge
+from hkforge.semiflat import (dlog_xsf_matrix, omega3_sf, omega_plus_sf,
+                              pairing_two_form, theta_eval, xsf_log)
+from hkforge.solver import FOUR_PI_I, cauchy_integral
+
+TREE_BUDGET = 200_000  # most trees the enumeration lists
+EPS_TAIL = 1e-16       # scale exp(-2 pi R n |Z|) down to which towers run
 
 
 def laurent_fit(zetas, samples) -> LaurentFit:
@@ -43,6 +54,13 @@ def laurent_fit(zetas, samples) -> LaurentFit:
                       residual=residual,
                       omega3_imag=float(np.max(np.abs(b.imag))),
                       conj_defect=float(np.max(np.abs(c + np.conj(a)))))
+
+
+def varpi_sf(model, point, zeta) -> np.ndarray:
+    """Semiflat two-form family from the analytic coordinate derivatives."""
+    return pairing_two_form(model.lattice,
+                            dlog_xsf_matrix(model, point, zeta),
+                            scale=1.0 / (8.0 * math.pi ** 2 * point.R))
 
 
 def spread_zetas(grids, per_sector: int = 3) -> list[complex]:
@@ -200,3 +218,228 @@ def quadpack_ov_log(model, point, gamma, zeta) -> tuple[complex, float]:
              limit=400, full_output=1)[:2] for k in (0, 1))
     total = (re + 1j * im) / (-4j * math.pi)
     return xsf_log(model, point, gamma, zeta) + total, max(e_re, e_im)
+
+
+class TreeBudgetError(RuntimeError):
+    """Enumeration would exceed TREE_BUDGET trees."""
+
+
+def multicover(spectrum, gamma: Charge, u: complex) -> Fraction:
+    """c(gamma) = sum over the n dividing gamma of Omega(gamma / n) / n^2."""
+    return sum((Fraction(spectrum.omega(Charge(tuple(
+        c // n for c in gamma.coeffs)), u), n * n)
+        for n in range(1, gamma.content() + 1)
+        if all(c % n == 0 for c in gamma.coeffs)), Fraction(0))
+
+
+@dataclass(frozen=True)
+class DecoratedTree:
+    """Rooted tree with charge decorations; children in canonical order."""
+
+    decoration: Charge
+    children: tuple["DecoratedTree", ...] = ()
+
+    def canonical_key(self):
+        return (self.decoration.coeffs,
+                tuple(c.canonical_key() for c in self.children))
+
+    def degree(self) -> int:
+        return self.decoration.l1_degree() + sum(c.degree()
+                                                 for c in self.children)
+
+    def height(self) -> int:
+        return 1 + max((c.height() for c in self.children), default=-1)
+
+    def aut_order(self) -> int:
+        order = 1
+        for child in self.children:
+            order *= child.aut_order()
+        run = 1
+        for prev, cur in zip(self.children, self.children[1:]):
+            if prev.canonical_key() == cur.canonical_key():
+                run += 1
+            else:
+                order *= math.factorial(run)
+                run = 1
+        order *= math.factorial(run)
+        return order
+
+
+def tree_weight(model, tree: DecoratedTree, u: complex) -> Fraction:
+    """c(T): automorphism factor, node multicovers, edge pairings."""
+    w = Fraction(1, tree.aut_order())
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        w *= multicover(model.spectrum, node.decoration, u)
+        if not w:
+            return Fraction(0)
+        for child in node.children:
+            p = model.lattice.pair(node.decoration, child.decoration)
+            if p == 0:
+                return Fraction(0)
+            w *= p
+            stack.append(child)
+    return w
+
+
+def decorations(model, u: complex, cutoff: int) -> dict[Charge, Fraction]:
+    """c(gamma) of the multiples of the support's charges with nonzero c
+    and degree within the cutoff, by degree."""
+    charges = {n * base for base in model.spectrum.support(u)
+               for n in range(1, cutoff // base.l1_degree() + 1)}
+    weights = {g: multicover(model.spectrum, g, u) for g in sorted(
+        charges, key=lambda g: (g.l1_degree(), g.coeffs))}
+    return {g: c for g, c in weights.items() if c}
+
+
+def enumerate_trees(model, u: complex, degree_cutoff: int
+                    ) -> list[tuple[DecoratedTree, Fraction]]:
+    """All isomorphism classes of nonzero-weight trees up to the cutoff.
+
+    Tree degree is the summed L1 degree of the decorations, matching the
+    exp(-2 pi R sum|Z|) suppression of the corresponding integrals.  Trees
+    with a vanishing parent-child pairing are pruned while building, so
+    every returned tree has a nonzero weight.  More than TREE_BUDGET trees
+    raise ``TreeBudgetError``.
+    """
+    lat = model.lattice
+    decos = decorations(model, u, degree_cutoff)
+    # pool: trees of degree < cutoff in a stable order (by degree, then
+    # canonical key), usable as children of anything built later
+    pool: list[DecoratedTree] = []
+    pool_degree: list[int] = []
+    levels: dict[int, list[DecoratedTree]] = {}
+    count = 0
+
+    def multisets(total: int, start: int):
+        """Child multisets of degree sum ``total``, from pool[start:]."""
+        if total == 0:
+            yield ()
+            return
+        for i in range(start, len(pool)):
+            d = pool_degree[i]
+            if d > total:
+                break  # pool degrees are nondecreasing
+            for rest in multisets(total - d, i):
+                yield (pool[i],) + rest
+
+    for k in range(1, degree_cutoff + 1):
+        level = []
+        for gamma in decos:
+            d = gamma.l1_degree()
+            if d > k:
+                continue
+            for kids in multisets(k - d, 0):
+                if any(lat.pair(gamma, kid.decoration) == 0 for kid in kids):
+                    continue
+                level.append(DecoratedTree(gamma, kids))
+                count += 1
+                if count > TREE_BUDGET:
+                    raise TreeBudgetError(
+                        f"more than {TREE_BUDGET} trees below degree "
+                        f"{degree_cutoff}")
+        levels[k] = level
+        if k < degree_cutoff:
+            for tree in sorted(level, key=lambda t: t.canonical_key()):
+                pool.append(tree)
+                pool_degree.append(k)
+
+    out = []
+    for k in range(1, degree_cutoff + 1):
+        for tree in levels[k]:
+            w = tree_weight(model, tree, u)
+            if w:
+                out.append((tree, w))
+    return out
+
+
+def tower_tails(model, point, degree_cutoff: int
+                ) -> list[tuple[DecoratedTree, Fraction]]:
+    """Single nodes n * beta past the cutoff down to the EPS_TAIL scale."""
+    tails = []
+    for base in model.spectrum.support(point.u):
+        scale = 2.0 * math.pi * point.R * abs(model.Z.of(base, point.u))
+        n = degree_cutoff // base.l1_degree() + 1
+        while n * scale < -math.log(EPS_TAIL):
+            c = multicover(model.spectrum, n * base, point.u)
+            if c:
+                tails.append((DecoratedTree(n * base), c))
+            n += 1
+    return tails
+
+
+class TreeReference:
+    """Tree-by-tree integrals G_T at one point on given grids.
+
+    A charge's ray is the grid whose direction is -Z/|Z| to 1e-9, and its
+    X^sf is ``xsf_log`` at that ray's nodes.  A tree's root integrand is
+    X^sf of its root times its children's integrals (1/4 pi i) int K at the
+    root's nodes; G_T is the same integral of it at zeta.
+    """
+
+    def __init__(self, model, point, grids):
+        self.model, self.point, self.grids = model, point, grids
+        self._rays: dict[Charge, int] = {}
+
+    def ray_index(self, gamma: Charge) -> int:
+        if gamma not in self._rays:
+            z = self.model.Z.of(gamma, self.point.u)
+            self._rays[gamma] = next(
+                (i for i, grid in enumerate(self.grids)
+                 if abs(grid.ray.direction + z / abs(z)) < 1e-9), None)
+        if self._rays[gamma] is None:
+            raise ValueError(f"no quadrature ray matches the charge {gamma}")
+        return self._rays[gamma]
+
+    def xsf_nodes(self, gamma: Charge) -> np.ndarray:
+        grid = self.grids[self.ray_index(gamma)]
+        return np.exp(xsf_log(self.model, self.point, gamma,
+                              grid.zeta_nodes))
+
+    def _integral(self, gamma: Charge, f: np.ndarray, zetas) -> np.ndarray:
+        """(1/4 pi i) int K f over gamma's ray at ``zetas``."""
+        grid = self.grids[self.ray_index(gamma)]
+        return cauchy_integral(grid, f, np.log(
+            np.asarray(zetas) / grid.ray.direction)) / FOUR_PI_I
+
+    def root_integrand(self, tree: DecoratedTree) -> np.ndarray:
+        nodes = self.grids[self.ray_index(tree.decoration)].zeta_nodes
+        vals = self.xsf_nodes(tree.decoration)
+        for child in tree.children:
+            vals = vals * self._integral(child.decoration,
+                                         self.root_integrand(child), nodes)
+        return vals
+
+    def g_integral(self, tree: DecoratedTree, zeta):
+        """G_T at an off-ray zeta (a number or a 1-d array)."""
+        out = self._integral(tree.decoration, self.root_integrand(tree),
+                             np.atleast_1d(zeta))
+        return out if np.ndim(zeta) else out[0]
+
+    def integrals(self, trees, zetas) -> list[np.ndarray]:
+        """G_T at the zetas for each tree, from a dense (1/4 pi i) int K
+        operator per ray pair and one root integrand per distinct subtree:
+        ``g_integral`` for many trees at once."""
+        ops, memo = {}, {}
+
+        def integral(child: Charge, root: Charge, f):
+            key = (self.ray_index(child), self.ray_index(root))
+            if key not in ops:
+                n = self.grids[key[0]].s_nodes.size
+                ops[key] = self._integral(
+                    child, np.eye(n), self.grids[key[1]].zeta_nodes)
+            return f @ ops[key]
+
+        def root(tree):
+            key = tree.canonical_key()
+            if key not in memo:
+                vals = self.xsf_nodes(tree.decoration)
+                for child in tree.children:
+                    vals = vals * integral(child.decoration, tree.decoration,
+                                           root(child))
+                memo[key] = vals
+            return memo[key]
+
+        return [self._integral(tree.decoration, root(tree), zetas)
+                for tree in trees]

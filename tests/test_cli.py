@@ -14,8 +14,8 @@ import pytest
 from hkforge import geometry, solver
 from hkforge.cli import content_hash, load_solution, main
 from hkforge.lattice import charge
-from hkforge.semiflat import ModelPoint, omega3_sf, omega_plus_sf, varpi_sf
-from reference import laurent_fit
+from hkforge.semiflat import ModelPoint, omega3_sf, omega_plus_sf
+from reference import laurent_fit, varpi_sf
 
 
 def run(capsys, *argv):
@@ -357,6 +357,15 @@ class TestReports:
         assert code == 0
         assert "FAIL" not in out
         assert "next layer |S_9 - S_8|" in out
+
+    def test_tree_compare_charge_below_spectral_cutoff(self, capsys):
+        # at R 3.2 the rays of +-e1 fall below the spectral cutoff, so the
+        # solve drops them, and the tree sum takes its charges from the rays
+        code, out, err = run(capsys, "tree-compare", "--model", "pentagon",
+                             "--u", "1.2,0", "--R", "3.2",
+                             "--theta", "0.37,1.29", "--zeta", "0.3,0.95")
+        assert code == 0, err
+        assert "FAIL" not in out
 
     def test_wcf_dump_series(self, capsys):
         code, out, _ = run(capsys, "wcf-check", "--model", "pentagon",

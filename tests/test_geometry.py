@@ -9,9 +9,10 @@ from hkforge.geometry import (VarpiSampler, fit_point, metric_from_triple,
                               triple_wedge_check, wedge4)
 from hkforge.models import pentagon_wall_point
 from hkforge.semiflat import (ModelPoint, dlog_xsf_matrix, omega3_sf,
-                              omega_plus_sf, varpi_sf, xsf_log)
+                              omega_plus_sf, xsf_log)
 from hkforge.solver import RSmallError, _upsilon_value, midsector_zetas
-from reference import laurent_fit, ov_gibbons_hawking, spread_zetas
+from reference import (laurent_fit, ov_gibbons_hawking, spread_zetas,
+                       varpi_sf)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hkforge.ks import (ConeGrading, GradingError, TorusAutomorphism,
                         TwistedSeries, check_wcf, compose, ks_transform,
-                        ordered_product, poisson_bracket, spectrum_generator)
+                        ordered_product, spectrum_generator)
 from hkforge.lattice import Lattice, charge
 from hkforge.models import pentagon_wall_point
 
@@ -99,28 +99,6 @@ class TestSeriesAlgebra:
         assert TwistedSeries.monomial(grading, 8, G1, 0) + z == z
         assert z.scaled(0) == empty
         assert (z - z).terms == {}
-
-
-class TestPoissonBracket:
-    def test_basis_bracket(self, grading):
-        f = TwistedSeries.monomial(grading, 8, G1)
-        g = TwistedSeries.monomial(grading, 8, G2)
-        br = poisson_bracket(f, g)
-        assert br.terms == {G12: Fraction(1)}
-
-    def test_antisymmetry(self, grading):
-        f = TwistedSeries.monomial(grading, 8, G1, Fraction(2, 3))
-        assert poisson_bracket(f, f).terms == {}
-
-    def test_jacobi_identity(self, grading):
-        f = TwistedSeries.monomial(grading, 10, G1) \
-            + TwistedSeries.monomial(grading, 10, 2 * G2, Fraction(1, 2))
-        g = TwistedSeries.monomial(grading, 10, G2)
-        h = TwistedSeries.monomial(grading, 10, G12, Fraction(-3))
-        total = poisson_bracket(f, poisson_bracket(g, h)) \
-            + poisson_bracket(g, poisson_bracket(h, f)) \
-            + poisson_bracket(h, poisson_bracket(f, g))
-        assert total.terms == {}
 
 
 class TestKsTransform:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hkforge.lattice import charge
 from hkforge.semiflat import (ModelPoint, dlog_xsf_matrix, omega3_sf,
                               omega_plus_sf, pairing_two_form, theta_eval,
-                              varpi_expected, varpi_sf, xsf, xsf_log)
+                              varpi_expected, xsf, xsf_log)
+from reference import varpi_sf
 
 G1, G2 = charge(1, 0), charge(0, 1)
 TWO_PI = 2.0 * math.pi

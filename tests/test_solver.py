@@ -22,7 +22,7 @@ from hkforge.solver import (GridSpec, NonConvergenceError,
                             log_one_minus,
                             midsector_zetas, radial_limit, ray_jump_defect,
                             side_limit, solve, solve_tangents, unknowns,
-                            upsilon)
+                            upsilon, zeta_zero_moments)
 
 G1, G2 = charge(1, 0), charge(0, 1)
 
@@ -828,8 +828,7 @@ class TestJumps:
                 want = _three_call_jump_defect(model, sol, i)
                 assert abs(ray_jump_defect(model, sol, i) - want) \
                     <= 1e-15 * want
-        # both Richardson offsets and both charges in one call per side,
-        # and the radii of the radial limit in one call
+        # both Richardson offsets and both charges in one call per side
         sol, delta = pentagon_solution, 2e-4
         for grid in sol.grids:
             zeta0 = grid.ray.direction
@@ -840,13 +839,18 @@ class TestJumps:
                     u1, u2 = (upsilon(pentagon, sol, g, zeta0 * cmath.exp(
                         1j * side * d), side) for d in (delta, delta / 2))
                     assert abs(u - (2 * u2 - u1)) <= 1e-15
+        # the radial limit is exp(u_0) of the moments, and the linear
+        # extrapolation from three radii along a mid-sector arg tends to it
         direction = midsector_zetas(sol, 1)[0]
         for g in (G1, G2):
+            u0, _ = zeta_zero_moments(pentagon, sol.grids,
+                                      sol.log_one_minus_x, [g])
+            got = radial_limit(pentagon, sol, g, direction)
+            assert got == complex(np.exp(u0[0]))
             vals = [cmath.exp(upsilon(pentagon, sol, g, direction * r))
                     for r in (1e-2, 1e-3, 1e-4)]
-            want = vals[2] + (vals[2] - vals[1]) * 1e-4 / (1e-3 - 1e-4)
-            assert abs(radial_limit(pentagon, sol, g, direction) - want) \
-                <= 1e-15
+            three = vals[2] + (vals[2] - vals[1]) * 1e-4 / (1e-3 - 1e-4)
+            assert abs(got - three) <= 1e-7
 
     def test_ov_magnetic_jump_factor(self, ov, ov_solution):
         # across the electric ray the magnetic coordinate jumps by

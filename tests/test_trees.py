@@ -7,15 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference
 from hkforge import solver, trees
 from hkforge.lattice import Spectrum, charge
 from hkforge.models import pentagon_wall_point
-from hkforge.semiflat import ModelPoint, xsf
-from hkforge.solver import (FOUR_PI_I, RayProximityError, evaluate,
+from hkforge.semiflat import ModelPoint, xsf, xsf_log
+from hkforge.solver import (RayProximityError, build_grids, evaluate,
                             midsector_zetas, solve)
-from hkforge.trees import (DecoratedTree, TreeBudgetError, TreeIntegrator,
-                           _tower_tails, enumerate_trees, multicover,
-                           series_solution, tree_weight)
+from hkforge.trees import TreeIntegrator, multicover, series_solution
+from reference import (DecoratedTree, TreeBudgetError, TreeReference,
+                       enumerate_trees, tower_tails, tree_weight)
 
 G1, G2 = charge(1, 0), charge(0, 1)
 
@@ -64,7 +65,7 @@ class TestEnumeration:
         assert weights[(G2, G1)] == Fraction(-1)
 
     def test_budget_guard(self, pentagon, monkeypatch):
-        monkeypatch.setattr(trees, "TREE_BUDGET", 50)
+        monkeypatch.setattr(reference, "TREE_BUDGET", 50)
         with pytest.raises(TreeBudgetError):
             enumerate_trees(pentagon, 3.0j, 9)
 
@@ -91,30 +92,29 @@ class TestAutomorphisms:
 class TestIntegrals:
     def test_single_node_equals_first_iteration(self, ov, ov_point,
                                                 ov_solution):
-        # the single-node integral is the one-step OV integral of X^sf
+        # at cutoff 1 the OV sum is its single nodes n (+-e2), weighted
+        # 1/n^2: the one-step integral of -log(1 - X^sf) over both rays
         zeta = 0.8 * cmath.exp(1.1j)
-        tree = DecoratedTree(G2)
-        val = TreeIntegrator(ov, ov_point, ov_solution.grids).g_integral(
-            tree, zeta)
-        # compare against the n = 1 piece: (1/4 pi i) int K X^sf
-        grid = ov_solution.grids[0]
-        assert grid.ray.charges[0] == charge(0, -1)
-        grid = ov_solution.grids[1] \
-            if ov_solution.grids[1].ray.charges[0] == G2 else grid
-        kern = (grid.zeta_nodes + zeta) / (grid.zeta_nodes - zeta)
-        vals = np.exp([complex(v) for v in
-                       (xsf(ov, ov_point, G2, z).log_value
-                        for z in grid.zeta_nodes)])
-        want = np.sum(grid.weights * kern * vals) / (4j * math.pi)
-        assert abs(val - want) < 1e-14
+        got = TreeIntegrator(ov, ov_point, ov_solution.grids).exponent(
+            G1, zeta, 1)
+        want = 0.0
+        for grid in ov_solution.grids:
+            gamma = grid.ray.charges[0]
+            assert gamma in (G2, -G2)
+            kern = (grid.zeta_nodes + zeta) / (grid.zeta_nodes - zeta)
+            vals = np.exp([complex(xsf(ov, ov_point, gamma, z).log_value)
+                           for z in grid.zeta_nodes])
+            want += ov.lattice.pair(G1, gamma) * np.sum(
+                grid.weights * kern * -np.log1p(-vals)) / (4j * math.pi)
+        assert abs(got - want) < 1e-14
 
     def test_decay_with_r(self, pentagon):
         tree = DecoratedTree(G2, (DecoratedTree(G1),))
         vals = []
         for R in (1.0, 2.0):
             pt = ModelPoint(0.3, R, (0.37, 1.29))
-            integ = TreeIntegrator(pentagon, pt)
-            vals.append(abs(integ.g_integral(tree, 1.1j * cmath.exp(0.4j))))
+            ref = TreeReference(pentagon, pt, build_grids(pentagon, pt))
+            vals.append(abs(ref.g_integral(tree, 1.1j * cmath.exp(0.4j))))
         z1 = abs(pentagon.Z.of(G1, 0.3))
         z2 = abs(pentagon.Z.of(G2, 0.3))
         expected_ratio = math.exp(-2 * math.pi * (z1 + z2))
@@ -160,6 +160,23 @@ class TestSeries:
         assert errs[0] > errs[1] > errs[2]
         assert errs[3] < 1e-13
 
+    def test_charges_below_spectral_cutoff(self, pentagon):
+        # e1's exp(-2 pi R |Z|) is about 4e-18 here, so the solve has no ray
+        # for +-e1; the tree sum takes its decorations from the solve's rays
+        point = ModelPoint(1.2, 3.2, (0.37, 1.29))
+        sol = solve(pentagon, point, tol_iter=1e-13)
+        assert G1 in pentagon.spectrum.support(point.u)
+        assert all(G1 not in g.ray.charges and -G1 not in g.ray.charges
+                   for g in sol.grids)
+        integ = TreeIntegrator(pentagon, point, sol.grids)
+        zeta = 0.3 + 0.95j
+        for cutoff in (1, 2, 3, 4):
+            for g in (G1, G2):
+                got = series_solution(pentagon, point, g, zeta, cutoff,
+                                      integrator=integ)
+                ref = evaluate(pentagon, sol, g, zeta)
+                assert abs(got.log_value - ref.log_value) < 1e-14
+
     def test_zero_spectrum_reduces_to_semiflat(self, ov, ov_point):
         mdl = ov.with_spectrum(Spectrum(lambda g, u: 0, lambda u: ()))
         zeta = 0.8 * cmath.exp(1.1j)
@@ -196,53 +213,34 @@ def _fsum(terms):
                    math.fsum(t.imag for t in terms))
 
 
-def _per_tree_integrals(integ, tree_list, zetas):
-    """G_T at the zetas for each tree, from a dense (1/4 pi i) int K
-    operator per ray pair and one root integrand per distinct subtree."""
-    grids, ops, memo = integ.grids, {}, {}
+def _per_tree_terms(model, point, sol, cutoff):
+    """(zeta, gamma, [(tree, <gamma, g_T> c(T) G_T(zeta))]) over the trees
+    with a nonzero pairing, from the tree-by-tree reference; at cutoffs up
+    to 3 its dense operators are held to its tree-by-tree integrals."""
+    ref = TreeReference(model, point, sol.grids)
+    weighted = (enumerate_trees(model, point.u, cutoff)
+                + tower_tails(model, point, cutoff))
+    zetas = _zetas(sol)
+    per_tree = ref.integrals([t for t, _ in weighted], zetas)
+    if cutoff <= 3:
+        for (tree, _), vals in zip(weighted, per_tree):
+            assert np.abs(ref.g_integral(tree, np.array(zetas))
+                          - vals).max() <= 1e-14 * np.abs(vals).max()
+    lat = model.lattice
+    return [(z, g, [(t, lat.pair(g, t.decoration) * float(w) * vals[i])
+                    for (t, w), vals in zip(weighted, per_tree)
+                    if lat.pair(g, t.decoration)])
+            for i, z in enumerate(zetas) for g in (G1, G2)]
 
-    def integral(rs, rt, f):
-        if (rs, rt) not in ops:
-            w = np.log(grids[rt].zeta_nodes / grids[rs].ray.direction)
-            ops[rs, rt] = solver.cauchy_integral(
-                grids[rs], np.eye(grids[rs].zeta_nodes.size), w) / FOUR_PI_I
-        return f @ ops[rs, rt]
 
-    def root(tree):
-        key = tree.canonical_key()
-        if key not in memo:
-            r = integ._ray_index(tree.decoration)
-            vals = integ._xsf_nodes(tree.decoration)
-            for child in tree.children:
-                vals = vals * integral(integ._ray_index(child.decoration),
-                                       r, root(child))
-            memo[key] = vals
-        return memo[key]
-
-    out = []
-    for tree in tree_list:
-        grid = grids[integ._ray_index(tree.decoration)]
-        out.append(solver.cauchy_integral(
-            grid, root(tree), np.log(np.asarray(zetas) / grid.ray.direction))
-            / FOUR_PI_I)
-    return out
+def _bound(paired):
+    """Rounding of the resummed exponent: a few ulp of the sum of |terms|,
+    not of the sum, which cancels; the reference sum is correctly rounded,
+    so adds almost none of its own."""
+    return 8 * np.finfo(float).eps * sum(abs(term) for _, term in paired)
 
 
 class TestSharedKernels:
-    def test_no_tree_enumerated(self, pentagon, strong, monkeypatch):
-        point, sol = strong
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the tree sum enumerated trees")
-
-        monkeypatch.setattr(trees, "enumerate_trees", refuse)
-        integ = TreeIntegrator(pentagon, point, sol.grids)
-        for cutoff in (1, 4):
-            for z in _zetas(sol):
-                for g in (G1, G2):
-                    series_solution(pentagon, point, g, z, cutoff,
-                                    integrator=integ)
-
     def test_kernels_per_ray_pair_and_height(self, pentagon, strong,
                                              monkeypatch):
         point, sol = strong
@@ -279,37 +277,31 @@ class TestSharedKernels:
         model, point = _tree_point(name, pentagon, ov)
         sol = solve(model, point, tol_iter=1e-13)
         integ = TreeIntegrator(model, point, sol.grids)
-        weighted = (enumerate_trees(model, point.u, cutoff)
-                    + _tower_tails(model, point, cutoff))
-        zetas = _zetas(sol)
-        per_tree = _per_tree_integrals(integ, [t for t, _ in weighted], zetas)
-        if cutoff <= 3:
-            # the dense operators reproduce the tree-by-tree integral
-            for (tree, _), vals in zip(weighted, per_tree):
-                assert np.abs(integ.g_integral(tree, np.array(zetas))
-                              - vals).max() <= 1e-14 * np.abs(vals).max()
-        lat = model.lattice
-        for i, z in enumerate(zetas):
-            for g in (G1, G2):
-                paired = [(t, lat.pair(g, t.decoration) * float(w) * vals[i])
-                          for (t, w), vals in zip(weighted, per_tree)
-                          if lat.pair(g, t.decoration)]
-                terms = [term for _, term in paired]
-                # rounding of the resummed exponent: a few ulp of the sum
-                # of |terms|, not of the sum, which cancels; the reference
-                # sum is correctly rounded, so adds almost none of its own
-                bound = 8 * np.finfo(float).eps * sum(map(abs, terms))
-                got = integ.exponent(g, z, cutoff)
-                assert abs(got - _fsum(terms)) <= bound
-                if not terms:
-                    continue
-                # control: the bound still sees one tree dropped, the
-                # largest of those with two levels of nested integrals
-                # (about 1e-9 of the sum), or of the tallest below that
-                height = min(2, max(t.height() for t, _ in paired))
-                dropped = max((term for t, term in paired
-                               if t.height() == height), key=abs)
-                assert abs(got - _fsum(terms + [-dropped])) > bound
+        for z, g, paired in _per_tree_terms(model, point, sol, cutoff):
+            terms = [term for _, term in paired]
+            bound = _bound(paired)
+            got = integ.exponent(g, z, cutoff)
+            assert abs(got - _fsum(terms)) <= bound
+            if not terms:
+                continue
+            # control: the bound still sees one tree dropped, the largest
+            # of those with two levels of nested integrals (about 1e-9 of
+            # the sum), or of the tallest below that
+            height = min(2, max(t.height() for t, _ in paired))
+            dropped = max((term for t, term in paired
+                           if t.height() == height), key=abs)
+            assert abs(got - _fsum(terms + [-dropped])) > bound
+
+    def test_reference_has_its_own_xsf(self, pentagon, strong, monkeypatch):
+        # control: the reference takes X^sf and the rays on its own, so a
+        # tree sum whose log X^sf is off by 1e-10 misses it past the bound
+        point, sol = strong
+        monkeypatch.setattr(trees, "xsf_log",
+                            lambda *args: xsf_log(*args) + 1e-10)
+        integ = TreeIntegrator(pentagon, point, sol.grids)
+        for z, g, paired in _per_tree_terms(pentagon, point, sol, 2):
+            got = integ.exponent(g, z, 2)
+            assert abs(got - _fsum([t for _, t in paired])) > _bound(paired)
 
     def test_on_root_ray_rejected(self, pentagon, strong):
         point, sol = strong
