@@ -364,7 +364,8 @@ def cmd_tree_compare(args) -> int:
     gap = abs(sums[c] - ref.log_value)
     layer = abs(sums[c + 1] - sums[c])
     eps_quad = sol.spec.eps_quad
-    min_z = min(g.ray.min_abs_z() for g in sol.grids)
+    # with no active ray both routes are X^sf: the gap and gates read 0
+    min_z = min((g.ray.min_abs_z() for g in sol.grids), default=math.inf)
     q_floor = math.exp(-2 * math.pi * point.R * min_z)
     gate = trees.layer_gate(layer, abs(sums[c] - sums[c - 1]), q_floor,
                             eps_quad)
@@ -399,8 +400,8 @@ def cmd_ov_compare(args) -> int:
         point = ModelPoint(u, R, theta)
         sol = solver.solve(model, point)
         zeta = (0.4 + 1.2 * rng.random()) * cmath.exp(2j * math.pi * rng.random())
-        angles = [abs(cmath.phase(zeta / g.ray.direction)) for g in sol.grids]
-        if min(angles) < 0.05:
+        if any(abs(cmath.phase(zeta / g.ray.direction)) < 0.05
+               for g in sol.grids):
             zeta *= cmath.exp(0.3j)
         gamma = charge(1, 0)
         got = solver.evaluate(model, sol, gamma, zeta)

@@ -2,11 +2,13 @@
 
 Series live in the monoid algebra of a strictly convex cone, graded by the
 sum of generator coefficients and truncated at a fixed order.  Products
-carry the twisting sign (-1)^<a,b>.  A torus automorphism is stored by the
-cofactor series S_i of its generator images, image(X_{e_i}) = X_{e_i} S_i;
-images of arbitrary charges then follow from multiplicativity, so the
-automorphism property holds by construction and is checked by tests rather
-than stored.
+carry the twisting sign (-1)^<a,b>.  A torus automorphism is its word of
+KS factors K_gamma^Omega (the Kontsevich-Soibelman product, arXiv:0811.2435).
+Each factor acts on a monomial by one binomial series,
+X_k -> X_k (1 - X_gamma)^{Omega <gamma, k>}, so the image of any charge
+follows from that closed form, factor by factor, with no series
+substitution, powers or inverses.  That images multiply,
+image(a) image(b) = image(a + b), is a property the tests check.
 
 A series is a dict from cone coordinates (the non-negative integer
 coefficients of a charge in the generator basis) to integer coefficients:
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from operator import add, mul
 
 import numpy as np
@@ -184,39 +185,6 @@ class TwistedSeries:
                                           else v)
         return TwistedSeries(self.grading, self.order, out)
 
-    def power(self, n: int) -> "TwistedSeries":
-        if n < 0:
-            return self.inverse().power(-n)
-        result = TwistedSeries.constant(self.grading, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def inverse(self) -> "TwistedSeries":
-        zero = self.grading.zero
-        c0 = self.coords.get(zero, 0)
-        if not c0:
-            raise GradingError("series with vanishing constant term has no inverse")
-        # 1 / c0; the unit constant term of every KS cofactor stays an int
-        inv0 = c0 if abs(c0) == 1 else Fraction(1, c0)
-        # geometric series in the positive-degree part
-        step = TwistedSeries(self.grading, self.order,
-                             {k: -c * inv0 for k, c in self.coords.items()
-                              if k != zero})
-        out = TwistedSeries.constant(self.grading, self.order)
-        term = out
-        for _ in range(self.order):
-            term = term * step
-            if not term.coords:
-                break
-            out = out + term
-        return out.scaled(inv0)
-
     def dump_lines(self) -> list[str]:
         to_charge = self.grading.charge
         lines = sorted((sum(k), to_charge(k).coeffs, c)
@@ -230,39 +198,68 @@ class TwistedSeries:
                 and self.order == other.order and self.coords == other.coords)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TorusAutomorphism:
-    """Unipotent automorphism stored by generator-image cofactors."""
+    """Unipotent automorphism kept as its word of KS factors.
+
+    ``factors`` lists the (gamma, power) of each K_gamma^power in written
+    order, (F_1 ... F_k)^* X = F_1^*(... F_k^*(X)), every gamma in the
+    cone.  ``cofactors`` are the images of the basis charges,
+    image(X_{e_i}) = X_{e_i} * cofactors[i], computed once.  Every image
+    comes from the closed-form action of the factors, so that images
+    multiply is a property the tests check, not one built in.
+    """
 
     grading: ConeGrading
     order: int
-    cofactors: tuple[TwistedSeries, ...]  # image(X_{e_i}) = X_{e_i} * cofactors[i]
+    factors: tuple[tuple[Charge, int], ...] = ()
+    cofactors: tuple[TwistedSeries, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cofactors", tuple(
+            self.image_cofactor(e) for e in self.grading.lattice.basis()))
 
     @classmethod
     def identity(cls, grading: ConeGrading, order: int) -> "TorusAutomorphism":
-        n = grading.generators[0].dim
-        return cls(grading, order,
-                   tuple(TwistedSeries.constant(grading, order) for _ in range(n)))
+        return cls(grading, order)
 
     def _check(self, other: "TorusAutomorphism") -> None:
         if not self.grading.compatible(other.grading) or self.order != other.order:
             raise GradingError("grading or truncation order mismatch")
 
     def image_cofactor(self, gamma: Charge) -> TwistedSeries:
-        """Series S with image(X_gamma) = X_gamma * S, by multiplicativity."""
-        out = TwistedSeries.constant(self.grading, self.order)
-        for i, c in enumerate(gamma.coeffs):
-            if c:
-                out = out * self.cofactors[i].power(c)
-        return out
+        """Series S with image(X_gamma) = X_gamma * S.
 
-    def substitute(self, series: TwistedSeries) -> TwistedSeries:
-        """Apply the automorphism to every monomial of a cone series."""
-        out = TwistedSeries(self.grading, self.order, {})
-        for k, c in series.coords.items():
-            mono = TwistedSeries(self.grading, self.order, {k: c})
-            out = out + mono * self.image_cofactor(self.grading.charge(k))
-        return out
+        The factors act from last to first.  K_delta^p sends X_gamma X_k,
+        k a monomial of the running S, to X_gamma X_k (1 - X_delta)^{p
+        <delta, gamma + k>}, and X_k X_{j delta} = (-1)^{j <delta, k>}
+        X_{k + j delta}: the binomial series of one factor, with no series
+        products.
+        """
+        grading, order = self.grading, self.order
+        series = {grading.zero: 1}
+        for delta, power in reversed(self.factors):
+            step = grading.coordinates(delta)
+            width = sum(step)
+            # <delta, k> = sum_j row_j k_j in cone coordinates
+            row = [sum(map(mul, step, col)) for col in zip(*grading.pairing)]
+            base = grading.lattice.pair(delta, gamma)
+            out: dict[tuple[int, ...], int] = {}
+            for k, c in series.items():
+                pair = sum(map(mul, row, k))
+                exponent = power * (base + pair)
+                # (-1)^j binom(exponent, j) times the twist (-1)^{j pair}
+                sign = 1 if pair & 1 else -1
+                term = c
+                for j in range((order - sum(k)) // width + 1):
+                    if j:
+                        term = term * (exponent - j + 1) // j * sign
+                        if not term:
+                            break
+                    key = tuple(a + j * s for a, s in zip(k, step))
+                    out[key] = out.get(key, 0) + term
+            series = {k: c for k, c in out.items() if c}
+        return TwistedSeries(grading, order, series)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusAutomorphism):
@@ -273,47 +270,26 @@ class TorusAutomorphism:
 def ks_transform(grading: ConeGrading, gamma: Charge, power: int,
                  order: int) -> TorusAutomorphism:
     """K_gamma^power: X_{e_i} -> X_{e_i} (1 - X_gamma)^{power <gamma, e_i>}."""
-    step = grading.coordinates(gamma)
-    if sum(step) < 1:
+    if grading.degree(gamma) < 1:
         raise GradingError("transformation charge must have positive cone degree")
-
-    def binom_series(exponent: int) -> TwistedSeries:
-        return TwistedSeries(grading, order, {
-            tuple(k * s for s in step): (-1) ** k * _signed_binomial(exponent, k)
-            for k in range(order // sum(step) + 1)})
-
-    return TorusAutomorphism(grading, order, tuple(
-        binom_series(power * grading.lattice.pair(gamma, e_i))
-        for e_i in grading.lattice.basis()))
-
-
-def _signed_binomial(m: int, k: int) -> int:
-    """binom(m, k) for integer m of either sign."""
-    if k < 0:
-        return 0
-    if m >= 0:
-        return comb(m, k) if k <= m else 0
-    # binom(-n, k) = (-1)^k binom(n + k - 1, k)
-    return (-1) ** k * comb(-m + k - 1, k)
+    return TorusAutomorphism(grading, order, ((gamma, power),))
 
 
 def compose(a: TorusAutomorphism, b: TorusAutomorphism) -> TorusAutomorphism:
-    """(a o b)^* X = b-substitution applied to a^* X."""
+    """(a o b)^* X = b^*(a^* X): the word of b, then that of a."""
     a._check(b)
-    out = []
-    for i, s_a in enumerate(a.cofactors):
-        out.append(b.cofactors[i] * b.substitute(s_a))
-    return TorusAutomorphism(a.grading, a.order, tuple(out))
+    return TorusAutomorphism(a.grading, a.order, b.factors + a.factors)
 
 
 def ordered_product(factors: list[TorusAutomorphism]) -> TorusAutomorphism:
     """Product in the written order: (F1 F2 ... Fk)^* X = F1^*(F2^*(... X))."""
     if not factors:
         raise GradingError("empty product")
-    acc = factors[0]
+    first = factors[0]
     for f in factors[1:]:
-        acc = compose(f, acc)
-    return acc
+        first._check(f)
+    return TorusAutomorphism(first.grading, first.order,
+                             tuple(p for f in factors for p in f.factors))
 
 
 def check_wcf(lhs: TorusAutomorphism, rhs: TorusAutomorphism
@@ -332,11 +308,12 @@ def check_wcf(lhs: TorusAutomorphism, rhs: TorusAutomorphism
 def spectrum_generator(model, u: complex, cone: tuple[complex, complex],
                        order: int,
                        grading: ConeGrading | None = None) -> TorusAutomorphism:
-    """Phase-ordered product of K-factors over charges with Z inside the cone.
+    """Phase-ordered word of K-factors over charges with Z inside the cone.
 
     ``cone`` is a pair of boundary directions (counterclockwise from the
     first to the second, opening below pi).  Factors are ordered by
-    increasing arg Z, proportional charges merged into a single ray factor.
+    increasing arg Z; charges of one phase must be proportional, and so
+    commute, or u lies on a wall.
     """
     v_lo, v_hi = complex(cone[0]), complex(cone[1])
     opening = _cross(v_lo, v_hi)
@@ -356,24 +333,11 @@ def spectrum_generator(model, u: complex, cone: tuple[complex, complex],
     if grading is None:
         grading = _cluster_grading(model.lattice, entries)
 
-    factors: list[TorusAutomorphism] = []
-    i = 0
-    while i < len(entries):
-        j = i + 1
-        while j < len(entries) and abs(entries[j][0] - entries[i][0]) < 1e-12:
-            if not entries[i][1].proportional(entries[j][1]):
-                raise GradingError(f"u={u} lies on a wall: "
-                                   f"{entries[i][1]} and {entries[j][1]} align")
-            j += 1
-        ray_factor = TorusAutomorphism.identity(grading, order)
-        for _, gamma, om in entries[i:j]:
-            ray_factor = compose(ks_transform(grading, gamma, om, order),
-                                 ray_factor)
-        factors.append(ray_factor)
-        i = j
-    if not factors:
-        return TorusAutomorphism.identity(grading, order)
-    return ordered_product(factors)
+    for (key_a, a, _), (key_b, b, _) in zip(entries, entries[1:]):
+        if abs(key_b - key_a) < 1e-12 and not a.proportional(b):
+            raise GradingError(f"u={u} lies on a wall: {a} and {b} align")
+    return TorusAutomorphism(grading, order,
+                             tuple((gamma, om) for _, gamma, om in entries))
 
 
 def _cross(a: complex, b: complex) -> float:

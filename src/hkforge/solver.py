@@ -1004,6 +1004,9 @@ def correction_decay(model, u: complex, theta: tuple[float, ...],
     for R in r_values:
         point = ModelPoint(u, R, theta)
         sol = solve(model, point)
+        if not sol.grids:
+            raise ValueError(f"no active charge at R={R}: every "
+                             "exp(-2 pi R |Z|) is below SPECTRAL_CUTOFF")
         if min_z is None:
             min_z = min(g.ray.min_abs_z() for g in sol.grids)
         peak = float(np.max(np.abs(_upsilon_value(

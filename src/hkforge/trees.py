@@ -55,18 +55,17 @@ from .solver import (FOUR_PI_I, QuadratureGrid, _prepare, build_grids,
 EPS_TAIL = 1e-16       # scale exp(-2 pi R n |Z|) down to which towers run
 
 
-def multicover(spectrum, gamma: Charge, u: complex) -> Fraction:
-    """Rational invariant c(gamma) = sum_{n | gamma} Omega(gamma/n) / n^2."""
+def multicover(omega: dict[Charge, int], gamma: Charge) -> Fraction:
+    """Rational invariant c(gamma) = sum_{n | gamma} Omega(gamma/n) / n^2,
+    with Omega by charge (a charge ``omega`` lacks has Omega 0)."""
     if gamma.is_zero():
         raise ValueError("multicover invariant undefined for the zero charge")
     total = Fraction(0)
     content = gamma.content()
-    for n in range(1, content + 1):
-        if content % n == 0:
-            part = Charge(tuple(c // n for c in gamma.coeffs))
-            om = spectrum.omega(part, u)
-            if om:
-                total += Fraction(om, n * n)
+    for beta, om in omega.items():
+        n = content // beta.content()
+        if om and tuple(n * c for c in beta.coeffs) == gamma.coeffs:
+            total += Fraction(om, n * n)
     return total
 
 
@@ -90,12 +89,14 @@ class TreeIntegrator:
 
     The decorations are the multiples of each ray's charges, on that ray,
     up to the cutoff and along the multicover towers past it down to
-    EPS_TAIL: one table per cutoff.  Keeps H_delta^(k) per (decoration,
-    degree), the integrals of degree j at the nodes of each ray that reads
-    them, and the summed density per decoration per cutoff, all 1-D
-    arrays.  The integrals read the kernel blocks of one sweep workspace
-    on the grids (``_prepare``), built at the first integral, which lives
-    as long as the integrator.  EPS_TAIL is a constant, so the cutoff alone
+    EPS_TAIL: one table per cutoff.  Reads Omega once, over the spectrum's
+    support at the point, and keeps c(delta) and c(delta) X^sf per charge
+    across the tables.  Keeps H_delta^(k) per (decoration, degree), the
+    integrals of degree j at the nodes of each ray that reads them, and the
+    summed density per decoration per cutoff, all 1-D arrays.  The
+    integrals read the kernel blocks of one sweep workspace on the grids
+    (``_prepare``), built at the first integral, which lives as long as
+    the integrator.  EPS_TAIL is a constant, so the cutoff alone
     keys the sums.
     """
 
@@ -104,18 +105,20 @@ class TreeIntegrator:
         self.model = model
         self.point = point
         self.grids = grids if grids is not None else build_grids(model, point)
+        u = point.u
+        self._omega = {g: model.spectrum.omega(g, u)
+                       for g in model.spectrum.support(u)}
+        self._weights: dict[Charge, Fraction] = {}
+        self._xsf: dict[Charge, np.ndarray] = {}
         self._tables: dict[int, _Decorations] = {}
         self._graded: dict[tuple[Charge, int], np.ndarray] = {}
         self._at_nodes: dict[int, dict[tuple[Charge, int], np.ndarray]] = {}
         self._densities: dict[int, dict[Charge, tuple[int, np.ndarray]]] = {}
 
     def _table(self, degree_cutoff: int) -> _Decorations:
-        """The decorations of the cutoff with a nonzero c(delta); the X^sf
-        rows of the charges an earlier table holds are that table's."""
+        """The decorations of the cutoff with a nonzero c(delta)."""
         if degree_cutoff not in self._tables:
             model, point = self.model, self.point
-            known = {g: row for table in self._tables.values()
-                     for g, row in zip(table.charges, table.xsf)}
             ray_of = {}
             for r, grid in enumerate(self.grids):
                 for base, z in zip(grid.ray.charges, grid.ray.zs):
@@ -125,23 +128,24 @@ class TreeIntegrator:
                            or n * scale < -math.log(EPS_TAIL)):
                         ray_of[n * base] = r
                         n += 1
-            weights = {g: multicover(model.spectrum, g, point.u)
-                       for g in sorted(ray_of, key=lambda g: (
-                           g.l1_degree(), g.coeffs))}
-            charges = tuple(g for g, c in weights.items() if c)
+            weights, xsf = self._weights, self._xsf
+            for g, r in ray_of.items():
+                if g not in weights:
+                    weights[g] = multicover(self._omega, g)
+                    if weights[g]:
+                        xsf[g] = float(weights[g]) * np.exp(xsf_log(
+                            model, point, g, self.grids[r].zeta_nodes))
+            charges = tuple(sorted((g for g in ray_of if weights[g]),
+                                   key=lambda g: (g.l1_degree(), g.coeffs)))
             degrees = tuple(g.l1_degree() for g in charges)
             graded = sum(d <= degree_cutoff for d in degrees)
-            coeffs = np.array([g.coeffs for g in charges[:graded]],
-                              dtype=np.int64).reshape(
-                                  graded, model.lattice.rank_total)
+            coeffs = _rows(charges[:graded], model.lattice.rank_total)
             pairing = (coeffs @ model.lattice.matrix() @ coeffs.T).tolist()
             self._tables[degree_cutoff] = _Decorations(
                 charges, degrees, tuple(ray_of[g] for g in charges),
-                tuple(known[g] if g in known else float(weights[g]) * np.exp(
-                    xsf_log(model, point, g, self.grids[ray_of[g]].zeta_nodes))
-                    for g in charges),
-                graded, tuple(tuple((i, p) for i, p in enumerate(row) if p)
-                              for row in pairing))
+                tuple(xsf[g] for g in charges), graded,
+                tuple(tuple((i, p) for i, p in enumerate(row) if p)
+                      for row in pairing))
         return self._tables[degree_cutoff]
 
     @functools.cached_property
@@ -208,14 +212,23 @@ class TreeIntegrator:
 
     def exponent(self, gamma: Charge, zeta: complex, degree_cutoff: int
                  ) -> complex:
-        """sum_T <gamma, g_T> c(T) G_T(zeta): one Cauchy integral per ray."""
+        """sum_T <gamma, g_T> c(T) G_T(zeta): one Cauchy integral per ray,
+        with every <gamma, delta> from one integer product of the
+        decorations' coefficient rows."""
         lat = self.model.lattice
         dens = self.densities(degree_cutoff)
-        coefs = np.array([lat.pair(gamma, delta) / FOUR_PI_I
-                          for delta in dens])
+        pairs = (np.array(gamma.coeffs) @ lat.matrix()
+                 @ _rows(dens, lat.rank_total).T).tolist()
+        coefs = np.array([p / FOUR_PI_I for p in pairs])
         return complex(ray_integrals(
             self.grids, [r for r, _ in dens.values()],
             np.array([f for _, f in dens.values()]), coefs[:, None], zeta)[0])
+
+
+def _rows(charges, rank: int) -> np.ndarray:
+    """The coefficient rows of the charges as one integer matrix."""
+    return np.array([g.coeffs for g in charges],
+                    dtype=np.int64).reshape(len(charges), rank)
 
 
 def _graded_exp(layers: list[np.ndarray]):

@@ -1,7 +1,8 @@
 """Test-only references: the least-squares Laurent fit of sampled two-forms,
 the semiflat two-form family, the closed-form Gibbons-Hawking metric of the
 OV model, the pentagon periods continued one step at a time, the OV oracle
-as QUADPACK ran it, and the tree sum taken tree by tree.
+as QUADPACK ran it, the tree sum taken tree by tree, and the KS
+automorphisms composed by series substitution.
 
 None shares code with the pipeline it checks: the fit takes varpi only
 through its samples, the OV metric is a Bessel sum (GMN, arXiv:0807.4723)
@@ -12,7 +13,10 @@ serves only as a control: it shows what ``models.ov_oracle`` missed before
 it took its own Gauss-Kronrod rule.  The tree-by-tree sum lists the trees
 from the spectrum's support, finds each charge's ray by its direction and
 takes X^sf from ``xsf_log`` at that ray's nodes; of the tree sum's code it
-shares only ``cauchy_integral``.
+shares only ``cauchy_integral``.  The substitution route builds a KS word
+from series powers, inverses and substitutions, where ``ks`` applies each
+factor's binomial series to the monomials; it shares only ``ConeGrading``
+and the ``TwistedSeries`` product.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from scipy.integrate import quad
 from scipy.special import k0, k1
 
 from hkforge.geometry import LaurentFit, metric_from_triple
+from hkforge.ks import TwistedSeries
 from hkforge.lattice import Charge, DegeneratePointError, charge
 from hkforge.semiflat import (dlog_xsf_matrix, omega3_sf, omega_plus_sf,
                               pairing_two_form, theta_eval, xsf_log)
@@ -443,3 +448,91 @@ class TreeReference:
 
         return [self._integral(tree.decoration, root(tree), zetas)
                 for tree in trees]
+
+
+# -- the KS automorphisms by series substitution ------------------------------
+
+
+def series_power(series, n: int):
+    """series^n by repeated squaring; a negative n inverts first."""
+    if n < 0:
+        return series_power(series_inverse(series), -n)
+    result = TwistedSeries.constant(series.grading, series.order)
+    base = series
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def series_inverse(series):
+    """1 / series as c0^-1 times the geometric series in the rest."""
+    grading, order = series.grading, series.order
+    c0 = series.coords[grading.zero]
+    inv0 = c0 if abs(c0) == 1 else Fraction(1, c0)
+    step = TwistedSeries(grading, order, {
+        k: -c * inv0 for k, c in series.coords.items() if k != grading.zero})
+    out = term = TwistedSeries.constant(grading, order)
+    for _ in range(order):
+        term = term * step
+        out = out + term
+    return out.scaled(inv0)
+
+
+class SubstitutedAutomorphism:
+    """A KS word composed factor by factor through series substitution.
+
+    Each K_gamma^p is stored by its basis cofactors, the binomial series
+    (1 - X_gamma)^{p <gamma, e_i>} summed term by term.  Images of other
+    charges are products of powers of those cofactors, and the word grows
+    one factor at a time on the right, (A F)^* X = A^*(F^* X), by
+    substituting A into the cofactors of F.  Of ``ks`` it shares ``ConeGrading`` and
+    the ``TwistedSeries`` product, which ``tests/test_ks.py`` holds to its
+    own product over charge keys.
+    """
+
+    def __init__(self, grading, order: int, factors=()):
+        self.grading, self.order = grading, order
+        basis = grading.lattice.basis()
+        self.cofactors = tuple(TwistedSeries.constant(grading, order)
+                               for _ in basis)
+        for gamma, power in factors:
+            self.cofactors = self._then(self._factor(gamma, power))
+
+    def _factor(self, gamma, power):
+        step = self.grading.coordinates(gamma)
+        return tuple(TwistedSeries(self.grading, self.order, {
+            tuple(k * s for s in step):
+                (-1) ** k * _binomial(power * self.grading.lattice.pair(
+                    gamma, e), k)
+            for k in range(self.order // sum(step) + 1)})
+            for e in self.grading.lattice.basis())
+
+    def _then(self, cofactors):
+        """Cofactors of the word extended by F on the right:
+        (A F)^* X_i = A^*(X_i S^F_i) = X_i S^A_i A^*(S^F_i)."""
+        return tuple(s * self.substitute(s_f)
+                     for s, s_f in zip(self.cofactors, cofactors))
+
+    def image_cofactor(self, gamma: Charge):
+        out = TwistedSeries.constant(self.grading, self.order)
+        for s, c in zip(self.cofactors, gamma.coeffs):
+            out = out * series_power(s, c)
+        return out
+
+    def substitute(self, series):
+        out = TwistedSeries(self.grading, self.order, {})
+        for k, c in series.coords.items():
+            mono = TwistedSeries(self.grading, self.order, {k: c})
+            out = out + mono * self.image_cofactor(self.grading.charge(k))
+        return out
+
+
+def _binomial(m: int, k: int) -> int:
+    """binom(m, k) for an integer m of either sign."""
+    if m >= 0:
+        return math.comb(m, k) if k <= m else 0
+    return (-1) ** k * math.comb(k - m - 1, k)

@@ -367,6 +367,22 @@ class TestReports:
         assert code == 0, err
         assert "FAIL" not in out
 
+    def test_tree_compare_no_active_ray(self, capsys):
+        # at R 100 no charge clears the spectral cutoff: both routes are X^sf
+        code, out, err = run(capsys, "tree-compare", "--model", "pentagon",
+                             "--u", "0.6,0.3", "--R", "100",
+                             "--theta", "0.37,1.29", "--cutoff", "4",
+                             "--zeta", "0.9,0.4")
+        assert code == 0, err
+        assert "FAIL" not in out
+        assert "     4   " in out and out.count("0.000e+00") == 5
+
+    def test_ov_compare_no_active_ray(self, capsys):
+        code, out, err = run(capsys, "ov-compare", "--count", "3",
+                             "--r-list", "50")
+        assert code == 0, err
+        assert "over 3 samples" in out
+
     def test_wcf_dump_series(self, capsys):
         code, out, _ = run(capsys, "wcf-check", "--model", "pentagon",
                            "--order", "3", "--dump-series")
@@ -429,6 +445,14 @@ class TestReports:
                            "--R-list", "1.5,2.5,3.5", "--tol-rel", "0.05")
         assert code == 0
         assert "fitted slope" in out
+
+    def test_decay_scan_no_active_ray(self, capsys):
+        code, out, err = run(capsys, "decay-scan", "--model", "pentagon",
+                             "--u", "1.2,0", "--R-list", "50,60")
+        assert code == 1
+        assert err.strip().splitlines() == [
+            "error: no active charge at R=50.0: every exp(-2 pi R |Z|) "
+            "is below SPECTRAL_CUTOFF"]
 
     def test_wall_check_short(self, capsys, monkeypatch):
         calls = []

@@ -11,6 +11,7 @@ from hkforge.ks import (ConeGrading, GradingError, TorusAutomorphism,
                         ordered_product, spectrum_generator)
 from hkforge.lattice import Lattice, charge
 from hkforge.models import pentagon_wall_point
+from reference import SubstitutedAutomorphism, series_inverse
 
 LAT = Lattice(((0, 1), (-1, 0)))
 G1, G2 = charge(1, 0), charge(0, 1)
@@ -52,7 +53,7 @@ class TestSeriesAlgebra:
         s = TwistedSeries.constant(grading, 8) \
             + TwistedSeries.monomial(grading, 8, G1, Fraction(3, 2)) \
             + TwistedSeries.monomial(grading, 8, G12, Fraction(-2, 7))
-        prod = s * s.inverse()
+        prod = s * series_inverse(s)
         assert prod == TwistedSeries.constant(grading, 8)
 
     def test_degree_truncation(self, grading):
@@ -121,6 +122,12 @@ class TestKsTransform:
     def test_power_matches_composition(self, grading):
         k = K(grading, G1)
         assert check_wcf(compose(k, k), K(grading, G1, power=2)) == (True, None)
+
+    def test_compose_applies_a_first(self, grading):
+        # (a o b)^* X = b^*(a^* X), the written product b a
+        k1, k2 = K(grading, G1), K(grading, G2)
+        assert compose(k1, k2) == ordered_product([k2, k1])
+        assert compose(k1, k2) != ordered_product([k1, k2])
 
     def test_degree_zero_rejected(self, grading):
         with pytest.raises(GradingError):
@@ -264,6 +271,109 @@ class TestSpectrumGenerator:
             spectrum_generator(pentagon, w, cone, 6)
 
 
+def assert_matches_substitution(auto, charges=()):
+    ref = SubstitutedAutomorphism(auto.grading, auto.order, auto.factors)
+    assert [c.coords for c in auto.cofactors] \
+        == [c.coords for c in ref.cofactors]
+    for gamma in charges:
+        assert auto.image_cofactor(gamma).coords \
+            == ref.image_cofactor(gamma).coords, gamma
+
+
+# words of KS factors, negative and higher powers included
+WORDS = [
+    [(G1, 1), (G2, 1)],
+    [(G2, 1), (G12, 1), (G1, 1)],
+    [(G1, 1), (G2, 1), (G12, -2)],
+    [(G1, 2), (2 * G1 + G2, -1), (G2, 3), (G1 + 2 * G2, 1)],
+    [(G12, -3), (G2, -1), (G1, 2)],
+]
+SMALL_CHARGES = [charge(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+
+
+class TestAgainstSubstitution:
+    """The closed-form action against series substitution, dict for dict."""
+
+    @pytest.mark.parametrize("order", [2, 6, 8, 12])
+    @pytest.mark.parametrize("factors", WORDS)
+    def test_word_cofactors(self, grading, factors, order):
+        assert_matches_substitution(
+            TorusAutomorphism(grading, order, tuple(factors)))
+
+    @pytest.mark.parametrize("order", [4, 6, 8])
+    @pytest.mark.parametrize("factors", WORDS[2:])
+    def test_image_cofactors(self, grading, factors, order):
+        assert_matches_substitution(
+            TorusAutomorphism(grading, order, tuple(factors)),
+            SMALL_CHARGES)
+
+    @pytest.mark.parametrize("order", range(2, 13))
+    def test_pentagon_sides(self, grading, order):
+        for side in ([G1, G2], [G2, G12, G1]):
+            assert_matches_substitution(ordered_product(
+                [K(grading, g, order=order) for g in side]))
+
+    def test_certify_word(self, grading):
+        # the automorphism samples of the benchmark's certify items
+        auto = ordered_product([K(grading, G1, order=6),
+                                K(grading, G2, order=6),
+                                K(grading, G12, power=-2, order=6)])
+        degree3 = [g for g in SMALL_CHARGES if sum(map(abs, g.coeffs)) == 3]
+        assert_matches_substitution(
+            auto, degree3 + [a + b for a in degree3 for b in degree3])
+
+    @pytest.mark.parametrize("phi", [0.9, 2.0, -0.8, -2.5])
+    def test_spectrum_generators(self, pentagon, phi):
+        # the certify workload's cone: opening 1.4 around both basis rays
+        w = pentagon_wall_point(pentagon, phi)
+        z = pentagon.Z.basis_values(0.97 * w)
+        mid = z[0] / abs(z[0]) + (1 if phi > 0 else -1) * z[1] / abs(z[1])
+        mid /= abs(mid)
+        cone = (mid * cmath.exp(-0.7j), mid * cmath.exp(0.7j))
+        for f in (0.97, 1.03):
+            auto = spectrum_generator(pentagon, f * w, cone, 8)
+            assert auto.factors
+            assert_matches_substitution(auto, [G1, G2, charge(2, -3)])
+
+    def test_flipped_power_differs(self, grading):
+        factors = WORDS[3]
+        auto = TorusAutomorphism(grading, 8, tuple(factors))
+        for i, (gamma, power) in enumerate(factors):
+            flipped = factors[:i] + [(gamma, -power)] + factors[i + 1:]
+            ref = SubstitutedAutomorphism(grading, 8, flipped)
+            assert [c.coords for c in auto.cofactors] \
+                != [c.coords for c in ref.cofactors]
+
+
+class TestPureSU2:
+    """The pure SU(2) wall crossing (GMN, arXiv:0807.4723): pairing 2,
+    the W boson at g1 + g2 with Omega -2 between the dyon towers."""
+
+    ORDER = 9
+
+    def crossing(self, pairing=2, omega_w=-2):
+        lat = Lattice(((0, pairing), (-pairing, 0)))
+        grading = ConeGrading(lat, (G1, G2))
+
+        def k(gamma, power=1):
+            return ks_transform(grading, gamma, power, self.ORDER)
+
+        n = self.ORDER // 2 + 1
+        lhs = ordered_product([k(G1), k(G2)])
+        rhs = ordered_product(
+            [k(j * G1 + (j + 1) * G2) for j in range(n)]
+            + [k(G12, omega_w)]
+            + [k((j + 1) * G1 + j * G2) for j in reversed(range(n))])
+        return check_wcf(lhs, rhs)
+
+    def test_identity(self):
+        assert self.crossing() == (True, None)
+
+    @pytest.mark.parametrize("pairing, omega_w", [(2, 2), (2, -1), (-2, -2)])
+    def test_controls_fail_at_degree_2(self, pairing, omega_w):
+        assert self.crossing(pairing, omega_w) == (False, 2)
+
+
 # -- properties at random orders, against a reference written here ----------
 
 # cones of the pentagon lattice: the basis, a skew unimodular one and one of
@@ -395,4 +505,4 @@ class TestProperties:
         for auto in autos:
             assert all(ints(s) for s in auto.cofactors)
             s = auto.image_cofactor(charge(2, -3))
-            assert ints(s) and ints(s * s) and ints(s.inverse())
+            assert ints(s) and ints(s * s) and ints(series_inverse(s))
