@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import geometry, ks, models, solver, trees
-from .lattice import charge, validate_conditions
+from .lattice import CONDITION_THRESHOLD, charge, validate_conditions
 from .semiflat import ModelPoint, omega3_sf, omega_plus_sf, xsf_log
 
 
@@ -63,13 +63,12 @@ def grid_spec_from_args(args) -> solver.GridSpec:
                               for f, a in SPEC_ARGS.items()})
 
 
-def add_point_args(p, theta_required=True):
+def add_point_args(p):
     p.add_argument("--u", type=parse_complex, required=True,
                    metavar="RE,IM", help="base point")
     p.add_argument("--R", type=float, required=True, help="radius parameter")
     p.add_argument("--theta", type=parse_floats, metavar="T1,T2",
-                   required=theta_required, default=(0.0, 0.0),
-                   help="torus angles in radians")
+                   required=True, help="torus angles in radians")
 
 
 def add_solver_args(p):
@@ -86,7 +85,7 @@ def add_solver_args(p):
 
 
 def _positive_checks(args) -> None:
-    for name in ("R", "tol", "eps_quad"):
+    for name in ("R", "tol", "eps_quad", "tol_rel", "min_order"):
         if hasattr(args, name) and getattr(args, name) is not None \
                 and not getattr(args, name) > 0:
             raise UsageError(f"--{name.replace('_', '-')} must be positive")
@@ -95,6 +94,8 @@ def _positive_checks(args) -> None:
         if hasattr(args, name) and getattr(args, name) is not None \
                 and getattr(args, name) < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
+    if hasattr(args, "sep") and not 0 < args.sep < 1:
+        raise UsageError("--sep must lie in (0, 1)")
     if any(not r > 0 for r in getattr(args, "r_list", ())):
         raise UsageError("every R in the R list must be positive")
     if getattr(args, "emit_grid", 0) < 0:
@@ -132,7 +133,7 @@ def cmd_validate(args) -> int:
     report = validate_conditions(model, n_grid=args.grid)
     print(report.table())
     if not report.ok:
-        print(f"FAIL: residual above {report.threshold:g}")
+        print(f"FAIL: residual above {CONDITION_THRESHOLD:g}")
         return 1
     return 0
 

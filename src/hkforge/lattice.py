@@ -20,6 +20,7 @@ import numpy as np
 SPECTRAL_CUTOFF = 1e-16   # active charges have exp(-2 pi R |Z|) above this
 WALL_ANGLE = 1e-6         # rad; non-proportional rays this close mean a wall
 DERIVATIVE_STEP = 1e-5    # central-difference step, relative to max(|u|, 1)
+CONDITION_THRESHOLD = 1e-8  # a passing condition's residuals lie below this
 
 
 class LatticeError(ValueError):
@@ -323,17 +324,16 @@ class ConditionReport:
     model_name: str
     n_points: int
     residuals: dict[str, float]
-    threshold: float = 1e-8
 
     @property
     def ok(self) -> bool:
-        return all(r < self.threshold for r in self.residuals.values())
+        return all(r < CONDITION_THRESHOLD for r in self.residuals.values())
 
     def table(self) -> str:
         width = max(len(k) for k in self.residuals)
         lines = [f"model {self.model_name}: conditions on {self.n_points} grid points"]
         for name, res in self.residuals.items():
-            verdict = "pass" if res < self.threshold else "FAIL"
+            verdict = "pass" if res < CONDITION_THRESHOLD else "FAIL"
             lines.append(f"  {name:<{width}}  {res:14.6e}  {verdict}")
         return "\n".join(lines)
 

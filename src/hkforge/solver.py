@@ -932,7 +932,7 @@ def midsector_zetas(solution: RaySolution | list[QuadratureGrid], n: int = 8
 class WallReport:
     separations: list[float]
     discrepancies: list[float]
-    orders: list[float] = field(default_factory=list)
+    orders: list[float] = field(init=False)
 
     def __post_init__(self):
         self.orders = [math.log2(a / b) if b > 0 else math.inf
@@ -990,13 +990,12 @@ class DecayReport:
 
 
 def correction_decay(model, u: complex, theta: tuple[float, ...],
-                     r_values: list[float], n_angles: int = 12
-                     ) -> DecayReport:
+                     r_values: list[float]) -> DecayReport:
     """Fit log(max correction over the unit circle) against R.
 
-    The maximum is scanned over mid-sector points and directed on-ray
-    values, where the boundary term makes the correction largest; its decay
-    rate is -2 pi min|Z| over the active charges.
+    The maximum is taken over the directed on-ray values, where the
+    boundary term makes the correction largest; its decay rate is
+    -2 pi min|Z| over the active charges.
     """
     basis = model.lattice.basis()
     maxima = []
@@ -1009,14 +1008,10 @@ def correction_decay(model, u: complex, theta: tuple[float, ...],
                              "exp(-2 pi R |Z|) is below SPECTRAL_CUTOFF")
         if min_z is None:
             min_z = min(g.ray.min_abs_z() for g in sol.grids)
-        peak = float(np.max(np.abs(_upsilon_value(
+        peak = max(float(np.max(np.abs(_upsilon_value(
             model, sol.grids, sol.log_one_minus_x, basis,
-            midsector_zetas(sol, n=n_angles)))))
-        for grid in sol.grids:
-            for side in (+1, -1):
-                vals = _upsilon_value(model, sol.grids, sol.log_one_minus_x,
-                                      basis, grid.ray.direction, side=side)
-                peak = max(peak, float(np.max(np.abs(vals))))
+            grid.ray.direction, side=side))))
+            for grid in sol.grids for side in (+1, -1))
         maxima.append(peak)
     slope = float(np.polyfit(np.asarray(r_values, dtype=float),
                              np.log(np.asarray(maxima)), 1)[0])

@@ -30,6 +30,8 @@ vanishing pairing dropping its term as it dropped the edge.
 
 The decorations are the multiples n gamma of the charges on the given
 rays, each on gamma's ray, so the sum sees the spectrum the solve saw.
+They are listed once per point, towers included; a cutoff only bounds the
+degrees that are summed.
 Their integrals read the kernel blocks of the solver's sweep operator
 (``_prepare``, near-ray continuation folded in), one product per block and
 degree; the pairings, multicover invariants and graded exponentials are
@@ -43,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,35 +70,22 @@ def multicover(omega: dict[Charge, int], gamma: Charge) -> Fraction:
     return total
 
 
-class _Decorations(NamedTuple):
-    """The decorations of one cutoff by degree, then coefficients: charge,
-    L1 degree, ray and c(delta) X^sf at the ray's nodes.  The first
-    ``graded`` lie within the cutoff, the rest are the towers past it;
-    ``pairs[t]`` lists the (i < graded, <delta_t, delta_i>) that are not 0.
-    """
-
-    charges: tuple[Charge, ...]
-    degrees: tuple[int, ...]
-    rays: tuple[int, ...]
-    xsf: tuple[np.ndarray, ...]
-    graded: int
-    pairs: tuple[tuple[tuple[int, int], ...], ...]
-
-
 class TreeIntegrator:
     """Graded root densities at one point on shared grids.
 
-    The decorations are the multiples of each ray's charges, on that ray,
-    up to the cutoff and along the multicover towers past it down to
-    EPS_TAIL: one table per cutoff.  Reads Omega once, over the spectrum's
-    support at the point, and keeps c(delta) and c(delta) X^sf per charge
-    across the tables.  Keeps H_delta^(k) per (decoration, degree), the
-    integrals of degree j at the nodes of each ray that reads them, and the
-    summed density per decoration per cutoff, all 1-D arrays.  The
-    integrals read the kernel blocks of one sweep workspace on the grids
-    (``_prepare``), built at the first integral, which lives as long as
-    the integrator.  EPS_TAIL is a constant, so the cutoff alone
-    keys the sums.
+    The decorations are listed once per point: the multiples n beta of
+    each ray's charges with a nonzero c(delta), sorted by degree then
+    coefficients, each with its ray, c(delta) X^sf at the ray's nodes and
+    whether it lies in a multicover tower (n 2 pi R |Z_beta| below
+    -log EPS_TAIL).  The list holds the towers and every degree up to the
+    largest cutoff asked so far, and grows only when a larger one arrives;
+    a cutoff just bounds the degrees summed.  Reads Omega once, over the
+    spectrum's support at the point.  Keeps H_delta^(k) per (decoration,
+    degree), the integrals of degree j at the nodes of each ray that reads
+    them, and the summed density per decoration per cutoff, all 1-D
+    arrays.  The integrals read the kernel blocks of one sweep workspace
+    on the grids (``_prepare``), built at the first integral, which lives
+    as long as the integrator.
     """
 
     def __init__(self, model, point: ModelPoint,
@@ -108,61 +96,67 @@ class TreeIntegrator:
         u = point.u
         self._omega = {g: model.spectrum.omega(g, u)
                        for g in model.spectrum.support(u)}
-        self._weights: dict[Charge, Fraction] = {}
-        self._xsf: dict[Charge, np.ndarray] = {}
-        self._tables: dict[int, _Decorations] = {}
+        # (charge, degree, ray, c(delta) X^sf, in a tower) up to the reach,
+        # and per decoration of degree <= reach the (i, <delta, delta_i>)
+        # that are not 0; every charge looked at is seen
+        self._decorations: list[tuple] = []
+        self._pairs: list[list[tuple[int, int]]] = []
+        self._reach: int | None = None
+        self._seen: set[Charge] = set()
         self._graded: dict[tuple[Charge, int], np.ndarray] = {}
         self._at_nodes: dict[int, dict[tuple[Charge, int], np.ndarray]] = {}
         self._densities: dict[int, dict[Charge, tuple[int, np.ndarray]]] = {}
 
-    def _table(self, degree_cutoff: int) -> _Decorations:
-        """The decorations of the cutoff with a nonzero c(delta)."""
-        if degree_cutoff not in self._tables:
-            model, point = self.model, self.point
-            ray_of = {}
-            for r, grid in enumerate(self.grids):
-                for base, z in zip(grid.ray.charges, grid.ray.zs):
-                    scale = 2.0 * math.pi * point.R * abs(z)
-                    n = 1
-                    while (n * base.l1_degree() <= degree_cutoff
-                           or n * scale < -math.log(EPS_TAIL)):
-                        ray_of[n * base] = r
-                        n += 1
-            weights, xsf = self._weights, self._xsf
-            for g, r in ray_of.items():
-                if g not in weights:
-                    weights[g] = multicover(self._omega, g)
-                    if weights[g]:
-                        xsf[g] = float(weights[g]) * np.exp(xsf_log(
-                            model, point, g, self.grids[r].zeta_nodes))
-            charges = tuple(sorted((g for g in ray_of if weights[g]),
-                                   key=lambda g: (g.l1_degree(), g.coeffs)))
-            degrees = tuple(g.l1_degree() for g in charges)
-            graded = sum(d <= degree_cutoff for d in degrees)
-            coeffs = _rows(charges[:graded], model.lattice.rank_total)
-            pairing = (coeffs @ model.lattice.matrix() @ coeffs.T).tolist()
-            self._tables[degree_cutoff] = _Decorations(
-                charges, degrees, tuple(ray_of[g] for g in charges),
-                tuple(xsf[g] for g in charges), graded,
-                tuple(tuple((i, p) for i, p in enumerate(row) if p)
-                      for row in pairing))
-        return self._tables[degree_cutoff]
+    def _extend(self, degree_cutoff: int) -> None:
+        """List the multiples of degree up to the cutoff, and the towers at
+        the first call, that the list lacks; then pair its graded part."""
+        if self._reach is not None and degree_cutoff <= self._reach:
+            return
+        model, point = self.model, self.point
+        tail = -math.log(EPS_TAIL)
+        for r, grid in enumerate(self.grids):
+            for base, z in zip(grid.ray.charges, grid.ray.zs):
+                degree = base.l1_degree()
+                scale = 2.0 * math.pi * point.R * abs(z)
+                towers = 0
+                while (towers + 1) * scale < tail:
+                    towers += 1
+                listed = (0 if self._reach is None
+                          else max(towers, self._reach // degree))
+                for n in range(listed + 1,
+                               max(towers, degree_cutoff // degree) + 1):
+                    g = n * base
+                    if g in self._seen:
+                        continue
+                    self._seen.add(g)
+                    weight = multicover(self._omega, g)
+                    if weight:
+                        self._decorations.append((
+                            g, n * degree, r, float(weight) * np.exp(xsf_log(
+                                model, point, g, grid.zeta_nodes)),
+                            n <= towers))
+        self._decorations.sort(key=lambda d: (d[1], d[0].coeffs))
+        self._reach = degree_cutoff
+        coeffs = _rows([g for g, d, _, _, _ in self._decorations
+                        if d <= degree_cutoff], model.lattice.rank_total)
+        pairing = (coeffs @ model.lattice.matrix() @ coeffs.T).tolist()
+        self._pairs = [[(i, p) for i, p in enumerate(row) if p]
+                       for row in pairing]
 
     @functools.cached_property
     def _workspace(self):
         return _prepare(self.model, self.point, self.grids)
 
-    def _integrals(self, table: _Decorations, j: int
-                   ) -> dict[tuple[Charge, int], np.ndarray]:
+    def _integrals(self, j: int) -> dict[tuple[Charge, int], np.ndarray]:
         """(1/4 pi i) int K H_delta'^(j) at the nodes of every ray that
         reads delta''s ray, by (delta', target ray): one product per block
         of the workspace, over the decorations of degree <= j on its source
-        ray.  ``table`` is that of a cutoff >= j, so it lists them all."""
+        ray."""
         if j not in self._at_nodes:
             at_nodes = {}
             for (rt, rs), (sign, matrix) in self._workspace.blocks.items():
-                src = [g for g, d, r in zip(table.charges, table.degrees,
-                                            table.rays) if r == rs and d <= j]
+                src = [g for g, d, r, _, _ in self._decorations
+                       if r == rs and d <= j]
                 if not src:
                     continue
                 rows = sign * ((self.grids[rs].weights * np.array(
@@ -173,41 +167,38 @@ class TreeIntegrator:
             self._at_nodes[j] = at_nodes
         return self._at_nodes[j]
 
-    def _layer(self, table: _Decorations, t: int, j: int):
+    def _layer(self, t: int, j: int):
         """E_j(delta) = sum_delta' <delta, delta'> I[H_delta'^(j)] at the
-        nodes of delta's ray, delta the t-th decoration of ``table``."""
-        at_nodes, r = self._integrals(table, j), table.rays[t]
-        return sum(p * at_nodes[table.charges[i], r]
-                   for i, p in table.pairs[t] if table.degrees[i] <= j)
+        nodes of delta's ray, delta the t-th decoration."""
+        decos = self._decorations
+        at_nodes, r = self._integrals(j), decos[t][2]
+        return sum(p * at_nodes[decos[i][0], r]
+                   for i, p in self._pairs[t] if decos[i][1] <= j)
 
     def densities(self, degree_cutoff: int
                   ) -> dict[Charge, tuple[int, np.ndarray]]:
         """(root ray, sum of c(T) times root integrand) per root decoration.
 
-        The sum runs over the degrees up to the cutoff, sum_k H^(k), each
-        degree built from the cached lower ones, and the single-node
-        multicover towers n * beta past it, while their exp(-2 pi R n |Z|)
-        scale stays above EPS_TAIL.
+        A decoration of degree <= the cutoff sums its degrees up to it,
+        sum_k H^(k), each degree built from the cached lower ones; a tower
+        decoration past the cutoff keeps its single node c(delta) X^sf.
         """
         if degree_cutoff not in self._densities:
-            table = self._table(degree_cutoff)
-            sums: dict[int, np.ndarray] = {}
+            self._extend(degree_cutoff)
+            graded = self._graded
             for k in range(1, degree_cutoff + 1):
-                for t in range(table.graded):
-                    m = k - table.degrees[t]
-                    if m < 0:
+                for t, (g, d, _, xsf, _) in enumerate(self._decorations):
+                    if d > k:
                         break
-                    key = (table.charges[t], k)
-                    if key not in self._graded:
-                        self._graded[key] = table.xsf[t] * _graded_exp(
-                            [self._layer(table, t, j)
-                             for j in range(1, m + 1)])
-                    h = self._graded[key]
-                    sums[t] = sums[t] + h if t in sums else h
-            sums.update((t, table.xsf[t])
-                        for t in range(table.graded, len(table.charges)))
+                    if (g, k) not in graded:
+                        graded[g, k] = xsf * _graded_exp(
+                            [self._layer(t, j) for j in range(1, k - d + 1)])
             self._densities[degree_cutoff] = {
-                table.charges[t]: (table.rays[t], f) for t, f in sums.items()}
+                g: (r, sum((graded[g, k]
+                            for k in range(d + 1, degree_cutoff + 1)),
+                           graded[g, d]) if d <= degree_cutoff else xsf)
+                for g, d, r, xsf, tower in self._decorations
+                if d <= degree_cutoff or tower}
         return self._densities[degree_cutoff]
 
     def exponent(self, gamma: Charge, zeta: complex, degree_cutoff: int

@@ -145,7 +145,7 @@ def test_criterion_4c_radial_limit(pentagon, rh_point):
 
 def test_criterion_5_decay_law(pentagon):
     rep = correction_decay(pentagon, 1.2, (0.37, 1.29),
-                           [1.0, 1.5, 2.0, 2.5, 3.0, 4.0], n_angles=8)
+                           [1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
     assert rep.relative_error < 0.02
     report("5 decay law",
            f"slope {rep.slope:+.4f} vs -2 pi min|Z| = {rep.target:+.4f}, "

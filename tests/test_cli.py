@@ -14,6 +14,7 @@ import pytest
 from hkforge import geometry, solver
 from hkforge.cli import content_hash, load_solution, main
 from hkforge.lattice import charge
+from hkforge.models import pentagon_wall_point
 from hkforge.semiflat import ModelPoint, omega3_sf, omega_plus_sf
 from reference import laurent_fit, varpi_sf
 
@@ -62,11 +63,15 @@ class TestExitCodes:
           "1", "--theta", "0.37,1.29", "--charge", "0,1", "--zeta",
           f"{math.cos(0.1245)},{math.sin(0.1245)}"),
          "request a directed limit"),
-        (("wall-check", "--model", "pentagon", "--sep", "0"),
-         "non-proportional charges"),
+        # {wall} is the u of the phi 0.9 wall point, exactly
+        (("solve", "--model", "pentagon", "--u", "{wall}", "--R", "0.35",
+          "--theta", "0.37,1.29"), "non-proportional charges"),
     ], ids=["discriminant", "on-ray", "at-wall"])
-    def test_domain_edge_is_one_line_failure(self, capsys, argv, message):
-        code, _, err = run(capsys, *argv)
+    def test_domain_edge_is_one_line_failure(self, capsys, pentagon, argv,
+                                             message):
+        w = pentagon_wall_point(pentagon, 0.9)
+        code, _, err = run(capsys, *(a.format(wall=f"{w.real!r},{w.imag!r}")
+                                     for a in argv))
         assert code == 1
         assert message in err
         assert len(err.strip().splitlines()) == 1
@@ -120,6 +125,15 @@ class TestExitCodes:
         ("wall-check", "--model", "pentagon", "--theta", "0.37"),
         ("tree-compare", "--model", "ov", "--u", "0.5,0", "--R", "1",
          "--theta", "0.3,1.1", "--zeta", "0.6,0.5", "--charge", "1,0,0"),
+        # a wall separation outside (0, 1) and nonpositive gates
+        ("wall-check", "--model", "pentagon", "--sep", "0"),
+        ("wall-check", "--model", "pentagon", "--sep", "1.5"),
+        ("wall-check", "--model", "pentagon", "--sep=-0.02"),
+        ("wall-check", "--model", "pentagon", "--min-order", "0"),
+        ("decay-scan", "--model", "pentagon", "--u", "1.2,0",
+         "--tol-rel", "-1"),
+        ("decay-scan", "--model", "pentagon", "--u", "1.2,0",
+         "--tol-rel", "0"),
     ])
     def test_degenerate_input_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -956,7 +956,7 @@ class TestJumps:
 class TestDecay:
     def test_slope_against_min_z(self, pentagon):
         report = correction_decay(pentagon, 1.2, (0.37, 1.29),
-                                  [1.0, 2.0, 3.0], n_angles=8)
+                                  [1.0, 2.0, 3.0])
         assert report.relative_error < 0.02
 
 

@@ -202,9 +202,12 @@ def _zetas(sol):
 
 
 def _tree_point(name, pentagon, ov):
-    """The grouped-sum points: 4 rays, 6 rays past either wall, and OV."""
+    """The grouped-sum points: 4 rays, 6 rays past either wall, and OV;
+    and a low-R point whose towers run to 181 and 343 multiples."""
     if name == "ov":
         return ov, ModelPoint(0.5, 1.0, (0.3, 1.1))
+    if name == "low R":
+        return pentagon, ModelPoint(0.6 + 0.3j, 0.0201, (0.37, 1.29))
     u = {"strong": 1.5 + 0.2j,
          "wall 0.9": 1.2 * pentagon_wall_point(pentagon, 0.9),
          "wall -0.8": 1.2 * pentagon_wall_point(pentagon, -0.8)}[name]
@@ -235,6 +238,22 @@ def _per_tree_terms(model, point, sol, cutoff):
                     for (t, w), vals in zip(weighted, per_tree)
                     if lat.pair(g, t.decoration)])
             for i, z in enumerate(zetas) for g in (G1, G2)]
+
+
+@pytest.fixture(scope="module")
+def tree_case(pentagon, ov):
+    """(model, point, solve, per-tree terms) at a named point and cutoff;
+    each solve and each cutoff's terms are taken once for the module."""
+    solved, per_tree = {}, {}
+
+    def case(name, cutoff):
+        if name not in solved:
+            model, point = _tree_point(name, pentagon, ov)
+            solved[name] = model, point, solve(model, point, tol_iter=1e-13)
+        if (name, cutoff) not in per_tree:
+            per_tree[name, cutoff] = _per_tree_terms(*solved[name], cutoff)
+        return solved[name] + (per_tree[name, cutoff],)
+    return case
 
 
 def _bound(paired):
@@ -276,12 +295,10 @@ class TestSharedKernels:
     @pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("name", ["strong", "wall 0.9", "wall -0.8",
                                       "ov"])
-    def test_grouped_sum_equals_per_tree_sum(self, pentagon, ov, name,
-                                             cutoff):
-        model, point = _tree_point(name, pentagon, ov)
-        sol = solve(model, point, tol_iter=1e-13)
+    def test_grouped_sum_equals_per_tree_sum(self, tree_case, name, cutoff):
+        model, point, sol, per_tree = tree_case(name, cutoff)
         integ = TreeIntegrator(model, point, sol.grids)
-        for z, g, paired in _per_tree_terms(model, point, sol, cutoff):
+        for z, g, paired in per_tree:
             terms = [term for _, term in paired]
             bound = _bound(paired)
             got = integ.exponent(g, z, cutoff)
@@ -295,6 +312,34 @@ class TestSharedKernels:
             dropped = max((term for t, term in paired
                            if t.height() == height), key=abs)
             assert abs(got - _fsum(terms + [-dropped])) > bound
+
+    @pytest.mark.parametrize("name", ["strong", "wall 0.9", "wall -0.8",
+                                      "ov"])
+    def test_shared_integrator_equals_per_tree_sum(self, tree_case, name):
+        # one integrator across the cutoffs, its list grown at each
+        model, point, sol, _ = tree_case(name, 1)
+        integ = TreeIntegrator(model, point, sol.grids)
+        for cutoff in (1, 2, 3, 4, 5):
+            for z, g, paired in tree_case(name, cutoff)[3]:
+                got = integ.exponent(g, z, cutoff)
+                assert abs(got - _fsum([t for _, t in paired])) \
+                    <= _bound(paired)
+
+    @pytest.mark.parametrize("name", ["strong", "wall 0.9", "wall -0.8",
+                                      "ov", "low R"])
+    def test_cutoffs_in_any_order(self, pentagon, ov, name):
+        # one integrator asked for cutoffs out of order gives each the
+        # exponents of a fresh integrator bitwise: a smaller cutoff than
+        # the list's reach sums the same degrees and towers
+        model, point = _tree_point(name, pentagon, ov)
+        sol = solve(model, point, tol_iter=1e-13)
+        shared = TreeIntegrator(model, point, sol.grids)
+        for cutoff in (5, 1, 4, 2, 3):
+            fresh = TreeIntegrator(model, point, sol.grids)
+            for z in _zetas(sol):
+                for g in (G1, G2):
+                    assert shared.exponent(g, z, cutoff) \
+                        == fresh.exponent(g, z, cutoff)
 
     def test_reference_has_its_own_xsf(self, pentagon, strong, monkeypatch):
         # control: the reference takes X^sf and the rays on its own, so a
