@@ -108,13 +108,16 @@ class UsageError(ValueError):
 
 def model_from_args(args):
     """The model of ``--model``, with ``--theta`` and ``--charge`` checked
-    against its lattice rank before any work."""
+    against its lattice rank before any work, and ``--charge`` nonzero."""
     model = models.load_model(args.model)
     rank = model.lattice.rank_total
     for name in ("theta", "charge"):
         value = getattr(args, name, None)
         if value is not None and len(value) != rank:
             raise UsageError(f"--{name} needs {rank} entries")
+    gamma = getattr(args, "charge", None)
+    if gamma is not None and not any(gamma):
+        raise UsageError("--charge must be nonzero")
     return model
 
 

@@ -150,6 +150,11 @@ class Lattice:
         return [Charge(tuple(1 if j == i else 0 for j in range(n)))
                 for i in range(n)]
 
+    def rows(self, charges) -> np.ndarray:
+        """The coefficient rows of the charges as one integer matrix."""
+        return np.array([g.coeffs for g in charges],
+                        dtype=np.int64).reshape(len(charges), self.rank_total)
+
     def pair(self, a: Charge, b: Charge) -> int:
         """Antisymmetric integer pairing <a, b>."""
         if a.dim != self.rank_total or b.dim != self.rank_total:

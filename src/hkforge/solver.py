@@ -33,10 +33,11 @@ the closed-form kernel integral.  The continuation is one linear operator,
 ``_near_term``: per pole, the nodes of one panel and their interpolation
 weights.  The sweep folds it into the kernel block of each near direction
 of a class, so a sweep is a list of matvecs, and the tree sum reads the
-same blocks (``_Workspace.blocks``); evaluation rebuilds it per pole.  On a
-ray the two directed boundary values of the closed form differ by the
-residue term +-2 pi i, which is how the expected coordinate jumps emerge
-from one integral representation.
+same blocks (``_Workspace.blocks``); evaluation folds it the same way into
+the kernel rows of each call (``_folded_rows``).  On a ray the two directed
+boundary values of the closed form differ by the residue term +-2 pi i,
+which is how the expected coordinate jumps emerge from one integral
+representation.
 
 Every node quantity of a solve is one array of shape (..., U, N): row k is
 unknown k of ``unknowns(grids)``, the (ray, charge) pairs ray-major, on the
@@ -51,15 +52,18 @@ with a linear map A that ``_prepare`` precomputes (``_apply``), so
 coordinates by one linear solve on the same grids, (I + A D) dU = -A D dL
 with D = X / (1 - X), by the same contraction.
 
-There is one evaluation path off the grid, ``ray_integrals``: per ray, one
-Cauchy integral of the rows with a nonzero coefficient at all the zetas of
-a call, each pole switching to the continuation on its own offset, then
-one contraction with the coefficients.  ``_upsilon_value``, behind
-``upsilon``, ``evaluate``, the checks and the two-form sampler, and the tree
-sum all call it, so one near-ray rule holds: without ``side`` a zeta within
-RAY_AVOIDANCE_ANGLE of a contributing ray raises, and with it a zeta within
-ON_RAY_ANGLE of a ray takes the directed boundary value.  Its first terms
-at zeta -> 0 and infinity are moments on the nodes (``zeta_zero_moments``).
+There is one evaluation path off the grid, ``ray_integrals``.  The kernel
+rows of every ray it reads at every zeta of a call are one (R, Z, N)
+array, each pole within its ray's near zone with the continuation folded
+in as the sweep folds its blocks; the density rows are summed with their
+coefficients per ray, and one product with the row array gives every
+integral.  ``cauchy_integral`` is the one-ray case.  ``_upsilon_value``,
+behind ``upsilon``, ``evaluate``, the checks and the two-form sampler, and
+the tree sum all call it, so one near-ray rule holds: without ``side`` a
+zeta within RAY_AVOIDANCE_ANGLE of a contributing ray raises, and with it a
+zeta within ON_RAY_ANGLE of a ray takes the directed boundary value.  Its
+first terms at zeta -> 0 and infinity are moments on the nodes
+(``zeta_zero_moments``).
 """
 
 from __future__ import annotations
@@ -140,7 +144,7 @@ class QuadratureGrid:
     def half_width(self) -> float:
         return self.s_max / self.panels
 
-    @property
+    @functools.cached_property
     def near_angle(self) -> float:
         """Ray offset below which integrals take the subtracted kernel."""
         return NEAR_HALF_WIDTHS * self.half_width
@@ -392,20 +396,27 @@ def kernel_rows(grid: QuadratureGrid, w) -> np.ndarray:
     has at most one such node: its nearest.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    es = np.exp(grid.s_nodes)[None, :]
-    ew = np.exp(w)[:, None]
+    return _kernels([grid], w[None])[0]
+
+
+def _kernels(grids: list[QuadratureGrid], w: np.ndarray) -> np.ndarray:
+    """``kernel_rows`` of each grid at its own row of poles: (R, Z) poles
+    give (R, Z, N) rows, on the node count all grids share."""
+    s_nodes = np.array([grid.s_nodes for grid in grids])
+    radius = np.array([grid.close_radius for grid in grids])
+    es = np.exp(s_nodes)[:, None, :]
+    ew = np.exp(w)[..., None]
     # a pole within the radius of a node is within it of the ray too
-    radius = grid.close_radius
-    if np.all(np.abs(w.imag) >= radius):
+    ray, pole = np.nonzero(np.abs(w.imag) < radius[:, None])
+    if not len(ray):
         return (es + ew) / (es - ew)
-    pole = np.flatnonzero(np.abs(w.imag) < radius)
-    node = _nearest_node(grid.s_nodes, w.real[pole])
-    close = np.abs(grid.s_nodes[node] - w[pole]) < radius
-    pole, node = pole[close], node[close]
+    hit, node = np.nonzero(np.abs(s_nodes[ray] - w[ray, pole][:, None])
+                           < radius[ray][:, None])
+    close = (ray[hit], pole[hit], node)
     den = es - ew
-    den[pole, node] = 1.0
+    den[close] = 1.0
     rows = (es + ew) / den
-    rows[pole, node] = 0.0
+    rows[close] = 0.0
     return rows
 
 
@@ -456,19 +467,14 @@ def cauchy_integral(grid: QuadratureGrid, f: np.ndarray, w) -> np.ndarray:
 
     ``f`` holds node values on its last axis; stacked densities share the
     kernel rows, and the result keeps their leading axes with the poles
-    last.  Each pole within ``grid.near_angle`` of the ray subtracts f
-    continued to it and adds it back against the closed-form kernel
-    integral (``_near_term``), so the fixed nodes resolve the integrand at
-    any offset; the other poles of the call keep the plain kernel.
+    last.  It is the one-ray case of ``_folded_rows``: each pole within
+    ``grid.near_angle`` of the ray subtracts f continued to it and adds it
+    back against the closed-form kernel integral, so the fixed nodes
+    resolve the integrand at any offset; the other poles of the call keep
+    the plain kernel.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    rows = kernel_rows(grid, w)
-    out = (grid.weights * f) @ rows.T
-    near = np.abs(w.imag) < grid.near_angle
-    if near.any():
-        idx, op = _near_term(grid, rows[near], w[near])
-        out[..., near] += np.sum(op * f[..., idx], axis=-1)
-    return out
+    return (grid.weights * f) @ _folded_rows([grid], w[None])[0].T
 
 
 def unknowns(grids: list[QuadratureGrid]) -> list[tuple[int, Charge]]:
@@ -525,6 +531,21 @@ def _fold(rows: np.ndarray, near: tuple[np.ndarray, np.ndarray],
     rows @ (weights * f) + sum(op * f[idx], -1)."""
     idx, op = near
     rows[np.arange(len(idx))[:, None], idx] += op / weights[idx]
+
+
+def _folded_rows(grids: list[QuadratureGrid], w: np.ndarray) -> np.ndarray:
+    """``_kernels`` with the continuation of each pole within its grid's
+    ``near_angle`` folded in, as ``_prepare`` folds the sweep's near blocks:
+    rows[r] @ (weights * f), with grids[r]'s weights, is the Cauchy integral
+    of node data f on grids[r] at its poles w[r]."""
+    rows = _kernels(grids, w)
+    near = np.abs(w.imag) < np.array([g.near_angle for g in grids])[:, None]
+    for r in np.flatnonzero(near.any(axis=1)):
+        block = rows[r, near[r]]
+        _fold(block, _near_term(grids[r], block, w[r, near[r]]),
+              grids[r].weights)
+        rows[r, near[r]] = block
+    return rows
 
 
 def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspace:
@@ -710,46 +731,57 @@ def ray_integrals(grids: list[QuadratureGrid], rays, density: np.ndarray,
     the integral jumps there; with it, a zeta within ON_RAY_ANGLE of a ray takes
     the counterclockwise (+1) or clockwise (-1) boundary value.  Every other
     zeta is evaluated where it lies.
+
+    The read rays' poles w = log(zeta / direction) give one (R, Z, N) array
+    of ``_folded_rows``; the density rows are summed with their
+    coefficients per ray and weighted, and one product with the rows, summed
+    over the rays, gives the integrals.
     """
     scalar = np.ndim(zeta) == 0
     zetas = np.atleast_1d(np.asarray(zeta, dtype=complex))
     coefs = np.asarray(coefs)
     rays = np.asarray(rays, dtype=int)
-    total = np.zeros(density.shape[:-2] + zetas.shape + coefs.shape[1:],
-                     dtype=complex)
-    live = coefs.any(axis=1)
-    for r, grid in enumerate(grids):
-        sources = np.flatnonzero((rays == r) & live)
-        if not len(sources):
-            continue
-        w = np.log(zetas / grid.ray.direction)
-        if side is None:
-            close = np.abs(w.imag) < RAY_AVOIDANCE_ANGLE
-            if close.any():
-                raise RayProximityError(
-                    f"zeta={zetas[close][0]} within {RAY_AVOIDANCE_ANGLE} "
-                    f"rad of the ray of {grid.ray.charges[0]}; request a "
-                    f"directed limit")
-        else:
-            # A truly infinitesimal offset keeps the branch of the
-            # closed-form kernel on the requested side (signed zeros do not
-            # survive the subtraction inside the logarithms).
-            on = np.abs(w.imag) < ON_RAY_ANGLE
-            w[on] = w.real[on] + side * 1e-300j
-        total += np.swapaxes(cauchy_integral(
-            grid, density[..., sources, :], w), -1, -2) @ coefs[sources]
+    read = np.flatnonzero(np.bincount(rays[coefs.any(axis=1)],
+                                      minlength=len(grids)))
+    if not len(read):
+        total = np.zeros(density.shape[:-2] + zetas.shape + coefs.shape[1:],
+                         dtype=complex)
+        return total[..., 0, :] if scalar else total
+    grids = [grids[r] for r in read]
+    w = np.log(zetas / np.array([g.ray.direction for g in grids])[:, None])
+    if side is None:
+        close = np.abs(w.imag) < RAY_AVOIDANCE_ANGLE
+        if close.any():
+            r = np.flatnonzero(close.any(axis=1))[0]
+            raise RayProximityError(
+                f"zeta={zetas[close[r]][0]} within {RAY_AVOIDANCE_ANGLE} "
+                f"rad of the ray of {grids[r].ray.charges[0]}; request a "
+                f"directed limit")
+    else:
+        # A truly infinitesimal offset keeps the branch of the closed-form
+        # kernel on the requested side (signed zeros do not survive the
+        # subtraction inside the logarithms).
+        on = np.abs(w.imag) < ON_RAY_ANGLE
+        w[on] = w.real[on] + side * 1e-300j
+    # (..., R, N, C): per read ray, its rows' coefficient sum, weighted
+    mix = (rays == read[:, None])[..., None] * coefs
+    g = (np.swapaxes(density, -1, -2)[..., None, :, :] @ mix) \
+        * np.array([grid.weights for grid in grids])[..., None]
+    total = (_folded_rows(grids, w) @ g).sum(axis=-3)
     return total[..., 0, :] if scalar else total
 
 
 def _coefficients(model, grids: list[QuadratureGrid], charges: list[Charge]
                   ) -> np.ndarray:
-    """(U, C): -Omega <gamma, gamma'> / 4 pi i, rows the unknowns gamma'."""
+    """(U, C): -Omega <gamma, gamma'> / 4 pi i, rows the unknowns gamma',
+    from one integer product of the charges' coefficient rows."""
     lat = model.lattice
-    return np.array([[-om_s * lat.pair(gamma, gamma_s) / FOUR_PI_I
-                      for gamma in charges] for grid in grids
-                     for gamma_s, om_s in zip(grid.ray.charges,
-                                              grid.ray.omegas)]
-                    ).reshape(-1, len(charges))
+    pairs = lat.rows([g for _, g in unknowns(grids)]) @ lat.matrix().T \
+        @ lat.rows(charges).T
+    omegas = np.array([om for grid in grids for om in grid.ray.omegas],
+                      dtype=np.int64)
+    # -1 / i = i, and the real quotient rounds as the complex one would
+    return 1j * (omegas[:, None] * pairs / (4.0 * math.pi))
 
 
 def _upsilon_value(model, grids: list[QuadratureGrid], density: np.ndarray,
@@ -864,21 +896,23 @@ def ray_jump_defect(model, solution: RaySolution, ray_index: int) -> float:
     lat = model.lattice
     zeta0 = ray.direction
     basis = lat.basis()
+    charges = list(ray.charges) + basis
     n = len(ray.charges)
+    log_xsf = np.array([xsf_log(model, solution.point, g, zeta0)
+                        for g in charges])
 
-    def values(charges, ups):
-        return [CoordinateValue.from_log(
-            g, zeta0, xsf_log(model, solution.point, g, zeta0) + u).value
-            for g, u in zip(charges, ups.tolist())]
+    def values(charges, logs):
+        return [CoordinateValue.from_log(g, zeta0, v).value
+                for g, v in zip(charges, logs.tolist())]
 
     d = SIDE_OFFSET
     ups = _upsilon_value(model, solution.grids, solution.log_one_minus_x,
-                         list(ray.charges) + basis, zeta0 * np.exp(
+                         charges, zeta0 * np.exp(
                              1j * np.array([0.0, d, d / 2.0, -d, -d / 2.0])),
                          side=+1)
-    factors = list(zip(ray.charges, ray.omegas, values(ray.charges,
-                                                       ups[0, :n])))
-    ccw, cw = (values(basis, u) for u in _side_extrapolation(
+    factors = list(zip(ray.charges, ray.omegas, values(
+        ray.charges, log_xsf[:n] + ups[0, :n])))
+    ccw, cw = (values(basis, log_xsf[n:] + u) for u in _side_extrapolation(
         ups[1::2, n:], ups[2::2, n:]))
     worst = 0.0
     for gamma, x_ccw, x_cw in zip(basis, ccw, cw):

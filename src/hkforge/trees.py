@@ -123,22 +123,31 @@ class TreeIntegrator:
                     towers += 1
                 listed = (0 if self._reach is None
                           else max(towers, self._reach // degree))
-                for n in range(listed + 1,
-                               max(towers, degree_cutoff // degree) + 1):
+                multiples = range(listed + 1,
+                                  max(towers, degree_cutoff // degree) + 1)
+                if not multiples:
+                    continue
+                # log X^sf of n beta is n log X^sf_beta mod 2 pi i: Z and
+                # theta are linear, and q(n beta) = n^2 q(beta) = n q(beta)
+                # mod 2; only the charges on beta's line enter c(n beta)
+                log_base = xsf_log(model, point, base, grid.zeta_nodes)
+                line = {g: om for g, om in self._omega.items()
+                        if base.proportional(g)}
+                for n in multiples:
                     g = n * base
                     if g in self._seen:
                         continue
                     self._seen.add(g)
-                    weight = multicover(self._omega, g)
+                    weight = multicover(line, g)
                     if weight:
                         self._decorations.append((
-                            g, n * degree, r, float(weight) * np.exp(xsf_log(
-                                model, point, g, grid.zeta_nodes)),
+                            g, n * degree, r,
+                            float(weight) * np.exp(n * log_base),
                             n <= towers))
         self._decorations.sort(key=lambda d: (d[1], d[0].coeffs))
         self._reach = degree_cutoff
-        coeffs = _rows([g for g, d, _, _, _ in self._decorations
-                        if d <= degree_cutoff], model.lattice.rank_total)
+        coeffs = model.lattice.rows([g for g, d, _, _, _ in self._decorations
+                                     if d <= degree_cutoff])
         pairing = (coeffs @ model.lattice.matrix() @ coeffs.T).tolist()
         self._pairs = [[(i, p) for i, p in enumerate(row) if p]
                        for row in pairing]
@@ -209,17 +218,11 @@ class TreeIntegrator:
         lat = self.model.lattice
         dens = self.densities(degree_cutoff)
         pairs = (np.array(gamma.coeffs) @ lat.matrix()
-                 @ _rows(dens, lat.rank_total).T).tolist()
+                 @ lat.rows(list(dens)).T).tolist()
         coefs = np.array([p / FOUR_PI_I for p in pairs])
         return complex(ray_integrals(
             self.grids, [r for r, _ in dens.values()],
             np.array([f for _, f in dens.values()]), coefs[:, None], zeta)[0])
-
-
-def _rows(charges, rank: int) -> np.ndarray:
-    """The coefficient rows of the charges as one integer matrix."""
-    return np.array([g.coeffs for g in charges],
-                    dtype=np.int64).reshape(len(charges), rank)
 
 
 def _graded_exp(layers: list[np.ndarray]):

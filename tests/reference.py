@@ -1,8 +1,9 @@
 """Test-only references: the least-squares Laurent fit of sampled two-forms,
 the semiflat two-form family, the closed-form Gibbons-Hawking metric of the
 OV model, the pentagon periods continued one step at a time, the OV oracle
-as QUADPACK ran it, the tree sum taken tree by tree, and the KS
-automorphisms composed by series substitution.
+as QUADPACK ran it, the tree sum taken tree by tree, the KS
+automorphisms composed by series substitution, and the off-grid evaluation
+taken ray by ray with its coefficients from ``Lattice.pair``.
 
 None shares code with the pipeline it checks: the fit takes varpi only
 through its samples, the OV metric is a Bessel sum (GMN, arXiv:0807.4723)
@@ -16,7 +17,10 @@ takes X^sf from ``xsf_log`` at that ray's nodes; of the tree sum's code it
 shares only ``cauchy_integral``.  The substitution route builds a KS word
 from series powers, inverses and substitutions, where ``ks`` applies each
 factor's binomial series to the monomials; it shares only ``ConeGrading``
-and the ``TwistedSeries`` product.
+and the ``TwistedSeries`` product.  The ray-by-ray evaluation applies
+``kernel_rows`` and gathers the ``_near_term`` continuation per ray, as
+``_unfolded_apply`` in ``tests/test_solver.py`` does for the sweep; of
+``ray_integrals`` it shares only those two builders.
 """
 
 from __future__ import annotations
@@ -36,10 +40,56 @@ from hkforge.ks import TwistedSeries
 from hkforge.lattice import Charge, DegeneratePointError, charge
 from hkforge.semiflat import (dlog_xsf_matrix, omega3_sf, omega_plus_sf,
                               pairing_two_form, theta_eval, xsf_log)
-from hkforge.solver import FOUR_PI_I, cauchy_integral
+from hkforge.solver import (FOUR_PI_I, ON_RAY_ANGLE, _near_term,
+                            cauchy_integral, kernel_rows)
 
 TREE_BUDGET = 200_000  # most trees the enumeration lists
 EPS_TAIL = 1e-16       # scale exp(-2 pi R n |Z|) down to which towers run
+
+
+def pairing_coefficients(model, grids, charges) -> np.ndarray:
+    """(U, C): -Omega <gamma, gamma'> / 4 pi i, one ``Lattice.pair`` call
+    per entry, rows the unknowns gamma' ray-major.  Only ``grid.ray`` is
+    read."""
+    lat = model.lattice
+    return np.array([[-om_s * lat.pair(gamma, gamma_s) / FOUR_PI_I
+                      for gamma in charges] for grid in grids
+                     for gamma_s, om_s in zip(grid.ray.charges,
+                                              grid.ray.omegas)]
+                    ).reshape(-1, len(charges))
+
+
+def unfolded_ray_integrals(grids, rays, density, coefs, zetas, side=None,
+                           skip=None):
+    """``ray_integrals`` ray by ray at a 1-d array of zetas: per ray read,
+    kernel_rows @ (weights * f) plus the ``_near_term`` gather at its near
+    poles, then the coefficients.  The gather of ray ``skip`` is left out
+    (a control).  Returns the integrals and their largest term, one row's
+    integral times its coefficient."""
+    zetas = np.asarray(zetas, dtype=complex)
+    coefs, rays = np.asarray(coefs), np.asarray(rays)
+    total = np.zeros(density.shape[:-2] + zetas.shape + coefs.shape[1:],
+                     dtype=complex)
+    big = 0.0
+    for r, grid in enumerate(grids):
+        sources = np.flatnonzero((rays == r) & coefs.any(axis=1))
+        if not len(sources):
+            continue
+        w = np.log(zetas / grid.ray.direction)
+        if side is not None:
+            on = np.abs(w.imag) < ON_RAY_ANGLE
+            w[on] = w.real[on] + side * 1e-300j
+        f = density[..., sources, :]
+        rows = kernel_rows(grid, w)
+        acc = (grid.weights * f) @ rows.T
+        near = np.abs(w.imag) < grid.near_angle
+        if near.any() and r != skip:
+            idx, op = _near_term(grid, rows[near], w[near])
+            acc[..., near] += np.sum(op * f[..., idx], axis=-1)
+        total += np.swapaxes(acc, -1, -2) @ coefs[sources]
+        big = max(big, float(np.max(np.abs(acc)[..., None] * np.abs(
+            coefs[sources])[:, None, :])))
+    return total, big
 
 
 def laurent_fit(zetas, samples) -> LaurentFit:

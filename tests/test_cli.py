@@ -134,6 +134,10 @@ class TestExitCodes:
          "--tol-rel", "-1"),
         ("decay-scan", "--model", "pentagon", "--u", "1.2,0",
          "--tol-rel", "0"),
+        # a zero charge, whose log X is 0 on both routes
+        ("tree-compare", "--model", "pentagon", "--u", "1.5,0.2", "--R", "1",
+         "--theta", "0.37,1.29", "--cutoff", "3", "--zeta", "0.555,-0.832",
+         "--charge", "0,0"),
     ])
     def test_degenerate_input_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)

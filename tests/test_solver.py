@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -9,20 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkforge import solver
-from hkforge.lattice import Spectrum, charge
+from hkforge.lattice import Lattice, Spectrum, charge
 from hkforge.models import ov_oracle, pentagon_wall_point
 from hkforge.semiflat import ModelPoint, xsf, xsf_log
 from hkforge.solver import (GridSpec, NonConvergenceError,
                             QuadratureGrid, RayProximityError, RSmallError,
-                            _apply, _gl_panels, _prepare,
+                            _apply, _coefficients, _gl_panels, _prepare,
                             _richardson_upsilon, _upsilon_value,
                             build_grids, cauchy_integral,
                             check_wall_continuity, correction_decay,
                             evaluate, iterate, kernel_rows, legendre_tail,
                             log_one_minus,
-                            midsector_zetas, radial_limit, ray_jump_defect,
+                            midsector_zetas, radial_limit, ray_integrals,
+                            ray_jump_defect,
                             side_limit, solve, solve_tangents, unknowns,
                             upsilon, zeta_zero_moments)
+from reference import pairing_coefficients, unfolded_ray_integrals
 
 G1, G2 = charge(1, 0), charge(0, 1)
 
@@ -279,6 +282,98 @@ class TestBatchedEvaluation:
         with pytest.raises(RayProximityError, match=re.escape(str(on_ray))):
             _upsilon_value(pentagon, grids, pentagon_solution.log_one_minus_x,
                            [G1, G2], zetas)
+
+
+def _near_and_far_zetas(grids):
+    """Zetas off every ray at moduli 0.7 and 1.6: each sector's midpoint
+    and, on both sides of each ray, offsets of 0.9, 0.3 and 0.05 near
+    angles, each at most half the gap to the neighbouring ray and at least
+    1.5e-3 rad."""
+    angles = sorted(g.ray.angle for g in grids)
+    gaps = np.diff(angles + [angles[0] + 2 * math.pi])
+    near = grids[0].near_angle
+    turns = [a + 0.5 * gap for a, gap in zip(angles, gaps)]
+    for k, a in enumerate(angles):
+        for sign, gap in ((+1, gaps[k]), (-1, gaps[k - 1])):
+            turns += [a + sign * off for off in {
+                min(frac * near, 0.5 * gap) for frac in (0.9, 0.3, 0.05)}
+                if off >= 1.5e-3]
+    return np.array([m * cmath.exp(1j * t) for t in turns
+                     for m in (0.7, 1.6)])
+
+
+class TestFoldedEvaluation:
+    @pytest.mark.parametrize("case", ["conftest", "1.02x0.9", "ov"])
+    def test_matches_unfolded_reference(self, pentagon, pentagon_point, ov,
+                                        ov_point, case):
+        # one folded row array per call against per-ray kernels and gathers:
+        # far and near poles, directed on-ray ones (two of them over nodes),
+        # log(1 - X) and the (4, U, N) tangents, many zetas per call; leaving
+        # out one ray's gather must show
+        model, point = {"conftest": (pentagon, pentagon_point),
+                        "1.02x0.9": (pentagon,
+                                     _wall_point(pentagon, 1.02, 0.9, 0.35)),
+                        "ov": (ov, ov_point)}[case]
+        sol, tangents = solve_tangents(model, point)
+        grids = sol.grids
+        rays = [r for r, _ in unknowns(grids)]
+        coefs = pairing_coefficients(model, grids, model.lattice.basis())
+        off = _near_and_far_zetas(grids)
+        on = np.array([grid.ray.direction * m for grid in grids
+                       for m in (0.8, 1.3, math.exp(grid.s_nodes[5]),
+                                 math.exp(grid.s_nodes[-9]))])
+        w = np.array([np.log(off / g.ray.direction) for g in grids])
+        near_angles = np.array([g.near_angle for g in grids])[:, None]
+        near = np.abs(w.imag) < near_angles
+        assert near.any() and not near.all()
+        # the rows of all rays at once are bitwise those of one ray
+        for zetas in (off, on):
+            poles = np.array([np.log(zetas / g.ray.direction) for g in grids])
+            poles[np.abs(poles.imag) < solver.ON_RAY_ANGLE] += 1e-300j
+            assert np.array_equal(solver._kernels(grids, poles), np.stack(
+                [kernel_rows(g, row) for g, row in zip(grids, poles)]))
+        for density in (sol.log_one_minus_x, tangents):
+            for zetas, side in ((off, None), (on, +1), (on, -1)):
+                got = ray_integrals(grids, rays, density, coefs, zetas, side)
+                want, big = unfolded_ray_integrals(grids, rays, density,
+                                                   coefs, zetas, side)
+                assert got.shape == want.shape
+                assert float(np.max(np.abs(got - want))) <= 1e-14 * big
+            got = ray_integrals(grids, rays, density, coefs, off)
+            for r in np.flatnonzero(near.any(axis=1))[:2]:
+                skipped, big = unfolded_ray_integrals(
+                    grids, rays, density, coefs, off, skip=r)
+                assert float(np.max(np.abs(got - skipped))) > 1e-14 * big
+
+
+def _stub_grids(*rays):
+    """Grids that carry only ``ray.charges`` and ``ray.omegas``."""
+    return [SimpleNamespace(ray=SimpleNamespace(charges=charges,
+                                                omegas=omegas))
+            for charges, omegas in rays]
+
+
+class TestCoefficients:
+    def test_pure_su2_pairings(self):
+        # pairing 2 and Omega(W) = -2 give entries -Omega <gamma, gamma'>
+        # of +-2, 4, 8 and 12, where p and p^3 differ
+        model = SimpleNamespace(lattice=Lattice(((0, 2), (-2, 0))))
+        w = G1 + G2
+        grids = _stub_grids(((G1,), (1,)), ((w, 2 * w), (-2, 1)),
+                            ((G2,), (1,)), ((-w,), (-2,)),
+                            ((2 * G1 + G2,), (1,)))
+        charges = [G1, G2, w, 2 * G1 - G2]
+        got = _coefficients(model, grids, charges)
+        assert got.shape == (6, 4)
+        assert np.array_equal(got, pairing_coefficients(model, grids,
+                                                        charges))
+        assert {2, 4, 8, 12} <= set(np.rint(np.abs(got) * 4 * math.pi).flat)
+
+    def test_pentagon_pairings(self, pentagon, pentagon_solution):
+        for charges in ([G1], [G1, G2, G1 + G2], [-G2, 2 * G1 - G2]):
+            got = _coefficients(pentagon, pentagon_solution.grids, charges)
+            assert np.array_equal(got, pairing_coefficients(
+                pentagon, pentagon_solution.grids, charges))
 
 
 def _sweep_gap(model, sol):
