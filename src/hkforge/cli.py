@@ -87,8 +87,9 @@ def add_solver_args(p):
 def _positive_checks(args) -> None:
     for name in ("R", "tol", "eps_quad", "tol_rel", "min_order"):
         if hasattr(args, name) and getattr(args, name) is not None \
-                and not getattr(args, name) > 0:
-            raise UsageError(f"--{name.replace('_', '-')} must be positive")
+                and not 0 < getattr(args, name) < math.inf:
+            raise UsageError(f"--{name.replace('_', '-')} must be positive "
+                             f"and finite")
     for name in ("nodes", "panels", "order", "cutoff", "halvings", "count",
                  "max_iter", "grid", "zeta_grid"):
         if hasattr(args, name) and getattr(args, name) is not None \
@@ -96,8 +97,10 @@ def _positive_checks(args) -> None:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
     if hasattr(args, "sep") and not 0 < args.sep < 1:
         raise UsageError("--sep must lie in (0, 1)")
-    if any(not r > 0 for r in getattr(args, "r_list", ())):
-        raise UsageError("every R in the R list must be positive")
+    if any(not 0 < r < math.inf for r in getattr(args, "r_list", ())):
+        raise UsageError("every R in the R list must be positive and finite")
+    if not cmath.isfinite(getattr(args, "zeta", 0)):
+        raise UsageError("--zeta must be finite")
     if getattr(args, "emit_grid", 0) < 0:
         raise UsageError("--emit-grid must be >= 0")
 
@@ -220,6 +223,20 @@ def _schema_fault(value, schema, where: str = "") -> str | None:
     return None
 
 
+def _non_finite_field(value, where: str = "payload") -> str | None:
+    """The first number of ``value`` that is NaN or infinite, if any."""
+    if isinstance(value, dict):
+        items = ((f"{where}.{k}", v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    elif isinstance(value, float) and not math.isfinite(value):
+        return f"non-finite value at {where}"
+    else:
+        return None
+    return next(filter(None, (_non_finite_field(v, w) for w, v in items)),
+                None)
+
+
 def load_solution(path: str):
     """Model, point and solution stored in a solution file, without a solve.
 
@@ -231,7 +248,8 @@ def load_solution(path: str):
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    fault = _schema_fault(payload, _SOLUTION_SCHEMA)
+    fault = _schema_fault(payload, _SOLUTION_SCHEMA) \
+        or _non_finite_field(payload)
     if fault:
         raise CheckFailure(f"solution file {path}: {fault}")
     if content_hash(payload) != payload["hash"]:
@@ -292,19 +310,20 @@ def cmd_solve(args) -> int:
 
 def cmd_jump_check(args) -> int:
     model, point, sol = load_solution(args.solution)
-    if sol.recheck_residual > 10 * sol.tol_iter:
+    if not sol.recheck_residual <= 10 * sol.tol_iter:
         print(f"FAIL: stored corrections are not a fixed point: recheck "
               f"residual {sol.recheck_residual:.3e} > 10 x tol_iter "
               f"{sol.tol_iter:g}")
         return 1
-    worst = 0.0
+    defects = []
     print("ray angle    jump defect")
     for i, grid in enumerate(sol.grids):
-        defect = solver.ray_jump_defect(model, sol, i)
-        worst = max(worst, defect)
-        print(f"{grid.ray.angle:+9.5f}  {defect:12.4e}")
+        defects.append(solver.ray_jump_defect(model, sol, i))
+        print(f"{grid.ray.angle:+9.5f}  {defects[-1]:12.4e}")
+    # a NaN defect is the worst
+    worst = float(np.max(defects, initial=0.0))
     print(f"worst jump defect: {worst:.4e} (tolerance {args.tol:g})")
-    if worst > args.tol:
+    if not worst <= args.tol:
         print("FAIL: ray jumps deviate from the expected transformation")
         return 1
     return 0
@@ -382,10 +401,10 @@ def cmd_tree_compare(args) -> int:
     print(f"next layer |S_{c + 1} - S_{c}|: {layer:.3e}, "
           f"layer gate: {gate:.3e}")
     print(f"agreement bound: {bound:.3e}")
-    if gap > gate:
+    if not gap <= gate:
         print("FAIL: tree series gap exceeds the next-layer gate")
         return 1
-    if gap > bound:
+    if not gap <= bound:
         print("FAIL: tree series disagrees beyond the cutoff bound")
         return 1
     return 0

@@ -31,10 +31,9 @@ the target lies within NEAR_HALF_WIDTHS panel half-widths of the source ray
 the density is continued to the pole, subtracted, and added back against
 the closed-form kernel integral.  The continuation is one linear operator,
 ``_near_term``: per pole, the nodes of one panel and their interpolation
-weights.  The sweep folds it into the kernel block of each near direction
-of a class, so a sweep is a list of matvecs, and the tree sum reads the
-same blocks (``_Workspace.blocks``); evaluation folds it the same way into
-the kernel rows of each call (``_folded_rows``).  On a ray the two directed
+weights.  ``_fold_near`` folds it into the kernel rows of every near pole,
+the sweep's blocks and evaluation's rows (``_folded_rows``) alike, so every
+ray integral is one product with its rows.  On a ray the two directed
 boundary values of the closed form differ by the residue term +-2 pi i,
 which is how the expected coordinate jumps emerge from one integral
 representation.
@@ -47,7 +46,11 @@ There is one solve path: ``build_grids`` lays out the contours, ``_prepare``
 builds the sweep on them, and ``iterate`` applies ``_sweep`` until the node
 data stop changing; one more sweep (``recheck``) tells how far solved or
 stored data are from a fixed point.  The sweep is U -> A log(1 - exp(L + U))
-with a linear map A that ``_prepare`` precomputes (``_apply``), so
+with a linear map A that ``_prepare`` precomputes as one block map
+(``_Workspace.blocks``): per ordered ray pair its kernel block and the
+matching block of ``_coefficients``, the weights -Omega <gamma, gamma'> /
+4 pi i that evaluation, the moments and the metric read, so the sweep has
+no coefficient formula of its own.  The tree sum reads the same kernels.
 ``solve_tangents`` differentiates a solution along the point's four real
 coordinates by one linear solve on the same grids, (I + A D) dU = -A D dL
 with D = X / (1 - X), by the same contraction.
@@ -497,54 +500,52 @@ def semiflat_nodes(model, point: ModelPoint, grids: list[QuadratureGrid]
 
 @dataclass
 class _Workspace:
-    """One sweep of the integral equation on fixed grids, as matvecs.
+    """One sweep of the integral equation on fixed grids, as block products.
 
-    Rows t, s index ``unknowns``.  A term (t, s, coef, block) adds
-    coef * block @ (weights[s] * g[s]) to row t, with g[s] the density of
-    unknown s and weights (U, N) its ray's.  Each class of ray pairs
-    (``_prepare``) has one kernel, and the reverse direction reads it
-    transposed with the opposite sign.  Where the target rays lie within
-    the source grid's ``near_angle`` in either direction, the reverse
-    direction owns its block, and each near direction's block holds the
-    ``_near_term`` continuation divided by the source weights, so a term
-    is one matvec either way.  ``near_pairs`` counts the ordered ray pairs
-    whose block holds a continuation.
-
-    ``blocks`` maps each ordered ray pair (target, source) that a term
-    reads to its coefficient-free (sign, matrix): sign * matrix @
-    (weights * f), with the source ray's weights, is ``cauchy_integral`` of
-    node data f on the source ray at the target ray's nodes.  The terms
-    hold the same matrices, so the map adds no kernel; the tree sum reads
-    it for its own coefficients.
+    ``blocks`` maps each ordered ray pair (target, source) whose charges
+    pair to nonzero to (sign, matrix, mix).  sign * matrix @ (weights * f),
+    with the source ray's weights, is ``cauchy_integral`` of node data f on
+    the source ray at the target ray's nodes.  mix is sign times the
+    (target, source) block of ``_coefficients`` of the unknowns' own
+    charges, so the sweep adds mix @ (weights * g[source]) @ matrix.T to the
+    target ray's rows, and the tree sum reads (sign, matrix) with its own
+    pairings.  ``spans`` are the rows of each ray in ``unknowns``, and
+    ``weights`` (U, N) the rows' quadrature weights.  Each class of ray
+    pairs (``_prepare``) has one kernel, and the reverse direction reads it
+    transposed with sign -1, unless either direction holds the near-ray
+    continuation; ``near_pairs`` counts the ordered ray pairs whose matrix
+    holds one.
     """
 
-    terms: list[tuple[int, int, complex, np.ndarray]]
+    blocks: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]]
+    spans: list[slice]
     weights: np.ndarray
     near_pairs: int
-    blocks: dict[tuple[int, int], tuple[float, np.ndarray]]
 
 
-def _fold(rows: np.ndarray, near: tuple[np.ndarray, np.ndarray],
-          weights: np.ndarray) -> None:
-    """Add the near term (idx, op) of ``_near_term`` to ``rows`` in place,
-    as one block on weighted data: the block @ (weights * f) is then
-    rows @ (weights * f) + sum(op * f[idx], -1)."""
-    idx, op = near
-    rows[np.arange(len(idx))[:, None], idx] += op / weights[idx]
+def _fold_near(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray) -> bool:
+    """Fold the continuation of the poles ``w`` within ``grid.near_angle``
+    into their kernel ``rows`` on ``grid``, in place: the folded rows @
+    (weights * f) are the plain ones plus sum(op * f[idx], -1) of
+    ``_near_term``.  Returns whether any pole was near."""
+    near = np.flatnonzero(np.abs(w.imag) < grid.near_angle)
+    if not len(near):
+        return False
+    # a block near throughout goes in as it is: a row copy of a transposed
+    # block would change its memory order, and so the rounding of its sums
+    idx, op = _near_term(grid, rows if len(near) == len(w) else rows[near],
+                         w[near])
+    rows[near[:, None], idx] += op / grid.weights[idx]
+    return True
 
 
 def _folded_rows(grids: list[QuadratureGrid], w: np.ndarray) -> np.ndarray:
-    """``_kernels`` with the continuation of each pole within its grid's
-    ``near_angle`` folded in, as ``_prepare`` folds the sweep's near blocks:
-    rows[r] @ (weights * f), with grids[r]'s weights, is the Cauchy integral
-    of node data f on grids[r] at its poles w[r]."""
+    """``_kernels`` with ``_fold_near`` applied per grid, as the sweep's
+    blocks are: rows[r] @ (weights * f), with grids[r]'s weights, is the
+    Cauchy integral of node data f on grids[r] at its poles w[r]."""
     rows = _kernels(grids, w)
-    near = np.abs(w.imag) < np.array([g.near_angle for g in grids])[:, None]
-    for r in np.flatnonzero(near.any(axis=1)):
-        block = rows[r, near[r]]
-        _fold(block, _near_term(grids[r], block, w[r, near[r]]),
-              grids[r].weights)
-        rows[r, near[r]] = block
+    for grid, block, poles in zip(grids, rows, w):
+        _fold_near(grid, block, poles)
     return rows
 
 
@@ -552,10 +553,8 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
     """The sweep on ``grids``, one kernel per antipodal ray-pair class: the
     ray of -gamma has the same |Z|, so bitwise the same nodes, and (a, b)
     and (-a, -b) bitwise the same angle, so they read the same blocks.  A
-    pair with a ray that has no such partner keeps its own."""
-    lat = model.lattice
-    rows_of = unknowns(grids)
-    omegas = [om for grid in grids for om in grid.ray.omegas]
+    pair with a ray that has no such partner keeps its own.  The blocks'
+    coefficients are ``_coefficients`` of the unknowns' own charges."""
     ray_of = {g: r for r, grid in enumerate(grids) for g in grid.ray.charges}
     anti = {}
     for r, grid in enumerate(grids):
@@ -575,49 +574,41 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
             dphi = cmath.phase(d_a * d_b.conjugate())
             w_ab = grids[a].s_nodes + 1j * dphi
             rows = kernel_rows(grids[b], w_ab)
-            # each direction switches on its source grid, as
-            # ``cauchy_integral`` does, and continues from the plain kernel
-            near_ab = abs(dphi) < grids[b].near_angle
-            near_ba = abs(dphi) < grids[a].near_angle
-            back = (-1.0, rows.T, False)
-            if near_ab or near_ba:
-                # the reverse kernel is -rows.T, coth being odd, copied out
-                # before the forward term folds into rows
-                neg = -rows.T
-                if near_ba:
-                    _fold(neg, _near_term(grids[a], neg,
-                                          grids[b].s_nodes - 1j * dphi),
-                          grids[a].weights)
-                back = (1.0, neg, near_ba)
-            if near_ab:
-                _fold(rows, _near_term(grids[b], rows, w_ab),
-                      grids[b].weights)
+            # the reverse kernel is -rows.T, coth being odd, copied out
+            # before the forward direction folds into rows; each direction
+            # switches on its source grid, as ``cauchy_integral`` does
+            neg = -rows.T
+            near_ba = _fold_near(grids[a], neg, grids[b].s_nodes - 1j * dphi)
+            near_ab = _fold_near(grids[b], rows, w_ab)
+            back = (1.0, neg, near_ba) if near_ab or near_ba \
+                else (-1.0, rows.T, False)
             kernels[(a, b)] = ((1.0, rows, near_ab), back)
         return kernels[(a, b)][pair[0] > pair[1]]
 
-    terms, blocks, near_pairs = [], {}, set()
-    for t, (rt, gt) in enumerate(rows_of):
-        for s, (rs, gs) in enumerate(rows_of):
-            p = lat.pair(gt, gs)
-            if rs == rt or p == 0:
-                continue
-            sign, matrix, near = block(rt, rs)
-            terms.append((t, s, -sign * omegas[s] * p / FOUR_PI_I, matrix))
-            blocks[rt, rs] = (sign, matrix)
-            if near:
-                near_pairs.add((rt, rs))
-    return _Workspace(terms=terms, weights=_node_data(
-        grids, lambda grid, _: grid.weights), near_pairs=len(near_pairs),
-        blocks=blocks)
+    coefs = _coefficients(model, grids, [g for _, g in unknowns(grids)])
+    spans, start = [], 0
+    for grid in grids:
+        spans.append(slice(start, start + len(grid.ray.charges)))
+        start = spans[-1].stop
+    blocks, near_pairs = {}, 0
+    for rt, t in enumerate(spans):
+        for rs, s in enumerate(spans):
+            if rs != rt and coefs[s, t].any():
+                sign, matrix, near = block(rt, rs)
+                blocks[rt, rs] = (sign, matrix, sign * coefs[s, t].T)
+                near_pairs += near
+    return _Workspace(blocks=blocks, spans=spans, weights=_node_data(
+        grids, lambda grid, _: grid.weights), near_pairs=near_pairs)
 
 
 def _apply(ws: _Workspace, g: np.ndarray) -> np.ndarray:
     """The sweep's linear map A on node densities ``g``, (..., U, N): one
-    matvec per term of the workspace."""
+    product per block of the workspace."""
     gw = ws.weights * g
     out = np.zeros_like(g)
-    for t, s, coef, block in ws.terms:
-        out[..., t, :] += coef * (gw[..., s, :] @ block.T)
+    for (rt, rs), (_, matrix, mix) in ws.blocks.items():
+        out[..., ws.spans[rt], :] += mix @ (gw[..., ws.spans[rs], :]
+                                            @ matrix.T)
     return out
 
 
@@ -890,7 +881,7 @@ def ray_jump_defect(model, solution: RaySolution, ray_index: int) -> float:
     limits (``_side_extrapolation``); X_{g'} takes the counterclockwise
     boundary value.  One evaluation reads both: every charge at zeta0 and
     at the offsets SIDE_OFFSET and SIDE_OFFSET / 2 on either side, where
-    ``side`` acts only on zeta0.
+    ``side`` acts only on zeta0.  A NaN mismatch makes the result NaN.
     """
     ray = solution.grids[ray_index].ray
     lat = model.lattice
@@ -914,15 +905,15 @@ def ray_jump_defect(model, solution: RaySolution, ray_index: int) -> float:
         ray.charges, log_xsf[:n] + ups[0, :n])))
     ccw, cw = (values(basis, log_xsf[n:] + u) for u in _side_extrapolation(
         ups[1::2, n:], ups[2::2, n:]))
-    worst = 0.0
+    defects = []
     for gamma, x_ccw, x_cw in zip(basis, ccw, cw):
         jump = 1.0 + 0.0j
         for g_ray, om, x_on in factors:
             jump *= (1.0 - x_on) ** (om * lat.pair(gamma, g_ray))
         predicted = x_ccw * jump
         scale = max(abs(x_cw), abs(predicted), 1e-300)
-        worst = max(worst, abs(x_cw - predicted) / scale)
-    return worst
+        defects.append(abs(x_cw - predicted) / scale)
+    return float(np.max(defects, initial=0.0))
 
 
 def radial_limit(model, solution: RaySolution, gamma: Charge,

@@ -32,12 +32,13 @@ The decorations are the multiples n gamma of the charges on the given
 rays, each on gamma's ray, so the sum sees the spectrum the solve saw.
 They are listed once per point, towers included; a cutoff only bounds the
 degrees that are summed.
-Their integrals read the kernel blocks of the solver's sweep operator
-(``_prepare``, near-ray continuation folded in), one product per block and
-degree; the pairings, multicover invariants and graded exponentials are
-the tree sum's own.  A coordinate takes one Cauchy integral per root ray
-through the solver's ``ray_integrals``.  The tests keep a tree-by-tree
-reference (``tests/reference.py``).
+Their integrals read the solver's one block map (``_Workspace.blocks``
+of ``_prepare``, near-ray continuation folded in), one product per block
+and degree.  The sweep weighs those blocks with ``_coefficients``; the tree
+sum takes only their kernels, and the pairings, multicover invariants and
+graded exponentials are its own.  A coordinate takes one Cauchy integral
+per root ray through the solver's ``ray_integrals``.  The tests keep a
+tree-by-tree reference (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ class TreeIntegrator:
     spectrum's support at the point.  Keeps H_delta^(k) per (decoration,
     degree), the integrals of degree j at the nodes of each ray that reads
     them, and the summed density per decoration per cutoff, all 1-D
-    arrays.  The integrals read the kernel blocks of one sweep workspace
-    on the grids (``_prepare``), built at the first integral, which lives
-    as long as the integrator.
+    arrays.  The integrals read the kernels of the sweep's block map on
+    the grids (``_prepare``), whose own coefficients, ``_coefficients``,
+    they leave aside; it is built at the first integral and lives as long
+    as the integrator.
     """
 
     def __init__(self, model, point: ModelPoint,
@@ -163,7 +165,8 @@ class TreeIntegrator:
         ray."""
         if j not in self._at_nodes:
             at_nodes = {}
-            for (rt, rs), (sign, matrix) in self._workspace.blocks.items():
+            for (rt, rs), (sign, matrix, _) in \
+                    self._workspace.blocks.items():
                 src = [g for g, d, r, _, _ in self._decorations
                        if r == rs and d <= j]
                 if not src:

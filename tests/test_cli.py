@@ -11,7 +11,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from hkforge import geometry, solver
+from hkforge import geometry, solver, trees
 from hkforge.cli import content_hash, load_solution, main
 from hkforge.lattice import charge
 from hkforge.models import pentagon_wall_point
@@ -138,6 +138,17 @@ class TestExitCodes:
         ("tree-compare", "--model", "pentagon", "--u", "1.5,0.2", "--R", "1",
          "--theta", "0.37,1.29", "--cutoff", "3", "--zeta", "0.555,-0.832",
          "--charge", "0,0"),
+        # non-finite values, which compare as within every gate or crash
+        # deep in a solve
+        ("tree-compare", "--model", "pentagon", "--u", "1.5,0.2", "--R", "1",
+         "--theta", "0.37,1.29", "--zeta", "nan,0"),
+        ("tree-compare", "--model", "pentagon", "--u", "1.5,0.2", "--R", "1",
+         "--theta", "0.37,1.29", "--zeta", "inf,0"),
+        ("metric", "--model", "pentagon", "--u", "1.5,0.2", "--R", "inf",
+         "--theta", "0.37,1.29"),
+        ("decay-scan", "--model", "pentagon", "--u", "1.2,0",
+         "--R-list", "1,inf"),
+        ("jump-check", "--solution", "sol.json", "--tol", "inf"),
     ])
     def test_degenerate_input_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -303,6 +314,46 @@ class TestSolutionFiles:
         assert loaded.residual == payload["residual"]
         assert loaded.recheck_residual < 10 * loaded.tol_iter
 
+    def test_non_finite_value_refused(self, capsys, tmp_path):
+        # a NaN upsilon entry, re-signed, passes the hash; the load refuses
+        # it, where the sweep and the jumps would read it as a pass
+        path = tmp_path / "sol.json"
+        run(capsys, "solve", "--model", "pentagon", "--u", "1.5,0.2",
+            "--R", "1", "--theta", "0.37,1.29", "--out", str(path))
+        payload = json.loads(path.read_text())
+        payload["rays"][1]["charges"][0]["upsilon"][5][0] = math.nan
+        write_signed(path, payload)
+        code, _, err = run(capsys, "jump-check", "--solution", str(path))
+        assert code == 1
+        assert err.strip().endswith("non-finite value at "
+                                    "payload.rays[1].charges[0].upsilon[5][0]")
+
+    def test_nan_defect_fails_closed(self, capsys, tmp_path, monkeypatch,
+                                     pentagon):
+        # a NaN node value makes every defect it reaches NaN; a NaN defect
+        # on a later ray, or a NaN recheck residual, fails the check
+        path = tmp_path / "sol.json"
+        run(capsys, "solve", "--model", "pentagon", "--u", "1.5,0.2",
+            "--R", "1", "--theta", "0.37,1.29", "--out", str(path))
+        _, _, loaded = load_solution(str(path))
+        upsilon = loaded.upsilon.copy()
+        upsilon[1, 5] = math.nan
+        # numpy warns as a NaN enters exp; the result is what is tested
+        with np.errstate(invalid="ignore"):
+            bad = dataclasses.replace(loaded, upsilon=upsilon)
+            assert all(math.isnan(solver.ray_jump_defect(pentagon, bad, i))
+                       for i in range(len(bad.grids)))
+        monkeypatch.setattr(solver, "ray_jump_defect",
+                            lambda m, s, i: math.nan if i == 1 else 0.0)
+        code, out, _ = run(capsys, "jump-check", "--solution", str(path))
+        assert code == 1
+        assert "worst jump defect: nan" in out
+        assert "FAIL: ray jumps deviate" in out
+        monkeypatch.setattr(solver, "recheck", lambda *args: math.nan)
+        code, out, _ = run(capsys, "jump-check", "--solution", str(path))
+        assert code == 1
+        assert "not a fixed point" in out
+
     def test_jump_check_rejects_non_fixed_point(self, capsys, tmp_path):
         # a doubled upsilon array, re-signed, passes the hash and its jumps
         # stay within tolerance, but one sweep shows it is no fixed point
@@ -353,6 +404,15 @@ class TestReports:
                            "--u", "0.6,0.3", "--R", "1",
                            "--theta", "0.37,1.29", "--cutoff", "4",
                            "--zeta", "0.9,0.4")
+        assert code == 1
+        assert "FAIL: tree series gap exceeds the next-layer gate" in out
+
+    def test_tree_compare_nan_gate_fails(self, capsys, monkeypatch):
+        # a gate that comes out NaN fails the comparison instead of passing
+        monkeypatch.setattr(trees, "layer_gate", lambda *args: math.nan)
+        code, out, _ = run(capsys, "tree-compare", "--model", "ov",
+                           "--u", "0.5,0", "--R", "1", "--theta", "0.3,1.1",
+                           "--cutoff", "2", "--zeta", "0.6,0.5")
         assert code == 1
         assert "FAIL: tree series gap exceeds the next-layer gate" in out
 

@@ -606,33 +606,40 @@ def _unfolded_apply(model, grids, g, drop=None):
 
 
 class TestFoldedOperator:
-    @pytest.mark.parametrize("wall, near_pairs, rough", [
-        (None, 0, True), ((1.02, 0.9), 12, True), ((0.95, -3.0), 2, True),
-        ((1.05, -3.0), 8, False)],
-        ids=["conftest", "1.02x0.9", "0.95x-3.0", "1.05x-3.0"])
+    @pytest.mark.parametrize("wall, near_pairs, rough, omega", [
+        (None, 0, True, None), ((1.02, 0.9), 12, True, None),
+        ((0.95, -3.0), 2, True, None), ((1.05, -3.0), 8, False, None),
+        (None, 0, True, 1), ((1.02, 0.9), 12, True, -2)],
+        ids=["conftest", "1.02x0.9", "0.95x-3.0", "1.05x-3.0",
+             "conftest-pairing2", "1.02x0.9-pairing2-omega-2"])
     def test_apply_matches_unfolded_sum(self, pentagon, pentagon_point,
-                                        wall, near_pairs, rough):
+                                        pairing_two, wall, near_pairs, rough,
+                                        omega):
         # the continuation folded into the kernel blocks, and the reverse
         # blocks read transposed, against fresh kernels and gathers per
         # term: at 1.02 x the wall all 6 classes are near both ways, at
         # -3.0 some classes only one way, forward (0.95 x) or reverse
-        # (1.05 x); dropping one gather must show
+        # (1.05 x); dropping one gather must show.  On the pairing-2 stubs
+        # the blocks' coefficients, from ``_coefficients``, meet the
+        # ``Lattice.pair`` loop where p and p^3 (and Omega and Omega^2)
+        # differ
+        model = pentagon if omega is None else pairing_two[omega]
         point = pentagon_point if wall is None \
             else _wall_point(pentagon, *wall, 0.35)
-        grids = build_grids(pentagon, point)
-        ws = _prepare(pentagon, point, grids)
+        grids = build_grids(model, point)
+        ws = _prepare(model, point, grids)
         # random densities shaped like log(1 - X^sf) on each unknown's ray
         rng = np.random.default_rng(7)
         shape = (4, len(unknowns(grids)), 1)
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         cosh = np.cosh([grids[r].s_nodes for r, _ in unknowns(grids)])
         g = c * np.exp(-(1.0 + 0.3j * rng.standard_normal(shape)) * cosh)
-        want, near, _ = _unfolded_apply(pentagon, grids, g)
+        want, near, _ = _unfolded_apply(model, grids, g)
         scale = float(np.max(np.abs(want)))
         assert float(np.max(np.abs(_apply(ws, g) - want))) <= 1e-14 * scale
         assert ws.near_pairs == len(near) == near_pairs
         for pair in sorted(near)[:2]:
-            dropped, *_ = _unfolded_apply(pentagon, grids, g, drop=pair)
+            dropped, *_ = _unfolded_apply(model, grids, g, drop=pair)
             assert float(np.max(np.abs(_apply(ws, g) - dropped))) \
                 > 1e-14 * scale
         # unit random densities: continued a panel off the ray, rough data
@@ -645,7 +652,7 @@ class TestFoldedOperator:
         # transposed and a fresh kernel to 1e-8 on such data: not held there
         if rough:
             g = np.exp(2j * math.pi * rng.random(shape[:2] + cosh.shape[-1:]))
-            want, _, big = _unfolded_apply(pentagon, grids, g)
+            want, _, big = _unfolded_apply(model, grids, g)
             assert float(np.max(np.abs(_apply(ws, g) - want))) <= 1e-13 * big
 
     def test_assembly_matches_masked_argmin_form(self, pentagon):

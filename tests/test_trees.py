@@ -138,31 +138,19 @@ class TestSeries:
     def test_near_ray_zeta(self, pentagon):
         # zeta 0.011 rad from a ray: the root integral needs the subtracted
         # kernel, or the plain one leaves a 4e-9 quadrature gap
-        point = ModelPoint(0.026930 - 1.344881j, 1.00516, (6.005278, 2.239118))
-        sol = solve(pentagon, point, tol_iter=1e-13)
-        integ = TreeIntegrator(pentagon, point, sol.grids)
-        for grid in sol.grids:
-            zeta = grid.ray.direction * cmath.exp(0.011j)
-            for g in (G1, G2):
-                got = series_solution(pentagon, point, g, zeta, 4,
-                                      integrator=integ)
-                ref = evaluate(pentagon, sol, g, zeta)
-                assert abs(got.log_value - ref.log_value) < 1e-11
+        _check_near_ray_zeta(pentagon)
 
     def test_pentagon_agreement_improves(self, pentagon):
-        point = ModelPoint(0.6 + 0.3j, 1.0, (0.37, 1.29))
-        sol = solve(pentagon, point, tol_iter=1e-14)
-        integ = TreeIntegrator(pentagon, point, sol.grids)
-        zetas = midsector_zetas(sol, 4)
-        errs = []
-        for cutoff in (1, 2, 3, 4):
-            worst = max(abs(series_solution(pentagon, point, g, z, cutoff,
-                                            integrator=integ).log_value
-                            - evaluate(pentagon, sol, g, z).log_value)
-                        for z in zetas for g in (G1, G2))
-            errs.append(worst)
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[3] < 1e-13
+        _check_agreement_improves(pentagon)
+
+    @pytest.mark.parametrize("omega", [1, -2], ids=["omega1", "omega-2"])
+    def test_pairing_two(self, pairing_two, omega):
+        # the two tests above, with their bounds, on the pentagon's rays
+        # where charges pair to 2: the solver weighs its integrals with
+        # ``_coefficients``, the tree sum with its own pairings and
+        # multicover invariants, so p^3 or Omega^2 in either route shows
+        _check_near_ray_zeta(pairing_two[omega])
+        _check_agreement_improves(pairing_two[omega])
 
     def test_charges_below_spectral_cutoff(self, pentagon):
         # e1's exp(-2 pi R |Z|) is about 4e-18 here, so the solve has no ray
@@ -187,6 +175,37 @@ class TestSeries:
         got = series_solution(mdl, ov_point, G1, zeta, 3,
                               integrator=TreeIntegrator(mdl, ov_point, []))
         assert got.value == xsf(mdl, ov_point, G1, zeta).value
+
+
+def _check_near_ray_zeta(model):
+    """Tree sum and solver within 1e-11 at cutoff 4, 0.011 rad off each ray."""
+    point = ModelPoint(0.026930 - 1.344881j, 1.00516, (6.005278, 2.239118))
+    sol = solve(model, point, tol_iter=1e-13)
+    integ = TreeIntegrator(model, point, sol.grids)
+    for grid in sol.grids:
+        zeta = grid.ray.direction * cmath.exp(0.011j)
+        for g in (G1, G2):
+            got = series_solution(model, point, g, zeta, 4, integrator=integ)
+            ref = evaluate(model, sol, g, zeta)
+            assert abs(got.log_value - ref.log_value) < 1e-11
+
+
+def _check_agreement_improves(model):
+    """The tree sum's gap to the solver falls over cutoffs 1 to 3 and is
+    below 1e-13 at cutoff 4, at mid-sector zetas."""
+    point = ModelPoint(0.6 + 0.3j, 1.0, (0.37, 1.29))
+    sol = solve(model, point, tol_iter=1e-14)
+    integ = TreeIntegrator(model, point, sol.grids)
+    zetas = midsector_zetas(sol, 4)
+    errs = []
+    for cutoff in (1, 2, 3, 4):
+        worst = max(abs(series_solution(model, point, g, z, cutoff,
+                                        integrator=integ).log_value
+                        - evaluate(model, sol, g, z).log_value)
+                    for z in zetas for g in (G1, G2))
+        errs.append(worst)
+    assert errs[0] > errs[1] > errs[2]
+    assert errs[3] < 1e-13
 
 
 @pytest.fixture(scope="module")
