@@ -72,7 +72,7 @@ def add_point_args(p):
 
 
 def add_solver_args(p):
-    p.add_argument("--tol", type=float, default=1e-10, dest="tol",
+    p.add_argument("--tol", type=float, default=solver.TOL_ITER, dest="tol",
                    help="iteration stopping tolerance")
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--nodes", type=int, default=16,
@@ -310,10 +310,12 @@ def cmd_solve(args) -> int:
 
 def cmd_jump_check(args) -> int:
     model, point, sol = load_solution(args.solution)
-    if not sol.recheck_residual <= 10 * sol.tol_iter:
+    # the stored tolerance may tighten the gate, never loosen it
+    bound = 10 * min(sol.tol_iter, solver.TOL_ITER)
+    if not sol.recheck_residual <= bound:
         print(f"FAIL: stored corrections are not a fixed point: recheck "
-              f"residual {sol.recheck_residual:.3e} > 10 x tol_iter "
-              f"{sol.tol_iter:g}")
+              f"residual {sol.recheck_residual:.3e} > {bound:g} (10 x "
+              f"min(tol_iter {sol.tol_iter:g}, {solver.TOL_ITER:g}))")
         return 1
     defects = []
     print("ray angle    jump defect")
@@ -413,7 +415,7 @@ def cmd_tree_compare(args) -> int:
 def cmd_ov_compare(args) -> int:
     model = models.load_model("ov")
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
+    errors = []
     for k in range(args.count):
         R = args.r_list[k % len(args.r_list)]
         u = (0.3 + 0.5 * rng.random()) * cmath.exp(2j * math.pi * rng.random())
@@ -429,11 +431,13 @@ def cmd_ov_compare(args) -> int:
         gamma = charge(1, 0)
         got = solver.evaluate(model, sol, gamma, zeta)
         want = models.ov_oracle(model, point, gamma, zeta)
-        err = abs(got.value - want.value) / max(abs(want.value), 1e-300)
-        worst = max(worst, err)
+        errors.append(abs(got.value - want.value)
+                      / max(abs(want.value), 1e-300))
+    # a NaN error is the worst
+    worst = float(np.max(errors, initial=0.0))
     print(f"one-step oracle comparison over {args.count} samples: "
           f"worst relative error {worst:.3e}")
-    if worst > args.tol:
+    if not worst <= args.tol:
         print(f"FAIL: above tolerance {args.tol:g}")
         return 1
     return 0
@@ -450,7 +454,7 @@ def cmd_decay_scan(args) -> int:
     print(f"fitted slope {report.slope:+.6f}, "
           f"expected {report.target:+.6f}, "
           f"relative error {report.relative_error:.3%}")
-    if report.relative_error > args.tol_rel:
+    if not report.relative_error <= args.tol_rel:
         print(f"FAIL: decay-rate error above {args.tol_rel:.1%}")
         return 1
     return 0

@@ -22,11 +22,12 @@ makes the smallness of the quantum corrections explicit.
 
 Every ray integral applies one kernel, coth((s - w)/2) with the target at
 direction * e^w, built by ``kernel_rows`` from a source grid and target
-poles.  The solve builds it once per class of ray pairs whose charges pair
-to nonzero: the reverse direction is minus its transpose, coth being odd,
-and the antipodal pair (-a, -b) of (a, b) has the same nodes and angle, so
-reads the same kernel.  Off-grid evaluation calls the same builder.  When
-the target lies within NEAR_HALF_WIDTHS panel half-widths of the source ray
+poles.  On the panel layout all rays share, a kernel is fixed by (target
+s_max, source s_max, angle), and the solve builds it once per such key among
+the ray pairs whose charges pair to nonzero: the reverse direction is minus
+its transpose, coth being odd, and the antipodal pair (-a, -b) of (a, b)
+has the same key.  Off-grid evaluation calls the same builder.  When the
+target lies within NEAR_HALF_WIDTHS panel half-widths of the source ray
 (``QuadratureGrid.near_angle``, so the zone narrows as the panels refine)
 the density is continued to the pole, subtracted, and added back against
 the closed-form kernel integral.  The continuation is one linear operator,
@@ -91,6 +92,7 @@ ON_RAY_ANGLE = 1e-9       # a directed value is the boundary value this close
 R_SMALL_THRESHOLD = 0.9   # reject a point whose |X^sf| reaches this on a ray
 TAIL_MARGIN = 4.0         # safety margin added to -log(eps_quad) for s_max
 MAX_ITER = 50             # sweeps (or tangent sweeps) before giving up
+TOL_ITER = 1e-10          # default iteration tolerance of a solve
 WALL_TOL_ITER = 1e-11     # iteration tolerance of the wall-continuity solves
 SIDE_OFFSET = 2e-4        # farther angular offset of a Richardson side limit
 
@@ -510,11 +512,11 @@ class _Workspace:
     charges, so the sweep adds mix @ (weights * g[source]) @ matrix.T to the
     target ray's rows, and the tree sum reads (sign, matrix) with its own
     pairings.  ``spans`` are the rows of each ray in ``unknowns``, and
-    ``weights`` (U, N) the rows' quadrature weights.  Each class of ray
-    pairs (``_prepare``) has one kernel, and the reverse direction reads it
-    transposed with sign -1, unless either direction holds the near-ray
-    continuation; ``near_pairs`` counts the ordered ray pairs whose matrix
-    holds one.
+    ``weights`` (U, N) the rows' quadrature weights.  Ray pairs of one
+    (target s_max, source s_max, angle) share a kernel (``_prepare``), and
+    the reverse direction reads it transposed with sign -1, unless either
+    direction holds the near-ray continuation; ``near_pairs`` counts the
+    ordered ray pairs whose matrix holds one.
     """
 
     blocks: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]]
@@ -550,53 +552,46 @@ def _folded_rows(grids: list[QuadratureGrid], w: np.ndarray) -> np.ndarray:
 
 
 def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspace:
-    """The sweep on ``grids``, one kernel per antipodal ray-pair class: the
-    ray of -gamma has the same |Z|, so bitwise the same nodes, and (a, b)
-    and (-a, -b) bitwise the same angle, so they read the same blocks.  A
-    pair with a ray that has no such partner keeps its own.  The blocks'
+    """The sweep on ``grids``, one kernel per (target s_max, source s_max,
+    angle).  The grids of one solve share their panel layout, so the two
+    s_max fix the nodes, weights and near zones that ``kernel_rows`` and
+    ``_fold_near`` read: pairs with one key have one kernel and near terms.
+    The reverse direction is built with it, under (source s_max, target
+    s_max, -angle).  The rays of gamma and -gamma have one |Z|, so the
+    antipodal pair (-a, -b) of (a, b) reads its kernel.  The blocks'
     coefficients are ``_coefficients`` of the unknowns' own charges."""
-    ray_of = {g: r for r, grid in enumerate(grids) for g in grid.ray.charges}
-    anti = {}
-    for r, grid in enumerate(grids):
-        q = ray_of.get(-grid.ray.charges[0])
-        if q is not None and np.array_equal(grids[q].s_nodes, grid.s_nodes):
-            anti[r] = q
-    kernels = {}
-
-    def block(rt: int, rs: int):
-        pair = (rt, rs)
-        if rt in anti and rs in anti:
-            pair = min(pair, (anti[rt], anti[rs]), key=sorted)
-        a, b = sorted(pair)
-        if (a, b) not in kernels:
-            # exactly odd under a <-> b, and even under (-a, -b)
-            d_a, d_b = grids[a].ray.direction, grids[b].ray.direction
-            dphi = cmath.phase(d_a * d_b.conjugate())
-            w_ab = grids[a].s_nodes + 1j * dphi
-            rows = kernel_rows(grids[b], w_ab)
-            # the reverse kernel is -rows.T, coth being odd, copied out
-            # before the forward direction folds into rows; each direction
-            # switches on its source grid, as ``cauchy_integral`` does
-            neg = -rows.T
-            near_ba = _fold_near(grids[a], neg, grids[b].s_nodes - 1j * dphi)
-            near_ab = _fold_near(grids[b], rows, w_ab)
-            back = (1.0, neg, near_ba) if near_ab or near_ba \
-                else (-1.0, rows.T, False)
-            kernels[(a, b)] = ((1.0, rows, near_ab), back)
-        return kernels[(a, b)][pair[0] > pair[1]]
-
     coefs = _coefficients(model, grids, [g for _, g in unknowns(grids)])
     spans, start = [], 0
     for grid in grids:
         spans.append(slice(start, start + len(grid.ray.charges)))
         start = spans[-1].stop
-    blocks, near_pairs = {}, 0
-    for rt, t in enumerate(spans):
-        for rs, s in enumerate(spans):
-            if rs != rt and coefs[s, t].any():
-                sign, matrix, near = block(rt, rs)
-                blocks[rt, rs] = (sign, matrix, sign * coefs[s, t].T)
-                near_pairs += near
+    kernels, blocks, near_pairs = {}, {}, 0
+    for rt, target in enumerate(grids):
+        for rs, source in enumerate(grids):
+            mix = coefs[spans[rs], spans[rt]].T
+            if rs == rt or not mix.any():
+                continue
+            angle = cmath.phase(target.ray.direction
+                                * source.ray.direction.conjugate())
+            key = (target.s_max, source.s_max, angle)
+            if key not in kernels:
+                w = target.s_nodes + 1j * angle
+                rows = kernel_rows(source, w)
+                # the reverse kernel is -rows.T, coth being odd, copied out
+                # before the forward direction folds into rows; each
+                # direction switches on its source grid, as
+                # ``cauchy_integral`` does
+                neg = -rows.T
+                near_back = _fold_near(target, neg,
+                                       source.s_nodes - 1j * angle)
+                near = _fold_near(source, rows, w)
+                kernels[key] = (1.0, rows, near)
+                kernels[source.s_max, target.s_max, -angle] = \
+                    (1.0, neg, near_back) if near or near_back \
+                    else (-1.0, rows.T, False)
+            sign, matrix, near = kernels[key]
+            blocks[rt, rs] = (sign, matrix, sign * mix)
+            near_pairs += near
     return _Workspace(blocks=blocks, spans=spans, weights=_node_data(
         grids, lambda grid, _: grid.weights), near_pairs=near_pairs)
 
@@ -649,7 +644,7 @@ def recheck(model, point: ModelPoint, grids: list[QuadratureGrid], log_xsf,
 
 
 def iterate(model, point: ModelPoint, grids: list[QuadratureGrid],
-            tol_iter: float = 1e-10, max_iter: int = MAX_ITER,
+            tol_iter: float = TOL_ITER, max_iter: int = MAX_ITER,
             spec: GridSpec = GridSpec(),
             workspace: _Workspace | None = None) -> RaySolution:
     """Solve the integral equation on ``grids`` by iterating ``_sweep``.
@@ -674,12 +669,12 @@ def iterate(model, point: ModelPoint, grids: list[QuadratureGrid],
 
 
 def solve(model, point: ModelPoint, spec: GridSpec = GridSpec(),
-          tol_iter: float = 1e-10, max_iter: int = MAX_ITER) -> RaySolution:
+          tol_iter: float = TOL_ITER, max_iter: int = MAX_ITER) -> RaySolution:
     return iterate(model, point, build_grids(model, point, spec),
                    tol_iter=tol_iter, max_iter=max_iter, spec=spec)
 
 
-def solve_tangents(model, point: ModelPoint, tol_iter: float = 1e-10
+def solve_tangents(model, point: ModelPoint, tol_iter: float = TOL_ITER
                    ) -> tuple[RaySolution, np.ndarray]:
     """The solution at ``point`` and its tangent densities.
 

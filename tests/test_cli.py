@@ -15,7 +15,8 @@ from hkforge import geometry, solver, trees
 from hkforge.cli import content_hash, load_solution, main
 from hkforge.lattice import charge
 from hkforge.models import pentagon_wall_point
-from hkforge.semiflat import ModelPoint, omega3_sf, omega_plus_sf
+from hkforge.semiflat import (CoordinateValue, ModelPoint, omega3_sf,
+                              omega_plus_sf)
 from reference import laurent_fit, varpi_sf
 
 
@@ -366,6 +367,14 @@ class TestSolutionFiles:
         code, out, _ = run(capsys, "jump-check", "--solution", str(path))
         assert code == 1
         assert "not a fixed point" in out
+        # a stored tolerance of 1 passed the same data (worst jump defect
+        # 1.3e-8); the file can tighten the gate but not loosen it
+        payload["config"]["tol_iter"] = 1.0
+        write_signed(path, payload)
+        code, out, _ = run(capsys, "jump-check", "--solution", str(path))
+        assert code == 1
+        assert "not a fixed point" in out
+        assert "> 1e-09 (10 x min(tol_iter 1, 1e-10))" in out
 
 
 class TestReports:
@@ -455,6 +464,15 @@ class TestReports:
         assert "FAIL" not in out
         assert "     4   " in out and out.count("0.000e+00") == 5
 
+    def test_ov_compare_nan_fails(self, capsys, monkeypatch):
+        # a NaN value is the worst error, not one that max() drops
+        monkeypatch.setattr(solver, "evaluate", lambda m, s, g, z:
+                            CoordinateValue.from_log(g, z, complex(math.nan)))
+        code, out, _ = run(capsys, "ov-compare", "--count", "3")
+        assert code == 1
+        assert "worst relative error nan" in out
+        assert "FAIL: above tolerance" in out
+
     def test_ov_compare_no_active_ray(self, capsys):
         code, out, err = run(capsys, "ov-compare", "--count", "3",
                              "--r-list", "50")
@@ -523,6 +541,17 @@ class TestReports:
                            "--R-list", "1.5,2.5,3.5", "--tol-rel", "0.05")
         assert code == 0
         assert "fitted slope" in out
+
+    def test_decay_scan_nan_fails(self, capsys, monkeypatch):
+        # a NaN slope fails the decay check instead of passing it
+        monkeypatch.setattr(solver, "correction_decay", lambda *args:
+                            solver.DecayReport([1.0, 2.0], [1e-3, 1e-6],
+                                               math.nan, -6.0))
+        code, out, _ = run(capsys, "decay-scan", "--model", "pentagon",
+                           "--u", "1.2,0")
+        assert code == 1
+        assert "relative error nan%" in out
+        assert "FAIL: decay-rate error above" in out
 
     def test_decay_scan_no_active_ray(self, capsys):
         code, out, err = run(capsys, "decay-scan", "--model", "pentagon",

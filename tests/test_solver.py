@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 from types import SimpleNamespace
@@ -138,6 +139,20 @@ class TestIteration:
     def test_non_convergence_error(self, pentagon):
         with pytest.raises(NonConvergenceError):
             solve(pentagon, ModelPoint(1.7, 0.5, (0.37, 1.29)), max_iter=1)
+
+    def test_sweep_refuses_data_off_the_log_domain(self, pentagon,
+                                                   pentagon_point):
+        # |X| = 1.5 at one node lies outside the domain of log(1 - X),
+        # where the principal branch would return finite values: the sweep
+        # refuses, and the semiflat data themselves sweep
+        grids = build_grids(pentagon, pentagon_point)
+        ws = _prepare(pentagon, pentagon_point, grids)
+        log_xsf = solver.semiflat_nodes(pentagon, pentagon_point, grids)
+        ups = np.zeros_like(log_xsf)
+        assert np.all(np.isfinite(solver._sweep(ws, log_xsf, ups)))
+        ups[0, 7] = math.log(1.5) - log_xsf[0, 7].real
+        with pytest.raises(RSmallError, match="left the log"):
+            solver._sweep(ws, log_xsf, ups)
 
 
 class TestEvaluation:
@@ -515,9 +530,10 @@ WALLS = [None, (0.98, 0.9), (1.02, 0.9), (0.98, -0.8), (1.02, -0.8)]
 WALL_IDS = ["conftest", "0.98x0.9", "1.02x0.9", "0.98x-0.8", "1.02x-0.8"]
 
 
-def _prepare_builds(monkeypatch, model, point):
-    """The ``kernel_rows`` and ``_near_term`` calls of one ``_prepare``."""
-    grids = build_grids(model, point)
+def _prepare_builds(monkeypatch, model, point, grids=None):
+    """The ``kernel_rows`` and ``_near_term`` calls of one ``_prepare``, on
+    ``grids`` or on the point's own."""
+    grids = build_grids(model, point) if grids is None else grids
     counts = dict.fromkeys(("kernel_rows", "_near_term"), 0)
     for name in counts:
         def counted(*args, real=getattr(solver, name), name=name):
@@ -574,6 +590,35 @@ class TestKernelSharing:
         sol = iterate(model, point, grids, tol_iter=1e-13, workspace=ws)
         assert _sweep_gap(model, sol) <= 1e-14
 
+    def test_unequal_grids_keep_their_kernels(self, pentagon, pentagon_point,
+                                              monkeypatch):
+        # with the grid of -gamma_1 stretched by 1e-6, no pair of its ray
+        # shares a kernel with a pair of gamma_1's: 4 kernels for the 8
+        # blocks at 4 rays, where 2 are shared on the solve's own grids
+        grids = build_grids(pentagon, pentagon_point)
+        r = next(r for r, grid in enumerate(grids) if -G1 in grid.ray.charges)
+        s_max = grids[r].s_max * (1.0 + 1e-6)
+        s_nodes, weights = _gl_panels(s_max, grids[r].panels,
+                                      grids[r].nodes_per_panel)
+        grids[r] = dataclasses.replace(grids[r], s_max=s_max,
+                                       s_nodes=s_nodes, weights=weights)
+        counts, _, ws = _prepare_builds(monkeypatch, pentagon,
+                                        pentagon_point, grids)
+        assert counts["kernel_rows"] == 4
+        g = _smooth_densities(grids, np.random.default_rng(7))
+        want, _, _ = _unfolded_apply(pentagon, grids, g)
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(_apply(ws, g) - want))) <= 1e-14 * scale
+
+
+def _smooth_densities(grids, rng):
+    """Random (4, U, N) densities shaped like log(1 - X^sf) on each
+    unknown's ray."""
+    shape = (4, len(unknowns(grids)), 1)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cosh = np.cosh([grids[r].s_nodes for r, _ in unknowns(grids)])
+    return c * np.exp(-(1.0 + 0.3j * rng.standard_normal(shape)) * cosh)
+
 
 def _unfolded_apply(model, grids, g, drop=None):
     """The sweep's map term by term from fresh kernels: coef * (kernel_rows
@@ -628,12 +673,8 @@ class TestFoldedOperator:
             else _wall_point(pentagon, *wall, 0.35)
         grids = build_grids(model, point)
         ws = _prepare(model, point, grids)
-        # random densities shaped like log(1 - X^sf) on each unknown's ray
         rng = np.random.default_rng(7)
-        shape = (4, len(unknowns(grids)), 1)
-        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        cosh = np.cosh([grids[r].s_nodes for r, _ in unknowns(grids)])
-        g = c * np.exp(-(1.0 + 0.3j * rng.standard_normal(shape)) * cosh)
+        g = _smooth_densities(grids, rng)
         want, near, _ = _unfolded_apply(model, grids, g)
         scale = float(np.max(np.abs(want)))
         assert float(np.max(np.abs(_apply(ws, g) - want))) <= 1e-14 * scale
@@ -651,7 +692,7 @@ class TestFoldedOperator:
         # where the continuation lifts the rounding gap between a
         # transposed and a fresh kernel to 1e-8 on such data: not held there
         if rough:
-            g = np.exp(2j * math.pi * rng.random(shape[:2] + cosh.shape[-1:]))
+            g = np.exp(2j * math.pi * rng.random(g.shape))
             want, _, big = _unfolded_apply(model, grids, g)
             assert float(np.max(np.abs(_apply(ws, g) - want))) <= 1e-13 * big
 

@@ -1,8 +1,8 @@
 """Mutant audit: does tier-1 fail on each program of a list of wrong ones?
 
-Each mutant replaces one snippet of one file of ``src/hkforge``; the snippet
-must occur exactly once, so a mutant that no longer matches the source is
-reported as stale rather than run.  For each mutant the script copies the
+Each mutant replaces one snippet, or a tuple of snippets, of one file of
+``src/hkforge``; each snippet must occur exactly once, so a mutant that no
+longer matches the source is reported as stale rather than run.  For each mutant the script copies the
 package, ``tests/``, ``bench/`` (which the smoke tests run), ``README.md``
 and ``pyproject.toml`` to a temporary directory, applies the mutant to the
 copy and runs the tier-1 suite there with ``-x``.  It prints, per mutant,
@@ -31,7 +31,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "bench", "README.md", "pyproject.toml")
 TIMEOUT = 900  # seconds for one run of the suite
 
-# (name, file under src/hkforge, snippet, replacement)
+# (name, file under src/hkforge, snippet, replacement); a tuple of snippets
+# takes the tuple of replacements
 MUTANTS = [
     ("pairing p -> p^3 in _coefficients", "solver.py",
      "omegas[:, None] * pairs / (4.0 * math.pi)",
@@ -44,14 +45,23 @@ MUTANTS = [
      "pairing = ((coeffs @ model.lattice.matrix() @ coeffs.T) ** 3"
      ").tolist()"),
     ("sweep's reverse near fold dropped", "solver.py",
-     "near_ba = _fold_near(grids[a], neg, grids[b].s_nodes - 1j * dphi)",
-     "near_ba = bool(abs(dphi) < grids[a].near_angle)"),
+     "near_back = _fold_near(target, neg,\n"
+     "                                       source.s_nodes - 1j * angle)",
+     "near_back = bool(abs(angle) < target.near_angle)"),
     ("sweep's forward near fold dropped", "solver.py",
-     "near_ab = _fold_near(grids[b], rows, w_ab)",
-     "near_ab = bool(abs(dphi) < grids[b].near_angle)"),
+     "near = _fold_near(source, rows, w)",
+     "near = bool(abs(angle) < source.near_angle)"),
     ("evaluation's near fold dropped", "solver.py",
      "        _fold_near(grid, block, poles)\n",
      "        pass\n"),
+    ("sweep's reverse kernel stored under +angle", "solver.py",
+     "kernels[source.s_max, target.s_max, -angle] =",
+     "kernels[source.s_max, target.s_max, angle] ="),
+    ("sweep's kernel key without the source s_max", "solver.py",
+     ("key = (target.s_max, source.s_max, angle)",
+      "kernels[source.s_max, target.s_max, -angle] ="),
+     ("key = (target.s_max, angle)",
+      "kernels[source.s_max, -angle] =")),
     ("load_solution accepts non-finite values", "cli.py",
      "fault = _schema_fault(payload, _SOLUTION_SCHEMA) \\\n"
      "        or _non_finite_field(payload)",
@@ -63,20 +73,75 @@ MUTANTS = [
      "worst = float(np.max(defects, initial=0.0))",
      "worst = max([0.0] + defects)"),
     ("jump-check passes a NaN defect", "cli.py",
-     "if not worst <= args.tol:",
-     "if worst > args.tol:"),
+     "if not worst <= args.tol:\n"
+     "        print(\"FAIL: ray jumps",
+     "if worst > args.tol:\n"
+     "        print(\"FAIL: ray jumps"),
     ("jump-check passes a NaN recheck residual", "cli.py",
-     "if not sol.recheck_residual <= 10 * sol.tol_iter:",
-     "if sol.recheck_residual > 10 * sol.tol_iter:"),
+     "if not sol.recheck_residual <= bound:",
+     "if sol.recheck_residual > bound:"),
+    ("jump-check takes its gate from the file alone", "cli.py",
+     "bound = 10 * min(sol.tol_iter, solver.TOL_ITER)",
+     "bound = 10 * sol.tol_iter"),
     ("tree-compare passes a NaN gap at its gate", "cli.py",
      "if not gap <= gate:",
      "if gap > gate:"),
+    ("ov-compare drops a NaN error", "cli.py",
+     "worst = float(np.max(errors, initial=0.0))",
+     "worst = max([0.0] + errors)"),
+    ("ov-compare passes a NaN error", "cli.py",
+     "if not worst <= args.tol:\n"
+     "        print(f\"FAIL: above tolerance",
+     "if worst > args.tol:\n"
+     "        print(f\"FAIL: above tolerance"),
+    ("decay-scan passes a NaN relative error", "cli.py",
+     "if not report.relative_error <= args.tol_rel:",
+     "if report.relative_error > args.tol_rel:"),
     ("non-finite --zeta accepted", "cli.py",
      'if not cmath.isfinite(getattr(args, "zeta", 0)):',
      "if False:"),
     ("infinite --R and tolerances accepted", "cli.py",
      "and not 0 < getattr(args, name) < math.inf:",
      "and not 0 < getattr(args, name):"),
+    ("sign of the directed values' +-2 pi i residue term", "solver.py",
+     "w[on] = w.real[on] + side * 1e-300j",
+     "w[on] = w.real[on] - side * 1e-300j"),
+    ("2 / zeta' -> 1 / zeta' in zeta_zero_moments", "solver.py",
+     "lambda grid, _: 2.0 / grid.zeta_nodes",
+     "lambda grid, _: 1.0 / grid.zeta_nodes"),
+    ("laurent_forms' c reads +du0, the zeta -> 0 sign", "semiflat.py",
+     "c = 2.0 * scale * pair(lin, const - du0)",
+     "c = 2.0 * scale * pair(lin, const + du0)"),
+    ("sign of Lattice.dual_pairing flipped", "lattice.py",
+     "return -np.linalg.inv(eps)",
+     "return np.linalg.inv(eps)"),
+    ("log_one_minus skips its exact branch", "solver.py",
+     "    if cancel.any():",
+     "    if False:"),
+    ("sweep's log(1 - X) domain check dropped", "solver.py",
+     "if float(np.max(np.abs(x), initial=0.0)) >= 1.0 - 1e-9:",
+     "if False:"),
+    ("TreeIntegrator._extend flags no tower", "trees.py",
+     "n <= towers))",
+     "False))"),
+    ("pairing p -> p^3 in the KS factor exponent", "ks.py",
+     "exponent = power * (base + pair)",
+     "exponent = power * (base + pair) ** 3"),
+    ("Omega -> Omega^3 in the KS factor exponent", "ks.py",
+     "exponent = power * (base + pair)",
+     "exponent = power ** 3 * (base + pair)"),
+    ("multicover 1 / n^2 -> 1 / n", "trees.py",
+     "total += Fraction(om, n * n)",
+     "total += Fraction(om, n)"),
+    ("NEAR_HALF_WIDTHS 1.5 -> 0.5", "solver.py",
+     "NEAR_HALF_WIDTHS = 1.5",
+     "NEAR_HALF_WIDTHS = 0.5"),
+    ("TAIL_SHARE 0.1 -> 100", "solver.py",
+     "TAIL_SHARE = 0.1",
+     "TAIL_SHARE = 100.0"),
+    ("TAIL_MARGIN 4 -> -4", "solver.py",
+     "TAIL_MARGIN = 4.0",
+     "TAIL_MARGIN = -4.0"),
 ]
 
 
@@ -101,11 +166,15 @@ def run_mutant(path: str, old: str, new: str) -> tuple[str, str]:
         target = os.path.join(tmp, "src", "hkforge", path)
         with open(target, encoding="utf-8") as fh:
             text = fh.read()
-        if text.count(old) != 1:
-            return "STALE", (f"snippet found {text.count(old)} times in "
-                             f"{path}")
+        if isinstance(old, str):
+            old, new = (old,), (new,)
+        for snippet, replacement in zip(old, new):
+            if text.count(snippet) != 1:
+                return "STALE", (f"snippet found {text.count(snippet)} "
+                                 f"times in {path}")
+            text = text.replace(snippet, replacement)
         with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text.replace(old, new))
+            fh.write(text)
         env = {**os.environ, "PYTHONPATH": os.path.join(tmp, "src"),
                "PYTHONDONTWRITEBYTECODE": "1"}
         try:
@@ -130,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.list:
         for k, (name, path, _, _) in enumerate(MUTANTS, start=1):
-            print(f"{k:3d}  {path:10s} {name}")
+            print(f"{k:3d}  {path:11s} {name}")
         return 0
     chosen = args.numbers or range(1, len(MUTANTS) + 1)
     if any(not 1 <= k <= len(MUTANTS) for k in chosen):
