@@ -56,6 +56,16 @@ no coefficient formula of its own.  The tree sum reads the same kernels.
 coordinates by one linear solve on the same grids, (I + A D) dU = -A D dL
 with D = X / (1 - X), by the same contraction.
 
+When the active charges are closed under gamma -> -gamma with equal Omega,
+the solution obeys the reality condition X_{-gamma}(zeta) =
+conj X_gamma(-1/conj zeta), and node k of the ray of gamma and node N-1-k
+of the ray of -gamma are such a pair of points.  The iteration and the
+tangent solve then compute only the rows of one ray of each antipodal pair,
+through the blocks into those rows, and take the other rows as conjugates
+with the nodes reversed (``_mirrored``); otherwise every row is iterated.
+The stored recheck is one full sweep, so reality stays an independent
+check on every solution.
+
 There is one evaluation path off the grid, ``ray_integrals``.  The kernel
 rows of every ray it reads at every zeta of a call are one (R, Z, N)
 array, each pole within its ray's near zone with the continuation folded
@@ -517,12 +527,25 @@ class _Workspace:
     the reverse direction reads it transposed with sign -1, unless either
     direction holds the near-ray continuation; ``near_pairs`` counts the
     ordered ray pairs whose matrix holds one.
+
+    ``rows`` are the rows the iteration computes and ``image`` the rows it
+    takes as reality images (``_mirrored``): when the active charges are
+    closed under gamma -> -gamma with equal Omega, on rays of equal s_max,
+    the row of each charge on the later ray of an antipodal pair is the
+    image of the row of its negative, ``source``; otherwise ``image`` is
+    empty and ``rows`` is every row.  ``half`` holds the blocks whose
+    target ray is iterated.  The blocks into image rows serve ``_apply``
+    and ``recheck``, where the reality of the solution is still checked.
     """
 
     blocks: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]]
     spans: list[slice]
     weights: np.ndarray
     near_pairs: int
+    rows: np.ndarray
+    image: np.ndarray
+    source: np.ndarray
+    half: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]]
 
 
 def _fold_near(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray) -> bool:
@@ -559,8 +582,10 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
     The reverse direction is built with it, under (source s_max, target
     s_max, -angle).  The rays of gamma and -gamma have one |Z|, so the
     antipodal pair (-a, -b) of (a, b) reads its kernel.  The blocks'
-    coefficients are ``_coefficients`` of the unknowns' own charges."""
-    coefs = _coefficients(model, grids, [g for _, g in unknowns(grids)])
+    coefficients are ``_coefficients`` of the unknowns' own charges, and
+    the rows it iterates are those ``_Workspace`` describes."""
+    rows_of = unknowns(grids)
+    coefs = _coefficients(model, grids, [g for _, g in rows_of])
     spans, start = [], 0
     for grid in grids:
         spans.append(slice(start, start + len(grid.ray.charges)))
@@ -592,27 +617,72 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
             sign, matrix, near = kernels[key]
             blocks[rt, rs] = (sign, matrix, sign * mix)
             near_pairs += near
-    return _Workspace(blocks=blocks, spans=spans, weights=_node_data(
-        grids, lambda grid, _: grid.weights), near_pairs=near_pairs)
+    # the reality pairing, by charge: the row of -g for the row of each g;
+    # when every row has one, of its Omega and on a ray of its s_max, the
+    # rows of the later ray of each antipodal pair are images
+    index = {g: k for k, (_, g) in enumerate(rows_of)}
+    partner = [index.get(-g) for _, g in rows_of]
+    ray = [r for r, _ in rows_of]
+    omegas = [om for grid in grids for om in grid.ray.omegas]
+    closed = all(j is not None and omegas[j] == omegas[k]
+                 and grids[ray[j]].s_max == grids[ray[k]].s_max
+                 for k, j in enumerate(partner))
+    image = [k for k, j in enumerate(partner) if closed and ray[j] < ray[k]]
+    own = [k for k in range(len(rows_of)) if k not in image]
+    iterated = {ray[k] for k in own}
+    return _Workspace(
+        blocks=blocks, spans=spans, weights=_node_data(
+            grids, lambda grid, _: grid.weights), near_pairs=near_pairs,
+        rows=np.array(own, dtype=int), image=np.array(image, dtype=int),
+        source=np.array([partner[k] for k in image], dtype=int),
+        half={pair: block for pair, block in blocks.items()
+              if pair[0] in iterated})
 
 
-def _apply(ws: _Workspace, g: np.ndarray) -> np.ndarray:
+def _mirrored(ws: _Workspace, rows: np.ndarray) -> np.ndarray:
+    """Node data (..., U, N) from their rows ``ws.rows`` (..., I, N): each
+    image row is the conjugate of its source row with the nodes reversed.
+    Node k of the ray of gamma, at zeta, and node N-1-k of the ray of
+    -gamma, at -1/conj(zeta), are one point of the reality condition
+    X_{-gamma}(-1/conj zeta) = conj X_gamma(zeta)."""
+    full = np.empty(rows.shape[:-2] + ws.weights.shape, dtype=complex)
+    full[..., ws.rows, :] = rows
+    full[..., ws.image, :] = np.conj(full[..., ws.source, ::-1])
+    return full
+
+
+def _apply(ws: _Workspace, g: np.ndarray, blocks=None) -> np.ndarray:
     """The sweep's linear map A on node densities ``g``, (..., U, N): one
-    product per block of the workspace."""
+    product per block of the workspace, or of ``blocks``, a part of it that
+    leaves the other target rows 0."""
     gw = ws.weights * g
     out = np.zeros_like(g)
-    for (rt, rs), (_, matrix, mix) in ws.blocks.items():
+    for (rt, rs), (_, matrix, mix) in (ws.blocks if blocks is None
+                                       else blocks).items():
         out[..., ws.spans[rt], :] += mix @ (gw[..., ws.spans[rs], :]
                                             @ matrix.T)
     return out
 
 
-def _sweep(ws: _Workspace, log_xsf: np.ndarray, ups: np.ndarray) -> np.ndarray:
-    """One application of the integral-equation map U -> A log(1 - X)."""
+def _density(log_xsf: np.ndarray, ups: np.ndarray) -> np.ndarray:
+    """log(1 - X) of the node data X = exp(log_xsf + ups), which must lie in
+    the domain |X| < 1."""
     x = np.exp(log_xsf + ups)
     if float(np.max(np.abs(x), initial=0.0)) >= 1.0 - 1e-9:
         raise RSmallError("iteration left the log(1 - X) domain: R too small")
-    return _apply(ws, log_one_minus(x))
+    return log_one_minus(x)
+
+
+def _sweep(ws: _Workspace, log_xsf: np.ndarray, ups: np.ndarray) -> np.ndarray:
+    """One application of the integral-equation map U -> A log(1 - X)."""
+    return _apply(ws, _density(log_xsf, ups))
+
+
+def _half_step(ws: _Workspace, density: np.ndarray) -> np.ndarray:
+    """A on the rows ``ws.rows`` from the density on those rows: the image
+    rows of the density are their mirrors, and only the ``half`` blocks
+    run."""
+    return _apply(ws, _mirrored(ws, density), ws.half)[..., ws.rows, :]
 
 
 def _change(a: np.ndarray, b: np.ndarray) -> float:
@@ -655,11 +725,18 @@ def iterate(model, point: ModelPoint, grids: list[QuadratureGrid],
     stops when the largest node update drops below ``tol_iter``, and the
     converged data are re-checked by one more sweep.  ``workspace`` is the
     sweep ``_prepare`` built on these grids.
+
+    Only the rows ``ws.rows`` are iterated, the others taken as their
+    reality images (``_mirrored``); an image row changes by what its source
+    row does, so the history is that of the full sweep.  The recheck is one
+    full ``_sweep``, which computes the image rows from their own blocks.
     """
     ws = workspace if workspace is not None else _prepare(model, point, grids)
     log_xsf = semiflat_nodes(model, point, grids)
-    ups, history = _contract(lambda u: _sweep(ws, log_xsf, u),
-                             np.zeros_like(log_xsf), tol_iter, max_iter)
+    own = log_xsf[ws.rows]
+    ups, history = _contract(lambda u: _half_step(ws, _density(own, u)),
+                             np.zeros_like(own), tol_iter, max_iter)
+    ups = _mirrored(ws, ups)
     return RaySolution(point=point, grids=grids, log_xsf=log_xsf,
                        upsilon=ups, iterations=len(history),
                        residual=history[-1], residual_history=history,
@@ -687,19 +764,22 @@ def solve_tangents(model, point: ModelPoint, tol_iter: float = TOL_ITER
     grids = build_grids(model, point)
     ws = _prepare(model, point, grids)
     sol = iterate(model, point, grids, tol_iter=tol_iter, workspace=ws)
-    neg_d = -np.expm1(-sol.log_one_minus_x)
-    zeta = _node_data(grids, lambda grid, _: grid.zeta_nodes)
+    neg_d = -np.expm1(-sol.log_one_minus_x[ws.rows])
+    zeta = _node_data(grids, lambda grid, _: grid.zeta_nodes)[ws.rows]
+    rows_of = unknowns(grids)
     pole, const, lin = (np.moveaxis(r, -1, 0)[..., None] for r in
                         xsf_laurent_rows(model, point, [
-                            g for _, g in unknowns(grids)]))
+                            rows_of[k][1] for k in ws.rows]))
     d_log_xsf = pole / zeta + const + zeta * lin
 
+    # the directions are real, so the tangents keep the reality pairing and
+    # iterate on ``ws.rows`` as the solve does
     def tangent(du):
         return neg_d * (d_log_xsf + du)
 
-    du, _ = _contract(lambda d: _apply(ws, tangent(d)),
+    du, _ = _contract(lambda d: _half_step(ws, tangent(d)),
                       np.zeros_like(d_log_xsf), tol_iter, MAX_ITER)
-    return sol, tangent(du)
+    return sol, _mirrored(ws, tangent(du))
 
 
 # ---------------------------------------------------------------------------

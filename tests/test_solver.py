@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hkforge import solver
 from hkforge.lattice import Lattice, Spectrum, charge
 from hkforge.models import ov_oracle, pentagon_wall_point
-from hkforge.semiflat import ModelPoint, xsf, xsf_log
+from hkforge.semiflat import ModelPoint, xsf, xsf_laurent_rows, xsf_log
 from hkforge.solver import (GridSpec, NonConvergenceError,
                             QuadratureGrid, RayProximityError, RSmallError,
                             _apply, _coefficients, _gl_panels, _prepare,
@@ -605,10 +605,118 @@ class TestKernelSharing:
         counts, _, ws = _prepare_builds(monkeypatch, pentagon,
                                         pentagon_point, grids)
         assert counts["kernel_rows"] == 4
+        # nor are its nodes the mirrors of gamma_1's: every row iterates
+        assert not len(ws.image)
         g = _smooth_densities(grids, np.random.default_rng(7))
         want, _, _ = _unfolded_apply(pentagon, grids, g)
         scale = float(np.max(np.abs(want)))
         assert float(np.max(np.abs(_apply(ws, g) - want))) <= 1e-14 * scale
+
+
+def _minus_g1_omega(model, om):
+    """``model`` with Omega(-gamma_1) set to ``om``: 0 drops the charge, and
+    2 against Omega(gamma_1) = 1 leaves the spectrum unclosed under
+    gamma -> -gamma with equal Omega."""
+    spectrum = model.spectrum
+    return model.with_spectrum(Spectrum(
+        lambda g, u: om if g == -G1 else spectrum.omega(g, u),
+        spectrum.support))
+
+
+def _full_map_solve(model, point, grids, ws):
+    """The iteration and the tangent solve with every row computed, as
+    before the reality pairing: the ``_contract`` of the full ``_sweep``,
+    then of ``_apply`` on the full tangent densities.  Returns the node
+    data, the iteration count and the (4, U, N) tangent densities."""
+    log_xsf = solver.semiflat_nodes(model, point, grids)
+    ups, history = solver._contract(
+        lambda u: solver._sweep(ws, log_xsf, u), np.zeros_like(log_xsf),
+        solver.TOL_ITER, solver.MAX_ITER)
+    neg_d = -np.expm1(-log_one_minus(np.exp(log_xsf + ups)))
+    zeta = np.array([grids[r].zeta_nodes for r, _ in unknowns(grids)])
+    pole, const, lin = (np.moveaxis(r, -1, 0)[..., None] for r in
+                        xsf_laurent_rows(model, point, [
+                            g for _, g in unknowns(grids)]))
+    d_log_xsf = pole / zeta + const + zeta * lin
+
+    def tangent(du):
+        return neg_d * (d_log_xsf + du)
+
+    du, _ = solver._contract(lambda d: _apply(ws, tangent(d)),
+                             np.zeros_like(d_log_xsf), solver.TOL_ITER,
+                             solver.MAX_ITER)
+    return ups, len(history), tangent(du)
+
+
+def _reality_gap(grids, data):
+    """Largest gap between the node data of a charge and the conjugate of
+    its negative's with the nodes reversed."""
+    by_charge = {g: row for (_, g), row in zip(unknowns(grids), data)}
+    return max((float(np.max(np.abs(row - np.conj(by_charge[-g][::-1]))))
+                for g, row in by_charge.items() if -g in by_charge),
+               default=0.0)
+
+
+class TestRealityPairing:
+    @pytest.mark.parametrize("case", [
+        "conftest", "1.02x0.9", "1.02x0.9-pairing2-omega-2", "ov",
+        "no-minus-gamma1", "omega-2-at-minus-gamma1"])
+    def test_iterate_matches_full_map(self, pentagon, pentagon_point, ov,
+                                      ov_point, pairing_two, case):
+        # iterating one ray of each antipodal pair against iterating every
+        # row: equal counts, and node data and tangents equal to rounding.
+        # The full map's own rows of +-gamma are mirrors only to its
+        # rounding (up to 2e-15 of max|U| near the wall), and the image
+        # rows may differ from it by that much more.  Without closure under
+        # gamma -> -gamma with equal Omega no row is an image, and the two
+        # solves run the same products
+        wall = _wall_point(pentagon, 1.02, 0.9, 0.35)
+        model, point, images = {
+            "conftest": (pentagon, pentagon_point, 2),
+            "1.02x0.9": (pentagon, wall, 3),
+            "1.02x0.9-pairing2-omega-2": (pairing_two[-2], wall, 3),
+            "ov": (ov, ov_point, 1),
+            "no-minus-gamma1": (_minus_g1_omega(pentagon, 0),
+                                pentagon_point, 0),
+            "omega-2-at-minus-gamma1": (_minus_g1_omega(pentagon, 2),
+                                        pentagon_point, 0)}[case]
+        grids = build_grids(model, point)
+        ws = _prepare(model, point, grids)
+        assert len(ws.image) == images
+        assert ws.near_pairs == (12 if case.startswith("1.02") else 0)
+        want, count, want_tangents = _full_map_solve(model, point, grids, ws)
+        sol = iterate(model, point, grids, workspace=ws)
+        assert sol.iterations == count
+        scale = float(np.max(np.abs(want), initial=0.0))
+        gap = np.abs(sol.upsilon - want)
+        assert float(np.max(gap[ws.rows], initial=0.0)) <= 1e-15 * scale
+        own = _reality_gap(grids, want) if images else 0.0
+        assert float(np.max(gap, initial=0.0)) <= 1e-15 * scale + own
+        _, tangents = solve_tangents(model, point)
+        assert float(np.max(np.abs(tangents - want_tangents))) \
+            <= 5e-15 * float(np.max(np.abs(want_tangents)))
+
+    def test_unequal_omega_keeps_every_row(self, pentagon, pentagon_point):
+        # with Omega(gamma_1) = 1 and Omega(-gamma_1) = 2 the solution is
+        # not real, so no row is an image and evaluation at the nodes
+        # agrees with the node data; mirroring the rows as the closed
+        # spectrum does breaks that
+        model = _minus_g1_omega(pentagon, 2)
+        grids = build_grids(model, pentagon_point)
+        ws = _prepare(model, pentagon_point, grids)
+        assert np.array_equal(ws.rows, np.arange(len(unknowns(grids))))
+        assert not len(ws.image) and ws.half == ws.blocks
+        sol = iterate(model, pentagon_point, grids, tol_iter=1e-13,
+                      workspace=ws)
+        assert _sweep_gap(model, sol) <= 1e-14
+        closed = _prepare(pentagon, pentagon_point,
+                          build_grids(pentagon, pentagon_point))
+        forced = dataclasses.replace(
+            ws, rows=closed.rows, image=closed.image, source=closed.source,
+            half={pair: ws.blocks[pair] for pair in closed.half})
+        control = iterate(model, pentagon_point, grids, tol_iter=1e-13,
+                          workspace=forced)
+        assert _sweep_gap(model, control) > 1e-14
 
 
 def _smooth_densities(grids, rng):
@@ -1081,19 +1189,34 @@ class TestJumps:
             assert _exact_jump_defect(pentagon, sol, i) < 1e-12
 
     @pytest.mark.parametrize("wall", WALLS, ids=WALL_IDS)
-    def test_upsilon_reality_on_rays(self, pentagon, pentagon_solution,
-                                     wall):
-        # the converged node data of opposite rays are complex conjugates
-        # under s -> -s, which is the reality condition on the solution;
-        # +-gamma are separate unknowns though they share kernels, and the
-        # wall points read the shared near terms too
-        sols = pentagon_solution if wall is None else solve(
-            pentagon, _wall_point(pentagon, *wall, 0.35), tol_iter=1e-12)
-        by_charge = {gamma: vals for (_, gamma), vals
-                     in zip(unknowns(sols.grids), sols.upsilon)}
-        for gamma, vals in by_charge.items():
-            mirrored = np.conj(by_charge[-gamma][::-1])
-            assert np.max(np.abs(vals - mirrored)) < 1e-12
+    def test_upsilon_reality_on_rays(self, pentagon, pentagon_point, wall):
+        # the iteration takes the rows of one ray of each antipodal pair as
+        # the reality images of the other's, conjugated under s -> -s, so
+        # the full sweep of the recheck is where the reality condition is
+        # still checked: its blocks into the image rows, which the
+        # iteration never reads, must give those rows back.  Scaling the
+        # mix of one such block by 1 + 1e-6 leaves the iterated data
+        # bitwise as they were, and both the stored and a fresh recheck
+        # must see it
+        point = pentagon_point if wall is None \
+            else _wall_point(pentagon, *wall, 0.35)
+        grids = build_grids(pentagon, point)
+        ws = _prepare(pentagon, point, grids)
+        sol = iterate(pentagon, point, grids, tol_iter=1e-12, workspace=ws)
+        bound = 10 * sol.tol_iter
+        assert 2 * len(ws.image) == len(unknowns(grids))
+        assert solver.recheck(pentagon, point, grids, sol.log_xsf,
+                              sol.upsilon, ws) <= bound
+        pair = next(pair for pair in ws.blocks if pair not in ws.half)
+        sign, matrix, mix = ws.blocks[pair]
+        bent = dataclasses.replace(ws, blocks={
+            **ws.blocks, pair: (sign, matrix, mix * (1.0 + 1e-6))})
+        control = iterate(pentagon, point, grids, tol_iter=1e-12,
+                          workspace=bent)
+        assert np.array_equal(control.upsilon, sol.upsilon)
+        assert control.recheck_residual > bound
+        assert solver.recheck(pentagon, point, grids, control.log_xsf,
+                              control.upsilon, bent) > bound
 
 
 class TestDecay:

@@ -142,6 +142,26 @@ MUTANTS = [
     ("TAIL_MARGIN 4 -> -4", "solver.py",
      "TAIL_MARGIN = 4.0",
      "TAIL_MARGIN = -4.0"),
+    ("image rows not conjugated", "solver.py",
+     "full[..., ws.image, :] = np.conj(full[..., ws.source, ::-1])",
+     "full[..., ws.image, :] = full[..., ws.source, ::-1]"),
+    ("image rows without the node reversal", "solver.py",
+     "full[..., ws.image, :] = np.conj(full[..., ws.source, ::-1])",
+     "full[..., ws.image, :] = np.conj(full[..., ws.source, :])"),
+    ("mirroring without the closure test", "solver.py",
+     "if closed and ray[j] < ray[k]]",
+     "if j is not None and ray[j] < ray[k]]"),
+    ("closure test ignores Omega", "solver.py",
+     "j is not None and omegas[j] == omegas[k]\n",
+     "j is not None\n"),
+    ("closure test ignores s_max", "solver.py",
+     "\n                 and grids[ray[j]].s_max == grids[ray[k]].s_max",
+     ""),
+    ("iterate's recheck on the half map", "solver.py",
+     "recheck_residual=recheck(model, point, grids, log_xsf,\n"
+     "                                                ups, ws),",
+     "recheck_residual=_change(_mirrored(ws, _half_step(ws, _density(\n"
+     "                           own, ups[ws.rows]))), ups),"),
 ]
 
 
