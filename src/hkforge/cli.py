@@ -101,6 +101,11 @@ def _positive_checks(args) -> None:
         raise UsageError("every R in the R list must be positive and finite")
     if not cmath.isfinite(getattr(args, "zeta", 0)):
         raise UsageError("--zeta must be finite")
+    for name, entries in (("u", (getattr(args, "u", 0),)),
+                          ("theta", getattr(args, "theta", None) or ()),
+                          ("phi", (getattr(args, "phi", 0),))):
+        if not all(cmath.isfinite(x) for x in entries):
+            raise UsageError(f"--{name} must be finite")
     if getattr(args, "emit_grid", 0) < 0:
         raise UsageError("--emit-grid must be >= 0")
 

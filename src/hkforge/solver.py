@@ -21,10 +21,10 @@ stay O(exp(-2 pi R |Z|)), which avoids the huge semiflat exponentials and
 makes the smallness of the quantum corrections explicit.
 
 Every ray integral applies one kernel, coth((s - w)/2) with the target at
-direction * e^w, built by ``kernel_rows`` from a source grid and target
-poles.  On the panel layout all rays share, a kernel is fixed by (target
-s_max, source s_max, angle), and the solve builds it once per such key among
-the ray pairs whose charges pair to nonzero: the reverse direction is minus
+direction * e^w, built by ``_kernels`` from source grids and target poles.
+On the panel layout all rays share, a kernel is fixed by (target s_max,
+source s_max, angle), and the solve builds it once per such key among the
+ray pairs whose charges pair to nonzero: the reverse direction is minus
 its transpose, coth being odd, and the antipodal pair (-a, -b) of (a, b)
 has the same key.  Off-grid evaluation calls the same builder.  When the
 target lies within NEAR_HALF_WIDTHS panel half-widths of the source ray
@@ -33,11 +33,10 @@ the density is continued to the pole, subtracted, and added back against
 the closed-form kernel integral.  The continuation is one linear operator,
 ``_near_term``: per pole, the nodes of one panel and their interpolation
 weights.  ``_fold_near`` folds it into the kernel rows of every near pole,
-the sweep's blocks and evaluation's rows (``_folded_rows``) alike, so every
-ray integral is one product with its rows.  On a ray the two directed
-boundary values of the closed form differ by the residue term +-2 pi i,
-which is how the expected coordinate jumps emerge from one integral
-representation.
+the sweep's blocks and evaluation's rows alike, so every ray integral is
+one product with its rows.  On a ray the two directed boundary values of
+the closed form differ by the residue term +-2 pi i, which is how the
+expected coordinate jumps emerge from one integral representation.
 
 Every node quantity of a solve is one array of shape (..., U, N): row k is
 unknown k of ``unknowns(grids)``, the (ray, charge) pairs ray-major, on the
@@ -71,13 +70,12 @@ rows of every ray it reads at every zeta of a call are one (R, Z, N)
 array, each pole within its ray's near zone with the continuation folded
 in as the sweep folds its blocks; the density rows are summed with their
 coefficients per ray, and one product with the row array gives every
-integral.  ``cauchy_integral`` is the one-ray case.  ``_upsilon_value``,
-behind ``upsilon``, ``evaluate``, the checks and the two-form sampler, and
-the tree sum all call it, so one near-ray rule holds: without ``side`` a
-zeta within RAY_AVOIDANCE_ANGLE of a contributing ray raises, and with it a
-zeta within ON_RAY_ANGLE of a ray takes the directed boundary value.  Its
-first terms at zeta -> 0 and infinity are moments on the nodes
-(``zeta_zero_moments``).
+integral.  ``_upsilon_value``, behind ``upsilon``, ``evaluate``, the checks
+and the two-form sampler, and the tree sum all call it, so one near-ray
+rule holds: without ``side`` a zeta within RAY_AVOIDANCE_ANGLE of a
+contributing ray raises, and with it a zeta within ON_RAY_ANGLE of a ray
+takes the directed boundary value.  Its first terms at zeta -> 0 and
+infinity are moments on the nodes (``zeta_zero_moments``).
 """
 
 from __future__ import annotations
@@ -166,7 +164,7 @@ class QuadratureGrid:
 
     @functools.cached_property
     def close_radius(self) -> float:
-        """Pole-node distance below which ``kernel_rows`` leaves the entry
+        """Pole-node distance below which ``_kernels`` leaves the entry
         to ``_near_term``: 1/16 of the smallest node spacing."""
         return np.min(np.diff(self.s_nodes)) / 16.0
 
@@ -400,8 +398,10 @@ def _nearest_node(s_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return i - (x - s_nodes[i - 1] <= s_nodes[i] - x)
 
 
-def kernel_rows(grid: QuadratureGrid, w) -> np.ndarray:
-    """Cauchy kernel coth((s - w)/2) at poles w (rows) and nodes s (columns).
+def _kernels(grids: list[QuadratureGrid], w: np.ndarray) -> np.ndarray:
+    """Cauchy kernel coth((s - w)/2) of each grid at its own row of poles:
+    (R, Z) poles w give (R, Z, N) rows, on the node count all grids share,
+    row (r, z) holding grids[r]'s nodes s as columns.
 
     A pole w stands for zeta = direction * e^w, so the kernel is the
     rational (z' + zeta)/(z' - zeta) of the integral equation.  Entries
@@ -410,13 +410,6 @@ def kernel_rows(grid: QuadratureGrid, w) -> np.ndarray:
     and differ in s_max by far less than 8x, so even read transposed a pole
     has at most one such node: its nearest.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    return _kernels([grid], w[None])[0]
-
-
-def _kernels(grids: list[QuadratureGrid], w: np.ndarray) -> np.ndarray:
-    """``kernel_rows`` of each grid at its own row of poles: (R, Z) poles
-    give (R, Z, N) rows, on the node count all grids share."""
     s_nodes = np.array([grid.s_nodes for grid in grids])
     radius = np.array([grid.close_radius for grid in grids])
     es = np.exp(s_nodes)[:, None, :]
@@ -477,21 +470,6 @@ def _near_term(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray
     return idx, op
 
 
-def cauchy_integral(grid: QuadratureGrid, f: np.ndarray, w) -> np.ndarray:
-    """int_{-S}^{S} coth((s - w)/2) f(s) ds at poles w, at any ray offsets.
-
-    ``f`` holds node values on its last axis; stacked densities share the
-    kernel rows, and the result keeps their leading axes with the poles
-    last.  It is the one-ray case of ``_folded_rows``: each pole within
-    ``grid.near_angle`` of the ray subtracts f continued to it and adds it
-    back against the closed-form kernel integral, so the fixed nodes
-    resolve the integrand at any offset; the other poles of the call keep
-    the plain kernel.
-    """
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    return (grid.weights * f) @ _folded_rows([grid], w[None])[0].T
-
-
 def unknowns(grids: list[QuadratureGrid]) -> list[tuple[int, Charge]]:
     """The (ray index, charge) of each row of the node data, ray-major."""
     return [(r, g) for r, grid in enumerate(grids) for g in grid.ray.charges]
@@ -516,7 +494,7 @@ class _Workspace:
 
     ``blocks`` maps each ordered ray pair (target, source) whose charges
     pair to nonzero to (sign, matrix, mix).  sign * matrix @ (weights * f),
-    with the source ray's weights, is ``cauchy_integral`` of node data f on
+    with the source ray's weights, is the Cauchy integral of node data f on
     the source ray at the target ray's nodes.  mix is sign times the
     (target, source) block of ``_coefficients`` of the unknowns' own
     charges, so the sweep adds mix @ (weights * g[source]) @ matrix.T to the
@@ -550,34 +528,23 @@ class _Workspace:
 
 def _fold_near(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray) -> bool:
     """Fold the continuation of the poles ``w`` within ``grid.near_angle``
-    into their kernel ``rows`` on ``grid``, in place: the folded rows @
-    (weights * f) are the plain ones plus sum(op * f[idx], -1) of
-    ``_near_term``.  Returns whether any pole was near."""
+    into their kernel ``rows`` on ``grid``, in place, so that rows @
+    (weights * f) is the Cauchy integral of node data f: ``_near_term``
+    reads the rows of every pole where they lie, uncopied, and the near
+    poles' terms are added.  Returns whether any pole was near."""
     near = np.flatnonzero(np.abs(w.imag) < grid.near_angle)
     if not len(near):
         return False
-    # a block near throughout goes in as it is: a row copy of a transposed
-    # block would change its memory order, and so the rounding of its sums
-    idx, op = _near_term(grid, rows if len(near) == len(w) else rows[near],
-                         w[near])
-    rows[near[:, None], idx] += op / grid.weights[idx]
+    idx, op = _near_term(grid, rows, w)
+    idx = idx[near]
+    rows[near[:, None], idx] += op[near] / grid.weights[idx]
     return True
-
-
-def _folded_rows(grids: list[QuadratureGrid], w: np.ndarray) -> np.ndarray:
-    """``_kernels`` with ``_fold_near`` applied per grid, as the sweep's
-    blocks are: rows[r] @ (weights * f), with grids[r]'s weights, is the
-    Cauchy integral of node data f on grids[r] at its poles w[r]."""
-    rows = _kernels(grids, w)
-    for grid, block, poles in zip(grids, rows, w):
-        _fold_near(grid, block, poles)
-    return rows
 
 
 def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspace:
     """The sweep on ``grids``, one kernel per (target s_max, source s_max,
     angle).  The grids of one solve share their panel layout, so the two
-    s_max fix the nodes, weights and near zones that ``kernel_rows`` and
+    s_max fix the nodes, weights and near zones that ``_kernels`` and
     ``_fold_near`` read: pairs with one key have one kernel and near terms.
     The reverse direction is built with it, under (source s_max, target
     s_max, -angle).  The rays of gamma and -gamma have one |Z|, so the
@@ -601,11 +568,10 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
             key = (target.s_max, source.s_max, angle)
             if key not in kernels:
                 w = target.s_nodes + 1j * angle
-                rows = kernel_rows(source, w)
+                rows = _kernels([source], w[None])[0]
                 # the reverse kernel is -rows.T, coth being odd, copied out
                 # before the forward direction folds into rows; each
-                # direction switches on its source grid, as
-                # ``cauchy_integral`` does
+                # direction switches on its source grid, as evaluation does
                 neg = -rows.T
                 near_back = _fold_near(target, neg,
                                        source.s_nodes - 1j * angle)
@@ -799,9 +765,10 @@ def ray_integrals(grids: list[QuadratureGrid], rays, density: np.ndarray,
     zeta is evaluated where it lies.
 
     The read rays' poles w = log(zeta / direction) give one (R, Z, N) array
-    of ``_folded_rows``; the density rows are summed with their
-    coefficients per ray and weighted, and one product with the rows, summed
-    over the rays, gives the integrals.
+    of ``_kernels``, each ray's near poles folded by ``_fold_near``; the
+    density rows are summed with their coefficients per ray and weighted,
+    and one product with the rows, summed over the rays, gives the
+    integrals.
     """
     scalar = np.ndim(zeta) == 0
     zetas = np.atleast_1d(np.asarray(zeta, dtype=complex))
@@ -833,7 +800,10 @@ def ray_integrals(grids: list[QuadratureGrid], rays, density: np.ndarray,
     mix = (rays == read[:, None])[..., None] * coefs
     g = (np.swapaxes(density, -1, -2)[..., None, :, :] @ mix) \
         * np.array([grid.weights for grid in grids])[..., None]
-    total = (_folded_rows(grids, w) @ g).sum(axis=-3)
+    rows = _kernels(grids, w)
+    for grid, block, poles in zip(grids, rows, w):
+        _fold_near(grid, block, poles)
+    total = (rows @ g).sum(axis=-3)
     return total[..., 0, :] if scalar else total
 
 
@@ -1014,7 +984,11 @@ def midsector_zetas(solution: RaySolution | list[QuadratureGrid], n: int = 8
     """Unit zetas cycling through ``sector_midpoints``, turned by -0.15, 0
     and +0.15 rad on successive passes whatever the sector width, so in a
     sector narrower than 0.3 rad the turned ones can fall on or past a ray.
-    Grids will do in place of a solution."""
+    Grids will do in place of a solution.
+
+    The wall probes need the turn: a wall's narrow sectors hold the other
+    side's bound-state ray, 0.01 rad from their midpoints at R 0.35 and
+    phi 0.9, where ``wall-check`` reads a genuine order near 0, not 1."""
     mids = sector_midpoints(getattr(solution, "grids", solution))
     if not mids:
         return [cmath.exp(2j * math.pi * (k + 0.5) / n) for k in range(n)]

@@ -14,13 +14,14 @@ serves only as a control: it shows what ``models.ov_oracle`` missed before
 it took its own Gauss-Kronrod rule.  The tree-by-tree sum lists the trees
 from the spectrum's support, finds each charge's ray by its direction and
 takes X^sf from ``xsf_log`` at that ray's nodes; of the tree sum's code it
-shares only ``cauchy_integral``.  The substitution route builds a KS word
+shares only the solver's kernel builders, ``_kernels`` and ``_fold_near``,
+through ``cauchy_integral`` here.  The substitution route builds a KS word
 from series powers, inverses and substitutions, where ``ks`` applies each
 factor's binomial series to the monomials; it shares only ``ConeGrading``
 and the ``TwistedSeries`` product.  The ray-by-ray evaluation applies
-``kernel_rows`` and gathers the ``_near_term`` continuation per ray, as
-``_unfolded_apply`` in ``tests/test_solver.py`` does for the sweep; of
-``ray_integrals`` it shares only those two builders.
+``kernel_rows`` here and gathers the ``_near_term`` continuation per ray,
+as ``_unfolded_apply`` in ``tests/test_solver.py`` does for the sweep; of
+``ray_integrals`` it shares only ``_kernels`` and ``_near_term``.
 """
 
 from __future__ import annotations
@@ -40,11 +41,28 @@ from hkforge.ks import TwistedSeries
 from hkforge.lattice import Charge, DegeneratePointError, charge
 from hkforge.semiflat import (dlog_xsf_matrix, omega3_sf, omega_plus_sf,
                               pairing_two_form, theta_eval, xsf_log)
-from hkforge.solver import (FOUR_PI_I, ON_RAY_ANGLE, _near_term,
-                            cauchy_integral, kernel_rows)
+from hkforge.solver import (FOUR_PI_I, ON_RAY_ANGLE, _fold_near, _kernels,
+                            _near_term)
 
 TREE_BUDGET = 200_000  # most trees the enumeration lists
 EPS_TAIL = 1e-16       # scale exp(-2 pi R n |Z|) down to which towers run
+
+
+def kernel_rows(grid, w) -> np.ndarray:
+    """The plain Cauchy kernel rows of one grid at poles ``w``, close
+    entries 0: the one-ray case of ``solver._kernels``."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    return _kernels([grid], w[None])[0]
+
+
+def cauchy_integral(grid, f, w) -> np.ndarray:
+    """int_{-S}^{S} coth((s - w)/2) f(s) ds at poles ``w`` on one grid, the
+    near poles' continuation folded in as ``ray_integrals`` folds it; the
+    result keeps the leading axes of the node data ``f``, poles last."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    rows = kernel_rows(grid, w)
+    _fold_near(grid, rows, w)
+    return (grid.weights * f) @ rows.T
 
 
 def pairing_coefficients(model, grids, charges) -> np.ndarray:

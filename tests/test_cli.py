@@ -150,6 +150,14 @@ class TestExitCodes:
         ("decay-scan", "--model", "pentagon", "--u", "1.2,0",
          "--R-list", "1,inf"),
         ("jump-check", "--solution", "sol.json", "--tol", "inf"),
+        ("solve", "--model", "ov", "--u", "nan,0", "--R", "1",
+         "--theta", "0.3,1.1"),
+        ("solve", "--model", "ov", "--u", "0.5,0", "--R", "1",
+         "--theta", "inf,1.1"),
+        ("decay-scan", "--model", "pentagon", "--u", "inf,0"),
+        # a non-finite wall angle read as a bracket that misses the wall
+        ("wall-check", "--model", "pentagon", "--phi", "nan"),
+        ("wall-check", "--model", "pentagon", "--phi", "inf"),
     ])
     def test_degenerate_input_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -31,14 +31,30 @@ def test_command_lines_parse():
         parser.parse_args(argv[1:])
 
 
+def _references(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every code reference in a module: a ``Name``, the
+    attribute of an ``Attribute`` and each imported name.  Docstrings and
+    comments are not code, so a name they mention is not referenced."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            refs.append((node.name.rsplit(".", 1)[-1], node.lineno))
+    return refs
+
+
 def _unnamed(scan_bench: bool = True) -> list[str]:
-    """Module-level public functions and classes of ``src/hkforge`` named
-    nowhere outside their own definition: not in the package (whose
-    ``__init__`` re-exports do not count), not in ``bench/`` and not in
-    README's Library section."""
+    """Module-level public functions and classes of ``src/hkforge`` that no
+    code of the package references outside their own definition (the
+    ``__init__`` re-exports do not count), and that neither ``bench/`` nor
+    README's Library section names."""
     package = sorted(p for p in (ROOT / "src" / "hkforge").glob("*.py")
                      if p.name != "__init__.py")
-    texts = {p: p.read_text().splitlines() for p in package}
+    trees = {p: ast.parse(p.read_text()) for p in package}
+    refs = {p: _references(tree) for p, tree in trees.items()}
     others = [README.read_text().split("## Library", 1)[1]
               .split("\n## ", 1)[0]]
     if scan_bench:
@@ -46,17 +62,17 @@ def _unnamed(scan_bench: bool = True) -> list[str]:
                    for p in sorted((ROOT / "bench").rglob("*.py"))]
     unnamed = []
     for path in package:
-        for node in ast.parse("\n".join(texts[path])).body:
+        for node in trees[path].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     or node.name.startswith("_"):
                 continue
             first = min([node.lineno]
                         + [d.lineno for d in node.decorator_list])
+            used = any(name == node.name
+                       and not (p == path and first <= line <= node.end_lineno)
+                       for p, found in refs.items() for name, line in found)
             word = re.compile(rf"\b{node.name}\b")
-            rest = ["\n".join(lines[:first - 1] + lines[node.end_lineno:])
-                    if p == path else "\n".join(lines)
-                    for p, lines in texts.items()]
-            if not any(word.search(text) for text in rest + others):
+            if not used and not any(word.search(text) for text in others):
                 unnamed.append(node.name)
     return unnamed
 
@@ -70,3 +86,10 @@ def test_every_public_name_is_used():
 def test_unused_name_guard_sees_bench_only_names():
     # control: the KS spectrum generator is called from bench/ alone
     assert "spectrum_generator" in _unnamed(scan_bench=False)
+
+
+def test_unused_name_guard_reads_code_not_words():
+    # control: a docstring or a comment that names a function is no use
+    source = 'def f():\n    """g and h"""\n    # g again\n    return h.k()\n'
+    assert sorted(name for name, _ in _references(ast.parse(source))) \
+        == ["h", "k"]

@@ -18,15 +18,15 @@ from hkforge.solver import (GridSpec, NonConvergenceError,
                             QuadratureGrid, RayProximityError, RSmallError,
                             _apply, _coefficients, _gl_panels, _prepare,
                             _richardson_upsilon, _upsilon_value,
-                            build_grids, cauchy_integral,
-                            check_wall_continuity, correction_decay,
-                            evaluate, iterate, kernel_rows, legendre_tail,
-                            log_one_minus,
+                            build_grids, check_wall_continuity,
+                            correction_decay, evaluate, iterate,
+                            legendre_tail, log_one_minus,
                             midsector_zetas, radial_limit, ray_integrals,
                             ray_jump_defect,
                             side_limit, solve, solve_tangents, unknowns,
                             upsilon, zeta_zero_moments)
-from reference import pairing_coefficients, unfolded_ray_integrals
+from reference import (cauchy_integral, kernel_rows, pairing_coefficients,
+                       unfolded_ray_integrals)
 
 G1, G2 = charge(1, 0), charge(0, 1)
 
@@ -531,10 +531,10 @@ WALL_IDS = ["conftest", "0.98x0.9", "1.02x0.9", "0.98x-0.8", "1.02x-0.8"]
 
 
 def _prepare_builds(monkeypatch, model, point, grids=None):
-    """The ``kernel_rows`` and ``_near_term`` calls of one ``_prepare``, on
+    """The ``_kernels`` and ``_near_term`` calls of one ``_prepare``, on
     ``grids`` or on the point's own."""
     grids = build_grids(model, point) if grids is None else grids
-    counts = dict.fromkeys(("kernel_rows", "_near_term"), 0)
+    counts = dict.fromkeys(("_kernels", "_near_term"), 0)
     for name in counts:
         def counted(*args, real=getattr(solver, name), name=name):
             counts[name] += 1
@@ -554,7 +554,7 @@ class TestKernelSharing:
         point = pentagon_point if wall is None \
             else _wall_point(pentagon, *wall, 0.35)
         counts, _, _ = _prepare_builds(monkeypatch, pentagon, point)
-        assert counts == {"kernel_rows": kernels, "_near_term": near}
+        assert counts == {"_kernels": kernels, "_near_term": near}
 
     @pytest.mark.parametrize("wall", WALLS, ids=WALL_IDS)
     def test_antipodal_grids_share_nodes(self, pentagon, pentagon_point,
@@ -586,7 +586,7 @@ class TestKernelSharing:
             lambda g, u: 1 if g in support else 0, lambda u: support))
         counts, grids, ws = _prepare_builds(monkeypatch, model, point)
         assert len(grids) == len(support)
-        assert counts["kernel_rows"] == kernels
+        assert counts["_kernels"] == kernels
         sol = iterate(model, point, grids, tol_iter=1e-13, workspace=ws)
         assert _sweep_gap(model, sol) <= 1e-14
 
@@ -604,7 +604,7 @@ class TestKernelSharing:
                                        s_nodes=s_nodes, weights=weights)
         counts, _, ws = _prepare_builds(monkeypatch, pentagon,
                                         pentagon_point, grids)
-        assert counts["kernel_rows"] == 4
+        assert counts["_kernels"] == 4
         # nor are its nodes the mirrors of gamma_1's: every row iterates
         assert not len(ws.image)
         g = _smooth_densities(grids, np.random.default_rng(7))
@@ -989,6 +989,36 @@ def _exact_jump_defect(model, sol, ray_index):
     return worst
 
 
+def _side_points(pentagon):
+    """(1.5+0.2i) at R 2 and R 1, 1.2 x both wall points at R 1 and 1.02 x
+    both at R 0.35."""
+    return [ModelPoint(1.5 + 0.2j, 2.0, (0.37, 1.29)),
+            ModelPoint(1.5 + 0.2j, 1.0, (0.37, 1.29))] + [
+        _wall_point(pentagon, factor, phi, R)
+        for factor, R in ((1.2, 1.0), (1.02, 0.35)) for phi in (0.9, -0.8)]
+
+
+def _directed_values(model, sol):
+    """The Richardson ``side_limit`` values and the exact ``evaluate(...,
+    side)`` ones, on every ray, of each basis charge that pairs with a
+    charge on it, on both sides."""
+    lat = model.lattice
+    pairs = [(grid.ray.direction, gamma, side) for grid in sol.grids
+             for gamma in lat.basis()
+             if any(lat.pair(gamma, g) for g in grid.ray.charges)
+             for side in (+1, -1)]
+    return np.array([[side_limit(model, sol, gamma, zeta0, side).value
+                      for zeta0, gamma, side in pairs],
+                     [evaluate(model, sol, gamma, zeta0, side).value
+                      for zeta0, gamma, side in pairs]])
+
+
+def _directed_gap(model, sol):
+    """Largest relative gap of ``_directed_values``."""
+    rich, exact = _directed_values(model, sol)
+    return float(np.max(np.abs(rich - exact) / np.abs(exact)))
+
+
 def _three_call_jump_defect(model, sol, ray_index):
     """``ray_jump_defect`` from one evaluation for the on-ray values and one
     ``_richardson_upsilon`` per side, three passes over the rays."""
@@ -1167,12 +1197,36 @@ class TestJumps:
                            for side in (+1, -1))
                 assert abs(ccw - cw) <= 1e-15 * abs(ccw)
 
-    def test_side_limit_matches_exact(self, ov, ov_solution):
-        zeta0 = ov_solution.grids[0].ray.direction
-        for side in (+1, -1):
-            rich = side_limit(ov, ov_solution, G1, zeta0, side)
-            exact = evaluate(ov, ov_solution, G1, zeta0, side)
-            assert abs(rich.value - exact.value) < 1e-8 * abs(exact.value)
+    def test_side_limit_matches_exact(self, ov, ov_solution, pentagon):
+        # the Richardson limits from off the ray against the exact directed
+        # values on it, each on its own: every ray, each basis charge that
+        # pairs with it and both sides (1.45e-9 at most, at 1.02 x the
+        # -0.8 wall)
+        assert _directed_gap(ov, ov_solution) < 1e-8
+        for point in _side_points(pentagon):
+            assert _directed_gap(pentagon, solve(pentagon, point)) < 1e-8
+
+    def test_side_limit_sees_a_shared_on_ray_error(self, pentagon,
+                                                   monkeypatch):
+        # control: one constant more in the closed-form kernel integral of
+        # every on-ray pole moves both directed values alike, by 1e-6 at
+        # most.  Their ratio, all ``_exact_jump_defect`` reads, keeps its
+        # value; the comparison with the limits from off the ray must fail
+        shift = [0.0]
+        closed_form = solver._kernel_C
+        monkeypatch.setattr(solver, "_kernel_C", lambda w, s_max: (
+            closed_form(w, s_max)
+            + shift[0] * (np.abs(w.imag) < solver.ON_RAY_ANGLE)))
+        for point in _side_points(pentagon):
+            shift[0] = 0.0
+            sol = solve(pentagon, point)
+            _, exact = _directed_values(pentagon, sol)
+            shift[0] = 1.0
+            _, moved = _directed_values(pentagon, sol)
+            shift[0] = 1e-6 / float(np.max(np.abs(np.log(moved / exact))))
+            assert _directed_gap(pentagon, sol) > 1e-8
+            for i in range(len(sol.grids)):
+                assert _exact_jump_defect(pentagon, sol, i) < 1e-12
 
     @pytest.mark.parametrize("phi", [0.9, -0.8])
     def test_jumps_with_near_aligned_rays(self, pentagon, phi):

@@ -287,13 +287,13 @@ class TestSharedKernels:
                                              monkeypatch):
         point, sol = strong
         built = []
-        kernel_rows = solver.kernel_rows
+        kernels = solver._kernels
 
-        def counted(grid, w):
-            built.append(grid)
-            return kernel_rows(grid, w)
+        def counted(grids, w):
+            built.append(grids)
+            return kernels(grids, w)
 
-        monkeypatch.setattr(solver, "kernel_rows", counted)
+        monkeypatch.setattr(solver, "_kernels", counted)
         solver._prepare(pentagon, point, sol.grids)
         prepared = len(built)
         assert prepared == 2  # the sweep's antipodal classes at 4 rays
@@ -305,11 +305,12 @@ class TestSharedKernels:
         assert len(built) == prepared
         integ.densities(cutoff + 1)
         assert len(built) == prepared
-        # summed densities: one root integral per ray and zeta
+        # summed densities: the root integrals take one kernel array, with
+        # one row block per ray read
         built.clear()
         series_solution(pentagon, point, G1, _zetas(sol)[0], cutoff,
                         integrator=integ)
-        assert len(built) <= len(sol.grids)
+        assert len(built) == 1 and len(built[0]) <= len(sol.grids)
 
     @pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("name", ["strong", "wall 0.9", "wall -0.8",
