@@ -12,11 +12,12 @@ a/zeta + b + c zeta: the residue gives the holomorphic symplectic form and
 the constant term the Kahler form.  Both follow from d log X to first
 order at zeta -> 0, whose corrections are moments of the tangent
 densities; c follows from zeta -> infinity and must be -conj(a).  Samples
-of the family at the sector midpoints check the split, and a gap there
-signals spurious higher Laurent terms and fails the run.  The metric
-follows from the triple algebra: with w1, w2 the real and imaginary
-parts of the residue form, J = -w1^{-1} w2 is an almost complex structure
-and g = w3 J its metric, positive definite in the large-R regime.
+of the family at the sector midpoints clear of the rays check the split,
+and a gap there signals spurious higher Laurent terms and fails the run.
+The metric follows from the triple algebra: with w1, w2 the real and
+imaginary parts of the residue form, J = -w1^{-1} w2 is an almost complex
+structure and g = w3 J its metric, positive definite in the large-R
+regime.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .semiflat import (ModelPoint, dlog_xsf_matrix, laurent_forms,
                        pairing_two_form, varpi_expected)
 from .solver import (_upsilon_value, sector_midpoints, solve_tangents,
                      zeta_zero_moments)
+
+SAMPLE_RAY_GAP = 0.05  # least angle, rad, from a residual sample to any ray
 
 
 @dataclass
@@ -133,9 +136,13 @@ def fit_point(model, point: ModelPoint
 
     The split takes the tangent densities' moments (``zeta_zero_moments``).
     ``residual`` is the largest gap between varpi, sampled at the sector
-    midpoints, and its assembly from the split; above 1e-6 it means higher
-    Laurent terms, which a genuine solution cannot have.  ``omega3_imag``
-    and ``conj_defect`` (c + conj(a)) measure reality.
+    midpoints more than SAMPLE_RAY_GAP from every ray, and its assembly
+    from the split; above 1e-6 it means higher Laurent terms, which a
+    genuine solution cannot have.  varpi is continuous in zeta, so any
+    zeta off the rays samples it, but a sector closing at a wall brings its
+    midpoint within RAY_AVOIDANCE_ANGLE of its rays; a point with no such
+    midpoint raises.  ``omega3_imag`` and ``conj_defect`` (c + conj(a))
+    measure reality.
     """
     sampler = VarpiSampler(model, point)
     grids = sampler.center.grids
@@ -143,7 +150,15 @@ def fit_point(model, point: ModelPoint
         model, grids, sampler.tangents, sampler._basis))
     a, b, c = laurent_forms(model, point, du0, du1)
     omega_plus, omega_3 = 2j * a, b.real
-    zetas = np.exp(1j * np.array(sector_midpoints(grids)))
+    # with no ray at all, zeta = 1 is as good a sample as any
+    mids = np.array(sector_midpoints(grids) or [0.0])
+    rays = np.array([grid.ray.angle for grid in grids])
+    gaps = np.abs(np.angle(np.exp(1j * (mids[:, None] - rays))))
+    zetas = np.exp(1j * mids[np.all(gaps > SAMPLE_RAY_GAP, axis=1)])
+    if not len(zetas):
+        raise ValueError(f"no sector midpoint lies more than "
+                         f"{SAMPLE_RAY_GAP} rad from every ray: no sample "
+                         f"for the Laurent residual")
     residual = float(np.max(np.abs(sampler.varpi(zetas) - varpi_expected(
         omega_plus, omega_3, zetas)), initial=0.0))
     if residual > 1e-6:

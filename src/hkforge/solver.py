@@ -74,8 +74,12 @@ integral.  ``_upsilon_value``, behind ``upsilon``, ``evaluate``, the checks
 and the two-form sampler, and the tree sum all call it, so one near-ray
 rule holds: without ``side`` a zeta within RAY_AVOIDANCE_ANGLE of a
 contributing ray raises, and with it a zeta within ON_RAY_ANGLE of a ray
-takes the directed boundary value.  Its first terms at zeta -> 0 and
-infinity are moments on the nodes (``zeta_zero_moments``).
+takes the directed boundary value.  That closed-form +-i0 boundary value
+is the only route to a directed value: ``side`` is +-1, or one +-1 per
+zeta, so ``ray_jump_defect`` reads both sides of a ray, and
+``correction_decay`` both sides of every ray, in one call.  Its first
+terms at zeta -> 0 and infinity are moments on the nodes
+(``zeta_zero_moments``).
 """
 
 from __future__ import annotations
@@ -102,7 +106,6 @@ TAIL_MARGIN = 4.0         # safety margin added to -log(eps_quad) for s_max
 MAX_ITER = 50             # sweeps (or tangent sweeps) before giving up
 TOL_ITER = 1e-10          # default iteration tolerance of a solve
 WALL_TOL_ITER = 1e-11     # iteration tolerance of the wall-continuity solves
-SIDE_OFFSET = 2e-4        # farther angular offset of a Richardson side limit
 
 
 class RSmallError(ValueError):
@@ -753,16 +756,19 @@ def solve_tangents(model, point: ModelPoint, tol_iter: float = TOL_ITER
 
 
 def ray_integrals(grids: list[QuadratureGrid], rays, density: np.ndarray,
-                  coefs, zeta, side: int | None = None) -> np.ndarray:
+                  coefs, zeta, side=None) -> np.ndarray:
     """sum_k coefs[k] times the Cauchy integral of density row k, on ray
     ``rays[k]``, at zeta: (..., K, N) node data and (K, C) coefficients give
     leading + (C,) at a number zeta, leading + (zetas, C) at a 1-d array.
 
     A ray with no row of nonzero coefficient is not read.  Without ``side``
     a zeta within RAY_AVOIDANCE_ANGLE of a ray that is read raises, since
-    the integral jumps there; with it, a zeta within ON_RAY_ANGLE of a ray takes
-    the counterclockwise (+1) or clockwise (-1) boundary value.  Every other
-    zeta is evaluated where it lies.
+    the integral jumps there; with it, a zeta within ON_RAY_ANGLE of a ray
+    takes the counterclockwise (+1) or clockwise (-1) boundary value of the
+    closed-form kernel.  ``side`` is +-1 for every zeta, or an array of
+    +-1 broadcast against the zetas, one side per zeta, so one call reads
+    both boundary values of a ray.  Every other zeta is evaluated where it
+    lies.
 
     The read rays' poles w = log(zeta / direction) give one (R, Z, N) array
     of ``_kernels``, each ray's near poles folded by ``_fold_near``; the
@@ -795,7 +801,7 @@ def ray_integrals(grids: list[QuadratureGrid], rays, density: np.ndarray,
         # kernel on the requested side (signed zeros do not survive the
         # subtraction inside the logarithms).
         on = np.abs(w.imag) < ON_RAY_ANGLE
-        w[on] = w.real[on] + side * 1e-300j
+        w[on] = w.real[on] + 1e-300j * np.broadcast_to(side, w.shape)[on]
     # (..., R, N, C): per read ray, its rows' coefficient sum, weighted
     mix = (rays == read[:, None])[..., None] * coefs
     g = (np.swapaxes(density, -1, -2)[..., None, :, :] @ mix) \
@@ -821,14 +827,14 @@ def _coefficients(model, grids: list[QuadratureGrid], charges: list[Charge]
 
 
 def _upsilon_value(model, grids: list[QuadratureGrid], density: np.ndarray,
-                   charges: list[Charge], zeta,
-                   side: int | None = None) -> np.ndarray:
+                   charges: list[Charge], zeta, side=None) -> np.ndarray:
     """Ray integrals of one density set at zeta, per charge (last axis).
 
     ``density`` holds node data on ``grids``, (..., U, N): a solution's
     log(1 - X), which gives log(X / X^sf), or ``solve_tangents``' densities,
     which give its derivatives.  It is ``ray_integrals`` on the rows of
-    ``unknowns(grids)`` with the ``_coefficients``.
+    ``unknowns(grids)`` with the ``_coefficients``, and ``side`` is
+    passed through.
     """
     return ray_integrals(grids, [r for r, _ in unknowns(grids)], density,
                          _coefficients(model, grids, charges), zeta, side)
@@ -871,62 +877,26 @@ def evaluate(model, solution: RaySolution, gamma: Charge, zeta: complex,
         + upsilon(model, solution, gamma, zeta, side=side))
 
 
-def _side_extrapolation(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """2 u2 - u1, the linear limit on a ray from values ``u1`` and ``u2``
-    at angular offsets SIDE_OFFSET and SIDE_OFFSET / 2 on one side.  Each
-    residual |u2 - u1| must stay below 1e-3 (1 + |limit|), or the limit is
-    refused."""
-    extrapolated = 2.0 * u2 - u1
-    residual = np.abs(u2 - u1)
-    failing = residual > 1e-3 * (1.0 + np.abs(extrapolated))
-    if failing.any():
-        raise RayProximityError(
-            f"side-limit extrapolation residual {residual[failing][0]:.3e} "
-            f"exceeds tolerance")
-    return extrapolated
-
-
-def _richardson_upsilon(model, solution: RaySolution, charges: list[Charge],
-                        zeta0: complex, side: int) -> np.ndarray:
-    """Directed log-corrections of ``charges`` on a ray, per charge.
-
-    Evaluates at angular offsets SIDE_OFFSET and SIDE_OFFSET / 2 on the
-    requested side, both in one call, and extrapolates linearly to the ray
-    (``_side_extrapolation``).
-    """
-    if side not in (+1, -1):
-        raise ValueError("side must be +1 (counterclockwise) or -1")
-    zetas = zeta0 * np.exp(1j * side * np.array([SIDE_OFFSET,
-                                                 SIDE_OFFSET / 2.0]))
-    return _side_extrapolation(*_upsilon_value(
-        model, solution.grids, solution.log_one_minus_x, charges, zetas,
-        side))
-
-
 def side_limit(model, solution: RaySolution, gamma: Charge, zeta0: complex,
                side: int) -> CoordinateValue:
-    """Directed boundary value on a ray by two-point Richardson in delta.
+    """The directed boundary value on a ray: ``evaluate`` with ``side``.
 
-    Evaluates at angular offsets delta and delta/2 on the requested side and
-    extrapolates the log-corrections linearly to the ray.
+    A name only, for ``bench/check_controls.py`` and ``bench/spans.py``,
+    which still read it; ROADMAP.md item 1 switches them to ``evaluate``.
     """
-    zeta0 = complex(zeta0)
-    return CoordinateValue.from_log(
-        gamma, zeta0, xsf_log(model, solution.point, gamma, zeta0) + complex(
-            _richardson_upsilon(model, solution, [gamma], zeta0, side)[0]))
+    return evaluate(model, solution, gamma, zeta0, side)
 
 
 def ray_jump_defect(model, solution: RaySolution, ray_index: int) -> float:
-    """Largest mismatch between directed limits and the expected ray jump.
+    """Largest mismatch between directed values and the expected ray jump.
 
     The clockwise value of each basis charge must equal the
     counterclockwise one multiplied by prod (1 - X_{g'}(zeta0))^(Omega
     <gamma, g'>) over the charges g' on the ray, with X_{g'} continuous
-    there.  The directed values of the basis charges are off-ray Richardson
-    limits (``_side_extrapolation``); X_{g'} takes the counterclockwise
-    boundary value.  One evaluation reads both: every charge at zeta0 and
-    at the offsets SIDE_OFFSET and SIDE_OFFSET / 2 on either side, where
-    ``side`` acts only on zeta0.  A NaN mismatch makes the result NaN.
+    there.  One evaluation reads every value, the closed-form boundary
+    values at zeta0 twice with side +1 and -1: the counterclockwise row
+    gives the ray's charges and the basis, the clockwise row the basis.  A
+    NaN mismatch makes the result NaN.
     """
     ray = solution.grids[ray_index].ray
     lat = model.lattice
@@ -941,21 +911,16 @@ def ray_jump_defect(model, solution: RaySolution, ray_index: int) -> float:
         return [CoordinateValue.from_log(g, zeta0, v).value
                 for g, v in zip(charges, logs.tolist())]
 
-    d = SIDE_OFFSET
     ups = _upsilon_value(model, solution.grids, solution.log_one_minus_x,
-                         charges, zeta0 * np.exp(
-                             1j * np.array([0.0, d, d / 2.0, -d, -d / 2.0])),
-                         side=+1)
+                         charges, np.array([zeta0, zeta0]),
+                         side=np.array([+1, -1]))
     factors = list(zip(ray.charges, ray.omegas, values(
         ray.charges, log_xsf[:n] + ups[0, :n])))
-    ccw, cw = (values(basis, log_xsf[n:] + u) for u in _side_extrapolation(
-        ups[1::2, n:], ups[2::2, n:]))
+    ccw, cw = (values(basis, log_xsf[n:] + u) for u in ups[:, n:])
     defects = []
-    for gamma, x_ccw, x_cw in zip(basis, ccw, cw):
-        jump = 1.0 + 0.0j
+    for gamma, predicted, x_cw in zip(basis, ccw, cw):
         for g_ray, om, x_on in factors:
-            jump *= (1.0 - x_on) ** (om * lat.pair(gamma, g_ray))
-        predicted = x_ccw * jump
+            predicted *= (1.0 - x_on) ** (om * lat.pair(gamma, g_ray))
         scale = max(abs(x_cw), abs(predicted), 1e-300)
         defects.append(abs(x_cw - predicted) / scale)
     return float(np.max(defects, initial=0.0))
@@ -1069,7 +1034,8 @@ def correction_decay(model, u: complex, theta: tuple[float, ...],
 
     The maximum is taken over the directed on-ray values, where the
     boundary term makes the correction largest; its decay rate is
-    -2 pi min|Z| over the active charges.
+    -2 pi min|Z| over the active charges.  One evaluation per R reads
+    them: every ray direction twice, counterclockwise then clockwise.
     """
     basis = model.lattice.basis()
     maxima = []
@@ -1082,11 +1048,11 @@ def correction_decay(model, u: complex, theta: tuple[float, ...],
                              "exp(-2 pi R |Z|) is below SPECTRAL_CUTOFF")
         if min_z is None:
             min_z = min(g.ray.min_abs_z() for g in sol.grids)
-        peak = max(float(np.max(np.abs(_upsilon_value(
+        directions = [grid.ray.direction for grid in sol.grids]
+        maxima.append(float(np.max(np.abs(_upsilon_value(
             model, sol.grids, sol.log_one_minus_x, basis,
-            grid.ray.direction, side=side))))
-            for grid in sol.grids for side in (+1, -1))
-        maxima.append(peak)
+            np.array(directions * 2),
+            side=np.repeat([+1, -1], len(directions)))))))
     slope = float(np.polyfit(np.asarray(r_values, dtype=float),
                              np.log(np.asarray(maxima)), 1)[0])
     return DecayReport(r_values=list(r_values), max_corrections=maxima,

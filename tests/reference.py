@@ -3,7 +3,8 @@ the semiflat two-form family, the closed-form Gibbons-Hawking metric of the
 OV model, the pentagon periods continued one step at a time, the OV oracle
 as QUADPACK ran it, the tree sum taken tree by tree, the KS
 automorphisms composed by series substitution, and the off-grid evaluation
-taken ray by ray with its coefficients from ``Lattice.pair``.
+taken ray by ray with its coefficients from ``Lattice.pair``, and the
+directed value on a ray by Richardson extrapolation from off the ray.
 
 None shares code with the pipeline it checks: the fit takes varpi only
 through its samples, the OV metric is a Bessel sum (GMN, arXiv:0807.4723)
@@ -21,7 +22,10 @@ factor's binomial series to the monomials; it shares only ``ConeGrading``
 and the ``TwistedSeries`` product.  The ray-by-ray evaluation applies
 ``kernel_rows`` here and gathers the ``_near_term`` continuation per ray,
 as ``_unfolded_apply`` in ``tests/test_solver.py`` does for the sweep; of
-``ray_integrals`` it shares only ``_kernels`` and ``_near_term``.
+``ray_integrals`` it shares only ``_kernels`` and ``_near_term``.  The
+Richardson limit takes the log-corrections at two angular offsets from the
+ray, where no kernel pole lies within ``ON_RAY_ANGLE``, so it reads none of
+the closed-form +-i0 boundary value that ``evaluate(..., side)`` takes.
 """
 
 from __future__ import annotations
@@ -42,10 +46,11 @@ from hkforge.lattice import Charge, DegeneratePointError, charge
 from hkforge.semiflat import (dlog_xsf_matrix, omega3_sf, omega_plus_sf,
                               pairing_two_form, theta_eval, xsf_log)
 from hkforge.solver import (FOUR_PI_I, ON_RAY_ANGLE, _fold_near, _kernels,
-                            _near_term)
+                            _near_term, upsilon)
 
 TREE_BUDGET = 200_000  # most trees the enumeration lists
 EPS_TAIL = 1e-16       # scale exp(-2 pi R n |Z|) down to which towers run
+SIDE_OFFSET = 2e-4     # farther angular offset of the Richardson limit
 
 
 def kernel_rows(grid, w) -> np.ndarray:
@@ -108,6 +113,18 @@ def unfolded_ray_integrals(grids, rays, density, coefs, zetas, side=None,
         big = max(big, float(np.max(np.abs(acc)[..., None] * np.abs(
             coefs[sources])[:, None, :])))
     return total, big
+
+
+def richardson_side_limit(model, solution, gamma, zeta0, side) -> complex:
+    """X_gamma on the ray through zeta0 from the ``side`` (+1
+    counterclockwise, -1 clockwise) by two-point Richardson in the angle:
+    the log-corrections u at offsets SIDE_OFFSET and SIDE_OFFSET / 2 on
+    that side, extrapolated linearly to the ray, 2 u(d / 2) - u(d)."""
+    u1, u2 = (upsilon(model, solution, gamma,
+                      zeta0 * cmath.exp(1j * side * d), side)
+              for d in (SIDE_OFFSET, SIDE_OFFSET / 2.0))
+    return cmath.exp(xsf_log(model, solution.point, gamma, zeta0)
+                     + 2.0 * u2 - u1)
 
 
 def laurent_fit(zetas, samples) -> LaurentFit:

@@ -149,7 +149,7 @@ class TestExitCodes:
          "--theta", "0.37,1.29"),
         ("decay-scan", "--model", "pentagon", "--u", "1.2,0",
          "--R-list", "1,inf"),
-        ("jump-check", "--solution", "sol.json", "--tol", "inf"),
+        ("ov-compare", "--tol", "inf"),
         ("solve", "--model", "ov", "--u", "nan,0", "--R", "1",
          "--theta", "0.3,1.1"),
         ("solve", "--model", "ov", "--u", "0.5,0", "--R", "1",
@@ -229,14 +229,15 @@ class TestSolutionFiles:
 
     def test_jump_check_default_tolerance(self, capsys, tmp_path,
                                           monkeypatch):
-        # ray jumps are held to 1e-7; a defect of 5e-7 fails the check
+        # ray jumps are held to the recheck's bound, 1e-9 at the default
+        # tolerance; a defect of 1e-8, under the former fixed 1e-7, fails
         path = tmp_path / "sol.json"
         run(capsys, "solve", "--model", "ov", "--u", "0.5,0", "--R", "1",
             "--theta", "0.3,1.1", "--out", str(path))
-        monkeypatch.setattr(solver, "ray_jump_defect", lambda m, s, i: 5e-7)
+        monkeypatch.setattr(solver, "ray_jump_defect", lambda m, s, i: 1e-8)
         code, out, _ = run(capsys, "jump-check", "--solution", str(path))
         assert code == 1
-        assert "(tolerance 1e-07)" in out
+        assert "(tolerance 1e-09)" in out
         assert "FAIL: ray jumps deviate" in out
 
     def test_jump_check_near_aligned_rays(self, capsys, tmp_path):
@@ -509,6 +510,17 @@ class TestReports:
         [line] = [l for l in out.splitlines() if "laurent residual" in l]
         defect = float(line.split("reality defect ")[1])
         assert defect < 1e-12
+
+    def test_metric_next_to_a_wall(self, capsys, pentagon):
+        # 1.0025 x the phi 0.9 wall (R 0.35): two sector midpoints lie
+        # within RAY_AVOIDANCE_ANGLE of a ray, and the Laurent residual
+        # is sampled away from them
+        u = 1.0025 * pentagon_wall_point(pentagon, 0.9)
+        code, out, _ = run(capsys, "metric", "--model", "pentagon",
+                           "--u", f"{u.real!r},{u.imag!r}", "--R", "0.35",
+                           "--theta", "0.37,1.29")
+        assert code == 0
+        assert "laurent residual" in out
 
     def test_metric_semiflat_only(self, capsys, monkeypatch, pentagon):
         metrics = []

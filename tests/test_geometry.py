@@ -239,6 +239,47 @@ class TestMetric:
         assert fit.residual < 1e-13
         assert metric.positive_definite
 
+    @pytest.mark.parametrize("phi", [0.9, -0.3, -0.8])
+    def test_residual_samples_clear_of_rays(self, pentagon, phi,
+                                            monkeypatch):
+        # at 1.0025 x a wall (R 0.35) two sectors are about 1e-3 rad wide
+        # and their midpoints lie within RAY_AVOIDANCE_ANGLE of their rays:
+        # the residual reads only midpoints SAMPLE_RAY_GAP or more from
+        # every ray
+        pt = ModelPoint(1.0025 * pentagon_wall_point(pentagon, phi), 0.35,
+                        (0.37, 1.29))
+        seen, varpi = [], VarpiSampler.varpi
+
+        def recorded(self, zeta, **kwargs):
+            seen.append((self.center.grids, np.atleast_1d(zeta)))
+            return varpi(self, zeta, **kwargs)
+
+        monkeypatch.setattr(VarpiSampler, "varpi", recorded)
+        _, metric, _ = fit_point(pentagon, pt)
+        assert metric.positive_definite
+        (grids, zetas), = seen
+        rays = np.exp(1j * np.array([grid.ray.angle for grid in grids]))
+        mids = np.exp(1j * np.array(solver.sector_midpoints(grids)))
+        assert np.abs(np.angle(mids[:, None] / rays)).min() \
+            < solver.RAY_AVOIDANCE_ANGLE
+        gaps = np.abs(np.angle(zetas[:, None] / rays))
+        assert len(zetas) and gaps.min() >= geometry.SAMPLE_RAY_GAP
+
+    def test_no_residual_sample_raises(self, pentagon, pentagon_point,
+                                       monkeypatch):
+        # no midpoint lies pi from every ray: the residual would have no
+        # sample, and the point is refused rather than given a residual 0
+        monkeypatch.setattr(geometry, "SAMPLE_RAY_GAP", math.pi)
+        with pytest.raises(ValueError, match="no sector midpoint"):
+            fit_point(pentagon, pentagon_point)
+        # control: at R 40 no charge is active, and zeta = 1, clear of
+        # every ray, is still sampled
+        seen, varpi = [], VarpiSampler.varpi
+        monkeypatch.setattr(VarpiSampler, "varpi", lambda self, zeta: (
+            seen.append(zeta) or varpi(self, zeta)))
+        fit_point(pentagon, ModelPoint(1.5 + 0.2j, 40.0, (0.37, 1.29)))
+        assert len(seen) == 1 and np.array_equal(seen[0], [1.0])
+
     def test_ov_against_gibbons_hawking(self, ov):
         # fit_point's g against the closed-form OV metric over the disc;
         # the control keeps only the n = 1 Bessel terms

@@ -17,16 +17,15 @@ from hkforge.semiflat import ModelPoint, xsf, xsf_laurent_rows, xsf_log
 from hkforge.solver import (GridSpec, NonConvergenceError,
                             QuadratureGrid, RayProximityError, RSmallError,
                             _apply, _coefficients, _gl_panels, _prepare,
-                            _richardson_upsilon, _upsilon_value,
+                            _upsilon_value,
                             build_grids, check_wall_continuity,
                             correction_decay, evaluate, iterate,
                             legendre_tail, log_one_minus,
                             midsector_zetas, radial_limit, ray_integrals,
-                            ray_jump_defect,
-                            side_limit, solve, solve_tangents, unknowns,
-                            upsilon, zeta_zero_moments)
+                            ray_jump_defect, solve, solve_tangents,
+                            unknowns, upsilon, zeta_zero_moments)
 from reference import (cauchy_integral, kernel_rows, pairing_coefficients,
-                       unfolded_ray_integrals)
+                       richardson_side_limit, unfolded_ray_integrals)
 
 G1, G2 = charge(1, 0), charge(0, 1)
 
@@ -973,7 +972,8 @@ class TestFrozenContours:
 
 
 def _exact_jump_defect(model, sol, ray_index):
-    """``ray_jump_defect`` on the exact boundary values, side=+1 and -1."""
+    """``ray_jump_defect`` from scalar ``evaluate`` calls, one per charge
+    and side: the reference that its one call per ray is held to."""
     ray = sol.grids[ray_index].ray
     lat = model.lattice
     on_ray = [evaluate(model, sol, g, ray.direction, +1).value
@@ -999,15 +999,15 @@ def _side_points(pentagon):
 
 
 def _directed_values(model, sol):
-    """The Richardson ``side_limit`` values and the exact ``evaluate(...,
-    side)`` ones, on every ray, of each basis charge that pairs with a
-    charge on it, on both sides."""
+    """The Richardson limits of ``reference.richardson_side_limit`` and the
+    exact ``evaluate(..., side)`` values, on every ray, of each basis charge
+    that pairs with a charge on it, on both sides."""
     lat = model.lattice
     pairs = [(grid.ray.direction, gamma, side) for grid in sol.grids
              for gamma in lat.basis()
              if any(lat.pair(gamma, g) for g in grid.ray.charges)
              for side in (+1, -1)]
-    return np.array([[side_limit(model, sol, gamma, zeta0, side).value
+    return np.array([[richardson_side_limit(model, sol, gamma, zeta0, side)
                       for zeta0, gamma, side in pairs],
                      [evaluate(model, sol, gamma, zeta0, side).value
                       for zeta0, gamma, side in pairs]])
@@ -1019,107 +1019,43 @@ def _directed_gap(model, sol):
     return float(np.max(np.abs(rich - exact) / np.abs(exact)))
 
 
-def _three_call_jump_defect(model, sol, ray_index):
-    """``ray_jump_defect`` from one evaluation for the on-ray values and one
-    ``_richardson_upsilon`` per side, three passes over the rays."""
-    ray = sol.grids[ray_index].ray
-    lat = model.lattice
-    zeta0 = ray.direction
-
-    def values(charges, ups):
-        return [cmath.exp(xsf_log(model, sol.point, g, zeta0) + u)
-                for g, u in zip(charges, ups.tolist())]
-
-    on_ray = values(ray.charges, solver._upsilon_value(
-        model, sol.grids, sol.log_one_minus_x, ray.charges, zeta0, side=+1))
-    basis = lat.basis()
-    ccw, cw = (values(basis, _richardson_upsilon(model, sol, basis, zeta0,
-                                                 side))
-               for side in (+1, -1))
-    worst = 0.0
-    for gamma, x_ccw, x_cw in zip(basis, ccw, cw):
-        predicted = x_ccw
-        for g, om, x in zip(ray.charges, ray.omegas, on_ray):
-            predicted *= (1.0 - x) ** (om * lat.pair(gamma, g))
-        worst = max(worst, abs(x_cw - predicted)
-                    / max(abs(x_cw), abs(predicted), 1e-300))
-    return worst
-
-
 class TestJumps:
     def test_jumps_match_transformation(self, pentagon, pentagon_solution):
         for i in range(len(pentagon_solution.grids)):
-            assert ray_jump_defect(pentagon, pentagon_solution, i) < 1e-7
-            assert _exact_jump_defect(pentagon, pentagon_solution, i) < 1e-12
+            assert ray_jump_defect(pentagon, pentagon_solution, i) < 1e-12
 
     def test_one_evaluation_per_ray(self, pentagon, pentagon_solution,
                                     monkeypatch):
-        # the on-ray values and both sides' Richardson samples in one pass
+        # both boundary values of every charge in one pass: zeta0 twice,
+        # with side +1 and -1
         sol, calls, real = pentagon_solution, [], solver._upsilon_value
 
         def counted(*args, **kwargs):
-            calls.append(args[4])
+            calls.append((args[4], kwargs["side"]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_upsilon_value", counted)
-        for i in range(len(sol.grids)):
+        for i, grid in enumerate(sol.grids):
             ray_jump_defect(pentagon, sol, i)
             assert len(calls) == i + 1
-            assert np.size(calls[-1]) == 5
-        # the three-call form, which the one pass replaces
-        calls.clear()
-        _three_call_jump_defect(pentagon, sol, 0)
-        assert len(calls) == 3
-
-    def test_extrapolation_residual_refused(self, pentagon,
-                                            pentagon_solution, monkeypatch):
-        # Richardson samples 1e-2 apart fail the 1e-3 (1 + |limit|) bound,
-        # in the jump defect and in a side limit
-        sol, real = pentagon_solution, solver._upsilon_value
-        zeta0 = sol.grids[0].ray.direction
-        # control: the genuine samples pass
-        assert ray_jump_defect(pentagon, sol, 0) < 1e-7
-        for side in (+1, -1):
-            side_limit(pentagon, sol, G1, zeta0, side)
-
-        def shifted(*args, **kwargs):
-            # 1e-2 per SIDE_OFFSET / 2 of angle off the ray
-            offset = np.abs(np.angle(np.asarray(args[4]) / zeta0))
-            return real(*args, **kwargs) \
-                + 2e-2 / solver.SIDE_OFFSET * offset[..., None]
-
-        monkeypatch.setattr(solver, "_upsilon_value", shifted)
-        with pytest.raises(RayProximityError,
-                           match="extrapolation residual 1.000e-02"):
-            ray_jump_defect(pentagon, sol, 0)
-        for side in (+1, -1):
-            with pytest.raises(RayProximityError,
-                               match="extrapolation residual 1.000e-02"):
-                side_limit(pentagon, sol, G1, zeta0, side)
+            zetas, sides = calls[-1]
+            assert np.array_equal(zetas, [grid.ray.direction] * 2)
+            assert np.array_equal(sides, [+1, -1])
 
     def test_batched_directed_values_match_one_zeta(self, pentagon, ov,
                                                     pentagon_solution,
                                                     ov_solution):
-        # the jump defect's one pass against its three-call form, at the
-        # conftest point, at OV and 1.02 x the wall at phi 0.9
-        wall = solve(pentagon, _wall_point(pentagon, 1.02, 0.9, 0.35))
-        for model, sol in ((pentagon, pentagon_solution), (ov, ov_solution),
-                           (pentagon, wall)):
+        # the jump defect's one call per ray against its reference from
+        # scalar ``evaluate`` calls, at the conftest point, at OV and at
+        # the ``WALLS`` points, 1.02 x either wall among them
+        sols = [(pentagon, pentagon_solution), (ov, ov_solution)] + [
+            (pentagon, solve(pentagon, _wall_point(pentagon, *wall, 0.35)))
+            for wall in WALLS[1:]]
+        for model, sol in sols:
             for i in range(len(sol.grids)):
-                want = _three_call_jump_defect(model, sol, i)
-                assert abs(ray_jump_defect(model, sol, i) - want) \
-                    <= 1e-15 * want
-        # both Richardson offsets and both charges in one call per side
-        sol, delta = pentagon_solution, 2e-4
-        for grid in sol.grids:
-            zeta0 = grid.ray.direction
-            for side in (+1, -1):
-                got = _richardson_upsilon(pentagon, sol, [G1, G2], zeta0,
-                                          side)
-                for g, u in zip((G1, G2), got):
-                    u1, u2 = (upsilon(pentagon, sol, g, zeta0 * cmath.exp(
-                        1j * side * d), side) for d in (delta, delta / 2))
-                    assert abs(u - (2 * u2 - u1)) <= 1e-15
+                assert abs(ray_jump_defect(model, sol, i)
+                           - _exact_jump_defect(model, sol, i)) <= 1e-15
+        sol = pentagon_solution
         # the radial limit is exp(u_0) of the moments, and the linear
         # extrapolation from three radii along a mid-sector arg tends to it
         direction = midsector_zetas(sol, 1)[0]
@@ -1137,7 +1073,7 @@ class TestJumps:
         # across the electric ray the magnetic coordinate jumps by
         # (1 - X_e)^(<e, m> Omega); the electric one does not jump at all
         for i in range(2):
-            assert ray_jump_defect(ov, ov_solution, i) < 1e-7
+            assert ray_jump_defect(ov, ov_solution, i) < 1e-12
 
     def test_ov_directed_values_against_oracle(self, ov):
         # each side's boundary value on its own, which the jump defect
@@ -1210,7 +1146,7 @@ class TestJumps:
                                                    monkeypatch):
         # control: one constant more in the closed-form kernel integral of
         # every on-ray pole moves both directed values alike, by 1e-6 at
-        # most.  Their ratio, all ``_exact_jump_defect`` reads, keeps its
+        # most.  Their ratio, all ``ray_jump_defect`` reads, keeps its
         # value; the comparison with the limits from off the ray must fail
         shift = [0.0]
         closed_form = solver._kernel_C
@@ -1226,7 +1162,30 @@ class TestJumps:
             shift[0] = 1e-6 / float(np.max(np.abs(np.log(moved / exact))))
             assert _directed_gap(pentagon, sol) > 1e-8
             for i in range(len(sol.grids)):
-                assert _exact_jump_defect(pentagon, sol, i) < 1e-12
+                assert ray_jump_defect(pentagon, sol, i) < 1e-12
+
+    def test_null_answer_fails_the_defect_gate(self, pentagon):
+        # control: the semiflat answer, Upsilon = 0 on the solve's grids,
+        # has a jump defect of second order at R 1 (1.28e-8 and 2.38e-8),
+        # under a fixed 1e-7 but over the recheck's bound 10 x TOL_ITER
+        # that ``jump-check`` gates the defect at.  The genuine solves stay
+        # under it, at low R too, where the defect follows the iteration
+        # tolerance (1.05e-11 and 1.48e-11 at R 0.05 and 0.0201)
+        gate = 10 * solver.TOL_ITER
+
+        def worst(sol):
+            return max(ray_jump_defect(pentagon, sol, i)
+                       for i in range(len(sol.grids)))
+
+        for u in (1.5 + 0.2j, 0.6 + 0.3j):
+            sol = solve(pentagon, ModelPoint(u, 1.0, (0.37, 1.29)))
+            assert worst(sol) <= gate
+            null = dataclasses.replace(sol,
+                                       upsilon=np.zeros_like(sol.upsilon))
+            assert gate < worst(null) < 1e-7
+        for R in (0.05, 0.0201):
+            assert worst(solve(pentagon, ModelPoint(0.6 + 0.3j, R,
+                                                    (0.37, 1.29)))) <= gate
 
     @pytest.mark.parametrize("phi", [0.9, -0.8])
     def test_jumps_with_near_aligned_rays(self, pentagon, phi):
@@ -1239,8 +1198,7 @@ class TestJumps:
         angles = sorted(g.ray.angle for g in sol.grids)
         assert min(b - a for a, b in zip(angles, angles[1:])) < 0.2
         for i in range(len(sol.grids)):
-            assert ray_jump_defect(pentagon, sol, i) < 1e-7
-            assert _exact_jump_defect(pentagon, sol, i) < 1e-12
+            assert ray_jump_defect(pentagon, sol, i) < 1e-12
 
     @pytest.mark.parametrize("wall", WALLS, ids=WALL_IDS)
     def test_upsilon_reality_on_rays(self, pentagon, pentagon_point, wall):
@@ -1278,6 +1236,19 @@ class TestDecay:
         report = correction_decay(pentagon, 1.2, (0.37, 1.29),
                                   [1.0, 2.0, 3.0])
         assert report.relative_error < 0.02
+
+    def test_one_evaluation_matches_per_ray_calls(self, pentagon):
+        # each maximum, from one call over every ray direction with both
+        # sides, against one call per ray and side
+        r_values = [1.0, 2.0]
+        report = correction_decay(pentagon, 1.2, (0.37, 1.29), r_values)
+        for R, got in zip(r_values, report.max_corrections):
+            sol = solve(pentagon, ModelPoint(1.2, R, (0.37, 1.29)))
+            want = max(float(np.max(np.abs(_upsilon_value(
+                pentagon, sol.grids, sol.log_one_minus_x,
+                pentagon.lattice.basis(), grid.ray.direction, side=side))))
+                for grid in sol.grids for side in (+1, -1))
+            assert abs(got - want) <= 1e-15 * want
 
 
 class TestWallContinuity:

@@ -75,9 +75,14 @@ MUTANTS = [
      "worst = float(np.max(defects, initial=0.0))",
      "worst = max([0.0] + defects)"),
     ("jump-check passes a NaN defect", "cli.py",
-     "if not worst <= args.tol:\n"
+     "if not worst <= bound:\n"
      "        print(\"FAIL: ray jumps",
-     "if worst > args.tol:\n"
+     "if worst > bound:\n"
+     "        print(\"FAIL: ray jumps"),
+    ("jump-check's defect gate back at a fixed 1e-7", "cli.py",
+     "if not worst <= bound:\n"
+     "        print(\"FAIL: ray jumps",
+     "if not worst <= 1e-7:\n"
      "        print(\"FAIL: ray jumps"),
     ("jump-check passes a NaN recheck residual", "cli.py",
      "if not sol.recheck_residual <= bound:",
@@ -109,8 +114,14 @@ MUTANTS = [
      "and not 0 < getattr(args, name) < math.inf:",
      "and not 0 < getattr(args, name):"),
     ("sign of the directed values' +-2 pi i residue term", "solver.py",
-     "w[on] = w.real[on] + side * 1e-300j",
-     "w[on] = w.real[on] - side * 1e-300j"),
+     "w[on] = w.real[on] + 1e-300j",
+     "w[on] = w.real[on] - 1e-300j"),
+    ("per-zeta side collapsed to its first entry", "solver.py",
+     "np.broadcast_to(side, w.shape)[on]",
+     "np.ravel(side)[0]"),
+    ("fit_point's ray-distance filter dropped", "geometry.py",
+     "np.all(gaps > SAMPLE_RAY_GAP, axis=1)",
+     "np.all(gaps >= 0.0, axis=1)"),
     ("2 / zeta' -> 1 / zeta' in zeta_zero_moments", "solver.py",
      "lambda grid, _: 2.0 / grid.zeta_nodes",
      "lambda grid, _: 1.0 / grid.zeta_nodes"),
