@@ -12,6 +12,7 @@ problem solved in :mod:`hkforge.solver`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,20 +45,30 @@ class Charge:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
+    @classmethod
+    def _of_ints(cls, coeffs: tuple[int, ...]) -> "Charge":
+        """The charge of a tuple of Python ints, as arithmetic on charges
+        yields, without the conversion ``__post_init__`` gives input."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "coeffs", coeffs)
+        return new
+
     @property
     def dim(self) -> int:
         return len(self.coeffs)
 
     def __add__(self, other: "Charge") -> "Charge":
         self._check(other)
-        return Charge(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Charge._of_ints(tuple(map(operator.add, self.coeffs,
+                                         other.coeffs)))
 
     def __sub__(self, other: "Charge") -> "Charge":
         self._check(other)
-        return Charge(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Charge._of_ints(tuple(map(operator.sub, self.coeffs,
+                                         other.coeffs)))
 
     def __neg__(self) -> "Charge":
-        return Charge(tuple(-a for a in self.coeffs))
+        return Charge._of_ints(tuple(map(operator.neg, self.coeffs)))
 
     def __rmul__(self, n: int) -> "Charge":
         if not isinstance(n, int):

@@ -55,6 +55,14 @@ no coefficient formula of its own.  The tree sum reads the same kernels.
 coordinates by one linear solve on the same grids, (I + A D) dU = -A D dL
 with D = X / (1 - X), by the same contraction.
 
+``solve`` keeps its last SOLVE_MEMO_SIZE solutions, keyed on all that a
+solve reads: the lattice, the rays at the point with their charges, Omegas
+and central charges, the point, the grid spec and the iteration limits.
+Equal inputs get the stored solution, whose node arrays are read-only.  On
+the in side of a wall the frozen-spectrum control is the genuine spectrum,
+so a wall check solves those points once.  ``iterate``, ``solve_tangents``
+and the tree sum keep nothing.
+
 When the active charges are closed under gamma -> -gamma with equal Omega,
 the solution obeys the reality condition X_{-gamma}(zeta) =
 conj X_gamma(-1/conj zeta), and node k of the ray of gamma and node N-1-k
@@ -87,6 +95,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +115,7 @@ TAIL_MARGIN = 4.0         # safety margin added to -log(eps_quad) for s_max
 MAX_ITER = 50             # sweeps (or tangent sweeps) before giving up
 TOL_ITER = 1e-10          # default iteration tolerance of a solve
 WALL_TOL_ITER = 1e-11     # iteration tolerance of the wall-continuity solves
+SOLVE_MEMO_SIZE = 16      # solves kept, room for a wall check's 2 x (4 + 1)
 
 
 class RSmallError(ValueError):
@@ -348,8 +358,8 @@ def _panel_count(model, point: ModelPoint, rays: list[Ray],
     return spec.panels
 
 
-def build_grids(model, point: ModelPoint, spec: GridSpec = GridSpec()
-                ) -> list[QuadratureGrid]:
+def build_grids(model, point: ModelPoint, spec: GridSpec = GridSpec(),
+                rays: list[Ray] | None = None) -> list[QuadratureGrid]:
     """One truncated quadrature grid per BPS ray at the given point.
 
     The truncation solves exp(-2 pi R |Z| cosh s_max) < eps_quad with a
@@ -357,8 +367,10 @@ def build_grids(model, point: ModelPoint, spec: GridSpec = GridSpec()
     threshold at s = 0 the iteration could leave the log(1 - X) domain, and
     the point is rejected as "R too small".  Every ray gets the panel count
     of ``_panel_count``, so the choice depends only on (model, point, spec).
+    ``rays`` are the point's ``bps_rays`` when the caller holds them.
     """
-    rays = bps_rays(model.spectrum, model.Z, point.u, R=point.R)
+    if rays is None:
+        rays = bps_rays(model.spectrum, model.Z, point.u, R=point.R)
     s_maxes = []
     for ray in rays:
         min_z = ray.min_abs_z()
@@ -529,19 +541,17 @@ class _Workspace:
     half: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]]
 
 
-def _fold_near(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray) -> bool:
+def _fold_near(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray) -> None:
     """Fold the continuation of the poles ``w`` within ``grid.near_angle``
     into their kernel ``rows`` on ``grid``, in place, so that rows @
     (weights * f) is the Cauchy integral of node data f: ``_near_term``
     reads the rows of every pole where they lie, uncopied, and the near
-    poles' terms are added.  Returns whether any pole was near."""
+    poles' terms are added."""
     near = np.flatnonzero(np.abs(w.imag) < grid.near_angle)
-    if not len(near):
-        return False
-    idx, op = _near_term(grid, rows, w)
-    idx = idx[near]
-    rows[near[:, None], idx] += op[near] / grid.weights[idx]
-    return True
+    if len(near):
+        idx, op = _near_term(grid, rows, w)
+        idx = idx[near]
+        rows[near[:, None], idx] += op[near] / grid.weights[idx]
 
 
 def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspace:
@@ -572,13 +582,17 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
             if key not in kernels:
                 w = target.s_nodes + 1j * angle
                 rows = _kernels([source], w[None])[0]
-                # the reverse kernel is -rows.T, coth being odd, copied out
-                # before the forward direction folds into rows; each
-                # direction switches on its source grid, as evaluation does
-                neg = -rows.T
-                near_back = _fold_near(target, neg,
-                                       source.s_nodes - 1j * angle)
-                near = _fold_near(source, rows, w)
+                # every pole of the key lies +-angle off its source ray, so
+                # this is the test ``_fold_near`` makes, each direction on
+                # its source grid as evaluation does
+                near = abs(angle) < source.near_angle
+                near_back = abs(angle) < target.near_angle
+                if near or near_back:
+                    # the reverse kernel is -rows.T, coth being odd, copied
+                    # out before the forward direction folds into rows
+                    neg = -rows.T
+                    _fold_near(target, neg, source.s_nodes - 1j * angle)
+                    _fold_near(source, rows, w)
                 kernels[key] = (1.0, rows, near)
                 kernels[source.s_max, target.s_max, -angle] = \
                     (1.0, neg, near_back) if near or near_back \
@@ -714,10 +728,36 @@ def iterate(model, point: ModelPoint, grids: list[QuadratureGrid],
                        tol_iter=tol_iter, spec=spec)
 
 
+# ``solve``'s stored solutions by their inputs, least recently used first
+_SOLVED: OrderedDict[tuple, RaySolution] = OrderedDict()
+
+
 def solve(model, point: ModelPoint, spec: GridSpec = GridSpec(),
           tol_iter: float = TOL_ITER, max_iter: int = MAX_ITER) -> RaySolution:
-    return iterate(model, point, build_grids(model, point, spec),
-                   tol_iter=tol_iter, max_iter=max_iter, spec=spec)
+    """``iterate`` on ``build_grids``, or the stored solution of the same
+    inputs.
+
+    A solve reads the model only through its lattice, its rays at the
+    point and the central charges of the rays' charges there, which are the
+    rays' ``zs``; so (lattice, rays, point, spec, tol_iter, max_iter) fix
+    it.  The last SOLVE_MEMO_SIZE solves are kept under that key, least
+    recently used first out.  A stored solution's node arrays are
+    read-only, and a solve that raises is not stored.
+    """
+    rays = bps_rays(model.spectrum, model.Z, point.u, R=point.R)
+    key = (model.lattice, tuple(rays), point, spec, tol_iter, max_iter)
+    sol = _SOLVED.get(key)
+    if sol is not None:
+        _SOLVED.move_to_end(key)
+        return sol
+    sol = iterate(model, point, build_grids(model, point, spec, rays),
+                  tol_iter=tol_iter, max_iter=max_iter, spec=spec)
+    for array in (sol.log_xsf, sol.upsilon, sol.log_one_minus_x):
+        array.flags.writeable = False
+    _SOLVED[key] = sol
+    if len(_SOLVED) > SOLVE_MEMO_SIZE:
+        _SOLVED.popitem(last=False)
+    return sol
 
 
 def solve_tangents(model, point: ModelPoint, tol_iter: float = TOL_ITER

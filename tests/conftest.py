@@ -2,10 +2,17 @@ import dataclasses
 
 import pytest
 
+from hkforge import solver
 from hkforge.lattice import Lattice, Spectrum
 from hkforge.models import ov_model, pentagon_model
 from hkforge.semiflat import ModelPoint
 from hkforge.solver import solve
+
+
+@pytest.fixture(autouse=True)
+def empty_solve_memo():
+    """Each test starts with no stored solve, so none reads another's."""
+    solver._SOLVED.clear()
 
 
 @pytest.fixture(scope="session")

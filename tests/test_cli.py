@@ -172,12 +172,19 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def test_solve_output_identical(self, capsys):
+    def test_solve_output_identical(self, capsys, monkeypatch):
         argv = ("solve", "--model", "ov", "--u", "0.4,0.1", "--R", "1.5",
                 "--theta", "0.2,0.9")
+        calls = []
+        iterate = solver.iterate
+        monkeypatch.setattr(solver, "iterate", lambda *a, **kw:
+                            calls.append(1) or iterate(*a, **kw))
         _, out1, _ = run(capsys, *argv)
+        # both runs solve: the second must not read the first's solution
+        solver._SOLVED.clear()
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+        assert len(calls) == 2
 
     def test_ov_compare_seeded(self, capsys):
         argv = ("ov-compare", "--count", "3", "--seed", "5")
@@ -591,9 +598,10 @@ class TestReports:
                            "--halvings", "1")
         assert code == 0
         assert "wall continuity: PASS" in out
-        # two solves per pair, 2 pairs, genuine and control; the probe
+        # two solves per pair, 2 pairs, genuine and control, where the
+        # control's in-side solves are the genuine ones, stored; the probe
         # zetas come from grids alone
-        assert len(calls) == 8
+        assert len(calls) == 6
 
     def test_metric_grid_rows(self, capsys, tmp_path):
         out_path = tmp_path / "grid.txt"

@@ -40,6 +40,28 @@ class TestPairing:
             RANK2.pair(charge(1, 0, 0), G1)
 
 
+class TestChargeArithmetic:
+    def test_results_equal_charges_built_from_input(self):
+        # arithmetic builds its results without __post_init__: they must
+        # still equal, and hash as, charges converted from outside input
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            a, b = (rng.integers(-9, 10, size=3) for _ in range(2))
+            g, h = charge(*a), charge(*b)   # numpy ints, converted
+            for got, want in ((-g, -a), (g + h, a + b), (g - h, a - b),
+                              (-(-g), a)):
+                ref = Charge(tuple(int(x) for x in want))
+                assert got == ref and hash(got) == hash(ref)
+                assert all(type(c) is int for c in got.coeffs)
+        assert {-G1, G1 + G2, G2 - G1} == {charge(-1, 0), charge(1, 1),
+                                           charge(-1, 1)}
+
+    def test_input_still_converted(self):
+        g = Charge((np.int64(2), True))
+        assert g.coeffs == (2, 1)
+        assert all(type(c) is int for c in g.coeffs)
+
+
 class TestLatticeValidation:
     def test_flavor_radical(self):
         lat = Lattice(((0, 1, 0), (-1, 0, 0), (0, 0, 0)), flavor_rank=1)

@@ -916,6 +916,83 @@ class TestPanelChoice:
             assert sol.tail <= sol.spec.eps_quad
 
 
+def _count_iterates(monkeypatch) -> list:
+    """A list that grows by one entry per call of ``solver.iterate``."""
+    calls = []
+    run = solver.iterate
+    monkeypatch.setattr(solver, "iterate", lambda *a, **kw:
+                        calls.append(1) or run(*a, **kw))
+    return calls
+
+
+class TestSolveMemo:
+    def test_same_inputs_give_the_stored_solution(self, pentagon,
+                                                  pentagon_point,
+                                                  monkeypatch):
+        calls = _count_iterates(monkeypatch)
+        first = solve(pentagon, pentagon_point)
+        # equal inputs, not the same objects, find it
+        p = pentagon_point
+        assert solve(dataclasses.replace(pentagon),
+                     ModelPoint(p.u, p.R, p.theta)) is first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("change", ["lattice", "omega", "u", "R",
+                                        "theta", "spec", "tol_iter",
+                                        "max_iter"])
+    def test_each_input_solves_anew(self, pentagon, pentagon_point,
+                                    pairing_two, monkeypatch, change):
+        # the lattice and Omega change no ray direction, and spec and
+        # max_iter no node value, yet each keys its own solve
+        p = pentagon_point
+        inputs = dict(model=pentagon, point=p, spec=GridSpec(),
+                      tol_iter=solver.TOL_ITER, max_iter=solver.MAX_ITER)
+        base = solve(**inputs)
+        changed = {
+            "lattice": dict(model=pairing_two[1]),
+            "omega": dict(model=_minus_g1_omega(pentagon, 2)),
+            "u": dict(point=ModelPoint(p.u + 1e-3, p.R, p.theta)),
+            "R": dict(point=ModelPoint(p.u, 1.01 * p.R, p.theta)),
+            "theta": dict(point=ModelPoint(p.u, p.R, (p.theta[0] + 1e-3,
+                                                      p.theta[1]))),
+            "spec": dict(spec=GridSpec(eps_quad=1e-11)),
+            "tol_iter": dict(tol_iter=1e-12),
+            "max_iter": dict(max_iter=solver.MAX_ITER + 1)}[change]
+        calls = _count_iterates(monkeypatch)
+        assert solve(**{**inputs, **changed}) is not base
+        assert solve(**inputs) is base
+        assert len(calls) == 1
+
+    def test_stored_arrays_are_read_only(self, pentagon, pentagon_point):
+        sol = solve(pentagon, pentagon_point)
+        for array in (sol.log_xsf, sol.upsilon, sol.log_one_minus_x):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+    def test_errors_are_not_stored(self, pentagon, pentagon_point,
+                                   monkeypatch):
+        calls = _count_iterates(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NonConvergenceError):
+                solve(pentagon, pentagon_point, max_iter=1)
+        assert len(calls) == 2 and not solver._SOLVED
+
+    def test_least_recently_used_leaves_first(self, pentagon, monkeypatch):
+        monkeypatch.setattr(solver, "SOLVE_MEMO_SIZE", 2)
+        a, b, c = (ModelPoint(1.5 + 0.2j, R, (0.37, 1.29))
+                   for R in (2.0, 2.5, 3.0))
+        first = solve(pentagon, a)
+        solve(pentagon, b)
+        assert solve(pentagon, a) is first
+        solve(pentagon, c)      # b is the least recently used
+        assert len(solver._SOLVED) == 2
+        calls = _count_iterates(monkeypatch)
+        assert solve(pentagon, a) is first
+        assert not calls
+        solve(pentagon, b)
+        assert len(calls) == 1
+
+
 class TestFrozenContours:
     @pytest.mark.parametrize("u, R", [(0.45 + 0.25j, 3.0), (1.5 + 0.2j, 2.0),
                                       (0.6 + 0.3j, 1.0)])

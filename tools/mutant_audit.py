@@ -47,12 +47,11 @@ MUTANTS = [
      "pairing = ((coeffs @ model.lattice.matrix() @ coeffs.T) ** 3"
      ").tolist()"),
     ("sweep's reverse near fold dropped", "solver.py",
-     "near_back = _fold_near(target, neg,\n"
-     "                                       source.s_nodes - 1j * angle)",
-     "near_back = bool(abs(angle) < target.near_angle)"),
+     "_fold_near(target, neg, source.s_nodes - 1j * angle)",
+     "pass"),
     ("sweep's forward near fold dropped", "solver.py",
-     "near = _fold_near(source, rows, w)",
-     "near = bool(abs(angle) < source.near_angle)"),
+     "_fold_near(source, rows, w)",
+     "pass"),
     ("evaluation's near fold dropped", "solver.py",
      "        _fold_near(grid, block, poles)\n",
      "        pass\n"),
@@ -178,6 +177,25 @@ MUTANTS = [
      "                                                ups, ws),",
      "recheck_residual=_change(_mirrored(ws, _half_step(ws, _density(\n"
      "                           own, ups[ws.rows]))), ups),"),
+    ("solve's memo key without tol_iter", "solver.py",
+     "key = (model.lattice, tuple(rays), point, spec, tol_iter, max_iter)",
+     "key = (model.lattice, tuple(rays), point, spec, max_iter)"),
+    ("solve's memo key on ray charges only", "solver.py",
+     "key = (model.lattice, tuple(rays), point, spec, tol_iter, max_iter)",
+     "key = (model.lattice, tuple(ray.charges for ray in rays), point,\n"
+     "           spec, tol_iter, max_iter)"),
+    ("solve's memo key without the lattice", "solver.py",
+     "key = (model.lattice, tuple(rays), point, spec, tol_iter, max_iter)",
+     "key = (tuple(rays), point, spec, tol_iter, max_iter)"),
+    ("solve's stored arrays left writeable", "solver.py",
+     "array.flags.writeable = False",
+     "pass"),
+    ("solve's memo unbounded", "solver.py",
+     "if len(_SOLVED) > SOLVE_MEMO_SIZE:",
+     "if False:"),
+    ("solve's memo first in, first out", "solver.py",
+     "_SOLVED.move_to_end(key)",
+     "pass"),
 ]
 
 
