@@ -3,6 +3,9 @@
 Every subcommand is deterministic given its flags (randomized sampling is
 seeded), failure paths exit with distinct codes and a one-line reason:
 exit 0 on success, 1 on a failed check or solver error, 2 on usage errors.
+A check prints its tables and yields its gates, (passed, FAIL line) pairs
+written as the pass condition so that a NaN fails; ``main`` alone judges
+them, and exits 1 with the line of the first gate that fails.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -23,6 +27,9 @@ from .semiflat import ModelPoint, omega3_sf, omega_plus_sf, xsf_log
 
 class CheckFailure(RuntimeError):
     """A verification subcommand found a violation."""
+
+
+Gates = Iterator[tuple[bool, str]]
 
 
 def parse_complex(text: str) -> complex:
@@ -101,13 +108,16 @@ def _positive_checks(args) -> None:
         raise UsageError("every R in the R list must be positive and finite")
     if not cmath.isfinite(getattr(args, "zeta", 0)):
         raise UsageError("--zeta must be finite")
+    if getattr(args, "zeta", 1) == 0:
+        raise UsageError("--zeta must be nonzero")
     for name, entries in (("u", (getattr(args, "u", 0),)),
                           ("theta", getattr(args, "theta", None) or ()),
                           ("phi", (getattr(args, "phi", 0),))):
         if not all(cmath.isfinite(x) for x in entries):
             raise UsageError(f"--{name} must be finite")
-    if getattr(args, "emit_grid", 0) < 0:
-        raise UsageError("--emit-grid must be >= 0")
+    for name in ("emit_grid", "seed"):
+        if getattr(args, name, 0) < 0:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 0")
 
 
 class UsageError(ValueError):
@@ -133,27 +143,22 @@ def model_from_args(args):
 # subcommands
 
 
-def cmd_model_info(args) -> int:
+def cmd_model_info(args) -> None:
     model = model_from_args(args)
     print(models.model_info(model))
-    return 0
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> Gates:
     model = model_from_args(args)
     report = validate_conditions(model, n_grid=args.grid)
     print(report.table())
-    if not report.ok:
-        print(f"FAIL: residual above {CONDITION_THRESHOLD:g}")
-        return 1
-    return 0
+    yield report.ok, f"FAIL: residual above {CONDITION_THRESHOLD:g}"
 
 
-def cmd_wcf_check(args) -> int:
+def cmd_wcf_check(args) -> Gates:
     model = model_from_args(args)
-    if model.name != "pentagon":
-        print("wcf-check: only the pentagon model carries a wall")
-        return 1
+    yield (model.name == "pentagon",
+           "wcf-check: only the pentagon model carries a wall")
     grading = ks.ConeGrading(model.lattice, tuple(model.lattice.basis()))
     g1, g2 = charge(1, 0), charge(0, 1)
     lhs = ks.ordered_product([ks.ks_transform(grading, g1, 1, args.order),
@@ -169,11 +174,8 @@ def cmd_wcf_check(args) -> int:
                 for line in cof.dump_lines():
                     print(line)
     equal, first = ks.check_wcf(lhs, rhs)
-    if equal:
-        print(f"pentagon identity: PASS order {args.order}")
-        return 0
-    print(f"pentagon identity: FAIL first discrepancy at degree {first}")
-    return 1
+    yield equal, f"pentagon identity: FAIL first discrepancy at degree {first}"
+    print(f"pentagon identity: PASS order {args.order}")
 
 
 def _solution_payload(model, point, spec, sol) -> dict:
@@ -289,7 +291,7 @@ def load_solution(path: str):
     return model, point, sol
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> None:
     model = model_from_args(args)
     point = point_from_args(args)
     spec = grid_spec_from_args(args)
@@ -310,19 +312,17 @@ def cmd_solve(args) -> int:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
         print(f"solution written to {args.out} (hash {payload['hash']})")
-    return 0
 
 
-def cmd_jump_check(args) -> int:
+def cmd_jump_check(args) -> Gates:
     model, point, sol = load_solution(args.solution)
     # the stored tolerance may tighten the gate, never loosen it; the jump
     # defects are held to the same bound
     bound = 10 * min(sol.tol_iter, solver.TOL_ITER)
-    if not sol.recheck_residual <= bound:
-        print(f"FAIL: stored corrections are not a fixed point: recheck "
-              f"residual {sol.recheck_residual:.3e} > {bound:g} (10 x "
-              f"min(tol_iter {sol.tol_iter:g}, {solver.TOL_ITER:g}))")
-        return 1
+    yield sol.recheck_residual <= bound, (
+        f"FAIL: stored corrections are not a fixed point: recheck "
+        f"residual {sol.recheck_residual:.3e} > {bound:g} (10 x "
+        f"min(tol_iter {sol.tol_iter:g}, {solver.TOL_ITER:g}))")
     defects = []
     print("ray angle    jump defect")
     for i, grid in enumerate(sol.grids):
@@ -331,17 +331,14 @@ def cmd_jump_check(args) -> int:
     # a NaN defect is the worst
     worst = float(np.max(defects, initial=0.0))
     print(f"worst jump defect: {worst:.4e} (tolerance {bound:g})")
-    if not worst <= bound:
-        print("FAIL: ray jumps deviate from the expected transformation")
-        return 1
-    return 0
+    yield worst <= bound, ("FAIL: ray jumps deviate from the expected "
+                           "transformation")
 
 
-def cmd_wall_check(args) -> int:
+def cmd_wall_check(args) -> Gates:
     model = model_from_args(args)
-    if model.name != "pentagon":
-        print("wall-check: only the pentagon model carries a wall")
-        return 1
+    yield (model.name == "pentagon",
+           "wall-check: only the pentagon model carries a wall")
     w = models.pentagon_wall_point(model, args.phi)
     u_in = w * (1.0 - args.sep)
     u_out = w * (1.0 + args.sep)
@@ -364,21 +361,15 @@ def cmd_wall_check(args) -> int:
                                            halvings=args.halvings,
                                            spectrum_override=frozen)
     print(f"negative-control orders: {['%.3f' % o for o in control.orders]}")
-    ok = report.min_order() >= args.min_order
-    control_stalls = control.min_order() < args.min_order
-    if not ok:
-        print(f"FAIL: continuity order {report.min_order():.3f} "
-              f"< {args.min_order}")
-        return 1
-    if not control_stalls:
-        print("FAIL: negative control unexpectedly continuous")
-        return 1
+    yield report.min_order() >= args.min_order, (
+        f"FAIL: continuity order {report.min_order():.3f} < {args.min_order}")
+    yield (control.min_order() < args.min_order,
+           "FAIL: negative control unexpectedly continuous")
     print(f"wall continuity: PASS (order >= {args.min_order}, "
           f"control stalls)")
-    return 0
 
 
-def cmd_tree_compare(args) -> int:
+def cmd_tree_compare(args) -> Gates:
     model = model_from_args(args)
     point = point_from_args(args)
     sol = solver.solve(model, point, tol_iter=1e-13)
@@ -409,16 +400,11 @@ def cmd_tree_compare(args) -> int:
     print(f"next layer |S_{c + 1} - S_{c}|: {layer:.3e}, "
           f"layer gate: {gate:.3e}")
     print(f"agreement bound: {bound:.3e}")
-    if not gap <= gate:
-        print("FAIL: tree series gap exceeds the next-layer gate")
-        return 1
-    if not gap <= bound:
-        print("FAIL: tree series disagrees beyond the cutoff bound")
-        return 1
-    return 0
+    yield gap <= gate, "FAIL: tree series gap exceeds the next-layer gate"
+    yield gap <= bound, "FAIL: tree series disagrees beyond the cutoff bound"
 
 
-def cmd_ov_compare(args) -> int:
+def cmd_ov_compare(args) -> Gates:
     model = models.load_model("ov")
     rng = np.random.default_rng(args.seed)
     errors = []
@@ -443,13 +429,10 @@ def cmd_ov_compare(args) -> int:
     worst = float(np.max(errors, initial=0.0))
     print(f"one-step oracle comparison over {args.count} samples: "
           f"worst relative error {worst:.3e}")
-    if not worst <= args.tol:
-        print(f"FAIL: above tolerance {args.tol:g}")
-        return 1
-    return 0
+    yield worst <= args.tol, f"FAIL: above tolerance {args.tol:g}"
 
 
-def cmd_decay_scan(args) -> int:
+def cmd_decay_scan(args) -> Gates:
     if len(set(args.r_list)) < 2:
         raise UsageError("--R-list needs at least 2 distinct values")
     model = model_from_args(args)
@@ -460,10 +443,8 @@ def cmd_decay_scan(args) -> int:
     print(f"fitted slope {report.slope:+.6f}, "
           f"expected {report.target:+.6f}, "
           f"relative error {report.relative_error:.3%}")
-    if not report.relative_error <= args.tol_rel:
-        print(f"FAIL: decay-rate error above {args.tol_rel:.1%}")
-        return 1
-    return 0
+    yield report.relative_error <= args.tol_rel, (
+        f"FAIL: decay-rate error above {100 * args.tol_rel:g}%")
 
 
 def metric_at(model, point, semiflat_only: bool):
@@ -477,7 +458,7 @@ def metric_at(model, point, semiflat_only: bool):
             geometry.triple_wedge_check(*forms))
 
 
-def cmd_metric(args) -> int:
+def cmd_metric(args) -> Gates:
     model = model_from_args(args)
     point = point_from_args(args)
     fit, metric, algebra = metric_at(model, point, args.semiflat_only)
@@ -506,10 +487,8 @@ def cmd_metric(args) -> int:
             for row in rows:
                 fh.write(" ".join(f"{v:.10e}" for v in row) + "\n")
         print(f"metric grid written to {args.grid_out}")
-    if not metric.positive_definite:
-        print("FAIL: metric not positive definite at this point")
-        return 1
-    return 0
+    yield (metric.positive_definite,
+           "FAIL: metric not positive definite at this point")
 
 
 def _metric_grid_rows(model, point, n, semiflat_only):
@@ -525,7 +504,7 @@ def _metric_grid_rows(model, point, n, semiflat_only):
     return [one(du) for du in offsets]
 
 
-def cmd_semiflat_sample(args) -> int:
+def cmd_semiflat_sample(args) -> None:
     model = model_from_args(args)
     point = point_from_args(args)
     basis = model.lattice.basis()
@@ -536,7 +515,6 @@ def cmd_semiflat_sample(args) -> int:
             lv = xsf_log(model, point, gamma, z)
             print(f"{z.real:+12.8f}  {z.imag:+12.8f}  {str(gamma.coeffs):8}"
                   f"  {lv.real:+14.8e}  {lv.imag:+14.8e}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -631,7 +609,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         _positive_checks(args)
-        return args.fn(args)
+        for passed, line in args.fn(args) or ():
+            if not passed:
+                print(line)
+                return 1
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -11,9 +11,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from hkforge import geometry, solver, trees
+from hkforge import cli, geometry, ks, solver, trees
 from hkforge.cli import content_hash, load_solution, main
-from hkforge.lattice import charge
+from hkforge.lattice import ConditionReport, charge
 from hkforge.models import pentagon_wall_point
 from hkforge.semiflat import (CoordinateValue, ModelPoint, omega3_sf,
                               omega_plus_sf)
@@ -158,6 +158,10 @@ class TestExitCodes:
         # a non-finite wall angle read as a bracket that misses the wall
         ("wall-check", "--model", "pentagon", "--phi", "nan"),
         ("wall-check", "--model", "pentagon", "--phi", "inf"),
+        # a seed numpy refuses, and a zeta where X has no value
+        ("ov-compare", "--seed", "-1"),
+        ("tree-compare", "--model", "pentagon", "--u", "1.5,0.2", "--R", "1",
+         "--theta", "0.37,1.29", "--zeta", "0,0"),
     ])
     def test_degenerate_input_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -169,6 +173,69 @@ class TestExitCodes:
             main(["solve", "--model", "ov", "--u", "half", "--R", "1",
                   "--theta", "0,0"])
         assert exc.value.code == 2
+
+
+def genuine_control(monkeypatch):
+    """The wall check's control solved with the genuine spectrum."""
+    wall = solver.check_wall_continuity
+    monkeypatch.setattr(solver, "check_wall_continuity", lambda *a,
+                        spectrum_override=None, **kw: wall(*a, **kw))
+
+
+def gateless_cutoff_bound(monkeypatch):
+    """An infinite layer gate and a reference 1e-3 rad off, so that the
+    1e-11 cutoff bound alone decides."""
+    evaluate = solver.evaluate
+    monkeypatch.setattr(trees, "layer_gate", lambda *args: math.inf)
+    monkeypatch.setattr(solver, "evaluate", lambda m, s, g, z:
+                        evaluate(m, s, g, z * cmath.exp(1e-3j)))
+
+
+def indefinite_metric(monkeypatch):
+    """A metric whose eigenvalues are all negative."""
+    triple = geometry.metric_from_triple
+    monkeypatch.setattr(geometry, "metric_from_triple", lambda *forms:
+                        dataclasses.replace(triple(*forms),
+                                            eigenvalues=-np.ones(4)))
+
+
+class TestFailLines:
+    @pytest.mark.parametrize("argv, patch, line", [
+        (("validate", "--model", "ov", "--grid", "4"),
+         lambda mp: mp.setattr(cli, "validate_conditions", lambda m, n_grid:
+                               ConditionReport("ov", 4, {"closure": 1.0})),
+         "FAIL: residual above 1e-08"),
+        (("wcf-check", "--model", "ov"), None,
+         "wcf-check: only the pentagon model carries a wall"),
+        (("wall-check", "--model", "ov"), None,
+         "wall-check: only the pentagon model carries a wall"),
+        (("wcf-check", "--model", "pentagon", "--order", "3"),
+         lambda mp: mp.setattr(ks, "check_wcf", lambda lhs, rhs: (False, 3)),
+         "pentagon identity: FAIL first discrepancy at degree 3"),
+        (("wall-check", "--model", "pentagon", "--halvings", "1",
+          "--min-order", "5"), None, "FAIL: continuity order 1.000 < 5.0"),
+        (("wall-check", "--model", "pentagon", "--halvings", "1"),
+         genuine_control, "FAIL: negative control unexpectedly continuous"),
+        (("tree-compare", "--model", "pentagon", "--u", "0.6,0.3", "--R", "1",
+          "--theta", "0.37,1.29", "--cutoff", "4", "--zeta", "0.9,0.4"),
+         gateless_cutoff_bound,
+         "FAIL: tree series disagrees beyond the cutoff bound"),
+        (("metric", "--model", "pentagon", "--u", "0.45,0.25", "--R", "3",
+          "--theta", "0.37,1.29", "--semiflat-only"), indefinite_metric,
+         "FAIL: metric not positive definite at this point"),
+        # the tolerance reads back as given, not rounded to 0.0%
+        (("decay-scan", "--model", "pentagon", "--u", "1.2,0",
+          "--R-list", "1.5,2.5,3.5", "--tol-rel", "1e-6"), None,
+         "FAIL: decay-rate error above 0.0001%"),
+    ], ids=["validate", "wcf-refusal", "wall-refusal", "wcf-discrepancy",
+            "wall-order", "wall-control", "tree-bound", "metric", "decay-tol"])
+    def test_failed_gate_is_last_line(self, capsys, monkeypatch, argv, patch,
+                                      line):
+        if patch:
+            patch(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-1] == line
 
 
 class TestDeterminism:

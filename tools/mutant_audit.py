@@ -74,35 +74,29 @@ MUTANTS = [
      "worst = float(np.max(defects, initial=0.0))",
      "worst = max([0.0] + defects)"),
     ("jump-check passes a NaN defect", "cli.py",
-     "if not worst <= bound:\n"
-     "        print(\"FAIL: ray jumps",
-     "if worst > bound:\n"
-     "        print(\"FAIL: ray jumps"),
+     "yield worst <= bound,",
+     "yield not worst > bound,"),
     ("jump-check's defect gate back at a fixed 1e-7", "cli.py",
-     "if not worst <= bound:\n"
-     "        print(\"FAIL: ray jumps",
-     "if not worst <= 1e-7:\n"
-     "        print(\"FAIL: ray jumps"),
+     "yield worst <= bound,",
+     "yield worst <= 1e-7,"),
     ("jump-check passes a NaN recheck residual", "cli.py",
-     "if not sol.recheck_residual <= bound:",
-     "if sol.recheck_residual > bound:"),
+     "yield sol.recheck_residual <= bound,",
+     "yield not sol.recheck_residual > bound,"),
     ("jump-check takes its gate from the file alone", "cli.py",
      "bound = 10 * min(sol.tol_iter, solver.TOL_ITER)",
      "bound = 10 * sol.tol_iter"),
     ("tree-compare passes a NaN gap at its gate", "cli.py",
-     "if not gap <= gate:",
-     "if gap > gate:"),
+     "yield gap <= gate,",
+     "yield not gap > gate,"),
     ("ov-compare drops a NaN error", "cli.py",
      "worst = float(np.max(errors, initial=0.0))",
      "worst = max([0.0] + errors)"),
     ("ov-compare passes a NaN error", "cli.py",
-     "if not worst <= args.tol:\n"
-     "        print(f\"FAIL: above tolerance",
-     "if worst > args.tol:\n"
-     "        print(f\"FAIL: above tolerance"),
+     "yield worst <= args.tol,",
+     "yield not worst > args.tol,"),
     ("decay-scan passes a NaN relative error", "cli.py",
-     "if not report.relative_error <= args.tol_rel:",
-     "if report.relative_error > args.tol_rel:"),
+     "yield report.relative_error <= args.tol_rel,",
+     "yield not report.relative_error > args.tol_rel,"),
     ("non-finite --zeta accepted", "cli.py",
      'if not cmath.isfinite(getattr(args, "zeta", 0)):',
      "if False:"),
@@ -196,6 +190,15 @@ MUTANTS = [
     ("solve's memo first in, first out", "solver.py",
      "_SOLVED.move_to_end(key)",
      "pass"),
+    ("main exits 0 on a failed gate", "cli.py",
+     "print(line)\n                return 1",
+     "print(line)\n                return 0"),
+    ("zero --zeta accepted", "cli.py",
+     'if getattr(args, "zeta", 1) == 0:',
+     "if False:"),
+    ("negative --seed accepted", "cli.py",
+     'for name in ("emit_grid", "seed"):',
+     'for name in ("emit_grid",):'),
 ]
 
 
