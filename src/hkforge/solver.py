@@ -24,19 +24,22 @@ Every ray integral applies one kernel, coth((s - w)/2) with the target at
 direction * e^w, built by ``_kernels`` from source grids and target poles.
 On the panel layout all rays share, a kernel is fixed by (target s_max,
 source s_max, angle), and the solve builds it once per such key among the
-ray pairs whose charges pair to nonzero: the reverse direction is minus
-its transpose, coth being odd, and the antipodal pair (-a, -b) of (a, b)
-has the same key.  Off-grid evaluation calls the same builder.  When the
-target lies within NEAR_HALF_WIDTHS panel half-widths of the source ray
-(``QuadratureGrid.near_angle``, so the zone narrows as the panels refine)
-the density is continued to the pole, subtracted, and added back against
-the closed-form kernel integral.  The continuation is one linear operator,
-``_near_term``: per pole, the nodes of one panel and their interpolation
-weights.  ``_fold_near`` folds it into the kernel rows of every near pole,
-the sweep's blocks and evaluation's rows alike, so every ray integral is
-one product with its rows.  On a ray the two directed boundary values of
-the closed form differ by the residue term +-2 pi i, which is how the
-expected coordinate jumps emerge from one integral representation.
+ray pairs whose charges pair to nonzero: the reverse direction is minus its
+transpose, coth being odd, and the antipodal pair (-a, -b) of (a, b) has
+the same key.  The grids mirror about s = 0 bitwise, so a kernel of one
+angle obeys the reality mirror K[N-1-k, N-1-j] = -conj K[k, j]: the solve
+builds and folds its first half of rows and mirrors them into the rest.
+Off-grid evaluation calls the same builder.  When the target lies within
+NEAR_HALF_WIDTHS panel half-widths of the source ray (``near_angle``, so
+the zone narrows as the panels refine) the density is continued to the
+pole, subtracted, and added back against the closed-form kernel integral.
+The continuation is one linear operator, ``_near_term``: per pole, the
+nodes of one panel and their interpolation weights.  ``_fold_near`` folds
+it into the kernel rows of every near pole, the sweep's blocks and
+evaluation's rows alike, so every ray integral is one product with its
+rows.  On a ray the two directed boundary values of the closed form differ
+by the residue term +-2 pi i, which is how the expected coordinate jumps
+emerge from one integral representation.
 
 Every node quantity of a solve is one array of shape (..., U, N): row k is
 unknown k of ``unknowns(grids)``, the (ray, charge) pairs ray-major, on the
@@ -305,11 +308,17 @@ def legendre_tail(f: np.ndarray, nodes_per_panel: int) -> float:
 
 
 def _gl_panels(s_max: float, panels: int, per_panel: int):
+    """Nodes and weights of ``panels`` equal Gauss-Legendre panels on
+    [-s_max, s_max], node N-1-k laid as the mirror of node k, bitwise."""
     base_x, base_w, _ = _gl_rule(per_panel)
     edges = np.linspace(-s_max, s_max, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    return (mid + half * base_x).ravel(), (half * base_w).ravel()
+    s, w = (mid + half * base_x).ravel(), (half * base_w).ravel()
+    n, k = len(s), len(s) // 2
+    s[k:n - k] = 0.0      # the middle node of an odd count
+    s[n - k:], w[n - k:] = -s[:k][::-1], w[:k][::-1]
+    return s, w
 
 
 @functools.lru_cache(maxsize=None)
@@ -405,6 +414,20 @@ def _kernel_C(w, s_max: float):
                      - np.log(1.0 - np.exp(s_max + w))))
 
 
+def _kernel_C_at(x: np.ndarray, a: float, s_max: float) -> np.ndarray:
+    """``_kernel_C`` at the poles x + i a, x real, of one angle a, in real
+    arithmetic: log(1 - r e^{ia}) = 0.5 log(m^2 + 2 r c) + i atan2(-r sin a,
+    m + r c), r = e^y, m = -expm1(y), c = 1 - cos a, whose modulus terms do
+    not cancel.  Evaluation keeps ``_kernel_C`` for its signed-zero branch."""
+    c = 2.0 * math.sin(0.5 * a) ** 2
+    out = np.full(np.shape(x), 2.0 * s_max, dtype=complex)
+    for y, sign in ((x - s_max, 2.0), (x + s_max, -2.0)):
+        r, m = np.exp(y), -np.expm1(y)
+        out.real += sign * 0.5 * np.log(m * m + 2.0 * r * c)
+        out.imag += sign * np.arctan2(-math.sin(a) * r, m + r * c)
+    return out
+
+
 def _nearest_node(s_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the node of the sorted ``s_nodes`` nearest to each real x,
     the lower one on a tie, as argmin of the distances picks it."""
@@ -413,10 +436,12 @@ def _nearest_node(s_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return i - (x - s_nodes[i - 1] <= s_nodes[i] - x)
 
 
-def _kernels(grids: list[QuadratureGrid], w: np.ndarray) -> np.ndarray:
+def _kernels(grids: list[QuadratureGrid], w: np.ndarray, out=None, den=None
+             ) -> np.ndarray:
     """Cauchy kernel coth((s - w)/2) of each grid at its own row of poles:
     (R, Z) poles w give (R, Z, N) rows, on the node count all grids share,
-    row (r, z) holding grids[r]'s nodes s as columns.
+    row (r, z) holding grids[r]'s nodes s as columns.  ``out`` takes the
+    rows and ``den``, of their shape, the denominators, when given.
 
     A pole w stands for zeta = direction * e^w, so the kernel is the
     rational (z' + zeta)/(z' - zeta) of the integral equation.  Entries
@@ -429,22 +454,23 @@ def _kernels(grids: list[QuadratureGrid], w: np.ndarray) -> np.ndarray:
     radius = np.array([grid.close_radius for grid in grids])
     es = np.exp(s_nodes)[:, None, :]
     ew = np.exp(w)[..., None]
+    den = np.subtract(es, ew, out=den)
     # a pole within the radius of a node is within it of the ray too
     ray, pole = np.nonzero(np.abs(w.imag) < radius[:, None])
-    if not len(ray):
-        return (es + ew) / (es - ew)
-    hit, node = np.nonzero(np.abs(s_nodes[ray] - w[ray, pole][:, None])
-                           < radius[ray][:, None])
-    close = (ray[hit], pole[hit], node)
-    den = es - ew
-    den[close] = 1.0
-    rows = (es + ew) / den
-    rows[close] = 0.0
+    if len(ray):
+        hit, node = np.nonzero(np.abs(s_nodes[ray] - w[ray, pole][:, None])
+                               < radius[ray][:, None])
+        close = (ray[hit], pole[hit], node)
+        den[close] = 1.0
+    rows = np.add(es, ew, out=out)
+    rows /= den
+    if len(ray):
+        rows[close] = 0.0
     return rows
 
 
-def _near_term(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _near_term(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray,
+               angle=None) -> tuple[np.ndarray, np.ndarray]:
     """The subtracted near-ray part of a Cauchy integral, as a gather.
 
     Returns node indices ``idx`` and weights ``op``, one panel's nodes per
@@ -457,7 +483,7 @@ def _near_term(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray
     by a pole-node distance.  Where the rows are 0 at s_k, the same
     divided differences give that node's term coth((s_k - w)/2)
     (f_k - f(w)), which is 2 f'(s_k) on the node.  Past +-s_max, where the
-    data vanish, the row is 0.
+    data vanish, the row is 0.  Poles of one ``angle`` take ``_kernel_C_at``.
     """
     n = grid.nodes_per_panel
     half = grid.half_width
@@ -475,7 +501,9 @@ def _near_term(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray
     dd[pole, k] = -dd.sum(axis=1)
     cont = (t / half)[:, None] * dd
     cont[pole, k] += 1.0
-    op = (_kernel_C(w, grid.s_max) - rows @ grid.weights)[:, None] * cont
+    closed = _kernel_C(w, grid.s_max) if angle is None \
+        else _kernel_C_at(w.real, angle, grid.s_max)
+    op = (closed - rows @ grid.weights)[:, None] * cont
     taken = rows[pole, nearest] == 0.0
     if taken.any():
         # t coth(t/2), the node's kernel entry times its distance; 2 on it
@@ -519,7 +547,8 @@ class _Workspace:
     (target s_max, source s_max, angle) share a kernel (``_prepare``), and
     the reverse direction reads it transposed with sign -1, unless either
     direction holds the near-ray continuation; ``near_pairs`` counts the
-    ordered ray pairs whose matrix holds one.
+    ordered ray pairs whose matrix holds one.  Every matrix is a view of
+    one store: its first ceil(N / 2) rows computed, the rest their mirror.
 
     ``rows`` are the rows the iteration computes and ``image`` the rows it
     takes as reality images (``_mirrored``): when the active charges are
@@ -541,17 +570,30 @@ class _Workspace:
     half: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]]
 
 
-def _fold_near(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray) -> None:
+def _fold_near(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray,
+               angle=None) -> None:
     """Fold the continuation of the poles ``w`` within ``grid.near_angle``
     into their kernel ``rows`` on ``grid``, in place, so that rows @
     (weights * f) is the Cauchy integral of node data f: ``_near_term``
-    reads the rows of every pole where they lie, uncopied, and the near
-    poles' terms are added."""
+    reads the rows where they lie, and each near pole's term is added to
+    its panel's slab.  Poles of one ``angle`` take ``_kernel_C_at``."""
     near = np.flatnonzero(np.abs(w.imag) < grid.near_angle)
     if len(near):
-        idx, op = _near_term(grid, rows, w)
-        idx = idx[near]
-        rows[near[:, None], idx] += op[near] / grid.weights[idx]
+        idx, op = _near_term(grid, rows, w, angle)
+        n = grid.nodes_per_panel
+        panel = idx[near, 0] // n
+        rows.reshape(len(w), -1, n, copy=False)[near, panel] += \
+            op[near] / grid.weights.reshape(-1, n)[panel]
+
+
+def _mirror(slot: np.ndarray) -> None:
+    """Fill the block ``slot[:N]`` below its first ceil(N / 2) rows by the
+    mirror K[N-1-k, N-1-j] = -conj K[k, j].  Only whole rows: smooth data
+    cancel a folded row's rounding as one pattern, not as two halves."""
+    n = slot.shape[1]
+    lower, image = slot[(n + 1) // 2:n], slot[:n // 2][::-1, ::-1]
+    np.negative(image.real, out=lower.real)
+    np.copyto(lower.imag, image.imag)
 
 
 def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspace:
@@ -561,7 +603,11 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
     ``_fold_near`` read: pairs with one key have one kernel and near terms.
     The reverse direction is built with it, under (source s_max, target
     s_max, -angle).  The rays of gamma and -gamma have one |Z|, so the
-    antipodal pair (-a, -b) of (a, b) reads its kernel.  The blocks'
+    antipodal pair (-a, -b) of (a, b) reads its kernel.  The keys are
+    planned first, for one (slots, N, N) store: a slot per key, and one for
+    the reverse of a key with a folded direction.  Of each slot only the
+    poles t_k + i angle, k < h = ceil(N / 2), are built and folded, the
+    lower half their scratch and then their ``_mirror``.  The blocks'
     coefficients are ``_coefficients`` of the unknowns' own charges, and
     the rows it iterates are those ``_Workspace`` describes."""
     rows_of = unknowns(grids)
@@ -570,7 +616,7 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
     for grid in grids:
         spans.append(slice(start, start + len(grid.ray.charges)))
         start = spans[-1].stop
-    kernels, blocks, near_pairs = {}, {}, 0
+    pairs, plan = [], {}
     for rt, target in enumerate(grids):
         for rs, source in enumerate(grids):
             mix = coefs[spans[rs], spans[rt]].T
@@ -579,27 +625,41 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
             angle = cmath.phase(target.ray.direction
                                 * source.ray.direction.conjugate())
             key = (target.s_max, source.s_max, angle)
-            if key not in kernels:
-                w = target.s_nodes + 1j * angle
-                rows = _kernels([source], w[None])[0]
-                # every pole of the key lies +-angle off its source ray, so
-                # this is the test ``_fold_near`` makes, each direction on
-                # its source grid as evaluation does
-                near = abs(angle) < source.near_angle
-                near_back = abs(angle) < target.near_angle
-                if near or near_back:
-                    # the reverse kernel is -rows.T, coth being odd, copied
-                    # out before the forward direction folds into rows
-                    neg = -rows.T
-                    _fold_near(target, neg, source.s_nodes - 1j * angle)
-                    _fold_near(source, rows, w)
-                kernels[key] = (1.0, rows, near)
-                kernels[source.s_max, target.s_max, -angle] = \
-                    (1.0, neg, near_back) if near or near_back \
-                    else (-1.0, rows.T, False)
-            sign, matrix, near = kernels[key]
-            blocks[rt, rs] = (sign, matrix, sign * mix)
-            near_pairs += near
+            if (source.s_max, target.s_max, -angle) not in plan:
+                # each direction near as ``_fold_near`` finds it: every
+                # pole of the key lies +-angle off its source ray
+                plan[key] = (target, source, angle,
+                             abs(angle) < source.near_angle,
+                             abs(angle) < target.near_angle)
+            pairs.append((rt, rs, key, mix))
+    n = grids[0].node_count if grids else 0
+    h = (n + 1) // 2
+    store = np.empty((sum(1 + (near or back) for *_, near, back in
+                          plan.values()), 2 * h, n), dtype=complex)
+    slots, kernels = iter(store), {}
+    for key, (target, source, angle, near, back) in plan.items():
+        rows = next(slots)
+        w = target.s_nodes[:h] + 1j * angle
+        _kernels([source], w[None], out=rows[None, :h], den=rows[None, h:])
+        _mirror(rows)
+        if near or back:
+            # the reverse kernel is -rows.T, coth being odd, copied out
+            # before the forward direction folds into rows (plain, mirrored)
+            neg = next(slots)
+            np.negative(rows[:n, :h].T, out=neg[:h])
+            _fold_near(target, neg[:h], source.s_nodes[:h] - 1j * angle,
+                       -angle)
+            _fold_near(source, rows[:h], w, angle)
+            _mirror(neg)
+            _mirror(rows)
+        kernels[key] = (1.0, rows[:n], near)
+        kernels[source.s_max, target.s_max, -angle] = \
+            (1.0, neg[:n], back) if near or back else (-1.0, rows[:n].T, False)
+    blocks, near_pairs = {}, 0
+    for rt, rs, key, mix in pairs:
+        sign, matrix, near = kernels[key]
+        blocks[rt, rs] = (sign, matrix, sign * mix)
+        near_pairs += near
     # the reality pairing, by charge: the row of -g for the row of each g;
     # when every row has one, of its Omega and on a ray of its s_max, the
     # rows of the later ray of each antipodal pair are images

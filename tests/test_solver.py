@@ -85,6 +85,21 @@ class TestGrids:
                                                     grid.zeta_nodes)))
                 assert legendre_tail(density, n) <= spec.eps_quad / 10
 
+    @pytest.mark.parametrize("nodes", [16, 15])
+    def test_grids_mirror_exactly(self, nodes):
+        # node N-1-k is -node k with the weight of node k, bitwise, for
+        # every count on the ladder and the spec's 16, as the kernel
+        # mirror of ``_prepare`` and the image rows of ``_mirrored`` need;
+        # an odd node count has its middle node on 0
+        for panels in solver.PANEL_LADDER + (GridSpec().panels,):
+            for s_max in (0.9, 2.0, math.pi, 3.7391, 5.2):
+                s, w = _gl_panels(s_max, panels, nodes)
+                assert len(s) == len(w) == panels * nodes
+                assert np.array_equal(s[::-1], -s)
+                assert np.array_equal(w[::-1], w)
+                assert np.all(np.diff(s) > 0) and np.all(w > 0)
+                assert abs(w.sum() - 2 * s_max) <= 1e-14 * s_max
+
     def test_panels_is_a_bound(self, pentagon, pentagon_point):
         # one layout per solve, never above GridSpec.panels; a larger bound
         # does not force more panels than the tail needs
@@ -429,7 +444,7 @@ class TestNearRayAccuracy:
         assert near == case.startswith("wall")
         if near:
             with monkeypatch.context() as patch:
-                patch.setattr(solver, "_near_term", lambda grid, rows, w: (
+                patch.setattr(solver, "_near_term", lambda grid, rows, w, *_: (
                     np.zeros((len(w), grid.nodes_per_panel), dtype=int),
                     np.zeros((len(w), grid.nodes_per_panel), dtype=complex)))
                 plain = _prepare(model, point, grids)
@@ -460,6 +475,26 @@ class TestNearRayAccuracy:
                         [-grid.s_max, w.real, grid.s_max])
                     worst = max(worst, abs(value - complex(want)))
         assert worst <= 1e-14
+
+    def test_real_closed_form_against_mpmath(self):
+        # the closed form of one angle that ``_prepare`` folds with, at
+        # poles inside and past +-s_max and angles from 1e-6 to pi, within
+        # 4 ulp of the 2 s_max scale of the integral
+        s_max = 4.3
+        x = np.concatenate([np.linspace(-1.4, 1.4, 15) * s_max,
+                            [-s_max, s_max, 0.999 * s_max]])
+        worst = 0.0
+        with mpmath.workdps(40):
+            for a in (1e-6, 3e-4, 0.0084, 0.1, 1.0, 2.5, math.pi):
+                for angle in (a, -a):
+                    got = solver._kernel_C_at(x, angle, s_max)
+                    for xk, value in zip(x, got):
+                        w = mpmath.mpc(xk, angle)
+                        want = 2 * s_max + 2 * (
+                            mpmath.log(1 - mpmath.exp(w - s_max))
+                            - mpmath.log(1 - mpmath.exp(s_max + w)))
+                        worst = max(worst, abs(value - complex(want)))
+        assert worst <= 4 * np.finfo(float).eps * 2 * s_max
 
     def test_mixed_offsets_match_per_pole(self, pentagon):
         # poles outside and inside the near zone in one call: each near
@@ -535,9 +570,9 @@ def _prepare_builds(monkeypatch, model, point, grids=None):
     grids = build_grids(model, point) if grids is None else grids
     counts = dict.fromkeys(("_kernels", "_near_term"), 0)
     for name in counts:
-        def counted(*args, real=getattr(solver, name), name=name):
+        def counted(*args, real=getattr(solver, name), name=name, **kw):
             counts[name] += 1
-            return real(*args)
+            return real(*args, **kw)
         monkeypatch.setattr(solver, name, counted)
     ws = _prepare(model, point, grids)
     return counts, grids, ws
@@ -727,11 +762,13 @@ def _smooth_densities(grids, rng):
     return c * np.exp(-(1.0 + 0.3j * rng.standard_normal(shape)) * cosh)
 
 
-def _unfolded_apply(model, grids, g, drop=None):
+def _unfolded_apply(model, grids, g, drop=None, real=False):
     """The sweep's map term by term from fresh kernels: coef * (kernel_rows
     @ (weights * g) + the ``_near_term`` gather), with the gather of the
     ordered ray pair ``drop`` left out; also the ordered ray pairs with a
-    gather and the largest term."""
+    gather and the largest term.  The gathers take the complex closed form
+    ``_kernel_C``, or with ``real`` the real form of the pair's one angle
+    that ``_prepare`` takes."""
     rows_of = unknowns(grids)
     omegas = [om for grid in grids for om in grid.ray.omegas]
     out, near, big = np.zeros_like(g), set(), 0.0
@@ -749,7 +786,8 @@ def _unfolded_apply(model, grids, g, drop=None):
             if abs(dphi) < src.near_angle:
                 near.add((rt, rs))
                 if (rt, rs) != drop:
-                    idx, op = solver._near_term(src, rows, w)
+                    idx, op = solver._near_term(src, rows, w,
+                                                dphi if real else None)
                     acc += np.sum(op * g[..., s, idx], axis=-1)
             term = -omegas[s] * p / (4j * math.pi) * acc
             out[..., t, :] += term
@@ -786,6 +824,10 @@ class TestFoldedOperator:
         scale = float(np.max(np.abs(want)))
         assert float(np.max(np.abs(_apply(ws, g) - want))) <= 1e-14 * scale
         assert ws.near_pairs == len(near) == near_pairs
+        # each block is computed on its first h rows and mirrored below:
+        # K[N-1-k, N-1-j] = -conj K[k, j], bitwise
+        for _, matrix, _ in ws.blocks.values():
+            assert np.array_equal(matrix[::-1, ::-1], -np.conj(matrix))
         for pair in sorted(near)[:2]:
             dropped, *_ = _unfolded_apply(model, grids, g, drop=pair)
             assert float(np.max(np.abs(_apply(ws, g) - dropped))) \
@@ -797,11 +839,40 @@ class TestFoldedOperator:
         # plain rounding to 2e-14 of the largest term at 1.02 x.  The
         # reverse-only classes at 1.05 x sit at the edge of the near zone,
         # where the continuation lifts the rounding gap between a
-        # transposed and a fresh kernel to 1e-8 on such data: not held there
+        # transposed and a fresh kernel to 1e-8 on such data: not held
+        # there.  The mirrored rows are such a gap too (6.8e-9 of the
+        # largest term at 0.95 x), and so is one ulp between the real and
+        # the complex closed form (2.1e-9), so this holds on the first h
+        # nodes, whose rows are computed, against gathers of the real form
         if rough:
             g = np.exp(2j * math.pi * rng.random(g.shape))
-            want, _, big = _unfolded_apply(model, grids, g)
-            assert float(np.max(np.abs(_apply(ws, g) - want))) <= 1e-13 * big
+            want, _, big = _unfolded_apply(model, grids, g, real=True)
+            h = (grids[0].node_count + 1) // 2
+            assert float(np.max(np.abs(_apply(ws, g) - want)[..., :h])) \
+                <= 1e-13 * big
+
+    @pytest.mark.parametrize("wall", [None, (1.02, 0.9), (0.95, -3.0)],
+                             ids=["conftest", "1.02x0.9", "0.95x-3.0"])
+    def test_odd_node_count(self, pentagon, pentagon_point, wall):
+        # 3 panels of 15 nodes: the middle row of each kernel is computed
+        # whole, and the mirror is bitwise off it (off the middle column of
+        # a block that reads a kernel transposed)
+        point = pentagon_point if wall is None \
+            else _wall_point(pentagon, *wall, 0.35)
+        grids = build_grids(pentagon, point,
+                            GridSpec(panels=3, nodes_per_panel=15))
+        n = grids[0].node_count
+        assert n == 45
+        ws = _prepare(pentagon, point, grids)
+        assert ws.near_pairs > 0
+        off = np.r_[:n // 2, n // 2 + 1:n]
+        for _, matrix, _ in ws.blocks.values():
+            assert np.array_equal(matrix[::-1, ::-1][np.ix_(off, off)],
+                                  -np.conj(matrix)[np.ix_(off, off)])
+        g = _smooth_densities(grids, np.random.default_rng(7))
+        want, _, _ = _unfolded_apply(pentagon, grids, g)
+        assert float(np.max(np.abs(_apply(ws, g) - want))) \
+            <= 1e-14 * float(np.max(np.abs(want)))
 
     def test_assembly_matches_masked_argmin_form(self, pentagon):
         # the nearest node by search and the one close entry per pole give

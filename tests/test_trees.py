@@ -289,9 +289,9 @@ class TestSharedKernels:
         built = []
         kernels = solver._kernels
 
-        def counted(grids, w):
+        def counted(grids, w, **kw):
             built.append(grids)
-            return kernels(grids, w)
+            return kernels(grids, w, **kw)
 
         monkeypatch.setattr(solver, "_kernels", counted)
         solver._prepare(pentagon, point, sol.grids)

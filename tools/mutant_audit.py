@@ -47,10 +47,11 @@ MUTANTS = [
      "pairing = ((coeffs @ model.lattice.matrix() @ coeffs.T) ** 3"
      ").tolist()"),
     ("sweep's reverse near fold dropped", "solver.py",
-     "_fold_near(target, neg, source.s_nodes - 1j * angle)",
+     "_fold_near(target, neg[:h], source.s_nodes[:h] - 1j * angle,\n"
+     "                       -angle)",
      "pass"),
     ("sweep's forward near fold dropped", "solver.py",
-     "_fold_near(source, rows, w)",
+     "_fold_near(source, rows[:h], w, angle)",
      "pass"),
     ("evaluation's near fold dropped", "solver.py",
      "        _fold_near(grid, block, poles)\n",
@@ -199,6 +200,17 @@ MUTANTS = [
     ("negative --seed accepted", "cli.py",
      'for name in ("emit_grid", "seed"):',
      'for name in ("emit_grid",):'),
+    ("kernel mirror's lower half not conjugated", "solver.py",
+     "np.copyto(lower.imag, image.imag)",
+     "np.negative(image.imag, out=lower.imag)"),
+    ("kernel mirror without its sign", "solver.py",
+     ("np.negative(image.real, out=lower.real)",
+      "np.copyto(lower.imag, image.imag)"),
+     ("np.copyto(lower.real, image.real)",
+      "np.negative(image.imag, out=lower.imag)")),
+    ("grids not mirrored", "solver.py",
+     "s[n - k:], w[n - k:] = -s[:k][::-1], w[:k][::-1]",
+     "pass"),
 ]
 
 
