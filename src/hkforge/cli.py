@@ -102,6 +102,11 @@ def _positive_checks(args) -> None:
         if hasattr(args, name) and getattr(args, name) is not None \
                 and getattr(args, name) < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
+    # a solve takes 1 panel only at --panels 1, so a ray's grid has fewer
+    # than 2 nodes, and no node spacing, only at --nodes 1 --panels 1
+    if getattr(args, "nodes", None) == 1 == getattr(args, "panels", None):
+        raise UsageError("a ray grid needs at least 2 nodes: raise --nodes "
+                         "or --panels")
     if hasattr(args, "sep") and not 0 < args.sep < 1:
         raise UsageError("--sep must lie in (0, 1)")
     if any(not 0 < r < math.inf for r in getattr(args, "r_list", ())):

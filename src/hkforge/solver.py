@@ -406,26 +406,14 @@ def build_grids(model, point: ModelPoint, spec: GridSpec = GridSpec(),
 def _kernel_C(w, s_max: float):
     """Closed form of int_{-S}^{S} coth((s-w)/2) ds, principal branch.
 
-    Continuous for 0 < |Im w| < pi; the signed-zero limits Im w = +-0.0
-    reproduce the one-sided boundary values (residue term -+ ... +-2 pi i).
+    Continuous for 0 < |Im w| < pi.  Each 1 - e^z is taken as -expm1(z),
+    which keeps its digits where e^z is near 1 and the sign of Im w however
+    small: on-ray poles offset by +-1e-300j take the one-sided boundary
+    values (residue term -+ ... +-2 pi i).
     """
     return (2.0 * s_max
-            + 2.0 * (np.log(1.0 - np.exp(-(s_max - w)))
-                     - np.log(1.0 - np.exp(s_max + w))))
-
-
-def _kernel_C_at(x: np.ndarray, a: float, s_max: float) -> np.ndarray:
-    """``_kernel_C`` at the poles x + i a, x real, of one angle a, in real
-    arithmetic: log(1 - r e^{ia}) = 0.5 log(m^2 + 2 r c) + i atan2(-r sin a,
-    m + r c), r = e^y, m = -expm1(y), c = 1 - cos a, whose modulus terms do
-    not cancel.  Evaluation keeps ``_kernel_C`` for its signed-zero branch."""
-    c = 2.0 * math.sin(0.5 * a) ** 2
-    out = np.full(np.shape(x), 2.0 * s_max, dtype=complex)
-    for y, sign in ((x - s_max, 2.0), (x + s_max, -2.0)):
-        r, m = np.exp(y), -np.expm1(y)
-        out.real += sign * 0.5 * np.log(m * m + 2.0 * r * c)
-        out.imag += sign * np.arctan2(-math.sin(a) * r, m + r * c)
-    return out
+            + 2.0 * (np.log(-np.expm1(w - s_max))
+                     - np.log(-np.expm1(w + s_max))))
 
 
 def _nearest_node(s_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -469,8 +457,8 @@ def _kernels(grids: list[QuadratureGrid], w: np.ndarray, out=None, den=None
     return rows
 
 
-def _near_term(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray,
-               angle=None) -> tuple[np.ndarray, np.ndarray]:
+def _near_term(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
     """The subtracted near-ray part of a Cauchy integral, as a gather.
 
     Returns node indices ``idx`` and weights ``op``, one panel's nodes per
@@ -483,7 +471,7 @@ def _near_term(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray,
     by a pole-node distance.  Where the rows are 0 at s_k, the same
     divided differences give that node's term coth((s_k - w)/2)
     (f_k - f(w)), which is 2 f'(s_k) on the node.  Past +-s_max, where the
-    data vanish, the row is 0.  Poles of one ``angle`` take ``_kernel_C_at``.
+    data vanish, the row is 0.
     """
     n = grid.nodes_per_panel
     half = grid.half_width
@@ -501,9 +489,7 @@ def _near_term(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray,
     dd[pole, k] = -dd.sum(axis=1)
     cont = (t / half)[:, None] * dd
     cont[pole, k] += 1.0
-    closed = _kernel_C(w, grid.s_max) if angle is None \
-        else _kernel_C_at(w.real, angle, grid.s_max)
-    op = (closed - rows @ grid.weights)[:, None] * cont
+    op = (_kernel_C(w, grid.s_max) - rows @ grid.weights)[:, None] * cont
     taken = rows[pole, nearest] == 0.0
     if taken.any():
         # t coth(t/2), the node's kernel entry times its distance; 2 on it
@@ -570,16 +556,15 @@ class _Workspace:
     half: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]]
 
 
-def _fold_near(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray,
-               angle=None) -> None:
+def _fold_near(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray) -> None:
     """Fold the continuation of the poles ``w`` within ``grid.near_angle``
     into their kernel ``rows`` on ``grid``, in place, so that rows @
     (weights * f) is the Cauchy integral of node data f: ``_near_term``
     reads the rows where they lie, and each near pole's term is added to
-    its panel's slab.  Poles of one ``angle`` take ``_kernel_C_at``."""
+    its panel's slab."""
     near = np.flatnonzero(np.abs(w.imag) < grid.near_angle)
     if len(near):
-        idx, op = _near_term(grid, rows, w, angle)
+        idx, op = _near_term(grid, rows, w)
         n = grid.nodes_per_panel
         panel = idx[near, 0] // n
         rows.reshape(len(w), -1, n, copy=False)[near, panel] += \
@@ -647,9 +632,8 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
             # before the forward direction folds into rows (plain, mirrored)
             neg = next(slots)
             np.negative(rows[:n, :h].T, out=neg[:h])
-            _fold_near(target, neg[:h], source.s_nodes[:h] - 1j * angle,
-                       -angle)
-            _fold_near(source, rows[:h], w, angle)
+            _fold_near(target, neg[:h], source.s_nodes[:h] - 1j * angle)
+            _fold_near(source, rows[:h], w)
             _mirror(neg)
             _mirror(rows)
         kernels[key] = (1.0, rows[:n], near)
@@ -897,9 +881,10 @@ def ray_integrals(grids: list[QuadratureGrid], rays, density: np.ndarray,
                 f"rad of the ray of {grids[r].ray.charges[0]}; request a "
                 f"directed limit")
     else:
-        # A truly infinitesimal offset keeps the branch of the closed-form
-        # kernel on the requested side (signed zeros do not survive the
-        # subtraction inside the logarithms).
+        # A truly infinitesimal offset puts an on-ray pole on the requested
+        # side: -expm1 in the closed-form kernel keeps its sign, which
+        # picks the logarithms' branch (a signed zero would not survive
+        # the shift w -+ s_max).
         on = np.abs(w.imag) < ON_RAY_ANGLE
         w[on] = w.real[on] + 1e-300j * np.broadcast_to(side, w.shape)[on]
     # (..., R, N, C): per read ray, its rows' coefficient sum, weighted

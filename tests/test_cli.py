@@ -162,6 +162,9 @@ class TestExitCodes:
         ("ov-compare", "--seed", "-1"),
         ("tree-compare", "--model", "pentagon", "--u", "1.5,0.2", "--R", "1",
          "--theta", "0.37,1.29", "--zeta", "0,0"),
+        # a ray grid of one node, which has no node spacing
+        ("solve", "--model", "pentagon", "--u", "1.5,0.2", "--R", "1",
+         "--theta", "0.37,1.29", "--nodes", "1", "--panels", "1"),
     ])
     def test_degenerate_input_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -444,7 +444,7 @@ class TestNearRayAccuracy:
         assert near == case.startswith("wall")
         if near:
             with monkeypatch.context() as patch:
-                patch.setattr(solver, "_near_term", lambda grid, rows, w, *_: (
+                patch.setattr(solver, "_near_term", lambda grid, rows, w: (
                     np.zeros((len(w), grid.nodes_per_panel), dtype=int),
                     np.zeros((len(w), grid.nodes_per_panel), dtype=complex)))
                 plain = _prepare(model, point, grids)
@@ -477,23 +477,31 @@ class TestNearRayAccuracy:
         assert worst <= 1e-14
 
     def test_real_closed_form_against_mpmath(self):
-        # the closed form of one angle that ``_prepare`` folds with, at
-        # poles inside and past +-s_max and angles from 1e-6 to pi, within
-        # 4 ulp of the 2 s_max scale of the integral
+        # the one closed form of the sweep's folds and of evaluation, at
+        # poles inside and past +-s_max and angles from 1e-6 to pi, all
+        # angles in one call as evaluation mixes them, and at the on-ray
+        # offsets +-1e-300 of the directed values against the one-sided
+        # limits; within 4 ulp of the 2 s_max scale of the integral
         s_max = 4.3
         x = np.concatenate([np.linspace(-1.4, 1.4, 15) * s_max,
                             [-s_max, s_max, 0.999 * s_max]])
+        inside = x[np.abs(x) < s_max]
+        angles = [sign * a for a in (1e-6, 3e-4, 0.0084, 0.1, 1.0, 2.5,
+                                     math.pi) for sign in (1, -1)]
+        w = np.concatenate([x + 1j * a for a in angles]
+                           + [inside + 1e-300j, inside - 1e-300j])
+        limits = np.concatenate([np.full(len(x), a) for a in angles]
+                                + [np.full(len(inside), sign * 1e-35)
+                                   for sign in (1, -1)])
+        got = solver._kernel_C(w, s_max)
         worst = 0.0
         with mpmath.workdps(40):
-            for a in (1e-6, 3e-4, 0.0084, 0.1, 1.0, 2.5, math.pi):
-                for angle in (a, -a):
-                    got = solver._kernel_C_at(x, angle, s_max)
-                    for xk, value in zip(x, got):
-                        w = mpmath.mpc(xk, angle)
-                        want = 2 * s_max + 2 * (
-                            mpmath.log(1 - mpmath.exp(w - s_max))
-                            - mpmath.log(1 - mpmath.exp(s_max + w)))
-                        worst = max(worst, abs(value - complex(want)))
+            for wk, im, value in zip(w, limits, got):
+                pole = mpmath.mpc(wk.real, im)
+                want = 2 * s_max + 2 * (
+                    mpmath.log(1 - mpmath.exp(pole - s_max))
+                    - mpmath.log(1 - mpmath.exp(s_max + pole)))
+                worst = max(worst, abs(value - complex(want)))
         assert worst <= 4 * np.finfo(float).eps * 2 * s_max
 
     def test_mixed_offsets_match_per_pole(self, pentagon):
@@ -762,13 +770,11 @@ def _smooth_densities(grids, rng):
     return c * np.exp(-(1.0 + 0.3j * rng.standard_normal(shape)) * cosh)
 
 
-def _unfolded_apply(model, grids, g, drop=None, real=False):
+def _unfolded_apply(model, grids, g, drop=None):
     """The sweep's map term by term from fresh kernels: coef * (kernel_rows
     @ (weights * g) + the ``_near_term`` gather), with the gather of the
     ordered ray pair ``drop`` left out; also the ordered ray pairs with a
-    gather and the largest term.  The gathers take the complex closed form
-    ``_kernel_C``, or with ``real`` the real form of the pair's one angle
-    that ``_prepare`` takes."""
+    gather and the largest term."""
     rows_of = unknowns(grids)
     omegas = [om for grid in grids for om in grid.ray.omegas]
     out, near, big = np.zeros_like(g), set(), 0.0
@@ -786,8 +792,7 @@ def _unfolded_apply(model, grids, g, drop=None, real=False):
             if abs(dphi) < src.near_angle:
                 near.add((rt, rs))
                 if (rt, rs) != drop:
-                    idx, op = solver._near_term(src, rows, w,
-                                                dphi if real else None)
+                    idx, op = solver._near_term(src, rows, w)
                     acc += np.sum(op * g[..., s, idx], axis=-1)
             term = -omegas[s] * p / (4j * math.pi) * acc
             out[..., t, :] += term
@@ -841,12 +846,11 @@ class TestFoldedOperator:
         # where the continuation lifts the rounding gap between a
         # transposed and a fresh kernel to 1e-8 on such data: not held
         # there.  The mirrored rows are such a gap too (6.8e-9 of the
-        # largest term at 0.95 x), and so is one ulp between the real and
-        # the complex closed form (2.1e-9), so this holds on the first h
-        # nodes, whose rows are computed, against gathers of the real form
+        # largest term at 0.95 x), so this holds on the first h nodes,
+        # whose rows are computed
         if rough:
             g = np.exp(2j * math.pi * rng.random(g.shape))
-            want, _, big = _unfolded_apply(model, grids, g, real=True)
+            want, _, big = _unfolded_apply(model, grids, g)
             h = (grids[0].node_count + 1) // 2
             assert float(np.max(np.abs(_apply(ws, g) - want)[..., :h])) \
                 <= 1e-13 * big

@@ -47,11 +47,10 @@ MUTANTS = [
      "pairing = ((coeffs @ model.lattice.matrix() @ coeffs.T) ** 3"
      ").tolist()"),
     ("sweep's reverse near fold dropped", "solver.py",
-     "_fold_near(target, neg[:h], source.s_nodes[:h] - 1j * angle,\n"
-     "                       -angle)",
+     "_fold_near(target, neg[:h], source.s_nodes[:h] - 1j * angle)",
      "pass"),
     ("sweep's forward near fold dropped", "solver.py",
-     "_fold_near(source, rows[:h], w, angle)",
+     "_fold_near(source, rows[:h], w)",
      "pass"),
     ("evaluation's near fold dropped", "solver.py",
      "        _fold_near(grid, block, poles)\n",
@@ -211,6 +210,12 @@ MUTANTS = [
     ("grids not mirrored", "solver.py",
      "s[n - k:], w[n - k:] = -s[:k][::-1], w[:k][::-1]",
      "pass"),
+    ("closed-form kernel's 1 - e^z by subtraction", "solver.py",
+     "-np.expm1(w - s_max)",
+     "1.0 - np.exp(w - s_max)"),
+    ("one-node ray grid accepted", "cli.py",
+     'if getattr(args, "nodes", None) == 1 == getattr(args, "panels", None):',
+     "if False:"),
 ]
 
 
