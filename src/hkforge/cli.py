@@ -208,7 +208,7 @@ _SOLUTION_SCHEMA = {
     "config": {"model": None, "tol_iter": None,
                "point": {"u": None, "R": None, "theta": None},
                "spec": dict.fromkeys(SPEC_ARGS)},
-    "rays": [{"direction": None,
+    "rays": [{"direction": None, "s_max": None,
               "charges": [{"charge": None, "upsilon": None}]}],
 }
 
@@ -254,9 +254,10 @@ def load_solution(path: str):
 
     The grids are rebuilt from the stored configuration and carry the stored
     corrections; ``recheck_residual`` is one sweep of those, so it measures
-    how far the file's data are from a fixed point.  The file records the
-    solve's iteration count and last residual but not its residual history,
-    which stays empty.
+    how far the file's data are from a fixed point.  The rebuilt rays must
+    have the stored directions and, exactly (JSON keeps a float bitwise),
+    the stored s_max.  The file records the solve's iteration count and
+    last residual but not its residual history, which stays empty.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -274,6 +275,7 @@ def load_solution(path: str):
     grids = solver.build_grids(model, point, spec)
     if len(payload["rays"]) != len(grids) or any(
             abs(complex(*ray["direction"]) - grid.ray.direction) > 1e-9
+            or ray["s_max"] != grid.s_max
             for ray, grid in zip(payload["rays"], grids)):
         raise CheckFailure(f"solution file {path}: ray layout mismatch")
     stored = {(r, charge(*entry["charge"])): entry["upsilon"]
@@ -306,11 +308,12 @@ def cmd_solve(args) -> None:
           f"residual {sol.residual:.3e}, recheck {sol.recheck_residual:.3e}")
     print(f"rays: {len(sol.grids)}, max correction {sol.max_correction():.3e}")
     print(f"panels per ray: {sol.panels} (at most --panels {spec.panels}), "
+          f"s_max {max([g.s_max for g in sol.grids], default=0):.3f}, "
           f"Legendre tail {sol.tail:.3e} (eps_quad {spec.eps_quad:g})")
     for grid in sol.grids:
         print(f"  ray {grid.ray.angle:+8.5f} rad  charges "
-              f"{[c.coeffs for c in grid.ray.charges]}  s_max {grid.s_max:.3f}"
-              f"  nodes {grid.node_count}")
+              f"{[c.coeffs for c in grid.ray.charges]}  nodes "
+              f"{grid.node_count}")
     if args.out:
         payload = _solution_payload(model, point, spec, sol)
         with open(args.out, "w", encoding="utf-8") as fh:

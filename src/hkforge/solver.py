@@ -9,24 +9,24 @@ and the only data the right side needs are the coordinates of the active
 charges on their own rays.  Substituting z' = direction * e^s turns each ray
 integral into a line integral whose integrand decays like exp(-2 pi R |Z|
 cosh s), so truncated Gauss-Legendre panels resolve it to quadrature
-precision.  ``build_grids`` takes the fewest equal panels, on a short ladder
-up to ``GridSpec.panels``, on which the Legendre tail of the semiflat
-density log(1 - X^sf) stays below eps_quad / 10; every ray of a solve gets
-the same layout.  The iteration starts from the semiflat values; its
-contraction rate is set by the largest exp(-2 pi R |Z|) among active
-charges.
+precision.  Every ray of a solve shares one node set: ``build_grids``
+truncates at the largest s_max any ray needs and takes the fewest equal
+panels, on a short ladder up to ``GridSpec.panels``, on which the Legendre
+tail of the semiflat density log(1 - X^sf) stays below eps_quad / 10.  The
+iteration starts from the semiflat values; its contraction rate is set by
+the largest exp(-2 pi R |Z|) among active charges.
 
 The log-corrections Upsilon = log(X / X^sf) are the stored unknowns: they
 stay O(exp(-2 pi R |Z|)), which avoids the huge semiflat exponentials and
 makes the smallness of the quantum corrections explicit.
 
 Every ray integral applies one kernel, coth((s - w)/2) with the target at
-direction * e^w, built by ``_kernels`` from source grids and target poles.
-On the panel layout all rays share, a kernel is fixed by (target s_max,
-source s_max, angle), and the solve builds it once per such key among the
-ray pairs whose charges pair to nonzero: the reverse direction is minus its
+direction * e^w, built by ``_kernels`` from the nodes and target poles.
+On the one node set, a kernel is fixed by the angle between the rays, and
+the solve builds it once per angle among the ray pairs whose charges pair
+to nonzero: the reverse direction, at minus the angle, is minus its
 transpose, coth being odd, and the antipodal pair (-a, -b) of (a, b) has
-the same key.  The grids mirror about s = 0 bitwise, so a kernel of one
+the same angle.  The grids mirror about s = 0 bitwise, so a kernel of one
 angle obeys the reality mirror K[N-1-k, N-1-j] = -conj K[k, j]: the solve
 builds and folds its first half of rows and mirrors them into the rest.
 Off-grid evaluation calls the same builder.  When the target lies within
@@ -329,8 +329,8 @@ def _half_unit_nodes(panels: int, per_panel: int) -> np.ndarray:
     return nodes
 
 
-def _panel_count(model, point: ModelPoint, rays: list[Ray],
-                 s_max: list[float], spec: GridSpec) -> int:
+def _panel_count(model, point: ModelPoint, rays: list[Ray], s_max: float,
+                 spec: GridSpec) -> int:
     """Fewest panels on PANEL_LADDER, at most ``spec.panels``, on which the
     semiflat density log(1 - X^sf) of every ray charge has a Legendre tail
     of at most TAIL_SHARE * eps_quad.
@@ -343,20 +343,20 @@ def _panel_count(model, point: ModelPoint, rays: list[Ray],
     charge whose tail has passed is not read at the larger counts.
     """
     rows, seen = [], set()
-    for ray, s in zip(rays, s_max):
+    for ray in rays:
         for g, z in zip(ray.charges, ray.zs):
             if -g not in seen:
                 seen.add(g)
                 rows.append((ray.direction, z,
-                             theta_eval(model.lattice, point, g), s))
-    direction, z, theta, s = (np.array(col)[:, None] for col in zip(*rows))
+                             theta_eval(model.lattice, point, g)))
+    direction, z, theta = (np.array(col)[:, None] for col in zip(*rows))
     n = spec.nodes_per_panel
     ladder = [q for q in PANEL_LADDER if q < spec.panels]
     if not ladder:
         return spec.panels
     nodes = [_half_unit_nodes(p, n) for p in ladder]
-    density = log_one_minus(np.exp(xsf_log_of(
-        z, theta, point.R, direction * np.exp(s * np.concatenate(nodes)))))
+    zetas = direction * np.exp(s_max * np.concatenate(nodes))
+    density = log_one_minus(np.exp(xsf_log_of(z, theta, point.R, zetas)))
     live, stop = np.arange(len(rows)), 0
     for p, u in zip(ladder, nodes):
         stop += len(u)
@@ -371,16 +371,17 @@ def build_grids(model, point: ModelPoint, spec: GridSpec = GridSpec(),
                 rays: list[Ray] | None = None) -> list[QuadratureGrid]:
     """One truncated quadrature grid per BPS ray at the given point.
 
-    The truncation solves exp(-2 pi R |Z| cosh s_max) < eps_quad with a
-    safety margin; if the semiflat modulus on some ray already exceeds the
-    threshold at s = 0 the iteration could leave the log(1 - X) domain, and
-    the point is rejected as "R too small".  Every ray gets the panel count
-    of ``_panel_count``, so the choice depends only on (model, point, spec).
+    Each ray's truncation solves exp(-2 pi R |Z| cosh s_max) < eps_quad with
+    a safety margin, and every ray takes the largest s_max; if the semiflat
+    modulus on some ray already exceeds the threshold at s = 0 the iteration
+    could leave the log(1 - X) domain, and the point is rejected as "R too
+    small".  Every grid holds the same nodes and weights, on the panels of
+    ``_panel_count``, so the layout depends only on (model, point, spec).
     ``rays`` are the point's ``bps_rays`` when the caller holds them.
     """
     if rays is None:
         rays = bps_rays(model.spectrum, model.Z, point.u, R=point.R)
-    s_maxes = []
+    s_max = 0.0
     for ray in rays:
         min_z = ray.min_abs_z()
         peak = math.exp(-2.0 * math.pi * point.R * min_z)
@@ -390,17 +391,14 @@ def build_grids(model, point: ModelPoint, spec: GridSpec = GridSpec(),
                 f"{ray.charges[0]} (needs < {R_SMALL_THRESHOLD})")
         arg = (-math.log(spec.eps_quad) + TAIL_MARGIN) \
             / (2.0 * math.pi * point.R * min_z)
-        s_maxes.append(math.acosh(max(arg, 1.5)))
+        s_max = max(s_max, math.acosh(max(arg, 1.5)))
     if not rays:
         return []
-    panels = _panel_count(model, point, rays, s_maxes, spec)
-    grids = []
-    for ray, s_max in zip(rays, s_maxes):
-        s_nodes, weights = _gl_panels(s_max, panels, spec.nodes_per_panel)
-        grids.append(QuadratureGrid(ray=ray, s_nodes=s_nodes,
-                                    weights=weights, s_max=s_max,
-                                    nodes_per_panel=spec.nodes_per_panel))
-    return grids
+    panels = _panel_count(model, point, rays, s_max, spec)
+    s_nodes, weights = _gl_panels(s_max, panels, spec.nodes_per_panel)
+    return [QuadratureGrid(ray=ray, s_nodes=s_nodes, weights=weights,
+                           s_max=s_max, nodes_per_panel=spec.nodes_per_panel)
+            for ray in rays]
 
 
 def _kernel_C(w, s_max: float):
@@ -424,35 +422,33 @@ def _nearest_node(s_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return i - (x - s_nodes[i - 1] <= s_nodes[i] - x)
 
 
-def _kernels(grids: list[QuadratureGrid], w: np.ndarray, out=None, den=None
+def _kernels(grid: QuadratureGrid, w: np.ndarray, out=None, den=None
              ) -> np.ndarray:
-    """Cauchy kernel coth((s - w)/2) of each grid at its own row of poles:
-    (R, Z) poles w give (R, Z, N) rows, on the node count all grids share,
-    row (r, z) holding grids[r]'s nodes s as columns.  ``out`` takes the
-    rows and ``den``, of their shape, the denominators, when given.
+    """Cauchy kernel coth((s - w)/2) on the nodes s of ``grid``, which every
+    grid of its solve shares: poles w of any shape give rows of that shape
+    plus (N,), the nodes as columns.  ``out`` takes the rows and ``den``, of
+    their shape, the denominators, when given.
 
     A pole w stands for zeta = direction * e^w, so the kernel is the
     rational (z' + zeta)/(z' - zeta) of the integral equation.  Entries
     within ``grid.close_radius`` of a pole are 0, and ``_near_term``
-    supplies their term.  The grids of one solve share their panel layout
-    and differ in s_max by far less than 8x, so even read transposed a pole
-    has at most one such node: its nearest.
+    supplies their term.  The radius is 1/16 of the smallest node spacing,
+    so a pole has at most one such node: its nearest.
     """
-    s_nodes = np.array([grid.s_nodes for grid in grids])
-    radius = np.array([grid.close_radius for grid in grids])
-    es = np.exp(s_nodes)[:, None, :]
+    radius = grid.close_radius
+    es = np.exp(grid.s_nodes)
     ew = np.exp(w)[..., None]
     den = np.subtract(es, ew, out=den)
     # a pole within the radius of a node is within it of the ray too
-    ray, pole = np.nonzero(np.abs(w.imag) < radius[:, None])
-    if len(ray):
-        hit, node = np.nonzero(np.abs(s_nodes[ray] - w[ray, pole][:, None])
-                               < radius[ray][:, None])
-        close = (ray[hit], pole[hit], node)
+    near = np.nonzero(np.abs(w.imag) < radius)
+    if len(near[0]):
+        hit, node = np.nonzero(np.abs(grid.s_nodes - w[near][:, None])
+                               < radius)
+        close = (*(axis[hit] for axis in near), node)
         den[close] = 1.0
     rows = np.add(es, ew, out=out)
     rows /= den
-    if len(ray):
+    if len(near[0]):
         rows[close] = 0.0
     return rows
 
@@ -529,21 +525,21 @@ class _Workspace:
     charges, so the sweep adds mix @ (weights * g[source]) @ matrix.T to the
     target ray's rows, and the tree sum reads (sign, matrix) with its own
     pairings.  ``spans`` are the rows of each ray in ``unknowns``, and
-    ``weights`` (U, N) the rows' quadrature weights.  Ray pairs of one
-    (target s_max, source s_max, angle) share a kernel (``_prepare``), and
-    the reverse direction reads it transposed with sign -1, unless either
-    direction holds the near-ray continuation; ``near_pairs`` counts the
-    ordered ray pairs whose matrix holds one.  Every matrix is a view of
-    one store: its first ceil(N / 2) rows computed, the rest their mirror.
+    ``weights`` (N,) the quadrature weights all rays share.  Ray pairs of
+    one angle share a kernel (``_prepare``), and the reverse direction reads
+    it transposed with sign -1, unless it holds the near-ray continuation;
+    ``near_pairs`` counts the ordered ray pairs whose matrix holds one.
+    Every matrix is a view of one store: its first ceil(N / 2) rows
+    computed, the rest their mirror.
 
     ``rows`` are the rows the iteration computes and ``image`` the rows it
     takes as reality images (``_mirrored``): when the active charges are
-    closed under gamma -> -gamma with equal Omega, on rays of equal s_max,
-    the row of each charge on the later ray of an antipodal pair is the
-    image of the row of its negative, ``source``; otherwise ``image`` is
-    empty and ``rows`` is every row.  ``half`` holds the blocks whose
-    target ray is iterated.  The blocks into image rows serve ``_apply``
-    and ``recheck``, where the reality of the solution is still checked.
+    closed under gamma -> -gamma with equal Omega, the row of each charge
+    on the later ray of an antipodal pair is the image of the row of its
+    negative, ``source``; otherwise ``image`` is empty and ``rows`` is every
+    row.  ``half`` holds the blocks whose target ray is iterated.  The
+    blocks into image rows serve ``_apply`` and ``recheck``, where the
+    reality of the solution is still checked.
     """
 
     blocks: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]]
@@ -582,19 +578,17 @@ def _mirror(slot: np.ndarray) -> None:
 
 
 def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspace:
-    """The sweep on ``grids``, one kernel per (target s_max, source s_max,
-    angle).  The grids of one solve share their panel layout, so the two
-    s_max fix the nodes, weights and near zones that ``_kernels`` and
-    ``_fold_near`` read: pairs with one key have one kernel and near terms.
-    The reverse direction is built with it, under (source s_max, target
-    s_max, -angle).  The rays of gamma and -gamma have one |Z|, so the
-    antipodal pair (-a, -b) of (a, b) reads its kernel.  The keys are
-    planned first, for one (slots, N, N) store: a slot per key, and one for
-    the reverse of a key with a folded direction.  Of each slot only the
-    poles t_k + i angle, k < h = ceil(N / 2), are built and folded, the
-    lower half their scratch and then their ``_mirror``.  The blocks'
-    coefficients are ``_coefficients`` of the unknowns' own charges, and
-    the rows it iterates are those ``_Workspace`` describes."""
+    """The sweep on ``grids``, one kernel per angle between the rays.  The
+    grids of one solve share their nodes, weights and near zone, so pairs of
+    one angle have one kernel and near terms, and a pair is near both ways
+    or neither.  The reverse direction is built with it, under -angle, and
+    the antipodal pair (-a, -b) of (a, b) reads it.  The angles are planned
+    first, for one (slots, N, N) store: a slot per angle, and one for the
+    reverse of a near angle.  Of each slot only the poles t_k + i angle,
+    k < h = ceil(N / 2), are built and folded, the lower half their scratch
+    and then their ``_mirror``.  The blocks' coefficients are
+    ``_coefficients`` of the unknowns' own charges, and the rows it iterates
+    are those ``_Workspace`` describes."""
     rows_of = unknowns(grids)
     coefs = _coefficients(model, grids, [g for _, g in rows_of])
     spans, start = [], 0
@@ -609,57 +603,54 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
                 continue
             angle = cmath.phase(target.ray.direction
                                 * source.ray.direction.conjugate())
-            key = (target.s_max, source.s_max, angle)
-            if (source.s_max, target.s_max, -angle) not in plan:
-                # each direction near as ``_fold_near`` finds it: every
-                # pole of the key lies +-angle off its source ray
-                plan[key] = (target, source, angle,
-                             abs(angle) < source.near_angle,
-                             abs(angle) < target.near_angle)
-            pairs.append((rt, rs, key, mix))
+            if -angle not in plan:
+                # near as ``_fold_near`` finds it: every pole of the angle
+                # lies +-angle off its source ray
+                plan[angle] = abs(angle) < source.near_angle
+            pairs.append((rt, rs, angle, mix))
     n = grids[0].node_count if grids else 0
     h = (n + 1) // 2
-    store = np.empty((sum(1 + (near or back) for *_, near, back in
-                          plan.values()), 2 * h, n), dtype=complex)
+    store = np.empty((sum(1 + near for near in plan.values()), 2 * h, n),
+                     dtype=complex)
     slots, kernels = iter(store), {}
-    for key, (target, source, angle, near, back) in plan.items():
-        rows = next(slots)
-        w = target.s_nodes[:h] + 1j * angle
-        _kernels([source], w[None], out=rows[None, :h], den=rows[None, h:])
+    for angle, near in plan.items():
+        grid, rows = grids[0], next(slots)
+        w = grid.s_nodes[:h] + 1j * angle
+        _kernels(grid, w, out=rows[:h], den=rows[h:])
         _mirror(rows)
-        if near or back:
+        if near:
             # the reverse kernel is -rows.T, coth being odd, copied out
             # before the forward direction folds into rows (plain, mirrored)
             neg = next(slots)
             np.negative(rows[:n, :h].T, out=neg[:h])
-            _fold_near(target, neg[:h], source.s_nodes[:h] - 1j * angle)
-            _fold_near(source, rows[:h], w)
+            _fold_near(grid, neg[:h], grid.s_nodes[:h] - 1j * angle)
+            _fold_near(grid, rows[:h], w)
             _mirror(neg)
             _mirror(rows)
-        kernels[key] = (1.0, rows[:n], near)
-        kernels[source.s_max, target.s_max, -angle] = \
-            (1.0, neg[:n], back) if near or back else (-1.0, rows[:n].T, False)
+        kernels[angle] = (1.0, rows[:n], near)
+        kernels[-angle] = (1.0, neg[:n], near) if near \
+            else (-1.0, rows[:n].T, False)
     blocks, near_pairs = {}, 0
-    for rt, rs, key, mix in pairs:
-        sign, matrix, near = kernels[key]
+    for rt, rs, angle, mix in pairs:
+        sign, matrix, near = kernels[angle]
         blocks[rt, rs] = (sign, matrix, sign * mix)
         near_pairs += near
     # the reality pairing, by charge: the row of -g for the row of each g;
-    # when every row has one, of its Omega and on a ray of its s_max, the
-    # rows of the later ray of each antipodal pair are images
+    # when every row has one, of its Omega, the rows of the later ray of
+    # each antipodal pair are images
     index = {g: k for k, (_, g) in enumerate(rows_of)}
     partner = [index.get(-g) for _, g in rows_of]
     ray = [r for r, _ in rows_of]
     omegas = [om for grid in grids for om in grid.ray.omegas]
     closed = all(j is not None and omegas[j] == omegas[k]
-                 and grids[ray[j]].s_max == grids[ray[k]].s_max
                  for k, j in enumerate(partner))
     image = [k for k, j in enumerate(partner) if closed and ray[j] < ray[k]]
     own = [k for k in range(len(rows_of)) if k not in image]
     iterated = {ray[k] for k in own}
     return _Workspace(
-        blocks=blocks, spans=spans, weights=_node_data(
-            grids, lambda grid, _: grid.weights), near_pairs=near_pairs,
+        blocks=blocks, spans=spans,
+        weights=grids[0].weights if grids else np.zeros(0),
+        near_pairs=near_pairs,
         rows=np.array(own, dtype=int), image=np.array(image, dtype=int),
         source=np.array([partner[k] for k in image], dtype=int),
         half={pair: block for pair, block in blocks.items()
@@ -672,7 +663,8 @@ def _mirrored(ws: _Workspace, rows: np.ndarray) -> np.ndarray:
     Node k of the ray of gamma, at zeta, and node N-1-k of the ray of
     -gamma, at -1/conj(zeta), are one point of the reality condition
     X_{-gamma}(-1/conj zeta) = conj X_gamma(zeta)."""
-    full = np.empty(rows.shape[:-2] + ws.weights.shape, dtype=complex)
+    full = np.empty(rows.shape[:-2] + (len(ws.rows) + len(ws.image),
+                                       rows.shape[-1]), dtype=complex)
     full[..., ws.rows, :] = rows
     full[..., ws.image, :] = np.conj(full[..., ws.source, ::-1])
     return full
@@ -855,10 +847,10 @@ def ray_integrals(grids: list[QuadratureGrid], rays, density: np.ndarray,
     lies.
 
     The read rays' poles w = log(zeta / direction) give one (R, Z, N) array
-    of ``_kernels``, each ray's near poles folded by ``_fold_near``; the
-    density rows are summed with their coefficients per ray and weighted,
-    and one product with the rows, summed over the rays, gives the
-    integrals.
+    of ``_kernels`` on the nodes all rays share, and one ``_fold_near``
+    folds every near pole; the density rows are summed with their
+    coefficients per ray and weighted, and one product with the rows,
+    summed over the rays, gives the integrals.
     """
     scalar = np.ndim(zeta) == 0
     zetas = np.atleast_1d(np.asarray(zeta, dtype=complex))
@@ -890,10 +882,9 @@ def ray_integrals(grids: list[QuadratureGrid], rays, density: np.ndarray,
     # (..., R, N, C): per read ray, its rows' coefficient sum, weighted
     mix = (rays == read[:, None])[..., None] * coefs
     g = (np.swapaxes(density, -1, -2)[..., None, :, :] @ mix) \
-        * np.array([grid.weights for grid in grids])[..., None]
-    rows = _kernels(grids, w)
-    for grid, block, poles in zip(grids, rows, w):
-        _fold_near(grid, block, poles)
+        * grids[0].weights[:, None]
+    rows = _kernels(grids[0], w)
+    _fold_near(grids[0], rows.reshape(-1, rows.shape[-1]), w.ravel())
     total = (rows @ g).sum(axis=-3)
     return total[..., 0, :] if scalar else total
 
@@ -934,7 +925,7 @@ def zeta_zero_moments(model, grids: list[QuadratureGrid], density: np.ndarray,
     u_0 and u_1 are moments of the density on the solve's own nodes.
     """
     coefs = _coefficients(model, grids, charges)
-    weights = _node_data(grids, lambda grid, _: grid.weights)
+    weights = grids[0].weights if grids else np.zeros(0)
     inverse = _node_data(grids, lambda grid, _: 2.0 / grid.zeta_nodes)
     return (np.sum(weights * density, axis=-1) @ coefs,
             np.sum(weights * inverse * density, axis=-1) @ coefs)

@@ -55,9 +55,9 @@ SIDE_OFFSET = 2e-4     # farther angular offset of the Richardson limit
 
 def kernel_rows(grid, w) -> np.ndarray:
     """The plain Cauchy kernel rows of one grid at poles ``w``, close
-    entries 0: the one-ray case of ``solver._kernels``."""
+    entries 0: ``solver._kernels`` on a 1-d row of poles."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    return _kernels([grid], w[None])[0]
+    return _kernels(grid, w)
 
 
 def cauchy_integral(grid, f, w) -> np.ndarray:

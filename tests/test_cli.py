@@ -286,6 +286,11 @@ class TestSolutionFiles:
         assert panels < 16 and "(at most --panels 16)" in out
         assert "eps_quad 1e-12" in out
         payload = json.loads(path.read_text())
+        # every ray shares one s_max, printed once on the panels line
+        s_max = payload["rays"][0]["s_max"]
+        assert {ray["s_max"] for ray in payload["rays"]} == {s_max}
+        assert out.count("s_max") == 1
+        assert f"(at most --panels 16), s_max {s_max:.3f}, " in out
         counts = {len(c["upsilon"]) for ray in payload["rays"]
                   for c in ray["charges"]}
         assert counts == {16 * panels}
@@ -298,11 +303,45 @@ class TestSolutionFiles:
         run(capsys, "solve", "--model", "pentagon", "--u", "1.5,0.2",
             "--R", "1", "--theta", "0.37,1.29", "--out", str(other))
         foreign = json.loads(other.read_text())
-        payload["rays"] = foreign["rays"]
+        for ray, theirs in zip(payload["rays"], foreign["rays"]):
+            ray["charges"] = theirs["charges"]
         write_signed(path, payload)
         code, _, err = run(capsys, "jump-check", "--solution", str(path))
         assert code == 1
         assert "charge table mismatch" in err
+
+    def test_other_nodes_refused(self, capsys, tmp_path):
+        # corrections laid on other nodes: each ray at its own s_max, as
+        # files were written before every ray took the largest, or one
+        # ray's s_max one ulp off.  Re-signed, they pass the hash; the load
+        # refuses them by their layout, where the recheck would blame the
+        # data ("not a fixed point")
+        path = tmp_path / "sol.json"
+        run(capsys, "solve", "--model", "pentagon", "--u", "1.5,0.2",
+            "--R", "1", "--theta", "0.37,1.29", "--out", str(path))
+        signed = path.read_text()
+        _, point, loaded = load_solution(str(path))
+        own = [math.acosh(max((-math.log(1e-12) + solver.TAIL_MARGIN)
+                              / (2 * math.pi * point.R
+                                 * grid.ray.min_abs_z()), 1.5))
+               for grid in loaded.grids]
+        assert max(own) == loaded.grids[0].s_max > min(own)
+
+        def each_its_own(payload):
+            for ray, s_max in zip(payload["rays"], own):
+                ray["s_max"] = s_max
+
+        def one_ulp_off(payload):
+            ray = payload["rays"][1]
+            ray["s_max"] = math.nextafter(ray["s_max"], math.inf)
+
+        for edit in (each_its_own, one_ulp_off):
+            payload = json.loads(signed)
+            edit(payload)
+            write_signed(path, payload)
+            code, _, err = run(capsys, "jump-check", "--solution", str(path))
+            assert code == 1
+            assert err.strip().endswith("ray layout mismatch")
 
     def test_jump_check_default_tolerance(self, capsys, tmp_path,
                                           monkeypatch):

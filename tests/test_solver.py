@@ -355,11 +355,12 @@ class TestFoldedEvaluation:
         near_angles = np.array([g.near_angle for g in grids])[:, None]
         near = np.abs(w.imag) < near_angles
         assert near.any() and not near.all()
-        # the rows of all rays at once are bitwise those of one ray
+        # the rows of all rays at once, on the one node set, are bitwise
+        # those of each ray on its own grid
         for zetas in (off, on):
             poles = np.array([np.log(zetas / g.ray.direction) for g in grids])
             poles[np.abs(poles.imag) < solver.ON_RAY_ANGLE] += 1e-300j
-            assert np.array_equal(solver._kernels(grids, poles), np.stack(
+            assert np.array_equal(solver._kernels(grids[0], poles), np.stack(
                 [kernel_rows(g, row) for g, row in zip(grids, poles)]))
         for density in (sol.log_one_minus_x, tangents):
             for zetas, side in ((off, None), (on, +1), (on, -1)):
@@ -572,10 +573,10 @@ WALLS = [None, (0.98, 0.9), (1.02, 0.9), (0.98, -0.8), (1.02, -0.8)]
 WALL_IDS = ["conftest", "0.98x0.9", "1.02x0.9", "0.98x-0.8", "1.02x-0.8"]
 
 
-def _prepare_builds(monkeypatch, model, point, grids=None):
-    """The ``_kernels`` and ``_near_term`` calls of one ``_prepare``, on
-    ``grids`` or on the point's own."""
-    grids = build_grids(model, point) if grids is None else grids
+def _prepare_builds(monkeypatch, model, point):
+    """The ``_kernels`` and ``_near_term`` calls of one ``_prepare`` on the
+    point's own grids."""
+    grids = build_grids(model, point)
     counts = dict.fromkeys(("_kernels", "_near_term"), 0)
     for name in counts:
         def counted(*args, real=getattr(solver, name), name=name, **kw):
@@ -601,6 +602,8 @@ class TestKernelSharing:
     @pytest.mark.parametrize("wall", WALLS, ids=WALL_IDS)
     def test_antipodal_grids_share_nodes(self, pentagon, pentagon_point,
                                          wall):
+        # every ray of a solve, antipodal partners among them, on one node
+        # set, truncated at the largest s_max that any ray's tail asks for
         point = pentagon_point if wall is None \
             else _wall_point(pentagon, *wall, 0.35)
         grids = build_grids(pentagon, point)
@@ -609,6 +612,15 @@ class TestKernelSharing:
             partner = by_charge[-grid.ray.charges[0]]
             assert np.array_equal(partner.s_nodes, grid.s_nodes)
             assert np.array_equal(partner.weights, grid.weights)
+            assert np.array_equal(grid.s_nodes, grids[0].s_nodes)
+            assert np.array_equal(grid.weights, grids[0].weights)
+            assert grid.s_max == grids[0].s_max
+        own = [math.acosh(max((-math.log(GridSpec().eps_quad)
+                               + solver.TAIL_MARGIN)
+                              / (2 * math.pi * point.R
+                                 * grid.ray.min_abs_z()), 1.5))
+               for grid in grids]
+        assert grids[0].s_max == max(own)
 
     @pytest.mark.parametrize("wall, kernels", [(None, 2), ((1.02, 0.9), 6)],
                              ids=["conftest", "1.02x0.9"])
@@ -631,28 +643,6 @@ class TestKernelSharing:
         assert counts["_kernels"] == kernels
         sol = iterate(model, point, grids, tol_iter=1e-13, workspace=ws)
         assert _sweep_gap(model, sol) <= 1e-14
-
-    def test_unequal_grids_keep_their_kernels(self, pentagon, pentagon_point,
-                                              monkeypatch):
-        # with the grid of -gamma_1 stretched by 1e-6, no pair of its ray
-        # shares a kernel with a pair of gamma_1's: 4 kernels for the 8
-        # blocks at 4 rays, where 2 are shared on the solve's own grids
-        grids = build_grids(pentagon, pentagon_point)
-        r = next(r for r, grid in enumerate(grids) if -G1 in grid.ray.charges)
-        s_max = grids[r].s_max * (1.0 + 1e-6)
-        s_nodes, weights = _gl_panels(s_max, grids[r].panels,
-                                      grids[r].nodes_per_panel)
-        grids[r] = dataclasses.replace(grids[r], s_max=s_max,
-                                       s_nodes=s_nodes, weights=weights)
-        counts, _, ws = _prepare_builds(monkeypatch, pentagon,
-                                        pentagon_point, grids)
-        assert counts["_kernels"] == 4
-        # nor are its nodes the mirrors of gamma_1's: every row iterates
-        assert not len(ws.image)
-        g = _smooth_densities(grids, np.random.default_rng(7))
-        want, _, _ = _unfolded_apply(pentagon, grids, g)
-        scale = float(np.max(np.abs(want)))
-        assert float(np.max(np.abs(_apply(ws, g) - want))) <= 1e-14 * scale
 
 
 def _minus_g1_omega(model, om):
@@ -803,7 +793,7 @@ def _unfolded_apply(model, grids, g, drop=None):
 class TestFoldedOperator:
     @pytest.mark.parametrize("wall, near_pairs, rough, omega", [
         (None, 0, True, None), ((1.02, 0.9), 12, True, None),
-        ((0.95, -3.0), 2, True, None), ((1.05, -3.0), 8, False, None),
+        ((0.95, -3.0), 4, False, None), ((1.05, -3.0), 12, False, None),
         (None, 0, True, 1), ((1.02, 0.9), 12, True, -2)],
         ids=["conftest", "1.02x0.9", "0.95x-3.0", "1.05x-3.0",
              "conftest-pairing2", "1.02x0.9-pairing2-omega-2"])
@@ -812,12 +802,13 @@ class TestFoldedOperator:
                                         omega):
         # the continuation folded into the kernel blocks, and the reverse
         # blocks read transposed, against fresh kernels and gathers per
-        # term: at 1.02 x the wall all 6 classes are near both ways, at
-        # -3.0 some classes only one way, forward (0.95 x) or reverse
-        # (1.05 x); dropping one gather must show.  On the pairing-2 stubs
-        # the blocks' coefficients, from ``_coefficients``, meet the
-        # ``Lattice.pair`` loop where p and p^3 (and Omega and Omega^2)
-        # differ
+        # term: at 1.02 x the wall the 12 near ordered ray pairs lie at 0.02
+        # to 0.05 of the near zone, at -3.0 the 4 (0.95 x) and 8 of the 12
+        # (1.05 x) at its edge, 0.67 to 0.73 of it.  All rays share one
+        # node set, so a pair is near both ways or neither.  Dropping one
+        # gather must show.  On the pairing-2 stubs the blocks'
+        # coefficients, from ``_coefficients``, meet the ``Lattice.pair``
+        # loop where p and p^3 (and Omega and Omega^2) differ
         model = pentagon if omega is None else pairing_two[omega]
         point = pentagon_point if wall is None \
             else _wall_point(pentagon, *wall, 0.35)
@@ -838,16 +829,13 @@ class TestFoldedOperator:
             assert float(np.max(np.abs(_apply(ws, g) - dropped))) \
                 > 1e-14 * scale
         # unit random densities: continued a panel off the ray, rough data
-        # amplify any gap between the angles of the antipodal pairs that
-        # share a block (5e-9 at 0.95 x when they differed in the last
-        # bit), so this holds only if the sharing is exact; they also lift
-        # plain rounding to 2e-14 of the largest term at 1.02 x.  The
-        # reverse-only classes at 1.05 x sit at the edge of the near zone,
-        # where the continuation lifts the rounding gap between a
-        # transposed and a fresh kernel to 1e-8 on such data: not held
-        # there.  The mirrored rows are such a gap too (6.8e-9 of the
-        # largest term at 0.95 x), so this holds on the first h nodes,
-        # whose rows are computed
+        # amplify any gap between the kernels of the pairs that share a
+        # block, so this holds only if the sharing is exact; they lift plain
+        # rounding to 3e-14 of the largest term at 1.02 x.  At the edge of
+        # the near zone, at -3.0, the continuation lifts the rounding gap
+        # between a transposed and a fresh kernel to 1e-9 to 5e-9 on such
+        # data: not held there.  The mirrored rows are such a gap too, so
+        # this holds on the first h nodes, whose rows are computed
         if rough:
             g = np.exp(2j * math.pi * rng.random(g.shape))
             want, _, big = _unfolded_apply(model, grids, g)

@@ -289,9 +289,9 @@ class TestSharedKernels:
         built = []
         kernels = solver._kernels
 
-        def counted(grids, w, **kw):
-            built.append(grids)
-            return kernels(grids, w, **kw)
+        def counted(grid, w, **kw):
+            built.append(np.shape(w))
+            return kernels(grid, w, **kw)
 
         monkeypatch.setattr(solver, "_kernels", counted)
         solver._prepare(pentagon, point, sol.grids)
@@ -310,7 +310,7 @@ class TestSharedKernels:
         built.clear()
         series_solution(pentagon, point, G1, _zetas(sol)[0], cutoff,
                         integrator=integ)
-        assert len(built) == 1 and len(built[0]) <= len(sol.grids)
+        assert len(built) == 1 and built[0][0] <= len(sol.grids)
 
     @pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("name", ["strong", "wall 0.9", "wall -0.8",

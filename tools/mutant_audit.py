@@ -47,22 +47,37 @@ MUTANTS = [
      "pairing = ((coeffs @ model.lattice.matrix() @ coeffs.T) ** 3"
      ").tolist()"),
     ("sweep's reverse near fold dropped", "solver.py",
-     "_fold_near(target, neg[:h], source.s_nodes[:h] - 1j * angle)",
+     "_fold_near(grid, neg[:h], grid.s_nodes[:h] - 1j * angle)",
      "pass"),
     ("sweep's forward near fold dropped", "solver.py",
-     "_fold_near(source, rows[:h], w)",
+     "_fold_near(grid, rows[:h], w)",
      "pass"),
     ("evaluation's near fold dropped", "solver.py",
-     "        _fold_near(grid, block, poles)\n",
-     "        pass\n"),
+     "_fold_near(grids[0], rows.reshape(-1, rows.shape[-1]), w.ravel())",
+     "pass"),
     ("sweep's reverse kernel stored under +angle", "solver.py",
-     "kernels[source.s_max, target.s_max, -angle] =",
-     "kernels[source.s_max, target.s_max, angle] ="),
-    ("sweep's kernel key without the source s_max", "solver.py",
-     ("key = (target.s_max, source.s_max, angle)",
-      "kernels[source.s_max, target.s_max, -angle] ="),
-     ("key = (target.s_max, angle)",
-      "kernels[source.s_max, -angle] =")),
+     "kernels[-angle] =",
+     "kernels[angle] ="),
+    ("build_grids gives each ray its own s_max", "solver.py",
+     ("    s_max = 0.0\n",
+      "        s_max = max(s_max, math.acosh(max(arg, 1.5)))",
+      "    s_nodes, weights = _gl_panels(s_max, panels, "
+      "spec.nodes_per_panel)\n"
+      "    return [QuadratureGrid(ray=ray, s_nodes=s_nodes, weights=weights,\n"
+      "                           s_max=s_max, nodes_per_panel="
+      "spec.nodes_per_panel)\n"
+      "            for ray in rays]"),
+     ("    s_max, own = 0.0, []\n",
+      "        own.append(math.acosh(max(arg, 1.5)))\n"
+      "        s_max = max(s_max, own[-1])",
+      "    return [QuadratureGrid(ray=ray, s_nodes=_gl_panels(\n"
+      "        s, panels, spec.nodes_per_panel)[0], weights=_gl_panels(\n"
+      "        s, panels, spec.nodes_per_panel)[1], s_max=s,\n"
+      "        nodes_per_panel=spec.nodes_per_panel)\n"
+      "        for ray, s in zip(rays, own)]")),
+    ("load_solution ignores the stored s_max", "cli.py",
+     "\n            or ray[\"s_max\"] != grid.s_max",
+     ""),
     ("load_solution accepts non-finite values", "cli.py",
      "fault = _schema_fault(payload, _SOLUTION_SCHEMA) \\\n"
      "        or _non_finite_field(payload)",
@@ -163,9 +178,6 @@ MUTANTS = [
     ("closure test ignores Omega", "solver.py",
      "j is not None and omegas[j] == omegas[k]\n",
      "j is not None\n"),
-    ("closure test ignores s_max", "solver.py",
-     "\n                 and grids[ray[j]].s_max == grids[ray[k]].s_max",
-     ""),
     ("iterate's recheck on the half map", "solver.py",
      "recheck_residual=recheck(model, point, grids, log_xsf,\n"
      "                                                ups, ws),",
