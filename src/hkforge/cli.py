@@ -308,7 +308,7 @@ def cmd_solve(args) -> None:
           f"residual {sol.residual:.3e}, recheck {sol.recheck_residual:.3e}")
     print(f"rays: {len(sol.grids)}, max correction {sol.max_correction():.3e}")
     print(f"panels per ray: {sol.panels} (at most --panels {spec.panels}), "
-          f"s_max {max([g.s_max for g in sol.grids], default=0):.3f}, "
+          f"s_max {sol.grids[0].s_max if sol.grids else 0:.3f}, "
           f"Legendre tail {sol.tail:.3e} (eps_quad {spec.eps_quad:g})")
     for grid in sol.grids:
         print(f"  ray {grid.ray.angle:+8.5f} rad  charges "

@@ -25,10 +25,11 @@ direction * e^w, built by ``_kernels`` from the nodes and target poles.
 On the one node set, a kernel is fixed by the angle between the rays, and
 the solve builds it once per angle among the ray pairs whose charges pair
 to nonzero: the reverse direction, at minus the angle, is minus its
-transpose, coth being odd, and the antipodal pair (-a, -b) of (a, b) has
-the same angle.  The grids mirror about s = 0 bitwise, so a kernel of one
-angle obeys the reality mirror K[N-1-k, N-1-j] = -conj K[k, j]: the solve
-builds and folds its first half of rows and mirrors them into the rest.
+transpose, coth being odd, unless near the ray, where it is built and
+folded on its own, and the antipodal pair (-a, -b) of (a, b) has the same
+angle.  The grids mirror about s = 0 bitwise, so a kernel of one angle
+obeys the reality mirror K[N-1-k, N-1-j] = -conj K[k, j]: the solve builds
+and folds its first half of rows and mirrors them into the rest.
 Off-grid evaluation calls the same builder.  When the target lies within
 NEAR_HALF_WIDTHS panel half-widths of the source ray (``near_angle``, so
 the zone narrows as the panels refine) the density is continued to the
@@ -581,12 +582,13 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
     """The sweep on ``grids``, one kernel per angle between the rays.  The
     grids of one solve share their nodes, weights and near zone, so pairs of
     one angle have one kernel and near terms, and a pair is near both ways
-    or neither.  The reverse direction is built with it, under -angle, and
-    the antipodal pair (-a, -b) of (a, b) reads it.  The angles are planned
-    first, for one (slots, N, N) store: a slot per angle, and one for the
-    reverse of a near angle.  Of each slot only the poles t_k + i angle,
-    k < h = ceil(N / 2), are built and folded, the lower half their scratch
-    and then their ``_mirror``.  The blocks' coefficients are
+    or neither.  The reverse direction, under -angle, reads the kernel
+    transposed, or has a slot of its own when near, and the antipodal pair
+    (-a, -b) of (a, b) reads it.  The angles are planned first, for one
+    (slots, N, N) store: a slot per angle, and one for the reverse of a
+    near angle.  Of each slot only the poles t_k +- i angle, k < h =
+    ceil(N / 2), are built and folded, the lower half their scratch and
+    then their ``_mirror``.  The blocks' coefficients are
     ``_coefficients`` of the unknowns' own charges, and the rows it iterates
     are those ``_Workspace`` describes."""
     rows_of = unknowns(grids)
@@ -613,23 +615,18 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
     store = np.empty((sum(1 + near for near in plan.values()), 2 * h, n),
                      dtype=complex)
     slots, kernels = iter(store), {}
-    for angle, near in plan.items():
+    # a near angle's reverse is built fresh: its transposed kernel is off
+    # by rounding that the continuation lifts on rough data
+    for angle, near in [(a, near) for angle, near in plan.items()
+                        for a in (angle, -angle)[:1 + near]]:
         grid, rows = grids[0], next(slots)
         w = grid.s_nodes[:h] + 1j * angle
         _kernels(grid, w, out=rows[:h], den=rows[h:])
+        _fold_near(grid, rows[:h], w)
         _mirror(rows)
-        if near:
-            # the reverse kernel is -rows.T, coth being odd, copied out
-            # before the forward direction folds into rows (plain, mirrored)
-            neg = next(slots)
-            np.negative(rows[:n, :h].T, out=neg[:h])
-            _fold_near(grid, neg[:h], grid.s_nodes[:h] - 1j * angle)
-            _fold_near(grid, rows[:h], w)
-            _mirror(neg)
-            _mirror(rows)
         kernels[angle] = (1.0, rows[:n], near)
-        kernels[-angle] = (1.0, neg[:n], near) if near \
-            else (-1.0, rows[:n].T, False)
+        if not near:
+            kernels[-angle] = (-1.0, rows[:n].T, False)
     blocks, near_pairs = {}, 0
     for rt, rs, angle, mix in pairs:
         sign, matrix, near = kernels[angle]

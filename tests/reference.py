@@ -3,8 +3,9 @@ the semiflat two-form family, the closed-form Gibbons-Hawking metric of the
 OV model, the pentagon periods continued one step at a time, the OV oracle
 as QUADPACK ran it, the tree sum taken tree by tree, the KS
 automorphisms composed by series substitution, and the off-grid evaluation
-taken ray by ray with its coefficients from ``Lattice.pair``, and the
-directed value on a ray by Richardson extrapolation from off the ray.
+taken ray by ray with its coefficients from ``Lattice.pair``, the
+directed value on a ray by Richardson extrapolation from off the ray, and
+the truncation each ray's tail bound asks for on its own.
 
 None shares code with the pipeline it checks: the fit takes varpi only
 through its samples, the OV metric is a Bessel sum (GMN, arXiv:0807.4723)
@@ -45,12 +46,22 @@ from hkforge.ks import TwistedSeries
 from hkforge.lattice import Charge, DegeneratePointError, charge
 from hkforge.semiflat import (dlog_xsf_matrix, omega3_sf, omega_plus_sf,
                               pairing_two_form, theta_eval, xsf_log)
-from hkforge.solver import (FOUR_PI_I, ON_RAY_ANGLE, _fold_near, _kernels,
-                            _near_term, upsilon)
+from hkforge.solver import (FOUR_PI_I, ON_RAY_ANGLE, TAIL_MARGIN, GridSpec,
+                            _fold_near, _kernels, _near_term, upsilon)
 
 TREE_BUDGET = 200_000  # most trees the enumeration lists
 EPS_TAIL = 1e-16       # scale exp(-2 pi R n |Z|) down to which towers run
 SIDE_OFFSET = 2e-4     # farther angular offset of the Richardson limit
+
+
+def own_s_max(grids, R: float, eps_quad: float = GridSpec().eps_quad
+              ) -> list[float]:
+    """The truncation each ray's tail bound asks for on its own,
+    exp(-2 pi R |Z| cosh s_max) < eps_quad with ``TAIL_MARGIN``, from 1.5
+    up: a solve truncates every ray at the largest."""
+    return [math.acosh(max((-math.log(eps_quad) + TAIL_MARGIN)
+                           / (2 * math.pi * R * grid.ray.min_abs_z()), 1.5))
+            for grid in grids]
 
 
 def kernel_rows(grid, w) -> np.ndarray:

@@ -17,7 +17,7 @@ from hkforge.lattice import ConditionReport, charge
 from hkforge.models import pentagon_wall_point
 from hkforge.semiflat import (CoordinateValue, ModelPoint, omega3_sf,
                               omega_plus_sf)
-from reference import laurent_fit, varpi_sf
+from reference import laurent_fit, own_s_max, varpi_sf
 
 
 def run(capsys, *argv):
@@ -321,10 +321,7 @@ class TestSolutionFiles:
             "--R", "1", "--theta", "0.37,1.29", "--out", str(path))
         signed = path.read_text()
         _, point, loaded = load_solution(str(path))
-        own = [math.acosh(max((-math.log(1e-12) + solver.TAIL_MARGIN)
-                              / (2 * math.pi * point.R
-                                 * grid.ray.min_abs_z()), 1.5))
-               for grid in loaded.grids]
+        own = own_s_max(loaded.grids, point.R)
         assert max(own) == loaded.grids[0].s_max > min(own)
 
         def each_its_own(payload):

@@ -24,8 +24,9 @@ from hkforge.solver import (GridSpec, NonConvergenceError,
                             midsector_zetas, radial_limit, ray_integrals,
                             ray_jump_defect, solve, solve_tangents,
                             unknowns, upsilon, zeta_zero_moments)
-from reference import (cauchy_integral, kernel_rows, pairing_coefficients,
-                       richardson_side_limit, unfolded_ray_integrals)
+from reference import (cauchy_integral, kernel_rows, own_s_max,
+                       pairing_coefficients, richardson_side_limit,
+                       unfolded_ray_integrals)
 
 G1, G2 = charge(1, 0), charge(0, 1)
 
@@ -589,11 +590,12 @@ def _prepare_builds(monkeypatch, model, point):
 
 class TestKernelSharing:
     @pytest.mark.parametrize("wall, kernels, near", [
-        (None, 2, 0), ((1.02, 0.9), 6, 6)], ids=["conftest", "1.02x0.9"])
+        (None, 2, 0), ((1.02, 0.9), 9, 6)], ids=["conftest", "1.02x0.9"])
     def test_one_kernel_per_antipodal_class(self, pentagon, pentagon_point,
                                             monkeypatch, wall, kernels, near):
         # (a, b) and (-a, -b) share a kernel and its near terms: 4 rays
-        # pair in 4 ray pairs, 2 classes; 6 rays near the wall in 12, 6
+        # pair in 4 ray pairs, 2 classes; 6 rays near the wall in 12, 6,
+        # and the 3 near ones build their reverse too, 9
         point = pentagon_point if wall is None \
             else _wall_point(pentagon, *wall, 0.35)
         counts, _, _ = _prepare_builds(monkeypatch, pentagon, point)
@@ -615,14 +617,9 @@ class TestKernelSharing:
             assert np.array_equal(grid.s_nodes, grids[0].s_nodes)
             assert np.array_equal(grid.weights, grids[0].weights)
             assert grid.s_max == grids[0].s_max
-        own = [math.acosh(max((-math.log(GridSpec().eps_quad)
-                               + solver.TAIL_MARGIN)
-                              / (2 * math.pi * point.R
-                                 * grid.ray.min_abs_z()), 1.5))
-               for grid in grids]
-        assert grids[0].s_max == max(own)
+        assert grids[0].s_max == max(own_s_max(grids, point.R))
 
-    @pytest.mark.parametrize("wall, kernels", [(None, 2), ((1.02, 0.9), 6)],
+    @pytest.mark.parametrize("wall, kernels", [(None, 2), ((1.02, 0.9), 9)],
                              ids=["conftest", "1.02x0.9"])
     def test_ray_without_partner_keeps_its_kernels(self, pentagon,
                                                    pentagon_point,
@@ -630,8 +627,8 @@ class TestKernelSharing:
                                                    kernels):
         # with -gamma_1 dropped, the pairs of the ray of gamma_1 have no
         # antipodal pair and keep a kernel each (2 of 2 at 4 rays, 4 of 6
-        # near the wall); sharing theirs with another pair breaks the
-        # sweep, which evaluation at the nodes sees
+        # near the wall, 9 with the near reverses); sharing theirs with
+        # another pair breaks the sweep, which evaluation at the nodes sees
         point = pentagon_point if wall is None \
             else _wall_point(pentagon, *wall, 0.35)
         support = tuple(g for g in pentagon.spectrum.support(point.u)
@@ -793,20 +790,20 @@ def _unfolded_apply(model, grids, g, drop=None):
 class TestFoldedOperator:
     @pytest.mark.parametrize("wall, near_pairs, rough, omega", [
         (None, 0, True, None), ((1.02, 0.9), 12, True, None),
-        ((0.95, -3.0), 4, False, None), ((1.05, -3.0), 12, False, None),
+        ((0.95, -3.0), 4, True, None), ((1.05, -3.0), 12, True, None),
         (None, 0, True, 1), ((1.02, 0.9), 12, True, -2)],
         ids=["conftest", "1.02x0.9", "0.95x-3.0", "1.05x-3.0",
              "conftest-pairing2", "1.02x0.9-pairing2-omega-2"])
     def test_apply_matches_unfolded_sum(self, pentagon, pentagon_point,
                                         pairing_two, wall, near_pairs, rough,
                                         omega):
-        # the continuation folded into the kernel blocks, and the reverse
-        # blocks read transposed, against fresh kernels and gathers per
-        # term: at 1.02 x the wall the 12 near ordered ray pairs lie at 0.02
-        # to 0.05 of the near zone, at -3.0 the 4 (0.95 x) and 8 of the 12
-        # (1.05 x) at its edge, 0.67 to 0.73 of it.  All rays share one
-        # node set, so a pair is near both ways or neither.  Dropping one
-        # gather must show.  On the pairing-2 stubs the blocks'
+        # the continuation folded into the kernel blocks, and the far
+        # reverse blocks read transposed, against fresh kernels and gathers
+        # per term: at 1.02 x the wall the 12 near ordered ray pairs lie at
+        # 0.02 to 0.05 of the near zone, at -3.0 the 4 (0.95 x) and 8 of
+        # the 12 (1.05 x) at its edge, 0.67 to 0.73 of it.  All rays share
+        # one node set, so a pair is near both ways or neither.  Dropping
+        # one gather must show.  On the pairing-2 stubs the blocks'
         # coefficients, from ``_coefficients``, meet the ``Lattice.pair``
         # loop where p and p^3 (and Omega and Omega^2) differ
         model = pentagon if omega is None else pairing_two[omega]
@@ -830,12 +827,12 @@ class TestFoldedOperator:
                 > 1e-14 * scale
         # unit random densities: continued a panel off the ray, rough data
         # amplify any gap between the kernels of the pairs that share a
-        # block, so this holds only if the sharing is exact; they lift plain
-        # rounding to 3e-14 of the largest term at 1.02 x.  At the edge of
-        # the near zone, at -3.0, the continuation lifts the rounding gap
-        # between a transposed and a fresh kernel to 1e-9 to 5e-9 on such
-        # data: not held there.  The mirrored rows are such a gap too, so
-        # this holds on the first h nodes, whose rows are computed
+        # block, so this holds only if the sharing is exact.  A near
+        # reverse read transposed is such a gap: at the edge of the near
+        # zone, at -3.0, the continuation lifts it to 5e-9 of the largest
+        # term.  The mirrored rows are one too, 3e-14 at 1.02 x and 2e-8 at
+        # 0.95 x -3.0, so this holds on the first h nodes, whose rows are
+        # computed
         if rough:
             g = np.exp(2j * math.pi * rng.random(g.shape))
             want, _, big = _unfolded_apply(model, grids, g)

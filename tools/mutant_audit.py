@@ -46,12 +46,12 @@ MUTANTS = [
      "pairing = (coeffs @ model.lattice.matrix() @ coeffs.T).tolist()",
      "pairing = ((coeffs @ model.lattice.matrix() @ coeffs.T) ** 3"
      ").tolist()"),
-    ("sweep's reverse near fold dropped", "solver.py",
-     "_fold_near(grid, neg[:h], grid.s_nodes[:h] - 1j * angle)",
-     "pass"),
-    ("sweep's forward near fold dropped", "solver.py",
+    ("sweep's near fold dropped", "solver.py",
      "_fold_near(grid, rows[:h], w)",
      "pass"),
+    ("sweep's near reverse read transposed", "solver.py",
+     "if not near:",
+     "if True:"),
     ("evaluation's near fold dropped", "solver.py",
      "_fold_near(grids[0], rows.reshape(-1, rows.shape[-1]), w.ravel())",
      "pass"),
