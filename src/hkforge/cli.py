@@ -268,7 +268,10 @@ def load_solution(path: str):
     if content_hash(payload) != payload["hash"]:
         raise CheckFailure(f"solution file {path}: content hash mismatch")
     cfg = payload["config"]
-    model = models.model_from_config(cfg["model"])
+    try:
+        model = models.model_from_config(cfg["model"])
+    except ValueError as exc:
+        raise CheckFailure(f"solution file {path}: model: {exc}") from None
     point = ModelPoint(complex(*cfg["point"]["u"]), cfg["point"]["R"],
                        tuple(cfg["point"]["theta"]))
     spec = solver.GridSpec(**{f: cfg["spec"][f] for f in SPEC_ARGS})

@@ -545,25 +545,47 @@ _BUILTIN = {"ov": ov_model, "pentagon": pentagon_model}
 
 
 def load_model(spec: str) -> ModelDefinition:
-    """Build a model from a builtin name or a JSON config file."""
+    """Build a model from a builtin name or a JSON config file.  A spec that
+    is neither, or a config that ``model_from_config`` refuses, raises one
+    ValueError that names the spec."""
     if spec in _BUILTIN:
         return _BUILTIN[spec]()
-    with open(spec, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    return model_from_config(cfg)
+    try:
+        with open(spec, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"model {spec!r} is neither a builtin "
+                         f"({', '.join(_BUILTIN)}) nor a readable config "
+                         f"file: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"model config {spec}: not JSON: {exc}") from None
+    try:
+        return model_from_config(cfg)
+    except ValueError as exc:
+        raise ValueError(f"model config {spec}: {exc}") from None
 
 
-def model_from_config(cfg: dict) -> ModelDefinition:
+def model_from_config(cfg) -> ModelDefinition:
+    """The builtin model a config object names, at its Lambda [re, im],
+    checked against the config's pairing and flavor rank.  Each malformed
+    field raises a ValueError that names it."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a JSON {type(cfg).__name__}, not an object")
     name = cfg.get("model")
-    if name not in _BUILTIN:
-        raise ValueError(f"unknown model {name!r}")
+    if not isinstance(name, str) or name not in _BUILTIN:
+        raise ValueError(f"unknown model {name!r}; the builtins are "
+                         f"{', '.join(_BUILTIN)}")
     lam = cfg.get("Lambda", [1.0, 0.0])
+    if not (isinstance(lam, list) and len(lam) == 2 and all(
+            isinstance(x, (int, float)) and math.isfinite(x) for x in lam)):
+        raise ValueError(f"Lambda must be [re, im], two finite numbers, "
+                         f"not {lam!r}")
     model = _BUILTIN[name](complex(lam[0], lam[1]))
     pairing = cfg.get("pairing")
     if pairing is not None and [list(r) for r in model.lattice.pairing] != pairing:
-        raise ValueError("config pairing does not match the builtin lattice")
-    if int(cfg.get("flavor_rank", 0)) != model.lattice.flavor_rank:
-        raise ValueError("config flavor rank does not match the builtin lattice")
+        raise ValueError("pairing does not match the builtin lattice")
+    if cfg.get("flavor_rank", 0) != model.lattice.flavor_rank:
+        raise ValueError("flavor rank does not match the builtin lattice")
     return model
 
 

@@ -24,12 +24,12 @@ Every ray integral applies one kernel, coth((s - w)/2) with the target at
 direction * e^w, built by ``_kernels`` from the nodes and target poles.
 On the one node set, a kernel is fixed by the angle between the rays, and
 the solve builds it once per angle among the ray pairs whose charges pair
-to nonzero: the reverse direction, at minus the angle, is minus its
-transpose, coth being odd, unless near the ray, where it is built and
-folded on its own, and the antipodal pair (-a, -b) of (a, b) has the same
-angle.  The grids mirror about s = 0 bitwise, so a kernel of one angle
-obeys the reality mirror K[N-1-k, N-1-j] = -conj K[k, j]: the solve builds
-and folds its first half of rows and mirrors them into the rest.
+to nonzero: the antipodal pair (-a, -b) of (a, b) has the same angle, and
+the reverse direction, at minus the angle, takes the conjugate kernel,
+since the nodes are real and its poles the conjugates.  The grids mirror
+about s = 0 bitwise, so a kernel of one angle obeys the reality mirror
+K[N-1-k, N-1-j] = -conj K[k, j]: the solve builds and folds its first half
+of rows and mirrors them into the rest.
 Off-grid evaluation calls the same builder.  When the target lies within
 NEAR_HALF_WIDTHS panel half-widths of the source ray (``near_angle``, so
 the zone narrows as the panels refine) the density is continued to the
@@ -519,19 +519,18 @@ class _Workspace:
     """One sweep of the integral equation on fixed grids, as block products.
 
     ``blocks`` maps each ordered ray pair (target, source) whose charges
-    pair to nonzero to (sign, matrix, mix).  sign * matrix @ (weights * f),
-    with the source ray's weights, is the Cauchy integral of node data f on
-    the source ray at the target ray's nodes.  mix is sign times the
-    (target, source) block of ``_coefficients`` of the unknowns' own
-    charges, so the sweep adds mix @ (weights * g[source]) @ matrix.T to the
-    target ray's rows, and the tree sum reads (sign, matrix) with its own
-    pairings.  ``spans`` are the rows of each ray in ``unknowns``, and
-    ``weights`` (N,) the quadrature weights all rays share.  Ray pairs of
-    one angle share a kernel (``_prepare``), and the reverse direction reads
-    it transposed with sign -1, unless it holds the near-ray continuation;
-    ``near_pairs`` counts the ordered ray pairs whose matrix holds one.
-    Every matrix is a view of one store: its first ceil(N / 2) rows
-    computed, the rest their mirror.
+    pair to nonzero to (matrix, mix).  matrix @ (weights * f), with the
+    source ray's weights, is the Cauchy integral of node data f on the
+    source ray at the target ray's nodes.  mix is the (target, source)
+    block of ``_coefficients`` of the unknowns' own charges, so the sweep
+    adds mix @ (weights * g[source]) @ matrix.T to the target ray's rows,
+    and the tree sum reads the matrix with its own pairings.  ``spans`` are
+    the rows of each ray in ``unknowns``, and ``weights`` (N,) the
+    quadrature weights all rays share.  Ray pairs of one angle share a
+    kernel (``_prepare``), and the reverse direction takes its conjugate;
+    ``near_pairs`` counts the ordered ray pairs whose matrix holds the
+    near-ray continuation.  Every matrix is a view of one store, and a
+    kernel has its first ceil(N / 2) rows computed, the rest their mirror.
 
     ``rows`` are the rows the iteration computes and ``image`` the rows it
     takes as reality images (``_mirrored``): when the active charges are
@@ -543,14 +542,14 @@ class _Workspace:
     reality of the solution is still checked.
     """
 
-    blocks: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]]
+    blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
     spans: list[slice]
     weights: np.ndarray
     near_pairs: int
     rows: np.ndarray
     image: np.ndarray
     source: np.ndarray
-    half: dict[tuple[int, int], tuple[float, np.ndarray, np.ndarray]]
+    half: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
 
 
 def _fold_near(grid: QuadratureGrid, rows: np.ndarray, w: np.ndarray) -> None:
@@ -582,11 +581,12 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
     """The sweep on ``grids``, one kernel per angle between the rays.  The
     grids of one solve share their nodes, weights and near zone, so pairs of
     one angle have one kernel and near terms, and a pair is near both ways
-    or neither.  The reverse direction, under -angle, reads the kernel
-    transposed, or has a slot of its own when near, and the antipodal pair
-    (-a, -b) of (a, b) reads it.  The angles are planned first, for one
-    (slots, N, N) store: a slot per angle, and one for the reverse of a
-    near angle.  Of each slot only the poles t_k +- i angle, k < h =
+    or neither.  The antipodal pair (-a, -b) of (a, b) reads the kernel,
+    and the reverse direction, under -angle, its conjugate: the nodes t_k
+    are real, so its poles t_k - i angle, and every term built on them, are
+    the conjugates.  The angles are planned first, one of each pair +-angle,
+    for one store of two (N, N) slots per angle, the kernel and its
+    conjugate.  Of a kernel only the poles t_k + i angle, k < h =
     ceil(N / 2), are built and folded, the lower half their scratch and
     then their ``_mirror``.  The blocks' coefficients are
     ``_coefficients`` of the unknowns' own charges, and the rows it iterates
@@ -597,7 +597,7 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
     for grid in grids:
         spans.append(slice(start, start + len(grid.ray.charges)))
         start = spans[-1].stop
-    pairs, plan = [], {}
+    pairs, plan, near_pairs = [], set(), 0
     for rt, target in enumerate(grids):
         for rs, source in enumerate(grids):
             mix = coefs[spans[rs], spans[rt]].T
@@ -606,32 +606,25 @@ def _prepare(model, point: ModelPoint, grids: list[QuadratureGrid]) -> _Workspac
             angle = cmath.phase(target.ray.direction
                                 * source.ray.direction.conjugate())
             if -angle not in plan:
-                # near as ``_fold_near`` finds it: every pole of the angle
-                # lies +-angle off its source ray
-                plan[angle] = abs(angle) < source.near_angle
+                plan.add(angle)
+            # near as ``_fold_near`` finds it: every pole of the pair lies
+            # |angle| off its source ray
+            near_pairs += abs(angle) < source.near_angle
             pairs.append((rt, rs, angle, mix))
     n = grids[0].node_count if grids else 0
     h = (n + 1) // 2
-    store = np.empty((sum(1 + near for near in plan.values()), 2 * h, n),
-                     dtype=complex)
-    slots, kernels = iter(store), {}
-    # a near angle's reverse is built fresh: its transposed kernel is off
-    # by rounding that the continuation lifts on rough data
-    for angle, near in [(a, near) for angle, near in plan.items()
-                        for a in (angle, -angle)[:1 + near]]:
-        grid, rows = grids[0], next(slots)
+    store = np.empty((len(plan), 2, 2 * h, n), dtype=complex)
+    kernels = {}
+    for angle, (rows, reverse) in zip(plan, store):
+        grid = grids[0]
         w = grid.s_nodes[:h] + 1j * angle
         _kernels(grid, w, out=rows[:h], den=rows[h:])
         _fold_near(grid, rows[:h], w)
         _mirror(rows)
-        kernels[angle] = (1.0, rows[:n], near)
-        if not near:
-            kernels[-angle] = (-1.0, rows[:n].T, False)
-    blocks, near_pairs = {}, 0
-    for rt, rs, angle, mix in pairs:
-        sign, matrix, near = kernels[angle]
-        blocks[rt, rs] = (sign, matrix, sign * mix)
-        near_pairs += near
+        kernels[angle] = rows[:n]
+        # the poles of -angle are the conjugates of these, on real nodes
+        kernels[-angle] = np.conj(rows[:n], out=reverse[:n])
+    blocks = {(rt, rs): (kernels[angle], mix) for rt, rs, angle, mix in pairs}
     # the reality pairing, by charge: the row of -g for the row of each g;
     # when every row has one, of its Omega, the rows of the later ray of
     # each antipodal pair are images
@@ -673,8 +666,8 @@ def _apply(ws: _Workspace, g: np.ndarray, blocks=None) -> np.ndarray:
     leaves the other target rows 0."""
     gw = ws.weights * g
     out = np.zeros_like(g)
-    for (rt, rs), (_, matrix, mix) in (ws.blocks if blocks is None
-                                       else blocks).items():
+    for (rt, rs), (matrix, mix) in (ws.blocks if blocks is None
+                                    else blocks).items():
         out[..., ws.spans[rt], :] += mix @ (gw[..., ws.spans[rs], :]
                                             @ matrix.T)
     return out

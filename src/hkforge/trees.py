@@ -165,15 +165,13 @@ class TreeIntegrator:
         ray."""
         if j not in self._at_nodes:
             at_nodes = {}
-            for (rt, rs), (sign, matrix, _) in \
-                    self._workspace.blocks.items():
+            for (rt, rs), (matrix, _) in self._workspace.blocks.items():
                 src = [g for g, d, r, _, _ in self._decorations
                        if r == rs and d <= j]
                 if not src:
                     continue
-                rows = sign * ((self.grids[rs].weights * np.array(
-                    [self._graded[g, j] for g in src])) @ matrix.T) \
-                    / FOUR_PI_I
+                rows = (self.grids[rs].weights * np.array(
+                    [self._graded[g, j] for g in src])) @ matrix.T / FOUR_PI_I
                 for g, row in zip(src, rows):
                     at_nodes[g, rt] = row.copy()
             self._at_nodes[j] = at_nodes

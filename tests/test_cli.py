@@ -88,8 +88,36 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
     def test_unknown_model_is_error(self, capsys):
+        # neither a builtin nor a file: one line that names the builtins
         code, _, err = run(capsys, "model-info", "nosuchmodel")
         assert code == 1
+        assert err.startswith("error: model 'nosuchmodel' is neither a "
+                              "builtin (ov, pentagon) nor a readable config")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("config, message", [
+        ([1, 2], "a JSON list, not an object"),
+        ({"model": "ov", "Lambda": "ab"},
+         "Lambda must be [re, im], two finite numbers, not 'ab'"),
+        ({"model": "ov", "Lambda": [1]},
+         "Lambda must be [re, im], two finite numbers, not [1]"),
+        ({"model": ["ov"]},
+         "unknown model ['ov']; the builtins are ov, pentagon"),
+        ({"model": "ov", "flavor_rank": [1]},
+         "flavor rank does not match the builtin lattice")],
+        ids=["list", "lambda-string", "lambda-short", "name-list",
+             "flavor-list"])
+    @pytest.mark.parametrize("argv", [
+        ("model-info", "{}"),
+        ("solve", "--model", "{}", "--u", "0.5,0", "--R", "1",
+         "--theta", "0.3,1.1")], ids=["model-info", "solve"])
+    def test_malformed_model_config_is_one_line_error(self, capsys, tmp_path,
+                                                      config, message, argv):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run(capsys, *(a.format(path) for a in argv))
+        assert code == 1
+        assert err == f"error: model config {path}: {message}\n"
 
     def test_negative_r_is_usage_error(self, capsys):
         code, _, err = run(capsys, "solve", "--model", "ov", "--u", "0.5,0",
@@ -436,6 +464,20 @@ class TestSolutionFiles:
         assert loaded.iterations == payload["iterations"]
         assert loaded.residual == payload["residual"]
         assert loaded.recheck_residual < 10 * loaded.tol_iter
+
+    def test_malformed_model_refused(self, capsys, tmp_path):
+        # a re-signed file whose model config names no builtin: one line,
+        # where the model lookup would raise on the unhashable name
+        path = tmp_path / "sol.json"
+        run(capsys, "solve", "--model", "ov", "--u", "0.5,0", "--R", "1",
+            "--theta", "0.3,1.1", "--out", str(path))
+        payload = json.loads(path.read_text())
+        payload["config"]["model"]["model"] = ["ov"]
+        write_signed(path, payload)
+        code, _, err = run(capsys, "jump-check", "--solution", str(path))
+        assert code == 1
+        assert err == (f"check failed: solution file {path}: model: unknown "
+                       "model ['ov']; the builtins are ov, pentagon\n")
 
     def test_non_finite_value_refused(self, capsys, tmp_path):
         # a NaN upsilon entry, re-signed, passes the hash; the load refuses

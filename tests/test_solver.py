@@ -409,8 +409,8 @@ class TestCoefficients:
 
 def _sweep_gap(model, sol):
     """Largest gap between the node data and off-grid evaluation at the
-    nodes: the sweep's transposed and near-ray blocks against the fresh
-    ones of ``cauchy_integral``."""
+    nodes: the sweep's conjugated reverse and near-ray blocks against the
+    fresh rows of evaluation."""
     worst = 0.0
     for (r, gamma), ups in zip(unknowns(sol.grids), sol.upsilon):
         at_nodes = _upsilon_value(model, sol.grids, sol.log_one_minus_x,
@@ -590,12 +590,12 @@ def _prepare_builds(monkeypatch, model, point):
 
 class TestKernelSharing:
     @pytest.mark.parametrize("wall, kernels, near", [
-        (None, 2, 0), ((1.02, 0.9), 9, 6)], ids=["conftest", "1.02x0.9"])
+        (None, 2, 0), ((1.02, 0.9), 6, 3)], ids=["conftest", "1.02x0.9"])
     def test_one_kernel_per_antipodal_class(self, pentagon, pentagon_point,
                                             monkeypatch, wall, kernels, near):
-        # (a, b) and (-a, -b) share a kernel and its near terms: 4 rays
-        # pair in 4 ray pairs, 2 classes; 6 rays near the wall in 12, 6,
-        # and the 3 near ones build their reverse too, 9
+        # (a, b) and (-a, -b) share a kernel and its near terms, and the
+        # reverse direction takes its conjugate: 4 rays pair in 4 ray
+        # pairs, 2 classes; 6 rays near the wall in 12, 6, 3 of them near
         point = pentagon_point if wall is None \
             else _wall_point(pentagon, *wall, 0.35)
         counts, _, _ = _prepare_builds(monkeypatch, pentagon, point)
@@ -619,7 +619,7 @@ class TestKernelSharing:
             assert grid.s_max == grids[0].s_max
         assert grids[0].s_max == max(own_s_max(grids, point.R))
 
-    @pytest.mark.parametrize("wall, kernels", [(None, 2), ((1.02, 0.9), 9)],
+    @pytest.mark.parametrize("wall, kernels", [(None, 2), ((1.02, 0.9), 6)],
                              ids=["conftest", "1.02x0.9"])
     def test_ray_without_partner_keeps_its_kernels(self, pentagon,
                                                    pentagon_point,
@@ -627,8 +627,8 @@ class TestKernelSharing:
                                                    kernels):
         # with -gamma_1 dropped, the pairs of the ray of gamma_1 have no
         # antipodal pair and keep a kernel each (2 of 2 at 4 rays, 4 of 6
-        # near the wall, 9 with the near reverses); sharing theirs with
-        # another pair breaks the sweep, which evaluation at the nodes sees
+        # near the wall); sharing theirs with another pair breaks the
+        # sweep, which evaluation at the nodes sees
         point = pentagon_point if wall is None \
             else _wall_point(pentagon, *wall, 0.35)
         support = tuple(g for g in pentagon.spectrum.support(point.u)
@@ -640,6 +640,36 @@ class TestKernelSharing:
         assert counts["_kernels"] == kernels
         sol = iterate(model, point, grids, tol_iter=1e-13, workspace=ws)
         assert _sweep_gap(model, sol) <= 1e-14
+
+    @pytest.mark.parametrize("wall", WALLS + [(0.95, -3.0), (1.05, -3.0)],
+                             ids=WALL_IDS + ["0.95x-3.0", "1.05x-3.0"])
+    def test_reverse_block_is_the_conjugate(self, pentagon, pentagon_point,
+                                            wall):
+        # the nodes are real, so the poles of -angle, and the closed form
+        # and continuation at them, are the conjugates of those of angle:
+        # the reverse block of every ray pair is np.conj of the forward
+        # one, and that is a fresh build at -angle, near or far, bitwise,
+        # as numpy's complex arithmetic is conjugate-symmetric
+        point = pentagon_point if wall is None \
+            else _wall_point(pentagon, *wall, 0.35)
+        grids = build_grids(pentagon, point)
+        ws = _prepare(pentagon, point, grids)
+        grid = grids[0]
+        n = grid.node_count
+        h = (n + 1) // 2
+        near = 0
+        for (rt, rs), (matrix, _) in ws.blocks.items():
+            assert np.array_equal(ws.blocks[rs, rt][0], np.conj(matrix))
+            angle = cmath.phase(grids[rt].ray.direction
+                                * grids[rs].ray.direction.conjugate())
+            fresh = np.empty((2 * h, n), dtype=complex)
+            w = grid.s_nodes[:h] + 1j * angle
+            solver._kernels(grid, w, out=fresh[:h], den=fresh[h:])
+            solver._fold_near(grid, fresh[:h], w)
+            solver._mirror(fresh)
+            assert np.array_equal(matrix, fresh[:n])
+            near += abs(angle) < grid.near_angle
+        assert near == ws.near_pairs
 
 
 def _minus_g1_omega(model, om):
@@ -797,8 +827,8 @@ class TestFoldedOperator:
     def test_apply_matches_unfolded_sum(self, pentagon, pentagon_point,
                                         pairing_two, wall, near_pairs, rough,
                                         omega):
-        # the continuation folded into the kernel blocks, and the far
-        # reverse blocks read transposed, against fresh kernels and gathers
+        # the continuation folded into the kernel blocks, and the reverse
+        # blocks taken as conjugates, against fresh kernels and gathers
         # per term: at 1.02 x the wall the 12 near ordered ray pairs lie at
         # 0.02 to 0.05 of the near zone, at -3.0 the 4 (0.95 x) and 8 of
         # the 12 (1.05 x) at its edge, 0.67 to 0.73 of it.  All rays share
@@ -819,7 +849,7 @@ class TestFoldedOperator:
         assert ws.near_pairs == len(near) == near_pairs
         # each block is computed on its first h rows and mirrored below:
         # K[N-1-k, N-1-j] = -conj K[k, j], bitwise
-        for _, matrix, _ in ws.blocks.values():
+        for matrix, _ in ws.blocks.values():
             assert np.array_equal(matrix[::-1, ::-1], -np.conj(matrix))
         for pair in sorted(near)[:2]:
             dropped, *_ = _unfolded_apply(model, grids, g, drop=pair)
@@ -827,11 +857,12 @@ class TestFoldedOperator:
                 > 1e-14 * scale
         # unit random densities: continued a panel off the ray, rough data
         # amplify any gap between the kernels of the pairs that share a
-        # block, so this holds only if the sharing is exact.  A near
-        # reverse read transposed is such a gap: at the edge of the near
+        # block, so this holds only if the sharing is exact.  A reverse
+        # read transposed would be such a gap: at the edge of the near
         # zone, at -3.0, the continuation lifts it to 5e-9 of the largest
-        # term.  The mirrored rows are one too, 3e-14 at 1.02 x and 2e-8 at
-        # 0.95 x -3.0, so this holds on the first h nodes, whose rows are
+        # term, where the conjugate is bitwise the fresh kernel.  The
+        # mirrored rows are one too, 3e-14 at 1.02 x and 2e-8 at 0.95 x
+        # -3.0, so this holds on the first h nodes, whose rows are
         # computed
         if rough:
             g = np.exp(2j * math.pi * rng.random(g.shape))
@@ -844,8 +875,7 @@ class TestFoldedOperator:
                              ids=["conftest", "1.02x0.9", "0.95x-3.0"])
     def test_odd_node_count(self, pentagon, pentagon_point, wall):
         # 3 panels of 15 nodes: the middle row of each kernel is computed
-        # whole, and the mirror is bitwise off it (off the middle column of
-        # a block that reads a kernel transposed)
+        # whole, and the mirror is bitwise off it
         point = pentagon_point if wall is None \
             else _wall_point(pentagon, *wall, 0.35)
         grids = build_grids(pentagon, point,
@@ -855,9 +885,9 @@ class TestFoldedOperator:
         ws = _prepare(pentagon, point, grids)
         assert ws.near_pairs > 0
         off = np.r_[:n // 2, n // 2 + 1:n]
-        for _, matrix, _ in ws.blocks.values():
-            assert np.array_equal(matrix[::-1, ::-1][np.ix_(off, off)],
-                                  -np.conj(matrix)[np.ix_(off, off)])
+        for matrix, _ in ws.blocks.values():
+            assert np.array_equal(matrix[::-1, ::-1][off],
+                                  -np.conj(matrix)[off])
         g = _smooth_densities(grids, np.random.default_rng(7))
         want, _, _ = _unfolded_apply(pentagon, grids, g)
         assert float(np.max(np.abs(_apply(ws, g) - want))) \
@@ -1357,9 +1387,9 @@ class TestJumps:
         assert solver.recheck(pentagon, point, grids, sol.log_xsf,
                               sol.upsilon, ws) <= bound
         pair = next(pair for pair in ws.blocks if pair not in ws.half)
-        sign, matrix, mix = ws.blocks[pair]
+        matrix, mix = ws.blocks[pair]
         bent = dataclasses.replace(ws, blocks={
-            **ws.blocks, pair: (sign, matrix, mix * (1.0 + 1e-6))})
+            **ws.blocks, pair: (matrix, mix * (1.0 + 1e-6))})
         control = iterate(pentagon, point, grids, tol_iter=1e-12,
                           workspace=bent)
         assert np.array_equal(control.upsilon, sol.upsilon)

@@ -49,9 +49,9 @@ MUTANTS = [
     ("sweep's near fold dropped", "solver.py",
      "_fold_near(grid, rows[:h], w)",
      "pass"),
-    ("sweep's near reverse read transposed", "solver.py",
-     "if not near:",
-     "if True:"),
+    ("reverse kernel read transposed", "solver.py",
+     "np.conj(rows[:n], out=reverse[:n])",
+     "-rows[:n].T"),
     ("evaluation's near fold dropped", "solver.py",
      "_fold_near(grids[0], rows.reshape(-1, rows.shape[-1]), w.ravel())",
      "pass"),
@@ -228,6 +228,12 @@ MUTANTS = [
     ("one-node ray grid accepted", "cli.py",
      'if getattr(args, "nodes", None) == 1 == getattr(args, "panels", None):',
      "if False:"),
+    ("reverse kernel not conjugated", "solver.py",
+     "np.conj(rows[:n], out=reverse[:n])",
+     "rows[:n]"),
+    ("model config's name read unchecked", "models.py",
+     "if not isinstance(name, str) or name not in _BUILTIN:",
+     "if name not in _BUILTIN:"),
 ]
 
 
